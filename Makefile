@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test lint lint-docs lint-cache-bench obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke examples reports clean
+.PHONY: install test lint lint-docs lint-cache-bench obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -90,6 +90,13 @@ bench:
 # (CI runs this; rates are noisy but the correctness gates are strict).
 bench-smoke:
 	$(PYTHON) benchmarks/bench_datapath.py --smoke --json /tmp/BENCH_datapath.smoke.json
+
+# The cost budget (BENCHMARK.json, benchmarks/budget/): every workload
+# and its traced ladder at smoke length, then the manifest/schema and
+# count-repeatability tests.  Gates outputs, not speed.
+budget-smoke:
+	$(PYTHON) benchmarks/budget/run.py --smoke
+	$(PYTHON) -m pytest -q benchmarks/budget/test_budget_smoke.py
 
 examples:
 	@for script in examples/*.py; do \

@@ -26,6 +26,7 @@ from repro.bench import (
     run_datapath_bench,
     write_roundtrip_trace,
 )
+from repro.crypto.vector import SINGLE_LANE_MIN_BLOCKS
 
 DEFAULT_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_datapath.json"
 
@@ -36,13 +37,23 @@ def check_results(results) -> None:
     # Batch-of-64 vectorized lanes vs a scalar loop (ISSUE 7).  Present
     # only when numpy is importable -- the datapath falls back to the
     # scalar kernels there, so there is nothing to gate.  CBC *encrypt*
-    # is chain-limited and intentionally ungated (reported ~x2.5).
+    # is chain-limited (one kernel pass per block step), hence the
+    # lower bar.
     if "batch64_keyed_md5_1k_vector_ops_s" in results["stages"]:
         speedups = results["speedups"]
         assert speedups["batch64_keyed_md5_vector_vs_scalar"] >= 5.0, speedups
         assert (
             speedups["batch64_des_cbc_decrypt_vector_vs_scalar"] >= 5.0
         ), speedups
+        assert speedups["batch64_des_cbc_vector_vs_scalar"] >= 4.0, speedups
+        # One datagram as one lane.  The routing constant must sit at
+        # the measured crossover: tests hold it equal to the checked-in
+        # figure, and any run must find the lane ahead at twice the
+        # constant and the scalar loop ahead at half of it.
+        assert speedups["des_cbc_decrypt_1k_lane_vs_scalar"] >= 3.0, speedups
+        sweep = results["single_lane_sweep"]
+        assert sweep[str(2 * SINGLE_LANE_MIN_BLOCKS)] > 1.0, sweep
+        assert sweep[str(SINGLE_LANE_MIN_BLOCKS // 2)] < 1.0, sweep
     assert all(v == 0 for v in results["fast_path_per_datagram"].values()), (
         "warm-cache datagram performed keying work: "
         f"{results['fast_path_per_datagram']}"

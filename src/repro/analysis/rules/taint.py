@@ -39,7 +39,9 @@ _LOG_METHODS = {"debug", "info", "warning", "error", "exception", "critical", "l
 
 #: Array constructors/combinators that return (a view of) their array
 #: arguments: key bytes fed to these stay key material
-#: (``repro.crypto.vector`` moves MAC keys through ndarrays).
+#: (``repro.crypto.vector`` moves MAC keys and DES round masks through
+#: ndarrays; ``np.take(masks, lanes)`` gathers key rows, it does not
+#: launder them).
 _NDARRAY_FUNCS = {
     "array",
     "asarray",
@@ -47,6 +49,7 @@ _NDARRAY_FUNCS = {
     "concatenate",
     "frombuffer",
     "stack",
+    "take",
 }
 #: ndarray methods that re-expose the receiver's bytes under a new
 #: shape/dtype/container -- taint follows the receiver through them.
@@ -56,6 +59,7 @@ _NDARRAY_METHODS = {
     "flatten",
     "ravel",
     "reshape",
+    "take",
     "tobytes",
     "transpose",
     "view",

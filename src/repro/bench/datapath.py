@@ -13,7 +13,10 @@ module times each stage of that path in isolation and end to end:
 * batch-of-64 lanes through the vectorized kernels
   (``repro.crypto.vector``) against a scalar loop over the same 64
   datagrams -- 8 distinct flows cycle across the lanes so the vector
-  path pays its per-key subkey gathers, and
+  path pays its per-key subkey gathers,
+* one datagram's CBC decrypt as a single lane (its blocks in parallel)
+  against the scalar block loop, and the block count from which the
+  lane wins -- the crossover ``FBSEndpoint.unprotect`` routes on, and
 * full ``protect``/``unprotect`` round trips through two
   :class:`~repro.core.protocol.FBSEndpoint` instances, with the Figure 6
   caches warm -- plus an explicit check that a warm-cache datagram
@@ -110,6 +113,38 @@ def _paired_rates(
         base = max(base, _window(base_fn, min_time))
         fast = max(fast, _window(fast_fn, min_time))
     return base, fast
+
+
+#: Block counts swept for the single-lane crossover; it must sit well
+#: inside, so the gates can look a factor of two to either side of it.
+_CROSSOVER_SWEEP = range(1, 25)
+
+
+def _single_lane_sweep(cipher, iv: bytes, min_time: float) -> Dict[int, float]:
+    """Lane/scalar rate ratio of one CBC body's decrypt, per block count."""
+    from repro.crypto import vector
+    from repro.crypto.modes import decrypt_cbc, encrypt_cbc
+
+    ratios = {}
+    for blocks in _CROSSOVER_SWEEP:
+        wire = encrypt_cbc(cipher, iv, b"\x6b" * (8 * blocks - 1))
+        scalar, lane = _paired_rates(
+            lambda: decrypt_cbc(cipher, iv, wire),
+            lambda: vector.cbc_decrypt_many((cipher,), (iv,), (wire,)),
+            min_time,
+        )
+        ratios[blocks] = lane / scalar
+    return ratios
+
+
+def _crossover(ratios: Dict[int, float]) -> int:
+    """Fewest blocks from which the lane is never slower again."""
+    crossover = max(ratios) + 1
+    for blocks in sorted(ratios, reverse=True):
+        if ratios[blocks] < 1.0:
+            break
+        crossover = blocks
+    return crossover
 
 
 def _endpoint_pair():
@@ -244,6 +279,7 @@ def run_datapath_bench(profile: str = "full") -> Dict[str, object]:
     # numpy is absent -- the datapath itself falls back to scalar there.
     from repro.crypto import vector
 
+    single_lane: Dict[str, object] = {}
     if vector.HAVE_NUMPY:
         lanes = 64
         bodies = [
@@ -292,6 +328,23 @@ def run_datapath_bench(profile: str = "full") -> Dict[str, object]:
             lambda: vector.cbc_decrypt_many(lane_ciphers, ivs, lane_ct),
             min_time,
         )
+        # One datagram, its blocks as the lanes: what scalar unprotect()
+        # does with a secret body above the crossover.
+        (
+            stages["des_cbc_decrypt_1k_scalar_ops_s"],
+            stages["des_cbc_decrypt_1k_lane_ops_s"],
+        ) = _paired_rates(
+            lambda: decrypt_cbc(cipher, iv, cbc_ciphertext),
+            lambda: vector.cbc_decrypt_many(
+                (cipher,), (iv,), (cbc_ciphertext,)
+            ),
+            min_time,
+        )
+        sweep = _single_lane_sweep(cipher, iv, min_time / 5)
+        single_lane = {
+            "single_lane_sweep": {str(b): ratio for b, ratio in sweep.items()},
+            "single_lane_crossover_blocks": _crossover(sweep),
+        }
 
     # End-to-end round trips: one protect + one unprotect per op, caches
     # warm, alternating directions of work between the two endpoints.
@@ -330,15 +383,21 @@ def run_datapath_bench(profile: str = "full") -> Dict[str, object]:
     for name, before in PRE_PR_BASELINE.items():
         if name in stages:
             speedups[f"{name}_vs_pre_pr"] = stages[name] / before
-    # Vector-vs-scalar-loop ratios for the batch stages.  The decrypt
-    # and MAC ratios are gated (>= 5x) by benchmarks/bench_datapath.py;
-    # CBC *encrypt* is chain-limited (block i needs ciphertext i-1, so
-    # only the lane dimension vectorizes) and is reported ungated.
+    # Vector-vs-scalar-loop ratios for the batch stages, all gated by
+    # benchmarks/bench_datapath.py: decrypt and MAC >= 5x; CBC *encrypt*
+    # is chain-limited (block i needs ciphertext i-1, so only the lane
+    # dimension vectorizes) and gated >= 4x.
     for pair in ("keyed_md5", "des_cbc", "des_cbc_decrypt"):
         scalar = stages.get(f"batch64_{pair}_1k_scalar_ops_s")
         vectored = stages.get(f"batch64_{pair}_1k_vector_ops_s")
         if scalar and vectored:
             speedups[f"batch64_{pair}_vector_vs_scalar"] = vectored / scalar
+
+    scalar = stages.get("des_cbc_decrypt_1k_scalar_ops_s")
+    if scalar:
+        speedups["des_cbc_decrypt_1k_lane_vs_scalar"] = (
+            stages["des_cbc_decrypt_1k_lane_ops_s"] / scalar
+        )
 
     return {
         "profile": profile,
@@ -346,6 +405,7 @@ def run_datapath_bench(profile: str = "full") -> Dict[str, object]:
         "pre_pr_baseline": dict(PRE_PR_BASELINE),
         "speedups": speedups,
         "fast_path_per_datagram": _fast_path_deltas(),
+        **single_lane,
     }
 
 
@@ -381,6 +441,12 @@ def render_datapath_report(results: Dict[str, object]) -> str:
         lines.append(
             "Batch-of-64 vector vs scalar loop: "
             + ", ".join(f"{k}=x{v:.2f}" for k, v in sorted(batch.items()))
+        )
+    if "single_lane_crossover_blocks" in results:
+        lines.append(
+            "One datagram as one lane, 1 KB CBC decrypt vs scalar: "
+            f"x{speedups['des_cbc_decrypt_1k_lane_vs_scalar']:.2f}; "
+            f"crossover {results['single_lane_crossover_blocks']} blocks"
         )
     lines += [
         "Warm-cache per-datagram keying work (must be all zero): "

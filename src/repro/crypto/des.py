@@ -317,8 +317,9 @@ class DES:
         self.subkeys = _key_schedule(self._key_int)
         self.subkeys_rev = tuple(reversed(self.subkeys))
         # Lazily-built views for the vector datapath: the raw 6-bit
-        # schedule and the packed per-round masks cached on it by
-        # repro.crypto.vector (None until a batch touches this key).
+        # schedule and the byte-aligned per-round masks, both
+        # directions, that repro.crypto.vector.des packs from it and
+        # caches here (None until a lane pass touches this key).
         self._raw = None
         self._vector = None
 

@@ -18,6 +18,12 @@ scalar per-datagram loop.  Nothing in ``repro`` outside this package
 imports numpy.
 """
 
+#: Blocks from which one CBC body decrypts faster as a single lane of
+#: ``cbc_decrypt_many`` (its blocks in parallel) than through scalar
+#: ``modes.decrypt_cbc``.  Measured by ``benchmarks/bench_datapath.py``
+#: and recorded in ``BENCH_datapath.json``, which a test holds equal.
+SINGLE_LANE_MIN_BLOCKS = 10
+
 try:
     import numpy  # noqa: F401  (probe only; kernels import it directly)
 except ImportError:
@@ -45,6 +51,7 @@ else:
 
 __all__ = [
     "HAVE_NUMPY",
+    "SINGLE_LANE_MIN_BLOCKS",
     "cbc_decrypt_many",
     "cbc_encrypt_many",
     "encode_headers_many",

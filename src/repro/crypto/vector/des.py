@@ -1,44 +1,49 @@
-"""Lane-parallel DES-CBC over numpy ``int64`` arrays.
+"""Lane-parallel DES-CBC over numpy ``uint64`` arrays, six calls a round.
 
 The scalar kernel (:mod:`repro.crypto.des`) runs one block through
-sixteen table-lookup rounds; here the same tables are applied to whole
-*arrays* of blocks, so each SP-box lookup is one gather across every
-lane and each round is ~40 ufunc calls regardless of batch size.
+sixteen table-lookup rounds; here the rounds run over *arrays* of
+blocks.  At datagram-batch widths (tens of lanes) a pass costs its
+number of numpy calls, not its data, so a round is six calls:
 
-Everything is ``int64`` end to end: every intermediate fits in 34 bits
-(so signedness never bites), and ``int64`` equals ``intp`` on 64-bit
-platforms, which makes the gather indices directly usable -- unsigned
-index arrays would force a cast inside every fancy-indexing call.
-
-Key material enters as packed per-round XOR masks.  The scalar kernel
-folds subkeys into *selected* ``_SPX`` tables, which cannot batch
-across lanes with different keys; instead the raw 6-bit chunks
-(``DES.raw_subkeys``) are packed into two 34-bit masks per round --
-even-numbered chunks at bit offsets 28/20/12/4 and odd-numbered at
-24/16/8/0, disjoint within each parity set -- so applying a round key
-to the widened E-expansion word costs two XORs for all eight boxes.
-Single-key batches (the common case: one flow dominating a batch)
-collapse the masks to 0-d arrays that broadcast for free.
+* **Rotated, doubled state.**  Each 32-bit half is kept rotated left by
+  one (the libdes form) and repeated in both halves of a ``<u8`` word.
+  In ``rotl(R, 1)`` the E-windows of S-boxes 1, 3, 5, 7 are the low six
+  bits of bytes 3..0; in the low word of ``doubled >> 4`` -- the
+  doubling makes that shift ``rotr(rotl(R, 1), 4)`` -- boxes 0, 2, 4, 6
+  sit the same way.  One broadcast shift by ``(0, 4)`` makes both.
+* **Byte-aligned round keys**: two XOR masks with the 6-bit chunks at
+  those bytes (``DES._vector``), so one XOR keys all eight boxes.
+* **One gather for eight S-boxes.**  The window bytes, read through a
+  ``uint8`` view, index eight stacked 256-entry SP tables (pre-rotated,
+  doubled, a byte's two stray high bits ignored by repetition) in one
+  ``take``; the P-permuted outputs are disjoint, so one OR-reduce over
+  the table axis is the round function.
+* **IP and FP as one gather each** on the block / state bytes, with the
+  rotation, doubling, half swap and big-endian store in the tables.
 
 Two CBC drivers with different parallel axes:
 
-* :func:`cbc_encrypt_many` -- encryption chains within a lane, so it
-  runs *lane-parallel, block-sequential*: lanes sorted longest-first,
-  each block step processing the still-active prefix.
-* :func:`cbc_decrypt_many` -- decryption has no chaining dependency
-  (``P_i = D(C_i) ^ C_{i-1}``), so every block of every lane is
-  flattened into one array and decrypted in a single kernel call; the
-  chain inputs are a global shift of the ciphertext with the IVs
-  scattered at lane starts.
+* :func:`cbc_encrypt_many` chains within a lane, so it is lane-parallel
+  and block-sequential: lanes sorted longest-first, each step running
+  the still-active prefix.  IP and FP are hoisted out of the chain: IP
+  is a bit permutation, so ``IP(P ^ C) = IP(P) ^ IP(C)``, and
+  ``IP(FP(x)) = x``, so the chain value is the previous step's pre-FP
+  state.  All plaintext blocks (and IVs) are permuted in one call, a
+  step is rounds only, and FP runs once over all outputs.
+* :func:`cbc_decrypt_many` has no chain (``P_i = D(C_i) ^ C_{i-1}``):
+  every block of every lane flattens into one pass, the chain inputs
+  being the ciphertext shifted by one block with the IVs scattered at
+  lane starts.  One datagram is the one-lane case: its blocks are its
+  lanes.
 
 Outputs are bit-identical to :mod:`repro.crypto.modes` (the
-differential reference); property tests pin the equivalence.
+differential reference).  The scratch cache is not thread-safe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,144 +52,209 @@ from repro.crypto.modes import pad_block, unpad_block
 
 __all__ = ["cbc_decrypt_many", "cbc_encrypt_many"]
 
+#: Little-endian on every host, so byte views index the same windows.
+_U8 = np.dtype("<u8")
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-def _half_luts(luts) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """Byte-permutation LUTs split into 32-bit halves.
 
-    The 64-bit table values split into (high, low) int64 pairs so the
-    kernel can keep blocks as two 32-bit halves and never touch values
-    a gather would have to widen.
+def _rotate32(words, left: int):
+    """Rotate the low 32 bits of each ``uint64`` left by ``left``."""
+    words = words & _LOW32
+    return (
+        (words << np.uint64(left)) | (words >> np.uint64(32 - left))
+    ) & _LOW32
+
+
+def _doubled(words):
+    return (words | (words << np.uint64(32))).astype(_U8)
+
+
+def _state_luts():
+    """Byte-indexed IP, SP and FP tables in the rotated, doubled form.
+
+    ``ip[half]`` maps ``256 * position + byte`` of a raw block to that
+    byte's share of the state half; ``sp`` stacks the eight SP boxes in
+    window-byte order (odd boxes 7..1 then even boxes 6..0); ``fp``
+    maps ``256 * (4 * half + byte) + value`` of a (high, low) state to
+    its share of the output block, stored so the array's bytes are the
+    big-endian block.
     """
-    packed = []
-    for lut in luts:
-        # Entries are full 64-bit patterns (top bit may be set), so load
-        # unsigned and convert each 32-bit half -- which always fits.
-        arr = np.array(lut, dtype=np.uint64)
-        hi = (arr >> np.uint64(32)).astype(np.int64)
-        lo = (arr & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        packed.append((hi, lo))
-    return tuple(packed)
+    byte = np.arange(256, dtype=np.uint64)
+    ip = np.array(_IP_LUT, dtype=np.uint64)
+    ip = np.stack(
+        [
+            _doubled(_rotate32(half, 1)).reshape(-1)
+            for half in (ip >> np.uint64(32), ip)
+        ]
+    )
+    boxes = np.array(_SP, dtype=np.uint64)[[7, 5, 3, 1, 6, 4, 2, 0]]
+    sp = _doubled(_rotate32(boxes[:, byte & np.uint64(63)], 1)).reshape(-1)
+    # Un-rotate each state byte into its half of the pre-output block,
+    # then FP that block through the scalar kernel's byte tables.
+    eights = np.uint64(8) * np.arange(8, dtype=np.uint64)
+    word = _rotate32(byte << eights[:4, None], 31)
+    block = np.stack([word << np.uint64(32), word])
+    position = np.arange(8).reshape(8, 1, 1, 1)
+    fp = np.bitwise_or.reduce(
+        np.array(_FP_LUT, dtype=np.uint64)[
+            position, (block >> eights[::-1].reshape(8, 1, 1, 1)) & np.uint64(255)
+        ],
+        axis=0,
+    )
+    return ip, sp, fp.astype(">u8").view(_U8).reshape(-1)
 
 
-_IP_HL = _half_luts(_IP_LUT)
-_FP_HL = _half_luts(_FP_LUT)
-_SP_V = tuple(np.array(rows, dtype=np.int64) for rows in _SP)
+_IP, _SPB, _FP = _state_luts()
+_SHIFTS = np.array([[0], [4]], dtype=_U8)
+_IP_OFFSETS = (256 * np.arange(8, dtype=np.intp)).reshape(8, 1)
+#: Table offsets of the low four bytes of two state words.
+_BYTE_OFFSETS = _IP_OFFSETS.reshape(2, 4, 1)
 
-#: Byte position k of a (hi, lo) pair: which half, shifted how far.
-_BYTE_SHIFTS = (24, 16, 8, 0, 24, 16, 8, 0)
-
-
-def _permute_hl(hi, lo, luts):
-    """Apply a byte-LUT bit permutation to packed 32-bit half arrays."""
-    halves = (hi, hi, hi, hi, lo, lo, lo, lo)
-    out_hi = None
-    out_lo = None
-    for k in range(8):
-        index = (halves[k] >> _BYTE_SHIFTS[k]) & 255
-        hi_lut, lo_lut = luts[k]
-        if out_hi is None:
-            out_hi = hi_lut[index]
-            out_lo = lo_lut[index]
-        else:
-            out_hi |= hi_lut[index]
-            out_lo |= lo_lut[index]
-    return out_hi, out_lo
+#: Widths up to this keep their scratch; these are the widths where a
+#: pass is call-bound, and the bound keeps the cache a few megabytes.
+_CACHED_WIDTH = 256
 
 
-def _crypt_lanes(hi, lo, ke, ko):
-    """IP + sixteen DES rounds + FP over lane arrays.
+class _Lanes:
+    """Scratch buffers and the views a round reads, for one width."""
 
-    ``hi``/``lo`` hold the raw big-endian block halves, one lane per
-    element; ``ke``/``ko`` are the sixteen per-round XOR masks for the
-    even/odd SP-box windows, each either a 0-d array (shared key) or an
-    array parallel to the lanes.  Returns the output halves.
+    __slots__ = (
+        "state", "halves", "sources", "windows", "window_bytes",
+        "index", "index_rows", "parts", "f",
+    )  # fmt: skip
+
+    def __init__(self, width: int) -> None:
+        self.state = np.empty((2, width), dtype=_U8)
+        # Round r XORs f(state[1 - r % 2]) into state[r % 2]: the
+        # halves trade roles instead of places.
+        self.halves = (self.state[0], self.state[1])
+        self.sources = (self.state[1:2], self.state[0:1])
+        self.windows = np.empty((2, width), dtype=_U8)
+        self.window_bytes = (
+            self.windows.view(np.uint8)
+            .reshape(2, width, 8)[:, :, :4]
+            .transpose(0, 2, 1)
+        )
+        self.index = np.empty((8, width), dtype=np.intp)
+        self.index_rows = self.index.reshape(2, 4, width)
+        self.parts = np.empty((8, width), dtype=_U8)
+        self.f = np.empty(width, dtype=_U8)
+
+
+_LANES: Dict[int, _Lanes] = {}
+
+
+def _lanes(width: int) -> _Lanes:
+    lanes = _LANES.get(width)
+    if lanes is None:
+        lanes = _Lanes(width)
+        if width <= _CACHED_WIDTH:
+            _LANES[width] = lanes
+    return lanes
+
+
+def _rounds(
+    lanes: _Lanes,
+    masks,
+    shift=np.right_shift, xor=np.bitwise_xor, add=np.add, take=np.take,
+    or_reduce=np.bitwise_or.reduce,
+) -> None:  # fmt: skip
+    """Sixteen DES rounds on ``lanes.state``, in place.
+
+    ``masks`` is ``(16, 2, m)`` with ``m`` the width or 1.  Sixteen is
+    even, so the halves end in their own rows: ``state[0]`` is L16 and
+    ``state[1]`` is R16.
     """
-    left, right = _permute_hl(hi, lo, _IP_HL)
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP_V
-    for rnd in range(16):
-        # E(R) on a 34-bit widening of R, as in the scalar kernel: the
-        # eight overlapping 6-bit windows sit at shifts 28, 24, ..., 0.
-        y = ((right & 1) << 33) | (right << 1) | (right >> 31)
-        ye = y ^ ke[rnd]
-        yo = y ^ ko[rnd]
-        f = sp0[ye >> 28]
-        f |= sp1[(yo >> 24) & 63]
-        f |= sp2[(ye >> 20) & 63]
-        f |= sp3[(yo >> 16) & 63]
-        f |= sp4[(ye >> 12) & 63]
-        f |= sp5[(yo >> 8) & 63]
-        f |= sp6[(ye >> 4) & 63]
-        f |= sp7[yo & 63]
-        left ^= f
-        left, right = right, left
-    # Final swap then inverse initial permutation.
-    return _permute_hl(right, left, _FP_HL)
+    windows = lanes.windows
+    window_bytes = lanes.window_bytes
+    index = lanes.index
+    index_rows = lanes.index_rows
+    parts = lanes.parts
+    f = lanes.f
+    for rnd, mask in enumerate(masks):
+        target = lanes.halves[rnd & 1]
+        shift(lanes.sources[rnd & 1], _SHIFTS, windows)
+        xor(windows, mask, windows)
+        add(window_bytes, _BYTE_OFFSETS, index_rows)
+        # Every index is a byte plus a table offset, so in range: "clip"
+        # only spares take the bounce buffer "raise" needs with out=.
+        take(_SPB, index, None, parts, "clip")
+        or_reduce(parts, 0, None, f)
+        xor(target, f, target)
 
 
-def _packed_subkeys(cipher: DES):
-    """Per-round (even, odd) XOR masks, both directions, cached on the cipher.
+def _initial(lanes: _Lanes, block_bytes) -> None:
+    """IP of raw blocks, ``(width, 8)`` bytes, into ``lanes.state``."""
+    np.add(block_bytes.T, _IP_OFFSETS, lanes.index)
+    for table, half in zip(_IP, lanes.halves):
+        np.take(table, lanes.index, None, lanes.parts, "clip")
+        np.bitwise_or.reduce(lanes.parts, 0, None, half)
 
-    Chunk ``i`` of a round key XORs the E-expansion window at shift
-    ``28 - 4*i`` of the widened word; splitting chunks by parity makes
-    each set's windows disjoint, so eight 6-bit XORs pack into two.
+
+def _final(lanes: _Lanes, high_low) -> np.ndarray:
+    """FP of ``(2, width)`` (R16, L16) states: blocks as ``<u8`` words
+    whose bytes in memory are the big-endian block."""
+    state_bytes = high_low.view(np.uint8).reshape(2, -1, 8)[:, :, :4]
+    np.add(state_bytes.transpose(0, 2, 1), _BYTE_OFFSETS, lanes.index_rows)
+    np.take(_FP, lanes.index, None, lanes.parts, "clip")
+    return np.bitwise_or.reduce(lanes.parts, 0)
+
+
+def _packed_subkeys(cipher: DES) -> np.ndarray:
+    """``(direction, round, parity)`` XOR masks, cached on the cipher.
+
+    Parity 0 carries the odd chunks (k7, k5, k3, k1 in bytes 0..3, the
+    windows of the unshifted word), parity 1 the even chunks (k6, k4,
+    k2, k0, the windows of the word shifted by four).  Direction 1 is
+    the reversed (decryption) schedule.
     """
     cached = cipher._vector
     if cached is None:
-        even = []
-        odd = []
-        for k0, k1, k2, k3, k4, k5, k6, k7 in cipher.raw_subkeys:
-            even.append(k0 << 28 | k2 << 20 | k4 << 12 | k6 << 4)
-            odd.append(k1 << 24 | k3 << 16 | k5 << 8 | k7)
-        cached = (
-            tuple(even),
-            tuple(odd),
-            tuple(reversed(even)),
-            tuple(reversed(odd)),
-        )
-        cipher._vector = cached
+        rounds = [
+            (
+                k7 | k5 << 8 | k3 << 16 | k1 << 24,
+                k6 | k4 << 8 | k2 << 16 | k0 << 24,
+            )
+            for k0, k1, k2, k3, k4, k5, k6, k7 in cipher.raw_subkeys
+        ]
+        cached = cipher._vector = np.array([rounds, rounds[::-1]], dtype=_U8)
     return cached
 
 
-def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None):
-    """Sixteen (ke, ko) mask rows for a batch.
+def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None) -> np.ndarray:
+    """Round masks for a batch, ``(16, 2, m)``.
 
     ``ciphers`` is per lane; ``repeats`` optionally expands lanes to
-    per-block rows (the flattened decrypt axis).  A single-key batch
-    collapses to 0-d masks that broadcast against any lane count.
+    per-block columns (the flattened decrypt axis).  A single-key batch
+    has ``m == 1`` and broadcasts against any width; slicing ``[:, :,
+    :k]`` is valid for both.
     """
-    unique: List[DES] = []
-    index_of = {}
+    index_of: Dict[int, int] = {}
+    packed = []
     lane_index = []
     for cipher in ciphers:
         pos = index_of.get(id(cipher))
         if pos is None:
-            pos = index_of[id(cipher)] = len(unique)
-            unique.append(cipher)
+            pos = index_of[id(cipher)] = len(packed)
+            packed.append(_packed_subkeys(cipher)[int(decrypt)])
         lane_index.append(pos)
-    packed = [_packed_subkeys(cipher) for cipher in unique]
-    select = 2 if decrypt else 0
-    if len(unique) == 1:
-        ke = [np.array(mask, dtype=np.int64) for mask in packed[0][select]]
-        ko = [np.array(mask, dtype=np.int64) for mask in packed[0][select + 1]]
-        return ke, ko
-    ke_matrix = np.array([p[select] for p in packed], dtype=np.int64).T
-    ko_matrix = np.array([p[select + 1] for p in packed], dtype=np.int64).T
+    if len(packed) == 1:
+        return packed[0][:, :, None]
     index = np.array(lane_index, dtype=np.intp)
     if repeats is not None:
         index = np.repeat(index, repeats)
-    return list(ke_matrix[:, index]), list(ko_matrix[:, index])
+    return np.take(np.stack(packed, axis=2), index, axis=2)
 
 
-def _blocks_to_halves(raw: bytes, count: int):
-    """Pack ``count`` 8-byte blocks into native int64 (hi, lo) columns."""
-    words = (
-        np.frombuffer(raw, dtype=np.uint8)
-        .reshape(count, 2, 4)
-        .view(">u4")
-        .astype(np.int64)
-        .reshape(count, 2)
-    )
-    return words[:, 0], words[:, 1]
+def _check_lanes(ciphers, ivs, texts) -> int:
+    """The lane count, once the three sequences are parallel and every
+    IV is one block (the buffers below are laid out on that)."""
+    n = len(texts)
+    if len(ciphers) != n or len(ivs) != n:
+        raise ValueError("ciphers and ivs must be parallel to the texts")
+    if any(len(iv) != 8 for iv in ivs):
+        raise ValueError("IV/confounder must be 8 bytes")
+    return n
 
 
 def cbc_encrypt_many(
@@ -197,9 +267,7 @@ def cbc_encrypt_many(
     longest-first so a ragged batch shrinks to prefix views.  Output is
     bit-identical to per-lane ``modes.encrypt_cbc``.
     """
-    n = len(plaintexts)
-    if len(ciphers) != n or len(ivs) != n:
-        raise ValueError("ciphers and ivs must be parallel to plaintexts")
+    n = _check_lanes(ciphers, ivs, plaintexts)
     if n == 0:
         return []
     padded = [pad_block(plaintext) for plaintext in plaintexts]
@@ -207,45 +275,37 @@ def cbc_encrypt_many(
     order = sorted(range(n), key=lambda lane: -nblocks[lane])
     ascending = sorted(nblocks)
     max_blocks = nblocks[order[0]]
-    width = max_blocks * 8
+    # One row per lane: the IV, then the padded plaintext.
+    width = 8 + max_blocks * 8
     buf = bytearray(n * width)
     for row, lane in enumerate(order):
-        data = padded[lane]
+        data = ivs[lane] + padded[lane]
         buf[row * width : row * width + len(data)] = data
-    words = (
+    # Block-major (2, 1 + max_blocks, n): a step's lanes are contiguous.
+    # Its scratch is not from the cache, so no step's can alias it.
+    whole = _Lanes((max_blocks + 1) * n)
+    _initial(
+        whole,
         np.frombuffer(buf, dtype=np.uint8)
-        .reshape(n, max_blocks, 2, 4)
-        .view(">u4")
-        .astype(np.int64)
-        .reshape(n, max_blocks, 2)
+        .reshape(n, max_blocks + 1, 8)
+        .transpose(1, 0, 2)
+        .reshape(-1, 8),
     )
-    plain_hi = words[:, :, 0]
-    plain_lo = words[:, :, 1]
-    chain_hi, chain_lo = _blocks_to_halves(
-        b"".join(ivs[lane] for lane in order), n
-    )
-    ke, ko = _mask_rows([ciphers[lane] for lane in order], decrypt=False)
-    broadcast = ke[0].ndim == 0
-    out_hi = np.empty((n, max_blocks), dtype=np.int64)
-    out_lo = np.empty((n, max_blocks), dtype=np.int64)
-    ke_m, ko_m = ke, ko
-    m_prev = n
+    permuted = whole.state.reshape(2, max_blocks + 1, n)
+    masks = _mask_rows([ciphers[lane] for lane in order], decrypt=False)
+    # Pre-FP states as (R16, L16): the next step's chain value as is.
+    out = np.empty((2, max_blocks, n), dtype=_U8)
+    chain = permuted[:, 0]
     for block in range(max_blocks):
         m = n - bisect_right(ascending, block)
-        if m != m_prev and not broadcast:
-            ke_m = [row[:m] for row in ke]
-            ko_m = [row[:m] for row in ko]
-        m_prev = m
-        x_hi = plain_hi[:m, block] ^ chain_hi[:m]
-        x_lo = plain_lo[:m, block] ^ chain_lo[:m]
-        c_hi, c_lo = _crypt_lanes(x_hi, x_lo, ke_m, ko_m)
-        out_hi[:m, block] = c_hi
-        out_lo[:m, block] = c_lo
-        chain_hi, chain_lo = c_hi, c_lo
-    out_words = np.empty((n, max_blocks, 2), dtype=">u4")
-    out_words[:, :, 0] = out_hi
-    out_words[:, :, 1] = out_lo
-    raw = out_words.tobytes()
+        lanes = _lanes(m)
+        np.bitwise_xor(permuted[:, block + 1, :m], chain[:, :m], lanes.state)
+        _rounds(lanes, masks[:, :, :m])
+        chain = out[:, block, :m]
+        np.copyto(chain, lanes.state[::-1])
+    out = out.reshape(2, -1)
+    raw = _final(_lanes(out.shape[1]), out).reshape(max_blocks, n).T.tobytes()
+    width = max_blocks * 8
     results = [b""] * n
     for row, lane in enumerate(order):
         results[lane] = raw[row * width : row * width + nblocks[lane] * 8]
@@ -258,17 +318,16 @@ def cbc_decrypt_many(
     """CBC-decrypt and unpad independent lanes; ``None`` marks a bad lane.
 
     Decryption is chain-free (``P_i = D(C_i) ^ C_{i-1}``), so every
-    block of every lane flattens into one kernel call -- the parallel
+    block of every lane flattens into one kernel pass -- the parallel
     width is the *total block count*, not the lane count, which is what
-    makes receive-side batching so much faster than send-side.
+    makes receive-side batching so much faster than send-side, and what
+    makes a single long datagram worth a pass of its own.
 
     A lane that is not a whole number of blocks, or whose padding is
     corrupt after decryption, yields ``None`` -- exactly the lanes
     where scalar ``modes.decrypt`` raises ``ValueError``.
     """
-    n = len(ciphertexts)
-    if len(ciphers) != n or len(ivs) != n:
-        raise ValueError("ciphers and ivs must be parallel to ciphertexts")
+    n = _check_lanes(ciphers, ivs, ciphertexts)
     results: List[Optional[bytes]] = [None] * n
     valid = [
         lane
@@ -283,29 +342,25 @@ def cbc_decrypt_many(
     for count in counts:
         starts.append(total)
         total += count
-    cipher_hi, cipher_lo = _blocks_to_halves(
-        b"".join(ciphertexts[lane] for lane in valid), total
+    joined = np.frombuffer(
+        b"".join(ciphertexts[lane] for lane in valid), dtype=np.uint8
     )
-    prev_hi = np.empty(total, dtype=np.int64)
-    prev_lo = np.empty(total, dtype=np.int64)
-    prev_hi[1:] = cipher_hi[:-1]
-    prev_lo[1:] = cipher_lo[:-1]
-    iv_hi, iv_lo = _blocks_to_halves(
-        b"".join(ivs[lane] for lane in valid), len(valid)
+    lanes = _lanes(total)
+    _initial(lanes, joined.reshape(total, 8))
+    _rounds(
+        lanes,
+        _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts),
     )
-    start_index = np.array(starts, dtype=np.intp)
-    prev_hi[start_index] = iv_hi
-    prev_lo[start_index] = iv_lo
-    ke, ko = _mask_rows(
-        [ciphers[lane] for lane in valid], decrypt=True, repeats=counts
+    plain = _final(lanes, lanes.state[::-1])
+    # XOR is bytewise, so the chain words need no byte-order care.
+    cipher_words = joined.view(_U8)
+    previous = np.empty(total, dtype=_U8)
+    previous[1:] = cipher_words[:-1]
+    previous[np.array(starts, dtype=np.intp)] = np.frombuffer(
+        b"".join(ivs[lane] for lane in valid), dtype=_U8
     )
-    out_hi, out_lo = _crypt_lanes(cipher_hi, cipher_lo, ke, ko)
-    out_hi ^= prev_hi
-    out_lo ^= prev_lo
-    out_words = np.empty((total, 2), dtype=">u4")
-    out_words[:, 0] = out_hi
-    out_words[:, 1] = out_lo
-    raw = out_words.tobytes()
+    plain ^= previous
+    raw = plain.tobytes()
     for position, lane in enumerate(valid):
         begin = starts[position] * 8
         segment = raw[begin : begin + counts[position] * 8]

@@ -42,6 +42,36 @@ _NDARRAY_CLEAN = (
 )
 
 
+# The DES lane kernel's shape: round masks packed into an array, read
+# through a byte view, gathered per lane with take (function and method
+# forms).
+_MASK_TAKE_LEAK = (
+    "import numpy as np\n"
+    "def rows(kdf, flow_key_src, lane_index):\n"
+    "    ek = kdf.encryption_key(flow_key_src)\n"
+    "    masks = np.frombuffer(ek, dtype='<u8')\n"
+    "    lanes = np.take(masks.view(np.uint8), lane_index)\n"
+    "    print(lanes)\n"
+)
+
+_MASK_TAKE_COMPARE = (
+    "import numpy as np\n"
+    "def same(kdf, flow_key_src, lane_index, other):\n"
+    "    ek = kdf.encryption_key(flow_key_src)\n"
+    "    masks = np.frombuffer(ek, dtype='<u8').view(np.uint8)\n"
+    "    return masks.take(lane_index).tobytes() == other\n"
+)
+
+_TABLE_TAKE_CLEAN = (
+    "import numpy as np\n"
+    "def gather(table, words):\n"
+    "    index = words.view(np.uint8) + 256\n"
+    "    parts = np.take(table, index)\n"
+    "    print(parts.view(np.uint8))\n"
+    "    return parts.take(0).tobytes() == b''\n"
+)
+
+
 class TestNdarrayTaint:
     def test_key_through_frombuffer_tobytes_leaks(self):
         result = lint_source(
@@ -56,9 +86,63 @@ class TestNdarrayTaint:
         assert [f.rule_id for f in result.findings] == ["FBS001"]
         assert "constant_time_equal" in result.findings[0].message
 
+    def test_key_masks_through_view_and_take_leak(self):
+        result = lint_source(
+            _MASK_TAKE_LEAK, logical_path="src/repro/crypto/vector/des.py"
+        )
+        assert [f.rule_id for f in result.findings] == ["FBS001"]
+
+    def test_key_masks_through_take_method_compare_is_timing_channel(self):
+        result = lint_source(
+            _MASK_TAKE_COMPARE, logical_path="src/repro/crypto/vector/des.py"
+        )
+        assert [f.rule_id for f in result.findings] == ["FBS001"]
+        assert "constant_time_equal" in result.findings[0].message
+
+    def test_public_tables_through_view_and_take_are_clean(self):
+        result = lint_source(
+            _TABLE_TAKE_CLEAN, logical_path="src/repro/crypto/vector/des.py"
+        )
+        assert result.findings == []
+
     def test_public_fields_through_ndarrays_are_clean(self):
         result = lint_source(
             _NDARRAY_CLEAN, logical_path="src/repro/crypto/vector/stamp.py"
+        )
+        assert result.findings == []
+
+
+# -- FBS007: a bad lane on the n=1 route is a "mac" rejection --------------------
+
+_ROUTE_RAISES_BUILTIN = (
+    "def unprotect(self, state, header, body):\n"
+    "    plain = cbc_decrypt_many([state.cipher], [header.iv()], [body])[0]\n"
+    "    if plain is None:\n"
+    "        raise ValueError('undecryptable body')\n"
+    "    return plain\n"
+)
+
+_ROUTE_RAISES_TAXONOMY = (
+    "from repro.core.errors import MacMismatchError\n"
+    "def unprotect(self, state, header, body):\n"
+    "    plain = cbc_decrypt_many([state.cipher], [header.iv()], [body])[0]\n"
+    "    if plain is None:\n"
+    "        self._rejected('mac', header.sfl)\n"
+    "        raise MacMismatchError('undecryptable body')\n"
+    "    return plain\n"
+)
+
+
+class TestSingleLaneRouteTaxonomy:
+    def test_none_lane_raised_as_valueerror_flagged(self):
+        result = lint_source(
+            _ROUTE_RAISES_BUILTIN, logical_path="src/repro/core/protocol.py"
+        )
+        assert [f.rule_id for f in result.findings] == ["FBS007"]
+
+    def test_none_lane_mapped_to_mac_rejection_clean(self):
+        result = lint_source(
+            _ROUTE_RAISES_TAXONOMY, logical_path="src/repro/core/protocol.py"
         )
         assert result.findings == []
 

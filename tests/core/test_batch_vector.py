@@ -165,6 +165,15 @@ bodies = [b"", b"one", b"x" * 100]
 wires = alice.protect_batch(bodies, bob.principal, secret=True)
 result = bob.unprotect_batch(wires, alice.principal, secret=True)
 assert result.bodies == bodies, result.reasons
+# A secret body far above the single-lane crossover, one datagram at a
+# time: the n=1 route must also stand down without numpy.
+long_body = b"y" * 512
+assert 512 >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
+wire = alice.protect(long_body, bob.principal, secret=True)
+assert bob.unprotect(wire, alice.principal, secret=True) == long_body
+wire = alice.protect(long_body, bob.principal, secret=True)
+solo = bob.unprotect_batch([wire], alice.principal, secret=True)
+assert solo.bodies == [long_body], solo.reasons
 print("FALLBACK-OK")
 """
 
