@@ -6,13 +6,19 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test lint lint-docs lint-cache-bench obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
+.PHONY: install test loc lint lint-docs lint-cache-bench obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# src/ line counts per package, largest first, from tracked files only:
+# the number behind ROADMAP's "least code" aim (CI appends it to the
+# test job's summary).
+loc:
+	@git ls-files 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
 
 # fbslint: the whole-program protocol-invariant analyzer
 # (FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,

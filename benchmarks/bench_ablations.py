@@ -110,8 +110,8 @@ def run_keying_granularity_ablation():
         results.append(
             (
                 label,
-                alice.metrics.send_flow_key_derivations,
-                bob.metrics.receive_flow_key_derivations,
+                alice.registry.counter("flow_key_derivations", side="send").value,
+                bob.registry.counter("flow_key_derivations", side="receive").value,
             )
         )
     return results

@@ -55,10 +55,11 @@ def main() -> None:
         print(f"  from {src}: {body!r}")
     assert len(received) == 4
 
-    print(f"\nalice's flows:   {alice.endpoint.metrics.flows_started} "
-          "(video + audio conversations)")
-    print(f"mallory's flows: {mallory.endpoint.metrics.flows_started}")
-    assert alice.endpoint.metrics.flows_started == 2
+    alice_flows = alice.endpoint.registry.counter("flows_started").value
+    mallory_flows = mallory.endpoint.registry.counter("flows_started").value
+    print(f"\nalice's flows:   {alice_flows} (video + audio conversations)")
+    print(f"mallory's flows: {mallory_flows}")
+    assert alice_flows == 2
 
     # The per-user isolation host-pair keying cannot express: the two
     # users on the shared machine have unrelated pair keys with the

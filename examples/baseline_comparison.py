@@ -60,7 +60,7 @@ def main() -> None:
         (
             "FBS",
             0,
-            fbs_a.endpoint.metrics.send_flow_key_derivations,
+            fbs_a.endpoint.registry.counter("flow_key_derivations", side="send").value,
             "soft (caches)",
             "per flow",
         )

@@ -51,15 +51,16 @@ def main() -> None:
 
     # 5. Zero-message keying: no packets beyond the datagram itself.
     print(f"frames on the wire: {len(sniffed)} (the datagram, nothing else)")
-    metrics = alice_fbs.endpoint.metrics
+    alice_count = alice_fbs.endpoint.registry.counter
+    bob_count = bob_fbs.endpoint.registry.counter
     print(
-        f"alice: flows started={metrics.flows_started}, "
-        f"flow keys derived={metrics.send_flow_key_derivations}, "
-        f"datagrams protected={metrics.datagrams_sent}"
+        f"alice: flows started={alice_count('flows_started').value}, "
+        f"flow keys derived={alice_count('flow_key_derivations', side='send').value}, "
+        f"datagrams protected={alice_count('datagrams_sent').value}"
     )
     print(
-        f"bob:   datagrams accepted={bob_fbs.endpoint.metrics.datagrams_accepted}, "
-        f"MAC failures={bob_fbs.endpoint.metrics.mac_failures}"
+        f"bob:   datagrams accepted={bob_count('datagrams_accepted').value}, "
+        f"MAC failures={bob_count('datagrams_rejected', reason='mac').value}"
     )
 
 

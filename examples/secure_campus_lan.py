@@ -100,14 +100,16 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, mapping in sorted(mappings.items()):
-        metrics = mapping.endpoint.metrics
+        registry = mapping.endpoint.registry
+        count = registry.counter
         print(
-            f"{name:<12} {metrics.flows_started:>6} {metrics.datagrams_sent:>6}"
-            f" {metrics.datagrams_accepted:>9}"
-            f" {metrics.send_flow_key_derivations + metrics.receive_flow_key_derivations:>9}"
-            f" {metrics.datagrams_rejected:>9}"
+            f"{name:<12} {count('flows_started').value:>6}"
+            f" {count('datagrams_sent').value:>6}"
+            f" {count('datagrams_accepted').value:>9}"
+            f" {registry.sum_counter('flow_key_derivations'):>9}"
+            f" {registry.sum_counter('datagrams_rejected'):>9}"
         )
-        assert metrics.mac_failures == 0
+        assert count("datagrams_rejected", reason="mac").value == 0
 
     server_endpoint = mappings["fileserver"].endpoint
     print(

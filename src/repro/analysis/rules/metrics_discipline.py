@@ -1,21 +1,23 @@
-"""FBS006: every receive-path rejection bumps a metrics counter first.
+"""FBS006: every receive-path rejection bumps a metrics counter.
 
 The ROADMAP's production north star needs observable drop reasons: a
 datagram rejected without a counter increment is invisible at scale.
-The convention in ``core/protocol.py`` is::
+The rule binds ``repro.core.protocol`` and ``repro.baselines`` and
+knows the two shapes a rejection takes there:
 
-    self.metrics.stale_timestamps += 1
-    raise StaleTimestampError(...)
-
-This rule enforces it mechanically in ``repro.core.protocol`` and
-``repro.baselines``: a ``raise`` of a :class:`ReceiveError` subclass
-(or a bare ``raise`` inside an ``except ReceiveError-subclass`` block)
-must be immediately preceded -- as its previous sibling statement, or
-the statement just before its enclosing block -- by either an augmented
-``+=`` on an attribute path containing ``metrics``, or a call whose
-name contains ``reject`` (the registry-era form: the engine's
-``self._rejected(reason, ...)`` helper bumps the labeled counter and
-emits the ``DatagramRejected`` event in one place).
+* **Raised.**  A ``raise`` of a :class:`ReceiveError` subclass (or a
+  bare ``raise`` inside an ``except ReceiveError-subclass`` block) must
+  be immediately preceded -- as its previous sibling statement, or the
+  statement just before its enclosing block -- by either an augmented
+  ``+=`` on an attribute path containing ``metrics``, or a call whose
+  name contains ``reject``.
+* **Recorded.**  The staged receive pipeline does not raise per
+  datagram: it stores the reason and the typed error into the batch
+  result (``result.reasons[i] = ...`` / ``result.errors[i] = ...``).
+  A function that makes such a store must itself bump a rejection
+  counter (``..._rejected...[reason].inc()``), which is what keeps the
+  engine's ``_rejected`` helper the one site that counts, records and
+  emits ``DatagramRejected`` together.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.analysis.base import Rule, dotted_name, register
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
 
-__all__ = ["MetricsBeforeRaiseRule", "NoDirectMetricsBumpRule"]
+__all__ = ["MetricsBeforeRaiseRule"]
 
 _RECEIVE_ERRORS = {
     "ReceiveError",
@@ -70,12 +72,36 @@ def _is_metrics_bump(stmt: Optional[ast.stmt]) -> bool:
         and "metrics" in dotted_name(stmt.target).split(".")
     ):
         return True
-    # Registry-era form: a rejection-bookkeeping call, e.g.
-    # ``self._rejected("mac", header.sfl)``.
+    # A rejection-bookkeeping call, e.g. ``self._rejected(...)``.
     if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
         segments = dotted_name(stmt.value.func).split(".")
         return bool(segments) and "reject" in segments[-1]
     return False
+
+
+def _records_rejection(node: ast.AST) -> bool:
+    """``<...>.reasons[i] = ...`` or ``<...>.errors[i] = ...``."""
+    if not isinstance(node, ast.Assign):
+        return False
+    return any(
+        isinstance(target, ast.Subscript)
+        and dotted_name(target.value).split(".")[-1] in ("reasons", "errors")
+        for target in node.targets
+    )
+
+
+def _bumps_rejection_counter(node: ast.AST) -> bool:
+    """``<...rejected...>.inc()``, the counter bare or picked by label."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inc"
+    ):
+        return False
+    counter = node.func.value
+    if isinstance(counter, ast.Subscript):
+        counter = counter.value
+    return "reject" in dotted_name(counter)
 
 
 @register
@@ -84,8 +110,9 @@ class MetricsBeforeRaiseRule(Rule):
     name = "metrics-before-raise"
     severity = Severity.WARNING
     description = (
-        "every raise of a ReceiveError subclass in core/protocol.py and "
-        "baselines/*.py must be preceded by a metrics counter increment"
+        "every ReceiveError raised or rejection recorded in "
+        "core/protocol.py and baselines/*.py comes with a metrics counter "
+        "increment"
     )
     rationale = "rejected datagrams must be countable (ROADMAP observability)"
 
@@ -96,6 +123,21 @@ class MetricsBeforeRaiseRule(Rule):
         if not (ctx.is_module("core", "protocol") or ctx.in_package("baselines")):
             return
         yield from self._block(ctx, ctx.tree.body, set(), preceding=None)
+        for func in ast.walk(ctx.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(func))
+            if any(_bumps_rejection_counter(node) for node in nodes):
+                continue
+            for node in nodes:
+                if _records_rejection(node):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"{func.name} records a rejection without bumping "
+                        "the drop counter -- store reason and error only "
+                        "where datagrams_rejected is incremented",
+                    )
 
     def _block(
         self,
@@ -133,65 +175,4 @@ class MetricsBeforeRaiseRule(Rule):
                     handler.body,
                     caught | _handler_names(handler),
                     preceding=prev,
-                )
-
-
-@register
-class NoDirectMetricsBumpRule(Rule):
-    """FBS008: the engine counts through the registry, not the facade.
-
-    ``FBSMetrics`` is now a property facade over the endpoint's
-    :class:`~repro.obs.registry.MetricsRegistry`; the instrumented
-    modules (protocol, caches, FAM, replay guard, keying) must update
-    bound registry instruments (``self._c_sent.inc()``) rather than
-    write through the facade (``self.metrics.datagrams_sent += 1``).
-    A facade write from the datapath bypasses the labeled canonical
-    counters' invariants -- rejection reasons stop being mutually
-    exclusive the moment two paths bump the same legacy field.
-    Tests and examples may still write facade fields freely; the rule
-    binds only the instrumented core modules.
-    """
-
-    rule_id = "FBS008"
-    name = "no-direct-metrics-bump"
-    severity = Severity.WARNING
-    description = (
-        "instrumented core modules must not write FBSMetrics fields "
-        "directly -- update bound registry instruments instead"
-    )
-    rationale = (
-        "facade writes bypass the canonical labeled counters "
-        "(ISSUE 3 observability contract)"
-    )
-
-    _SCOPED = (
-        ("core", "protocol"),
-        ("core", "caches"),
-        ("core", "fam"),
-        ("core", "replay_guard"),
-        ("core", "keying"),
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not any(ctx.is_module(*parts) for parts in self._SCOPED):
-            return
-        for node in ast.walk(ctx.tree):
-            target: Optional[ast.expr] = None
-            if isinstance(node, ast.AugAssign):
-                target = node.target
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            if target is None:
-                continue
-            segments = dotted_name(target).split(".")
-            # Writing *through* the facade (``...metrics.<field>``) is
-            # the violation; assigning the facade itself
-            # (``self.metrics = FBSMetrics(...)``) is construction.
-            if "metrics" in segments[:-1]:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"direct write to {dotted_name(target)} -- bump a bound "
-                    "registry counter instead (FBSMetrics is a read facade "
-                    "for the datapath)",
                 )

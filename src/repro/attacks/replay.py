@@ -81,11 +81,14 @@ def run_replay_attack(
 
     # Let the freshness window close, then replay again.
     baseline = len(inbox.received)
-    stale_before = bob_fbs.endpoint.metrics.stale_timestamps
+    stale_counter = bob_fbs.endpoint.registry.counter(
+        "datagrams_rejected", reason="stale_timestamp"
+    )
+    stale_before = stale_counter.value
     adversary.replay(victim_frame, delay=replay_delay_after_window)
     net.sim.run()
     after_window = len(inbox.received) - baseline
-    stale = bob_fbs.endpoint.metrics.stale_timestamps - stale_before
+    stale = stale_counter.value - stale_before
 
     return ReplayOutcome(
         original_delivered=original_delivered,

@@ -168,20 +168,20 @@ def _fast_path_deltas() -> Dict[str, int]:
     for _ in range(3):
         bob.unprotect(alice.protect(body, bob.principal, secret=True),
                       alice.principal, secret=True)
-    before = (
-        alice.metrics.send_flow_key_derivations
-        + bob.metrics.receive_flow_key_derivations,
-        alice.metrics.crypto_state_builds + bob.metrics.crypto_state_builds,
-        DES.schedule_builds,
-    )
+
+    def keying_work():
+        return (
+            alice.registry.counter("flow_key_derivations", side="send").value
+            + bob.registry.counter("flow_key_derivations", side="receive").value,
+            alice.registry.counter("crypto_state_builds").value
+            + bob.registry.counter("crypto_state_builds").value,
+            DES.schedule_builds,
+        )
+
+    before = keying_work()
     bob.unprotect(alice.protect(body, bob.principal, secret=True),
                   alice.principal, secret=True)
-    after = (
-        alice.metrics.send_flow_key_derivations
-        + bob.metrics.receive_flow_key_derivations,
-        alice.metrics.crypto_state_builds + bob.metrics.crypto_state_builds,
-        DES.schedule_builds,
-    )
+    after = keying_work()
     return {
         "flow_key_derivations": after[0] - before[0],
         "crypto_state_builds": after[1] - before[1],

@@ -152,13 +152,13 @@ class FBSConfig:
     #: Capacity of the optional soft-state replay guard (0 = off, the
     #: paper's behaviour).  See :mod:`repro.core.replay_guard`.
     replay_guard_size: int = 0
-    #: Use the numpy lane kernels (:mod:`repro.crypto.vector`) for
-    #: ``protect_batch`` / ``unprotect_batch``.  Purely a speed switch:
-    #: wire bytes, counters, and rejection reasons are bit-identical to
-    #: the scalar loop (differential tests pin this).  The endpoint
-    #: silently falls back to the scalar path when numpy is missing,
-    #: the batch has fewer than two datagrams, or the suite is not the
-    #: vectorized pair (keyed MD5 + DES-CBC).
+    #: Let the datapath's MAC, cipher and header-encode stages call the
+    #: numpy lane kernels (:mod:`repro.crypto.vector`).  Purely a speed
+    #: switch: wire bytes, counters, rejection reasons and event order
+    #: are bit-identical to the scalar kernels (differential tests pin
+    #: this).  The endpoint silently uses the scalar kernels when numpy
+    #: is missing, the batch has fewer than two datagrams, or the suite
+    #: is not the vectorized pair (keyed MD5 + DES-CBC).
     vectorize: bool = True
 
     def __post_init__(self) -> None:

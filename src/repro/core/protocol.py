@@ -24,7 +24,6 @@ the discrepancy here and in DESIGN.md.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -40,7 +39,6 @@ from repro.core.errors import (
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
 from repro.core.header import FBSHeader, header_length
 from repro.core.keying import FlowCryptoState, KeyDerivation, Principal
-from repro.core.metrics import FBSMetrics
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.timestamps import FreshnessWindow, TimestampCodec
 from repro.crypto import modes
@@ -61,12 +59,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["FBSEndpoint", "FBSError", "ReceiveError", "BatchReceiveResult"]
 
-#: Batch-path equivalents of :meth:`FBSHeader.mac_input` / ``iv()``:
-#: the vector datapath assembles these fields before headers exist.
-_CONF_TS = struct.Struct(">II")
-_U32 = struct.Struct(">I")
-
-#: Shortest secret body :meth:`FBSEndpoint.unprotect` hands to the lane
+#: Shortest secret body ``FBSEndpoint._decrypt`` hands to the lane
 #: kernel instead of the scalar block loop.
 _LANE_DECRYPT_MIN_BYTES = 8 * _vector.SINGLE_LANE_MIN_BLOCKS
 
@@ -78,12 +71,17 @@ class BatchReceiveResult:
     ``bodies[i]`` is the delivered plaintext of datagram ``i``, or
     ``None`` when it was rejected; ``reasons[i]`` is then the rejection
     reason (one of :data:`~repro.obs.events.REJECTION_REASONS`) and
-    ``None`` for accepted datagrams -- per-datagram accounting survives
-    batching exactly.
+    ``errors[i]`` the typed error :meth:`FBSEndpoint.unprotect` raises
+    for it, both ``None`` for accepted datagrams -- per-datagram
+    accounting survives batching exactly.  ``headers[i]`` is the parsed
+    security flow header (``None`` only under reason ``"header"``), so
+    callers need not decode a second time to learn the sfl.
     """
 
     bodies: List[Optional[bytes]] = field(default_factory=list)
     reasons: List[Optional[str]] = field(default_factory=list)
+    headers: List[Optional[FBSHeader]] = field(default_factory=list)
+    errors: List[Optional[FBSError]] = field(default_factory=list)
 
     @property
     def accepted(self) -> int:
@@ -180,7 +178,6 @@ class FBSEndpoint:
         self._confounder_rng = LinearCongruential(confounder_seed)
         self._charge = charge or (lambda _cost: None)
         self._flow_key_cost = flow_key_cost
-        self.metrics = FBSMetrics(registry=self.registry)
         # Bound instruments: the datapath pays one attribute read plus
         # one integer add per count, never a registry lookup.
         reg = self.registry
@@ -206,9 +203,9 @@ class FBSEndpoint:
         self._header_len = header_length(
             self.config.suite, self.config.carry_algorithm_id
         )
-        # Batch lane kernels apply only to the suite they implement
+        # The lane kernels apply only to the suite they implement
         # (keyed MD5 + DES-CBC, the paper's IP mapping); anything else
-        # takes the scalar loop, as does a numpy-less interpreter.
+        # takes the scalar kernels, as does a numpy-less interpreter.
         self._vector_ok = (
             self.config.vectorize
             and _vector.HAVE_NUMPY
@@ -258,35 +255,31 @@ class FBSEndpoint:
             float(self.fam.active_flows(self.now(), self.config.threshold))
         )
 
-    def _rejected(self, reason: str, sfl: int = -1) -> None:
+    def _rejected(
+        self, result: BatchReceiveResult, i: int, reason: str, error: FBSError
+    ) -> None:
         """The single bookkeeping point for a dropped datagram.
 
-        Bumps ``datagrams_rejected{reason}`` and emits one
-        :class:`DatagramRejected`; every rejection path calls this
-        exactly once, which is what makes the reasons mutually
+        Bumps ``datagrams_rejected{reason}``, records the reason and the
+        typed error at index ``i`` (dropping any body staged there) and
+        emits one :class:`DatagramRejected`; every rejection path calls
+        this exactly once, which is what makes the reasons mutually
         exclusive (and keeps retried paths from double-counting).
         """
         self._c_rejected_by_reason[reason].inc()
+        result.bodies[i] = None
+        result.reasons[i] = reason
+        result.errors[i] = error
         tr = self.tracer
         if tr.enabled:
+            header = result.headers[i]
+            sfl = -1 if header is None else header.sfl
             tr.emit(DatagramRejected(reason=reason, sfl=sfl))
 
     @property
     def header_size(self) -> int:
         """Wire bytes the security flow header adds to each datagram."""
         return self._header_len
-
-    def _mac(self, flow_key: bytes, header: FBSHeader, body: bytes) -> bytes:
-        """MAC = HMAC(K_f | confounder | timestamp | payload).
-
-        Generic (non-cached) construction; the datapath goes through
-        :meth:`~repro.core.keying.FlowCryptoState.mac`, which produces
-        bit-identical output from precomputed key state.
-        """
-        digest = self.config.suite.mac.func(
-            self.kdf.mac_key(flow_key), header.mac_input(body)
-        )
-        return digest[: self.config.suite.mac_bytes]
 
     def _build_crypto_state(self, flow_key: bytes) -> FlowCryptoState:
         self._c_builds.inc()
@@ -314,16 +307,24 @@ class FBSEndpoint:
         except ValueError:
             return None
 
-    def _send_flow_state(self, sfl: int, destination: Principal) -> FlowCryptoState:
-        """Figure 6: TFKC, then MKC/MKD, then derive and install.
+    def _flow_state(
+        self, sfl: int, peer: Principal, sending: bool
+    ) -> FlowCryptoState:
+        """Figure 6 for either half: the flow-key cache (TFKC when
+        sending, RFKC when receiving), then MKC/MKD, then derive and
+        install.
 
         A cache hit returns the flow's precomputed
         :class:`FlowCryptoState`: zero key derivations, zero DES key
         schedules, zero hash-prefix absorptions on the fast path.
         """
-        entry = self.tfkc.lookup_entry(
-            sfl, destination.wire_id, self.principal.wire_id
-        )
+        if sending:
+            cache, derived, side = self.tfkc, self._c_kd_send, "send"
+            source, destination = self.principal, peer
+        else:
+            cache, derived, side = self.rfkc, self._c_kd_recv, "receive"
+            source, destination = peer, self.principal
+        entry = cache.lookup_entry(sfl, destination.wire_id, source.wire_id)
         if entry is not None:
             if entry.crypto is None:
                 # Key installed by an out-of-band path (e.g. a test or
@@ -331,58 +332,23 @@ class FBSEndpoint:
                 # once and pin it to the entry.
                 entry.crypto = self._build_crypto_state(entry.flow_key)
             return entry.crypto
-        master = self.mkd.upcall_master_key(destination)
+        master = self.mkd.upcall_master_key(peer)
         self._charge(self._flow_key_cost)
-        self._c_kd_send.inc()
+        derived.inc()
         tr = self.tracer
         if tr.enabled:
-            tr.emit(KeyDerived(side="send", sfl=sfl))
-        flow_key = self.kdf.flow_key(sfl, master, self.principal, destination)
+            tr.emit(KeyDerived(side=side, sfl=sfl))
+        flow_key = self.kdf.flow_key(sfl, master, source, destination)
         state = self._build_crypto_state(flow_key)
-        self.tfkc.install(
+        cache.install(
             sfl,
             destination.wire_id,
-            self.principal.wire_id,
-            flow_key,
-            now=self.now(),
-            crypto=state,
-        )
-        return state
-
-    def _receive_flow_state(self, sfl: int, source: Principal) -> FlowCryptoState:
-        """The RFKC mirror of the send path."""
-        entry = self.rfkc.lookup_entry(
-            sfl, self.principal.wire_id, source.wire_id
-        )
-        if entry is not None:
-            if entry.crypto is None:
-                entry.crypto = self._build_crypto_state(entry.flow_key)
-            return entry.crypto
-        master = self.mkd.upcall_master_key(source)
-        self._charge(self._flow_key_cost)
-        self._c_kd_recv.inc()
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(KeyDerived(side="receive", sfl=sfl))
-        flow_key = self.kdf.flow_key(sfl, master, source, self.principal)
-        state = self._build_crypto_state(flow_key)
-        self.rfkc.install(
-            sfl,
-            self.principal.wire_id,
             source.wire_id,
             flow_key,
             now=self.now(),
             crypto=state,
         )
         return state
-
-    def _send_flow_key(self, sfl: int, destination: Principal) -> bytes:
-        """The flow key alone (compatibility shim over the state path)."""
-        return self._send_flow_state(sfl, destination).flow_key
-
-    def _receive_flow_key(self, sfl: int, source: Principal) -> bytes:
-        """The flow key alone (compatibility shim over the state path)."""
-        return self._receive_flow_state(sfl, source).flow_key
 
     # -- FBSSend (Figure 4, left) ------------------------------------------------
 
@@ -393,52 +359,18 @@ class FBSEndpoint:
         attributes: Optional[DatagramAttributes] = None,
         secret: bool = False,
     ) -> bytes:
-        """FBSSend: classify, key, MAC, optionally encrypt.
+        """FBSSend for one datagram: :meth:`protect_batch` at n=1.
 
         Returns the security flow header followed by the (possibly
         encrypted) body; the caller splices this into its datagram
         format.
         """
-        now = self.now()
-        if attributes is None:
-            attributes = DatagramAttributes(
-                destination_id=destination.wire_id, size=len(body)
-            )
-        # (S1) classify into a flow (the FAM emits FlowStarted).
-        entry = self.fam.classify(attributes, now)
-        if entry.datagrams == 1:
-            self._c_flows.inc()
-        sfl = entry.sfl
-        # (S2-3) flow crypto state (logically the flow key; physically
-        # the TFKC entry carrying the precomputed per-key state).
-        state = self._send_flow_state(sfl, destination)
-        # (S4-5) confounder and timestamp.
-        confounder = self._confounder_rng.next_u32()
-        timestamp = self.codec.encode(now)
-        header = FBSHeader(
-            sfl=sfl,
-            confounder=confounder,
-            mac=b"\x00" * self.config.suite.mac_bytes,
-            timestamp=timestamp,
-        )
-        # (S6) MAC over confounder | timestamp | plaintext body.
-        header.mac = state.mac(header.mac_input(body))
-        # (S8-9) optional encryption with the confounder-derived IV; the
-        # cipher (key schedule included) is cached on the flow state.
-        if secret:
-            body = modes.encrypt(
-                self.config.suite.cipher_mode, state.cipher, header.iv(), body
-            )
-            self._c_encryptions.inc()
-        # (S7, S10) emit header + body.
-        self._c_sent.inc()
-        self._c_bytes_out.inc(len(body))
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(DatagramProtected(sfl=sfl, size=len(body), secret=secret))
-        return (
-            header.encode(self.config.suite, self.config.carry_algorithm_id) + body
-        )
+        return self.protect_batch(
+            (body,),
+            destination,
+            None if attributes is None else (attributes,),
+            secret,
+        )[0]
 
     def protect_batch(
         self,
@@ -448,20 +380,22 @@ class FBSEndpoint:
         secret: bool = False,
         stamps: Optional[Sequence[float]] = None,
     ) -> List[bytes]:
-        """FBSSend over a vector of datagrams.
+        """FBSSend (S1-S10) over n >= 1 datagrams, in stages.
 
-        Semantically identical to calling :meth:`protect` once per body
-        -- byte-identical wire output, identical counters and events
-        (tests pin the equivalence) -- but the per-datagram Python
-        overhead (attribute chains, counter bumps, tracer checks) is
-        paid once per batch instead of once per datagram.
+        Classification, keying and stamping walk shared soft state, so
+        they run in datagram order; MAC, cipher and header encoding are
+        then one kernel pass each -- the numpy lanes across datagrams
+        when there are at least two and the suite is the vectorized
+        pair, the scalar kernels otherwise.  Wire bytes, counters and
+        events do not depend on that choice, nor on how a stream is cut
+        into batches (tests pin both).
 
         ``attributes``, when given, is parallel to ``bodies``.
         ``stamps`` optionally supplies a per-datagram simulation time
         (trace replay drives this); without it every datagram reads the
-        endpoint clock exactly as :meth:`protect` does.  Events are
-        still stamped by the endpoint clock, so a replaying caller
-        should advance its clock to the batch boundary.
+        endpoint clock.  Events are still stamped by the endpoint
+        clock, so a replaying caller should advance its clock to the
+        batch boundary.
         """
         n = len(bodies)
         if attributes is not None and len(attributes) != n:
@@ -471,156 +405,107 @@ class FBSEndpoint:
         if n == 0:
             # An empty batch is a no-op: no counters, no events.
             return []
-        if n >= 2 and self._vector_ok:
-            return self._protect_batch_vector(
-                bodies, destination, attributes, secret, stamps
-            )
-        # Hoisted hot-path state: one load per batch, not per datagram.
+        lanes = n >= 2 and self._vector_ok
+        suite = self.config.suite
+        carry = self.config.carry_algorithm_id
+        mac_bytes = suite.mac_bytes
+        zero_mac = b"\x00" * mac_bytes
         fam_classify = self.fam.classify
-        send_state = self._send_flow_state
+        flow_state = self._flow_state
         next_u32 = self._confounder_rng.next_u32
         encode_ts = self.codec.encode
-        suite = self.config.suite
-        zero_mac = b"\x00" * suite.mac_bytes
-        carry = self.config.carry_algorithm_id
-        cipher_mode = suite.cipher_mode
         now_fn = self.now
         dest_wire = destination.wire_id
+        # (S1-5) classify, flow crypto state (logically the flow key;
+        # physically the TFKC entry carrying the precomputed per-key
+        # state), confounder and timestamp.
+        headers: List[FBSHeader] = []
+        states: List[FlowCryptoState] = []
+        flows = 0
+        for i in range(n):
+            body = bodies[i]
+            now = stamps[i] if stamps is not None else now_fn()
+            if attributes is not None:
+                attrs = attributes[i]
+            else:
+                attrs = DatagramAttributes(
+                    destination_id=dest_wire, size=len(body)
+                )
+            entry = fam_classify(attrs, now)
+            if entry.datagrams == 1:
+                flows += 1
+            states.append(flow_state(entry.sfl, destination, True))
+            headers.append(
+                FBSHeader(
+                    sfl=entry.sfl,
+                    confounder=next_u32(),
+                    mac=zero_mac,
+                    timestamp=encode_ts(now),
+                )
+            )
+        # (S6) MAC over confounder | timestamp | plaintext body.
+        if lanes:
+            macs = _vector.keyed_md5_many(
+                [state.mac_key for state in states],
+                [headers[i].mac_input(bodies[i]) for i in range(n)],
+            )
+            if mac_bytes != 16:
+                macs = [mac[:mac_bytes] for mac in macs]
+        else:
+            macs = []
+            for i in range(n):
+                macs.append(states[i].mac(headers[i].mac_input(bodies[i])))
+        # (S8-9) optional encryption with the confounder-derived IV; the
+        # cipher (key schedule included) is cached on the flow state.
+        if not secret:
+            wire_bodies = bodies
+        elif lanes:
+            wire_bodies = _vector.cbc_encrypt_many(
+                [state.cipher for state in states],
+                [header.iv() for header in headers],
+                bodies,
+            )
+        else:
+            cipher_mode = suite.cipher_mode
+            wire_bodies = []
+            for i in range(n):
+                wire_bodies.append(
+                    modes.encrypt(
+                        cipher_mode, states[i].cipher, headers[i].iv(), bodies[i]
+                    )
+                )
+        # (S7, S10) encode the headers, account, emit header + body.
+        if lanes:
+            heads = _vector.encode_headers_many(
+                [header.sfl for header in headers],
+                [header.confounder for header in headers],
+                macs,
+                [header.timestamp for header in headers],
+                mac_bytes,
+                suite_id=suite.suite_id if carry else None,
+            )
+        else:
+            heads = []
+            for i in range(n):
+                headers[i].mac = macs[i]
+                heads.append(headers[i].encode(suite, carry))
         tr = self.tracer
         emit = tr.emit if tr.enabled else None
         out: List[bytes] = []
-        flows = 0
         bytes_out = 0
-        encryptions = 0
         for i in range(n):
-            body = bodies[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            if attributes is not None:
-                attrs = attributes[i]
-            else:
-                attrs = DatagramAttributes(
-                    destination_id=dest_wire, size=len(body)
-                )
-            entry = fam_classify(attrs, now)
-            if entry.datagrams == 1:
-                flows += 1
-            sfl = entry.sfl
-            state = send_state(sfl, destination)
-            header = FBSHeader(
-                sfl=sfl,
-                confounder=next_u32(),
-                mac=zero_mac,
-                timestamp=encode_ts(now),
-            )
-            header.mac = state.mac(header.mac_input(body))
-            if secret:
-                body = modes.encrypt(
-                    cipher_mode, state.cipher, header.iv(), body
-                )
-                encryptions += 1
-            bytes_out += len(body)
+            wire_body = wire_bodies[i]
+            bytes_out += len(wire_body)
             if emit is not None:
-                emit(DatagramProtected(sfl=sfl, size=len(body), secret=secret))
-            out.append(header.encode(suite, carry) + body)
+                emit(
+                    DatagramProtected(
+                        sfl=headers[i].sfl, size=len(wire_body), secret=secret
+                    )
+                )
+            out.append(heads[i] + wire_body)
         self._c_sent.inc(n)
         self._c_bytes_out.inc(bytes_out)
-        if flows:
-            self._c_flows.inc(flows)
-        if encryptions:
-            self._c_encryptions.inc(encryptions)
-        return out
-
-    def _protect_batch_vector(
-        self,
-        bodies: Sequence[bytes],
-        destination: Principal,
-        attributes: Optional[Sequence[DatagramAttributes]],
-        secret: bool,
-        stamps: Optional[Sequence[float]],
-    ) -> List[bytes]:
-        """The numpy lane datapath behind :meth:`protect_batch`.
-
-        Classification and keying stay scalar (they walk shared mutable
-        soft state in datagram order -- same events, same cache
-        traffic); the crypto splits into three lane-parallel passes:
-        one keyed-MD5 sweep over every MAC input, one CBC sweep over
-        every body, one header-stamping pass.  Output bytes, counters,
-        and events match the scalar loop exactly.
-        """
-        n = len(bodies)
-        fam_classify = self.fam.classify
-        send_state = self._send_flow_state
-        next_u32 = self._confounder_rng.next_u32
-        encode_ts = self.codec.encode
-        suite = self.config.suite
-        mac_bytes = suite.mac_bytes
-        carry = self.config.carry_algorithm_id
-        now_fn = self.now
-        dest_wire = destination.wire_id
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        pack_conf_ts = _CONF_TS.pack
-        flows = 0
-        sfls: List[int] = []
-        confounders: List[int] = []
-        timestamps: List[int] = []
-        mac_keys: List[bytes] = []
-        mac_inputs: List[bytes] = []
-        states: List[FlowCryptoState] = []
-        for i in range(n):
-            body = bodies[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            if attributes is not None:
-                attrs = attributes[i]
-            else:
-                attrs = DatagramAttributes(
-                    destination_id=dest_wire, size=len(body)
-                )
-            entry = fam_classify(attrs, now)
-            if entry.datagrams == 1:
-                flows += 1
-            sfl = entry.sfl
-            state = send_state(sfl, destination)
-            confounder = next_u32()
-            timestamp = encode_ts(now)
-            sfls.append(sfl)
-            confounders.append(confounder)
-            timestamps.append(timestamp)
-            mac_keys.append(state.mac_key)
-            mac_inputs.append(pack_conf_ts(confounder, timestamp) + body)
-            states.append(state)
-            if emit is not None:
-                # PKCS#7 always pads, so the wire body size under
-                # encryption is the next multiple of 8 *above* len(body).
-                size = ((len(body) | 7) + 1) if secret else len(body)
-                emit(DatagramProtected(sfl=sfl, size=size, secret=secret))
-        macs = _vector.keyed_md5_many(mac_keys, mac_inputs)
-        if mac_bytes != 16:
-            macs = [mac[:mac_bytes] for mac in macs]
-        if secret:
-            pack_u32 = _U32.pack
-            ivs = []
-            for confounder in confounders:
-                four = pack_u32(confounder)
-                ivs.append(four + four)
-            out_bodies = _vector.cbc_encrypt_many(
-                [state.cipher for state in states], ivs, bodies
-            )
-        else:
-            out_bodies = list(bodies)
-        heads = _vector.encode_headers_many(
-            sfls,
-            confounders,
-            macs,
-            timestamps,
-            mac_bytes,
-            suite_id=suite.suite_id if carry else None,
-        )
-        out = [heads[i] + out_bodies[i] for i in range(n)]
-        self._c_sent.inc(n)
-        self._c_bytes_out.inc(sum(len(body) for body in out_bodies))
-        if flows:
-            self._c_flows.inc(flows)
+        self._c_flows.inc(flows)
         if secret:
             self._c_encryptions.inc(n)
         return out
@@ -628,69 +513,17 @@ class FBSEndpoint:
     # -- FBSReceive (Figure 4, right) ----------------------------------------------
 
     def unprotect(self, data: bytes, source: Principal, secret: bool = False) -> bytes:
-        """FBSReceive: freshness, keying, decrypt, MAC verify.
+        """FBSReceive for one datagram: :meth:`unprotect_batch` at n=1.
 
-        Returns the plaintext body, or raises a :class:`ReceiveError`
-        subclass (the pseudo-code's ``return error`` paths).
+        Returns the plaintext body, or raises the :class:`ReceiveError`
+        subclass (the pseudo-code's ``return error`` paths) or keying
+        :class:`FBSError` the pipeline recorded for it.
         """
-        self._c_received.inc()
-        now = self.now()
-        # (R2) parse the security flow header.
-        try:
-            header = FBSHeader.decode(
-                data, self.config.suite, self.config.carry_algorithm_id
-            )
-        except HeaderFormatError:
-            self._rejected("header")
-            raise
-        body = data[self.header_size :]
-        # (R3-4) freshness.
-        if not self.freshness.is_fresh(header.timestamp, now):
-            self._rejected("stale_timestamp", header.sfl)
-            raise StaleTimestampError(
-                f"timestamp {header.timestamp} outside freshness window at {now}"
-            )
-        # (R5-6) recover the flow crypto state (via the RFKC).
-        try:
-            state = self._receive_flow_state(header.sfl, source)
-        except FBSError:
-            self._rejected("keying", header.sfl)
-            raise
-        # (R10-11 before R7-9; see the module docstring on Figure 4's
-        # ordering) optional decryption with the flow's cached cipher.
-        if secret:
-            body = self._decrypt(state, header, body)
-            if body is None:
-                self._rejected("mac", header.sfl)
-                raise MacMismatchError(
-                    f"undecryptable body on datagram in flow {header.sfl:#x}"
-                )
-            self._c_decryptions.inc()
-        # (R7-9) MAC verification over the plaintext.
-        expected = state.mac(header.mac_input(body))
-        if not constant_time_equal(expected, header.mac):
-            self._rejected("mac", header.sfl)
-            raise MacMismatchError(
-                f"MAC mismatch on datagram in flow {header.sfl:#x}"
-            )
-        # Optional extension: suppress exact duplicates within the
-        # freshness window (after MAC verification, so forged headers
-        # cannot poison the memory).  Only the guard raises inside the
-        # try; catching its ReceiveError here avoids importing the
-        # concrete subclass (the guard module is an optional import).
-        if self.replay_guard is not None:
-            try:
-                self.replay_guard.check_and_remember(header, now)
-            except ReceiveError:
-                self._rejected("duplicate", header.sfl)
-                raise
-        # (R12) deliver.
-        self._c_accepted.inc()
-        self._c_bytes_in.inc(len(body))
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-        return body
+        result = self.unprotect_batch((data,), source, secret)
+        error = result.errors[0]
+        if error is not None:
+            raise error
+        return result.bodies[0]
 
     def unprotect_batch(
         self,
@@ -699,225 +532,160 @@ class FBSEndpoint:
         secret: bool = False,
         stamps: Optional[Sequence[float]] = None,
     ) -> BatchReceiveResult:
-        """FBSReceive over a vector of datagrams.
+        """FBSReceive (R1-R12) over n >= 1 datagrams, in stages.
 
-        Unlike :meth:`unprotect`, a bad datagram does not raise: the
-        result records ``None`` plus the rejection reason at that
-        position, so per-datagram rejection accounting is preserved
-        (each reason is counted by the same ``_rejected`` bookkeeping
-        point the scalar path uses, and the reasons stay mutually
-        exclusive).  Counters and events after a batch are identical to
-        a scalar loop that catches :class:`ReceiveError` per datagram
-        -- tests pin the equivalence.
+        A bad datagram does not raise: the result records ``None`` plus
+        the rejection reason and typed error at that position, through
+        the one ``_rejected`` bookkeeping point, so per-datagram
+        rejection accounting is exact and the reasons stay mutually
+        exclusive.  Header parse, freshness and keying walk shared soft
+        state and run in datagram order, rejecting inline; survivors
+        take one decrypt pass and one MAC pass (numpy lanes across
+        datagrams when there are at least two and the suite is the
+        vectorized pair, scalar kernels otherwise); the replay guard,
+        delivery and accounting then run in datagram order again, so
+        per-index reasons, counters, events and replay-guard memory
+        order do not depend on the kernel choice.
 
         ``stamps`` optionally supplies per-datagram arrival times (for
         trace replay); without it every datagram reads the endpoint
-        clock exactly as :meth:`unprotect` does.
+        clock.
         """
         n = len(datagrams)
         if stamps is not None and len(stamps) != n:
             raise FBSError("stamps must be parallel to datagrams")
+        headers: List[Optional[FBSHeader]] = [None] * n
+        # Doubles as the staging buffer: wire body, then plaintext,
+        # back to None the moment the datagram is rejected.
+        bodies: List[Optional[bytes]] = [None] * n
+        result = BatchReceiveResult(bodies, [None] * n, headers, [None] * n)
         if n == 0:
             # An empty batch is a no-op: no counters, no events.
-            return BatchReceiveResult()
-        if n >= 2 and self._vector_ok:
-            return self._unprotect_batch_vector(datagrams, source, secret, stamps)
-        # Hoisted hot-path state: one load per batch, not per datagram.
-        suite = self.config.suite
-        carry = self.config.carry_algorithm_id
-        decrypt = self._decrypt
-        decode = FBSHeader.decode
-        header_len = self._header_len
-        is_fresh = self.freshness.is_fresh
-        recv_state = self._receive_flow_state
-        guard = self.replay_guard
-        rejected = self._rejected
-        now_fn = self.now
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        result = BatchReceiveResult()
-        bodies = result.bodies
-        reasons = result.reasons
-        accepted = 0
-        bytes_in = 0
-        decryptions = 0
-        self._c_received.inc(n)
-        for i in range(n):
-            data = datagrams[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            try:
-                header = decode(data, suite, carry)
-            except HeaderFormatError:
-                rejected("header")
-                bodies.append(None)
-                reasons.append("header")
-                continue
-            body = data[header_len:]
-            if not is_fresh(header.timestamp, now):
-                rejected("stale_timestamp", header.sfl)
-                bodies.append(None)
-                reasons.append("stale_timestamp")
-                continue
-            try:
-                state = recv_state(header.sfl, source)
-            except FBSError:
-                rejected("keying", header.sfl)
-                bodies.append(None)
-                reasons.append("keying")
-                continue
-            if secret:
-                body = decrypt(state, header, body)
-                if body is None:
-                    rejected("mac", header.sfl)
-                    bodies.append(None)
-                    reasons.append("mac")
-                    continue
-                decryptions += 1
-            expected = state.mac(header.mac_input(body))
-            if not constant_time_equal(expected, header.mac):
-                rejected("mac", header.sfl)
-                bodies.append(None)
-                reasons.append("mac")
-                continue
-            if guard is not None:
-                try:
-                    guard.check_and_remember(header, now)
-                except ReceiveError:
-                    rejected("duplicate", header.sfl)
-                    bodies.append(None)
-                    reasons.append("duplicate")
-                    continue
-            accepted += 1
-            bytes_in += len(body)
-            if emit is not None:
-                emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-            bodies.append(body)
-            reasons.append(None)
-        self._c_accepted.inc(accepted)
-        self._c_bytes_in.inc(bytes_in)
-        if decryptions:
-            self._c_decryptions.inc(decryptions)
-        return result
-
-    def _unprotect_batch_vector(
-        self,
-        datagrams: Sequence[bytes],
-        source: Principal,
-        secret: bool,
-        stamps: Optional[Sequence[float]],
-    ) -> BatchReceiveResult:
-        """The numpy lane datapath behind :meth:`unprotect_batch`.
-
-        Phase 1 walks the datagrams in order doing everything stateful
-        and cheap (header decode, freshness, keying) and rejects
-        inline.  Surviving lanes then take one flattened CBC decrypt
-        and one keyed-MD5 sweep.  The final pass runs in datagram order
-        again for MAC/duplicate rejection bookkeeping, the replay
-        guard, and delivery -- so counter totals, per-index reasons,
-        and replay-guard memory order all match the scalar loop.
-        """
-        n = len(datagrams)
+            return result
+        lanes = n >= 2 and self._vector_ok
         suite = self.config.suite
         carry = self.config.carry_algorithm_id
         mac_bytes = suite.mac_bytes
         decode = FBSHeader.decode
         header_len = self._header_len
         is_fresh = self.freshness.is_fresh
-        recv_state = self._receive_flow_state
-        guard = self.replay_guard
+        flow_state = self._flow_state
         rejected = self._rejected
         now_fn = self.now
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
         self._c_received.inc(n)
-        headers: List[Optional[FBSHeader]] = [None] * n
+        # (R2-6) parse the header, check freshness, recover the flow
+        # crypto state (via the RFKC).
         states: List[Optional[FlowCryptoState]] = [None] * n
-        lane_bodies: List[Optional[bytes]] = [None] * n
         nows: List[float] = [0.0] * n
-        fails: List[Optional[str]] = [None] * n
+        alive: List[int] = []
         for i in range(n):
             data = datagrams[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            nows[i] = now
+            now = nows[i] = stamps[i] if stamps is not None else now_fn()
             try:
-                header = decode(data, suite, carry)
-            except HeaderFormatError:
-                rejected("header")
-                fails[i] = "header"
+                header = headers[i] = decode(data, suite, carry)
+            except HeaderFormatError as exc:
+                rejected(result, i, "header", exc)
                 continue
             if not is_fresh(header.timestamp, now):
-                rejected("stale_timestamp", header.sfl)
-                fails[i] = "stale_timestamp"
+                rejected(
+                    result,
+                    i,
+                    "stale_timestamp",
+                    StaleTimestampError(
+                        f"timestamp {header.timestamp} outside freshness "
+                        f"window at {now}"
+                    ),
+                )
                 continue
             try:
-                states[i] = recv_state(header.sfl, source)
-            except FBSError:
-                rejected("keying", header.sfl)
-                fails[i] = "keying"
+                states[i] = flow_state(header.sfl, source, False)
+            except FBSError as exc:
+                rejected(result, i, "keying", exc)
                 continue
-            headers[i] = header
-            lane_bodies[i] = data[header_len:]
-        alive = [i for i in range(n) if fails[i] is None]
-        decryptions = 0
+            bodies[i] = data[header_len:]
+            alive.append(i)
+        # (R10-11 before R7-9; see the module docstring on Figure 4's
+        # ordering) optional decryption with the flow's cached cipher.
         if secret and alive:
-            plains = _vector.cbc_decrypt_many(
-                [states[i].cipher for i in alive],
-                [headers[i].iv() for i in alive],
-                [lane_bodies[i] for i in alive],
-            )
-            survivors = []
-            for position, i in enumerate(alive):
+            if lanes:
+                plains = _vector.cbc_decrypt_many(
+                    [states[i].cipher for i in alive],
+                    [headers[i].iv() for i in alive],
+                    [bodies[i] for i in alive],
+                )
+            else:
+                plains = []
+                for i in alive:
+                    plains.append(self._decrypt(states[i], headers[i], bodies[i]))
+            decrypted = alive
+            alive = []
+            for position, i in enumerate(decrypted):
                 plain = plains[position]
                 if plain is None:
-                    # Not a whole number of blocks, or garbled padding:
-                    # the scalar path's decrypt ValueError.
-                    rejected("mac", headers[i].sfl)
-                    fails[i] = "mac"
+                    rejected(
+                        result,
+                        i,
+                        "mac",
+                        MacMismatchError(
+                            "undecryptable body on datagram in flow "
+                            f"{headers[i].sfl:#x}"
+                        ),
+                    )
                 else:
-                    lane_bodies[i] = plain
-                    decryptions += 1
-                    survivors.append(i)
-            alive = survivors
-        if alive:
+                    bodies[i] = plain
+                    alive.append(i)
+            self._c_decryptions.inc(len(alive))
+        # (R7-9) MAC verification over the plaintext.
+        if lanes and alive:
             macs = _vector.keyed_md5_many(
                 [states[i].mac_key for i in alive],
-                [headers[i].mac_input(lane_bodies[i]) for i in alive],
+                [headers[i].mac_input(bodies[i]) for i in alive],
             )
-            for position, i in enumerate(alive):
-                expected = macs[position][:mac_bytes]
-                if not constant_time_equal(expected, headers[i].mac):
-                    rejected("mac", headers[i].sfl)
-                    fails[i] = "mac"
-        result = BatchReceiveResult()
-        bodies = result.bodies
-        reasons = result.reasons
-        accepted = 0
+            if mac_bytes != 16:
+                macs = [mac[:mac_bytes] for mac in macs]
+        else:
+            macs = []
+            for i in alive:
+                macs.append(states[i].mac(headers[i].mac_input(bodies[i])))
+        verified = alive
+        alive = []
+        for position, i in enumerate(verified):
+            if constant_time_equal(macs[position], headers[i].mac):
+                alive.append(i)
+            else:
+                rejected(
+                    result,
+                    i,
+                    "mac",
+                    MacMismatchError(
+                        f"MAC mismatch on datagram in flow {headers[i].sfl:#x}"
+                    ),
+                )
+        # Optional extension: suppress exact duplicates within the
+        # freshness window (after MAC verification, so forged headers
+        # cannot poison the memory).  Catching the guard's ReceiveError
+        # avoids importing the concrete subclass (the guard module is
+        # an optional import).  Then (R12) deliver.
+        guard = self.replay_guard
+        tr = self.tracer
+        emit = tr.emit if tr.enabled else None
         bytes_in = 0
-        for i in range(n):
-            if fails[i] is not None:
-                bodies.append(None)
-                reasons.append(fails[i])
-                continue
+        accepted = 0
+        for i in alive:
             header = headers[i]
-            body = lane_bodies[i]
             if guard is not None:
                 try:
                     guard.check_and_remember(header, nows[i])
-                except ReceiveError:
-                    rejected("duplicate", header.sfl)
-                    bodies.append(None)
-                    reasons.append("duplicate")
+                except ReceiveError as exc:
+                    rejected(result, i, "duplicate", exc)
                     continue
+            size = len(bodies[i])
             accepted += 1
-            bytes_in += len(body)
+            bytes_in += size
             if emit is not None:
-                emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-            bodies.append(body)
-            reasons.append(None)
+                emit(DatagramAccepted(sfl=header.sfl, size=size))
         self._c_accepted.inc(accepted)
         self._c_bytes_in.inc(bytes_in)
-        if decryptions:
-            self._c_decryptions.inc(decryptions)
         return result
 
     # -- soft state management -------------------------------------------------------

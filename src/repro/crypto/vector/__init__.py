@@ -14,7 +14,7 @@ same pattern as ``des.reference``.
 numpy is optional at runtime: :data:`HAVE_NUMPY` is ``False`` when the
 import fails, the kernel names below then raise, and the protocol layer
 (:class:`repro.core.protocol.FBSEndpoint`) silently falls back to the
-scalar per-datagram loop.  Nothing in ``repro`` outside this package
+scalar kernels.  Nothing in ``repro`` outside this package
 imports numpy.
 """
 

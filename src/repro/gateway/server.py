@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.errors import FBSError, HeaderFormatError
-from repro.core.header import FBSHeader
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
 from repro.gateway.admission import AdmissionController
@@ -32,7 +30,6 @@ from repro.gateway.eviction import evict_tenant_footprint
 from repro.gateway.tenants import Address, GatewayConfig, TenantState, TenantTable
 from repro.obs.events import TenantAdmitted, TenantEvicted
 from repro.transport.base import Transport
-from repro.transport.channel import _reject_reason
 
 __all__ = ["FBSGateway", "default_resolver"]
 
@@ -126,23 +123,12 @@ class FBSGateway:
             tenant.dropped += 1
             self.admission.dropped("backpressure")
             return "dropped:backpressure"
-        sfl = None
-        try:
-            header = FBSHeader.decode(
-                payload,
-                self.endpoint.config.suite,
-                self.endpoint.config.carry_algorithm_id,
-            )
-            sfl = header.sfl
-        except HeaderFormatError:
-            pass  # unprotect re-raises this with full accounting
-        try:
-            body = self.endpoint.unprotect(payload, tenant.principal)
-        except FBSError as exc:
-            return f"rejected:{_reject_reason(exc)}"
-        if sfl is not None:
-            tenant.flows.add(sfl)
-        tenant.queue.append(body)
+        result = self.endpoint.unprotect_batch((payload,), tenant.principal)
+        reason = result.reasons[0]
+        if reason is not None:
+            return f"rejected:{reason}"
+        tenant.flows.add(result.headers[0].sfl)
+        tenant.queue.append(result.bodies[0])
         tenant.enqueued += 1
         self.admission.enqueued()
         return "enqueued"

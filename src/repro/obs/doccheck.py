@@ -2,10 +2,16 @@
 
 Two checks, both pure-stdlib:
 
-* **Coverage** -- ``docs/OBSERVABILITY.md`` must mention, in backticks,
-  every event class in :data:`repro.obs.events.EVENT_TYPES` and every
-  metric name in :data:`repro.obs.registry.METRIC_CATALOG`.  The guide
-  cannot silently fall behind the code.
+* **Coverage** -- a guide must mention, in backticks, every name the
+  code requires of it (:func:`check_backticked`).
+  ``docs/OBSERVABILITY.md`` owes every event class in
+  :data:`repro.obs.events.EVENT_TYPES` and every metric name in
+  :data:`repro.obs.registry.METRIC_CATALOG`; ``docs/DEPLOYMENT.md``
+  owes every operator-facing knob of the real-socket transport
+  (``UdpTransportConfig`` and ``RetryPolicy`` fields, ``--transport``
+  hop names) and of the gateway (``GatewayConfig`` fields, admission
+  drop/eviction reasons).  The guides cannot silently fall behind the
+  code.
 * **Links** -- every relative markdown link in the repo's top-level and
   ``docs/`` markdown files must resolve to an existing file (anchors
   are stripped; external ``http(s)``/``mailto`` links are skipped).
@@ -17,15 +23,18 @@ and exit nonzero without any assertion machinery (fbslint FBS004 bans
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs.events import EVENT_TYPES
 from repro.obs.registry import METRIC_CATALOG
 
 __all__ = [
-    "check_observability_doc",
+    "check_backticked",
+    "observability_names",
+    "deployment_names",
     "check_markdown_links",
     "default_markdown_files",
     "run_doc_checks",
@@ -37,25 +46,51 @@ _BACKTICKED = re.compile(r"`([^`\n]+)`")
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
-def check_observability_doc(doc_path: str) -> List[str]:
-    """Problems with the operator's guide's coverage (empty = in sync)."""
-    problems: List[str] = []
+def check_backticked(
+    doc_path: str, required: Dict[str, Sequence[str]]
+) -> List[str]:
+    """Names in ``required`` (``{label: names}``) that ``doc_path`` never
+    mentions in backticks, one problem each (empty = in sync)."""
     if not os.path.isfile(doc_path):
         return [f"{doc_path}: missing"]
     with open(doc_path, "r", encoding="utf-8") as fp:
-        text = fp.read()
-    mentioned = set(_BACKTICKED.findall(text))
-    for cls in EVENT_TYPES:
-        if cls.__name__ not in mentioned:
-            problems.append(
-                f"{doc_path}: event type `{cls.__name__}` is not documented"
-            )
-    for name in sorted(METRIC_CATALOG):
-        if name not in mentioned:
-            problems.append(
-                f"{doc_path}: metric `{name}` is not documented"
-            )
-    return problems
+        mentioned = set(_BACKTICKED.findall(fp.read()))
+    return [
+        f"{doc_path}: {label} `{name}` is not documented"
+        for label, names in required.items()
+        for name in names
+        if name not in mentioned
+    ]
+
+
+def observability_names() -> Dict[str, Sequence[str]]:
+    """What ``docs/OBSERVABILITY.md`` must document."""
+    return {
+        "event type": [cls.__name__ for cls in EVENT_TYPES],
+        "metric": sorted(METRIC_CATALOG),
+    }
+
+
+def deployment_names() -> Dict[str, Sequence[str]]:
+    """What ``docs/DEPLOYMENT.md`` must document."""
+    # Lazy imports: obs sits below transport and gateway in the layering
+    # and must not pull them in eagerly; check-docs is an offline CLI path.
+    from repro.gateway.admission import DROP_REASONS, EVICTION_REASONS
+    from repro.gateway.tenants import GatewayConfig
+    from repro.transport.channel import RetryPolicy
+    from repro.transport.hop import HOP_NAMES
+    from repro.transport.udp import UdpTransportConfig
+
+    def knobs(config_cls) -> List[str]:
+        return [field.name for field in dataclasses.fields(config_cls)]
+
+    return {
+        "UdpTransportConfig knob": knobs(UdpTransportConfig),
+        "RetryPolicy knob": knobs(RetryPolicy),
+        "--transport value": HOP_NAMES,
+        "GatewayConfig knob": knobs(GatewayConfig),
+        "gateway reason": DROP_REASONS + EVICTION_REASONS,
+    }
 
 
 def check_markdown_links(paths: Sequence[str], root: str) -> List[str]:
@@ -96,16 +131,14 @@ def default_markdown_files(root: str) -> List[str]:
 
 def run_doc_checks(root: str) -> List[str]:
     """All documentation checks for a repo root; empty means clean."""
-    doc_path = os.path.join(root, "docs", "OBSERVABILITY.md")
-    problems = check_observability_doc(doc_path)
-    # Lazy imports: obs sits below transport and gateway in the layering
-    # and must not pull them in eagerly; check-docs is an offline CLI path.
-    from repro.gateway.doccheck import check_gateway_doc
-    from repro.transport.doccheck import check_deployment_doc
-
-    deployment = os.path.join(root, "docs", "DEPLOYMENT.md")
-    problems.extend(check_deployment_doc(deployment))
-    problems.extend(check_gateway_doc(deployment))
+    problems = check_backticked(
+        os.path.join(root, "docs", "OBSERVABILITY.md"), observability_names()
+    )
+    problems.extend(
+        check_backticked(
+            os.path.join(root, "docs", "DEPLOYMENT.md"), deployment_names()
+        )
+    )
     problems.extend(
         check_markdown_links(default_markdown_files(root), root)
     )

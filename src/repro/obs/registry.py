@@ -1,7 +1,6 @@
 """The metrics registry: named counters, gauges, and histograms.
 
-Replaces the old flat ``FBSMetrics`` dataclass bumping with first-class
-named metrics.  Three instrument kinds:
+First-class named metrics.  Three instrument kinds:
 
 * :class:`Counter` -- monotonically increasing count (``inc``).
 * :class:`Gauge` -- point-in-time value (``set``); most FBS gauges are

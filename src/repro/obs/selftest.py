@@ -6,8 +6,7 @@ attached at once, then checks the cross-layer contracts:
 
 1. Trace events fold to the same per-cache hit/miss counts as the live
    :class:`~repro.core.caches.CacheStats` objects.
-2. The metrics registry's counters match the trace aggregate and the
-   legacy :class:`~repro.core.metrics.FBSMetrics` facade.
+2. The metrics registry's counters match the trace aggregate.
 3. A JSONL round trip (write, re-read, re-aggregate) reproduces the
    live aggregate exactly.
 4. Rejection reasons are mutually exclusive and sum to
@@ -142,7 +141,7 @@ def run_selftest() -> List[str]:
             f"{name}: trace misses {tally.misses} != live {live_misses}",
         )
 
-    # 2. Registry vs trace vs legacy facade (bob receives everything).
+    # 2. Registry vs trace (bob receives everything).
     registry = bob.registry
     _expect(
         failures,
@@ -154,16 +153,12 @@ def run_selftest() -> List[str]:
         agg.datagrams_accepted == accepted,
         "trace DatagramAccepted count != scenario count",
     )
-    _expect(
-        failures,
-        bob.metrics.datagrams_accepted == accepted,
-        "FBSMetrics facade datagrams_accepted != scenario count",
-    )
     rejected_total = registry.sum_counter("datagrams_rejected")
     _expect(
         failures,
-        rejected_total == bob.metrics.datagrams_rejected,
-        "sum of rejection reasons != datagrams_rejected property",
+        rejected_total
+        == registry.counter("datagrams_received").value - accepted,
+        "sum of rejection reasons != received - accepted",
     )
     _expect(
         failures,

@@ -37,13 +37,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
-from repro.core.errors import (
-    FBSError,
-    HeaderFormatError,
-    MacMismatchError,
-    ReceiveError,
-    StaleTimestampError,
-)
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
 from repro.obs.events import REJECTION_REASONS
@@ -78,19 +71,6 @@ class RetryPolicy:
             return base
         jittered = base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return min(jittered, self.cap)
-
-
-def _reject_reason(exc: FBSError) -> str:
-    """Map an unprotect exception to its ledger reason."""
-    if isinstance(exc, HeaderFormatError):
-        return "header"
-    if isinstance(exc, StaleTimestampError):
-        return "stale_timestamp"
-    if isinstance(exc, MacMismatchError):
-        return "mac"
-    if isinstance(exc, ReceiveError):
-        return "duplicate"
-    return "keying"
 
 
 class SecureChannel:
@@ -138,13 +118,13 @@ class SecureChannel:
         wire = await self.transport.recv(timeout)
         if wire is None:
             return None
-        try:
-            body = self.endpoint.unprotect(wire, self.peer, secret=self.secret)
-        except FBSError as exc:
-            self.ledger["rejected"][_reject_reason(exc)] += 1
+        result = self.endpoint.unprotect_batch((wire,), self.peer, self.secret)
+        reason = result.reasons[0]
+        if reason is not None:
+            self.ledger["rejected"][reason] += 1
             return None
         self.ledger["accepted"] += 1
-        return body
+        return result.bodies[0]
 
     async def request(
         self,

@@ -1,4 +1,4 @@
-"""Violating fixture for FBS006: silent rejections.
+"""Violating fixture for FBS006: silent rejections, raised or recorded.
 
 Linted as if it lived at ``src/repro/baselines/receiver.py``.
 """
@@ -28,3 +28,7 @@ class Receiver:
             return self.codec.decode(data)
         except HeaderFormatError:
             raise  # re-raised without counting the drop
+
+    def note_rejection(self, result, i, reason, error):
+        result.reasons[i] = reason  # recorded without counting the drop
+        result.errors[i] = error

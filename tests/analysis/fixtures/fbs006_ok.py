@@ -1,8 +1,9 @@
 """Compliant fixture for FBS006: every rejection bumps a counter first.
 
 Linted as if it lived at ``src/repro/baselines/receiver.py``.
-Exercises all three accepted shapes: direct sibling bump, bump just
-before the enclosing ``if``, and bump before a bare re-raise.
+Exercises the accepted shapes: direct sibling bump, bump just before
+the enclosing ``if``, bump before a bare re-raise, and a recorded (not
+raised) rejection stored by the helper that bumps the labeled counter.
 """
 
 # fbslint: module=repro.baselines.receiver
@@ -14,9 +15,12 @@ from repro.core.errors import (
 
 
 class Receiver:
-    def __init__(self, metrics, codec):
+    def __init__(self, metrics, codec, registry):
         self.metrics = metrics
         self.codec = codec
+        self._c_rejected_by_reason = {
+            "mac": registry.counter("datagrams_rejected", reason="mac")
+        }
 
     def unprotect(self, fresh, mac_ok):
         if not fresh:
@@ -33,3 +37,8 @@ class Receiver:
         except HeaderFormatError:
             self.metrics.header_errors += 1
             raise
+
+    def _rejected(self, result, i, reason, error):
+        self._c_rejected_by_reason[reason].inc()
+        result.reasons[i] = reason
+        result.errors[i] = error

@@ -1,9 +1,9 @@
 """Compliant fixture for FBS007: typed raises, narrow excepts.
 
 Linted as if it lived at ``src/repro/core/protocol.py`` -- so it also
-honours FBS006 (rejection bookkeeping before every ReceiveError raise)
-and FBS008 (no direct FBSMetrics facade writes: the engine calls its
-``_rejected`` helper, which updates bound registry counters).
+honours FBS006 (rejection bookkeeping before every ReceiveError raise:
+the engine calls its ``_rejected`` helper, which updates bound registry
+counters).
 """
 
 # fbslint: module=repro.core.protocol

@@ -17,9 +17,8 @@ CASES = {
     "FBS003": ("src/repro/core/jitter.py", 4),
     "FBS004": ("src/repro/baselines/guard.py", 1),
     "FBS005": ("src/repro/core/header.py", 6),
-    "FBS006": ("src/repro/baselines/receiver.py", 3),
+    "FBS006": ("src/repro/baselines/receiver.py", 5),
     "FBS007": ("src/repro/core/protocol.py", 3),
-    "FBS008": ("src/repro/core/protocol.py", 3),
     "FBS009": ("src/repro/netsim/parallel.py", 4),
     "FBS010": ("src/repro/core/aio.py", 3),
     "FBS011": ("src/repro/obs/report.py", 3),

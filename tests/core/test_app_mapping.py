@@ -130,7 +130,7 @@ class TestConversations:
         sender.send(b"sample", "b@h2", conversation=b"audio")
         sender.send(b"frame2", "b@h2", conversation=b"video")
         net.sim.run()
-        assert sender.endpoint.metrics.flows_started == 2
+        assert sender.endpoint.registry.counter("flows_started").value == 2
         assert apps["b@h2"].delivered == 3
 
     def test_unknown_destination(self):

@@ -1,10 +1,12 @@
-"""Vector batch datapath: differential equivalence and fallback.
+"""Kernel choice inside the one pipeline: lanes vs scalar, and fallback.
 
-``FBSConfig.vectorize`` must be invisible except in speed: twin worlds
-running the same workload with the switch on and off must produce
-byte-identical wire output, identical registry snapshots, and identical
-per-datagram rejection reasons.  A separate subprocess test proves the
-endpoint falls back to the scalar loop when numpy is absent.
+``FBSConfig.vectorize`` only picks the kernels each pipeline stage
+calls, so it must be invisible except in speed: twin worlds running the
+same workload with the switch on and off must produce byte-identical
+wire output, identical registry snapshots, identical per-datagram
+rejection reasons and the identical event sequence.  A separate
+subprocess test proves the endpoint falls back to the scalar kernels
+when numpy is absent.
 """
 
 import os
@@ -15,7 +17,9 @@ import pytest
 
 from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
+from repro.core.errors import FBSError, UnknownPrincipalError
 from repro.core.keying import Principal
+from repro.obs import RingBufferSink, Tracer
 
 pytestmark = pytest.mark.skipif(
     not __import__("repro.crypto.vector", fromlist=["HAVE_NUMPY"]).HAVE_NUMPY,
@@ -115,14 +119,137 @@ class TestVectorBatchDifferential:
         assert b_v.registry.snapshot() == b_s.registry.snapshot()
 
     def test_single_datagram_batch_takes_scalar_path_identically(self):
-        # n == 1 falls back to the scalar loop; output must still match
-        # a protect() call in a twin world.
+        # n == 1 never engages the lanes; output must still match a
+        # protect() call in a twin world.
         a_v, b_v, clk_v = make_pair(vectorize=True)
         a_s, b_s, clk_s = make_pair(vectorize=False)
         wire_v = a_v.protect_batch([b"solo"], b_v.principal, secret=True)
         wire_s = [a_s.protect(b"solo", b_s.principal, secret=True)]
         assert wire_v == wire_s
         assert a_v.registry.snapshot() == a_s.registry.snapshot()
+
+
+def traced_world(vectorize):
+    clock = Clock()
+    sink = RingBufferSink(capacity=4096)
+    config = FBSConfig(vectorize=vectorize, replay_guard_size=64)
+    domain = FBSDomain(seed=29, config=config)
+    tracer = Tracer(sink, now=clock)
+    alice = domain.make_endpoint(
+        Principal.from_name("alice"), now=clock, tracer=tracer
+    )
+    bob = domain.make_endpoint(
+        Principal.from_name("bob"), now=clock, tracer=tracer
+    )
+    return alice, bob, clock, sink
+
+
+def every_reason_stream(alice, bob):
+    """Eight secret datagrams of one flow: header, stale, keying, ok,
+    bad pad, bad MAC, duplicate (of the ok one), ok.  The keying failure
+    is the directory refusing bob's first master-key upcall."""
+    wires = alice.protect_batch(
+        [bytes([i]) * 40 for i in range(8)], bob.principal, secret=True
+    )
+    h = bob.header_size
+    wires[0] = wires[0][:7]
+    wires[4] = wires[4][:-1] + bytes([wires[4][-1] ^ 1])
+    wires[5] = wires[5][:h] + bytes([wires[5][h] ^ 0x80]) + wires[5][h + 1 :]
+    wires[6] = wires[3]
+    stamps = [0.0, 500.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    real = bob.mkd.upcall_master_key
+    upcalls = []
+
+    def flaky(peer):
+        upcalls.append(peer)
+        if len(upcalls) == 1:
+            raise UnknownPrincipalError("directory unreachable")
+        return real(peer)
+
+    bob.mkd.upcall_master_key = flaky
+    return wires, stamps
+
+
+REASONS = [
+    "header", "stale_timestamp", "keying", None, "mac", "mac", "duplicate", None,
+]  # fmt: skip
+
+
+def trace_of(sink):
+    return [(type(event).__name__, event.to_dict()) for event in sink.events]
+
+
+def kinds_of(sink):
+    return [
+        getattr(event, "reason", None) or type(event).__name__
+        for event in sink.events
+    ]
+
+
+class TestEventOrder:
+    def test_protect_batch_trace_is_independent_of_vectorize(self):
+        a_v, b_v, clk_v, sink_v = traced_world(vectorize=True)
+        a_s, b_s, clk_s, sink_s = traced_world(vectorize=False)
+        protect_all(a_v, b_v, clk_v, True, secret=True)
+        protect_all(a_s, b_s, clk_s, False, secret=True)
+        assert trace_of(sink_v) == trace_of(sink_s)
+        # Emitted after the cipher stage: the event carries the wire
+        # size (PKCS#7 always pads), not the plaintext size.
+        sizes = [e["size"] for name, e in trace_of(sink_v) if name == "DatagramProtected"]
+        assert sizes == [(len(body) | 7) + 1 for body in BODIES]
+
+    def test_unprotect_batch_trace_is_independent_of_vectorize(self):
+        worlds = [traced_world(vectorize) for vectorize in (True, False)]
+        traces = []
+        for alice, bob, clock, sink in worlds:
+            wires, stamps = every_reason_stream(alice, bob)
+            sink.clear()
+            result = bob.unprotect_batch(
+                wires, alice.principal, secret=True, stamps=stamps
+            )
+            assert result.reasons == REASONS
+            traces.append(trace_of(sink))
+        assert traces[0] == traces[1]
+        # The staged order: keying and inline rejections in datagram
+        # order, then decrypt failures, then MAC failures, then the
+        # in-order replay-guard and delivery pass.
+        assert kinds_of(worlds[0][3]) == [
+            "header",
+            "stale_timestamp",
+            "CacheMiss", "keying",
+            "CacheMiss", "CacheMiss", "CacheMiss", "KeyDerived", "CryptoStateBuilt",
+            "CacheHit", "CacheHit", "CacheHit", "CacheHit",
+            "mac",
+            "mac",
+            "DatagramAccepted",
+            "ReplayDropped", "duplicate",
+            "DatagramAccepted",
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_one_datagram_per_call_keeps_the_scalar_order(self, vectorize):
+        # n=1 has no stages to reorder: each datagram's events stay
+        # together, exactly as the scalar loop before the merge.
+        alice, bob, clock, sink = traced_world(vectorize)
+        wires, stamps = every_reason_stream(alice, bob)
+        sink.clear()
+        for wire, stamp in zip(wires, stamps):
+            clock.now = stamp
+            try:
+                bob.unprotect(wire, alice.principal, secret=True)
+            except FBSError:
+                pass
+        assert kinds_of(sink) == [
+            "header",
+            "stale_timestamp",
+            "CacheMiss", "keying",
+            "CacheMiss", "CacheMiss", "CacheMiss", "KeyDerived", "CryptoStateBuilt",
+            "DatagramAccepted",
+            "CacheHit", "mac",
+            "CacheHit", "mac",
+            "CacheHit", "ReplayDropped", "duplicate",
+            "CacheHit", "DatagramAccepted",
+        ]  # fmt: skip
 
 
 class TestEmptyBatchCounters:

@@ -49,9 +49,10 @@ def suite_for(alg):
 def keying_work(alice, bob):
     """(flow-key derivations, state builds, DES schedule builds)."""
     return (
-        alice.metrics.send_flow_key_derivations
-        + bob.metrics.receive_flow_key_derivations,
-        alice.metrics.crypto_state_builds + bob.metrics.crypto_state_builds,
+        alice.registry.counter("flow_key_derivations", side="send").value
+        + bob.registry.counter("flow_key_derivations", side="receive").value,
+        alice.registry.counter("crypto_state_builds").value
+        + bob.registry.counter("crypto_state_builds").value,
         DES.schedule_builds,
     )
 
@@ -104,8 +105,8 @@ class TestCacheHitFastPath:
         alice, bob, _ = make_pair()
         wire = alice.protect(b"first", bob.principal, secret=True)
         bob.unprotect(wire, alice.principal, secret=True)
-        assert alice.metrics.crypto_state_builds == 1
-        assert bob.metrics.crypto_state_builds == 1
+        assert alice.registry.counter("crypto_state_builds").value == 1
+        assert bob.registry.counter("crypto_state_builds").value == 1
 
     def test_out_of_band_key_install_pins_state_on_entry(self):
         # A TFKC entry installed without crypto state (the flowsim /
@@ -117,12 +118,12 @@ class TestCacheHitFastPath:
         alice.tfkc.install(
             sfl, bob.principal.wire_id, alice.principal.wire_id, flow_key
         )
-        before = alice.metrics.crypto_state_builds
-        state = alice._send_flow_state(sfl, bob.principal)
+        before = alice.registry.counter("crypto_state_builds").value
+        state = alice._flow_state(sfl, bob.principal, True)
         assert state.flow_key == flow_key
-        assert alice.metrics.crypto_state_builds == before + 1
-        assert alice._send_flow_state(sfl, bob.principal) is state
-        assert alice.metrics.crypto_state_builds == before + 1
+        assert alice.registry.counter("crypto_state_builds").value == before + 1
+        assert alice._flow_state(sfl, bob.principal, True) is state
+        assert alice.registry.counter("crypto_state_builds").value == before + 1
 
 
 class TestNullTracerFastPath:

@@ -89,8 +89,8 @@ class TestEndToEnd:
         s2.sendto(b"two", b.address, 4001)
         s1.sendto(b"one again", b.address, 4000)
         net.sim.run()
-        assert ma.endpoint.metrics.flows_started == 2
-        assert ma.endpoint.metrics.datagrams_sent == 3
+        assert ma.endpoint.registry.counter("flows_started").value == 2
+        assert ma.endpoint.registry.counter("datagrams_sent").value == 3
 
     def test_raw_ip_uses_host_level_flow(self):
         net, a, b, ma, mb = build_fbs_pair(encrypt=False)

@@ -185,7 +185,7 @@ class TestTraceAndRegistryAgree:
     def test_every_reason_is_a_receive_error_path(self, pair):
         # The reason vocabulary is closed: nothing in the receive path
         # can reject without going through ``_rejected`` with one of
-        # these strings (fbslint FBS006/FBS008 enforce the call form).
+        # these strings (fbslint FBS006 enforces it).
         assert set(REJECTION_REASONS) == {
             "header",
             "stale_timestamp",

@@ -30,8 +30,8 @@ class TestUdpOverFbs:
         assert b_inbox.received[0][0] == b"ping"
         assert a_inbox.received[0][0] == b"pong"
         # Unidirectional flows: each side started its own.
-        assert ma.endpoint.metrics.flows_started == 1
-        assert mb.endpoint.metrics.flows_started == 1
+        assert ma.endpoint.registry.counter("flows_started").value == 1
+        assert mb.endpoint.registry.counter("flows_started").value == 1
 
     def test_many_conversations_many_flows(self):
         net, a, b, ma, _ = build(seed=2)
@@ -41,7 +41,7 @@ class TestUdpOverFbs:
         for i, sender in enumerate(senders):
             sender.sendto(b"data", b.address, 4100 + i)
         net.sim.run()
-        assert ma.endpoint.metrics.flows_started == 10
+        assert ma.endpoint.registry.counter("flows_started").value == 10
 
     def test_fragmented_datagrams_protected_once(self):
         net, a, b, ma, mb = build(seed=3)
@@ -51,8 +51,8 @@ class TestUdpOverFbs:
         net.sim.run()
         assert rx.received[0][0] == blob
         # FBS ran once per datagram, not per fragment.
-        assert ma.endpoint.metrics.datagrams_sent == 1
-        assert mb.endpoint.metrics.datagrams_received == 1
+        assert ma.endpoint.registry.counter("datagrams_sent").value == 1
+        assert mb.endpoint.registry.counter("datagrams_received").value == 1
         assert a.stack.stats.fragments_created >= 4
 
     def test_lossy_network_delivers_what_arrives(self):
@@ -66,7 +66,7 @@ class TestUdpOverFbs:
         net.sim.run()
         # Datagram semantics: what arrives decrypts; what is lost is lost.
         assert 0 < len(rx.received) < 30
-        assert mb.endpoint.metrics.mac_failures == 0
+        assert mb.endpoint.registry.counter("datagrams_rejected", reason="mac").value == 0
 
     def test_duplication_is_delivered_twice(self):
         # FBS preserves datagram semantics: benign duplication passes
@@ -163,4 +163,4 @@ class TestRekeyingEnd2End:
         assert len(rx.received) == 12  # receiver follows sfl changes blindly
         assert ma.endpoint.fam.mapper.rekeys >= 2
         # Receiver derived a fresh key per sfl epoch.
-        assert mb.endpoint.metrics.receive_flow_key_derivations >= 3
+        assert mb.endpoint.registry.counter("flow_key_derivations", side="receive").value >= 3

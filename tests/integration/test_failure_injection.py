@@ -32,8 +32,9 @@ class TestAdverseNetwork:
         net.sim.run()
         # Loss and duplication change the count; nothing inauthentic
         # gets through and nothing authentic is rejected.
-        assert fbs_b.endpoint.metrics.mac_failures == 0
-        assert fbs_b.endpoint.metrics.stale_timestamps == 0
+        rejected = fbs_b.endpoint.registry.counter
+        assert rejected("datagrams_rejected", reason="mac").value == 0
+        assert rejected("datagrams_rejected", reason="stale_timestamp").value == 0
         payloads = {p for p, _, _ in rx.received}
         assert payloads <= {b"datagram %02d" % i for i in range(40)}
         assert len(payloads) > 10

@@ -36,12 +36,26 @@ class TestPublicApi:
 
 class TestMetricsContracts:
     def test_rejected_property(self):
-        from repro.core.metrics import FBSMetrics
+        # Rejected is not a stored count: it is received minus accepted,
+        # and the labeled rejection counters sum to exactly that.
+        from repro.core.deploy import FBSDomain
+        from repro.core.errors import ReceiveError
+        from repro.core.keying import Principal
 
-        metrics = FBSMetrics()
-        metrics.datagrams_received = 10
-        metrics.datagrams_accepted = 7
-        assert metrics.datagrams_rejected == 3
+        domain = FBSDomain(seed=5)
+        alice = domain.make_endpoint(Principal.from_name("alice"))
+        bob = domain.make_endpoint(Principal.from_name("bob"))
+        wire = alice.protect(b"counted", bob.principal)
+        for data in (wire, wire[:-1] + b"\x00", wire[:3], wire):
+            try:
+                bob.unprotect(data, alice.principal)
+            except ReceiveError:
+                pass
+        count = bob.registry.counter
+        received = count("datagrams_received").value
+        accepted = count("datagrams_accepted").value
+        assert (received, accepted) == (4, 2)
+        assert bob.registry.sum_counter("datagrams_rejected") == 2
 
     def test_routed_throughput_unknown_mode(self):
         from repro.bench import measure_routed_udp_throughput

@@ -43,14 +43,14 @@ class TestFullMesh:
     def test_no_authentication_failures(self, mesh):
         _, mappings, _ = mesh
         for mapping in mappings:
-            assert mapping.endpoint.metrics.mac_failures == 0
+            assert mapping.endpoint.registry.counter("datagrams_rejected", reason="mac").value == 0
             assert mapping.inbound_rejected == 0
 
     def test_one_flow_per_peer_pair(self, mesh):
         _, mappings, _ = mesh
         for mapping in mappings:
             # Each host sends one conversation to each of N-1 peers.
-            assert mapping.endpoint.metrics.flows_started == self.N - 1
+            assert mapping.endpoint.registry.counter("flows_started").value == self.N - 1
 
     def test_master_keys_pairwise(self, mesh):
         _, mappings, _ = mesh
@@ -63,8 +63,8 @@ class TestFullMesh:
         _, mappings, _ = mesh
         total_datagrams = self.N * (self.N - 1) * self.ROUNDS
         total_derivations = sum(
-            m.endpoint.metrics.send_flow_key_derivations
-            + m.endpoint.metrics.receive_flow_key_derivations
+            m.endpoint.registry.counter("flow_key_derivations", side="send").value
+            + m.endpoint.registry.counter("flow_key_derivations", side="receive").value
             for m in mappings
         )
         # ~2 derivations per directed pair (one at each end) regardless

@@ -47,7 +47,7 @@ class TestSoftState:
         tx.sendto(b"two", b.address, 4000)
         net.sim.run()
         assert len(rx.received) == 2
-        assert mb.endpoint.metrics.receive_flow_key_derivations == 2
+        assert mb.endpoint.registry.counter("flow_key_derivations", side="receive").value == 2
 
     def test_flush_both_sides_every_datagram(self):
         net, a, b, ma, mb = build(3)
@@ -82,6 +82,6 @@ class TestSoftState:
             tx.sendto(b"d%d" % i, b.address, 4000)
         net.sim.run()
         assert len(rx.received) == 20
-        assert ma.endpoint.metrics.send_flow_key_derivations == 1
-        assert mb.endpoint.metrics.receive_flow_key_derivations == 1
+        assert ma.endpoint.registry.counter("flow_key_derivations", side="send").value == 1
+        assert mb.endpoint.registry.counter("flow_key_derivations", side="receive").value == 1
         assert ma.endpoint.mkd.master_keys_computed == 1

@@ -117,7 +117,7 @@ class TestLiveVsOffline:
 
         exact = ExactFlowSimulator(threshold=threshold).run(Trace(records))
         derivations = sum(
-            m.endpoint.metrics.send_flow_key_derivations for m in mappings.values()
+            m.endpoint.registry.counter("flow_key_derivations", side="send").value for m in mappings.values()
         )
         # Derivations happen per flow epoch (cache evictions may add a
         # few), never per datagram.

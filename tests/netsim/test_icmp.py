@@ -69,7 +69,7 @@ class TestEcho:
         net.sim.run()
         assert replies == [b.address]
         # The echo used the host-level policy (no 5-tuple available).
-        assert fbs_a.endpoint.metrics.flows_started >= 1
+        assert fbs_a.endpoint.registry.counter("flows_started").value >= 1
 
 
 class TestUnreachable:

@@ -2,10 +2,13 @@
 
 import os
 
+import shutil
+
 from repro.obs.doccheck import (
+    check_backticked,
     check_markdown_links,
-    check_observability_doc,
     default_markdown_files,
+    observability_names,
     run_doc_checks,
 )
 from repro.obs.events import EVENT_TYPES
@@ -13,6 +16,10 @@ from repro.obs.registry import METRIC_CATALOG
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 GUIDE = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
+
+
+def check_observability_doc(path):
+    return check_backticked(path, observability_names())
 
 
 class TestCoverage:
@@ -48,6 +55,28 @@ class TestCoverage:
     def test_absent_file_is_one_problem(self, tmp_path):
         problems = check_observability_doc(str(tmp_path / "nope.md"))
         assert problems == [f"{tmp_path / 'nope.md'}: missing"]
+
+
+class TestDeploymentGuide:
+    def test_removed_knob_is_reported_in_the_cli_wording(self, tmp_path):
+        # A temp copy of the real repo docs with one transport knob and
+        # one gateway reason un-backticked: exactly those two problems,
+        # spelled as the per-package checkers spelled them.
+        shutil.copytree(os.path.join(REPO_ROOT, "docs"), tmp_path / "docs")
+        guide = tmp_path / "docs" / "DEPLOYMENT.md"
+        text = guide.read_text(encoding="utf-8")
+        assert "`recv_queue`" in text and "`backpressure`" in text
+        guide.write_text(
+            text.replace("`recv_queue`", "recv_queue").replace(
+                "`backpressure`", "backpressure"
+            ),
+            encoding="utf-8",
+        )
+        problems = [p for p in run_doc_checks(str(tmp_path)) if "link" not in p]
+        assert problems == [
+            f"{guide}: UdpTransportConfig knob `recv_queue` is not documented",
+            f"{guide}: gateway reason `backpressure` is not documented",
+        ]
 
 
 class TestLinks:

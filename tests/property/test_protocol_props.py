@@ -89,3 +89,63 @@ class TestHeaderProperties:
         header = FBSHeader(sfl=sfl, confounder=confounder, mac=mac, timestamp=timestamp)
         decoded = FBSHeader.decode(header.encode(suite), suite)
         assert decoded == header
+
+
+def _world(vectorize):
+    config = FBSConfig(vectorize=vectorize, replay_guard_size=64)
+    domain = FBSDomain(seed=77, config=config)
+    alice = domain.make_endpoint(Principal.from_name("alice"))
+    bob = domain.make_endpoint(Principal.from_name("bob"))
+    return alice, bob
+
+
+def _tamper(wires, mutations):
+    out = []
+    for wire, mutation in zip(wires, mutations):
+        if mutation == "flip":
+            wire = wire[:-1] + bytes([wire[-1] ^ 0x40])
+        elif mutation == "truncate":
+            wire = wire[:9]
+        elif mutation == "replay" and out:
+            wire = out[-1]
+        out.append(wire)
+    return out
+
+
+class TestBatchSplitProperty:
+    """How a stream is cut into calls is invisible: one pipeline call
+    over ``xs`` equals a call over ``xs[:k]`` followed by one over
+    ``xs[k:]``, for every k (k=0 and k=n make an empty batch) and both
+    kernel sets."""
+
+    @given(
+        bodies=st.lists(st.binary(min_size=0, max_size=120), min_size=1, max_size=10),
+        mutations=st.lists(
+            st.sampled_from(["none", "none", "flip", "truncate", "replay"]),
+            min_size=10,
+            max_size=10,
+        ),
+        cut=st.integers(min_value=0, max_value=10),
+        secret=st.booleans(),
+        vectorize=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_batches_equal_one_batch(
+        self, bodies, mutations, cut, secret, vectorize
+    ):
+        k = min(cut, len(bodies))
+        a_one, b_one = _world(vectorize)
+        a_two, b_two = _world(vectorize)
+        wires = a_one.protect_batch(bodies, b_one.principal, secret=secret)
+        assert wires == (
+            a_two.protect_batch(bodies[:k], b_two.principal, secret=secret)
+            + a_two.protect_batch(bodies[k:], b_two.principal, secret=secret)
+        )
+        assert a_one.registry.snapshot() == a_two.registry.snapshot()
+        stream = _tamper(wires, mutations)
+        one = b_one.unprotect_batch(stream, a_one.principal, secret=secret)
+        head = b_two.unprotect_batch(stream[:k], a_two.principal, secret=secret)
+        tail = b_two.unprotect_batch(stream[k:], a_two.principal, secret=secret)
+        assert one.bodies == head.bodies + tail.bodies
+        assert one.reasons == head.reasons + tail.reasons
+        assert b_one.registry.snapshot() == b_two.registry.snapshot()

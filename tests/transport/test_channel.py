@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import FBSConfig
 from repro.netsim.link import LinkConditions
 from repro.transport import RetryPolicy, UdpTransportConfig, channel_pair
-from repro.transport.channel import SecureChannel, _reject_reason
+from repro.transport.channel import SecureChannel
 from repro.transport.runner import build_udp_channels
 
 from tests.transport.helpers import DropSends, two_host_pair
@@ -81,21 +81,6 @@ class TestLedger:
         snapshot = ch_a.ledger_dict()
         assert snapshot["transport"]["datagrams_sent"] == 0
         assert set(snapshot) == {"sent", "accepted", "rejected", "transport"}
-
-    def test_reason_mapping_is_total(self):
-        from repro.core.errors import (
-            FBSError,
-            HeaderFormatError,
-            MacMismatchError,
-            ReceiveError,
-            StaleTimestampError,
-        )
-
-        assert _reject_reason(HeaderFormatError("x")) == "header"
-        assert _reject_reason(StaleTimestampError("x")) == "stale_timestamp"
-        assert _reject_reason(MacMismatchError("x")) == "mac"
-        assert _reject_reason(ReceiveError("x")) == "duplicate"
-        assert _reject_reason(FBSError("x")) == "keying"
 
 
 class TestRetryPolicy:
