@@ -176,7 +176,7 @@ def run_fst_design_ablation(trace):
     # Split (Sec 5.1): plain mapper + periodic sweeper scans.
     fst = FlowStateTable(64)
     alloc = SflAllocator(seed=0)
-    policy = FiveTuplePolicy(threshold=600.0, check_threshold=False)
+    policy = FiveTuplePolicy(threshold=None)
     sweeper = ThresholdSweeper(threshold=600.0)
     last_sweep = 0.0
     sweeps = 0

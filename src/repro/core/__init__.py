@@ -37,7 +37,6 @@ from repro.core.fam import FlowAssociationMechanism
 from repro.core.policy import FiveTuplePolicy, HostLevelPolicy, PerDatagramPolicy
 from repro.core.keying import KeyDerivation, Principal
 from repro.core.caches import (
-    DirectMappedCache,
     AssociativeCache,
     MissKind,
     MasterKeyCache,
@@ -68,7 +67,6 @@ __all__ = [
     "PerDatagramPolicy",
     "KeyDerivation",
     "Principal",
-    "DirectMappedCache",
     "AssociativeCache",
     "MissKind",
     "MasterKeyCache",

@@ -35,9 +35,10 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.config import FBSConfig
 from repro.core.errors import FBSError, ReceiveError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.flows import FlowStateTable, FSTEntry, SflAllocator
+from repro.core.flows import FlowStateTable
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
+from repro.core.policy import KeyedMapper
 from repro.core.protocol import FBSEndpoint
 from repro.netsim.addresses import IPAddress
 from repro.netsim.host import Host
@@ -49,7 +50,7 @@ __all__ = ["ConversationPolicy", "ApplicationDirectory", "FBSApplication"]
 DeliverFunc = Callable[[bytes, Principal, bytes], None]
 
 
-class ConversationPolicy:
+class ConversationPolicy(KeyedMapper):
     """Mapper keyed by (destination principal, conversation tag).
 
     The application names its own conversations ("video", "audio",
@@ -57,49 +58,11 @@ class ConversationPolicy:
     expiring after ``threshold`` idle seconds like the IP policy.
     """
 
-    def __init__(self, threshold: Optional[float] = 600.0) -> None:
-        self.threshold = threshold
-        self.repeated_flows = 0
-
-    def classify(
-        self,
-        attributes: DatagramAttributes,
-        now: float,
-        fst: FlowStateTable,
-        allocator: SflAllocator,
-    ) -> FSTEntry:
+    def key(self, attributes: DatagramAttributes) -> bytes:
         tag = attributes.extra.get("conversation", b"")
         if isinstance(tag, str):
             tag = tag.encode("utf-8")
-        key = struct.pack(">H", len(attributes.destination_id)) + attributes.destination_id + tag
-        index = fst.slot_for(key)
-        entry = fst.entry_at(index)
-        fst.lookups += 1
-
-        if entry.valid and entry.key == key:
-            expired = (
-                self.threshold is not None and (now - entry.last) > self.threshold
-            )
-            if not expired:
-                fst.matches += 1
-                entry.last = now
-                entry.datagrams += 1
-                entry.octets += attributes.size
-                return entry
-            self.repeated_flows += 1
-        elif entry.valid:
-            fst.collision_evictions += 1
-
-        fst.new_flows += 1
-        entry.valid = True
-        entry.sfl = allocator.allocate()
-        entry.key = key
-        entry.created = now
-        entry.last = now
-        entry.datagrams = 1
-        entry.octets = attributes.size
-        entry.aux.clear()
-        return entry
+        return struct.pack(">H", len(attributes.destination_id)) + attributes.destination_id + tag
 
 
 class ApplicationDirectory:

@@ -3,30 +3,31 @@
 "With proper caching, the overhead of the FBS protocol can be reduced to
 the bare minimum, i.e., only MAC computation and encryption."
 
-The module provides two cache organizations:
+The module has one cache organization, :class:`AssociativeCache`:
+set-associative with LRU replacement inside a set, the set chosen by a
+pluggable index hash (CRC-32 recommended by the paper).  The paper's
+two organizations are its two ends:
 
-* :class:`DirectMappedCache` -- one entry per slot, indexed by a
-  pluggable hash (CRC-32 recommended by the paper).  Used for the TFKC
-  and RFKC, where "the associativity of the caches can not be too
-  great" because lookups must be O(1) in software.
-* :class:`AssociativeCache` -- set-associative with LRU replacement,
-  degenerating to fully-associative LRU when ``ways == capacity``.  Used
-  for the MKC and PVC (small, keyed by principal).
+* ``ways=1`` -- direct-mapped, one entry per slot.  The TFKC and RFKC
+  default, since "the associativity of the caches can not be too
+  great" when lookups must be O(1) in software.
+* ``ways=None`` (= ``capacity``) -- fully-associative LRU.  Used for
+  the MKC and PVC (small, keyed by principal).
 
-Both classify misses into the paper's three types -- compulsory (cold),
-capacity, and collision -- using the standard technique: a parallel
-fully-associative LRU "shadow" of the same capacity.  A miss that the
-shadow would also suffer is a capacity miss (or cold if the key was
-never seen); a miss that the shadow would have hit is a collision miss,
-attributable purely to the indexing.
+Misses are classified into the paper's three types -- compulsory
+(cold), capacity, and collision -- using the standard technique: a
+parallel fully-associative LRU "shadow" of the same capacity.  A miss
+that the shadow would also suffer is a capacity miss (or cold if the
+key was never seen); a miss that the shadow would have hit is a
+collision miss, attributable purely to the indexing.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Generic, Hashable, List, Optional, Set, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Dict, Generic, Hashable, List, Optional, Set, TypeVar
 
 from repro.crypto.crc import CacheIndexHash, Crc32Hash
 from repro.obs.events import CacheEvicted, CacheHit, CacheMiss
@@ -35,7 +36,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 __all__ = [
     "MissKind",
     "CacheStats",
-    "DirectMappedCache",
     "AssociativeCache",
     "FlowKeyCache",
     "FlowKeyEntry",
@@ -119,100 +119,11 @@ class _MissClassifier:
         return kind
 
 
-class DirectMappedCache(Generic[V]):
-    """Fixed-size direct-mapped software cache (TFKC/RFKC organization)."""
-
-    def __init__(
-        self,
-        capacity: int,
-        index_hash: Optional[CacheIndexHash] = None,
-        classify_misses: bool = True,
-        tracer: Optional[Tracer] = None,
-        trace_name: str = "",
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be at least 1")
-        self.capacity = capacity
-        self._hash = index_hash or Crc32Hash()
-        self._slots: List[Optional[Tuple[bytes, V]]] = [None] * capacity
-        self.stats = CacheStats()
-        self._classifier = _MissClassifier(capacity) if classify_misses else None
-        self.tracer = tracer or NULL_TRACER
-        self.trace_name = trace_name
-
-    def get(self, key: bytes) -> Optional[V]:
-        """Lookup; updates hit/miss statistics."""
-        slot = self._hash.index(key, self.capacity)
-        entry = self._slots[slot]
-        hit = entry is not None and entry[0] == key
-        kind: Optional[MissKind] = None
-        if self._classifier is not None:
-            kind = self._classifier.classify_and_touch(key, hit)
-        elif not hit:
-            kind = MissKind.COLD
-        if kind is not None:
-            self.stats.record_miss(kind)
-        tr = self.tracer
-        if tr.enabled and self.trace_name:
-            if hit:
-                tr.emit(CacheHit(cache=self.trace_name))
-            else:
-                tr.emit(CacheMiss(cache=self.trace_name, kind=kind.value))
-        if hit:
-            self.stats.hits += 1
-            return entry[1]
-        return None
-
-    def put(self, key: bytes, value: V) -> None:
-        """Install ``key``; evicts whatever shares its slot."""
-        slot = self._hash.index(key, self.capacity)
-        previous = self._slots[slot]
-        if previous is not None and previous[0] != key:
-            self.stats.evictions += 1
-            tr = self.tracer
-            if tr.enabled and self.trace_name:
-                tr.emit(CacheEvicted(cache=self.trace_name))
-        self._slots[slot] = (key, value)
-
-    def invalidate(self, key: bytes) -> None:
-        """Remove ``key`` if present."""
-        slot = self._hash.index(key, self.capacity)
-        entry = self._slots[slot]
-        if entry is not None and entry[0] == key:
-            self._slots[slot] = None
-
-    def evict(self, key: bytes) -> bool:
-        """Deliberately displace ``key``; returns whether it was live.
-
-        Unlike :meth:`invalidate` (a correctness operation: the entry is
-        *wrong*), eviction is a pressure operation: the entry is valid
-        but its space is wanted.  It therefore counts in
-        ``stats.evictions`` and emits :class:`CacheEvicted`, exactly
-        like a displacement by :meth:`put`.
-        """
-        slot = self._hash.index(key, self.capacity)
-        entry = self._slots[slot]
-        if entry is None or entry[0] != key:
-            return False
-        self._slots[slot] = None
-        self.stats.evictions += 1
-        tr = self.tracer
-        if tr.enabled and self.trace_name:
-            tr.emit(CacheEvicted(cache=self.trace_name))
-        return True
-
-    def flush(self) -> None:
-        """Drop all entries (soft state)."""
-        self._slots = [None] * self.capacity
-
-    def __len__(self) -> int:
-        return sum(1 for s in self._slots if s is not None)
-
-
 class AssociativeCache(Generic[V]):
-    """Set-associative LRU cache (MKC/PVC organization).
+    """The one software cache: set-associative, LRU within a set.
 
-    ``ways == capacity`` gives fully-associative LRU.
+    ``ways=1`` is direct-mapped (the TFKC/RFKC default); ``ways=None``
+    means ``capacity`` ways, i.e. fully-associative LRU (MKC/PVC).
     """
 
     def __init__(
@@ -220,13 +131,13 @@ class AssociativeCache(Generic[V]):
         capacity: int,
         ways: Optional[int] = None,
         index_hash: Optional[CacheIndexHash] = None,
-        classify_misses: bool = True,
         tracer: Optional[Tracer] = None,
         trace_name: str = "",
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
-        ways = ways or capacity
+        if ways is None:
+            ways = capacity
         if ways < 1 or ways > capacity:
             raise ValueError(f"ways must be in [1, capacity], got {ways}")
         if capacity % ways:
@@ -239,7 +150,7 @@ class AssociativeCache(Generic[V]):
             OrderedDict() for _ in range(self.sets)
         ]
         self.stats = CacheStats()
-        self._classifier = _MissClassifier(capacity) if classify_misses else None
+        self._classifier = _MissClassifier(capacity)
         self.tracer = tracer or NULL_TRACER
         self.trace_name = trace_name
 
@@ -250,11 +161,7 @@ class AssociativeCache(Generic[V]):
         """Lookup; updates LRU order and statistics."""
         bucket = self._set_for(key)
         hit = key in bucket
-        kind: Optional[MissKind] = None
-        if self._classifier is not None:
-            kind = self._classifier.classify_and_touch(key, hit)
-        elif not hit:
-            kind = MissKind.COLD
+        kind = self._classifier.classify_and_touch(key, hit)
         if kind is not None:
             self.stats.record_miss(kind)
         tr = self.tracer
@@ -278,11 +185,14 @@ class AssociativeCache(Generic[V]):
             return
         if len(bucket) >= self.ways:
             bucket.popitem(last=False)
-            self.stats.evictions += 1
-            tr = self.tracer
-            if tr.enabled and self.trace_name:
-                tr.emit(CacheEvicted(cache=self.trace_name))
+            self._evicted()
         bucket[key] = value
+
+    def _evicted(self) -> None:
+        self.stats.evictions += 1
+        tr = self.tracer
+        if tr.enabled and self.trace_name:
+            tr.emit(CacheEvicted(cache=self.trace_name))
 
     def invalidate(self, key: bytes) -> None:
         """Remove ``key`` if present."""
@@ -291,18 +201,17 @@ class AssociativeCache(Generic[V]):
     def evict(self, key: bytes) -> bool:
         """Deliberately displace ``key``; returns whether it was live.
 
-        Counted and traced like a :meth:`put` displacement (see
-        :meth:`DirectMappedCache.evict` for the invalidate/evict
-        distinction).
+        Unlike :meth:`invalidate` (a correctness operation: the entry is
+        *wrong*), eviction is a pressure operation: the entry is valid
+        but its space is wanted.  It therefore counts in
+        ``stats.evictions`` and emits :class:`CacheEvicted`, exactly
+        like a displacement by :meth:`put`.
         """
         bucket = self._set_for(key)
         if key not in bucket:
             return False
         del bucket[key]
-        self.stats.evictions += 1
-        tr = self.tracer
-        if tr.enabled and self.trace_name:
-            tr.emit(CacheEvicted(cache=self.trace_name))
+        self._evicted()
         return True
 
     def flush(self) -> None:
@@ -321,7 +230,7 @@ class AssociativeCache(Generic[V]):
 
 @dataclass
 class FlowKeyEntry:
-    """TFKC/RFKC payload: the flow key plus bookkeeping for policies.
+    """TFKC/RFKC payload: the flow key plus its derived crypto state.
 
     ``crypto`` carries the per-flow precomputed crypto state
     (:class:`repro.core.keying.FlowCryptoState`) when the protocol engine
@@ -330,23 +239,39 @@ class FlowKeyEntry:
     """
 
     flow_key: bytes
-    last_used: float = 0.0
-    datagrams: int = 0
-    octets: int = 0
     crypto: Optional[object] = None
 
 
-#: Backwards-compatible alias (the entry type was private before the
-#: datapath fast path needed to hand entries to callers).
-_FlowKeyEntry = FlowKeyEntry
+class _NamedCache:
+    """What the Figure 5 caches share: one traced :class:`AssociativeCache`."""
+
+    def __init__(self, cache: AssociativeCache) -> None:
+        self._cache = cache
+
+    def set_tracer(self, tracer: Tracer) -> None:
+        """Attach (or replace) the event tracer for this cache."""
+        self._cache.tracer = tracer
+
+    def flush(self) -> None:
+        """Drop every unpinned entry (soft state: always safe)."""
+        self._cache.flush()
+
+    @property
+    def stats(self) -> CacheStats:
+        return self._cache.stats
+
+    def __len__(self) -> int:
+        return len(self._cache)
 
 
-class FlowKeyCache:
+class FlowKeyCache(_NamedCache):
     """TFKC or RFKC: flow keys indexed by (sfl, D, S).
 
     "This is a cache of transmission flow keys indexed by a combination
     of sfl, D and S" -- S is included "for multi-homed principals"
-    (footnote 7).  Direct-mapped per the paper's software-cache argument.
+    (footnote 7).  Direct-mapped (``ways=1``) per the paper's
+    software-cache argument; "collision misses can be avoided by
+    increasing the associativity of the cache" (Section 5.3).
     """
 
     def __init__(
@@ -358,26 +283,9 @@ class FlowKeyCache:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.name = name
-        if ways <= 1:
-            # Direct-mapped: the paper's default ("the associativity of
-            # the caches can not be too great" for O(1) software lookup).
-            self._cache = DirectMappedCache(
-                capacity, index_hash=index_hash, tracer=tracer, trace_name=name
-            )
-        else:
-            # "Collision misses can be avoided by increasing the
-            # associativity of the cache" (Section 5.3).
-            self._cache = AssociativeCache(
-                capacity,
-                ways=ways,
-                index_hash=index_hash,
-                tracer=tracer,
-                trace_name=name,
-            )
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach (or replace) the event tracer for this cache."""
-        self._cache.tracer = tracer
+        super().__init__(
+            AssociativeCache(capacity, ways, index_hash, tracer, trace_name=name)
+        )
 
     @staticmethod
     def _key(sfl: int, destination: bytes, source: bytes) -> bytes:
@@ -400,11 +308,10 @@ class FlowKeyCache:
         destination: bytes,
         source: bytes,
         flow_key: bytes,
-        now: float = 0.0,
         crypto: Optional[object] = None,
     ) -> FlowKeyEntry:
         """Cache a freshly derived flow key (and its crypto state)."""
-        entry = FlowKeyEntry(flow_key=flow_key, last_used=now, crypto=crypto)
+        entry = FlowKeyEntry(flow_key=flow_key, crypto=crypto)
         self._cache.put(self._key(sfl, destination, source), entry)
         return entry
 
@@ -412,18 +319,8 @@ class FlowKeyCache:
         """Reclaim one flow's entry under cache pressure (counted)."""
         return self._cache.evict(self._key(sfl, destination, source))
 
-    def flush(self) -> None:
-        self._cache.flush()
 
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class MasterKeyCache:
+class MasterKeyCache(_NamedCache):
     """MKC: pair-based master keys indexed by principal name.
 
     "These master keys are computed using entries in the PVC and
@@ -435,13 +332,7 @@ class MasterKeyCache:
     name = "MKC"
 
     def __init__(self, capacity: int) -> None:
-        self._cache: AssociativeCache[bytes] = AssociativeCache(
-            capacity, trace_name=self.name
-        )
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach (or replace) the event tracer for this cache."""
-        self._cache.tracer = tracer
+        super().__init__(AssociativeCache(capacity, trace_name=self.name))
 
     def lookup(self, principal_id: bytes) -> Optional[bytes]:
         """Return the cached K_{S,D} for a peer, if any."""
@@ -459,18 +350,8 @@ class MasterKeyCache:
         """Reclaim a peer's master key under cache pressure (counted)."""
         return self._cache.evict(principal_id)
 
-    def flush(self) -> None:
-        self._cache.flush()
 
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class PublicValueCache:
+class PublicValueCache(_NamedCache):
     """PVC: public value *certificates* indexed by principal name.
 
     "Caching of public value certificates, instead of the public values
@@ -484,14 +365,8 @@ class PublicValueCache:
     name = "PVC"
 
     def __init__(self, capacity: int) -> None:
-        self._cache: AssociativeCache[object] = AssociativeCache(
-            capacity, trace_name=self.name
-        )
+        super().__init__(AssociativeCache(capacity, trace_name=self.name))
         self._pinned: Dict[bytes, object] = {}
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach (or replace) the event tracer for this cache."""
-        self._cache.tracer = tracer
 
     def lookup(self, principal_id: bytes) -> Optional[object]:
         """Return the cached certificate, if any (pinned entries first)."""
@@ -522,14 +397,6 @@ class PublicValueCache:
         if principal_id in self._pinned:
             return False
         return self._cache.evict(principal_id)
-
-    def flush(self) -> None:
-        """Drop non-pinned entries."""
-        self._cache.flush()
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._pinned)

@@ -93,7 +93,7 @@ class FlowAssociationMechanism:
     ) -> None:
         self.mapper = mapper
         self.sweeper = sweeper
-        self.fst = fst or FlowStateTable(fst_size)
+        self.fst = fst if fst is not None else FlowStateTable(fst_size)
         self.allocator = SflAllocator(seed=sfl_seed)
         self._sweep_interval = sweep_interval
         self._last_sweep = 0.0

@@ -17,7 +17,7 @@ security" (footnote 11) -- the table is pure soft state.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.crc import CacheIndexHash, Crc32Hash
@@ -51,58 +51,34 @@ class FSTEntry:
     """One slot of the flow state table (the struct FSTEntry of Figure 7).
 
     ``key`` is the policy-defined match key (e.g. the packed 5-tuple);
-    ``last`` is the last packet arrival time; ``aux`` carries any extra
-    policy state (e.g. byte counts for rekeying policies).
+    ``last`` is the last packet arrival time; ``datagrams``/``octets``
+    count the flow's traffic (what the rekeying policy budgets).
     """
 
     valid: bool = False
     sfl: int = 0
     key: bytes = b""
     last: float = 0.0
-    created: float = 0.0
     datagrams: int = 0
     octets: int = 0
-    aux: Dict[str, float] = field(default_factory=dict)
 
     def reset(self) -> None:
-        """Invalidate the slot."""
-        self.valid = False
-        self.sfl = 0
-        self.key = b""
-        self.last = 0.0
-        self.created = 0.0
-        self.datagrams = 0
-        self.octets = 0
-        self.aux.clear()
+        """Invalidate the slot: every field back to its default."""
+        self.__init__()
 
 
-class FlowStateTable:
-    """A direct-mapped table of :class:`FSTEntry` slots.
+class _FlowTable:
+    """The table body both flow tables share: slots plus statistics.
+    A subclass adds only ``slot_for`` and ``size``."""
 
-    Indexing uses a pluggable hash strategy (CRC-32 by default, per the
-    paper's recommendation); the strategy choice is an ablation knob.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        index_hash: Optional[CacheIndexHash] = None,
-    ) -> None:
-        if size < 1:
-            raise ValueError("FST size must be at least 1")
-        self.size = size
-        self._hash = index_hash or Crc32Hash()
-        self._entries: List[FSTEntry] = [FSTEntry() for _ in range(size)]
+    def __init__(self, entries: List[FSTEntry]) -> None:
+        self._entries = entries
         # Statistics.
         self.lookups = 0
         self.matches = 0
         self.new_flows = 0
         self.collision_evictions = 0
         self.expirations = 0
-
-    def slot_for(self, key: bytes) -> int:
-        """Table index for a match key."""
-        return self._hash.index(key, self.size)
 
     def entry_at(self, index: int) -> FSTEntry:
         """Direct slot access (used by sweepers)."""
@@ -130,14 +106,36 @@ class FlowStateTable:
             entry.reset()
 
 
-class UnboundedFlowTable:
+class FlowStateTable(_FlowTable):
+    """A direct-mapped table of :class:`FSTEntry` slots.
+
+    Indexing uses a pluggable hash strategy (CRC-32 by default, per the
+    paper's recommendation); the strategy choice is an ablation knob.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        index_hash: Optional[CacheIndexHash] = None,
+    ) -> None:
+        if size < 1:
+            raise ValueError("FST size must be at least 1")
+        super().__init__([FSTEntry() for _ in range(size)])
+        self.size = size
+        self._hash = index_hash or Crc32Hash()
+
+    def slot_for(self, key: bytes) -> int:
+        """Table index for a match key."""
+        return self._hash.index(key, self.size)
+
+
+class UnboundedFlowTable(_FlowTable):
     """A collision-free flow table: one private slot per match key.
 
-    Same interface as :class:`FlowStateTable` (``slot_for`` /
-    ``entry_at`` / ``entries`` / occupancy / statistics / ``flush``),
-    but slots are allocated per distinct key on first sight instead of
-    hashed into a fixed array, so two conversations can never evict
-    each other.  ``collision_evictions`` is 0 by construction.
+    The :class:`FlowStateTable` interface, but slots are allocated per
+    distinct key on first sight instead of hashed into a fixed array,
+    so two conversations can never evict each other.
+    ``collision_evictions`` is 0 by construction.
 
     This is the scale-out load engine's table: with collisions gone,
     a flow's classification outcome depends only on that flow's own
@@ -151,14 +149,8 @@ class UnboundedFlowTable:
     """
 
     def __init__(self) -> None:
+        super().__init__([])
         self._slot_of: Dict[bytes, int] = {}
-        self._entries: List[FSTEntry] = []
-        # Statistics (same names as FlowStateTable).
-        self.lookups = 0
-        self.matches = 0
-        self.new_flows = 0
-        self.collision_evictions = 0
-        self.expirations = 0
 
     @property
     def size(self) -> int:
@@ -172,28 +164,3 @@ class UnboundedFlowTable:
             slot = self._slot_of[key] = len(self._entries)
             self._entries.append(FSTEntry())
         return slot
-
-    def entry_at(self, index: int) -> FSTEntry:
-        """Direct slot access (used by sweepers)."""
-        return self._entries[index]
-
-    def entries(self) -> List[FSTEntry]:
-        """All slots, in allocation order (the sweeper's scan)."""
-        return self._entries
-
-    def occupancy(self) -> int:
-        """Number of valid slots, regardless of age (table load)."""
-        return sum(1 for e in self._entries if e.valid)
-
-    def active_count(self, now: float, threshold: float) -> int:
-        """Number of valid entries whose last use is within ``threshold``."""
-        return sum(
-            1
-            for e in self._entries
-            if e.valid and (now - e.last) <= threshold
-        )
-
-    def flush(self) -> None:
-        """Drop all state (soft state: always safe)."""
-        for entry in self._entries:
-            entry.reset()

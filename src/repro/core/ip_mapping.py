@@ -30,7 +30,7 @@ from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
 from repro.core.flows import FlowStateTable
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
-from repro.core.policy import FiveTuplePolicy, HostLevelPolicy
+from repro.core.policy import KeyedMapper
 from repro.core.protocol import FBSEndpoint
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.netsim.host import Host, SecurityModule
@@ -42,26 +42,10 @@ __all__ = ["ConversationPolicy", "FBSIPMapping"]
 CERTIFICATE_PORT = 500
 
 
-class ConversationPolicy:
-    """Section 7.1's policy: 5-tuple conversations, host-level raw IP.
-
-    Delegates to :class:`FiveTuplePolicy` when a 5-tuple is available
-    and to :class:`HostLevelPolicy` otherwise, sharing one FST (the two
-    key encodings cannot collide: 13 vs. 4 bytes).
-    """
-
-    def __init__(self, threshold: float = 600.0) -> None:
-        self.five_tuple = FiveTuplePolicy(threshold=threshold)
-        self.host_level = HostLevelPolicy(threshold=threshold)
-
-    @property
-    def repeated_flows(self) -> int:
-        return self.five_tuple.repeated_flows + self.host_level.repeated_flows
-
-    def classify(self, attributes, now, fst, allocator):
-        if attributes.five_tuple is not None:
-            return self.five_tuple.classify(attributes, now, fst, allocator)
-        return self.host_level.classify(attributes, now, fst, allocator)
+#: Section 7.1's policy is the Figure 7 mapper under its default key:
+#: the packed 5-tuple when there is one, the destination principal
+#: otherwise, in one FST (the encodings cannot collide: 13 vs. 4 bytes).
+ConversationPolicy = KeyedMapper
 
 
 def extract_five_tuple(packet: IPv4Packet) -> Optional[FiveTuple]:

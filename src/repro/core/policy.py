@@ -1,18 +1,22 @@
 """Security flow policy modules.
 
-Policies are mapper/sweeper pairs plugged into the FAM.  This module
-provides:
+Policies are mapper/sweeper pairs plugged into the FAM.  The Figure 7
+mapper -- match, THRESHOLD-expire, collision-evict, start a flow -- is
+written once, in :class:`KeyedMapper`; a policy is that mapper plus a
+*key function* saying which datagram attributes name a flow:
 
+* :class:`KeyedMapper` -- the mapper itself, under the default key
+  ``DatagramAttributes.policy_key()``: Section 7.1's IP policy.
 * :class:`FiveTuplePolicy` -- the paper's implemented policy (Figure 7):
   a flow is "a sequence of datagrams of the same transport layer
   protocol going from a port on a host to another port on another host
   such that the datagrams do not arrive more than THRESHOLD apart."
-* :class:`ThresholdSweeper` -- the Figure 7 sweeper: invalidate entries
-  idle longer than THRESHOLD.
 * :class:`HostLevelPolicy` -- one flow per destination principal; what
   raw IP (ICMP/IGMP) degenerates to ("raw IP can be considered as
   host-level flows", footnote 10), and the closest FBS gets to SKIP-style
   host keying.
+* :class:`AttributePolicy` -- any subset of 5-tuple fields plus
+  OS-specific attributes (uid, pid, application tag).
 * :class:`PerDatagramPolicy` -- a fresh flow per datagram: the
   degenerate lower bound showing what per-datagram keying costs
   (ablation use).
@@ -20,6 +24,12 @@ provides:
   after a byte/datagram budget: "rekeying can be easily accomplished via
   the FAM by changing the sfl.  Rekeying decisions, though, are made by
   policy modules" (Section 5.2).
+* :class:`ThresholdSweeper` -- the Figure 7 sweeper: invalidate entries
+  idle longer than THRESHOLD.
+
+This module is the only place that counts ``matches``/``new_flows``/
+``collision_evictions`` on a flow table or fills an ``FSTEntry``
+(``tests/test_soft_state_structure.py`` holds that).
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from repro.core.fam import DatagramAttributes
 from repro.core.flows import FlowStateTable, FSTEntry, SflAllocator
 
 __all__ = [
+    "KeyedMapper",
     "FiveTuplePolicy",
     "ThresholdSweeper",
     "HostLevelPolicy",
@@ -39,26 +50,29 @@ __all__ = [
 ]
 
 
-class FiveTuplePolicy:
+class KeyedMapper:
     """The Figure 7 mapper, with the THRESHOLD check folded in.
 
     Section 7.2 combines mapper and key-cache activity check: "If the
     indexed entry is 'active' (last use is less than THRESHOLD ago), it
     uses the stored flow key.  Otherwise, it begins a new flow ...  The
     job of the sweeper module also becomes implicit as it is absorbed
-    into the mapping phase."  Set ``check_threshold=False`` to get the
-    plain Figure 7 mapper that relies on an explicit sweeper instead
-    (the split design of Section 5.1) -- the ablation bench compares the
-    two.
+    into the mapping phase."  ``threshold=None`` never expires a flow in
+    the mapper: the plain Figure 7 mapper that relies on an explicit
+    sweeper instead (the split design of Section 5.1) -- the ablation
+    bench compares the two.  Subclasses override :meth:`key`.
     """
 
-    def __init__(self, threshold: float = 600.0, check_threshold: bool = True) -> None:
-        if threshold <= 0:
+    def __init__(self, threshold: Optional[float] = 600.0) -> None:
+        if threshold is not None and threshold <= 0:
             raise ValueError("THRESHOLD must be positive")
         self.threshold = threshold
-        self.check_threshold = check_threshold
-        #: Flows that reused a 5-tuple after expiry (Figure 14's metric).
+        #: Flows that reused a match key after expiry (Figure 14's metric).
         self.repeated_flows = 0
+
+    def key(self, attributes: DatagramAttributes) -> bytes:
+        """The match key: which attributes name this datagram's flow."""
+        return attributes.policy_key()
 
     def classify(
         self,
@@ -67,22 +81,18 @@ class FiveTuplePolicy:
         fst: FlowStateTable,
         allocator: SflAllocator,
     ) -> FSTEntry:
-        if attributes.five_tuple is None:
-            raise ValueError("FiveTuplePolicy requires a five_tuple attribute")
-        key = attributes.five_tuple.pack()
-        index = fst.slot_for(key)
-        entry = fst.entry_at(index)
+        key = self.key(attributes)
+        entry = fst.entry_at(fst.slot_for(key))
         fst.lookups += 1
 
         if entry.valid and entry.key == key:
-            expired = self.check_threshold and (now - entry.last) > self.threshold
-            if not expired:
+            if self.threshold is None or now - entry.last <= self.threshold:
                 fst.matches += 1
                 entry.last = now
                 entry.datagrams += 1
                 entry.octets += attributes.size
                 return entry
-            # Same 5-tuple, but the previous flow has gone idle past
+            # Same key, but the previous flow has gone idle past
             # THRESHOLD: a *repeated flow* (new sfl, same conversation
             # key) -- the quantity Figure 14 studies.
             self.repeated_flows += 1
@@ -91,17 +101,45 @@ class FiveTuplePolicy:
             # eviction, which "can prematurely terminate a flow [but]
             # does not affect security" (footnote 11).
             fst.collision_evictions += 1
+        return start_flow(entry, key, attributes, now, fst, allocator)
 
-        fst.new_flows += 1
-        entry.valid = True
-        entry.sfl = allocator.allocate()
-        entry.key = key
-        entry.created = now
-        entry.last = now
-        entry.datagrams = 1
-        entry.octets = attributes.size
-        entry.aux.clear()
-        return entry
+
+def start_flow(
+    entry: FSTEntry,
+    key: bytes,
+    attributes: DatagramAttributes,
+    now: float,
+    fst: FlowStateTable,
+    allocator: SflAllocator,
+) -> FSTEntry:
+    """Figure 7's last step: a new flow, under a fresh sfl, in ``entry``."""
+    fst.new_flows += 1
+    entry.valid = True
+    entry.sfl = allocator.allocate()
+    entry.key = key
+    entry.last = now
+    entry.datagrams = 1
+    entry.octets = attributes.size
+    return entry
+
+
+class FiveTuplePolicy(KeyedMapper):
+    """The paper's implemented policy: one flow per 5-tuple conversation."""
+
+    def key(self, attributes: DatagramAttributes) -> bytes:
+        if attributes.five_tuple is None:
+            raise ValueError("FiveTuplePolicy requires a five_tuple attribute")
+        return attributes.five_tuple.pack()
+
+
+class HostLevelPolicy(KeyedMapper):
+    """One flow per destination principal (host-level granularity)."""
+
+    def __init__(self, threshold: Optional[float] = None) -> None:
+        super().__init__(threshold)
+
+    def key(self, attributes: DatagramAttributes) -> bytes:
+        return attributes.destination_id
 
 
 class ThresholdSweeper:
@@ -122,51 +160,6 @@ class ThresholdSweeper:
         return swept
 
 
-class HostLevelPolicy:
-    """One flow per destination principal (host-level granularity)."""
-
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        self.threshold = threshold
-        self.repeated_flows = 0
-
-    def classify(
-        self,
-        attributes: DatagramAttributes,
-        now: float,
-        fst: FlowStateTable,
-        allocator: SflAllocator,
-    ) -> FSTEntry:
-        key = attributes.destination_id
-        index = fst.slot_for(key)
-        entry = fst.entry_at(index)
-        fst.lookups += 1
-
-        if entry.valid and entry.key == key:
-            expired = (
-                self.threshold is not None and (now - entry.last) > self.threshold
-            )
-            if not expired:
-                fst.matches += 1
-                entry.last = now
-                entry.datagrams += 1
-                entry.octets += attributes.size
-                return entry
-            self.repeated_flows += 1
-        elif entry.valid:
-            fst.collision_evictions += 1
-
-        fst.new_flows += 1
-        entry.valid = True
-        entry.sfl = allocator.allocate()
-        entry.key = key
-        entry.created = now
-        entry.last = now
-        entry.datagrams = 1
-        entry.octets = attributes.size
-        entry.aux.clear()
-        return entry
-
-
 class PerDatagramPolicy:
     """A fresh flow (and key) for every datagram -- the degenerate case.
 
@@ -182,22 +175,12 @@ class PerDatagramPolicy:
         allocator: SflAllocator,
     ) -> FSTEntry:
         key = attributes.policy_key()
-        index = fst.slot_for(key)
-        entry = fst.entry_at(index)
+        entry = fst.entry_at(fst.slot_for(key))
         fst.lookups += 1
-        fst.new_flows += 1
-        entry.valid = True
-        entry.sfl = allocator.allocate()
-        entry.key = key
-        entry.created = now
-        entry.last = now
-        entry.datagrams = 1
-        entry.octets = attributes.size
-        entry.aux.clear()
-        return entry
+        return start_flow(entry, key, attributes, now, fst, allocator)
 
 
-class AttributePolicy:
+class AttributePolicy(KeyedMapper):
     """A configurable mapper over arbitrary datagram attributes.
 
     The paper's FAM "takes as input a set of attributes (e.g.,
@@ -236,12 +219,11 @@ class AttributePolicy:
             raise ValueError(f"unknown 5-tuple fields: {unknown}")
         if not fields and not extra_keys:
             raise ValueError("AttributePolicy needs at least one attribute")
+        super().__init__(threshold)
         self.fields = tuple(fields)
         self.extra_keys = tuple(extra_keys)
-        self.threshold = threshold
-        self.repeated_flows = 0
 
-    def _key(self, attributes: DatagramAttributes) -> bytes:
+    def key(self, attributes: DatagramAttributes) -> bytes:
         parts = []
         if self.fields:
             if attributes.five_tuple is None:
@@ -257,43 +239,6 @@ class AttributePolicy:
             encoded = str(value).encode("utf-8")
             parts.append(len(encoded).to_bytes(2, "big") + encoded)
         return b"attr:" + b"".join(parts)
-
-    def classify(
-        self,
-        attributes: DatagramAttributes,
-        now: float,
-        fst: FlowStateTable,
-        allocator: SflAllocator,
-    ) -> FSTEntry:
-        key = self._key(attributes)
-        index = fst.slot_for(key)
-        entry = fst.entry_at(index)
-        fst.lookups += 1
-
-        if entry.valid and entry.key == key:
-            expired = (
-                self.threshold is not None and (now - entry.last) > self.threshold
-            )
-            if not expired:
-                fst.matches += 1
-                entry.last = now
-                entry.datagrams += 1
-                entry.octets += attributes.size
-                return entry
-            self.repeated_flows += 1
-        elif entry.valid:
-            fst.collision_evictions += 1
-
-        fst.new_flows += 1
-        entry.valid = True
-        entry.sfl = allocator.allocate()
-        entry.key = key
-        entry.created = now
-        entry.last = now
-        entry.datagrams = 1
-        entry.octets = attributes.size
-        entry.aux.clear()
-        return entry
 
 
 class RekeyingPolicy:
@@ -326,10 +271,6 @@ class RekeyingPolicy:
         if over_bytes or over_count:
             # Rekey by changing the sfl; the zero-message keying
             # machinery derives a new flow key automatically.
-            entry.sfl = allocator.allocate()
-            entry.created = now
-            entry.datagrams = 1
-            entry.octets = attributes.size
             self.rekeys += 1
-            fst.new_flows += 1
+            start_flow(entry, entry.key, attributes, now, fst, allocator)
         return entry

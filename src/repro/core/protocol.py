@@ -340,14 +340,7 @@ class FBSEndpoint:
             tr.emit(KeyDerived(side=side, sfl=sfl))
         flow_key = self.kdf.flow_key(sfl, master, source, destination)
         state = self._build_crypto_state(flow_key)
-        cache.install(
-            sfl,
-            destination.wire_id,
-            source.wire_id,
-            flow_key,
-            now=self.now(),
-            crypto=state,
-        )
+        cache.install(sfl, destination.wire_id, source.wire_id, flow_key, crypto=state)
         return state
 
     # -- FBSSend (Figure 4, left) ------------------------------------------------

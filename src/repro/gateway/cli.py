@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +41,7 @@ from repro.gateway.tenants import GatewayConfig
 from repro.load.sharding import FlowSharder
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.obs.registry import merge_snapshots
+from repro.obs.report import render_report, write_report
 
 __all__ = ["run_gateway_workload", "render_report", "main"]
 
@@ -338,11 +338,6 @@ async def run_gateway_workload(
     }
 
 
-def render_report(report: Dict[str, object]) -> str:
-    """The canonical byte-stable serialization (FBS011)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway",
@@ -416,12 +411,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             drain_every=args.drain_every,
         )
     )
-    rendered = render_report(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    write_report(report, args.out)
 
     outcomes = report["outcomes"]
     consistent = not report["consistency"]

@@ -23,7 +23,8 @@ import sys
 from typing import List, Optional
 
 from repro.load.engine import LoadError, LoadSpec, run_load, verify_merge
-from repro.load.report import build_report, render_report
+from repro.load.report import build_report
+from repro.obs.report import write_report
 from repro.traces.registry import workload_names, workload_summaries
 from repro.transport.hop import HOP_NAMES
 
@@ -125,12 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"load engine: FAIL: {exc}", file=sys.stderr)
         return 1
     report = build_report(run)
-    rendered = render_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    write_report(report, args.out)
     _summarize(report, file=sys.stderr)
     return 0
 

@@ -11,10 +11,10 @@ which is allowed to be machine-dependent.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.load.engine import LoadSpec
+from repro.obs.report import render_report
 
 __all__ = ["REPORT_VERSION", "build_report", "render_report"]
 
@@ -105,8 +105,3 @@ def _sum_reasons(results: List[Dict[str, object]]) -> Dict[str, int]:
         for reason, count in r["rejected"].items():
             out[reason] = out.get(reason, 0) + count
     return dict(sorted(out.items()))
-
-
-def render_report(report: Dict[str, object]) -> str:
-    """The canonical byte encoding (what CI ``cmp``s)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,6 @@
 """Observability for the FBS reproduction: events, sinks, metrics.
 
-Three pieces (docs/OBSERVABILITY.md is the operator's guide):
+Four pieces (docs/OBSERVABILITY.md is the operator's guide):
 
 * **Events + tracer** (:mod:`repro.obs.events`,
   :mod:`repro.obs.tracer`) -- typed, sim-clock-stamped protocol events
@@ -11,6 +11,8 @@ Three pieces (docs/OBSERVABILITY.md is the operator's guide):
 * **Metrics registry** (:mod:`repro.obs.registry`) -- named counters,
   gauges, and histograms with snapshot-time collectors;
   :data:`METRIC_CATALOG` is the closed list of FBS metric names.
+* **Report writer** (:mod:`repro.obs.report`) -- the one byte-stable
+  JSON serialization and ``--out``-or-stdout write every CLI uses.
 
 Import direction: ``repro.core`` imports this package; nothing here
 imports ``repro.core`` except the CLI/selftest, lazily.

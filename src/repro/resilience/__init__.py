@@ -21,10 +21,11 @@ message.  This package turns that claim into an executable campaign:
 * ``python -m repro.resilience`` -- the CLI (exit 1 on any violation).
 """
 
+from repro.obs.report import render_report as to_json
 from repro.resilience.campaign import run_campaign, run_scenario
 from repro.resilience.harness import ScenarioHarness, ScenarioResult
 from repro.resilience.invariants import INVARIANT_NAMES, check_all
-from repro.resilience.report import REPORT_VERSION, to_json
+from repro.resilience.report import REPORT_VERSION
 from repro.resilience.scenario import Scenario, build_matrix
 
 __all__ = [

@@ -19,8 +19,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.obs.report import write_report
 from repro.resilience.campaign import run_campaign
-from repro.resilience.report import to_json
 from repro.resilience.scenario import build_matrix
 
 __all__ = ["main"]
@@ -75,12 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    payload = to_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(payload)
-    else:
-        sys.stdout.write(payload)
+    write_report(report, args.out)
 
     summary = report["summary"]
     for scenario in report["scenarios"]:

@@ -6,20 +6,19 @@ and compares).  Determinism rules:
 
 * every number comes from the simulation (seeded RNGs, virtual clock);
 * floats are rounded to 6 decimals at the report boundary;
-* serialization is ``json.dumps(..., sort_keys=True)`` with a trailing
-  newline.
+* serialization is :func:`repro.obs.report.render_report` (sorted keys,
+  trailing newline).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
 from repro.obs.events import REJECTION_REASONS
 from repro.resilience.harness import ScenarioResult
 from repro.resilience.invariants import INVARIANT_NAMES
 
-__all__ = ["REPORT_VERSION", "scenario_report", "campaign_report", "to_json"]
+__all__ = ["REPORT_VERSION", "scenario_report", "campaign_report"]
 
 #: Bumped whenever the report schema changes shape.
 REPORT_VERSION = 1
@@ -92,8 +91,3 @@ def campaign_report(
             "failed_scenarios": failed,
         },
     }
-
-
-def to_json(report: Dict[str, object]) -> str:
-    """Canonical serialization (byte-identical for identical reports)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -17,10 +17,9 @@ import argparse
 import sys
 from typing import List, Optional, TextIO
 
-import json
-
 from repro.bench.reporting import render_cdf, render_table
 from repro.netsim.addresses import IPAddress
+from repro.obs.report import write_report
 from repro.traces import tcpdump
 from repro.traces.analysis import FlowAnalysis
 from repro.traces.flowsim import CacheSimulator
@@ -164,12 +163,7 @@ def _cmd_sweep_harness(args, out: TextIO) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     report = run_sweep(spec)
-    rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        out.write(rendered)
+    write_report(report, args.out, stdout=out)
     for gate in report["gates"]:
         verdict = "ok  " if gate["ok"] else "FAIL"
         print(

@@ -224,7 +224,7 @@ class CacheSimulator:
             dst = record.five_tuple.daddr.to_bytes()
             src = record.five_tuple.saddr.to_bytes()
             if cache.lookup(sfl, dst, src) is None:
-                cache.install(sfl, dst, src, b"\x00" * 16, now=record.time)
+                cache.install(sfl, dst, src, b"\x00" * 16)
         return cache.stats
 
     def send_side(self, trace: Trace, viewpoint: IPAddress) -> CacheStats:

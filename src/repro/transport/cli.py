@@ -24,7 +24,8 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.transport.runner import run_echo, render_report
+from repro.obs.report import write_report
+from repro.transport.runner import run_echo
 
 __all__ = ["main"]
 
@@ -78,12 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             timeout=args.timeout,
         )
     )
-    rendered = render_report(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    write_report(report, args.out)
 
     ok = report["echoed"] == report["datagrams"]
     print(

@@ -24,11 +24,11 @@ JSON byte-for-byte (FBS011 discipline).
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import FBSConfig
+from repro.obs.report import render_report
 from repro.transport.channel import RetryPolicy, SecureChannel, channel_pair
 from repro.transport.netsim import netsim_transport_pair
 from repro.transport.udp import UdpTransport, UdpTransportConfig
@@ -147,8 +147,3 @@ async def run_echo(
         "client": client.ledger_dict(),
         "server": server.ledger_dict(),
     }
-
-
-def render_report(report: Dict[str, object]) -> str:
-    """The canonical byte-stable serialization (FBS011)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -4,63 +4,65 @@ import pytest
 
 from repro.core.caches import (
     AssociativeCache,
-    DirectMappedCache,
     FlowKeyCache,
     MasterKeyCache,
     MissKind,
     PublicValueCache,
 )
 from repro.crypto.crc import ModuloHash
+from repro.obs.events import CacheEvicted
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 
 
 class TestDirectMapped:
     def test_put_get(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         cache.put(b"k1", "v1")
         assert cache.get(b"k1") == "v1"
 
     def test_miss_returns_none(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         assert cache.get(b"absent") is None
 
     def test_collision_evicts(self):
-        cache = DirectMappedCache(1)
+        cache = AssociativeCache(1, ways=1)
         cache.put(b"a", 1)
         cache.put(b"b", 2)
         assert cache.get(b"a") is None
         assert cache.get(b"b") == 2
 
     def test_invalidate(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         cache.put(b"k", 1)
         cache.invalidate(b"k")
         assert cache.get(b"k") is None
 
     def test_flush(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         cache.put(b"k", 1)
         cache.flush()
         assert len(cache) == 0
 
     def test_len(self):
-        cache = DirectMappedCache(16)
+        cache = AssociativeCache(16, ways=1)
         for i in range(5):
             cache.put(i.to_bytes(4, "big"), i)
         assert 1 <= len(cache) <= 5
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            DirectMappedCache(0)
+            AssociativeCache(0, ways=1)
 
 
 class TestMissClassification:
     def test_cold_miss(self):
-        cache = DirectMappedCache(4)
+        cache = AssociativeCache(4, ways=1)
         cache.get(b"new")
         assert cache.stats.cold_misses == 1
 
     def test_hit_counted(self):
-        cache = DirectMappedCache(4)
+        cache = AssociativeCache(4, ways=1)
         cache.put(b"k", 1)
         cache.get(b"k")
         assert cache.stats.hits == 1
@@ -68,7 +70,7 @@ class TestMissClassification:
     def test_collision_miss_identified(self):
         # Two keys, same slot, cache big enough in the ideal model:
         # re-reading the evicted key is a collision miss.
-        cache = DirectMappedCache(4, index_hash=ModuloHash())
+        cache = AssociativeCache(4, ways=1, index_hash=ModuloHash())
         a = (0).to_bytes(4, "big")
         b = (4).to_bytes(4, "big")  # same slot under modulo 4
         cache.get(a); cache.put(a, 1)
@@ -77,7 +79,7 @@ class TestMissClassification:
         assert cache.stats.collision_misses == 1
 
     def test_capacity_miss_identified(self):
-        cache = DirectMappedCache(2, index_hash=ModuloHash())
+        cache = AssociativeCache(2, ways=1, index_hash=ModuloHash())
         keys = [(i).to_bytes(4, "big") for i in range(4)]
         for key in keys:
             cache.get(key)
@@ -87,14 +89,14 @@ class TestMissClassification:
         assert cache.stats.capacity_misses >= 1
 
     def test_miss_rate(self):
-        cache = DirectMappedCache(4)
+        cache = AssociativeCache(4, ways=1)
         cache.get(b"x")  # miss
         cache.put(b"x", 1)
         cache.get(b"x")  # hit
         assert cache.stats.miss_rate == pytest.approx(0.5)
 
     def test_miss_rate_empty(self):
-        assert DirectMappedCache(4).stats.miss_rate == 0.0
+        assert AssociativeCache(4, ways=1).stats.miss_rate == 0.0
 
 
 class TestAssociative:
@@ -127,6 +129,40 @@ class TestAssociative:
             AssociativeCache(4, ways=8)
         with pytest.raises(ValueError):
             AssociativeCache(6, ways=4)  # not a multiple
+
+    @pytest.mark.parametrize("ways", [0, -1])
+    def test_ways_below_one_is_rejected_not_reinterpreted(self, ways):
+        # ways=0 used to mean "fully associative" here and
+        # "direct-mapped" in FlowKeyCache; only None is a default.
+        with pytest.raises(ValueError, match=r"ways must be in \[1, capacity\]"):
+            AssociativeCache(8, ways=ways)
+        with pytest.raises(ValueError, match=r"ways must be in \[1, capacity\]"):
+            FlowKeyCache(8, ways=ways)
+
+    def test_ways_none_is_fully_associative(self):
+        cache = AssociativeCache(8, ways=None)
+        assert (cache.ways, cache.sets) == (8, 1)
+
+    def test_one_way_is_direct_mapped(self):
+        cache = AssociativeCache(8, ways=1)
+        assert (cache.ways, cache.sets) == (1, 8)
+
+    def test_invalidate_is_not_an_eviction(self):
+        cache = AssociativeCache(8, ways=1)
+        cache.put(b"k", 1)
+        cache.invalidate(b"k")
+        assert cache.get(b"k") is None
+        assert cache.stats.evictions == 0
+
+    def test_put_displacement_is_counted_and_traced(self):
+        sink = RingBufferSink()
+        cache = AssociativeCache(1, ways=1, tracer=Tracer(sink), trace_name="TFKC")
+        cache.put(b"a", 1)
+        cache.put(b"a", 2)  # same key: an update, not a displacement
+        assert cache.stats.evictions == 0
+        cache.put(b"b", 3)
+        assert cache.stats.evictions == 1
+        assert [e.cache for e in sink.of_type(CacheEvicted)] == ["TFKC"]
 
 
 class TestFlowKeyCache:
@@ -167,6 +203,18 @@ class TestMasterKeyCache:
         for name in (b"a", b"b", b"c"):
             cache.install(name, name * 8)
         assert len(cache) == 2
+
+
+@pytest.mark.parametrize("cls", [MasterKeyCache, PublicValueCache])
+def test_principal_caches_are_fully_associative_only(cls):
+    """The MKC and PVC take a capacity and nothing else: no ``ways``,
+    ``index_hash`` or ``tracer`` leaks in from the shared base."""
+    cache = cls(4)
+    assert cache._cache.ways == cache._cache.capacity == 4
+    assert cache._cache.trace_name == cls.name
+    for extra in ("ways", "index_hash", "tracer"):
+        with pytest.raises(TypeError):
+            cls(4, **{extra: None})
 
 
 class TestPublicValueCache:

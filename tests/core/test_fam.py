@@ -50,7 +50,7 @@ class TestClassification:
 
 class TestSweeperIntegration:
     def test_sweeper_runs_on_interval(self):
-        policy = FiveTuplePolicy(threshold=100.0, check_threshold=False)
+        policy = FiveTuplePolicy(threshold=None)
         sweeper = ThresholdSweeper(threshold=100.0)
         fam = FlowAssociationMechanism(
             mapper=policy, sweeper=sweeper, sweep_interval=60.0

@@ -42,11 +42,8 @@ class TestSflAllocator:
 class TestFSTEntry:
     def test_reset_clears_everything(self):
         entry = FSTEntry(valid=True, sfl=9, key=b"k", last=5.0, datagrams=3, octets=99)
-        entry.aux["x"] = 1.0
         entry.reset()
-        assert not entry.valid
-        assert entry.sfl == 0 and entry.key == b"" and entry.datagrams == 0
-        assert entry.aux == {}
+        assert entry == FSTEntry()
 
 
 class TestFlowStateTable:

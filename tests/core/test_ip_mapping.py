@@ -105,7 +105,9 @@ class TestEndToEnd:
         a.send_raw(packet)
         net.sim.run()
         assert len(got) == 1 and got[0].payload == b"raw datagram"
-        assert ma.policy.host_level is not None
+        # The flow is keyed by the destination principal alone.
+        keys = [e.key for e in ma.endpoint.fam.fst.entries() if e.valid]
+        assert keys == [b.address.to_bytes()]
 
     def test_rejections_counted(self):
         net, a, b, _, mb = build_fbs_pair()

@@ -95,7 +95,7 @@ class TestFiveTuplePolicy:
 
     def test_no_threshold_check_variant(self, env):
         fst, alloc = env
-        policy = FiveTuplePolicy(threshold=600.0, check_threshold=False)
+        policy = FiveTuplePolicy(threshold=None)
         e1 = policy.classify(make_attrs(), 0.0, fst, alloc)
         # Without the inline check (split design), the stale entry is
         # reused until a sweeper clears it.
@@ -110,7 +110,7 @@ class TestFiveTuplePolicy:
 class TestThresholdSweeper:
     def test_sweeps_idle_entries(self, env):
         fst, alloc = env
-        policy = FiveTuplePolicy(check_threshold=False)
+        policy = FiveTuplePolicy(threshold=None)
         sweeper = ThresholdSweeper(threshold=600.0)
         policy.classify(make_attrs(sport=1), 0.0, fst, alloc)
         policy.classify(make_attrs(sport=2), 500.0, fst, alloc)
@@ -120,7 +120,7 @@ class TestThresholdSweeper:
 
     def test_active_entries_survive(self, env):
         fst, alloc = env
-        policy = FiveTuplePolicy(check_threshold=False)
+        policy = FiveTuplePolicy(threshold=None)
         sweeper = ThresholdSweeper(threshold=600.0)
         entry = policy.classify(make_attrs(), 100.0, fst, alloc)
         sweeper.sweep(fst, 300.0)

@@ -8,7 +8,6 @@ the registry's eviction counters tell the whole reclamation story.
 
 from repro.core.caches import (
     AssociativeCache,
-    DirectMappedCache,
     FlowKeyCache,
     MasterKeyCache,
     PublicValueCache,
@@ -20,28 +19,28 @@ from repro.obs.tracer import Tracer
 
 class TestDirectMappedEvict:
     def test_live_entry_is_removed_and_counted(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         cache.put(b"k", b"v")
         assert cache.evict(b"k") is True
         assert cache.get(b"k") is None
         assert cache.stats.evictions == 1
 
     def test_absent_key_is_a_noop(self):
-        cache = DirectMappedCache(8)
+        cache = AssociativeCache(8, ways=1)
         assert cache.evict(b"k") is False
         assert cache.stats.evictions == 0
 
     def test_slot_sharing_key_is_not_evicted(self):
         # A different key mapping to the same slot must survive: evict
         # targets an entry, not a slot.
-        cache = DirectMappedCache(1)
+        cache = AssociativeCache(1, ways=1)
         cache.put(b"resident", b"v")
         assert cache.evict(b"other") is False
         assert cache.get(b"resident") == b"v"
 
     def test_evict_emits_the_event(self):
         sink = RingBufferSink()
-        cache = DirectMappedCache(8, tracer=Tracer(sink), trace_name="RFKC")
+        cache = AssociativeCache(8, ways=1, tracer=Tracer(sink), trace_name="RFKC")
         cache.put(b"k", b"v")
         cache.evict(b"k")
         evicted = sink.of_type(CacheEvicted)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.caches import AssociativeCache, DirectMappedCache
+from repro.core.caches import AssociativeCache
 from repro.core.fam import DatagramAttributes
 from repro.core.flows import FlowStateTable, SflAllocator
 from repro.core.policy import FiveTuplePolicy
@@ -21,7 +21,7 @@ class TestCacheInvariants:
     )
     @settings(max_examples=50, deadline=None)
     def test_direct_mapped_get_returns_last_put_or_none(self, operations, capacity):
-        cache = DirectMappedCache(capacity)
+        cache = AssociativeCache(capacity, ways=1)
         last_value = {}
         for key, value in operations:
             cache.put(key, value)
@@ -49,7 +49,7 @@ class TestCacheInvariants:
     )
     @settings(max_examples=50, deadline=None)
     def test_miss_accounting_balances(self, lookups, capacity):
-        cache = DirectMappedCache(capacity)
+        cache = AssociativeCache(capacity, ways=1)
         for key in lookups:
             if cache.get(key) is None:
                 cache.put(key, True)

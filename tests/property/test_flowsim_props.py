@@ -3,6 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fam import DatagramAttributes
+from repro.core.flows import SflAllocator, UnboundedFlowTable
+from repro.core.policy import FiveTuplePolicy
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.traces.analysis import FlowAnalysis
 from repro.traces.flowsim import ExactFlowSimulator
@@ -86,3 +89,26 @@ class TestConservation:
         assert analysis.repeated_flows == analysis.total_flows - analysis.unique_conversations
         if analysis.total_flows:
             assert 0.0 <= analysis.bytes_carried_by_top_flows(0.5) <= 1.0
+
+
+class TestMapperAgreesWithOracle:
+    @given(trace=traces(), threshold=st.floats(min_value=1.0, max_value=5000.0))
+    @settings(max_examples=50, deadline=None)
+    def test_five_tuple_mapper_over_unbounded_table_is_exact(self, trace, threshold):
+        # With collisions gone, the live mapper and the offline oracle
+        # must agree exactly, not within a tolerance.
+        fst = UnboundedFlowTable()
+        policy = FiveTuplePolicy(threshold=threshold)
+        allocator = SflAllocator(seed=5)
+        for record in trace:
+            attrs = DatagramAttributes(
+                destination_id=record.five_tuple.daddr.to_bytes(),
+                five_tuple=record.five_tuple,
+                size=record.size,
+            )
+            policy.classify(attrs, record.time, fst, allocator)
+        flows = ExactFlowSimulator(threshold=threshold).run(trace)
+        assert fst.new_flows == len(flows)
+        assert policy.repeated_flows == sum(1 for f in flows if f.incarnation > 0)
+        assert fst.collision_evictions == 0
+        assert fst.lookups == len(trace) == fst.matches + fst.new_flows
