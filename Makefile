@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs lint-cache-bench obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
+.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -22,18 +22,14 @@ loc:
 
 # fbslint: the whole-program protocol-invariant analyzer
 # (FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,
-# 2 usage/analysis error. Warm reruns replay the summary cache.
+# 2 usage/analysis error.
 lint:
-	$(PYTHON) -m repro.analysis --cache src
+	$(PYTHON) -m repro.analysis src
 
 # Verify the DESIGN.md "Enforced invariants" table matches the rule
 # registry (regenerate with `python -m repro.analysis --write-docs`).
 lint-docs:
 	$(PYTHON) -m repro.analysis --check-docs
-
-# Cold-vs-warm cache benchmark (the CI lint-job gate: warm >= 5x cold).
-lint-cache-bench:
-	$(PYTHON) benchmarks/bench_lint_cache.py --json /tmp/BENCH_lint_cache.json
 
 # Observability: end-to-end trace/registry/cache parity selftest plus
 # docs coverage (every event + metric documented) and link checks.
@@ -117,4 +113,4 @@ reports: bench
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true
-	rm -rf .pytest_cache .hypothesis .fbslint_cache.json
+	rm -rf .pytest_cache .hypothesis

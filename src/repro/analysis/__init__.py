@@ -8,13 +8,15 @@ Protocols* (Torlak et al., PAPERS.md) makes the case for checking such
 flow properties mechanically; this package is that check for our tree:
 a two-phase whole-program analyzer.  Phase 1
 (:mod:`repro.analysis.callgraph`) parses every module once into a
-serializable summary and a project-wide symbol table + call graph;
-phase 2 (:mod:`repro.analysis.dataflow`) runs interprocedural passes
-over the graph -- key-material taint with source-to-sink witnesses,
-exception-flow accounting, impurity propagation, async-blocking, and
-report-order determinism -- behind the per-file rules FBS001-FBS012.
-A content-hash cache (:mod:`repro.analysis.cache`) replays unchanged
-files' phase-1 artifacts so warm runs skip parsing entirely.
+summary -- the one fact base -- and a project-wide symbol table + call
+graph; phase 2 (:mod:`repro.analysis.dataflow`) runs the dataflow
+passes over the graph -- key-material taint with source-to-sink
+witnesses, exception-flow accounting, impurity propagation,
+async-blocking, and report-order determinism -- each the only detector
+of its rule, a same-function flow being the zero-hop case.  The purely
+syntactic invariants (asserts, bare excepts, header layout,
+multiprocessing imports) are per-file ``check`` methods under
+:mod:`repro.analysis.rules`.  Together: rules FBS001-FBS012.
 
 Run it as ``python -m repro.analysis [paths]`` (see
 :mod:`repro.analysis.cli` for the exit-code contract) or through

@@ -2,7 +2,8 @@
 
 A rule is a small object with an id (``FBS0xx``), a severity, a
 one-line description (shown by ``--list-rules`` and quoted in
-DESIGN.md), and a ``check`` method that walks the module AST and yields
+DESIGN.md), and -- where the invariant is a property of one module's
+syntax -- a ``check`` method that walks the module AST and yields
 :class:`~repro.analysis.findings.Finding` objects.  Rules register
 themselves via the :func:`register` decorator; the engine runs every
 registered rule unless ``--select``/``--ignore`` narrows the set.
@@ -33,9 +34,14 @@ class Rule:
     rationale: str = ""
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield findings for one module.  Subclasses override."""
-        raise NotImplementedError
-        yield  # pragma: no cover
+        """Yield findings for one module's AST.
+
+        The default yields nothing: a rule whose findings come from the
+        whole-program passes (:mod:`repro.analysis.dataflow`) or from
+        the engine's suppression filter exists here as an id, a
+        severity, a ``--list-rules`` row and a DESIGN.md table entry.
+        """
+        return iter(())
 
     # -- helpers shared by concrete rules ------------------------------------------
 

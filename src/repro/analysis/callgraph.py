@@ -1,17 +1,25 @@
 """Phase 1 of the whole-program analyzer: module summaries + call graph.
 
-fbslint v2 analyzes the tree in two phases.  Phase 1 (this module)
-parses every module once and distills each into a serializable
-:class:`ModuleSummary`: the functions it defines, the calls they make
-(with enough surrounding context -- enclosing ``try`` handlers,
-preceding metrics bumps, argument dataflow labels -- for the
-interprocedural passes), the classes and their statically-evident
-attribute types, and the module's imports.  Phase 2
+fbslint analyzes the tree in two phases.  Phase 1 (this module) parses
+every module once and distills each into a :class:`ModuleSummary`, the
+one fact base every dataflow detector reads: the functions it defines,
+the calls they make (with enough surrounding context -- enclosing
+``try`` handlers, preceding metrics bumps, argument dataflow labels --
+for the interprocedural passes), their key-material sinks, raise
+sites, wall-clock and randomness sites, the classes and their
+statically-evident attribute types, and the module's imports.  The
+tables that say what a source, a sink, a clock or an unseeded generator
+*is* live here and nowhere else.  Because no other walk exists, this
+one reaches every place python evaluates an expression: the module
+body is a pseudo-function whose walk summarizes each def and class
+where it meets it, decorators, default values and class bodies run in
+the enclosing scope, lambda bodies are walked with their parameters
+shadowed, and a free name reads the nearest enclosing scope that binds
+it (closures, module globals).  Phase 2
 (:mod:`repro.analysis.dataflow`) never touches an AST: it runs
-fixpoint passes over a :class:`Project` built from these summaries,
-which is what makes the content-hash cache
-(:mod:`repro.analysis.cache`) possible -- an unchanged module's
-summary is replayed from disk without re-parsing.
+fixpoint passes over a :class:`Project` built from these summaries and
+emits every FBS001/002/003/006/007/010/011 finding, a same-function
+flow being the zero-hop case of the interprocedural one.
 
 The dataflow vocabulary is a small label language.  Every expression
 evaluates to a set of *labels* describing where its value may come
@@ -38,9 +46,10 @@ in phase 2; phase 1 only records the local flows.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.base import call_name, dotted_name
 from repro.analysis.context import ModuleContext
 
 __all__ = [
@@ -62,7 +71,7 @@ __all__ = [
 Label = Tuple[Any, ...]
 
 #: A call whose target name contains one of these is a key-material
-#: taint source (shared with the FBS001 local rule).
+#: taint source.
 SOURCE_FRAGMENTS = (
     "flow_key",
     "master_key",
@@ -72,9 +81,26 @@ SOURCE_FRAGMENTS = (
     "interval_key",
     "derive_key",
 )
+#: Exact call names that are also taint sources (DH agreement).
 SOURCE_NAMES = {"agree"}
 
 LOG_METHODS = {"debug", "info", "warning", "error", "exception", "critical", "log"}
+
+#: Array constructors/combinators that return (a view of) their array
+#: arguments: key bytes fed to these stay key material
+#: (``repro.crypto.vector`` moves MAC keys and DES round masks through
+#: ndarrays; ``np.take(masks, lanes)`` gathers key rows, it does not
+#: launder them).  Methods need no table: a call on a tainted receiver
+#: (``.astype()``, ``.view()``, ``.tobytes()``) is tainted already.
+_NDARRAY_FUNCS = {
+    "array",
+    "asarray",
+    "ascontiguousarray",
+    "concatenate",
+    "frombuffer",
+    "stack",
+    "take",
+}
 
 #: Builtins that consume an iterable without exposing its order but
 #: whose result still carries the contents (taint survives, order
@@ -121,6 +147,48 @@ _BANNED_TIME_ATTRS = {
 }
 _BANNED_DATETIME_ATTRS = {"now", "today", "utcnow"}
 
+#: Module-level functions of :mod:`random` that use the shared global
+#: (implicitly OS-seeded) generator.
+_GLOBAL_RANDOM_FUNCS = {
+    "random", "randint", "randrange", "randbytes", "choice", "choices",
+    "shuffle", "sample", "uniform", "getrandbits", "gauss", "normalvariate",
+    "lognormvariate", "expovariate", "betavariate", "gammavariate",
+    "paretovariate", "weibullvariate", "vonmisesvariate", "triangular", "seed",
+}
+
+#: ``numpy.random`` module-level sampling functions: they draw from the
+#: process-global (implicitly seeded) legacy ``RandomState``, exactly
+#: the nondeterminism FBS003 bans for the stdlib generator.
+_NUMPY_GLOBAL_FUNCS = {
+    "beta",
+    "binomial",
+    "bytes",
+    "choice",
+    "exponential",
+    "gamma",
+    "normal",
+    "permutation",
+    "poisson",
+    "rand",
+    "randint",
+    "randn",
+    "random",
+    "random_sample",
+    "ranf",
+    "sample",
+    "seed",
+    "shuffle",
+    "standard_normal",
+    "uniform",
+}
+
+#: ``numpy.random`` constructors that are nondeterministic when called
+#: without a seed argument.
+_NUMPY_CONSTRUCTORS = {"default_rng", "RandomState"}
+
+#: ``try`` and, where the grammar has it, ``try ... except*``.
+_TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
+
 #: Minimal builtin exception hierarchy (child -> parent) used when
 #: deciding whether an ``except`` clause guards a raise.
 BUILTIN_EXC_PARENTS = {
@@ -147,19 +215,6 @@ BUILTIN_EXC_PARENTS = {
     "UnicodeDecodeError": "ValueError",
     "UnicodeEncodeError": "ValueError",
 }
-
-
-def dotted(node: ast.AST) -> str:
-    """``a.b.c`` for Name/Attribute chains, ``""`` otherwise."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    elif parts:
-        parts.append("?")
-    return ".".join(reversed(parts))
 
 
 def raised_name(node: ast.Raise) -> Optional[str]:
@@ -199,20 +254,17 @@ def is_metrics_bump(stmt: Optional[ast.stmt]) -> bool:
     if (
         isinstance(stmt, ast.AugAssign)
         and isinstance(stmt.op, ast.Add)
-        and "metrics" in dotted(stmt.target).split(".")
+        and "metrics" in dotted_name(stmt.target).split(".")
     ):
         return True
     if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        segments = dotted(stmt.value.func).split(".")
+        segments = dotted_name(stmt.value.func).split(".")
         return bool(segments) and "reject" in segments[-1]
     return False
 
 
 def _is_source_call(node: ast.Call) -> Optional[str]:
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else ""
-    )
+    name = call_name(node)
     if name in SOURCE_NAMES or any(f in name for f in SOURCE_FRAGMENTS):
         return name
     return None
@@ -237,29 +289,6 @@ class CallSite:
     #: A metrics bump immediately precedes this statement.
     bump_before: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "args": [[list(l) for l in labels] for labels in self.args],
-            "kwargs": {k: [list(l) for l in v] for k, v in sorted(self.kwargs.items())},
-            "caught": sorted(self.caught),
-            "bump_before": self.bump_before,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        return cls(
-            callee=d["callee"],
-            line=d["line"],
-            col=d["col"],
-            args=[[tuple(l) for l in labels] for labels in d["args"]],
-            kwargs={k: [tuple(l) for l in v] for k, v in d["kwargs"].items()},
-            caught=list(d["caught"]),
-            bump_before=d["bump_before"],
-        )
-
 
 @dataclass
 class RaiseSite:
@@ -274,56 +303,16 @@ class RaiseSite:
     #: For a bare ``raise``: the names its enclosing handler catches.
     reraise_of: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "bump_before": self.bump_before,
-            "caught": sorted(self.caught),
-            "reraise_of": sorted(self.reraise_of),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RaiseSite":
-        return cls(
-            name=d["name"],
-            line=d["line"],
-            col=d["col"],
-            bump_before=d["bump_before"],
-            caught=list(d["caught"]),
-            reraise_of=list(d["reraise_of"]),
-        )
-
 
 @dataclass
 class SinkSite:
-    """A taint sink occurrence (FBS001 v2)."""
+    """A taint sink occurrence (FBS001)."""
 
     kind: str  # "print()", "logging call .debug()", "f-string", "=="
     line: int
     col: int
     labels: List[Label]
     desc: str  # human handle on the flowing expression
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "line": self.line,
-            "col": self.col,
-            "labels": [list(l) for l in self.labels],
-            "desc": self.desc,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SinkSite":
-        return cls(
-            kind=d["kind"],
-            line=d["line"],
-            col=d["col"],
-            labels=[tuple(l) for l in d["labels"]],
-            desc=d["desc"],
-        )
 
 
 @dataclass
@@ -335,25 +324,6 @@ class OrderSite:
     col: int
     labels: List[Label]
     desc: str
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "line": self.line,
-            "col": self.col,
-            "labels": [list(l) for l in self.labels],
-            "desc": self.desc,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrderSite":
-        return cls(
-            kind=d["kind"],
-            line=d["line"],
-            col=d["col"],
-            labels=[tuple(l) for l in d["labels"]],
-            desc=d["desc"],
-        )
 
 
 @dataclass
@@ -385,86 +355,15 @@ class FunctionSummary:
     #: json.dump/json.dumps calls missing sort_keys: (fn, line, col).
     unsorted_json: List[Tuple[str, int, int]] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "line": self.line,
-            "params": self.params,
-            "is_async": self.is_async,
-            "is_public": self.is_public,
-            "class_name": self.class_name,
-            "decorators": self.decorators,
-            "calls": [c.as_dict() for c in self.calls],
-            "raises": [r.as_dict() for r in self.raises],
-            "sinks": [s.as_dict() for s in self.sinks],
-            "order_sites": [s.as_dict() for s in self.order_sites],
-            "returns": [list(l) for l in self.returns],
-            "attr_stores": [
-                [a, [list(l) for l in labels], line]
-                for a, labels, line in self.attr_stores
-            ],
-            "wall_clock": [list(t) for t in self.wall_clock],
-            "unseeded_random": [list(t) for t in self.unseeded_random],
-            "blocking": [list(t) for t in self.blocking],
-            "unsorted_json": [list(t) for t in self.unsorted_json],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        return cls(
-            qname=d["qname"],
-            name=d["name"],
-            line=d["line"],
-            params=list(d["params"]),
-            is_async=d["is_async"],
-            is_public=d["is_public"],
-            class_name=d["class_name"],
-            decorators=list(d["decorators"]),
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            raises=[RaiseSite.from_dict(r) for r in d["raises"]],
-            sinks=[SinkSite.from_dict(s) for s in d["sinks"]],
-            order_sites=[OrderSite.from_dict(s) for s in d["order_sites"]],
-            returns=[tuple(l) for l in d["returns"]],
-            attr_stores=[
-                (a, [tuple(l) for l in labels], line)
-                for a, labels, line in d["attr_stores"]
-            ],
-            wall_clock=[tuple(t) for t in d["wall_clock"]],
-            unseeded_random=[tuple(t) for t in d["unseeded_random"]],
-            blocking=[tuple(t) for t in d["blocking"]],
-            unsorted_json=[tuple(t) for t in d["unsorted_json"]],
-        )
-
 
 @dataclass
 class ClassSummary:
     name: str
     line: int
     bases: List[str] = field(default_factory=list)
-    methods: List[str] = field(default_factory=list)  # qnames into functions
     #: Statically-evident attribute types: attr -> dotted class expr
     #: (from ``self.attr = ClassName(...)`` assignments).
     attr_types: Dict[str, str] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "methods": self.methods,
-            "attr_types": dict(sorted(self.attr_types.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassSummary":
-        return cls(
-            name=d["name"],
-            line=d["line"],
-            bases=list(d["bases"]),
-            methods=list(d["methods"]),
-            attr_types=dict(d["attr_types"]),
-        )
 
 
 @dataclass
@@ -479,40 +378,13 @@ class ModuleSummary:
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: Test modules are exempt from most interprocedural findings.
     is_test: bool = False
-    #: Full dotted names of imported modules (dependency edges for the
-    #: reverse-dependency cone in ``--changed`` mode).
-    depends: List[str] = field(default_factory=list)
+    #: Symbol-table key: the dotted name, else the path.  A module that
+    #: lost a contested dotted name (a fixture impersonating a real
+    #: module) is re-keyed by path and keeps ``module`` for scoping.
+    key: str = ""
 
-    @property
-    def key(self) -> str:
-        return self.module or self.path
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": {k: list(v) for k, v in sorted(self.imports.items())},
-            "functions": {
-                q: f.as_dict() for q, f in sorted(self.functions.items())
-            },
-            "classes": {n: c.as_dict() for n, c in sorted(self.classes.items())},
-            "is_test": self.is_test,
-            "depends": self.depends,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleSummary":
-        return cls(
-            path=d["path"],
-            module=d["module"],
-            imports={k: tuple(v) for k, v in d["imports"].items()},
-            functions={
-                q: FunctionSummary.from_dict(f) for q, f in d["functions"].items()
-            },
-            classes={n: ClassSummary.from_dict(c) for n, c in d["classes"].items()},
-            is_test=d.get("is_test", False),
-            depends=list(d.get("depends", ())),
-        )
+    def __post_init__(self) -> None:
+        self.key = self.key or self.module or self.path
 
 
 # -- phase-1 summarizer ----------------------------------------------------------------
@@ -524,115 +396,50 @@ class _ModuleSummarizer:
         module = ".".join(ctx.module_parts) if ctx.module_parts else None
         self.summary = ModuleSummary(path=ctx.path, module=module)
         self._collect_imports(ctx.tree)
-        self._alias_time: Set[str] = self._aliases_of("time")
-        self._alias_datetime: Set[str] = self._aliases_of("datetime")
-        self._alias_random: Set[str] = self._aliases_of("random")
-        self._alias_json: Set[str] = self._aliases_of("json")
-        self._from_time: Set[str] = self._from_names("time")
-        self._from_datetime: Set[str] = self._from_names("datetime")
-        self._from_random: Set[str] = self._from_names("random")
-        self._from_json: Set[str] = self._from_names("json")
 
-    def _aliases_of(self, root: str) -> Set[str]:
-        return {
-            local
-            for local, target in self.summary.imports.items()
-            if target[0] == "module" and target[1].split(".")[0] == root
-        }
+    def canonical(self, callee: str) -> str:
+        """The library name a call target denotes, its import resolved.
 
-    def _from_names(self, root: str) -> Set[str]:
-        return {
-            local
-            for local, target in self.summary.imports.items()
-            if target[0] == "from" and target[1].split(".")[0] == root
-        }
+        ``t.monotonic`` under ``import time as t`` and ``monotonic``
+        under ``from time import monotonic`` are both
+        ``time.monotonic``; ``np.random.rand`` is ``numpy.random.rand``.
+        A head that is no import binding gives ``""``.
+        """
+        head, _, rest = callee.partition(".")
+        target = self.summary.imports.get(head)
+        if target is None:
+            return ""
+        return ".".join(target[1:] + ((rest,) if rest else ()))
 
     def _collect_imports(self, tree: ast.Module) -> None:
-        depends: List[str] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for item in node.names:
-                    depends.append(item.name)
                     if item.asname:
                         self.summary.imports[item.asname] = ("module", item.name)
                     else:
                         root = item.name.split(".")[0]
                         self.summary.imports[root] = ("module", root)
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                depends.append(node.module)
                 for item in node.names:
-                    depends.append(f"{node.module}.{item.name}")
                     local = item.asname or item.name
                     self.summary.imports[local] = ("from", node.module, item.name)
-        seen: Set[str] = set()
-        for dep in depends:
-            if dep not in seen:
-                seen.add(dep)
-                self.summary.depends.append(dep)
 
     def run(self) -> ModuleSummary:
-        body_stmts: List[ast.stmt] = []
-        for stmt in self.ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._function(stmt, class_name=None, prefix="")
-            elif isinstance(stmt, ast.ClassDef):
-                self._class(stmt)
-            else:
-                body_stmts.append(stmt)
-        # Module-level statements form a pseudo-function so module-level
-        # calls/sinks take part in the interprocedural passes.
-        fs = _FunctionSummarizer(
-            self, "<module>", "<module>", body_stmts, params=[], is_async=False,
-            class_name=None, line=1, decorators=[],
+        # The module body is a pseudo-function, so module-level calls and
+        # sinks take part in the interprocedural passes.  Its walk -- like
+        # every function's -- summarizes each def and class it meets.
+        _FunctionSummarizer(
+            self, "<module>", "<module>", self.ctx.tree.body, params=[],
+            is_async=False, class_name=None, line=1, decorators=[],
         ).run()
-        self.summary.functions["<module>"] = fs
         return self.summary
 
-    def _class(self, node: ast.ClassDef) -> None:
-        cs = ClassSummary(
-            name=node.name, line=node.lineno, bases=[dotted(b) for b in node.bases]
-        )
-        self.summary.classes[node.name] = cs
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qname = self._function(stmt, class_name=node.name, prefix=node.name + ".")
-                cs.methods.append(qname)
-            elif isinstance(stmt, ast.ClassDef):
-                self._class(stmt)  # nested classes analyzed flat
 
-    def _function(
-        self,
-        node: ast.stmt,
-        class_name: Optional[str],
-        prefix: str,
-    ) -> str:
-        qname = prefix + node.name
-        params = [a.arg for a in (
-            node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        )]
-        if node.args.vararg:
-            params.append(node.args.vararg.arg)
-        if node.args.kwarg:
-            params.append(node.args.kwarg.arg)
-        decorators = [dotted(d) for d in node.decorator_list]
-        fs = _FunctionSummarizer(
-            self,
-            qname,
-            node.name,
-            node.body,
-            params=params,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
-            class_name=class_name,
-            line=node.lineno,
-            decorators=decorators,
-        ).run()
-        self.summary.functions[qname] = fs
-        # Immediate nested defs get their own summaries (one level of
-        # prefixing per nesting level; _direct_defs does not descend into
-        # them, so each is summarized exactly once).
-        for stmt in _direct_defs(node.body):
-            self._function(stmt, class_name=class_name, prefix=qname + ".")
-        return qname
+def _param_names(args: ast.arguments) -> List[str]:
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    return params
 
 
 class _FunctionSummarizer:
@@ -649,9 +456,13 @@ class _FunctionSummarizer:
         class_name: Optional[str],
         line: int,
         decorators: List[str],
+        enclosing: Optional["_FunctionSummarizer"] = None,
     ) -> None:
         self.owner = owner
         self.body = body
+        #: The scope this def sits in: free names (closure variables,
+        #: module globals) are read from it.
+        self.enclosing = enclosing
         self.fs = FunctionSummary(
             qname=qname,
             name=name,
@@ -665,17 +476,22 @@ class _FunctionSummarizer:
         self.env: Dict[str, Set[Label]] = {
             p: {("param", p)} for p in params if p not in ("self", "cls")
         }
+        #: Qualified-name prefix of the defs nested in this body.
+        self.prefix = "" if qname == "<module>" else qname + "."
         self.recording = False
         self._site_ids: Dict[Tuple[int, int, str], int] = {}
         #: >0 while evaluating arguments of an order-insensitive
         #: consumer (``sorted(x for x in s)`` is safe end to end).
         self._order_suppress = 0
+        #: Names the innermost enclosing ``except`` clause catches (what
+        #: a bare ``raise`` re-raises).
+        self._handling: List[str] = []
 
-    def run(self) -> FunctionSummary:
+    def run(self) -> None:
         for recording in (False, True):
             self.recording = recording
             self._block(self.body, caught=(), preceding=None)
-        return self.fs
+        self.owner.summary.functions[self.fs.qname] = self.fs
 
     # -- statement walk ----------------------------------------------------------------
 
@@ -696,15 +512,15 @@ class _FunctionSummarizer:
         if isinstance(stmt, ast.Assign):
             labels = self._eval(stmt.value, caught, bump)
             for target in stmt.targets:
-                self._assign(target, labels, stmt.lineno)
+                self._assign(target, labels, stmt.lineno, caught, bump)
         elif isinstance(stmt, ast.AnnAssign):
+            self._eval(stmt.annotation, caught, bump)
             if stmt.value is not None:
                 labels = self._eval(stmt.value, caught, bump)
-                self._assign(stmt.target, labels, stmt.lineno)
+                self._assign(stmt.target, labels, stmt.lineno, caught, bump)
         elif isinstance(stmt, ast.AugAssign):
             labels = self._eval(stmt.value, caught, bump)
-            if isinstance(stmt.target, ast.Name):
-                self.env.setdefault(stmt.target.id, set()).update(labels)
+            self._assign(stmt.target, labels, stmt.lineno, caught, bump)
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value, caught, bump)
         elif isinstance(stmt, ast.Return):
@@ -727,7 +543,7 @@ class _FunctionSummarizer:
                         col=stmt.col_offset + 1,
                         bump_before=bump,
                         caught=sorted(set(caught)),
-                        reraise_of=[],
+                        reraise_of=[] if stmt.exc is not None else self._handling,
                     )
                 )
         elif isinstance(stmt, (ast.If, ast.While)):
@@ -737,16 +553,21 @@ class _FunctionSummarizer:
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_labels = self._eval(stmt.iter, caught, bump)
             self._record_order_site("for loop", stmt.iter, iter_labels)
-            self._assign(stmt.target, self._element_labels(iter_labels), stmt.lineno)
+            self._assign(
+                stmt.target, self._element_labels(iter_labels), stmt.lineno,
+                caught, bump,
+            )
             self._block(stmt.body, caught, preceding=prev)
             self._block(stmt.orelse, caught, preceding=prev)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 labels = self._eval(item.context_expr, caught, bump)
                 if item.optional_vars is not None:
-                    self._assign(item.optional_vars, labels, stmt.lineno)
+                    self._assign(
+                        item.optional_vars, labels, stmt.lineno, caught, bump
+                    )
             self._block(stmt.body, caught, preceding=prev)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY):
             names: Set[str] = set()
             for handler in stmt.handlers:
                 names |= handler_names(handler)
@@ -759,53 +580,107 @@ class _FunctionSummarizer:
             self._eval(stmt.test, caught, bump)
             if stmt.msg is not None:
                 self._eval(stmt.msg, caught, bump)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # summarized separately
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._def(stmt, self.fs.class_name, self.prefix, caught, bump)
+        elif isinstance(stmt, ast.ClassDef):
+            self._class(stmt, caught, bump)
         elif isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Pass, ast.Break,
                                ast.Continue, ast.Global, ast.Nonlocal)):
             return
         else:
-            # Unmodeled statements (match, delete, ...): evaluate child
-            # expressions so calls/sinks inside them are still recorded.
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child, caught, bump)
-                elif isinstance(child, ast.stmt):
-                    self._stmt(child, caught, None)
+            # Unmodeled statements (match, delete, ...).
+            self._children(stmt, caught, bump)
+
+    def _children(self, node: ast.AST, caught: Tuple[str, ...], bump: bool) -> None:
+        """Walk a node the label language does not model.
+
+        Nothing under it binds a label, but every expression and
+        statement under it -- a ``match`` arm, a pattern guard, a
+        default value -- is still evaluated, so its calls, sinks and
+        raises are recorded.
+        """
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self._eval(child, caught, bump)
+            elif isinstance(child, ast.stmt):
+                self._stmt(child, caught, None)
+            else:
+                self._children(child, caught, bump)
 
     def _handler(
         self, handler: ast.ExceptHandler, caught: Tuple[str, ...],
         prev: Optional[ast.stmt],
     ) -> None:
-        h_names = sorted(handler_names(handler))
-        for i, stmt in enumerate(handler.body):
-            inner_prev = handler.body[i - 1] if i > 0 else prev
-            if isinstance(stmt, ast.Raise) and stmt.exc is None:
-                if self.recording:
-                    self.fs.raises.append(
-                        RaiseSite(
-                            name=None,
-                            line=stmt.lineno,
-                            col=stmt.col_offset + 1,
-                            bump_before=is_metrics_bump(inner_prev),
-                            caught=sorted(set(caught)),
-                            reraise_of=h_names,
-                        )
-                    )
-            else:
-                self._stmt(stmt, caught, inner_prev)
+        if handler.type is not None:
+            self._eval(handler.type, caught, False)
+        outer, self._handling = self._handling, sorted(handler_names(handler))
+        self._block(handler.body, caught, preceding=prev)
+        self._handling = outer
 
-    def _assign(self, target: ast.AST, labels: Set[Label], line: int) -> None:
+    def _def(
+        self, node: ast.stmt, class_name: Optional[str], prefix: str,
+        caught: Tuple[str, ...], bump: bool,
+    ) -> None:
+        """A def met on the walk: its decorators, defaults and
+        annotations run here; its body gets a summary of its own."""
+        for expr in node.decorator_list:
+            self._eval(expr, caught, bump)
+        self._children(node.args, caught, bump)
+        if node.returns is not None:
+            self._eval(node.returns, caught, bump)
+        if self.recording:
+            _FunctionSummarizer(
+                self.owner,
+                prefix + node.name,
+                node.name,
+                node.body,
+                params=_param_names(node.args),
+                is_async=isinstance(node, ast.AsyncFunctionDef),
+                class_name=class_name,
+                line=node.lineno,
+                decorators=[dotted_name(d) for d in node.decorator_list],
+                enclosing=self,
+            ).run()
+
+    def _class(self, node: ast.ClassDef, caught: Tuple[str, ...], bump: bool) -> None:
+        """A class body runs where it stands, in the enclosing scope;
+        its methods are summarized under ``Class.method``, nested
+        classes flat."""
+        for expr in node.decorator_list + node.bases:
+            self._eval(expr, caught, bump)
+        for kw in node.keywords:
+            self._eval(kw.value, caught, bump)
+        if self.recording:
+            self.owner.summary.classes[node.name] = ClassSummary(
+                name=node.name,
+                line=node.lineno,
+                bases=[dotted_name(b) for b in node.bases],
+            )
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._def(stmt, node.name, node.name + ".", caught, bump)
+            else:
+                self._stmt(stmt, caught, None)
+
+    def _assign(
+        self, target: ast.AST, labels: Set[Label], line: int,
+        caught: Tuple[str, ...], bump: bool,
+    ) -> None:
         if isinstance(target, ast.Name):
             self.env.setdefault(target.id, set()).update(labels)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._assign(elt, labels, line)
+                self._assign(elt, labels, line, caught, bump)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, labels, line)
+            self._assign(target.value, labels, line, caught, bump)
+        elif isinstance(target, ast.Subscript):
+            self._eval(target.value, caught, bump)
+            self._eval(target.slice, caught, bump)
         elif isinstance(target, ast.Attribute):
             base = target.value
-            if isinstance(base, ast.Name) and base.id in ("self", "cls"):
+            if not (isinstance(base, ast.Name) and base.id in ("self", "cls")):
+                self._eval(base, caught, bump)
+            else:
                 owner = self.fs.class_name
                 if owner and self.recording:
                     self.fs.attr_stores.append((target.attr, sorted(labels), line))
@@ -828,7 +703,7 @@ class _FunctionSummarizer:
         self, node: ast.expr, caught: Tuple[str, ...], bump: bool
     ) -> Set[Label]:
         if isinstance(node, ast.Name):
-            return set(self.env.get(node.id, ()))
+            return self._lookup(node.id)
         if isinstance(node, ast.Call):
             return self._call(node, caught, bump)
         if isinstance(node, ast.Attribute):
@@ -902,23 +777,29 @@ class _FunctionSummarizer:
             return set()
         if isinstance(node, ast.NamedExpr):
             labels = self._eval(node.value, caught, bump)
-            self._assign(node.target, labels, node.lineno)
+            self._assign(node.target, labels, node.lineno, caught, bump)
             return labels
         if isinstance(node, ast.JoinedStr):
             for part in node.values:
-                if isinstance(part, ast.FormattedValue):
-                    labels = self._eval(part.value, caught, bump)
-                    self._record_sink(
-                        "f-string", part, labels, self._describe(part.value)
-                    )
+                self._eval(part, caught, bump)
             return set()
         if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)):
             return self._comprehension(node, caught, bump)
         if isinstance(node, ast.Lambda):
+            # Defaults run now; the body runs later -- outside any
+            # enclosing ``try`` -- with its parameters shadowing ours.
+            self._children(node.args, caught, bump)
+            shadowed = {
+                p: self.env.pop(p) for p in _param_names(node.args) if p in self.env
+            }
+            self._eval(node.body, (), False)
+            self.env.update(shadowed)
             return set()
         if isinstance(node, ast.FormattedValue):
             labels = self._eval(node.value, caught, bump)
             self._record_sink("f-string", node, labels, self._describe(node.value))
+            if node.format_spec is not None:
+                self._eval(node.format_spec, caught, bump)
             return set()
         if isinstance(node, ast.Constant):
             return set()
@@ -928,6 +809,24 @@ class _FunctionSummarizer:
             if isinstance(child, ast.expr):
                 out |= self._eval(child, caught, bump)
         return out
+
+    def _lookup(self, name: str) -> Set[Label]:
+        """Labels of a name: bound here, else by the nearest enclosing
+        scope that binds it.  Only labels that mean the same thing in
+        every function cross the boundary -- ``param`` and ``ret`` are
+        relative to the function that holds them."""
+        if name in self.env:
+            return set(self.env[name])
+        scope = self.enclosing
+        while scope is not None and name not in scope.env:
+            scope = scope.enclosing
+        if scope is None:
+            return set()
+        return {
+            l for l in scope.env[name]
+            # The label's kind, beneath any ``ord`` wrapping.
+            if next(part for part in l if part != "ord") not in ("param", "ret")
+        }
 
     @staticmethod
     def _taint_only(labels: Set[Label]) -> Set[Label]:
@@ -974,7 +873,10 @@ class _FunctionSummarizer:
             iter_labels = self._eval(gen.iter, caught, bump)
             if exposes_order:
                 self._record_order_site("comprehension", gen.iter, iter_labels)
-            self._assign(gen.target, self._element_labels(iter_labels), node.lineno)
+            self._assign(
+                gen.target, self._element_labels(iter_labels), node.lineno,
+                caught, bump,
+            )
             for cond in gen.ifs:
                 self._eval(cond, caught, bump)
         if isinstance(node, ast.DictComp):
@@ -1010,13 +912,19 @@ class _FunctionSummarizer:
 
     def _call(self, node: ast.Call, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
         func = node.func
-        callee = dotted(func)
+        callee = dotted_name(func)
         order_safe_args = isinstance(func, ast.Name) and func.id in (
             _ORDER_INSENSITIVE | _SCALAR_CONSUMERS | {"set", "frozenset"}
         )
         if order_safe_args:
             self._order_suppress += 1
         try:
+            # The receiver of a method call, or a computed callee
+            # (``handlers[k]()``, ``(lambda: ...)()``).
+            receiver = self._eval(
+                func.value if isinstance(func, ast.Attribute) else func,
+                caught, bump,
+            )
             arg_labels = [self._eval(a, caught, bump) for a in node.args]
             kw_labels = {
                 kw.arg: self._eval(kw.value, caught, bump)
@@ -1030,14 +938,11 @@ class _FunctionSummarizer:
             if order_safe_args:
                 self._order_suppress -= 1
 
-        fname = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
+        fname = call_name(node)
 
         # Detectors that do not produce dataflow labels.
-        self._detect_clock_and_random(node, callee, fname)
-        self._detect_blocking(node, callee, fname)
-        self._detect_json(node, callee, fname, kw_labels, [kw.arg for kw in node.keywords])
+        if self.recording:
+            self._detect_library_call(node, callee)
         self._detect_taint_sink(node, func, fname, node.args, node.keywords,
                                 arg_labels, kw_labels)
 
@@ -1099,9 +1004,13 @@ class _FunctionSummarizer:
 
         out = {("ret", site_id)} if site_id is not None else set()
         # A method call on a tainted receiver yields tainted output
-        # (key.hex(), key.to_bytes(...)).
+        # (key.hex(), lanes.astype(...).tobytes()), and so does an
+        # array constructor fed key bytes (np.frombuffer(key)).
         if isinstance(func, ast.Attribute):
-            out |= self._taint_only(self._eval(func.value, caught, bump))
+            out |= self._taint_only(receiver)
+            if fname in _NDARRAY_FUNCS:
+                for labels in arg_labels:
+                    out |= self._taint_only(labels)
         # Track which class a constructor call makes (for attr typing).
         if callee and callee.split(".")[-1][:1].isupper():
             out.add(("ctor", callee))
@@ -1163,82 +1072,43 @@ class _FunctionSummarizer:
                 self._record_sink(sink, node, taint, self._describe(arg))
                 return
 
-    def _detect_clock_and_random(self, node: ast.Call, callee: str, fname: str) -> None:
-        if not self.recording:
-            return
-        owner = self.owner
-        func = node.func
+    def _detect_library_call(self, node: ast.Call, callee: str) -> None:
+        """Wall clock, unseeded randomness, blocking, unsorted JSON."""
         loc = (node.lineno, node.col_offset + 1)
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base = func.value.id
-            if base in owner._alias_time and fname in _BANNED_TIME_ATTRS:
-                self._add_once(self.fs.wall_clock, (f"time.{fname}()",) + loc)
-                return
-            if base in owner._alias_random:
-                if fname in _GLOBAL_RANDOM_FUNCS:
-                    self._add_once(
-                        self.fs.unseeded_random, (f"random.{fname}()",) + loc
-                    )
-                elif fname == "Random" and not (node.args or node.keywords):
-                    self._add_once(self.fs.unseeded_random, ("Random()",) + loc)
-                elif fname == "SystemRandom":
-                    self._add_once(self.fs.unseeded_random, ("SystemRandom()",) + loc)
-                return
-        if isinstance(func, ast.Attribute) and fname in _BANNED_DATETIME_ATTRS and not (
-            node.args or node.keywords
+        blocking = BLOCKING_CALLS.get(callee) or BLOCKING_BARE.get(callee)
+        if blocking is None and callee.startswith("subprocess."):
+            blocking = f"{callee}()"
+        if blocking is not None:
+            self._add_once(self.fs.blocking, (blocking,) + loc)
+
+        name = self.owner.canonical(callee)
+        module, _, attr = name.rpartition(".")
+        argless = not (node.args or node.keywords)
+        if module == "time" and attr in _BANNED_TIME_ATTRS:
+            self._add_once(self.fs.wall_clock, (f"{name}()",) + loc)
+        elif (
+            name.startswith("datetime.")
+            and attr in _BANNED_DATETIME_ATTRS
+            and argless
         ):
-            root = func.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and (
-                root.id in owner._alias_datetime or root.id in owner._from_datetime
-            ):
-                self._add_once(self.fs.wall_clock, (f"datetime {fname}()",) + loc)
-                return
-        if isinstance(func, ast.Name):
-            if func.id in owner._from_time and func.id in _BANNED_TIME_ATTRS:
-                self._add_once(self.fs.wall_clock, (f"time.{func.id}()",) + loc)
-            elif func.id in owner._from_random:
-                if func.id == "Random" and not (node.args or node.keywords):
-                    self._add_once(self.fs.unseeded_random, ("Random()",) + loc)
-                elif func.id == "SystemRandom":
-                    self._add_once(self.fs.unseeded_random, ("SystemRandom()",) + loc)
-                elif func.id in _GLOBAL_RANDOM_FUNCS:
-                    self._add_once(
-                        self.fs.unseeded_random, (f"{func.id}()",) + loc
-                    )
-
-    def _detect_blocking(self, node: ast.Call, callee: str, fname: str) -> None:
-        if not self.recording:
-            return
-        loc = (node.lineno, node.col_offset + 1)
-        desc = BLOCKING_CALLS.get(callee)
-        if desc is None and callee in BLOCKING_BARE:
-            desc = BLOCKING_BARE[callee]
-        if desc is None and callee.startswith("subprocess."):
-            desc = f"{callee}()"
-        if desc is not None:
-            self._add_once(self.fs.blocking, (desc,) + loc)
-
-    def _detect_json(
-        self, node: ast.Call, callee: str, fname: str, kw_labels, kw_names
-    ) -> None:
-        if not self.recording or fname not in ("dump", "dumps"):
-            return
-        func = node.func
-        is_json = (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.owner._alias_json
-        ) or (isinstance(func, ast.Name) and func.id in self.owner._from_json)
-        if not is_json:
-            return
-        if "sort_keys" in kw_names:
-            return
-        self._add_once(
-            self.fs.unsorted_json,
-            (f"json.{fname}", node.lineno, node.col_offset + 1),
-        )
+            # An aware now(tz) is still a wall-clock read, but the ban
+            # is on the argless form.
+            self._add_once(self.fs.wall_clock, (f"datetime {attr}()",) + loc)
+        elif module == "random" and (
+            attr in _GLOBAL_RANDOM_FUNCS
+            or attr == "SystemRandom"
+            or (attr == "Random" and argless)
+        ):
+            self._add_once(self.fs.unseeded_random, (f"{name}()",) + loc)
+        elif module == "numpy.random" and (
+            attr in _NUMPY_GLOBAL_FUNCS
+            or (attr in _NUMPY_CONSTRUCTORS and argless)
+        ):
+            self._add_once(self.fs.unseeded_random, (f"{name}()",) + loc)
+        elif name in ("json.dump", "json.dumps") and not any(
+            kw.arg == "sort_keys" for kw in node.keywords
+        ):
+            self._add_once(self.fs.unsorted_json, (name,) + loc)
 
     @staticmethod
     def _add_once(pool: List[Tuple], item: Tuple) -> None:
@@ -1302,38 +1172,12 @@ class _FunctionSummarizer:
         if isinstance(node, ast.Subscript):
             return self._describe(node.value)
         if isinstance(node, ast.Attribute):
-            return repr(dotted(node))
+            return repr(dotted_name(node))
         if isinstance(node, ast.BinOp):
             return self._describe(node.left)
         if isinstance(node, ast.FormattedValue):
             return self._describe(node.value)
         return "key material"
-
-
-#: Module-level functions of :mod:`random` using the global generator
-#: (mirrors the FBS003 local rule).
-_GLOBAL_RANDOM_FUNCS = {
-    "random", "randint", "randrange", "randbytes", "choice", "choices",
-    "shuffle", "sample", "uniform", "getrandbits", "gauss", "normalvariate",
-    "lognormvariate", "expovariate", "betavariate", "gammavariate",
-    "paretovariate", "weibullvariate", "vonmisesvariate", "triangular", "seed",
-}
-
-
-def _direct_defs(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
-    """Immediate nested function defs (not descending into def/class)."""
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield stmt
-        elif isinstance(stmt, ast.ClassDef):
-            continue
-        else:
-            for attr in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, attr, None)
-                if inner:
-                    yield from _direct_defs(inner)
-            for handler in getattr(stmt, "handlers", []) or []:
-                yield from _direct_defs(handler.body)
 
 
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:
@@ -1355,13 +1199,8 @@ class Project:
             # First module wins a contested dotted name (fixture files
             # impersonating core modules fall back to their path key).
             if s.key in self.modules:
-                self.modules[s.path] = ModuleSummary(
-                    path=s.path, module=None, imports=s.imports,
-                    functions=s.functions, classes=s.classes, is_test=s.is_test,
-                    depends=s.depends,
-                )
-            else:
-                self.modules[s.key] = s
+                s = replace(s, key=s.path)
+            self.modules[s.key] = s
         self._resolve_memo: Dict[Tuple[str, Optional[str], str], Optional[Tuple[str, str]]] = {}
 
     # -- iteration ---------------------------------------------------------------------
@@ -1435,10 +1274,10 @@ class Project:
         return None
 
     def _resolve_class(
-        self, module_key: str, dotted_name: str
+        self, module_key: str, class_ref: str
     ) -> Optional[Tuple[str, str]]:
         """Resolve a dotted class reference -> (module_key, class_name)."""
-        parts = dotted_name.split(".")
+        parts = class_ref.split(".")
         if not parts or "?" in parts:
             return None
         export = self._lookup_export(module_key, parts[0])

@@ -7,9 +7,7 @@ Exit-code contract (relied on by CI and ``make lint``):
 * **2** -- usage or analysis error (unknown rule, unreadable path,
   syntax error in a scanned file, docs out of sync).
 
-v2 additions: ``--format sarif``; ``--cache``/``--cache-file`` for the
-content-hash incremental cache; ``--changed REF`` to restrict reporting
-to files changed vs a git ref plus their reverse-dependency cone;
+Beyond the report itself: ``--format json``/``sarif``;
 ``--no-unused-suppressions`` to opt out of FBS012;
 ``--check-docs``/``--write-docs`` for the DESIGN.md invariants table.
 """
@@ -18,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.base import all_rules
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import DEFAULT_CACHE_FILE
 from repro.analysis.engine import LintError, lint_paths
 from repro.analysis.sarif import render_sarif
 
@@ -82,29 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--cache",
-        action="store_true",
-        help=(
-            f"use the incremental summary cache at ./{DEFAULT_CACHE_FILE} "
-            "(unchanged files replay their phase-1 analysis from disk)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=None,
-        help="use the incremental summary cache at FILE (implies --cache)",
-    )
-    parser.add_argument(
-        "--changed",
-        metavar="GIT_REF",
-        default=None,
-        help=(
-            "report findings only for files changed vs GIT_REF plus their "
-            "reverse-dependency cone (the whole project is still analyzed)"
-        ),
-    )
-    parser.add_argument(
         "--no-unused-suppressions",
         action="store_true",
         help="do not report unused '# fbslint: disable' comments (FBS012)",
@@ -149,27 +122,6 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
     if value is None:
         return None
     return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _changed_files(ref: str) -> List[str]:
-    """Paths (relative to the repo root) changed vs ``ref``."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", "--diff-filter=d", ref, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = ""
-        if isinstance(exc, subprocess.CalledProcessError):
-            detail = f": {exc.stderr.strip()}"
-        raise LintError(f"cannot diff against {ref!r}{detail}") from exc
-    return [
-        line.strip()
-        for line in proc.stdout.splitlines()
-        if line.strip().endswith(".py")
-    ]
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -219,24 +171,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             print(f"error: {exc}", file=out)
             return 2
 
-    cache_path: Optional[Path] = None
-    if args.cache_file is not None:
-        cache_path = Path(args.cache_file)
-    elif args.cache:
-        cache_path = Path(DEFAULT_CACHE_FILE)
-
     try:
-        changed = (
-            _changed_files(args.changed) if args.changed is not None else None
-        )
         result = lint_paths(
             [Path(p) for p in args.paths],
             root=Path.cwd(),
             select=_split(args.select),
             ignore=_split(args.ignore),
             baseline=baseline,
-            cache_path=cache_path,
-            changed=changed,
             unused_suppressions=not args.no_unused_suppressions,
         )
     except LintError as exc:
@@ -282,11 +223,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 summary += f" ({len(result.baselined)} baselined)"
             if result.suppressed:
                 summary += f" ({result.suppressed} suppressed inline)"
-            if cache_path is not None:
-                summary += (
-                    f" [cache: {result.cache_hits} replayed, "
-                    f"{result.cache_misses} analyzed]"
-                )
             print(summary, file=out)
 
     return result.exit_code

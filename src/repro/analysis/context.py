@@ -1,9 +1,10 @@
 """Per-module context handed to every rule.
 
 Rules scope themselves by *logical path* -- where the module lives
-inside the ``repro`` package -- not by filesystem accident.  The wall
-clock is legal in ``repro.bench`` but nowhere else; the metrics
-discipline applies to ``repro.core`` and ``repro.baselines`` only.
+inside the ``repro`` package -- not by filesystem accident: asserts are
+legal in test code but nowhere else; multiprocessing in ``repro.load``
+only.  (The dataflow passes scope by the same identity, carried on the
+module summary.)
 Tests construct a :class:`ModuleContext` with an explicit logical path
 so fixture files can impersonate any module.
 """
@@ -73,24 +74,6 @@ class ModuleContext:
             self.module_parts is not None
             and self.module_parts[: len(want)] == want
         )
-
-    @property
-    def is_bench(self) -> bool:
-        """``repro.bench`` may read the wall clock (it measures it)."""
-        return self.in_package("bench")
-
-    @property
-    def is_clock_sanctioned(self) -> bool:
-        """May this module read the real clock (FBS002 carve-out)?
-
-        ``repro.bench`` measures real time; ``repro.transport.udp`` *is*
-        the real-time substrate -- its ``now()`` is the clock the rest
-        of the stack injects, which is exactly how real-clock access
-        stays quarantined behind the transport boundary.  Everything
-        else (including the rest of ``repro.transport``) stays under
-        the ban.
-        """
-        return self.is_bench or self.is_module("transport", "udp")
 
     @property
     def is_test_code(self) -> bool:

@@ -2,20 +2,23 @@
 
 Five passes run over the :class:`~repro.analysis.callgraph.Project`
 built in phase 1.  None of them touch an AST -- they consume only the
-serializable summaries, so a warm (cached) run pays for phase 2 alone.
+summaries, and they are the only detectors of their rules: a flow that
+starts and ends in one function is the zero-hop case of the same pass
+that follows it through calls.
 
-* **Taint** (FBS001 v2): key material propagated through calls,
-  returns, containers, and ``self.attr`` stores; every finding carries
-  the full source-to-sink witness path (knowledge-flow style).
-* **Exception flow** (FBS006/FBS007 v2): per-exception-class
-  reachability from the receive datapath over call edges that are not
-  *guarded* for that class (guarded = the call site sits in a ``try``
-  catching the class or an ancestor, or is dominated by a metrics
-  bump).
-* **Impurity** (FBS002/FBS003 v2): a function that transitively
-  reaches the wall clock or unseeded randomness is impure; calling an
-  impure function from the deterministic core is as banned as the
-  primitive itself.
+* **Taint** (FBS001): key material propagated through assignments,
+  ndarray views, calls, returns, containers, and ``self.attr`` stores;
+  every finding carries the full source-to-sink witness path
+  (knowledge-flow style).
+* **Exception flow** (FBS006/FBS007): per-exception-class
+  reachability from the receive datapath -- its own functions first --
+  over call edges that are not *guarded* for that class (guarded = the
+  call site sits in a ``try`` catching the class or an ancestor, or is
+  dominated by a metrics bump).
+* **Impurity** (FBS002/FBS003): reading the wall clock or unseeded
+  randomness is banned where it stands, and a function that
+  transitively reaches either is impure; calling an impure function
+  from the deterministic core is as banned as the primitive itself.
 * **Blocking** (FBS010): no blocking primitives -- even hidden behind
   sync helpers -- inside ``async def``.
 * **Report order** (FBS011): unordered ``set`` iteration and
@@ -30,13 +33,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.base import get_rule
 from repro.analysis.callgraph import (
+    BUILTIN_EXC_PARENTS,
     CallSite,
     FunctionSummary,
     ModuleSummary,
     Project,
+    RaiseSite,
 )
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 __all__ = ["run_project_passes"]
 
@@ -58,9 +64,23 @@ _FALLBACK_TAXONOMY = _FALLBACK_RECEIVE_ERRORS | {
     "SignatureError",
 }
 
-#: Packages whose callers must stay pure (FBS002/FBS003 v2).  The load
-#: and bench layers go through sanctioned clocks by design.
+#: Packages whose callers must stay pure (transitive FBS002/FBS003).
+#: The load and bench layers go through sanctioned clocks by design.
 _PURITY_ZONE = ("repro.core", "repro.crypto", "repro.netsim", "repro.baselines")
+
+#: Modules that may read the real clock themselves: ``repro.bench``
+#: measures real time, and ``repro.transport.udp`` *is* the real-time
+#: substrate -- its ``now()`` is the clock the rest of the stack
+#: injects, which keeps real time quarantined behind the transport
+#: boundary.  Everything else (the rest of ``repro.transport``
+#: included) stays under the ban.
+_CLOCK_SANCTIONED = ("repro.bench", "repro.transport.udp")
+
+_REPLAY = (
+    "deterministic replay requires the simulated clock (sim.now / the "
+    "injected now callable) and explicitly seeded generators "
+    "(random.Random(seed), numpy.random.default_rng(seed))"
+)
 
 #: Packages whose reports must be byte-identical (FBS011).
 _REPORT_ZONE = (
@@ -72,26 +92,28 @@ _REPORT_ZONE = (
     "repro.gateway",
 )
 
-#: Modules forming the receive datapath (FBS006 v2 roots; raises inside
-#: them are the local FBS006 rule's job).
-_DATAPATH_MODULES = ("repro.core.protocol",)
-_DATAPATH_PACKAGES = ("repro.baselines",)
+#: The module whose public functions are the protocol surface (FBS007
+#: roots) and, with it, the packages forming the receive datapath
+#: (FBS006 roots).
+_PROTOCOL_MODULE = "repro.core.protocol"
+_DATAPATH = (_PROTOCOL_MODULE, "repro.baselines")
+
+
+def _under(summary: ModuleSummary, zone: Sequence[str]) -> bool:
+    mod = summary.module
+    return mod is not None and any(
+        mod == z or mod.startswith(z + ".") for z in zone
+    )
 
 
 def _in_zone(summary: ModuleSummary, zone: Sequence[str]) -> bool:
-    mod = summary.module
-    if mod is None or summary.is_test:
-        return False
-    return any(mod == z or mod.startswith(z + ".") for z in zone)
+    return not summary.is_test and _under(summary, zone)
 
 
-def _is_datapath(summary: ModuleSummary) -> bool:
-    mod = summary.module
-    if mod is None or summary.is_test:
-        return False
-    if mod in _DATAPATH_MODULES:
-        return True
-    return any(mod == p or mod.startswith(p + ".") for p in _DATAPATH_PACKAGES)
+def _raised(site: RaiseSite) -> Set[str]:
+    """The class names a raise site raises: its own, or -- for a bare
+    ``raise`` -- the ones its handler caught."""
+    return {site.name} if site.name else set(site.reraise_of)
 
 
 def _bound_params(fn: FunctionSummary) -> List[str]:
@@ -125,7 +147,6 @@ class _Passes:
     def _emit(
         self,
         rule_id: str,
-        severity: Severity,
         summary: ModuleSummary,
         line: int,
         col: int,
@@ -137,7 +158,7 @@ class _Passes:
         self.findings.append(
             Finding(
                 rule_id=rule_id,
-                severity=severity,
+                severity=get_rule(rule_id).severity,
                 path=summary.path,
                 line=line,
                 column=col,
@@ -161,7 +182,7 @@ class _Passes:
             self._report_order_pass()
         return self.findings
 
-    # -- FBS001 v2: interprocedural key-material taint ---------------------------------
+    # -- FBS001: key-material taint ----------------------------------------------------
 
     def _taint_pass(self) -> None:
         project = self.project
@@ -252,22 +273,21 @@ class _Passes:
                 break
 
         for summary, fn in project.iter_functions():
-            if summary.is_test:
-                continue
             for sink in fn.sinks:
                 path = eval_labels(summary, fn, sink.labels)
-                if path is None or len(path) < 2:
-                    continue  # purely local flows are the v1 rule's job
+                if path is None:
+                    continue
+                via = " through an interprocedural flow" if len(path) > 1 else ""
                 witness = " -> ".join(path)
                 self._emit(
                     "FBS001",
-                    Severity.ERROR,
                     summary,
                     sink.line,
                     sink.col,
-                    f"key material ({sink.desc}) reaches {sink.kind} through "
-                    f"an interprocedural flow [{witness}]; key material must "
-                    "never be printed, logged, formatted, or compared with ==",
+                    f"key material ({sink.desc}) reaches {sink.kind}{via} "
+                    f"[{witness}]; key material must never be printed, "
+                    "logged or formatted, and is compared with "
+                    "repro.crypto.mac.constant_time_equal, never ==",
                     flow=path,
                 )
 
@@ -282,7 +302,7 @@ class _Passes:
                 return edge
         return None
 
-    # -- FBS002/FBS003 v2: impurity propagation ----------------------------------------
+    # -- FBS002/FBS003: wall clock and unseeded randomness, direct and transitive -------
 
     def _impurity_pass(self) -> None:
         project = self.project
@@ -320,36 +340,42 @@ class _Passes:
             if not changed:
                 break
 
+        rules = {
+            "clock": ("FBS002", "the wall clock"),
+            "random": ("FBS003", "unseeded randomness"),
+        }
         for summary, fn in project.iter_functions():
-            if not _in_zone(summary, _PURITY_ZONE):
+            if summary.is_test:
                 continue
-            if summary.module is not None and summary.module.startswith("repro.bench"):
+            # Zero hops: the function reads the primitive itself.
+            own = [("random", site) for site in fn.unseeded_random]
+            if not _under(summary, _CLOCK_SANCTIONED):
+                own += [("clock", site) for site in fn.wall_clock]
+            for kind, (desc, line, col) in own:
+                rule_id, what = rules[kind]
+                self._emit(
+                    rule_id, summary, line, col, f"{desc} uses {what}; {_REPLAY}"
+                )
+            if not _in_zone(summary, _PURITY_ZONE):
                 continue
             for site, cmod, cq in self.edges[(summary.key, fn.qname)]:
                 fact = impure.get((cmod, cq))
                 if fact is None:
                     continue
                 kind, desc, where, chain = fact
-                rule_id = "FBS002" if kind == "clock" else "FBS003"
+                rule_id, what = rules[kind]
                 witness = " -> ".join(chain)
-                what = (
-                    "the wall clock" if kind == "clock"
-                    else "unseeded randomness"
-                )
                 self._emit(
                     rule_id,
-                    Severity.WARNING,
                     summary,
                     site.line,
                     site.col,
                     f"call to impure {cq}() transitively reaches {what} "
-                    f"({desc} at {where}, via {witness}); deterministic "
-                    "replay requires the simulated clock and seeded RNG "
-                    "streams",
+                    f"({desc} at {where}, via {witness}); {_REPLAY}",
                     flow=chain,
                 )
 
-    # -- FBS006 v2: datapath rejection accounting --------------------------------------
+    # -- FBS006: datapath rejection accounting -----------------------------------------
 
     def _receive_errors(self) -> Set[str]:
         found = self.project.exception_subclasses("ReceiveError")
@@ -401,7 +427,7 @@ class _Passes:
             (summary.key, qname)
             for key in sorted(project.modules)
             for summary in (project.modules[key],)
-            if _is_datapath(summary)
+            if _in_zone(summary, _DATAPATH)
             for qname in sorted(summary.functions)
         ]
         if not roots:
@@ -412,12 +438,9 @@ class _Passes:
             chains = self._reach_unguarded(roots, covering)
             for key in sorted(chains):
                 summary = project.modules[key[0]]
-                if _is_datapath(summary) or summary.is_test:
-                    continue  # local FBS006 owns the datapath modules
                 fn = project.function(*key)
                 for site in fn.raises:
-                    raised = {site.name} if site.name else set(site.reraise_of)
-                    if exc not in raised:
+                    if exc not in _raised(site):
                         continue
                     if site.bump_before or set(site.caught) & covering:
                         continue
@@ -425,21 +448,24 @@ class _Passes:
                     if loc in emitted:
                         continue
                     emitted.add(loc)
+                    where = (
+                        "on" if len(chains[key]) == 1
+                        else "in a helper reachable from"
+                    )
                     witness = " -> ".join(chains[key])
                     self._emit(
                         "FBS006",
-                        Severity.WARNING,
                         summary,
                         site.line,
                         site.col,
-                        f"{exc} raised in helper {fn.qname}() is reachable "
-                        f"from the receive datapath [{witness}] without a "
-                        "metrics bump on the path; every rejected datagram "
-                        "must be counted exactly once",
+                        f"{exc} raised in {fn.qname}() {where} the receive "
+                        f"datapath [{witness}] without a metrics bump on the "
+                        "path; every rejected datagram must be counted "
+                        "exactly once",
                         flow=chains[key],
                     )
 
-    # -- FBS007 v2: builtin exceptions escaping the protocol surface -------------------
+    # -- FBS007: non-taxonomy exceptions escaping the protocol surface -----------------
 
     def _taxonomy_escape_pass(self) -> None:
         project = self.project
@@ -447,7 +473,7 @@ class _Passes:
         roots = []
         for key in sorted(project.modules):
             summary = project.modules[key]
-            if summary.module not in _DATAPATH_MODULES or summary.is_test:
+            if summary.module != _PROTOCOL_MODULE or summary.is_test:
                 continue
             for qname in sorted(summary.functions):
                 fn = summary.functions[qname]
@@ -455,24 +481,26 @@ class _Passes:
                     roots.append((summary.key, qname))
         if not roots:
             return
-        # Which builtin classes are raised anywhere reachable matters;
-        # collect the candidate set first to bound the per-class BFS.
+        # Which non-taxonomy classes are raised anywhere matters; collect
+        # the candidate set first to bound the per-class BFS.  A name that
+        # is neither a builtin nor a project class is a variable holding an
+        # already-typed error (``raise error``), not an escape.
+        classes = {"BaseException", *BUILTIN_EXC_PARENTS}
+        for summary in project.modules.values():
+            classes.update(summary.classes)
         candidates: Set[str] = set()
         for summary, fn in project.iter_functions():
             for site in fn.raises:
-                if site.name and site.name not in taxonomy:
-                    candidates.add(site.name)
+                candidates |= (_raised(site) & classes) - taxonomy
         emitted: Set[Tuple[str, int, int]] = set()
         for exc in sorted(candidates):
             covering = {exc} | project.exception_ancestors(exc)
             chains = self._reach_unguarded(roots, covering)
             for key in sorted(chains):
                 summary = project.modules[key[0]]
-                if summary.module in _DATAPATH_MODULES or summary.is_test:
-                    continue  # local FBS007 owns the protocol module
                 fn = project.function(*key)
                 for site in fn.raises:
-                    if site.name != exc:
+                    if exc not in _raised(site):
                         continue
                     if set(site.caught) & covering:
                         continue
@@ -483,7 +511,6 @@ class _Passes:
                     witness = " -> ".join(chains[key])
                     self._emit(
                         "FBS007",
-                        Severity.WARNING,
                         summary,
                         site.line,
                         site.col,
@@ -527,7 +554,6 @@ class _Passes:
             for desc, line, col in fn.blocking:
                 self._emit(
                     "FBS010",
-                    Severity.WARNING,
                     summary,
                     line,
                     col,
@@ -543,7 +569,6 @@ class _Passes:
                 witness = " -> ".join(chain)
                 self._emit(
                     "FBS010",
-                    Severity.WARNING,
                     summary,
                     site.line,
                     site.col,
@@ -638,7 +663,6 @@ class _Passes:
                 subject = f" over {site.desc}" if site.desc else ""
                 self._emit(
                     "FBS011",
-                    Severity.WARNING,
                     summary,
                     site.line,
                     site.col,
@@ -650,7 +674,6 @@ class _Passes:
             for fname, line, col in fn.unsorted_json:
                 self._emit(
                     "FBS011",
-                    Severity.WARNING,
                     summary,
                     line,
                     col,

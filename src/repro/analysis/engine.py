@@ -1,17 +1,17 @@
 """The fbslint engine: discover files, run both phases, filter, report.
 
-Since v2 the engine is a *two-phase whole-program analyzer*:
+The engine is a *two-phase whole-program analyzer*:
 
-* **Phase 1** parses every module once, runs the local (per-file) rules
-  over its AST, and distills it into a
-  :class:`~repro.analysis.callgraph.ModuleSummary`.  With a cache file
-  (:mod:`repro.analysis.cache`), unchanged files replay their phase-1
-  artifacts from disk without re-parsing.
+* **Phase 1** parses every module once, runs the syntactic rules (the
+  ones with a ``check`` method: asserts, bare excepts, header layout,
+  multiprocessing imports) over its AST, and distills it into a
+  :class:`~repro.analysis.callgraph.ModuleSummary`.
 * **Phase 2** builds a :class:`~repro.analysis.callgraph.Project` from
-  the summaries and runs the interprocedural passes
+  the summaries and runs the dataflow passes
   (:mod:`repro.analysis.dataflow`): key-material taint, exception-flow
-  accounting, impurity propagation, async-blocking, and report-order
-  determinism.
+  accounting, wall-clock and randomness impurity, async-blocking, and
+  report-order determinism.  Every finding has exactly one producer,
+  so the two phases' outputs are concatenated, never reconciled.
 
 The engine is a library first (``lint_source`` / ``lint_paths``) so the
 test suite can aim individual rules at fixture files; the CLI in
@@ -24,15 +24,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.base import Rule, all_rules
+from repro.analysis.base import Rule, all_rules, get_rule
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import SummaryCache, content_hash
 from repro.analysis.callgraph import ModuleSummary, Project, summarize_module
 from repro.analysis.context import ModuleContext
 from repro.analysis.dataflow import run_project_passes
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = ["LintError", "LintResult", "lint_source", "lint_file", "lint_paths"]
@@ -56,20 +55,11 @@ class LintResult:
     #: Count silenced by inline ``# fbslint: disable`` comments.
     suppressed: int = 0
     files_checked: int = 0
-    #: Cache accounting for the run (files replayed / re-analyzed).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def exit_code(self) -> int:
         """The CI contract: 0 clean, 1 findings."""
         return 1 if self.findings else 0
-
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.baselined.extend(other.baselined)
-        self.suppressed += other.suppressed
-        self.files_checked += other.files_checked
 
 
 def _select_rules(
@@ -97,7 +87,7 @@ def _parse(source: str, path: str) -> ast.Module:
 
 @dataclass
 class _FileRecord:
-    """Phase-1 artifacts for one file, fresh or replayed from cache."""
+    """Phase-1 artifacts for one file."""
 
     report_path: str
     summary: ModuleSummary
@@ -125,8 +115,6 @@ def _phase1(
 
 
 def _unused_suppression_findings(record: _FileRecord) -> List[Finding]:
-    from repro.analysis.base import get_rule
-
     rule = get_rule("FBS012")
     out = []
     for line, kind, rule_ids in record.suppressions.unused_directives():
@@ -152,21 +140,10 @@ def _finalize(
     project_findings: List[Finding],
     baseline: Optional[Baseline],
     unused_suppressions: bool,
-    restrict: Optional[Set[str]] = None,
 ) -> LintResult:
-    """Merge local + project findings, dedupe, suppress, baseline, sort."""
+    """Join syntactic + project findings; suppress, baseline, sort."""
     by_path = {r.report_path: r for r in records}
     result = LintResult(files_checked=len(records))
-
-    merged: List[Finding] = []
-    seen: Set[Tuple[str, str, int, int]] = set()
-    local = [f for r in records for f in r.raw_findings]
-    for finding in local + project_findings:
-        key = (finding.rule_id, finding.path, finding.line, finding.column)
-        if key in seen:
-            continue
-        seen.add(key)
-        merged.append(finding)
 
     def _route(finding: Finding) -> None:
         record = by_path.get(finding.path)
@@ -177,17 +154,16 @@ def _finalize(
         else:
             result.findings.append(finding)
 
-    for finding in merged:
+    for record in records:
+        for finding in record.raw_findings:
+            _route(finding)
+    for finding in project_findings:
         _route(finding)
 
     if unused_suppressions:
         for record in records:
             for finding in _unused_suppression_findings(record):
                 _route(finding)
-
-    if restrict is not None:
-        result.findings = [f for f in result.findings if f.path in restrict]
-        result.baselined = [f for f in result.baselined if f.path in restrict]
 
     result.findings.sort(key=lambda f: (-int(f.severity),) + f.sort_key)
     result.baselined.sort(key=lambda f: f.sort_key)
@@ -275,99 +251,31 @@ def discover(paths: Sequence[Path]) -> List[Path]:
     return found
 
 
-def _reverse_cone(
-    summaries: List[ModuleSummary], changed_paths: Set[str]
-) -> Set[str]:
-    """Changed files plus every file that (transitively) imports them."""
-    by_key = {s.key: s for s in summaries}
-    # Edges: importer module key -> imported module keys present in the set.
-    importers: Dict[str, Set[str]] = {}
-    for s in summaries:
-        for dep in s.depends:
-            if dep in by_key:
-                importers.setdefault(dep, set()).add(s.key)
-    cone_keys = {s.key for s in summaries if s.path in changed_paths}
-    frontier = sorted(cone_keys)
-    while frontier:
-        next_frontier = []
-        for key in frontier:
-            for importer in sorted(importers.get(key, ())):
-                if importer not in cone_keys:
-                    cone_keys.add(importer)
-                    next_frontier.append(importer)
-        frontier = next_frontier
-    return changed_paths | {by_key[k].path for k in cone_keys}
-
-
 def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     baseline: Optional[Baseline] = None,
-    cache_path: Optional[Path] = None,
-    changed: Optional[Iterable[str]] = None,
     unused_suppressions: bool = True,
 ) -> LintResult:
-    """Lint every python file under ``paths`` as one project.
-
-    ``cache_path`` enables the content-hash incremental cache.
-    ``changed`` (an iterable of report paths) restricts *reporting* to
-    those files plus their reverse-dependency cone; the whole project
-    is still summarized so interprocedural facts stay correct.
-    """
+    """Lint every python file under ``paths`` as one project."""
     rules = _select_rules(select, ignore)
     narrowed = select is not None or ignore is not None
     root = root or Path.cwd()
 
-    cache: Optional[SummaryCache] = None
-    if cache_path is not None:
-        signature = ",".join(rule.rule_id for rule in rules)
-        cache = SummaryCache(cache_path, signature)
-
     records: List[_FileRecord] = []
     for file_path in discover(paths):
         source, report_path = _read(file_path, root)
-        if cache is not None:
-            sha = content_hash(source)
-            hit = cache.get(report_path, sha)
-            if hit is not None:
-                summary, raw, suppressions = hit
-                records.append(
-                    _FileRecord(report_path, summary, raw, suppressions)
-                )
-                continue
-            record = _phase1(source, report_path, str(file_path), rules)
-            cache.put(
-                report_path, sha, record.summary, record.raw_findings,
-                record.suppressions,
-            )
-        else:
-            record = _phase1(source, report_path, str(file_path), rules)
-        records.append(record)
-
-    if cache is not None:
-        cache.save()
+        records.append(_phase1(source, report_path, str(file_path), rules))
 
     project = Project([r.summary for r in records])
     project_findings = run_project_passes(
         project, {rule.rule_id for rule in rules}
     )
-
-    restrict: Optional[Set[str]] = None
-    if changed is not None:
-        restrict = _reverse_cone(
-            [r.summary for r in records], set(changed)
-        )
-
-    result = _finalize(
+    return _finalize(
         records,
         project_findings,
         baseline,
         unused_suppressions=unused_suppressions and not narrowed,
-        restrict=restrict,
     )
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-    return result

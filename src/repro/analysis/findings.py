@@ -5,9 +5,8 @@ A finding pins a rule violation to a ``file:line`` location.  Its
 baseline entries survive unrelated edits above the finding; it hashes
 the logical path, the rule id, and the message text instead.
 
-Interprocedural (v2) findings additionally carry ``flow``: the
-source-to-sink witness path computed by
-:mod:`repro.analysis.dataflow`.  The flow is embedded in the message
+Dataflow findings additionally carry ``flow``: the source-to-sink
+witness path computed by :mod:`repro.analysis.dataflow`.  The flow is embedded in the message
 (so fingerprints and baseline entries are flow-path aware) and exported
 structurally in ``--format json``/``--format sarif``.
 """
@@ -65,9 +64,7 @@ class Finding:
         """Total order over findings.
 
         Path, line, column, rule id, then message -- so output order is
-        deterministic even for multiple findings on one line (the
-        pre-v2 sort stopped at ``(path, line, rule_id)`` and left
-        same-line ties to list order).
+        deterministic even for multiple findings on one line.
         """
         return (self.path, self.line, self.column, self.rule_id, self.message)
 
@@ -80,7 +77,7 @@ class Finding:
         )
 
     def as_dict(self) -> dict:
-        """JSON-friendly representation (``--format json``, cache)."""
+        """JSON-friendly representation (``--format json``)."""
         payload = {
             "rule": self.rule_id,
             "severity": str(self.severity),
@@ -94,17 +91,3 @@ class Finding:
         if self.flow:
             payload["flow"] = list(self.flow)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the summary cache)."""
-        return cls(
-            rule_id=payload["rule"],
-            severity=Severity[payload["severity"].upper()],
-            path=payload["path"],
-            line=payload["line"],
-            column=payload["column"],
-            message=payload["message"],
-            baselined=payload.get("baselined", False),
-            flow=tuple(payload.get("flow", ())),
-        )

@@ -21,12 +21,13 @@ discipline:
 * :mod:`~repro.analysis.rules.suppressions_hygiene` -- FBS012 unused
   suppression comments.
 
-FBS010-FBS012 are *project rules*: their ``check`` methods are empty
-and their findings come from the whole-program passes in
+FBS001-FBS003 and FBS010-FBS012 are *project rules*: they define no
+``check`` and their findings come from the whole-program passes in
 :mod:`repro.analysis.dataflow` (or, for FBS012, from the engine's
-suppression-filtering step).  FBS001/FBS002/FBS003/FBS006/FBS007 run
-both ways -- the local checks here plus interprocedural versions in the
-dataflow passes.
+suppression-filtering step).  FBS006 and FBS007 are split by what the
+invariant is about, not run twice: their raise-site halves are dataflow
+passes, and the halves no summary records (the ``reasons[i]`` store
+check; bare ``except``) are the ``check`` methods here.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imports register rules)

@@ -17,11 +17,8 @@ DESIGN.md table entry like every other rule.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.analysis.base import Rule, register
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Severity
 
 __all__ = ["AsyncBlockingRule"]
 
@@ -40,7 +37,3 @@ class AsyncBlockingRule(Rule):
         "event loop; a blocked loop is head-of-line blocking for the whole "
         "trace"
     )
-
-    #: Findings come from the whole-program blocking pass.
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())

@@ -11,113 +11,27 @@ rules guard that:
   quarantined behind the transport boundary); protocol and simulation
   code takes the simulated clock (``sim.now`` / the ``now`` callable)
   instead.
-* **FBS003** -- no module-global ``random.*`` calls and no unseeded
-  ``Random()`` / ``SystemRandom`` anywhere in ``src/repro``; every
-  generator is constructed with an explicit seed (see
-  ``repro.crypto.random``: "Every generator is explicitly seeded; none
-  touches global state").
+* **FBS003** -- no module-global ``random.*`` / ``numpy.random.*``
+  calls and no unseeded ``Random()`` / ``SystemRandom`` /
+  ``default_rng()`` anywhere in ``src/repro``; every generator is
+  constructed with an explicit seed (see ``repro.crypto.random``:
+  "Every generator is explicitly seeded; none touches global state").
+
+Inside the deterministic core (``repro.core``/``crypto``/``netsim``/
+``baselines``) calling a helper that reaches either primitive is as
+banned as the primitive.  The findings are produced by the
+whole-program impurity pass in :mod:`repro.analysis.dataflow` over the
+clock and randomness sites :mod:`repro.analysis.callgraph` records;
+these classes are the rules' ids, severities, ``--list-rules`` rows and
+DESIGN.md table entries.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, Set
-
 from repro.analysis.base import Rule, register
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Severity
 
 __all__ = ["WallClockRule", "UnseededRandomRule"]
-
-_BANNED_TIME_ATTRS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
-    "clock",
-}
-_BANNED_DATETIME_ATTRS = {"now", "today", "utcnow"}
-
-#: Module-level functions of :mod:`random` that use the shared global
-#: (implicitly OS-seeded) generator.
-_GLOBAL_RANDOM_FUNCS = {
-    "random",
-    "randint",
-    "randrange",
-    "randbytes",
-    "choice",
-    "choices",
-    "shuffle",
-    "sample",
-    "uniform",
-    "getrandbits",
-    "gauss",
-    "normalvariate",
-    "lognormvariate",
-    "expovariate",
-    "betavariate",
-    "gammavariate",
-    "paretovariate",
-    "weibullvariate",
-    "vonmisesvariate",
-    "triangular",
-    "seed",
-}
-
-#: ``numpy.random`` module-level sampling functions: they draw from the
-#: process-global (implicitly seeded) legacy ``RandomState``, exactly
-#: the nondeterminism FBS003 bans for the stdlib generator.
-_NUMPY_GLOBAL_FUNCS = {
-    "beta",
-    "binomial",
-    "bytes",
-    "choice",
-    "exponential",
-    "gamma",
-    "normal",
-    "permutation",
-    "poisson",
-    "rand",
-    "randint",
-    "randn",
-    "random",
-    "random_sample",
-    "ranf",
-    "sample",
-    "seed",
-    "shuffle",
-    "standard_normal",
-    "uniform",
-}
-
-#: ``numpy.random`` constructors that are nondeterministic when called
-#: without a seed argument.
-_NUMPY_CONSTRUCTORS = {"default_rng", "RandomState"}
-
-
-def _import_aliases(tree: ast.Module) -> Dict[str, Set[str]]:
-    """Map module name -> local aliases, plus from-imported names.
-
-    Returns ``{"time": {"time", "t"}, "from:time": {"monotonic"}, ...}``.
-    """
-    aliases: Dict[str, Set[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                root = item.name.split(".")[0]
-                aliases.setdefault(root, set()).add(
-                    (item.asname or item.name).split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            root = node.module.split(".")[0]
-            pool = aliases.setdefault(f"from:{root}", set())
-            for item in node.names:
-                pool.add(item.asname or item.name)
-    return aliases
 
 
 @register
@@ -133,54 +47,6 @@ class WallClockRule(Rule):
     )
     rationale = "EXPERIMENTS.md reproducibility; netsim is a virtual-time simulator"
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.is_clock_sanctioned or ctx.is_test_code:
-            return
-        aliases = _import_aliases(ctx.tree)
-        time_aliases = aliases.get("time", set())
-        datetime_aliases = aliases.get("datetime", set())
-        from_time = aliases.get("from:time", set())
-        from_datetime = aliases.get("from:datetime", set())
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                base = func.value
-                # time.time(), t.monotonic(), ...
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in time_aliases
-                    and func.attr in _BANNED_TIME_ATTRS
-                ):
-                    yield self._clock_finding(ctx, node, f"time.{func.attr}()")
-                # datetime.datetime.now() / datetime.now() / date.today(),
-                # flagged only when argless (an aware now(tz) is still a
-                # wall-clock read, but the issue bans the argless form).
-                elif func.attr in _BANNED_DATETIME_ATTRS and not (
-                    node.args or node.keywords
-                ):
-                    root = base
-                    while isinstance(root, ast.Attribute):
-                        root = root.value
-                    if isinstance(root, ast.Name) and (
-                        root.id in datetime_aliases or root.id in from_datetime
-                    ):
-                        yield self._clock_finding(
-                            ctx, node, f"datetime {func.attr}()"
-                        )
-            elif isinstance(func, ast.Name):
-                if func.id in from_time and func.id in _BANNED_TIME_ATTRS:
-                    yield self._clock_finding(ctx, node, f"time.{func.id}()")
-
-    def _clock_finding(self, ctx: ModuleContext, node: ast.AST, what: str) -> Finding:
-        return self.finding(
-            ctx,
-            node,
-            f"{what} reads the wall clock; outside repro.bench use the "
-            "simulated clock (sim.now / the injected now callable)",
-        )
-
 
 @register
 class UnseededRandomRule(Rule):
@@ -193,97 +59,3 @@ class UnseededRandomRule(Rule):
         "seeded generators explicitly"
     )
     rationale = "repro.crypto.random: every generator is explicitly seeded"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.is_test_code:
-            return
-        aliases = _import_aliases(ctx.tree)
-        random_aliases = aliases.get("random", set())
-        from_random = aliases.get("from:random", set())
-        numpy_aliases = aliases.get("numpy", set())
-        from_numpy = aliases.get("from:numpy", set())
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(
-                func.value, ast.Attribute
-            ):
-                # np.random.<fn>(): the chained module attribute form.
-                base = func.value
-                if (
-                    base.attr == "random"
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id in numpy_aliases
-                ):
-                    yield from self._check_numpy(ctx, node, func.attr)
-            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                if func.value.id not in random_aliases:
-                    continue
-                if func.attr in _GLOBAL_RANDOM_FUNCS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"random.{func.attr}() uses the process-global, "
-                        "implicitly seeded generator; construct "
-                        "random.Random(seed) instead",
-                    )
-                elif func.attr == "Random" and not (node.args or node.keywords):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "Random() without a seed is nondeterministic; pass an "
-                        "explicit seed",
-                    )
-                elif func.attr == "SystemRandom":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "SystemRandom draws OS entropy and cannot be seeded; "
-                        "simulation code must stay reproducible",
-                    )
-            elif isinstance(func, ast.Name) and func.id in from_numpy:
-                # from numpy.random import default_rng / RandomState.
-                if func.id in _NUMPY_CONSTRUCTORS:
-                    yield from self._check_numpy(ctx, node, func.id)
-            elif isinstance(func, ast.Name) and func.id in from_random:
-                if func.id == "Random" and not (node.args or node.keywords):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "Random() without a seed is nondeterministic; pass an "
-                        "explicit seed",
-                    )
-                elif func.id == "SystemRandom":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "SystemRandom draws OS entropy and cannot be seeded; "
-                        "simulation code must stay reproducible",
-                    )
-                elif func.id in _GLOBAL_RANDOM_FUNCS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{func.id}() (from random import ...) uses the "
-                        "process-global generator; construct "
-                        "random.Random(seed) instead",
-                    )
-
-    def _check_numpy(
-        self, ctx: ModuleContext, node: ast.Call, attr: str
-    ) -> Iterator[Finding]:
-        if attr in _NUMPY_GLOBAL_FUNCS:
-            yield self.finding(
-                ctx,
-                node,
-                f"numpy.random.{attr}() draws from the process-global legacy "
-                "generator; construct numpy.random.default_rng(seed) instead",
-            )
-        elif attr in _NUMPY_CONSTRUCTORS and not (node.args or node.keywords):
-            yield self.finding(
-                ctx,
-                node,
-                f"numpy.random.{attr}() without a seed is nondeterministic; "
-                "pass an explicit seed",
-            )

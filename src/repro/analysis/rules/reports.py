@@ -19,11 +19,8 @@ DESIGN.md table entry like every other rule.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.analysis.base import Rule, register
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Severity
 
 __all__ = ["ReportDeterminismRule"]
 
@@ -41,7 +38,3 @@ class ReportDeterminismRule(Rule):
         "DESIGN.md sections 9-10: resilience and load reports are replayed "
         "and diffed byte-for-byte; iteration order is part of the contract"
     )
-
-    #: Findings come from the whole-program set-provenance pass.
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())

@@ -6,68 +6,23 @@
   typed errors; test code keeps its asserts.
 * **FBS007** -- the exception taxonomy: public FBS protocol entry
   points raise :class:`repro.core.errors.FBSError` subclasses only, so
-  callers can write one ``except FBSError`` and mean it; and nowhere in
-  the tree may a bare ``except:`` or an ``except Exception: pass``
-  swallow a failure.
+  callers can write one ``except FBSError`` and mean it (the
+  exception-flow pass in :mod:`repro.analysis.dataflow`, which follows
+  a raise out through every unguarded call); and nowhere in the tree
+  may a bare ``except:`` or an ``except Exception: pass`` swallow a
+  failure (the ``check`` below).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator
 
 from repro.analysis.base import Rule, register
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["NoAssertRule", "ExceptionTaxonomyRule"]
-
-#: Modules whose public functions form the FBS protocol API surface.
-_PUBLIC_PROTOCOL_MODULES: Set[Tuple[str, ...]] = {
-    ("repro", "core", "protocol"),
-}
-
-#: The known FBS exception taxonomy (repro.core.errors) -- the only
-#: things a public protocol entry point may raise.
-_TAXONOMY = {
-    "FBSError",
-    "ReceiveError",
-    "StaleTimestampError",
-    "MacMismatchError",
-    "HeaderFormatError",
-    "UnknownPrincipalError",
-    "ScenarioError",
-}
-
-_BUILTIN_EXCEPTIONS = {
-    "Exception",
-    "BaseException",
-    "RuntimeError",
-    "ValueError",
-    "TypeError",
-    "KeyError",
-    "IndexError",
-    "AttributeError",
-    "OSError",
-    "IOError",
-    "ArithmeticError",
-    "ZeroDivisionError",
-    "StopIteration",
-    "AssertionError",
-    "NotImplementedError",
-}
-
-
-def _raised_name(node: ast.Raise) -> Optional[str]:
-    """The exception class name of ``raise X(...)`` / ``raise X``."""
-    exc = node.exc
-    if isinstance(exc, ast.Call):
-        exc = exc.func
-    if isinstance(exc, ast.Attribute):
-        return exc.attr
-    if isinstance(exc, ast.Name):
-        return exc.id
-    return None
 
 
 @register
@@ -109,8 +64,6 @@ class ExceptionTaxonomyRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler):
                 yield from self._check_handler(ctx, node)
-        if ctx.module_parts in _PUBLIC_PROTOCOL_MODULES:
-            yield from self._check_public_raises(ctx)
 
     def _check_handler(
         self, ctx: ModuleContext, node: ast.ExceptHandler
@@ -135,24 +88,3 @@ class ExceptionTaxonomyRule(Rule):
                 f"'except {node.type.id}: pass' silently swallows every "
                 "failure; narrow the type or handle the error",
             )
-
-    def _check_public_raises(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) or node.name.startswith("_"):
-                continue
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Raise):
-                    continue
-                name = _raised_name(inner)
-                if name is None or name in _TAXONOMY:
-                    continue
-                if name in _BUILTIN_EXCEPTIONS:
-                    yield self.finding(
-                        ctx,
-                        inner,
-                        f"public protocol entry point '{node.name}' raises "
-                        f"{name}; the protocol API raises FBSError "
-                        "subclasses only (repro.core.errors)",
-                    )

@@ -17,11 +17,8 @@ DESIGN.md table entry like every other rule.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.analysis.base import Rule, register
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Severity
 
 __all__ = ["UnusedSuppressionRule"]
 
@@ -39,7 +36,3 @@ class UnusedSuppressionRule(Rule):
         "stale suppressions hide future regressions; the directive must "
         "die with the violation it excused"
     )
-
-    #: Findings come from the engine's suppression-filtering step.
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())

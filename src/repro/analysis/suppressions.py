@@ -12,11 +12,10 @@ Three forms, mirroring the linters this codebase's contributors know:
 are parsed from the token stream, so a violating *string* containing the
 magic text does not suppress anything.
 
-Since v2 the index also remembers each *directive* (the comment itself)
-and which directives actually absorbed a finding, so the engine can
-report suppressions that suppress nothing (FBS012) before the
-suppression set rots.  The index is JSON-serializable for the summary
-cache.
+The index also remembers each *directive* (the comment itself) and
+which directives actually absorbed a finding, so the engine can report
+suppressions that suppress nothing (FBS012) before the suppression set
+rots.
 """
 
 from __future__ import annotations
@@ -98,26 +97,3 @@ class SuppressionIndex:
         return [
             d for idx, d in enumerate(self.directives) if idx not in self.used
         ]
-
-    # -- cache serialization -----------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            "directives": [
-                [line, kind, list(rules)] for line, kind, rules in self.directives
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SuppressionIndex":
-        index = cls("")
-        for line, kind, rules in payload["directives"]:
-            rules = tuple(rules)
-            index.directives.append((line, kind, rules))
-            if kind == "disable-file":
-                index.file_wide |= set(rules)
-            elif kind == "disable-next-line":
-                index.by_line.setdefault(line + 1, set()).update(rules)
-            else:
-                index.by_line.setdefault(line, set()).update(rules)
-        return index

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.config import FBSConfig
 from repro.core.errors import FBSError, ReceiveError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.flows import FlowStateTable
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.policy import KeyedMapper
@@ -129,7 +128,7 @@ class FBSApplication:
             mkd=mkd,
             fam=FlowAssociationMechanism(
                 mapper=self.policy,
-                fst=FlowStateTable(self.config.fst_size),
+                fst_size=self.config.fst_size,
                 sfl_seed=sfl_seed,
             ),
             config=self.config,

@@ -26,7 +26,6 @@ from repro.core.certificates import (
 )
 from repro.core.config import FBSConfig
 from repro.core.fam import FlowAssociationMechanism
-from repro.core.flows import FlowStateTable
 from repro.core.ip_mapping import CERTIFICATE_PORT, FBSIPMapping
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
@@ -95,7 +94,7 @@ class FBSDomain:
         self._enrolled += 1
         fam = FlowAssociationMechanism(
             mapper=mapper or HostLevelPolicy(threshold=self.config.threshold),
-            fst=FlowStateTable(self.config.fst_size),
+            fst_size=self.config.fst_size,
             sfl_seed=self._enrolled if sfl_seed is None else sfl_seed,
         )
         return FBSEndpoint(

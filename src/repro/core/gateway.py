@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.config import FBSConfig
 from repro.core.errors import FBSError, ReceiveError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.flows import FlowStateTable
 from repro.core.ip_mapping import ConversationPolicy, extract_five_tuple
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
@@ -83,7 +82,7 @@ class FBSGatewayTunnel:
             mkd=mkd,
             fam=FlowAssociationMechanism(
                 mapper=self.policy,
-                fst=FlowStateTable(self.config.fst_size),
+                fst_size=self.config.fst_size,
                 sfl_seed=sfl_seed,
             ),
             config=self.config,

@@ -27,7 +27,6 @@ from typing import Callable, Optional, Set
 from repro.core.config import FBSConfig, MacAlgorithm
 from repro.core.errors import FBSError, ReceiveError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.flows import FlowStateTable
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.policy import KeyedMapper
@@ -97,7 +96,7 @@ class FBSIPMapping(SecurityModule):
         self.policy = ConversationPolicy(threshold=self.config.threshold)
         fam = FlowAssociationMechanism(
             mapper=self.policy,
-            fst=FlowStateTable(self.config.fst_size),
+            fst_size=self.config.fst_size,
             sfl_seed=sfl_seed,
         )
         self.endpoint = FBSEndpoint(

@@ -64,6 +64,18 @@ __all__ = ["FBSEndpoint", "FBSError", "ReceiveError", "BatchReceiveResult"]
 _LANE_DECRYPT_MIN_BYTES = 8 * _vector.SINGLE_LANE_MIN_BLOCKS
 
 
+def _lanes(kernel: Callable, *args, **kwargs):
+    """Run one :mod:`repro.crypto.vector` lane kernel for a batch.
+
+    The kernels guard their own arguments with ``ValueError``; the
+    protocol surface raises :class:`FBSError` subclasses only.
+    """
+    try:
+        return kernel(*args, **kwargs)
+    except ValueError as exc:
+        raise FBSError(f"{kernel.__name__}: {exc}") from exc
+
+
 @dataclass
 class BatchReceiveResult:
     """Outcome of :meth:`FBSEndpoint.unprotect_batch`.
@@ -296,11 +308,11 @@ class FBSEndpoint:
         dependency, so a body long enough to pay for a kernel pass runs
         as one lane of the vector kernel, its blocks in parallel.
         """
-        if self._vector_ok and len(body) >= _LANE_DECRYPT_MIN_BYTES:
-            return _vector.cbc_decrypt_many(
-                (state.cipher,), (header.iv(),), (body,)
-            )[0]
         try:
+            if self._vector_ok and len(body) >= _LANE_DECRYPT_MIN_BYTES:
+                return _vector.cbc_decrypt_many(
+                    (state.cipher,), (header.iv(),), (body,)
+                )[0]
             return modes.decrypt(
                 self.config.suite.cipher_mode, state.cipher, header.iv(), body
             )
@@ -438,7 +450,8 @@ class FBSEndpoint:
             )
         # (S6) MAC over confounder | timestamp | plaintext body.
         if lanes:
-            macs = _vector.keyed_md5_many(
+            macs = _lanes(
+                _vector.keyed_md5_many,
                 [state.mac_key for state in states],
                 [headers[i].mac_input(bodies[i]) for i in range(n)],
             )
@@ -453,7 +466,8 @@ class FBSEndpoint:
         if not secret:
             wire_bodies = bodies
         elif lanes:
-            wire_bodies = _vector.cbc_encrypt_many(
+            wire_bodies = _lanes(
+                _vector.cbc_encrypt_many,
                 [state.cipher for state in states],
                 [header.iv() for header in headers],
                 bodies,
@@ -469,7 +483,8 @@ class FBSEndpoint:
                 )
         # (S7, S10) encode the headers, account, emit header + body.
         if lanes:
-            heads = _vector.encode_headers_many(
+            heads = _lanes(
+                _vector.encode_headers_many,
                 [header.sfl for header in headers],
                 [header.confounder for header in headers],
                 macs,
@@ -601,7 +616,8 @@ class FBSEndpoint:
         # ordering) optional decryption with the flow's cached cipher.
         if secret and alive:
             if lanes:
-                plains = _vector.cbc_decrypt_many(
+                plains = _lanes(
+                    _vector.cbc_decrypt_many,
                     [states[i].cipher for i in alive],
                     [headers[i].iv() for i in alive],
                     [bodies[i] for i in alive],
@@ -630,7 +646,8 @@ class FBSEndpoint:
             self._c_decryptions.inc(len(alive))
         # (R7-9) MAC verification over the plaintext.
         if lanes and alive:
-            macs = _vector.keyed_md5_many(
+            macs = _lanes(
+                _vector.keyed_md5_many,
                 [states[i].mac_key for i in alive],
                 [headers[i].mac_input(bodies[i]) for i in alive],
             )

@@ -26,3 +26,25 @@ def leak_lanes(np, kdf, sfl, master, src, dst):
     flow_key = kdf.flow_key(sfl, master, src, dst)
     lanes = np.frombuffer(flow_key, dtype=np.uint8)
     print(lanes.astype(np.uint32).tobytes())  # leak: key via ndarray
+    _show(np.take(lanes.view(np.uint32), 0))  # leak: key rows to a printing helper
+
+
+def _show(rows):
+    print(rows)
+
+
+def leak_deferred(kdf, sfl, master, src, dst):
+    # Code that runs later, or once at definition time, is still code.
+    flow_key = kdf.flow_key(sfl, master, src, dst)
+    audit = lambda: log.debug("key %s", flow_key)  # leak: in a lambda body
+
+    def tagged(tag=repr(flow_key)):  # leak: in a default value
+        return tag
+
+    class Debug:
+        banner = print(flow_key)  # leak: in a class body
+
+        def dump(self):
+            print(flow_key)  # leak: a closure reads the key
+
+    return audit, tagged, Debug

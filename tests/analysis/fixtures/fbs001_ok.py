@@ -24,3 +24,17 @@ def stamp_headers(np, confounders):
     # Public header fields through ndarrays are not key material.
     head = np.asarray(confounders, dtype=np.uint32)
     return head.astype(np.uint8).tobytes()
+
+
+def show_headers(np, confounders):
+    _show(np.frombuffer(confounders, dtype=np.uint8).view(np.uint32))  # public
+
+
+def _show(rows):
+    print(rows)
+
+
+def longest(kdf, sfl, master, src, dst, labels):
+    flow_key = kdf.flow_key(sfl, master, src, dst)
+    # The lambda's own parameter shadows the key: it prints a label.
+    return flow_key, max(labels, key=lambda flow_key: print(flow_key))

@@ -21,3 +21,14 @@ def time_batch(kernel, lanes):
     t0 = time.perf_counter()  # banned
     kernel(lanes)
     return t0
+
+
+class Stamped:
+    created = time.time()  # banned: a class body runs at import
+
+    def __init__(self, now=lambda: time.monotonic()):  # banned: lambda body
+        self.now = now
+
+
+def stamp(body, at=time.time()):  # banned: a default value runs at import
+    return body, at

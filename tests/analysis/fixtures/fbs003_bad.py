@@ -18,3 +18,21 @@ def lane_noise():
     noise = np.random.random(64)  # global numpy legacy generator
     rng = np.random.default_rng()  # unseeded
     return noise, rng
+
+
+def _lane_seed():
+    # The helper's own site is excused inline ...
+    return np.random.rand()  # fbslint: disable=FBS003
+
+
+def reseed():
+    return _lane_seed()  # ... its caller in the deterministic core is not
+
+
+class Shuffled:
+    ORDER = random.sample(range(8), 8)  # global generator, in a class body
+
+
+@np.vectorize(otypes=[float], doc=str(random.random()))  # in a decorator
+def pick(lane, key=lambda x: random.random()):  # in a lambda body
+    return key(lane)

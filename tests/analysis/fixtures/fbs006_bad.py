@@ -32,3 +32,10 @@ class Receiver:
     def note_rejection(self, result, i, reason, error):
         result.reasons[i] = reason  # recorded without counting the drop
         result.errors[i] = error
+
+    def check(self, mac_ok):
+        try:
+            if not mac_ok:
+                raise MacMismatchError("bad mac")  # caught two lines down ...
+        except MacMismatchError:
+            raise  # ... and re-raised without counting the drop

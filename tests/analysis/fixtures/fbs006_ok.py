@@ -38,6 +38,14 @@ class Receiver:
             self.metrics.header_errors += 1
             raise
 
+    def probe(self, mac_ok):
+        try:
+            if not mac_ok:
+                raise MacMismatchError("bad mac")  # handled here: no rejection
+        except MacMismatchError:
+            return None
+        return b"ok"
+
     def _rejected(self, result, i, reason, error):
         self._c_rejected_by_reason[reason].inc()
         result.reasons[i] = reason

@@ -19,3 +19,10 @@ class FBSEndpoint:
             return bytes(body)
         except:  # bare except
             return b""
+
+    def close(self, handle):
+        try:
+            if handle is None:
+                raise KeyError("no handle")  # caught two lines down ...
+        except KeyError:
+            raise  # ... and re-raised: a builtin out of the public API

@@ -28,6 +28,14 @@ class FBSEndpoint:
             raise MacMismatchError("MAC mismatch")
         return body
 
+    def lookup(self, table, sfl):
+        try:
+            if sfl not in table:
+                raise KeyError(sfl)  # handled here, never leaves
+        except KeyError:
+            return None
+        return table[sfl]
+
     def _decode(self, data):
         if len(data) < 32:
             self._rejected("header")

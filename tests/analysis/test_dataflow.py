@@ -8,6 +8,8 @@ into helpers, and the impurity-wrapper loophole.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_paths
 
 KDF_SOURCE = (
@@ -69,8 +71,9 @@ class TestTaintV2:
         assert "stored into self._key" in " ".join(taint[0].flow)
 
     def test_purely_local_flow_stays_with_v1(self, tmp_path):
-        # A same-function source-to-sink flow is the per-file rule's
-        # job; the project pass must not double-report it.
+        # (The id predates the single engine.)  A same-function
+        # source-to-sink flow is the zero-hop case of the one taint
+        # pass: reported exactly once, with its one-step witness.
         result = make_project(tmp_path, {
             "src/repro/core/leak.py": (
                 "def leak(kdf):\n"
@@ -81,6 +84,7 @@ class TestTaintV2:
         taint = [f for f in result.findings if f.rule_id == "FBS001"]
         assert len(taint) == 1, [f.render() for f in result.findings]
         assert "interprocedural" not in taint[0].message
+        assert taint[0].flow == ("flow_key() at src/repro/core/leak.py:2",)
 
 
 class TestExceptionFlowV2:
@@ -153,8 +157,8 @@ class TestExceptionFlowV2:
 
 class TestImpurityV2:
     def test_wall_clock_wrapper_loophole_closed(self, tmp_path):
-        # v1 only saw direct time.time() calls; a pure-looking wrapper
-        # used to slip through.
+        # A pure-looking wrapper around time.time() is as banned in the
+        # deterministic core as the call itself.
         result = make_project(tmp_path, {
             "src/repro/helpers.py": (
                 "import time\n"
@@ -196,6 +200,33 @@ class TestImpurityV2:
             if f.rule_id == "FBS003" and f.path == "src/repro/core/session.py"
         ]
         assert len(wrapped) == 1, [f.render() for f in result.findings]
+
+    @pytest.mark.parametrize(
+        "draw", ["np.random.rand()", "np.random.default_rng()", "np.random.RandomState()"]
+    )
+    def test_numpy_random_wrapper_loophole_closed(self, tmp_path, draw):
+        # Same shape as the stdlib case above; the helper's own site is
+        # excused inline, which must not excuse its caller in the core.
+        result = make_project(tmp_path, {
+            "src/repro/helpers.py": (
+                "import numpy as np\n"
+                "\n"
+                "def jitter():\n"
+                f"    return {draw}  # fbslint: disable=FBS003\n"
+            ),
+            "src/repro/core/session.py": (
+                "from repro.helpers import jitter\n"
+                "\n"
+                "def delay():\n"
+                "    return jitter()\n"
+            ),
+        })
+        assert result.suppressed == 1
+        assert [(f.rule_id, f.path, f.line) for f in result.findings] == [
+            ("FBS003", "src/repro/core/session.py", 4)
+        ]
+        assert "transitively reaches unseeded randomness" in result.findings[0].message
+        assert f"numpy.random.{draw[len('np.random.'):]}" in result.findings[0].message
 
     def test_bench_callers_stay_exempt(self, tmp_path):
         result = make_project(tmp_path, {

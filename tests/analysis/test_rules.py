@@ -1,6 +1,7 @@
 """Per-rule fixture tests: each rule fires on its violating fixture and
 stays quiet on the compliant one (acceptance criteria of ISSUE 1)."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: rule id -> (logical path the fixtures impersonate, findings expected
 #: from the violating fixture).
 CASES = {
-    "FBS001": ("src/repro/core/session.py", 5),
-    "FBS002": ("src/repro/netsim/badclock.py", 4),
-    "FBS003": ("src/repro/core/jitter.py", 4),
+    "FBS001": ("src/repro/core/session.py", 10),
+    "FBS002": ("src/repro/netsim/badclock.py", 7),
+    "FBS003": ("src/repro/core/jitter.py", 8),
     "FBS004": ("src/repro/baselines/guard.py", 1),
     "FBS005": ("src/repro/core/header.py", 6),
-    "FBS006": ("src/repro/baselines/receiver.py", 5),
-    "FBS007": ("src/repro/core/protocol.py", 3),
+    "FBS006": ("src/repro/baselines/receiver.py", 6),
+    "FBS007": ("src/repro/core/protocol.py", 4),
     "FBS009": ("src/repro/netsim/parallel.py", 4),
     "FBS010": ("src/repro/core/aio.py", 3),
     "FBS011": ("src/repro/obs/report.py", 3),
@@ -59,6 +60,57 @@ def test_rule_quiet_on_compliant_fixture(rule_id):
     logical, _ = CASES[rule_id]
     result = lint_fixture(f"{rule_id.lower()}_ok.py", logical)
     assert result.findings == [], [f.render() for f in result.findings]
+
+
+#: rule id -> (module preamble, an expression the rule bans).
+_BANNED = {
+    "FBS001": ("from repro.core import kdf\nKEY = kdf.flow_key(1)\n", "print(KEY)"),
+    "FBS002": ("import time\n", "time.time()"),
+    "FBS003": ("import random\n", "random.random()"),
+}
+
+#: Places an expression can hide from a walk that only follows
+#: function bodies: name -> (source with ``EXPR`` slots, minimum python).
+_SHAPES = {
+    "lambda body": ("f = lambda: EXPR\n", (3, 9)),
+    "class body": ("class C:\n    x = EXPR\n", (3, 9)),
+    "default value": ("def f(x=EXPR, *, y=EXPR):\n    return x\n", (3, 9)),
+    "decorator": ("@deco(EXPR)\ndef f():\n    pass\n", (3, 9)),
+    "class keyword": ("class C(Base, flag=EXPR):\n    pass\n", (3, 9)),
+    "conditional def": ("if FAST:\n    def f():\n        return EXPR\n", (3, 9)),
+    "method of a local class": (
+        "def f():\n    class C:\n        def m(self):\n            return EXPR\n",
+        (3, 9),
+    ),
+    "computed callee": ("(lambda: EXPR)()\n", (3, 9)),
+    "key-derivation receiver": ("k = make(EXPR).flow_key(1)\n", (3, 9)),
+    "subscript store": ("d = {}\nd[EXPR] = 1\n", (3, 9)),
+    "format spec": ('def f(v):\n    return f"{v:{EXPR}}"\n', (3, 9)),
+    "match arm": (
+        "match v:\n    case 1 if EXPR:\n        pass\n    case _:\n        EXPR\n",
+        (3, 10),
+    ),
+    "except* handler": ("try:\n    pass\nexcept* OSError:\n    EXPR\n", (3, 11)),
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(_BANNED))
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_no_expression_hides_from_the_one_walk(shape, rule_id):
+    # The dataflow rules see exactly what the phase-1 summarizer walks,
+    # so every place python evaluates an expression must be on the walk.
+    template, minimum = _SHAPES[shape]
+    if sys.version_info < minimum:
+        pytest.skip(f"{shape} needs python {minimum}")
+    preamble, banned = _BANNED[rule_id]
+    result = lint_source(
+        preamble + template.replace("EXPR", banned),
+        logical_path="src/repro/core/x.py",
+    )
+    fired = [f.rule_id for f in result.findings]
+    assert fired == [rule_id] * template.count("EXPR"), [
+        f.render() for f in result.findings
+    ]
 
 
 _WALL_CLOCK = "import time\n\ndef now_wall():\n    return time.time()\n"

@@ -1,5 +1,5 @@
-"""v2 surface features: Finding total order, SARIF, docs sync,
-``--changed`` cone restriction, and FBS012 opt-outs."""
+"""Surface features: Finding total order, SARIF, docs sync, and FBS012
+opt-outs."""
 
 import io
 import json
@@ -54,12 +54,6 @@ class TestFindingOrder:
         result = lint_source(source, logical_path="src/repro/core/x.py")
         keys = [(-int(f.severity),) + f.sort_key for f in result.findings]
         assert keys == sorted(keys)
-
-    def test_round_trip_dict(self):
-        finding = self._f(message="with flow")
-        object.__setattr__(finding, "flow", ("a", "b"))
-        back = Finding.from_dict(finding.as_dict())
-        assert back.as_dict() == finding.as_dict()
 
 
 class TestSarif:
@@ -145,54 +139,6 @@ class TestDocsSync:
         table = render_table()
         for rule in all_rules():
             assert rule.rule_id in table
-
-
-class TestChangedCone:
-    def _tree(self, tmp_path):
-        files = {
-            "src/repro/core/base.py": "def b(t):\n    assert t\n",
-            "src/repro/core/mid.py": (
-                "from repro.core.base import b\n"
-                "def m(t):\n    assert t\n"
-            ),
-            "src/repro/core/other.py": "def o(t):\n    assert t\n",
-        }
-        for rel, source in files.items():
-            target = tmp_path / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
-
-    def test_cone_includes_reverse_dependencies(self, tmp_path):
-        self._tree(tmp_path)
-        result = lint_paths(
-            [tmp_path / "src"], root=tmp_path,
-            changed=["src/repro/core/base.py"],
-        )
-        paths = {f.path for f in result.findings}
-        assert paths == {"src/repro/core/base.py", "src/repro/core/mid.py"}
-
-    def test_leaf_change_reports_only_itself(self, tmp_path):
-        self._tree(tmp_path)
-        result = lint_paths(
-            [tmp_path / "src"], root=tmp_path,
-            changed=["src/repro/core/other.py"],
-        )
-        assert {f.path for f in result.findings} == {"src/repro/core/other.py"}
-
-    def test_empty_change_set_reports_nothing(self, tmp_path):
-        self._tree(tmp_path)
-        result = lint_paths([tmp_path / "src"], root=tmp_path, changed=[])
-        assert result.findings == []
-        # ... but the whole project was still analyzed.
-        assert result.files_checked == 3
-
-    def test_bad_git_ref_exits_two(self, tmp_path, monkeypatch):
-        target = tmp_path / "x.py"
-        target.write_text("def f():\n    return 1\n")
-        monkeypatch.chdir(tmp_path)
-        code, output = run_cli("--changed", "no-such-ref", str(target))
-        assert code == 2
-        assert "error" in output
 
 
 class TestUnusedSuppressions:

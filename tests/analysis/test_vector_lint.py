@@ -112,6 +112,52 @@ class TestNdarrayTaint:
         assert result.findings == []
 
 
+# Key material in ndarray form handed to a helper that renders or
+# compares it: the array rules and the call-following rules are one
+# engine, so the witness runs from the derivation, through the array
+# expression, into the helper's sink.  ``{expr}`` is built from ``ek``
+# (secret) or ``table`` (public); the sink sits in ``sink()``.
+_THROUGH_HELPER = (
+    "import numpy as np\n"
+    "def lanes(kdf, flow_key_src, table, other, log):\n"
+    "    ek = kdf.encryption_key(flow_key_src)\n"
+    "    sink({expr}, other, log)\n"
+    "def sink(rows, other, log):\n"
+    "    {use}\n"
+)
+_ARRAY_FORMS = {
+    "frombuffer": ("np.frombuffer({v}, dtype=np.uint8)", "print(rows)"),
+    "astype_tobytes": (
+        "np.frombuffer({v}, dtype=np.uint8).astype(np.uint32).tobytes()",
+        "log.debug('lanes %s', rows)",
+    ),
+    "take": ("np.take(np.frombuffer({v}, dtype='<u8'), 0)", "return rows == other"),
+    "view": ("np.frombuffer({v}, dtype='<u8').view(np.uint8)", "print(rows)"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_ARRAY_FORMS))
+class TestNdarrayTaintThroughHelper:
+    def _lint(self, form, value):
+        expr, use = _ARRAY_FORMS[form]
+        return lint_source(
+            _THROUGH_HELPER.format(expr=expr.format(v=value), use=use),
+            path="des.py",
+            logical_path="src/repro/crypto/vector/des.py",
+        )
+
+    def test_key_array_reaching_a_helper_sink_leaks(self, form):
+        result = self._lint(form, "ek")
+        assert [(f.rule_id, f.line) for f in result.findings] == [("FBS001", 6)]
+        assert result.findings[0].flow == (
+            "encryption_key() at des.py:3",
+            "passed to sink() as 'rows' from des.py:4",
+        )
+
+    def test_public_array_reaching_the_same_helper_is_clean(self, form):
+        assert self._lint(form, "table").findings == []
+
+
 # -- FBS007: a bad lane on the n=1 route is a "mac" rejection --------------------
 
 _ROUTE_RAISES_BUILTIN = (

@@ -179,6 +179,35 @@ def trace_of(sink):
     return [(type(event).__name__, event.to_dict()) for event in sink.events]
 
 
+class TestLaneKernelErrorsStayInTheTaxonomy:
+    """The lane kernels guard their own arguments with ``ValueError``;
+    the protocol surface raises ``FBSError`` subclasses only (fbslint
+    FBS007 follows the raise out through an unguarded call), so the
+    pipelines run every kernel through ``protocol._lanes``, which
+    translates."""
+
+    @pytest.mark.parametrize(
+        "kernel", ["keyed_md5_many", "cbc_encrypt_many", "encode_headers_many"]
+    )
+    def test_send_side(self, monkeypatch, kernel):
+        alice, bob, clock = make_pair(vectorize=True)
+        monkeypatch.setattr(f"repro.crypto.vector.{kernel}", _not_parallel)
+        with pytest.raises(FBSError, match="not parallel"):
+            protect_all(alice, bob, clock, True, secret=True)
+
+    @pytest.mark.parametrize("kernel", ["cbc_decrypt_many", "keyed_md5_many"])
+    def test_receive_side(self, monkeypatch, kernel):
+        alice, bob, clock = make_pair(vectorize=True)
+        wires = protect_all(alice, bob, clock, True, secret=True)
+        monkeypatch.setattr(f"repro.crypto.vector.{kernel}", _not_parallel)
+        with pytest.raises(FBSError, match="not parallel"):
+            bob.unprotect_batch(wires, alice.principal, secret=True, stamps=STAMPS)
+
+
+def _not_parallel(*_args, **_kwargs):
+    raise ValueError("lanes are not parallel")
+
+
 def kinds_of(sink):
     return [
         getattr(event, "reason", None) or type(event).__name__

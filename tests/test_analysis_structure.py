@@ -1,0 +1,95 @@
+"""Structural gate: fbslint states each fact and each detector once.
+
+Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule): every table
+that says what a source, a clock or an unseeded generator is, and every
+helper that reads a ``raise``/``except``/metrics-bump statement, is
+defined in exactly one module; the rule modules walk no source, sink,
+clock, RNG or raise site of their own; and the engine joins the two
+phases' findings without reconciling them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ANALYSIS = Path(__file__).resolve().parents[1] / "src" / "repro" / "analysis"
+ONE_HOME = (
+    "SOURCE_FRAGMENTS",
+    "SOURCE_NAMES",
+    "LOG_METHODS",
+    "_NDARRAY_FUNCS",
+    "_BANNED_TIME_ATTRS",
+    "_BANNED_DATETIME_ATTRS",
+    "_GLOBAL_RANDOM_FUNCS",
+    "_NUMPY_GLOBAL_FUNCS",
+    "_NUMPY_CONSTRUCTORS",
+    "raised_name",
+    "handler_names",
+    "is_metrics_bump",
+)
+#: AST node types only the phase-1 summarizer may dispatch on.
+SUMMARIZER_ONLY = {"Raise", "Compare", "JoinedStr", "FormattedValue"}
+
+
+def _trees():
+    for path in sorted(ANALYSIS.rglob("*.py")):
+        yield path.relative_to(ANALYSIS).as_posix(), ast.parse(path.read_text())
+
+
+def _homes(name):
+    """Modules defining ``name`` (any spelling of its leading underscore)."""
+    bare = name.lstrip("_")
+    homes = []
+    for relative, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            homes += [relative for d in defined if d.lstrip("_") == bare]
+    return homes
+
+
+@pytest.mark.parametrize("name", ONE_HOME)
+def test_each_fact_table_and_statement_reader_has_one_home(name):
+    assert _homes(name) == ["callgraph.py"]
+
+
+def test_rule_modules_walk_no_dataflow_site():
+    for relative, tree in _trees():
+        if not relative.startswith("rules/"):
+            continue
+        touched = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ast"
+        }
+        assert not touched & SUMMARIZER_ONLY, (relative, touched & SUMMARIZER_ONLY)
+
+
+def test_engine_has_no_finding_dedupe():
+    tree = ast.parse((ANALYSIS / "engine.py").read_text())
+    finalize = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_finalize"
+    )
+    names = {n.id for n in ast.walk(finalize) if isinstance(n, ast.Name)}
+    assert "seen" not in names and "set" not in names
+    assert not any(isinstance(n, (ast.Set, ast.SetComp)) for n in ast.walk(finalize))
+
+
+def test_no_summary_cache_or_serializer_remains():
+    assert not (ANALYSIS / "cache.py").exists()
+    for relative, tree in _trees():
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        assert "from_dict" not in defined, relative
+        if relative != "findings.py":  # Finding.as_dict is --format json
+            assert "as_dict" not in defined, relative
