@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench bench-smoke budget-smoke examples reports clean
+.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench figures budget-smoke examples reports clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -85,16 +85,13 @@ traces-smoke:
 traces-sweep:
 	$(PYTHON) benchmarks/bench_traces.py --json BENCH_traces.json
 
+# The cost budget (BENCHMARK.json, benchmarks/budget/), the one place a
+# cost is measured: six workloads in interleaved windows, then their
+# traced ladders.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) benchmarks/budget/run.py --out /tmp/FBS_budget.json
 
-# Tiny-iteration datapath kernel bench: keeps the harness from rotting
-# (CI runs this; rates are noisy but the correctness gates are strict).
-bench-smoke:
-	$(PYTHON) benchmarks/bench_datapath.py --smoke --json /tmp/BENCH_datapath.smoke.json
-
-# The cost budget (BENCHMARK.json, benchmarks/budget/): every workload
-# and its traced ladder at smoke length, then the manifest/schema and
+# The same at smoke length, then the manifest/schema and
 # count-repeatability tests.  Gates outputs, not speed.
 budget-smoke:
 	$(PYTHON) benchmarks/budget/run.py --smoke
@@ -107,8 +104,13 @@ examples:
 		echo; \
 	done
 
+# The paper's figures, ablations and security matrix on the simulated
+# testbed (the pytest-benchmark scripts behind EXPERIMENTS.md).
+figures:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
 # Regenerate benchmarks/reports/*.txt (the EXPERIMENTS.md inputs).
-reports: bench
+reports: figures
 	@ls -1 benchmarks/reports/
 
 clean:

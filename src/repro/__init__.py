@@ -16,7 +16,9 @@ The package implements the FBS protocol and everything it stands on:
 * :mod:`repro.attacks` -- the attack scenarios of Sections 2.2/6/7.1.
 * :mod:`repro.traces` -- workload generation and the flow simulation
   programs behind Figures 9-14.
-* :mod:`repro.bench` -- the ttcp/rcp measurement harness (Figure 8).
+* :mod:`repro.bench` -- the ttcp/rcp measurement harness (Figure 8)
+  and the real-clock reads the cost budget (``benchmarks/budget/``,
+  the one place a cost is measured) times with.
 
 Most applications need only three things::
 

@@ -4,16 +4,10 @@
   measurement over the simulated testbed (Figure 8).
 * :mod:`repro.bench.reporting` -- plain-text table rendering shared by
   the per-figure bench scripts.
-* :mod:`repro.bench.datapath` -- crypto-kernel and warm-cache datapath
-  micro-benchmarks (the BENCH_datapath.json stages).
+* :mod:`repro.bench.clocks` -- the sanctioned wall/CPU clock reads
+  (the cost budget, ``benchmarks/budget/``, reads no other clock).
 """
 
-from repro.bench.datapath import (
-    PRE_PR_BASELINE,
-    render_datapath_report,
-    run_datapath_bench,
-    write_roundtrip_trace,
-)
 from repro.bench.throughput import (
     ThroughputResult,
     measure_udp_throughput,
@@ -33,8 +27,4 @@ __all__ = [
     "setup_security",
     "render_table",
     "render_cdf",
-    "PRE_PR_BASELINE",
-    "run_datapath_bench",
-    "render_datapath_report",
-    "write_roundtrip_trace",
 ]

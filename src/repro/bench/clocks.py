@@ -7,8 +7,8 @@ this module is the one sanctioned place that touches :mod:`time`.
 
 The scale-out load engine (:mod:`repro.load`) imports these helpers
 *lazily and only in timing mode*: its canonical, byte-stable reports
-are built purely from simulated time, and only the scaling bench
-(``benchmarks/bench_load.py``) turns timing on.
+are built purely from simulated time, and only the cost budget
+(``benchmarks/budget/``, its ``load.*`` rows) turns timing on.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ __all__ = ["process_cpu_seconds", "wall_seconds"]
 def process_cpu_seconds() -> float:
     """CPU seconds consumed by this process (user + system).
 
-    The scaling bench's primary measure: per-shard CPU cost is
-    hardware-independent (a 1-core CI runner time-slicing 4 workers
-    reports the same per-worker CPU cost as a 4-core box running them
-    concurrently), which is what makes the 1->N scaling curve a gateable
-    number.
+    Per-shard CPU cost is hardware-independent (a 1-core CI runner
+    time-slicing 4 workers reports the same per-worker CPU cost as a
+    4-core box running them concurrently); the budget's
+    ``cpu_us_per_datagram`` is read from here.
     """
     return time.process_time()
 

@@ -41,9 +41,9 @@ from repro.gateway.tenants import GatewayConfig
 from repro.load.sharding import FlowSharder
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.obs.registry import merge_snapshots
-from repro.obs.report import render_report, write_report
+from repro.obs.report import write_report
 
-__all__ = ["run_gateway_workload", "render_report", "main"]
+__all__ = ["run_gateway_workload", "main"]
 
 #: Valid ``--transport`` substrates, in CLI order.
 SUBSTRATES = ("netsim", "udp")
@@ -129,93 +129,46 @@ async def _drive_shard(
     return outcomes
 
 
-def _shard_seed(seed: int, shard: int) -> int:
-    return seed * 1009 + shard
-
-
-async def _run_shard_netsim(
-    shard: int,
-    entries: List[Tuple[int, int, FiveTuple]],
-    seed: int,
-    gw_config: GatewayConfig,
-    rounds: int,
-    payload_size: int,
-    drain_every: int,
-) -> Dict[str, object]:
+def _open_netsim(seed: int, tenant_ids: List[int]):
+    """Gateway + tenant transports on one simulated segment."""
     from repro.netsim.network import Network
     from repro.transport.netsim import NetsimTransport
 
-    net = Network(seed=_shard_seed(seed, shard))
+    net = Network(seed=seed)
     net.add_segment("site", "10.99.0.0")
     gw_host = net.add_host("gw", segment="site", address=GATEWAY_ADDRESS)
-    tenant_ids = sorted({tenant for tenant, _flow, _ft in entries})
-    hosts = {
-        tenant: net.add_host(
+    gw_transport = NetsimTransport(gw_host, local_port=GATEWAY_PORT)
+    tenant_transports = {}
+    resolver_map = {}
+    for tenant in tenant_ids:
+        host = net.add_host(
             _tenant_name(tenant), segment="site", address=_tenant_address(tenant)
         )
-        for tenant in tenant_ids
-    }
-    gw_transport = NetsimTransport(gw_host, local_port=GATEWAY_PORT)
-    tenant_transports = {
-        tenant: NetsimTransport(
-            hosts[tenant],
+        tenant_transports[tenant] = NetsimTransport(
+            host,
             local_port=TENANT_PORT_BASE + tenant,
             remote=(gw_host.address, GATEWAY_PORT),
         )
-        for tenant in tenant_ids
-    }
-    resolver_map = {
-        (str(hosts[tenant].address), TENANT_PORT_BASE + tenant): tenant
-        for tenant in tenant_ids
-    }
-    return await _run_shard_common(
-        shard,
-        entries,
-        seed,
-        gw_config,
-        rounds,
-        payload_size,
-        drain_every,
-        gw_transport,
-        tenant_transports,
-        resolver_map,
-    )
+        resolver_map[(str(host.address), TENANT_PORT_BASE + tenant)] = tenant
+    return gw_transport, tenant_transports, resolver_map
 
 
-async def _run_shard_udp(
-    shard: int,
-    entries: List[Tuple[int, int, FiveTuple]],
-    seed: int,
-    gw_config: GatewayConfig,
-    rounds: int,
-    payload_size: int,
-    drain_every: int,
-) -> Dict[str, object]:
+async def _open_udp(tenant_ids: List[int]):
+    """Gateway + tenant transports on ephemeral loopback sockets."""
     from repro.transport.udp import UdpTransport
 
     gw_transport = await UdpTransport.create()
-    tenant_ids = sorted({tenant for tenant, _flow, _ft in entries})
     tenant_transports = {}
     resolver_map = {}
     for tenant in tenant_ids:
         transport = await UdpTransport.create(remote=gw_transport.local_address)
         tenant_transports[tenant] = transport
         resolver_map[tuple(transport.local_address)] = tenant
-    return await _run_shard_common(
-        shard,
-        entries,
-        seed,
-        gw_config,
-        rounds,
-        payload_size,
-        drain_every,
-        gw_transport,
-        tenant_transports,
-        resolver_map,
-    )
+    return gw_transport, tenant_transports, resolver_map
 
 
-async def _run_shard_common(
+async def _run_shard(
+    substrate: str,
     shard: int,
     entries: List[Tuple[int, int, FiveTuple]],
     seed: int,
@@ -223,17 +176,21 @@ async def _run_shard_common(
     rounds: int,
     payload_size: int,
     drain_every: int,
-    gw_transport,
-    tenant_transports,
-    resolver_map: Dict[Tuple[str, int], int],
 ) -> Dict[str, object]:
-    """Enroll one domain per shard, build the gateway, drive, report."""
-    domain = FBSDomain(seed=_shard_seed(seed, shard))
+    """Open the substrate, enroll one domain, build the gateway, drive, report."""
+    shard_seed = seed * 1009 + shard
+    tenant_ids = sorted({tenant for tenant, _flow, _ft in entries})
+    if substrate == "netsim":
+        opened = _open_netsim(shard_seed, tenant_ids)
+    else:
+        opened = await _open_udp(tenant_ids)
+    gw_transport, tenant_transports, resolver_map = opened
+
+    domain = FBSDomain(seed=shard_seed)
     gw_principal = Principal.from_name("gateway")
     gw_endpoint = domain.make_endpoint(
         gw_principal, now=gw_transport.now, sfl_seed=1
     )
-    tenant_ids = sorted(tenant_transports)
     principals = {t: Principal.from_name(_tenant_name(t)) for t in tenant_ids}
     tenant_endpoints = {
         t: domain.make_endpoint(
@@ -299,14 +256,14 @@ async def run_gateway_workload(
         )
     gw_config = GatewayConfig(max_tenants=max_tenants, queue_depth=queue_depth)
     plan = _plan_shards(tenants, flows, shards)
-    run_shard = _run_shard_netsim if substrate == "netsim" else _run_shard_udp
     shard_results = []
     for shard, entries in enumerate(plan):
         if not entries:
             continue
         shard_results.append(
-            await run_shard(
-                shard, entries, seed, gw_config, rounds, payload_size, drain_every
+            await _run_shard(
+                substrate, shard, entries, seed, gw_config,
+                rounds, payload_size, drain_every,
             )
         )
     outcomes: Dict[str, int] = {}

@@ -24,27 +24,18 @@ world from a picklable spec.
 """
 
 from repro.load.engine import LoadError, LoadSpec, check_invariants, run_load, verify_merge
-from repro.load.report import REPORT_VERSION, build_report, render_report
+from repro.load.report import REPORT_VERSION, build_report
 from repro.load.sharding import FlowSharder
-from repro.load.worker import (
-    WORKLOADS,
-    WorkerSpec,
-    build_workload,
-    run_worker,
-    shard_invariant_view,
-)
+from repro.load.worker import WorkerSpec, run_worker, shard_invariant_view
 
 __all__ = [
     "FlowSharder",
     "LoadError",
     "LoadSpec",
     "WorkerSpec",
-    "WORKLOADS",
     "REPORT_VERSION",
     "build_report",
-    "build_workload",
     "check_invariants",
-    "render_report",
     "run_load",
     "run_worker",
     "shard_invariant_view",

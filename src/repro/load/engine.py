@@ -58,7 +58,6 @@ class LoadSpec:
     batch: int = 256
     vectorize: bool = True
     trace_dir: Optional[str] = None
-    timing: bool = False
     #: Wire hop between protect and unprotect (``direct`` or
     #: ``netsim``); see :class:`repro.load.worker.WorkerSpec.transport`.
     transport: str = "direct"
@@ -82,7 +81,6 @@ class LoadSpec:
                 batch=self.batch,
                 vectorize=self.vectorize,
                 trace_dir=self.trace_dir,
-                timing=self.timing,
                 transport=self.transport,
             )
             for i in range(self.workers)

@@ -4,9 +4,10 @@ Same contract as the resilience reports: a report is a pure function of
 ``(spec, seed)``, serialized with sorted keys and floats rounded at the
 boundary, so CI can run the engine twice and ``cmp`` the files.  No
 wall-clock value ever enters a report -- goodput here is *simulation*
-goodput (accepted datagrams per simulated second); real-time scaling
-numbers live in ``BENCH_load.json``, produced by the bench harness,
-which is allowed to be machine-dependent.
+goodput (accepted datagrams per simulated second); real-time rates are
+the cost budget's (``benchmarks/budget/``: ``goodput_dps`` and
+``load.run_worker_dps`` on ``replay-secret-cdf``), which is allowed to
+be machine-dependent.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.load.engine import LoadSpec
-from repro.obs.report import render_report
 
-__all__ = ["REPORT_VERSION", "build_report", "render_report"]
+__all__ = ["REPORT_VERSION", "build_report"]
 
 REPORT_VERSION = 1
 

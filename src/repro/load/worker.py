@@ -44,17 +44,10 @@ from repro.load.sharding import FlowSharder
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, merge_snapshots, parse_metric_key
 
 # The workload catalogue lives in repro.traces.registry (one registry
-# for the load CLI choices, WorkerSpec replay, and the sweep harness);
-# WORKLOADS/build_workload stay importable from here for compatibility.
-from repro.traces.registry import WORKLOADS, build_workload
+# for the load CLI choices, WorkerSpec replay, and the sweep harness).
+from repro.traces.registry import build_workload
 
-__all__ = [
-    "WORKLOADS",
-    "WorkerSpec",
-    "build_workload",
-    "run_worker",
-    "shard_invariant_view",
-]
+__all__ = ["WorkerSpec", "run_worker", "shard_invariant_view"]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ message.  This package turns that claim into an executable campaign:
 * ``python -m repro.resilience`` -- the CLI (exit 1 on any violation).
 """
 
-from repro.obs.report import render_report as to_json
 from repro.resilience.campaign import run_campaign, run_scenario
 from repro.resilience.harness import ScenarioHarness, ScenarioResult
 from repro.resilience.invariants import INVARIANT_NAMES, check_all
@@ -36,7 +35,6 @@ __all__ = [
     "INVARIANT_NAMES",
     "check_all",
     "REPORT_VERSION",
-    "to_json",
     "Scenario",
     "build_matrix",
 ]

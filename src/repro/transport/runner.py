@@ -28,12 +28,11 @@ import random
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import FBSConfig
-from repro.obs.report import render_report
 from repro.transport.channel import RetryPolicy, SecureChannel, channel_pair
 from repro.transport.netsim import netsim_transport_pair
 from repro.transport.udp import UdpTransport, UdpTransportConfig
 
-__all__ = ["run_echo", "build_netsim_channels", "build_udp_channels", "render_report"]
+__all__ = ["run_echo", "build_netsim_channels", "build_udp_channels"]
 
 #: Valid ``--demo`` substrates, in CLI order.
 SUBSTRATES = ("netsim", "udp")

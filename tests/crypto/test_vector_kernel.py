@@ -7,9 +7,7 @@ block by block, at the widths where the kernel changes behaviour: one
 lane, the scratch-cache bound, and a width far past it.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -116,13 +114,6 @@ def test_scratch_is_kept_only_for_call_bound_widths():
     bound = lane_des._CACHED_WIDTH
     assert lane_des._lanes(bound) is lane_des._lanes(bound)
     assert lane_des._lanes(bound + 1) is not lane_des._lanes(bound + 1)
-
-
-def test_crossover_constant_is_the_measured_one():
-    bench = json.loads(
-        (Path(__file__).parents[2] / "BENCH_datapath.json").read_text()
-    )
-    assert vector.SINGLE_LANE_MIN_BLOCKS == bench["single_lane_crossover_blocks"]
 
 
 def test_short_iv_is_refused_not_misaligned():

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load.engine import LoadError, LoadSpec, check_invariants, run_load, verify_merge
-from repro.load.report import build_report, render_report
+from repro.load.report import build_report
 from repro.load.worker import WorkerSpec, run_worker, shard_invariant_view
+from repro.obs.report import render_report
 
 
 def smoke_spec(**kw):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load.sharding import FlowSharder
-from repro.load.worker import build_workload
+from repro.traces.registry import build_workload
 from repro.netsim.addresses import FiveTuple, IPAddress
 
 addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPAddress)

@@ -13,12 +13,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.resilience import (
-    build_matrix,
-    run_campaign,
-    run_scenario,
-    to_json,
-)
+from repro.obs.report import render_report
+from repro.resilience import build_matrix, run_campaign, run_scenario
 from repro.resilience.faults import FlushSoftState, ReplayBurst
 from repro.resilience.report import scenario_report
 from repro.resilience.scenario import SMOKE_DATAGRAMS, Scenario
@@ -74,7 +70,7 @@ class TestDeterminism:
         scenario = _scenario("corruption")
         first = scenario_report(*run_scenario(scenario, seed=3))
         second = scenario_report(*run_scenario(scenario, seed=3))
-        assert to_json({"s": first}) == to_json({"s": second})
+        assert render_report({"s": first}) == render_report({"s": second})
 
     def test_different_seed_different_trace(self):
         scenario = _scenario("corruption")

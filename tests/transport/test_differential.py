@@ -11,8 +11,9 @@ import asyncio
 import pytest
 
 from repro.load.worker import WorkerSpec, run_worker
+from repro.obs.report import render_report
 from repro.transport.hop import DirectHop, NetsimHop, build_hop
-from repro.transport.runner import render_report, run_echo
+from repro.transport.runner import run_echo
 
 
 def _echo_report(substrate, **kwargs):
