@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench figures budget-smoke examples reports clean
+.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,11 +14,12 @@ install:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# src/ line counts per package, largest first, from tracked files only:
-# the number behind ROADMAP's "least code" aim (CI appends it to the
-# test job's summary).
+# src/ line counts per package, largest first, over every file git
+# would track (a module not yet `git add`-ed counts too): the number
+# behind ROADMAP's "least code" aim (CI appends it to the test job's
+# summary).
 loc:
-	@git ls-files 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
+	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
 
 # fbslint: the whole-program protocol-invariant analyzer
 # (FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,
@@ -112,6 +113,14 @@ figures:
 # Regenerate benchmarks/reports/*.txt (the EXPERIMENTS.md inputs).
 reports: figures
 	@ls -1 benchmarks/reports/
+
+# The reports a change to the simulated testbed can move must
+# regenerate byte-identically (nightly tier): the security matrix (with
+# its seven cell assertions), Figure 8 and the ablations.
+# ablation_confounder.txt prints wall-clock microseconds and is exempt.
+reports-check:
+	$(PYTHON) -m pytest -q benchmarks/bench_security_matrix.py benchmarks/bench_fig08_throughput.py benchmarks/bench_ablations.py --benchmark-only
+	git diff --exit-code -- benchmarks/reports ':!benchmarks/reports/ablation_confounder.txt'
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

@@ -12,28 +12,19 @@ over every scheme and compares the dimensions the paper argues on:
 Run:  python examples/baseline_comparison.py
 """
 
-from repro.baselines import (
-    HostPairKeying,
-    KdcSessionKeying,
-    KeyDistributionCenter,
-    PerDatagramHostPair,
-    PhoturisSessionKeying,
-    SkipHostKeying,
-)
+from repro.baselines import install_scheme
 from repro.bench import measure_udp_throughput, render_table
-from repro.core.deploy import FBSDomain
-from repro.core.keying import Principal
 from repro.netsim import Network
 from repro.netsim.sockets import UdpSocket
 
 
-def run_workload(installer, seed):
-    """Send 3 conversations x 5 datagrams through `installer`'s scheme."""
+def run_workload(scheme, seed):
+    """Send 3 conversations x 5 datagrams under `scheme`; the sender's module."""
     net = Network(seed=seed)
     net.add_segment("lan", "10.0.0.0")
     a = net.add_host("a", segment="lan")
     b = net.add_host("b", segment="lan")
-    module_a, module_b = installer(net, a, b)
+    module_a, _ = install_scheme(scheme, (a, b), 100 + seed)
     inboxes = [UdpSocket(b, 6000 + i) for i in range(3)]
     senders = [UdpSocket(a) for _ in range(3)]
     for round_ in range(5):
@@ -42,93 +33,25 @@ def run_workload(installer, seed):
     net.sim.run()
     delivered = sum(len(inbox.received) for inbox in inboxes)
     assert delivered == 15, f"only {delivered}/15 delivered"
-    return module_a, module_b
+    return module_a
 
 
 def main() -> None:
-    rows = []
-
-    # FBS -------------------------------------------------------------------
-    def install_fbs(net, a, b):
-        domain = FBSDomain(seed=100)
-        return domain.enroll_host(a, encrypt_all=True), domain.enroll_host(
-            b, encrypt_all=True
-        )
-
-    fbs_a, _ = run_workload(install_fbs, 1)
-    rows.append(
-        (
-            "FBS",
-            0,
-            fbs_a.endpoint.registry.counter("flow_key_derivations", side="send").value,
-            "soft (caches)",
-            "per flow",
-        )
-    )
-
-    # Host-pair keying --------------------------------------------------------
-    def install_hostpair(net, a, b):
-        domain = FBSDomain(seed=101)
-        mkd_a = domain.enroll_principal(Principal.from_ip(a.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(b.address))
-        ma, mb = HostPairKeying(a, mkd_a), HostPairKeying(b, mkd_b)
-        a.install_security(ma)
-        b.install_security(mb)
-        return ma, mb
-
-    run_workload(install_hostpair, 2)
-    rows.append(("host-pair", 0, 1, "none (implicit key)", "per host pair"))
-
-    # Host-pair + per-datagram keys ---------------------------------------------
-    def install_perdatagram(net, a, b):
-        domain = FBSDomain(seed=102)
-        mkd_a = domain.enroll_principal(Principal.from_ip(a.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(b.address))
-        ma, mb = PerDatagramHostPair(a, mkd_a), PerDatagramHostPair(b, mkd_b)
-        a.install_security(ma)
-        b.install_security(mb)
-        return ma, mb
-
-    pd_a, _ = run_workload(install_perdatagram, 3)
-    rows.append(
-        ("host-pair + per-dgram", 0, pd_a.keys_generated, "none", "per datagram (BBS)")
-    )
-
-    # KDC session keying -----------------------------------------------------------
-    def install_kdc(net, a, b):
-        kdc = KeyDistributionCenter(seed=103)
-        ma, mb = KdcSessionKeying(a, kdc), KdcSessionKeying(b, kdc)
-        a.install_security(ma)
-        b.install_security(mb)
-        return ma, mb
-
-    kdc_a, _ = run_workload(install_kdc, 4)
-    rows.append(("KDC (Kerberos-like)", kdc_a.setup_messages, 1, "hard (both ends)", "per session"))
-
-    # Photuris session keying ---------------------------------------------------------
-    def install_photuris(net, a, b):
-        registry = {}
-        ma = PhoturisSessionKeying(a, registry, dh_private_seed=7)
-        mb = PhoturisSessionKeying(b, registry, dh_private_seed=8)
-        a.install_security(ma)
-        b.install_security(mb)
-        return ma, mb
-
-    ph_a, _ = run_workload(install_photuris, 5)
-    rows.append(("Photuris-like", ph_a.setup_messages, 1, "hard (SAs)", "per session"))
-
-    # SKIP ---------------------------------------------------------------------------
-    def install_skip(net, a, b):
-        domain = FBSDomain(seed=104)
-        mkd_a = domain.enroll_principal(Principal.from_ip(a.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(b.address))
-        ma, mb = SkipHostKeying(a, mkd_a), SkipHostKeying(b, mkd_b)
-        a.install_security(ma)
-        b.install_security(mb)
-        return ma, mb
-
-    skip_a, _ = run_workload(install_skip, 6)
-    rows.append(("SKIP", 0, skip_a.packet_keys_generated, "soft", "per datagram"))
+    fbs = run_workload("fbs", 1)
+    run_workload("host-pair", 2)
+    per_datagram = run_workload("host-pair-per-datagram", 3)
+    kdc = run_workload("kdc-session", 4)
+    photuris = run_workload("photuris-session", 5)
+    skip = run_workload("skip", 6)
+    derivations = fbs.endpoint.registry.counter("flow_key_derivations", side="send")
+    rows = [
+        ("FBS", 0, derivations.value, "soft (caches)", "per flow"),
+        ("host-pair", 0, 1, "none (implicit key)", "per host pair"),
+        ("host-pair + per-dgram", 0, per_datagram.keys_generated, "none", "per datagram (BBS)"),
+        ("KDC (Kerberos-like)", kdc.setup_messages, 1, "hard (both ends)", "per session"),
+        ("Photuris-like", photuris.setup_messages, 1, "hard (SAs)", "per session"),
+        ("SKIP", 0, skip.packet_keys_generated, "soft", "per datagram"),
+    ]
 
     print(
         render_table(

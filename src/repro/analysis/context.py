@@ -21,8 +21,12 @@ __all__ = ["ModuleContext"]
 #: ``# fbslint: module=repro.core.protocol`` pins a file's logical
 #: module identity, overriding its filesystem location.  The rule-test
 #: fixtures under ``tests/analysis/fixtures/`` use it to impersonate
-#: the modules their rules are scoped to.
-_MODULE_PRAGMA = re.compile(r"#\s*fbslint:\s*module\s*=\s*([\w.]+)")
+#: the modules their rules are scoped to.  Only a comment of its own
+#: line counts: a pragma quoted in a string or inside another comment
+#: (this one) does not re-home the file that mentions it.
+_MODULE_PRAGMA = re.compile(
+    r"^[ \t]*#\s*fbslint:\s*module\s*=\s*([\w.]+)", re.MULTILINE
+)
 
 
 def _module_parts(logical_path: str) -> Optional[Tuple[str, ...]]:

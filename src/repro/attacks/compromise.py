@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.attacks.adversary import OnPathAdversary
-from repro.core.deploy import FBSDomain
+from repro.baselines import install_scheme
 from repro.core.errors import ScenarioError
 from repro.core.header import FBSHeader
 from repro.core.keying import KeyDerivation, Principal
 from repro.crypto.des import DES
 from repro.crypto.modes import decrypt_cbc
-from repro.baselines.hostpair import HostPairKeying
-from repro.baselines.skip import SkipHostKeying
 from repro.netsim.ipv4 import IPProtocol
 from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
@@ -94,25 +92,10 @@ def run_compromise_analysis(
     alice = net.add_host("alice", segment="lan")
     bob = net.add_host("bob", segment="lan")
     adversary = OnPathAdversary(net.sim, net.segment("lan"))
-    domain = FBSDomain(seed=seed + 9)
-
-    if scheme == "fbs":
-        fbs_a = domain.enroll_host(alice, encrypt_all=True)
-        domain.enroll_host(bob, encrypt_all=True)
-    elif scheme == "host-pair":
-        mkd_a = domain.enroll_principal(Principal.from_ip(alice.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(bob.address))
-        hp_a = HostPairKeying(alice, mkd_a)
-        alice.install_security(hp_a)
-        bob.install_security(HostPairKeying(bob, mkd_b))
-    elif scheme == "skip":
-        mkd_a = domain.enroll_principal(Principal.from_ip(alice.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(bob.address))
-        skip_a = SkipHostKeying(alice, mkd_a)
-        alice.install_security(skip_a)
-        bob.install_security(SkipHostKeying(bob, mkd_b))
-    else:
+    if scheme not in ("fbs", "host-pair", "skip"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    sender, _ = install_scheme(scheme, (alice, bob), seed + 9)
+    victim = Principal.from_ip(bob.address)
 
     _traffic(net, alice, bob, flows, datagrams_per_flow)
 
@@ -131,41 +114,33 @@ def run_compromise_analysis(
         # using the (stolen) sfl from one datagram plus the master key --
         # but the attacker only gets the *flow key*, so model that by
         # deriving one and trying it everywhere.
-        sample = recorded[0]
-        header = FBSHeader.decode(sample.payload, domain.config.suite)
-        kdf = KeyDerivation(domain.config.suite)
-        master = fbs_a.endpoint.mkd.master_key(Principal.from_ip(bob.address))
-        stolen = kdf.flow_key(
-            header.sfl,
-            master,
-            Principal.from_ip(alice.address),
-            Principal.from_ip(bob.address),
-        )
+        suite = sender.config.suite
+        header = FBSHeader.decode(recorded[0].payload, suite)
+        kdf = KeyDerivation(suite)
+        master = sender.endpoint.mkd.master_key(victim)
+        stolen = kdf.flow_key(header.sfl, master, sender.endpoint.principal, victim)
         sfls = set()
         for packet in recorded:
-            ph = FBSHeader.decode(packet.payload, domain.config.suite)
+            ph = FBSHeader.decode(packet.payload, suite)
             sfls.add(ph.sfl)
-            body = packet.payload[fbs_a.endpoint.header_size :]
+            body = packet.payload[sender.endpoint.header_size :]
             if _decrypts(kdf.encryption_key(stolen), ph.iv(), body):
                 decryptable += 1
         flows_on_wire = len(sfls)
     elif scheme == "host-pair":
-        stolen = hp_a.master_key_for(Principal.from_ip(bob.address))[:8]
+        stolen, _ = sender.traffic_keys(victim)
         for packet in recorded:
-            iv, body = packet.payload[:8], packet.payload[8:]
+            _, iv, _, body = sender.split(packet.payload)
             if _decrypts(stolen, iv, body):
                 decryptable += 1
         flows_on_wire = 1
     else:  # skip
         n = 0  # the simulation runs inside one key interval
-        stolen_kijn = skip_a.interval_key(Principal.from_ip(bob.address), n)
+        stolen_kijn = sender.interval_key(victim, n)
         for packet in recorded:
-            data = packet.payload
-            wrapped = data[4:12]
-            iv = data[12:20]
-            body = data[36:]
-            kp = DES(stolen_kijn).decrypt_block(wrapped)
-            if _decrypts(kp, iv, body):
+            prefix, iv, _, body = sender.split(packet.payload)
+            # The scheme, not the attacker, knows how its prefix wraps Kp.
+            if _decrypts(sender.packet_key(stolen_kijn, prefix), iv, body):
                 decryptable += 1
         flows_on_wire = 1
 

@@ -21,18 +21,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.attacks.adversary import OnPathAdversary
-from repro.core.deploy import FBSDomain
+from repro.baselines import install_scheme
 from repro.core.errors import ScenarioError
-from repro.core.keying import Principal
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
 from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
-from repro.baselines.hostpair import HostPairKeying
 
 __all__ = ["CutPasteOutcome", "run_cutpaste_attack"]
 
 _BLOCK = 8
-_IV_LEN = 8
 
 SECRET = b"THE-LAUNCH-CODE-IS-00000000-KEEP-SECRET!"
 PUBLIC = b"weather report: sunny, 22C, light breeze"
@@ -107,32 +104,20 @@ def _splice(adversary: OnPathAdversary, iv_len: int, keep_blocks: int) -> Option
 
 def run_cutpaste_attack(scheme: str = "host-pair", seed: int = 0) -> CutPasteOutcome:
     """Run the splice against ``scheme`` ("host-pair", "host-pair-mac",
-    or "fbs")."""
+    "fbs", or any other sealing name in :data:`repro.baselines.SCHEMES`)."""
     net, alice, bob, adversary = _build_network(seed)
-    domain = FBSDomain(seed=seed + 7)
-
-    if scheme == "fbs":
-        domain.enroll_host(alice, encrypt_all=True)
-        domain.enroll_host(bob, encrypt_all=True)
-    elif scheme in ("host-pair", "host-pair-mac"):
-        include_mac = scheme == "host-pair-mac"
-        mkd_a = domain.enroll_principal(Principal.from_ip(alice.address))
-        mkd_b = domain.enroll_principal(Principal.from_ip(bob.address))
-        alice.install_security(HostPairKeying(alice, mkd_a, include_mac=include_mac))
-        bob.install_security(HostPairKeying(bob, mkd_b, include_mac=include_mac))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    sender, _ = install_scheme(scheme, (alice, bob), seed + 7)
 
     public_inbox = _send_two(net, alice, bob)
     before = len(public_inbox.received)
 
-    # The FBS header (32B) in front of the body shifts where ciphertext
-    # starts; for host-pair the IV leads.  keep_blocks=2 keeps the UDP
-    # header (8B inside the first block) plus a little payload.
+    # The FBS header in front of the body shifts where ciphertext
+    # starts; for host-pair the IV (and MAC) lead.  keep_blocks=2 keeps
+    # the UDP header (8B inside the first block) plus a little payload.
     if scheme == "fbs":
-        iv_len = 32  # the FBS header rides in front of the ciphertext
+        iv_len = sender.endpoint.header_size
     else:
-        iv_len = _IV_LEN + (16 if scheme == "host-pair-mac" else 0)
+        iv_len = sender.body_offset
     forged = _splice(adversary, iv_len=iv_len, keep_blocks=2)
     if forged is None:
         raise RuntimeError("adversary failed to capture both datagrams")

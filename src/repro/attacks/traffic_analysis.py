@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.attacks.adversary import OnPathAdversary
+from repro.baselines import install_scheme
 from repro.core.config import AlgorithmSuite
 from repro.core.deploy import FBSDomain
 from repro.core.errors import ScenarioError
 from repro.core.header import FBSHeader
-from repro.core.ip_mapping import CERTIFICATE_PORT
+from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
 from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
@@ -67,12 +68,8 @@ def _observe(frames: List[bytes], scheme: str, data_hosts: Set[str]) -> TrafficA
             continue
         pair = (str(packet.header.src), str(packet.header.dst))
         # Certificate traffic is infrastructure, not the workload.
-        if len(packet.payload) >= 8:
-            import struct
-
-            sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-            if CERTIFICATE_PORT in (sport, dport):
-                continue
+        if is_bypass(packet, {CERTIFICATE_PORT}):
+            continue
         if pair[0] not in data_hosts and pair[1] not in data_hosts:
             continue
         report.datagrams_captured += 1
@@ -124,12 +121,9 @@ def run_traffic_analysis(scheme: str, conversations: int = 4, datagrams_each: in
         alice = net.add_host("alice", segment="lan")
         bob = net.add_host("bob", segment="lan")
         adversary = OnPathAdversary(net.sim, net.segment("lan"))
-        if scheme == "fbs":
-            domain = FBSDomain(seed=seed + 11)
-            domain.enroll_host(alice, encrypt_all=True)
-            domain.enroll_host(bob, encrypt_all=True)
-        elif scheme != "generic":
+        if scheme not in ("generic", "fbs"):
             raise ValueError(f"unknown scheme {scheme!r}")
+        install_scheme(scheme, (alice, bob), seed + 11)
 
     inboxes = [UdpSocket(bob, 6000 + i) for i in range(conversations)]
     senders = [UdpSocket(alice, 3000 + i) for i in range(conversations)]

@@ -17,25 +17,18 @@ detected" -- demonstrated by :mod:`repro.attacks.cutpaste`.
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
+from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
-from repro.crypto.des import DES
-from repro.crypto.mac import constant_time_equal, keyed_md5
-from repro.crypto.modes import decrypt_cbc, encrypt_cbc
-from repro.crypto.random import LinearCongruential
-from repro.netsim.host import Host, SecurityModule
-from repro.netsim.ipv4 import IPProtocol, IPv4Packet
+from repro.netsim.host import Host
+from repro.netsim.ipv4 import IPv4Packet
 
 __all__ = ["HostPairKeying"]
 
-_IV_LEN = 8
-_MAC_LEN = 16
 
-
-class HostPairKeying(SecurityModule):
+class HostPairKeying(SealedDatagramModule):
     """Host-pair keying at the IP layer.
 
     Parameters
@@ -60,21 +53,8 @@ class HostPairKeying(SecurityModule):
         bypass_ports: Optional[set] = None,
         confounder_seed: int = 99,
     ) -> None:
-        self.host = host
+        super().__init__(host, 0, confounder_seed, include_mac, bypass_ports)
         self.mkd = mkd
-        self.include_mac = include_mac
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {500}
-        self._iv_rng = LinearCongruential(confounder_seed)
-        self._cipher_cache: Dict[bytes, DES] = {}
-        self.outbound_protected = 0
-        self.inbound_accepted = 0
-        self.inbound_rejected = 0
-
-    def header_overhead(self) -> int:
-        overhead = _IV_LEN + 8  # IV plus worst-case CBC padding
-        if self.include_mac:
-            overhead += _MAC_LEN
-        return overhead
 
     # -- keying --------------------------------------------------------------
 
@@ -82,75 +62,14 @@ class HostPairKeying(SecurityModule):
         """The pair master key (exposed so attacks can model compromise)."""
         return self.mkd.master_key(peer)
 
-    def _cipher_for(self, peer: Principal) -> DES:
+    def traffic_keys(self, peer: Principal) -> Keys:
+        """What seals everything for ``peer``: DES under the master
+        key's first 8 bytes, the MAC under all of it."""
         master = self.master_key_for(peer)
-        des_key = master[:8]
-        cipher = self._cipher_cache.get(des_key)
-        if cipher is None:
-            cipher = DES(des_key)
-            self._cipher_cache[des_key] = cipher
-        return cipher
+        return master[:8], master
 
-    # -- the IP hooks -----------------------------------------------------------
+    def send_keys(self, packet: IPv4Packet) -> Tuple[bytes, Keys]:
+        return b"", self.traffic_keys(Principal.from_ip(packet.header.dst))
 
-    def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        peer = Principal.from_ip(packet.header.dst)
-        cipher = self._cipher_for(peer)
-        iv = self._iv_rng.next_bytes(_IV_LEN)
-        body = encrypt_cbc(cipher, iv, packet.payload)
-        self._charge(len(packet.payload))
-        if self.include_mac:
-            mac = keyed_md5(self.master_key_for(peer), iv + body)
-            packet.payload = iv + mac + body
-        else:
-            packet.payload = iv + body
-        self.outbound_protected += 1
-        return packet
-
-    def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        peer = Principal.from_ip(packet.header.src)
-        data = packet.payload
-        min_len = _IV_LEN + (_MAC_LEN if self.include_mac else 0)
-        if len(data) < min_len:
-            self.inbound_rejected += 1
-            return None
-        iv = data[:_IV_LEN]
-        offset = _IV_LEN
-        if self.include_mac:
-            mac = data[offset : offset + _MAC_LEN]
-            offset += _MAC_LEN
-        body = data[offset:]
-        cipher = self._cipher_for(peer)
-        if self.include_mac:
-            expected = keyed_md5(self.master_key_for(peer), iv + body)
-            if not constant_time_equal(expected, mac):
-                self.inbound_rejected += 1
-                return None
-        try:
-            plaintext = decrypt_cbc(cipher, iv, body)
-        except ValueError:
-            self.inbound_rejected += 1
-            return None
-        self._charge(len(plaintext))
-        packet.payload = plaintext
-        self.inbound_accepted += 1
-        return packet
-
-    # -- internals ------------------------------------------------------------------
-
-    def _charge(self, payload_bytes: int) -> None:
-        model = self.host.cost_model
-        full = model.fbs_crypto(payload_bytes, encrypt=True, mac=self.include_mac)
-        self.host.charge_cpu(max(0.0, full - model.generic_send(payload_bytes)))
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 4:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        return sport in self._bypass_ports or dport in self._bypass_ports
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Keys:
+        return self.traffic_keys(Principal.from_ip(packet.header.src))

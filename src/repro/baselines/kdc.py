@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.crypto.des import DES
-from repro.crypto.mac import constant_time_equal, keyed_md5
 from repro.crypto.modes import decrypt_cbc, encrypt_cbc
-from repro.crypto.random import CounterRandom, LinearCongruential
+from repro.crypto.random import CounterRandom
 from repro.netsim.addresses import IPAddress
-from repro.netsim.host import Host, SecurityModule
-from repro.netsim.ipv4 import IPProtocol, IPv4Packet
+from repro.netsim.host import Host
+from repro.netsim.ipv4 import IPv4Packet
 
 __all__ = ["KeyDistributionCenter", "KdcSessionKeying"]
 
-_IV_LEN = 8
-_MAC_LEN = 16
 _TICKET_LEN = 24  # E_Kd(session key 8 | source addr 4 | expiry 4) padded
 
 
@@ -85,7 +83,7 @@ class _Association:
     ticket: bytes
 
 
-class KdcSessionKeying(SecurityModule):
+class KdcSessionKeying(SealedDatagramModule):
     """Session keying through a KDC, installed at the IP layer."""
 
     name = "kdc-session"
@@ -99,25 +97,17 @@ class KdcSessionKeying(SecurityModule):
         bypass_ports: Optional[set] = None,
         seed: int = 17,
     ) -> None:
-        self.host = host
+        super().__init__(host, _TICKET_LEN, seed, bypass_ports=bypass_ports)
         self.kdc = kdc
         self.secret = kdc.register(host.address)
         self._kdc_rtt = kdc_rtt
         self._ticket_lifetime = ticket_lifetime
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {500}
-        self._iv_rng = LinearCongruential(seed)
         # Hard state, both directions.
         self._send_assocs: Dict[int, _Association] = {}
         self._recv_keys: Dict[bytes, bytes] = {}  # ticket -> session key
         # Metrics.
         self.setup_messages = 0
         self.setup_delay_seconds = 0.0
-        self.outbound_protected = 0
-        self.inbound_accepted = 0
-        self.inbound_rejected = 0
-
-    def header_overhead(self) -> int:
-        return _TICKET_LEN + _IV_LEN + _MAC_LEN + 8
 
     def drop_hard_state(self) -> None:
         """Simulate state loss (crash/reboot).
@@ -129,11 +119,9 @@ class KdcSessionKeying(SecurityModule):
         self._send_assocs.clear()
         self._recv_keys.clear()
 
-    # -- hooks -------------------------------------------------------------------
+    # -- the keying rules ----------------------------------------------------------
 
-    def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
+    def send_keys(self, packet: IPv4Packet) -> Optional[Tuple[bytes, Keys]]:
         dst = packet.header.dst
         assoc = self._send_assocs.get(int(dst))
         if assoc is None:
@@ -143,7 +131,6 @@ class KdcSessionKeying(SecurityModule):
                 expiry=int(self.host.sim.now + self._ticket_lifetime),
             )
             if issued is None:
-                self.inbound_rejected += 1
                 return None
             # The KDC exchange: request + reply, one round trip.
             self.setup_messages += 2
@@ -151,45 +138,16 @@ class KdcSessionKeying(SecurityModule):
             self.host.charge_cpu(self._kdc_rtt)
             assoc = _Association(session_key=issued[0], ticket=issued[1])
             self._send_assocs[int(dst)] = assoc
-        iv = self._iv_rng.next_bytes(_IV_LEN)
-        body = encrypt_cbc(DES(assoc.session_key), iv, packet.payload)
-        mac = keyed_md5(assoc.session_key, iv + body)
-        self._charge(len(packet.payload))
-        packet.payload = assoc.ticket + iv + mac + body
-        self.outbound_protected += 1
-        return packet
+        return assoc.ticket, (assoc.session_key, assoc.session_key)
 
-    def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        data = packet.payload
-        if len(data) < _TICKET_LEN + _IV_LEN + _MAC_LEN:
-            self.inbound_rejected += 1
-            return None
-        ticket = data[:_TICKET_LEN]
-        iv = data[_TICKET_LEN : _TICKET_LEN + _IV_LEN]
-        mac = data[_TICKET_LEN + _IV_LEN : _TICKET_LEN + _IV_LEN + _MAC_LEN]
-        body = data[_TICKET_LEN + _IV_LEN + _MAC_LEN :]
-        session_key = self._recv_keys.get(ticket)
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Optional[Keys]:
+        session_key = self._recv_keys.get(prefix)
         if session_key is None:
-            session_key = self._unwrap_ticket(ticket, packet.header.src)
+            session_key = self._unwrap_ticket(prefix, packet.header.src)
             if session_key is None:
-                self.inbound_rejected += 1
                 return None
-            self._recv_keys[ticket] = session_key
-        expected = keyed_md5(session_key, iv + body)
-        if not constant_time_equal(expected, mac):
-            self.inbound_rejected += 1
-            return None
-        try:
-            plaintext = decrypt_cbc(DES(session_key), iv, body)
-        except ValueError:
-            self.inbound_rejected += 1
-            return None
-        self._charge(len(plaintext))
-        packet.payload = plaintext
-        self.inbound_accepted += 1
-        return packet
+            self._recv_keys[prefix] = session_key
+        return session_key, session_key
 
     # -- internals -----------------------------------------------------------------
 
@@ -208,16 +166,3 @@ class KdcSessionKeying(SecurityModule):
         if self.host.sim.now > expiry:
             return None
         return session_key
-
-    def _charge(self, payload_bytes: int) -> None:
-        model = self.host.cost_model
-        full = model.fbs_crypto(payload_bytes, encrypt=True, mac=True)
-        self.host.charge_cpu(max(0.0, full - model.generic_send(payload_bytes)))
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 4:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        return sport in self._bypass_ports or dport in self._bypass_ports

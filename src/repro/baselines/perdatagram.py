@@ -17,30 +17,26 @@ measures it against FBS's once-per-flow derivation.
 
 from __future__ import annotations
 
-import struct
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.crypto.des import DES
-from repro.crypto.mac import constant_time_equal, keyed_md5
-from repro.crypto.modes import decrypt_cbc, encrypt_cbc
-from repro.crypto.random import BlumBlumShub, LinearCongruential
-from repro.netsim.host import Host, SecurityModule
-from repro.netsim.ipv4 import IPProtocol, IPv4Packet
+from repro.crypto.random import BlumBlumShub
+from repro.netsim.host import Host
+from repro.netsim.ipv4 import IPv4Packet
 
 __all__ = ["PerDatagramHostPair", "BBS_KEY_COST_SECONDS"]
 
-_IV_LEN = 8
 _KEY_LEN = 8
-_MAC_LEN = 16
 
 #: Calibrated cost of drawing one 64-bit BBS key on the Pentium 133:
 #: 64 modular squarings of a 512-bit modulus at ~45 us each.
 BBS_KEY_COST_SECONDS = 64 * 45e-6
 
 
-class PerDatagramHostPair(SecurityModule):
+class PerDatagramHostPair(SealedDatagramModule):
     """Host-pair keying hardened with BBS per-datagram keys."""
 
     name = "host-pair-per-datagram"
@@ -53,77 +49,25 @@ class PerDatagramHostPair(SecurityModule):
         seed: int = 7,
         bbs_bits: int = 128,
     ) -> None:
-        self.host = host
+        super().__init__(host, _KEY_LEN, seed, bypass_ports=bypass_ports)
         self.mkd = mkd
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {500}
-        self._iv_rng = LinearCongruential(seed)
         self._bbs = BlumBlumShub(seed=seed, bits=bbs_bits)
-        self.outbound_protected = 0
-        self.inbound_accepted = 0
-        self.inbound_rejected = 0
         self.keys_generated = 0
-
-    def header_overhead(self) -> int:
-        return _KEY_LEN + _IV_LEN + _MAC_LEN + 8  # + worst-case padding
 
     def _master_cipher(self, peer: Principal) -> DES:
         return DES(self.mkd.master_key(peer)[:8])
 
-    def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        peer = Principal.from_ip(packet.header.dst)
+    def send_keys(self, packet: IPv4Packet) -> Tuple[bytes, Keys]:
         # Draw a cryptographically strong per-datagram key -- the
         # expensive step.
         datagram_key = self._bbs.next_bytes(_KEY_LEN)
         self.keys_generated += 1
         self.host.charge_cpu(BBS_KEY_COST_SECONDS)
-        master_cipher = self._master_cipher(peer)
-        wrapped = master_cipher.encrypt_block(datagram_key)
-        iv = self._iv_rng.next_bytes(_IV_LEN)
-        body = encrypt_cbc(DES(datagram_key), iv, packet.payload)
-        mac = keyed_md5(datagram_key, iv + body)
-        self._charge(len(packet.payload))
-        packet.payload = wrapped + iv + mac + body
-        self.outbound_protected += 1
-        return packet
+        peer = Principal.from_ip(packet.header.dst)
+        wrapped = self._master_cipher(peer).encrypt_block(datagram_key)
+        return wrapped, (datagram_key, datagram_key)
 
-    def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        data = packet.payload
-        if len(data) < _KEY_LEN + _IV_LEN + _MAC_LEN:
-            self.inbound_rejected += 1
-            return None
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Keys:
         peer = Principal.from_ip(packet.header.src)
-        wrapped = data[:_KEY_LEN]
-        iv = data[_KEY_LEN : _KEY_LEN + _IV_LEN]
-        mac = data[_KEY_LEN + _IV_LEN : _KEY_LEN + _IV_LEN + _MAC_LEN]
-        body = data[_KEY_LEN + _IV_LEN + _MAC_LEN :]
-        datagram_key = self._master_cipher(peer).decrypt_block(wrapped)
-        expected = keyed_md5(datagram_key, iv + body)
-        if not constant_time_equal(expected, mac):
-            self.inbound_rejected += 1
-            return None
-        try:
-            plaintext = decrypt_cbc(DES(datagram_key), iv, body)
-        except ValueError:
-            self.inbound_rejected += 1
-            return None
-        self._charge(len(plaintext))
-        packet.payload = plaintext
-        self.inbound_accepted += 1
-        return packet
-
-    def _charge(self, payload_bytes: int) -> None:
-        model = self.host.cost_model
-        full = model.fbs_crypto(payload_bytes, encrypt=True, mac=True)
-        self.host.charge_cpu(max(0.0, full - model.generic_send(payload_bytes)))
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 4:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        return sport in self._bypass_ports or dport in self._bypass_ports
+        datagram_key = self._master_cipher(peer).decrypt_block(prefix)
+        return datagram_key, datagram_key

@@ -20,22 +20,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.crypto.des import DES
-from repro.crypto.mac import constant_time_equal, keyed_md5
+from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.crypto.md5 import md5
-from repro.crypto.modes import decrypt_cbc, encrypt_cbc
-from repro.crypto.random import LinearCongruential
 from repro.netsim.addresses import IPAddress
-from repro.netsim.host import Host, SecurityModule
-from repro.netsim.ipv4 import IPProtocol, IPv4Packet
+from repro.netsim.host import Host
+from repro.netsim.ipv4 import IPv4Packet
 
 __all__ = ["PhoturisSessionKeying"]
 
 _SPI_LEN = 4
-_IV_LEN = 8
-_MAC_LEN = 16
 
 
 @dataclass
@@ -46,7 +41,7 @@ class _SecurityAssociation:
     session_key: bytes
 
 
-class PhoturisSessionKeying(SecurityModule):
+class PhoturisSessionKeying(SealedDatagramModule):
     """Session keying via a two-party exchange, installed at IP.
 
     Parameters
@@ -70,14 +65,14 @@ class PhoturisSessionKeying(SecurityModule):
         modexp_cost: float = 60e-3,
         bypass_ports: Optional[set] = None,
     ) -> None:
-        self.host = host
+        super().__init__(
+            host, _SPI_LEN, dh_private_seed * 31 + 7, bypass_ports=bypass_ports
+        )
         self.registry = registry
         registry[int(host.address)] = self
         self._rtt = rtt
         self._exchange_rtts = exchange_rtts
         self._modexp_cost = modexp_cost
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {500}
-        self._iv_rng = LinearCongruential(dh_private_seed * 31 + 7)
         self._dh_seed = dh_private_seed
         self._next_spi = (dh_private_seed * 1000003) & 0x7FFFFFFF
         # Hard state.
@@ -87,13 +82,7 @@ class PhoturisSessionKeying(SecurityModule):
         self.setup_messages = 0
         self.setup_delay_seconds = 0.0
         self.exchanges = 0
-        self.outbound_protected = 0
-        self.inbound_accepted = 0
-        self.inbound_rejected = 0
         self.unknown_spi = 0
-
-    def header_overhead(self) -> int:
-        return _SPI_LEN + _IV_LEN + _MAC_LEN + 8
 
     def drop_hard_state(self) -> None:
         """Simulate a crash: all SAs gone; traffic blackholes until the
@@ -131,64 +120,21 @@ class PhoturisSessionKeying(SecurityModule):
         peer._recv_sas[spi] = sa
         return sa
 
-    # -- hooks ------------------------------------------------------------------------
+    # -- the keying rules ---------------------------------------------------------------
 
-    def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
+    def send_keys(self, packet: IPv4Packet) -> Optional[Tuple[bytes, Keys]]:
         sa = self._send_sas.get(int(packet.header.dst))
         if sa is None:
             sa = self._establish(packet.header.dst)
             if sa is None:
                 return None
-        iv = self._iv_rng.next_bytes(_IV_LEN)
-        body = encrypt_cbc(DES(sa.session_key), iv, packet.payload)
-        mac = keyed_md5(sa.session_key, iv + body)
-        self._charge(len(packet.payload))
-        packet.payload = struct.pack(">I", sa.spi) + iv + mac + body
-        self.outbound_protected += 1
-        return packet
+        return struct.pack(">I", sa.spi), (sa.session_key, sa.session_key)
 
-    def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        data = packet.payload
-        if len(data) < _SPI_LEN + _IV_LEN + _MAC_LEN:
-            self.inbound_rejected += 1
-            return None
-        (spi,) = struct.unpack_from(">I", data, 0)
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Optional[Keys]:
+        (spi,) = struct.unpack(">I", prefix)
         sa = self._recv_sas.get(spi)
         if sa is None:
             # Hard-state failure mode: an unknown SPI is undecryptable.
             self.unknown_spi += 1
-            self.inbound_rejected += 1
             return None
-        iv = data[_SPI_LEN : _SPI_LEN + _IV_LEN]
-        mac = data[_SPI_LEN + _IV_LEN : _SPI_LEN + _IV_LEN + _MAC_LEN]
-        body = data[_SPI_LEN + _IV_LEN + _MAC_LEN :]
-        expected = keyed_md5(sa.session_key, iv + body)
-        if not constant_time_equal(expected, mac):
-            self.inbound_rejected += 1
-            return None
-        try:
-            plaintext = decrypt_cbc(DES(sa.session_key), iv, body)
-        except ValueError:
-            self.inbound_rejected += 1
-            return None
-        self._charge(len(plaintext))
-        packet.payload = plaintext
-        self.inbound_accepted += 1
-        return packet
-
-    def _charge(self, payload_bytes: int) -> None:
-        model = self.host.cost_model
-        full = model.fbs_crypto(payload_bytes, encrypt=True, mac=True)
-        self.host.charge_cpu(max(0.0, full - model.generic_send(payload_bytes)))
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 4:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        return sport in self._bypass_ports or dport in self._bypass_ports
+        return sa.session_key, sa.session_key

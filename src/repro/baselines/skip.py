@@ -29,23 +29,22 @@ The contrasts with FBS that the benches measure:
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.crypto.des import DES
-from repro.crypto.mac import constant_time_equal, keyed_md5
 from repro.crypto.md5 import md5
-from repro.crypto.random import CounterRandom, LinearCongruential
-from repro.netsim.host import Host, SecurityModule
-from repro.netsim.ipv4 import IPProtocol, IPv4Packet
+from repro.crypto.random import CounterRandom
+from repro.netsim.host import Host
+from repro.netsim.ipv4 import IPv4Packet
 
 __all__ = ["SkipHostKeying"]
 
-_N_LEN = 4
 _KP_LEN = 8
-_IV_LEN = 8
-_MAC_LEN = 16
+#: The scheme's prefix: ``n (4) | E_Kijn(Kp) (8)``.
+_PREFIX = struct.Struct(">I8s")
 
 #: Calibrated per-datagram packet-key generation cost (SKIP needs a
 #: strong Kp each packet; cheaper than BBS-per-key since implementations
@@ -53,7 +52,7 @@ _MAC_LEN = 16
 PACKET_KEY_COST_SECONDS = 120e-6
 
 
-class SkipHostKeying(SecurityModule):
+class SkipHostKeying(SealedDatagramModule):
     """SKIP at the IP layer, sharing the FBS certificate substrate."""
 
     name = "skip"
@@ -66,20 +65,12 @@ class SkipHostKeying(SecurityModule):
         bypass_ports: Optional[set] = None,
         seed: int = 23,
     ) -> None:
-        self.host = host
+        super().__init__(host, _PREFIX.size, seed, bypass_ports=bypass_ports)
         self.mkd = mkd
         self.key_interval = key_interval
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {500}
-        self._iv_rng = LinearCongruential(seed)
         self._kp_rng = CounterRandom(b"skip-kp" + seed.to_bytes(4, "big"))
         self._kijn_cache: Dict[tuple, bytes] = {}
-        self.outbound_protected = 0
-        self.inbound_accepted = 0
-        self.inbound_rejected = 0
         self.packet_keys_generated = 0
-
-    def header_overhead(self) -> int:
-        return _N_LEN + _KP_LEN + _IV_LEN + _MAC_LEN + 8
 
     # -- keying ---------------------------------------------------------------------
 
@@ -97,74 +88,27 @@ class SkipHostKeying(SecurityModule):
         self._kijn_cache[cache_key] = kijn
         return kijn
 
-    # -- hooks ------------------------------------------------------------------------
+    @staticmethod
+    def packet_key(kijn: bytes, prefix: bytes) -> bytes:
+        """Kp as whoever holds ``kijn`` unwraps it from a datagram's
+        prefix -- the receiver, or an attacker with a stolen hourly key."""
+        _n, wrapped = _PREFIX.unpack(prefix)
+        return DES(kijn).decrypt_block(wrapped)
 
-    def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        peer = Principal.from_ip(packet.header.dst)
+    def send_keys(self, packet: IPv4Packet) -> Tuple[bytes, Keys]:
         n = self._interval_now()
-        kijn = self.interval_key(peer, n)
+        kijn = self.interval_key(Principal.from_ip(packet.header.dst), n)
         # Per-datagram packet key: the cost FBS's per-flow keying avoids.
         kp = self._kp_rng.next_bytes(_KP_LEN)
         self.packet_keys_generated += 1
         self.host.charge_cpu(PACKET_KEY_COST_SECONDS)
-        wrapped = DES(kijn).encrypt_block(kp)
-        iv = self._iv_rng.next_bytes(_IV_LEN)
-        from repro.crypto.modes import encrypt_cbc
+        return _PREFIX.pack(n, DES(kijn).encrypt_block(kp)), (kp, kp)
 
-        body = encrypt_cbc(DES(kp), iv, packet.payload)
-        mac = keyed_md5(kp, iv + body)
-        self._charge(len(packet.payload))
-        packet.payload = struct.pack(">I", n) + wrapped + iv + mac + body
-        self.outbound_protected += 1
-        return packet
-
-    def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if self._is_bypass(packet):
-            return packet
-        data = packet.payload
-        header_len = _N_LEN + _KP_LEN + _IV_LEN + _MAC_LEN
-        if len(data) < header_len:
-            self.inbound_rejected += 1
-            return None
-        (n,) = struct.unpack_from(">I", data, 0)
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Optional[Keys]:
+        n, _wrapped = _PREFIX.unpack(prefix)
         # Accept the current and adjacent intervals (clock skew).
         if abs(n - self._interval_now()) > 1:
-            self.inbound_rejected += 1
             return None
-        peer = Principal.from_ip(packet.header.src)
-        kijn = self.interval_key(peer, n)
-        wrapped = data[_N_LEN : _N_LEN + _KP_LEN]
-        iv = data[_N_LEN + _KP_LEN : _N_LEN + _KP_LEN + _IV_LEN]
-        mac = data[_N_LEN + _KP_LEN + _IV_LEN : header_len]
-        body = data[header_len:]
-        kp = DES(kijn).decrypt_block(wrapped)
-        expected = keyed_md5(kp, iv + body)
-        if not constant_time_equal(expected, mac):
-            self.inbound_rejected += 1
-            return None
-        from repro.crypto.modes import decrypt_cbc
-
-        try:
-            plaintext = decrypt_cbc(DES(kp), iv, body)
-        except ValueError:
-            self.inbound_rejected += 1
-            return None
-        self._charge(len(plaintext))
-        packet.payload = plaintext
-        self.inbound_accepted += 1
-        return packet
-
-    def _charge(self, payload_bytes: int) -> None:
-        model = self.host.cost_model
-        full = model.fbs_crypto(payload_bytes, encrypt=True, mac=True)
-        self.host.charge_cpu(max(0.0, full - model.generic_send(payload_bytes)))
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 4:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        return sport in self._bypass_ports or dport in self._bypass_ports
+        kijn = self.interval_key(Principal.from_ip(packet.header.src), n)
+        kp = self.packet_key(kijn, prefix)
+        return kp, kp

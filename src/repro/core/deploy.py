@@ -65,19 +65,51 @@ class FBSDomain:
         charge=None,
     ) -> MasterKeyDaemon:
         """Generate keys, certify, publish; return the principal's MKD."""
+        return self._enroll(
+            principal, principal.name, self.config, now=now, charge=charge
+        )
+
+    def _enroll(
+        self,
+        principal: Principal,
+        name: str,
+        config: FBSConfig,
+        fetch=None,
+        **mkd_kwargs,
+    ) -> MasterKeyDaemon:
+        """The one enrolment: keygen -> certify -> publish -> MKD (whose
+        PVC misses go to ``fetch``, by default the directory itself)."""
         key = DHPrivateKey.generate(self.group, self.rng)
-        self.private_keys[principal.name] = key
-        certificate = self.ca.issue(principal, key)
-        self.directory.publish(certificate)
+        self.private_keys[name] = key
+        self.directory.publish(self.ca.issue(principal, key))
         return MasterKeyDaemon(
             principal=principal,
             private_key=key,
             ca_public=self.ca.public_key,
-            fetch=self.directory.fetch,
-            pvc_size=self.config.pvc_size,
-            mkc_size=self.config.mkc_size,
-            now=now,
-            charge=charge,
+            fetch=fetch or self.directory.fetch,
+            pvc_size=config.pvc_size,
+            mkc_size=config.mkc_size,
+            **mkd_kwargs,
+        )
+
+    def _enroll_on_host(
+        self, host: Host, config: FBSConfig, fetch=None
+    ) -> MasterKeyDaemon:
+        """Enrol a simulated host: its clock, its CPU and its cost model
+        (a directory fetch is priced; a ``fetch`` over the wire pays in
+        real simulated time instead)."""
+        self._enrolled += 1
+        model = host.cost_model
+        return self._enroll(
+            Principal.from_ip(host.address),
+            host.name,
+            config,
+            fetch,
+            now=host.clock.now,
+            charge=lambda cost: host.charge_cpu(cost) and None,
+            modexp_cost=model.modexp,
+            fetch_cost=0.0 if fetch else model.certificate_fetch_rtt,
+            upcall_cost=model.upcall,
         )
 
     def make_endpoint(
@@ -117,28 +149,13 @@ class FBSDomain:
         **mapping_kwargs,
     ) -> FBSIPMapping:
         """Enroll a simulated host and install the FBS IP mapping."""
-        config = config or self.config
-        principal = Principal.from_ip(host.address)
-        key = DHPrivateKey.generate(self.group, self.rng)
-        self.private_keys[host.name] = key
-        certificate = self.ca.issue(principal, key)
-        self.directory.publish(certificate)
-        self._enrolled += 1
+        return self._install_mapping(host, config, None, mapping_kwargs)
 
-        model = host.cost_model
-        mkd = MasterKeyDaemon(
-            principal=principal,
-            private_key=key,
-            ca_public=self.ca.public_key,
-            fetch=self.directory.fetch,
-            pvc_size=config.pvc_size,
-            mkc_size=config.mkc_size,
-            now=host.clock.now,
-            charge=lambda cost: host.charge_cpu(cost) and None,
-            modexp_cost=model.modexp,
-            fetch_cost=model.certificate_fetch_rtt,
-            upcall_cost=model.upcall,
-        )
+    def _install_mapping(
+        self, host: Host, config: Optional[FBSConfig], fetch, mapping_kwargs: dict
+    ) -> FBSIPMapping:
+        config = config or self.config
+        mkd = self._enroll_on_host(host, config, fetch)
         mapping = FBSIPMapping(
             host=host,
             mkd=mkd,
@@ -165,25 +182,7 @@ class FBSDomain:
         from repro.core.gateway import FBSGatewayTunnel
 
         config = config or self.config
-        principal = Principal.from_ip(host.address)
-        key = DHPrivateKey.generate(self.group, self.rng)
-        self.private_keys[host.name] = key
-        self.directory.publish(self.ca.issue(principal, key))
-        self._enrolled += 1
-        model = host.cost_model
-        mkd = MasterKeyDaemon(
-            principal=principal,
-            private_key=key,
-            ca_public=self.ca.public_key,
-            fetch=self.directory.fetch,
-            pvc_size=config.pvc_size,
-            mkc_size=config.mkc_size,
-            now=host.clock.now,
-            charge=lambda cost: host.charge_cpu(cost) and None,
-            modexp_cost=model.modexp,
-            fetch_cost=model.certificate_fetch_rtt,
-            upcall_cost=model.upcall,
-        )
+        mkd = self._enroll_on_host(host, config)
         return FBSGatewayTunnel(
             host=host,
             mkd=mkd,
@@ -211,13 +210,6 @@ class FBSDomain:
         from repro.core.netfetch import NetworkCertificateFetcher
         from repro.netsim.addresses import IPAddress
 
-        config = config or self.config
-        principal = Principal.from_ip(host.address)
-        key = DHPrivateKey.generate(self.group, self.rng)
-        self.private_keys[host.name] = key
-        self.directory.publish(self.ca.issue(principal, key))
-        self._enrolled += 1
-
         server_address = (
             certificate_server.address
             if isinstance(certificate_server, Host)
@@ -226,27 +218,7 @@ class FBSDomain:
         fetcher = NetworkCertificateFetcher(
             host=host, server_address=server_address, ca_public=self.ca.public_key
         )
-        model = host.cost_model
-        mkd = MasterKeyDaemon(
-            principal=principal,
-            private_key=key,
-            ca_public=self.ca.public_key,
-            fetch=fetcher.fetch,
-            pvc_size=config.pvc_size,
-            mkc_size=config.mkc_size,
-            now=host.clock.now,
-            charge=lambda cost: host.charge_cpu(cost) and None,
-            modexp_cost=model.modexp,
-            upcall_cost=model.upcall,
-        )
-        mapping = FBSIPMapping(
-            host=host,
-            mkd=mkd,
-            config=config,
-            sfl_seed=self._enrolled,
-            **mapping_kwargs,
-        )
-        mapping.install()
+        mapping = self._install_mapping(host, config, fetcher.fetch, mapping_kwargs)
         mapping.fetcher = fetcher  # exposed for tests/diagnostics
         return mapping
 

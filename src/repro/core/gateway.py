@@ -156,16 +156,9 @@ class FBSGatewayTunnel:
         generic baseline being subtracted must match the side the host
         already charged for).
         """
-        model = self.host.cost_model
-        if receive:
-            baseline = model.generic_receive(payload_bytes)
-        else:
-            baseline = model.generic_send(payload_bytes)
-        extra = max(
-            0.0,
-            model.fbs_crypto(payload_bytes, encrypt=True, mac=True) - baseline,
+        self.host.charge_cpu(
+            self.host.cost_model.crypto_extra(payload_bytes, receive=receive)
         )
-        self.host.charge_cpu(extra)
 
     def _tunnel_input(self, packet: IPv4Packet) -> None:
         source = Principal.from_ip(packet.header.src)

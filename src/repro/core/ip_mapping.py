@@ -25,7 +25,7 @@ import struct
 from typing import Callable, Optional, Set
 
 from repro.core.config import FBSConfig, MacAlgorithm
-from repro.core.errors import FBSError, ReceiveError
+from repro.core.errors import FBSError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
@@ -35,7 +35,7 @@ from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.netsim.host import Host, SecurityModule
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
 
-__all__ = ["ConversationPolicy", "FBSIPMapping"]
+__all__ = ["ConversationPolicy", "FBSIPMapping", "is_bypass"]
 
 #: Well-known UDP port of the certificate directory service.
 CERTIFICATE_PORT = 500
@@ -66,6 +66,30 @@ def extract_five_tuple(packet: IPv4Packet) -> Optional[FiveTuple]:
         daddr=packet.header.dst,
         dport=dport,
     )
+
+
+def is_bypass(packet: IPv4Packet, ports: Set[int]) -> bool:
+    """Bypass check: is this plaintext traffic for an exempt port?
+
+    For a bypassed datagram the transport header sits where the FBS
+    header would otherwise be, so the port fields are at offset 0.
+    An FBS-protected datagram could have sfl bytes that *look* like
+    a bypass port, so for UDP the length field must also be
+    consistent with the datagram -- random sfl/confounder bytes fail
+    that second check with overwhelming probability.
+    """
+    if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
+        return False
+    if len(packet.payload) < 8:
+        return False
+    sport, dport = struct.unpack_from(">HH", packet.payload, 0)
+    if sport not in ports and dport not in ports:
+        return False
+    if packet.header.proto == IPProtocol.UDP:
+        (length,) = struct.unpack_from(">H", packet.payload, 4)
+        if length != len(packet.payload):
+            return False
+    return True
 
 
 class FBSIPMapping(SecurityModule):
@@ -159,7 +183,7 @@ class FBSIPMapping(SecurityModule):
 
     def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """FBSSend hook: runs between ip_output parts 1 and 2."""
-        if self._is_bypass(packet):
+        if is_bypass(packet, self._bypass_ports):
             self.bypassed += 1
             return packet
         five_tuple = extract_five_tuple(packet)
@@ -186,20 +210,19 @@ class FBSIPMapping(SecurityModule):
 
     def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """FBSReceive hook: runs between ip_input parts 2 and 3."""
-        if self._is_bypass_inbound(packet):
+        if is_bypass(packet, self._bypass_ports):
             self.bypassed += 1
             return packet
         source = Principal.from_ip(packet.header.src)
         secret = self._secret_policy(packet)
         self._charge_fbs_cost(
-            max(0, len(packet.payload) - self.endpoint.header_size), secret
+            max(0, len(packet.payload) - self.endpoint.header_size),
+            secret,
+            receive=True,
         )
         try:
             body = self.endpoint.unprotect(packet.payload, source, secret=secret)
-        except ReceiveError:
-            self.inbound_rejected += 1
-            return None
-        except FBSError:
+        except FBSError:  # ReceiveError included
             self.inbound_rejected += 1
             return None
         self.inbound_accepted += 1
@@ -208,7 +231,9 @@ class FBSIPMapping(SecurityModule):
 
     # -- internals -------------------------------------------------------------------
 
-    def _charge_fbs_cost(self, payload_bytes: int, secret: bool) -> None:
+    def _charge_fbs_cost(
+        self, payload_bytes: int, secret: bool, receive: bool = False
+    ) -> None:
         """Charge the CPU for FBS work beyond the generic path."""
         model = self.host.cost_model
         mac_on = self.config.suite.mac is not MacAlgorithm.NULL
@@ -217,35 +242,10 @@ class FBSIPMapping(SecurityModule):
         if not mac_on and not secret:
             extra = model.fbs_per_packet  # the NOP configuration
         else:
-            full = model.fbs_crypto(payload_bytes, encrypt=secret, mac=mac_on)
-            extra = max(0.0, full - model.generic_send(payload_bytes))
+            extra = model.crypto_extra(
+                payload_bytes, encrypt=secret, mac=mac_on, receive=receive
+            )
         self.host.charge_cpu(extra)
-
-    def _is_bypass(self, packet: IPv4Packet) -> bool:
-        """Bypass check: is this plaintext traffic for an exempt port?
-
-        For a bypassed datagram the transport header sits where the FBS
-        header would otherwise be, so the port fields are at offset 0.
-        An FBS-protected datagram could have sfl bytes that *look* like
-        a bypass port, so for UDP the length field must also be
-        consistent with the datagram -- random sfl/confounder bytes fail
-        that second check with overwhelming probability.
-        """
-        if packet.header.proto not in (IPProtocol.TCP, IPProtocol.UDP):
-            return False
-        if len(packet.payload) < 8:
-            return False
-        sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-        if sport not in self._bypass_ports and dport not in self._bypass_ports:
-            return False
-        if packet.header.proto == IPProtocol.UDP:
-            (length,) = struct.unpack_from(">H", packet.payload, 4)
-            if length != len(packet.payload):
-                return False
-        return True
-
-    def _is_bypass_inbound(self, packet: IPv4Packet) -> bool:
-        return self._is_bypass(packet)
 
     # -- convenience -----------------------------------------------------------------
 

@@ -122,6 +122,27 @@ class CostModel:
             + per_byte * payload_bytes
         )
 
+    def crypto_extra(
+        self,
+        payload_bytes: int,
+        encrypt: bool = True,
+        mac: bool = True,
+        receive: bool = False,
+    ) -> float:
+        """CPU time of a crypto pass *beyond* the generic path.
+
+        The host stack already charged the plain datagram --
+        :meth:`generic_send` on output, :meth:`generic_receive` in
+        ``frame_arrived`` -- so every security module charges only the
+        difference, against the baseline of the side it runs on
+        (``fbs_crypto`` prices both directions identically).
+        """
+        if receive:
+            baseline = self.generic_receive(payload_bytes)
+        else:
+            baseline = self.generic_send(payload_bytes)
+        return max(0.0, self.fbs_crypto(payload_bytes, encrypt, mac) - baseline)
+
     def des_cbc(self, nbytes: int) -> float:
         """CPU time to DES-CBC ``nbytes``."""
         return self.per_byte_des * nbytes

@@ -169,6 +169,23 @@ def test_asserts_allowed_in_test_code():
     assert test.findings == []
 
 
+def test_module_pragma_counts_only_on_a_comment_line_of_its_own():
+    # A test file that merely *quotes* the pragma -- in a string it
+    # will lint, or inside another comment -- keeps its path-derived
+    # module (asserts allowed); on a comment line of its own the pragma
+    # re-homes the file into library code, where the assert is FBS004.
+    quoted = (
+        'SOURCE = "# fbslint: module=repro.core.x"'
+        "  # see ``# fbslint: module=repro.core.y``\n" + _ASSERT_GUARD
+    )
+    pinned = "    # fbslint: module=repro.core.x\n" + _ASSERT_GUARD
+    path = "tests/analysis/test_quote.py"
+    assert lint_source(quoted, logical_path=path).findings == []
+    assert [
+        f.rule_id for f in lint_source(pinned, logical_path=path).findings
+    ] == ["FBS004"]
+
+
 def test_metrics_rule_scoped_to_protocol_and_baselines():
     # The codec layers raise ReceiveErrors with no metrics object; the
     # protocol engine counts them.  FBS006 must not fire outside

@@ -9,6 +9,7 @@ from repro.attacks import (
     run_replay_attack,
 )
 from repro.attacks.adversary import OnPathAdversary
+from repro.baselines import SCHEMES, install_scheme
 from repro.netsim import Network
 from repro.netsim.sockets import UdpSocket
 
@@ -162,3 +163,28 @@ class TestCompromise:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             run_compromise_analysis("tls")
+
+
+class TestSchemeTable:
+    """The attacks install whatever they are pointed at by name: a
+    scheme is covered here by being listed in ``SCHEMES``."""
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_every_scheme_installs_and_round_trips_one_datagram(self, scheme):
+        net = Network(seed=50)
+        net.add_segment("lan", "10.0.0.0")
+        a = net.add_host("a", segment="lan")
+        b = net.add_host("b", segment="lan")
+        adversary = OnPathAdversary(net.sim, net.segment("lan"))
+        modules = install_scheme(scheme, (a, b), 50)
+        assert [a.security, b.security] == modules
+        rx = UdpSocket(b, 5000)
+        UdpSocket(a).sendto(b"ONE-DATAGRAM", b.address, 5000)
+        net.sim.run()
+        assert [payload for payload, _, _ in rx.received] == [b"ONE-DATAGRAM"]
+        on_the_wire = any(b"ONE-DATAGRAM" in frame for frame in adversary.captured)
+        assert on_the_wire == (scheme == "generic")
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError):
+            install_scheme("rot13", (), 0)

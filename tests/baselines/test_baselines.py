@@ -1,20 +1,14 @@
 """Baseline scheme tests: delivery, protection, and their signature
 weaknesses/costs relative to FBS."""
 
+import struct
+
 import pytest
 
-from repro.baselines import (
-    GenericNull,
-    HostPairKeying,
-    KdcSessionKeying,
-    KeyDistributionCenter,
-    PerDatagramHostPair,
-    PhoturisSessionKeying,
-    SkipHostKeying,
-)
-from repro.core.deploy import FBSDomain
+from repro.baselines import SCHEMES, GenericNull, install_scheme
 from repro.core.keying import Principal
 from repro.netsim import Network
+from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import UdpSocket
 
 
@@ -31,11 +25,23 @@ def roundtrip(net, a, b, message=b"baseline probe", port=5000):
     return rx.received[0][0] if rx.received else None
 
 
-def enroll_hostpair_mkds(net, a, b, seed):
-    domain = FBSDomain(seed=seed)
-    mkd_a = domain.enroll_principal(Principal.from_ip(a.address))
-    mkd_b = domain.enroll_principal(Principal.from_ip(b.address))
-    return mkd_a, mkd_b
+def installed(scheme, seed):
+    """A two-host LAN with ``scheme`` on both ends."""
+    net, a, b = build_pair(seed)
+    module_a, module_b = install_scheme(scheme, (a, b), seed)
+    return net, a, b, module_a, module_b
+
+
+def tap(net):
+    frames = []
+    net.segment("lan").attach_tap(frames.append)
+    return frames
+
+
+def flip_last_bit(frame):
+    packet = IPv4Packet.decode(frame)
+    packet.payload = packet.payload[:-1] + bytes([packet.payload[-1] ^ 1])
+    return packet.encode()
 
 
 class TestGeneric:
@@ -51,61 +57,36 @@ class TestGeneric:
 
 class TestHostPair:
     def test_roundtrip(self):
-        net, a, b = build_pair(1)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 1)
-        a.install_security(HostPairKeying(a, mkd_a))
-        b.install_security(HostPairKeying(b, mkd_b))
+        net, a, b, _, _ = installed("host-pair", 1)
         assert roundtrip(net, a, b) == b"baseline probe"
 
     def test_wire_is_encrypted(self):
-        net, a, b = build_pair(2)
-        frames = []
-        net.segment("lan").attach_tap(frames.append)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 2)
-        a.install_security(HostPairKeying(a, mkd_a))
-        b.install_security(HostPairKeying(b, mkd_b))
+        net, a, b, _, _ = installed("host-pair", 2)
+        frames = tap(net)
         assert roundtrip(net, a, b, b"WIRE-SECRET") == b"WIRE-SECRET"
         assert all(b"WIRE-SECRET" not in f for f in frames)
 
     def test_mac_variant_rejects_tamper(self):
-        net, a, b = build_pair(3)
-        frames = []
-        net.segment("lan").attach_tap(frames.append)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 3)
-        a.install_security(HostPairKeying(a, mkd_a, include_mac=True))
-        module_b = HostPairKeying(b, mkd_b, include_mac=True)
-        b.install_security(module_b)
+        net, a, b, _, module_b = installed("host-pair-mac", 3)
+        frames = tap(net)
         assert roundtrip(net, a, b) == b"baseline probe"
-        from repro.netsim.ipv4 import IPv4Packet
-
-        packet = IPv4Packet.decode(frames[0])
-        packet.payload = packet.payload[:-1] + bytes([packet.payload[-1] ^ 1])
-        b.stack.ip_input(packet.encode())
+        b.stack.ip_input(flip_last_bit(frames[0]))
         assert module_b.inbound_rejected == 1
 
     def test_single_key_for_all_traffic(self):
         # The structural weakness: every conversation shares one key.
-        net, a, b = build_pair(4)
-        mkd_a, _ = enroll_hostpair_mkds(net, a, b, 4)
-        module = HostPairKeying(a, mkd_a)
+        net, a, b, module, _ = installed("host-pair", 4)
         peer = Principal.from_ip(b.address)
         assert module.master_key_for(peer) == module.master_key_for(peer)
 
 
 class TestPerDatagram:
     def test_roundtrip(self):
-        net, a, b = build_pair(5)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 5)
-        a.install_security(PerDatagramHostPair(a, mkd_a))
-        b.install_security(PerDatagramHostPair(b, mkd_b))
+        net, a, b, _, _ = installed("host-pair-per-datagram", 5)
         assert roundtrip(net, a, b) == b"baseline probe"
 
     def test_fresh_key_every_datagram(self):
-        net, a, b = build_pair(6)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 6)
-        module = PerDatagramHostPair(a, mkd_a)
-        a.install_security(module)
-        b.install_security(PerDatagramHostPair(b, mkd_b))
+        net, a, b, module, _ = installed("host-pair-per-datagram", 6)
         rx = UdpSocket(b, 5000)
         tx = UdpSocket(a)
         for i in range(4):
@@ -115,31 +96,17 @@ class TestPerDatagram:
         assert module.keys_generated == 4  # the per-datagram cost
 
     def test_tamper_rejected(self):
-        net, a, b = build_pair(7)
-        frames = []
-        net.segment("lan").attach_tap(frames.append)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, 7)
-        a.install_security(PerDatagramHostPair(a, mkd_a))
-        module_b = PerDatagramHostPair(b, mkd_b)
-        b.install_security(module_b)
+        net, a, b, _, module_b = installed("host-pair-per-datagram", 7)
+        frames = tap(net)
         roundtrip(net, a, b)
-        from repro.netsim.ipv4 import IPv4Packet
-
-        packet = IPv4Packet.decode(frames[0])
-        packet.payload = packet.payload[:-1] + bytes([packet.payload[-1] ^ 1])
-        b.stack.ip_input(packet.encode())
+        b.stack.ip_input(flip_last_bit(frames[0]))
         assert module_b.inbound_rejected == 1
 
 
 class TestKdc:
     def _pair_with_kdc(self, seed):
-        net, a, b = build_pair(seed)
-        kdc = KeyDistributionCenter(seed=seed)
-        module_a = KdcSessionKeying(a, kdc)
-        module_b = KdcSessionKeying(b, kdc)
-        a.install_security(module_a)
-        b.install_security(module_b)
-        return net, a, b, kdc, module_a, module_b
+        net, a, b, module_a, module_b = installed("kdc-session", seed)
+        return net, a, b, module_a.kdc, module_a, module_b
 
     def test_roundtrip(self):
         net, a, b, _, _, _ = self._pair_with_kdc(8)
@@ -184,21 +151,17 @@ class TestKdc:
 
     def test_unregistered_destination_fails(self):
         net, a, b = build_pair(13)
-        kdc = KeyDistributionCenter(seed=13)
-        a.install_security(KdcSessionKeying(a, kdc))
+        (module_a,) = install_scheme("kdc-session", (a,), 13)
         # b never registered with this KDC.
         assert roundtrip(net, a, b) is None
+        # A datagram refused on the way *out* is not an inbound rejection.
+        assert module_a.outbound_dropped == 1
+        assert module_a.inbound_rejected == 0
 
 
 class TestPhoturis:
     def _pair(self, seed):
-        net, a, b = build_pair(seed)
-        registry = {}
-        module_a = PhoturisSessionKeying(a, registry, dh_private_seed=seed)
-        module_b = PhoturisSessionKeying(b, registry, dh_private_seed=seed + 1)
-        a.install_security(module_a)
-        b.install_security(module_b)
-        return net, a, b, module_a, module_b
+        return installed("photuris-session", seed)
 
     def test_roundtrip(self):
         net, a, b, _, _ = self._pair(14)
@@ -222,16 +185,19 @@ class TestPhoturis:
         assert rx.received == []
         assert module_b.unknown_spi == 1
 
+    def test_unregistered_destination_fails(self):
+        net, a, b = build_pair(22)
+        (module_a,) = install_scheme("photuris-session", (a,), 22)
+        # b never joined the rendezvous registry: no exchange, no SA.
+        assert roundtrip(net, a, b) is None
+        assert module_a.outbound_dropped == 1
+        assert module_a.inbound_rejected == 0
+        assert module_a.exchanges == 0
+
 
 class TestSkip:
     def _pair(self, seed):
-        net, a, b = build_pair(seed)
-        mkd_a, mkd_b = enroll_hostpair_mkds(net, a, b, seed)
-        module_a = SkipHostKeying(a, mkd_a)
-        module_b = SkipHostKeying(b, mkd_b)
-        a.install_security(module_a)
-        b.install_security(module_b)
-        return net, a, b, module_a, module_b
+        return installed("skip", seed)
 
     def test_roundtrip(self):
         net, a, b, _, _ = self._pair(17)
@@ -262,7 +228,27 @@ class TestSkip:
 
     def test_wire_encrypted(self):
         net, a, b, _, _ = self._pair(21)
-        frames = []
-        net.segment("lan").attach_tap(frames.append)
+        frames = tap(net)
         assert roundtrip(net, a, b, b"SKIP-SECRET") == b"SKIP-SECRET"
         assert all(b"SKIP-SECRET" not in f for f in frames)
+
+
+@pytest.mark.parametrize("scheme", sorted(set(SCHEMES) - {"generic"}))
+def test_port_500_bytes_with_a_wrong_udp_length_are_not_bypassed(scheme):
+    # The first bytes of a protected datagram are the scheme's own
+    # (sfl, IV, wrapped key, ticket, SPI); when they happen to read as
+    # the certificate port the UDP length field still has to agree
+    # before the datagram may skip authentication.
+    net, a, b, _, module_b = installed(scheme, 30)
+    lookalike = struct.pack(">HHHH", 500, 500, 9999, 0) + bytes(72)
+    packet = IPv4Packet(
+        header=IPv4Header(src=a.address, dst=b.address, proto=IPProtocol.UDP),
+        payload=lookalike,
+    )
+    assert module_b.inbound(packet) is None
+    assert module_b.inbound_rejected == 1
+
+    genuine = struct.pack(">HHHH", 500, 500, len(lookalike), 0) + bytes(72)
+    packet.payload = genuine
+    assert module_b.inbound(packet) is packet
+    assert packet.payload == genuine

@@ -12,10 +12,12 @@ import struct
 
 import pytest
 
+from repro.baselines import SCHEMES, install_scheme
 from repro.core.deploy import FBSDomain
 from repro.netsim import Network
-from repro.netsim.costmodel import CostModel
+from repro.netsim.costmodel import PENTIUM_133, CostModel
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
+from repro.netsim.sockets import UdpSocket
 
 #: Everything zero except the generic per-packet costs, which differ by
 #: side: fbs_crypto(n) == generic_send(n) == 2 ms, generic_receive(n)
@@ -125,3 +127,42 @@ class TestTunnelChargesItsOwnSide:
         busy_before = max(net.sim.now, gw2.cpu_busy_until)
         t2._tunnel_input(outer)
         assert gw2.cpu_busy_until - busy_before == pytest.approx(1.5e-3)
+
+
+def _cpu_per_datagram(scheme, cost_model, datagrams=3):
+    """(sender, receiver) CPU seconds per warm 1 KB datagram."""
+    net = Network(seed=5)
+    net.add_segment("lan", "10.0.0.0")
+    a = net.add_host("a", segment="lan", cost_model=cost_model)
+    b = net.add_host("b", segment="lan", cost_model=cost_model)
+    install_scheme(scheme, (a, b), 60)
+    rx = UdpSocket(b, 5000)
+    tx = UdpSocket(a, 4000)
+    tx.sendto(b"pays for the keying", b.address, 5000)
+    net.sim.run()
+    before = a.cpu_seconds_used, b.cpu_seconds_used
+    for _ in range(datagrams):
+        tx.sendto(bytes(1024), b.address, 5000)
+    net.sim.run()
+    assert len(rx.received) == 1 + datagrams
+    return (
+        (a.cpu_seconds_used - before[0]) / datagrams,
+        (b.cpu_seconds_used - before[1]) / datagrams,
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(set(SCHEMES) - {"generic"}))
+def test_every_ip_module_charges_the_receiver_against_the_receive_baseline(scheme):
+    # ``frame_arrived`` charged generic_receive, so the module owes
+    # fbs_crypto - generic_receive: what a secured datagram costs the
+    # receiver in total does not depend on how cheap the plain receive
+    # path is.  Regression: every IP-layer module subtracted
+    # generic_send here and under-charged by per_packet -
+    # per_packet_receive (180 us a datagram under this model).
+    cheap_receive = PENTIUM_133.with_(per_packet_receive=1e-4)
+    sender, receiver = _cpu_per_datagram(scheme, PENTIUM_133)
+    sender_cheap, receiver_cheap = _cpu_per_datagram(scheme, cheap_receive)
+    assert receiver_cheap == pytest.approx(receiver, abs=1e-9)
+    assert sender_cheap == pytest.approx(sender, abs=1e-9)
+    # ... and it is the full price, not the difference.
+    assert receiver > PENTIUM_133.fbs_crypto(1024, mac=False)
