@@ -115,7 +115,7 @@ reports: figures
 	@ls -1 benchmarks/reports/
 
 # The reports a change to the simulated testbed can move must
-# regenerate byte-identically (nightly tier): the security matrix (with
+# regenerate byte-identically (per-PR and nightly): the security matrix (with
 # its seven cell assertions), Figure 8 and the ablations.
 # ablation_confounder.txt prints wall-clock microseconds and is exempt.
 reports-check:

@@ -26,8 +26,7 @@ mapping cannot offer.
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import FBSConfig
 from repro.core.errors import FBSError, ReceiveError
@@ -38,7 +37,7 @@ from repro.core.mkd import MasterKeyDaemon
 from repro.core.protocol import FBSEndpoint
 from repro.netsim.addresses import IPAddress
 from repro.netsim.host import Host
-from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
+from repro.netsim.ipv4 import IPv4Header, IPv4Packet
 
 __all__ = ["FBSGatewayTunnel", "FBS_TUNNEL_PROTO"]
 

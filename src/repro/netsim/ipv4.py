@@ -42,9 +42,8 @@ def checksum16(data: bytes) -> int:
     """RFC 1071 one's-complement 16-bit checksum."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    total = sum(struct.unpack(">%dH" % (len(data) // 2), data))
+    while total >> 16:  # end-around carry
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 

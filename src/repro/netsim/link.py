@@ -8,10 +8,11 @@ Two transmission media are provided:
   explicitly preserves ("lack of sequencing ..., possibility of omission
   and duplication", Section 3) are injected here.
 * :class:`EthernetSegment` -- the paper's "dedicated 10M Ethernet
-  segment": a shared broadcast medium that serializes transmissions
-  (one frame at a time, FIFO) and delivers every frame to every attached
-  receiver.  Promiscuous receivers model the tcpdump sniffers used for
-  the flow measurements in Section 7.3.
+  segment": a shared medium that serializes transmissions (one frame at
+  a time, FIFO) and hands each frame to the station holding its
+  link-layer destination, as a NIC's address filter does.  Stations
+  attached without an address, and taps (the tcpdump sniffers used for
+  the flow measurements in Section 7.3), are promiscuous.
 
 Frames carry opaque bytes; framing overhead (preamble, MAC header, CRC,
 inter-frame gap -- 38 bytes on classic Ethernet) is accounted in
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
+from repro.netsim.addresses import IPAddress
 from repro.netsim.clock import Simulator
 
 __all__ = ["LinkConditions", "Link", "EthernetSegment", "ETHERNET_FRAMING_OVERHEAD"]
@@ -173,12 +175,17 @@ class Link:
 
 
 class EthernetSegment:
-    """A shared broadcast segment (classic 10 Mb/s Ethernet by default).
+    """A shared segment (classic 10 Mb/s Ethernet by default).
 
-    All attached receivers see every frame (the sender's own receiver is
-    skipped).  The medium is a single resource: transmissions serialize
-    FIFO across *all* stations, which is the dominant first-order
-    behaviour of CSMA/CD under the paper's dedicated-segment conditions.
+    A frame sent to a next hop interrupts only the station(s) attached
+    with that address, plus every station attached without one
+    (promiscuous) and every tap; a frame sent without a next hop is a
+    broadcast and reaches all stations.  The sender never hears its own
+    frame.  The simulation has no ARP, so the link-layer address *is*
+    the interface's IP address.  The medium is a single resource:
+    transmissions serialize FIFO across *all* stations, which is the
+    dominant first-order behaviour of CSMA/CD under the paper's
+    dedicated-segment conditions.
     """
 
     def __init__(
@@ -196,7 +203,8 @@ class EthernetSegment:
         self._delay = propagation_delay
         self._conditions = conditions or LinkConditions()
         self._rng = _random.Random(seed)
-        self._stations: List[Receiver] = []
+        #: (receiver, link-layer address or None for promiscuous).
+        self._stations: List[Tuple[Receiver, Optional[IPAddress]]] = []
         self._taps: List[Receiver] = []
         self._medium_free_at = 0.0
         # Statistics (same names and meanings as Link's).
@@ -206,9 +214,14 @@ class EthernetSegment:
         self.frames_corrupted = 0
         self.bytes_sent = 0
 
-    def attach(self, receiver: Receiver) -> int:
-        """Attach a station; returns its station id (used to skip self)."""
-        self._stations.append(receiver)
+    def attach(self, receiver: Receiver, address: Optional[IPAddress] = None) -> int:
+        """Attach a station; returns its station id (used to skip self).
+
+        ``address`` is the station's link-layer address: it is handed
+        the frames sent to that next hop, and broadcasts.  Without one
+        the station is promiscuous and is handed every frame.
+        """
+        self._stations.append((receiver, address))
         return len(self._stations) - 1
 
     def attach_tap(self, tap: Receiver) -> None:
@@ -237,8 +250,15 @@ class EthernetSegment:
         """Virtual time at which the medium becomes idle."""
         return self._medium_free_at
 
-    def send(self, station_id: int, frame: bytes) -> float:
+    def send(
+        self, station_id: int, frame: bytes, next_hop: Optional[IPAddress] = None
+    ) -> float:
         """Transmit ``frame`` from ``station_id``; returns departure time.
+
+        ``next_hop`` is the link-layer destination (``None``: broadcast).
+        It travels beside the frame, not in it, so corruption never
+        misdelivers: a frame whose IP destination took the bit flip still
+        reaches the station it was sent to, which counts the bad header.
 
         Adverse conditions mirror :class:`Link`'s semantics: a
         duplicated frame serializes again on the shared medium (counted
@@ -247,7 +267,9 @@ class EthernetSegment:
         signal, every station sees the same fate), and
         ``reorder_jitter`` is applied **per delivery** -- each station's
         receive path adds its own seeded-random delay, so a jittered
-        segment actually reorders frames between stations.
+        segment actually reorders frames between stations.  The jitter is
+        drawn for every station in station order, addressed or not, so a
+        seeded run's dice do not depend on who is listening.
         """
         if not 0 <= station_id < len(self._stations):
             raise ValueError(f"unknown station id {station_id}")
@@ -264,13 +286,17 @@ class EthernetSegment:
             self.bytes_sent += len(frame)
             if copy == 0:
                 first_departure = departure
-            self._transmit_copy(station_id, frame, departure)
+            self._transmit_copy(station_id, frame, departure, next_hop)
         return first_departure
 
     def _transmit_copy(
-        self, station_id: int, frame: bytes, departure: float
+        self,
+        station_id: int,
+        frame: bytes,
+        departure: float,
+        next_hop: Optional[IPAddress],
     ) -> None:
-        """One wire copy: draw its fate, then deliver to every station."""
+        """One wire copy: draw its fate, then deliver to who listens for it."""
         dropped = self._rng.random() < self._conditions.loss_probability
         if dropped:
             self.frames_dropped += 1
@@ -282,7 +308,7 @@ class EthernetSegment:
             self.frames_corrupted += 1
         arrival = departure + self._delay
         if not dropped:
-            for i, receiver in enumerate(self._stations):
+            for i, (receiver, address) in enumerate(self._stations):
                 if i == station_id:
                     continue
                 jitter = (
@@ -290,9 +316,10 @@ class EthernetSegment:
                     if self._conditions.reorder_jitter
                     else 0.0
                 )
-                self._sim.schedule_at(
-                    arrival + jitter, lambda f=wire, r=receiver: r(f)
-                )
+                if next_hop is None or address is None or address == next_hop:
+                    self._sim.schedule_at(
+                        arrival + jitter, lambda f=wire, r=receiver: r(f)
+                    )
         # Taps see what was on the wire (corruption included) and are
         # exempt from loss and jitter: they model measurement
         # infrastructure, not a real receive path.

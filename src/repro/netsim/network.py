@@ -85,27 +85,9 @@ class Network:
         """Create a host attached to ``segment``."""
         if name in self.hosts:
             raise ValueError(f"host {name!r} already exists")
-        seg, net_addr, prefix_len = self._segments[segment]
-        if address is None:
-            octet = self._next_host_octet[segment]
-            self._next_host_octet[segment] += 1
-            addr = IPAddress(int(net_addr) + octet)
-        else:
-            addr = IPAddress(address)
-
         host = Host(self.sim, name, cost_model=cost_model, forwarding=forwarding)
-        station_id = seg.attach(host.frame_arrived)
-        interface = Interface(
-            address=addr,
-            mtu=mtu,
-            network=net_addr,
-            prefix_len=prefix_len,
-            transmit=lambda frame, s=seg, i=station_id: s.send(i, frame) and None,
-            name=f"{name}-eth0",
-        )
-        host.add_interface(interface)
+        self.directory[name] = self.attach_to_segment(host, segment, address, mtu).address
         self.hosts[name] = host
-        self.directory[name] = addr
         return host
 
     def attach_to_segment(self, host: Host, segment: str, address: Optional[str] = None, mtu: int = 1500) -> Interface:
@@ -117,13 +99,13 @@ class Network:
             addr = IPAddress(int(net_addr) + octet)
         else:
             addr = IPAddress(address)
-        station_id = seg.attach(host.frame_arrived)
+        station_id = seg.attach(host.frame_arrived, addr)
         interface = Interface(
             address=addr,
             mtu=mtu,
             network=net_addr,
             prefix_len=prefix_len,
-            transmit=lambda frame, s=seg, i=station_id: s.send(i, frame) and None,
+            transmit=lambda frame, next_hop: seg.send(station_id, frame, next_hop),
             name=f"{host.name}-eth{len(host.stack.interfaces)}",
         )
         host.add_interface(interface)

@@ -39,15 +39,17 @@ ProtocolHandler = Callable[[IPv4Packet], None]
 class Interface:
     """A network attachment point: address, MTU, and a frame transmitter.
 
-    ``transmit`` is wired to a :class:`~repro.netsim.link.Link` or
-    :class:`~repro.netsim.link.EthernetSegment` by the topology builder.
+    ``transmit(frame, next_hop)`` is wired to an
+    :class:`~repro.netsim.link.EthernetSegment` by the topology builder;
+    ``next_hop`` is the on-link address the frame is for (the route's
+    gateway, else the destination itself).
     """
 
     address: IPAddress
     mtu: int = 1500
     network: Optional[IPAddress] = None
     prefix_len: int = 24
-    transmit: Optional[Callable[[bytes], None]] = None
+    transmit: Optional[Callable[[bytes, IPAddress], None]] = None
     name: str = "eth0"
 
     def on_link(self, addr: IPAddress) -> bool:
@@ -64,7 +66,9 @@ class Route:
     network: IPAddress
     prefix_len: int
     interface: Interface
-    gateway: Optional[IPAddress] = None  # None => directly connected
+    #: The next hop frames for this route are addressed to at the link
+    #: layer; None => directly connected (the next hop is the destination).
+    gateway: Optional[IPAddress] = None
 
 
 @dataclass
@@ -213,8 +217,9 @@ class IPStack:
             self.stats.fragments_created += len(pieces)
         if route.interface.transmit is None:
             raise RuntimeError(f"interface {route.interface.name} not wired up")
+        next_hop = route.gateway or packet.header.dst
         for piece in pieces:
-            route.interface.transmit(piece.encode())
+            route.interface.transmit(piece.encode(), next_hop)
             self.stats.packets_sent += 1
         return True
 

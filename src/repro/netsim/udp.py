@@ -136,7 +136,9 @@ class UdpLayer:
         header = UDPHeader(sport=sport, dport=dport, length=length)
         if self.compute_checksums:
             body = header.encode() + payload
-            header.checksum = checksum16(_pseudo_header(src, dst, length) + body)
+            # RFC 768: a computed zero goes out as all ones; a zero field
+            # means "no checksum" and ``deliver`` would skip verification.
+            header.checksum = checksum16(_pseudo_header(src, dst, length) + body) or 0xFFFF
         packet = IPv4Packet(
             header=IPv4Header(src=src, dst=dst, proto=IPProtocol.UDP),
             payload=header.encode() + payload,

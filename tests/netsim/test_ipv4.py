@@ -1,6 +1,8 @@
 """IPv4 header/packet codec and checksum tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.addresses import IPAddress
 from repro.netsim.ipv4 import (
@@ -23,7 +25,30 @@ def make_header(**overrides):
     return IPv4Header(**fields)
 
 
+def rfc1071_byte_loop(data: bytes) -> int:
+    """The reference ``checksum16`` is held to: one 16-bit word at a
+    time, end-around carry folded in after every addition."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestChecksum:
+    @given(data=st.binary(min_size=0, max_size=3000))
+    @example(data=b"")
+    @example(data=b"\xff")
+    @example(data=bytes(3000))
+    @example(data=bytes(2999))
+    @example(data=b"\xff" * 3000)
+    @example(data=b"\xff" * 2999)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rfc1071_byte_loop(self, data):
+        assert checksum16(data) == rfc1071_byte_loop(data)
+
     def test_rfc1071_example(self):
         # Classic example from RFC 1071 materials.
         data = bytes.fromhex("0001f203f4f5f6f7")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim.addresses import IPAddress
 from repro.netsim.clock import Simulator
 from repro.netsim.link import (
     ETHERNET_FRAMING_OVERHEAD,
@@ -286,3 +287,128 @@ class TestSegmentFaultModel:
             "bytes_sent",
         ):
             assert getattr(seg, name) == getattr(link, name) == 0
+
+
+ADDRESSES = [IPAddress(f"10.0.0.{i + 1}") for i in range(6)]
+
+
+class TestLinkLayerAddressing:
+    def _segment(self):
+        sim = Simulator()
+        seg = EthernetSegment(sim)
+        inboxes = {name: [] for name in ("a", "b", "c", "promiscuous", "tap")}
+        ids = {
+            name: seg.attach(inboxes[name].append, address)
+            for name, address in zip(("a", "b", "c"), ADDRESSES)
+        }
+        ids["promiscuous"] = seg.attach(inboxes["promiscuous"].append)
+        seg.attach_tap(inboxes["tap"].append)
+        return sim, seg, ids, inboxes
+
+    def test_frame_interrupts_only_the_station_it_is_sent_to(self):
+        sim, seg, ids, inboxes = self._segment()
+        seg.send(ids["a"], b"for b", next_hop=ADDRESSES[1])
+        sim.run()
+        assert inboxes["b"] == [b"for b"]
+        assert inboxes["a"] == inboxes["c"] == []
+
+    def test_unaddressed_station_and_tap_hear_addressed_frames(self):
+        sim, seg, ids, inboxes = self._segment()
+        seg.send(ids["a"], b"for b", next_hop=ADDRESSES[1])
+        sim.run()
+        assert inboxes["promiscuous"] == inboxes["tap"] == [b"for b"]
+
+    def test_send_without_next_hop_is_a_broadcast(self):
+        sim, seg, ids, inboxes = self._segment()
+        seg.send(ids["promiscuous"], b"to all")
+        sim.run()
+        assert inboxes["a"] == inboxes["b"] == inboxes["c"] == [b"to all"]
+        assert inboxes["promiscuous"] == []
+
+    def test_sender_never_hears_its_own_frame(self):
+        sim, seg, ids, inboxes = self._segment()
+        seg.send(ids["a"], b"to myself", next_hop=ADDRESSES[0])
+        sim.run()
+        assert inboxes["a"] == []
+
+    def test_next_hop_nobody_holds_reaches_only_the_promiscuous(self):
+        sim, seg, ids, inboxes = self._segment()
+        seg.send(ids["a"], b"void", next_hop=IPAddress("10.0.0.99"))
+        sim.run()
+        assert inboxes["b"] == inboxes["c"] == []
+        assert inboxes["promiscuous"] == inboxes["tap"] == [b"void"]
+        assert seg.frames_sent == 1  # the airtime was spent all the same
+
+
+class TestSameWireSameDice:
+    """Who listens must not move the seeded fault stream.
+
+    The same 200 frames cross a lossy, duplicating, corrupting,
+    jittering segment twice: once with every station attached by
+    address (only the next hop is interrupted), once with every station
+    promiscuous (each frame interrupts all of them, the behaviour before
+    link-layer addressing).
+    """
+
+    CONDITIONS = LinkConditions(
+        loss_probability=0.1,
+        duplication_probability=0.1,
+        corruption_probability=0.2,
+        reorder_jitter=0.003,
+    )
+    COUNTERS = (
+        "frames_sent",
+        "frames_dropped",
+        "frames_duplicated",
+        "frames_corrupted",
+        "bytes_sent",
+    )
+
+    def _run(self, addressed):
+        sim = Simulator()
+        seg = EthernetSegment(sim, conditions=self.CONDITIONS, seed=18)
+        arrivals = [[] for _ in ADDRESSES]
+        ids = [
+            seg.attach(
+                lambda f, inbox=inbox: inbox.append((sim.now, f)),
+                address if addressed else None,
+            )
+            for inbox, address in zip(arrivals, ADDRESSES)
+        ]
+        for n in range(200):
+            sender = n % len(ids)
+            target = (sender + 1 + n % (len(ids) - 1)) % len(ids)
+            # The target is written three times: one flipped bit cannot
+            # hide whom a frame was for from ``_meant_for``.
+            frame = bytes([target]) * 3 + n.to_bytes(2, "big") * 20
+            seg.send(ids[sender], frame, next_hop=ADDRESSES[target])
+            sim.run(until=sim.now + 0.001)
+        sim.run()
+        return seg, arrivals
+
+    @staticmethod
+    def _meant_for(frame):
+        return sorted(frame[:3])[1]
+
+    def test_addressed_station_sees_the_same_arrivals(self):
+        _, addressed = self._run(addressed=True)
+        _, promiscuous = self._run(addressed=False)
+        for index, inbox in enumerate(addressed):
+            assert inbox == [
+                (when, frame)
+                for when, frame in promiscuous[index]
+                if self._meant_for(frame) == index
+            ]
+            assert len(inbox) > 20
+        assert sum(map(len, addressed)) * 4 < sum(map(len, promiscuous))
+
+    def test_segment_counters_are_identical(self):
+        addressed, _ = self._run(addressed=True)
+        promiscuous, _ = self._run(addressed=False)
+        for name in self.COUNTERS:
+            assert getattr(addressed, name) == getattr(promiscuous, name) > 0
+
+    def test_rng_stream_ends_in_the_same_state(self):
+        addressed, _ = self._run(addressed=True)
+        promiscuous, _ = self._run(addressed=False)
+        assert addressed._rng.getstate() == promiscuous._rng.getstate()

@@ -16,7 +16,7 @@ def make_stack(address="10.0.0.1", forwarding=False):
         address=IPAddress(address),
         network=IPAddress("10.0.0.0"),
         prefix_len=24,
-        transmit=sent.append,
+        transmit=lambda frame, next_hop: sent.append(frame),
     )
     stack.add_interface(iface)
     return sim, stack, sent, iface
@@ -59,7 +59,7 @@ class TestOutput:
             address=IPAddress("10.0.1.1"),
             network=IPAddress("10.0.1.0"),
             prefix_len=24,
-            transmit=other_sent.append,
+            transmit=lambda frame, next_hop: other_sent.append(frame),
         )
         stack.add_interface(other)
         stack.add_route(
@@ -69,6 +69,22 @@ class TestOutput:
         assert len(other_sent) == 1 and not sent
         stack.ip_output(make_packet(dst="8.8.8.8"))
         assert len(sent) == 1
+
+    def test_next_hop_is_the_route_gateway_else_the_destination(self):
+        _, stack, _, iface = make_stack()
+        hops = []
+        iface.transmit = lambda frame, next_hop: hops.append(next_hop)
+        stack.add_route(
+            Route(
+                network=IPAddress("0.0.0.0"),
+                prefix_len=0,
+                interface=iface,
+                gateway=IPAddress("10.0.0.254"),
+            )
+        )
+        stack.ip_output(make_packet(dst="10.0.0.2"))  # on-link
+        stack.ip_output(make_packet(dst="8.8.8.8"))  # via the default route
+        assert hops == [IPAddress("10.0.0.2"), IPAddress("10.0.0.254")]
 
     def test_fragmentation_on_small_mtu(self):
         sim, stack, sent, iface = make_stack()
@@ -178,13 +194,13 @@ class TestForwarding:
             address=IPAddress("10.0.0.1"),
             network=IPAddress("10.0.0.0"),
             prefix_len=24,
-            transmit=lan_frames.append,
+            transmit=lambda frame, next_hop: lan_frames.append(frame),
         )
         wan = Interface(
             address=IPAddress("10.1.0.1"),
             network=IPAddress("10.1.0.0"),
             prefix_len=24,
-            transmit=wan_frames.append,
+            transmit=lambda frame, next_hop: wan_frames.append(frame),
         )
         stack.add_interface(lan)
         stack.add_interface(wan)

@@ -91,6 +91,28 @@ class TestDelivery:
         net.sim.run()
         assert rx.received
 
+    def test_computed_zero_checksum_goes_out_as_all_ones(self):
+        # RFC 768: a zero field means "no checksum", so a datagram whose
+        # checksum computes to zero (1 in 65,536) must carry 0xFFFF or the
+        # receiver skips verification and corruption passes.
+        net, a, b = build_pair()
+        wire = []
+        net.segment("lan").attach_tap(wire.append)
+        rx = UdpSocket(b, 5000)
+        a.udp.sendto(b"\x00\x00", 4000, b.address, 5000)
+        net.sim.run()
+        # A payload equal to the checksum of the zero-payload datagram
+        # brings the one's-complement sum to 0xFFFF: checksum 0x0000.
+        a.udp.sendto(wire[0][26:28], 4000, b.address, 5000)
+        net.sim.run()
+        assert wire[1][26:28] == b"\xff\xff"
+        assert [payload for payload, _, _ in rx.received] == [b"\x00\x00", wire[0][26:28]]
+        damaged = bytearray(wire[1])
+        damaged[-1] ^= 0x01
+        b.stack.ip_input(bytes(damaged))
+        assert b.udp.checksum_failures == 1
+        assert len(rx.received) == 2
+
     def test_checksums_can_be_disabled(self):
         net, a, b = build_pair()
         a.udp.compute_checksums = False
