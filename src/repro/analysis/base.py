@@ -12,7 +12,7 @@ registered rule unless ``--select``/``--ignore`` narrows the set.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Type
+from typing import Dict, Iterator, List, Type
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
@@ -23,7 +23,7 @@ __all__ = ["Rule", "register", "all_rules", "get_rule"]
 class Rule:
     """Base class for fbslint rules."""
 
-    #: Stable identifier used in reports, suppressions, and baselines.
+    #: Stable identifier used in reports and suppressions.
     rule_id: str = "FBS000"
     #: Short name (kebab case) used in ``--list-rules`` output.
     name: str = "abstract-rule"
@@ -111,16 +111,3 @@ def call_name(call: ast.Call) -> str:
     if isinstance(func, ast.Name):
         return func.id
     return ""
-
-
-def walk_statements(body: Iterable[ast.stmt]) -> Iterator[List[ast.stmt]]:
-    """Yield every statement list (block) in a body, recursively."""
-    body = list(body)
-    yield body
-    for stmt in body:
-        for attr in ("body", "orelse", "finalbody"):
-            inner = getattr(stmt, attr, None)
-            if inner:
-                yield from walk_statements(inner)
-        for handler in getattr(stmt, "handlers", []) or []:
-            yield from walk_statements(handler.body)

@@ -2,14 +2,15 @@
 
 Exit-code contract (relied on by CI and ``make lint``):
 
-* **0** -- no findings (inline-suppressed and baselined ones excluded);
+* **0** -- no findings (inline-suppressed ones excluded);
 * **1** -- at least one finding;
 * **2** -- usage or analysis error (unknown rule, unreadable path,
   syntax error in a scanned file, docs out of sync).
 
-Beyond the report itself: ``--format json``/``sarif``;
-``--no-unused-suppressions`` to opt out of FBS012;
-``--check-docs``/``--write-docs`` for the DESIGN.md invariants table.
+Beyond the report itself: ``--format json``; ``--select``/``--ignore``
+(FBS012, the unused-suppression check, is selected like any other
+rule); ``--check-docs``/``--write-docs`` for the DESIGN.md invariants
+table.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.base import all_rules
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import LintError, lint_paths
-from repro.analysis.sarif import render_sarif
+from repro.obs.report import parse_cli
 
 __all__ = ["main"]
-
-_DEFAULT_BASELINE = "fbslint.baseline"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "fbslint: whole-program dataflow checks for the FBS security "
-            "invariants (key secrecy, determinism, header layout, error "
-            "discipline)."
+            "invariants (key secrecy, determinism, error discipline)."
         ),
     )
     parser.add_argument(
@@ -44,20 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            f"baseline file of grandfathered findings (default: "
-            f"./{_DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the current findings and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -73,14 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--no-unused-suppressions",
-        action="store_true",
-        help="do not report unused '# fbslint: disable' comments (FBS012)",
     )
     parser.add_argument(
         "--check-docs",
@@ -126,7 +104,9 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    args = parse_cli(_build_parser(), argv)
+    if isinstance(args, int):
+        return args
 
     if args.list_rules:
         _list_rules(out)
@@ -154,51 +134,21 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             print(f"{design}: enforced-invariants table in sync", file=out)
         return 2 if problems else 0
 
-    baseline_path: Optional[Path] = None
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    elif Path(_DEFAULT_BASELINE).exists():
-        baseline_path = Path(_DEFAULT_BASELINE)
-
-    baseline = None
-    if baseline_path is not None and not args.write_baseline:
-        if not baseline_path.exists():
-            print(f"error: baseline file not found: {baseline_path}", file=out)
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-
     try:
         result = lint_paths(
             [Path(p) for p in args.paths],
             root=Path.cwd(),
             select=_split(args.select),
             ignore=_split(args.ignore),
-            baseline=baseline,
-            unused_suppressions=not args.no_unused_suppressions,
         )
     except LintError as exc:
         print(f"error: {exc}", file=out)
         return 2
 
-    if args.write_baseline:
-        target = baseline_path or Path(_DEFAULT_BASELINE)
-        Baseline.write(target, result.findings)
-        print(
-            f"wrote {len(result.findings)} baseline entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'} to {target}",
-            file=out,
-        )
-        return 0
-
     if args.format == "json":
         json.dump(
             {
                 "findings": [f.as_dict() for f in result.findings],
-                "baselined": [f.as_dict() for f in result.baselined],
                 "suppressed": result.suppressed,
                 "files_checked": result.files_checked,
             },
@@ -206,9 +156,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             indent=2,
             sort_keys=True,
         )
-        print(file=out)
-    elif args.format == "sarif":
-        json.dump(render_sarif(result.findings), out, indent=2, sort_keys=True)
         print(file=out)
     else:
         for finding in result.findings:
@@ -219,8 +166,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 f"{'' if len(result.findings) == 1 else 's'} in "
                 f"{result.files_checked} files"
             )
-            if result.baselined:
-                summary += f" ({len(result.baselined)} baselined)"
             if result.suppressed:
                 summary += f" ({result.suppressed} suppressed inline)"
             print(summary, file=out)

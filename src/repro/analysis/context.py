@@ -52,7 +52,7 @@ def _module_parts(logical_path: str) -> Optional[Tuple[str, ...]]:
 class ModuleContext:
     """Everything a rule may ask about the module under analysis."""
 
-    #: Path used in reports and baseline entries (repo-relative).
+    #: Path used in reports (repo-relative).
     path: str
     #: Path used for package scoping; defaults to ``path``.
     logical_path: str
@@ -67,7 +67,6 @@ class ModuleContext:
             )
         else:
             self.module_parts = _module_parts(self.logical_path)
-        self.lines = self.source.splitlines()
 
     # -- scope predicates ------------------------------------------------------
 

@@ -1,37 +1,44 @@
 """Phase 2 of the whole-program analyzer: interprocedural fixpoints.
 
-Five passes run over the :class:`~repro.analysis.callgraph.Project`
-built in phase 1.  None of them touch an AST -- they consume only the
-summaries, and they are the only detectors of their rules: a flow that
-starts and ends in one function is the zero-hop case of the same pass
-that follows it through calls.
+Three graph algorithms, each written once, run over the
+:class:`~repro.analysis.callgraph.Project` built in phase 1.  None of
+them touch an AST -- they consume only the summaries, and they are the
+only detectors of their rules: a flow that starts and ends in one
+function is the zero-hop case of the same algorithm that follows it
+through calls.
 
-* **Taint** (FBS001): key material propagated through assignments,
-  ndarray views, calls, returns, containers, and ``self.attr`` stores;
-  every finding carries the full source-to-sink witness path
-  (knowledge-flow style).
-* **Exception flow** (FBS006/FBS007): per-exception-class
-  reachability from the receive datapath -- its own functions first --
-  over call edges that are not *guarded* for that class (guarded = the
-  call site sits in a ``try`` catching the class or an ancestor, or is
-  dominated by a metrics bump).
-* **Impurity** (FBS002/FBS003): reading the wall clock or unseeded
-  randomness is banned where it stands, and a function that
-  transitively reaches either is impure; calling an impure function
-  from the deterministic core is as banned as the primitive itself.
-* **Blocking** (FBS010): no blocking primitives -- even hidden behind
-  sync helpers -- inside ``async def``.
-* **Report order** (FBS011): unordered ``set`` iteration and
-  ``json.dump`` without ``sort_keys`` in the report-producing packages.
+* **Label propagation** (:meth:`_Passes._propagate`): a seed label
+  carried through assignments, calls, returns, containers and
+  ``self.attr`` stores until nothing changes, every step recorded, so a
+  finding carries the full source-to-sink witness path (knowledge-flow
+  style).  Seeded with key material it is the taint rule (FBS001:
+  ndarray views included, an order-safe boundary transparent); seeded
+  with unordered sets it is report order (FBS011: ``sorted(...)`` is
+  opaque; plus ``json.dump`` without ``sort_keys`` in the
+  report-producing packages).
+* **Transitive reach** (:meth:`_Passes._closure`): a function that calls
+  something that reaches a primitive reaches it too.  Impurity
+  (FBS002/FBS003): reading the wall clock or unseeded randomness is
+  banned where it stands, and calling an impure function from the
+  deterministic core is as banned as the primitive itself.  Blocking
+  (FBS010): no blocking primitives -- even hidden behind sync helpers
+  -- inside ``async def``, where the reach stops.
+* **Unguarded raises** (:meth:`_Passes._report_unguarded`):
+  per-exception-class reachability from a set of roots -- their own
+  raise sites first -- over call edges that are not *guarded* for that
+  class (guarded = the call site sits in a ``try`` catching the class
+  or an ancestor, or is dominated by a metrics bump).  Rooted at the
+  receive datapath it is rejection accounting (FBS006); rooted at the
+  public protocol surface it is the exception taxonomy (FBS007).
 
 Every fixpoint iterates modules and functions in sorted order and
 records first-found provenance, so witness paths (and therefore finding
-messages, fingerprints, and baseline entries) are deterministic.
+messages) are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import get_rule
 from repro.analysis.callgraph import (
@@ -47,6 +54,12 @@ from repro.analysis.findings import Finding
 __all__ = ["run_project_passes"]
 
 _MAX_ITERATIONS = 64
+
+#: ``witness(summary, fn, labels)``: the recorded path by which a label
+#: set evaluated inside ``fn`` derives from a seed, or None.
+_Witness = Callable[
+    [ModuleSummary, FunctionSummary, Iterable[Tuple]], Optional[Tuple[str, ...]]
+]
 
 #: Fallback taxonomies when the real errors module is not in the
 #: analyzed set (single-file runs, fixtures).
@@ -182,42 +195,51 @@ class _Passes:
             self._report_order_pass()
         return self.findings
 
-    # -- FBS001: key-material taint ----------------------------------------------------
+    # -- label propagation: FBS001 key-material taint, FBS011 set provenance ------------
 
-    def _taint_pass(self) -> None:
+    def _propagate(self, seed: str, ord_opaque: bool) -> _Witness:
+        """Carry ``seed`` labels to a fixpoint over returns, ``self.attr``
+        stores and call arguments.
+
+        Returns ``witness(summary, fn, labels)``: the shortest recorded
+        source-to-here path of a label set evaluated inside ``fn``, or
+        None when nothing in it derives from a seed.  An ``ord``
+        (order-safe) boundary hides a set's iteration order and nothing
+        about a key, so it is opaque to one instantiation and
+        transparent to the other.
+        """
         project = self.project
-        ret_taint: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        param_taint: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
-        attr_taint: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        ret: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        param: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
+        attr: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
-        def eval_labels(
+        def witness(
             summary: ModuleSummary,
             fn: FunctionSummary,
             labels: Iterable[Tuple],
         ) -> Optional[Tuple[str, ...]]:
             best: Optional[Tuple[str, ...]] = None
             for label in sorted(labels):
-                # Order-safe boundaries are transparent to taint.
-                while label and label[0] == "ord":
+                while label and label[0] == "ord" and not ord_opaque:
                     label = tuple(label[1:])
                 if not label:
                     continue
                 path: Optional[Tuple[str, ...]] = None
-                if label[0] == "src":
+                if label[0] == seed:
                     path = (f"{label[1]} at {summary.path}:{label[2]}",)
                 elif label[0] == "param":
-                    path = param_taint.get((summary.key, fn.qname, label[1]))
+                    path = param.get((summary.key, fn.qname, label[1]))
                 elif label[0] == "ret":
                     edge = self._edge_for_site(summary, fn, label[1])
                     if edge is not None:
                         site, cmod, cq = edge
-                        inner = ret_taint.get((cmod, cq))
+                        inner = ret.get((cmod, cq))
                         if inner is not None:
                             path = inner + (
                                 f"returned to {summary.path}:{site.line}",
                             )
                 elif label[0] == "attr":
-                    path = attr_taint.get((label[1], label[2]))
+                    path = attr.get((label[1], label[2]))
                 if path is not None and (best is None or len(path) < len(best)):
                     best = path
             return best
@@ -227,23 +249,22 @@ class _Passes:
             for summary, fn in project.iter_functions():
                 key = (summary.key, fn.qname)
                 # Returns.
-                if key not in ret_taint:
-                    path = eval_labels(summary, fn, fn.returns)
+                if key not in ret:
+                    path = witness(summary, fn, fn.returns)
                     if path is not None:
-                        ret_taint[key] = path + (
+                        ret[key] = path + (
                             f"returned from {fn.qname}() ({summary.path})",
                         )
                         changed = True
                 # Attribute stores.
-                for attr, labels, line in fn.attr_stores:
-                    owner = f"{summary.key}.{fn.class_name}"
-                    akey = (owner, attr)
-                    if akey in attr_taint:
+                for name, labels, line in fn.attr_stores:
+                    akey = (f"{summary.key}.{fn.class_name}", name)
+                    if akey in attr:
                         continue
-                    path = eval_labels(summary, fn, labels)
+                    path = witness(summary, fn, labels)
                     if path is not None:
-                        attr_taint[akey] = path + (
-                            f"stored into self.{attr} at {summary.path}:{line}",
+                        attr[akey] = path + (
+                            f"stored into self.{name} at {summary.path}:{line}",
                         )
                         changed = True
                 # Arguments.
@@ -251,8 +272,7 @@ class _Passes:
                     callee = project.function(cmod, cq)
                     if callee is None:
                         continue
-                    positional = _bound_params(callee)
-                    mapped = list(zip(positional, site.args))
+                    mapped = list(zip(_bound_params(callee), site.args))
                     mapped.extend(
                         (name, labels)
                         for name, labels in sorted(site.kwargs.items())
@@ -260,35 +280,68 @@ class _Passes:
                     )
                     for pname, labels in mapped:
                         pkey = (cmod, cq, pname)
-                        if pkey in param_taint:
+                        if pkey in param:
                             continue
-                        path = eval_labels(summary, fn, labels)
+                        path = witness(summary, fn, labels)
                         if path is not None:
-                            param_taint[pkey] = path + (
+                            param[pkey] = path + (
                                 f"passed to {cq}() as '{pname}' "
                                 f"from {summary.path}:{site.line}",
                             )
                             changed = True
             if not changed:
                 break
+        return witness
 
-        for summary, fn in project.iter_functions():
+    def _taint_pass(self) -> None:
+        witness = self._propagate("src", ord_opaque=False)
+        for summary, fn in self.project.iter_functions():
             for sink in fn.sinks:
-                path = eval_labels(summary, fn, sink.labels)
+                path = witness(summary, fn, sink.labels)
                 if path is None:
                     continue
                 via = " through an interprocedural flow" if len(path) > 1 else ""
-                witness = " -> ".join(path)
                 self._emit(
                     "FBS001",
                     summary,
                     sink.line,
                     sink.col,
                     f"key material ({sink.desc}) reaches {sink.kind}{via} "
-                    f"[{witness}]; key material must never be printed, "
-                    "logged or formatted, and is compared with "
+                    f"[{' -> '.join(path)}]; key material must never be "
+                    "printed, logged or formatted, and is compared with "
                     "repro.crypto.mac.constant_time_equal, never ==",
                     flow=path,
+                )
+
+    def _report_order_pass(self) -> None:
+        witness = self._propagate("set", ord_opaque=True)
+        for summary, fn in self.project.iter_functions():
+            if not _in_zone(summary, _REPORT_ZONE):
+                continue
+            for site in fn.order_sites:
+                path = witness(summary, fn, site.labels)
+                if path is None:
+                    continue
+                via = f" [{' -> '.join(path)}]" if len(path) > 1 else ""
+                subject = f" over {site.desc}" if site.desc else ""
+                self._emit(
+                    "FBS011",
+                    summary,
+                    site.line,
+                    site.col,
+                    f"unordered iteration ({site.kind}){subject}: the value "
+                    f"comes from {path[0]}{via}; wrap it in sorted(...) so "
+                    "report output is byte-identical across runs",
+                    flow=path,
+                )
+            for fname, line, col in fn.unsorted_json:
+                self._emit(
+                    "FBS011",
+                    summary,
+                    line,
+                    col,
+                    f"{fname}() without sort_keys=True in a report module; "
+                    "byte-identical report contracts require sorted keys",
                 )
 
     def _edge_for_site(
@@ -302,49 +355,61 @@ class _Passes:
                 return edge
         return None
 
-    # -- FBS002/FBS003: wall clock and unseeded randomness, direct and transitive -------
+    # -- transitive reach: FBS002/FBS003 impurity, FBS010 blocking --------------------
 
-    def _impurity_pass(self) -> None:
+    def _closure(
+        self,
+        direct: Callable[[FunctionSummary], Optional[Tuple[str, Tuple[str, int, int]]]],
+        through: Callable[[FunctionSummary], bool] = lambda fn: True,
+    ) -> Dict[Tuple[str, str], Tuple[str, str, str, Tuple[str, ...]]]:
+        """Which functions reach a primitive, directly or through calls.
+
+        ``direct(fn)`` is the ``(kind, (desc, line, col))`` of a
+        primitive ``fn`` uses itself, or None; the fact passes from a
+        callee to its callers through every function ``through``
+        accepts.  Returns ``(module_key, qname) -> (kind, desc, where,
+        chain)``, ``chain`` naming the calls from that function down to
+        the primitive.
+        """
         project = self.project
-        # (module_key, qname) -> (kind, desc, where, chain)
-        impure: Dict[Tuple[str, str], Tuple[str, str, str, Tuple[str, ...]]] = {}
+        facts: Dict[Tuple[str, str], Tuple[str, str, str, Tuple[str, ...]]] = {}
         for summary, fn in project.iter_functions():
-            key = (summary.key, fn.qname)
-            if fn.wall_clock:
-                desc, line, _col = fn.wall_clock[0]
-                impure[key] = (
-                    "clock", desc, f"{summary.path}:{line}",
-                    (f"{fn.qname}()",),
-                )
-            elif fn.unseeded_random:
-                desc, line, _col = fn.unseeded_random[0]
-                impure[key] = (
-                    "random", desc, f"{summary.path}:{line}",
-                    (f"{fn.qname}()",),
+            found = direct(fn) if through(fn) else None
+            if found is not None:
+                kind, (desc, line, _col) = found
+                facts[(summary.key, fn.qname)] = (
+                    kind, desc, f"{summary.path}:{line}", (f"{fn.qname}()",)
                 )
         for _ in range(_MAX_ITERATIONS):
             changed = False
             for summary, fn in project.iter_functions():
                 key = (summary.key, fn.qname)
-                if key in impure:
+                if key in facts or not through(fn):
                     continue
-                for site, cmod, cq in self.edges[key]:
-                    fact = impure.get((cmod, cq))
+                for _site, cmod, cq in self.edges[key]:
+                    fact = facts.get((cmod, cq))
                     if fact is not None:
-                        kind, desc, where, chain = fact
-                        impure[key] = (
-                            kind, desc, where, (f"{fn.qname}()",) + chain
-                        )
+                        facts[key] = fact[:3] + ((f"{fn.qname}()",) + fact[3],)
                         changed = True
                         break
             if not changed:
                 break
+        return facts
 
+    def _impurity_pass(self) -> None:
+        def direct(fn: FunctionSummary):
+            if fn.wall_clock:
+                return "clock", fn.wall_clock[0]
+            if fn.unseeded_random:
+                return "random", fn.unseeded_random[0]
+            return None
+
+        impure = self._closure(direct)
         rules = {
             "clock": ("FBS002", "the wall clock"),
             "random": ("FBS003", "unseeded randomness"),
         }
-        for summary, fn in project.iter_functions():
+        for summary, fn in self.project.iter_functions():
             if summary.is_test:
                 continue
             # Zero hops: the function reads the primitive itself.
@@ -364,27 +429,53 @@ class _Passes:
                     continue
                 kind, desc, where, chain = fact
                 rule_id, what = rules[kind]
-                witness = " -> ".join(chain)
                 self._emit(
                     rule_id,
                     summary,
                     site.line,
                     site.col,
                     f"call to impure {cq}() transitively reaches {what} "
-                    f"({desc} at {where}, via {witness}); {_REPLAY}",
+                    f"({desc} at {where}, via {' -> '.join(chain)}); {_REPLAY}",
                     flow=chain,
                 )
 
-    # -- FBS006: datapath rejection accounting -----------------------------------------
+    def _blocking_pass(self) -> None:
+        # An ``async def`` is where the rule reports, not a helper the
+        # fact travels through: awaiting a coroutine yields to the loop.
+        blocking = self._closure(
+            lambda fn: ("blocking", fn.blocking[0]) if fn.blocking else None,
+            through=lambda fn: not fn.is_async,
+        )
+        for summary, fn in self.project.iter_functions():
+            if not fn.is_async or summary.is_test:
+                continue
+            for desc, line, col in fn.blocking:
+                self._emit(
+                    "FBS010",
+                    summary,
+                    line,
+                    col,
+                    f"blocking call {desc} inside async function "
+                    f"{fn.qname}(); the event loop must never be blocked -- "
+                    "use the loop clock or an executor",
+                )
+            for site, cmod, cq in self.edges[(summary.key, fn.qname)]:
+                fact = blocking.get((cmod, cq))
+                if fact is None:
+                    continue
+                _kind, desc, where, chain = fact
+                self._emit(
+                    "FBS010",
+                    summary,
+                    site.line,
+                    site.col,
+                    f"async function {fn.qname}() calls {cq}(), which "
+                    f"transitively blocks on {desc} at {where} (via "
+                    f"{' -> '.join(chain)}); the event loop must never be blocked",
+                    flow=chain,
+                )
 
-    def _receive_errors(self) -> Set[str]:
-        found = self.project.exception_subclasses("ReceiveError")
-        if found == {"ReceiveError"}:
-            return set(_FALLBACK_RECEIVE_ERRORS)
-        return found
-
-    def _guarded(self, site: CallSite, covering: Set[str]) -> bool:
-        return site.bump_before or bool(set(site.caught) & covering)
+    # -- unguarded raises: FBS006 rejection accounting, FBS007 taxonomy escapes ---------
 
     def _reach_unguarded(
         self,
@@ -407,7 +498,11 @@ class _Passes:
             for key in frontier:
                 for site, cmod, cq in self.edges.get(key, ()):
                     ckey = (cmod, cq)
-                    if ckey in chains or self._guarded(site, covering):
+                    if (
+                        ckey in chains
+                        or site.bump_before
+                        or set(site.caught) & covering
+                    ):
                         continue
                     callee_summary = project.modules.get(cmod)
                     callee = project.function(cmod, cq)
@@ -420,9 +515,52 @@ class _Passes:
             frontier = next_frontier
         return chains
 
+    def _report_unguarded(
+        self,
+        rule_id: str,
+        roots: List[Tuple[str, str]],
+        classes: Iterable[str],
+        bump_guards: bool,
+        message: Callable[[str, FunctionSummary, Tuple[str, ...]], str],
+    ) -> None:
+        """Report, once per raise site, every raise of one of ``classes``
+        that a root can reach with nothing on the way catching it.
+
+        ``bump_guards`` says whether a metrics bump before the raise
+        accounts for it; ``message(exc, fn, chain)`` is the rule's
+        wording.
+        """
+        if not roots:
+            return
+        project = self.project
+        emitted: Set[Tuple[str, int, int]] = set()
+        for exc in sorted(classes):
+            covering = {exc} | project.exception_ancestors(exc)
+            chains = self._reach_unguarded(roots, covering)
+            for key in sorted(chains):
+                summary = project.modules[key[0]]
+                fn = project.function(*key)
+                for site in fn.raises:
+                    if exc not in _raised(site) or set(site.caught) & covering:
+                        continue
+                    loc = (summary.path, site.line, site.col)
+                    if loc in emitted or (bump_guards and site.bump_before):
+                        continue
+                    emitted.add(loc)
+                    self._emit(
+                        rule_id,
+                        summary,
+                        site.line,
+                        site.col,
+                        message(exc, fn, chains[key]),
+                        flow=chains[key],
+                    )
+
     def _receive_accounting_pass(self) -> None:
         project = self.project
-        receive_errors = self._receive_errors()
+        receive_errors = project.exception_subclasses("ReceiveError")
+        if receive_errors == {"ReceiveError"}:
+            receive_errors = _FALLBACK_RECEIVE_ERRORS
         roots = [
             (summary.key, qname)
             for key in sorted(project.modules)
@@ -430,61 +568,33 @@ class _Passes:
             if _in_zone(summary, _DATAPATH)
             for qname in sorted(summary.functions)
         ]
-        if not roots:
-            return
-        emitted: Set[Tuple[str, int, int]] = set()
-        for exc in sorted(receive_errors):
-            covering = {exc} | project.exception_ancestors(exc)
-            chains = self._reach_unguarded(roots, covering)
-            for key in sorted(chains):
-                summary = project.modules[key[0]]
-                fn = project.function(*key)
-                for site in fn.raises:
-                    if exc not in _raised(site):
-                        continue
-                    if site.bump_before or set(site.caught) & covering:
-                        continue
-                    loc = (summary.path, site.line, site.col)
-                    if loc in emitted:
-                        continue
-                    emitted.add(loc)
-                    where = (
-                        "on" if len(chains[key]) == 1
-                        else "in a helper reachable from"
-                    )
-                    witness = " -> ".join(chains[key])
-                    self._emit(
-                        "FBS006",
-                        summary,
-                        site.line,
-                        site.col,
-                        f"{exc} raised in {fn.qname}() {where} the receive "
-                        f"datapath [{witness}] without a metrics bump on the "
-                        "path; every rejected datagram must be counted "
-                        "exactly once",
-                        flow=chains[key],
-                    )
 
-    # -- FBS007: non-taxonomy exceptions escaping the protocol surface -----------------
+        def message(exc: str, fn: FunctionSummary, chain: Tuple[str, ...]) -> str:
+            where = "on" if len(chain) == 1 else "in a helper reachable from"
+            return (
+                f"{exc} raised in {fn.qname}() {where} the receive "
+                f"datapath [{' -> '.join(chain)}] without a metrics bump on "
+                "the path; every rejected datagram must be counted exactly once"
+            )
+
+        self._report_unguarded(
+            "FBS006", roots, receive_errors, bump_guards=True, message=message
+        )
 
     def _taxonomy_escape_pass(self) -> None:
         project = self.project
         taxonomy = project.exception_subclasses("FBSError") | _FALLBACK_TAXONOMY
-        roots = []
-        for key in sorted(project.modules):
-            summary = project.modules[key]
-            if summary.module != _PROTOCOL_MODULE or summary.is_test:
-                continue
-            for qname in sorted(summary.functions):
-                fn = summary.functions[qname]
-                if fn.is_public and fn.qname != "<module>":
-                    roots.append((summary.key, qname))
-        if not roots:
-            return
-        # Which non-taxonomy classes are raised anywhere matters; collect
-        # the candidate set first to bound the per-class BFS.  A name that
-        # is neither a builtin nor a project class is a variable holding an
-        # already-typed error (``raise error``), not an escape.
+        roots = [
+            (summary.key, qname)
+            for key in sorted(project.modules)
+            for summary in (project.modules[key],)
+            if summary.module == _PROTOCOL_MODULE and not summary.is_test
+            for qname in sorted(summary.functions)
+            if summary.functions[qname].is_public and qname != "<module>"
+        ]
+        # A name that is neither a builtin nor a project class is a
+        # variable holding an already-typed error (``raise error``), not
+        # an escape.
         classes = {"BaseException", *BUILTIN_EXC_PARENTS}
         for summary in project.modules.values():
             classes.update(summary.classes)
@@ -492,194 +602,17 @@ class _Passes:
         for summary, fn in project.iter_functions():
             for site in fn.raises:
                 candidates |= (_raised(site) & classes) - taxonomy
-        emitted: Set[Tuple[str, int, int]] = set()
-        for exc in sorted(candidates):
-            covering = {exc} | project.exception_ancestors(exc)
-            chains = self._reach_unguarded(roots, covering)
-            for key in sorted(chains):
-                summary = project.modules[key[0]]
-                fn = project.function(*key)
-                for site in fn.raises:
-                    if exc not in _raised(site):
-                        continue
-                    if set(site.caught) & covering:
-                        continue
-                    loc = (summary.path, site.line, site.col)
-                    if loc in emitted:
-                        continue
-                    emitted.add(loc)
-                    witness = " -> ".join(chains[key])
-                    self._emit(
-                        "FBS007",
-                        summary,
-                        site.line,
-                        site.col,
-                        f"{exc} raised in {fn.qname}() can escape through a "
-                        f"public protocol entry point [{witness}]; the "
-                        "protocol surface must raise FBSError taxonomy "
-                        "exceptions only",
-                        flow=chains[key],
-                    )
-
-    # -- FBS010: no blocking calls inside async def ------------------------------------
-
-    def _blocking_pass(self) -> None:
-        project = self.project
-        blocking: Dict[Tuple[str, str], Tuple[str, str, Tuple[str, ...]]] = {}
-        for summary, fn in project.iter_functions():
-            if fn.blocking and not fn.is_async:
-                desc, line, _col = fn.blocking[0]
-                blocking[(summary.key, fn.qname)] = (
-                    desc, f"{summary.path}:{line}", (f"{fn.qname}()",)
-                )
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for summary, fn in project.iter_functions():
-                key = (summary.key, fn.qname)
-                if key in blocking or fn.is_async:
-                    continue
-                for site, cmod, cq in self.edges[key]:
-                    fact = blocking.get((cmod, cq))
-                    if fact is not None:
-                        desc, where, chain = fact
-                        blocking[key] = (desc, where, (f"{fn.qname}()",) + chain)
-                        changed = True
-                        break
-            if not changed:
-                break
-
-        for summary, fn in project.iter_functions():
-            if not fn.is_async or summary.is_test:
-                continue
-            for desc, line, col in fn.blocking:
-                self._emit(
-                    "FBS010",
-                    summary,
-                    line,
-                    col,
-                    f"blocking call {desc} inside async function "
-                    f"{fn.qname}(); the event loop must never be blocked -- "
-                    "use the loop clock or an executor",
-                )
-            for site, cmod, cq in self.edges[(summary.key, fn.qname)]:
-                fact = blocking.get((cmod, cq))
-                if fact is None:
-                    continue
-                desc, where, chain = fact
-                witness = " -> ".join(chain)
-                self._emit(
-                    "FBS010",
-                    summary,
-                    site.line,
-                    site.col,
-                    f"async function {fn.qname}() calls {cq}(), which "
-                    f"transitively blocks on {desc} at {where} (via "
-                    f"{witness}); the event loop must never be blocked",
-                    flow=chain,
-                )
-
-    # -- FBS011: deterministic report serialization ------------------------------------
-
-    def _report_order_pass(self) -> None:
-        project = self.project
-        set_ret: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        set_param: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
-        set_attr: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-
-        def eval_set(
-            summary: ModuleSummary,
-            fn: FunctionSummary,
-            labels: Iterable[Tuple],
-        ) -> Optional[Tuple[str, ...]]:
-            best: Optional[Tuple[str, ...]] = None
-            for label in sorted(labels):
-                if label[0] == "ord":
-                    continue  # behind an order-safe boundary
-                path: Optional[Tuple[str, ...]] = None
-                if label[0] == "set":
-                    path = (f"{label[1]} at {summary.path}:{label[2]}",)
-                elif label[0] == "param":
-                    path = set_param.get((summary.key, fn.qname, label[1]))
-                elif label[0] == "ret":
-                    edge = self._edge_for_site(summary, fn, label[1])
-                    if edge is not None:
-                        _site, cmod, cq = edge
-                        path = set_ret.get((cmod, cq))
-                elif label[0] == "attr":
-                    path = set_attr.get((label[1], label[2]))
-                if path is not None and (best is None or len(path) < len(best)):
-                    best = path
-            return best
-
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for summary, fn in project.iter_functions():
-                key = (summary.key, fn.qname)
-                if key not in set_ret:
-                    path = eval_set(summary, fn, fn.returns)
-                    if path is not None:
-                        set_ret[key] = path + (f"returned from {fn.qname}()",)
-                        changed = True
-                for attr, labels, line in fn.attr_stores:
-                    akey = (f"{summary.key}.{fn.class_name}", attr)
-                    if akey in set_attr:
-                        continue
-                    path = eval_set(summary, fn, labels)
-                    if path is not None:
-                        set_attr[akey] = path + (f"stored into self.{attr}",)
-                        changed = True
-                for site, cmod, cq in self.edges[key]:
-                    callee = project.function(cmod, cq)
-                    if callee is None:
-                        continue
-                    mapped = list(zip(_bound_params(callee), site.args))
-                    mapped.extend(
-                        (name, labels)
-                        for name, labels in sorted(site.kwargs.items())
-                        if name in callee.params
-                    )
-                    for pname, labels in mapped:
-                        pkey = (cmod, cq, pname)
-                        if pkey in set_param:
-                            continue
-                        path = eval_set(summary, fn, labels)
-                        if path is not None:
-                            set_param[pkey] = path + (
-                                f"passed to {cq}() as '{pname}'",
-                            )
-                            changed = True
-            if not changed:
-                break
-
-        for summary, fn in project.iter_functions():
-            if not _in_zone(summary, _REPORT_ZONE):
-                continue
-            for site in fn.order_sites:
-                path = eval_set(summary, fn, site.labels)
-                if path is None:
-                    continue
-                origin = path[0]
-                via = f" [{' -> '.join(path)}]" if len(path) > 1 else ""
-                subject = f" over {site.desc}" if site.desc else ""
-                self._emit(
-                    "FBS011",
-                    summary,
-                    site.line,
-                    site.col,
-                    f"unordered iteration ({site.kind}){subject}: the value "
-                    f"comes from {origin}{via}; wrap it in sorted(...) so "
-                    "report output is byte-identical across runs",
-                    flow=path,
-                )
-            for fname, line, col in fn.unsorted_json:
-                self._emit(
-                    "FBS011",
-                    summary,
-                    line,
-                    col,
-                    f"{fname}() without sort_keys=True in a report module; "
-                    "byte-identical report contracts require sorted keys",
-                )
+        self._report_unguarded(
+            "FBS007",
+            roots,
+            candidates,
+            bump_guards=False,
+            message=lambda exc, fn, chain: (
+                f"{exc} raised in {fn.qname}() can escape through a public "
+                f"protocol entry point [{' -> '.join(chain)}]; the protocol "
+                "surface must raise FBSError taxonomy exceptions only"
+            ),
+        )
 
 
 def run_project_passes(project: Project, rule_ids: Set[str]) -> List[Finding]:

@@ -3,8 +3,8 @@
 The engine is a *two-phase whole-program analyzer*:
 
 * **Phase 1** parses every module once, runs the syntactic rules (the
-  ones with a ``check`` method: asserts, bare excepts, header layout,
-  multiprocessing imports) over its AST, and distills it into a
+  ones with a ``check`` method: asserts, bare excepts, multiprocessing
+  imports) over its AST, and distills it into a
   :class:`~repro.analysis.callgraph.ModuleSummary`.
 * **Phase 2** builds a :class:`~repro.analysis.callgraph.Project` from
   the summaries and runs the dataflow passes
@@ -12,6 +12,10 @@ The engine is a *two-phase whole-program analyzer*:
   accounting, wall-clock and randomness impurity, async-blocking, and
   report-order determinism.  Every finding has exactly one producer,
   so the two phases' outputs are concatenated, never reconciled.
+
+A finding is accepted in one way: an inline ``# fbslint: disable...``
+comment (:mod:`repro.analysis.suppressions`), itself policed by FBS012,
+which is an ordinary member of the selected rule set.
 
 The engine is a library first (``lint_source`` / ``lint_paths``) so the
 test suite can aim individual rules at fixture files; the CLI in
@@ -27,14 +31,13 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import Rule, all_rules, get_rule
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import ModuleSummary, Project, summarize_module
 from repro.analysis.context import ModuleContext
 from repro.analysis.dataflow import run_project_passes
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import SuppressionIndex
 
-__all__ = ["LintError", "LintResult", "lint_source", "lint_file", "lint_paths"]
+__all__ = ["LintError", "LintResult", "lint_source", "lint_paths"]
 
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -48,10 +51,8 @@ class LintError(Exception):
 class LintResult:
     """Everything one lint run produced."""
 
-    #: Findings that fail the run (not suppressed, not baselined).
+    #: Findings that fail the run (not suppressed inline).
     findings: List[Finding] = field(default_factory=list)
-    #: Findings absorbed by the baseline file.
-    baselined: List[Finding] = field(default_factory=list)
     #: Count silenced by inline ``# fbslint: disable`` comments.
     suppressed: int = 0
     files_checked: int = 0
@@ -114,10 +115,19 @@ def _phase1(
     )
 
 
-def _unused_suppression_findings(record: _FileRecord) -> List[Finding]:
+def _unused_suppression_findings(
+    record: _FileRecord, skipped: Sequence[str]
+) -> List[Finding]:
+    """FBS012: the directives of one file that absorbed nothing.
+
+    A directive naming a rule that did not run (``skipped``: registered
+    but not selected) is left alone -- it is no evidence of rot.
+    """
     rule = get_rule("FBS012")
     out = []
     for line, kind, rule_ids in record.suppressions.unused_directives():
+        if skipped and ("all" in rule_ids or any(r in skipped for r in rule_ids)):
+            continue
         out.append(
             Finding(
                 rule_id=rule.rule_id,
@@ -138,10 +148,9 @@ def _unused_suppression_findings(record: _FileRecord) -> List[Finding]:
 def _finalize(
     records: List[_FileRecord],
     project_findings: List[Finding],
-    baseline: Optional[Baseline],
-    unused_suppressions: bool,
+    rules: Sequence[Rule],
 ) -> LintResult:
-    """Join syntactic + project findings; suppress, baseline, sort."""
+    """Join syntactic + project findings; suppress, sort."""
     by_path = {r.report_path: r for r in records}
     result = LintResult(files_checked=len(records))
 
@@ -149,8 +158,6 @@ def _finalize(
         record = by_path.get(finding.path)
         if record is not None and record.suppressions.suppresses(finding):
             result.suppressed += 1
-        elif baseline is not None and baseline.absorbs(finding):
-            result.baselined.append(finding)
         else:
             result.findings.append(finding)
 
@@ -160,14 +167,23 @@ def _finalize(
     for finding in project_findings:
         _route(finding)
 
-    if unused_suppressions:
+    # FBS012 goes last: only now is it known which directives matched.
+    if get_rule("FBS012") in rules:
+        skipped = [rule.rule_id for rule in all_rules() if rule not in rules]
         for record in records:
-            for finding in _unused_suppression_findings(record):
+            for finding in _unused_suppression_findings(record, skipped):
                 _route(finding)
 
     result.findings.sort(key=lambda f: (-int(f.severity),) + f.sort_key)
-    result.baselined.sort(key=lambda f: f.sort_key)
     return result
+
+
+def _phase2(records: List[_FileRecord], rules: Sequence[Rule]) -> LintResult:
+    project = Project([r.summary for r in records])
+    project_findings = run_project_passes(
+        project, {rule.rule_id for rule in rules}
+    )
+    return _finalize(records, project_findings, rules)
 
 
 def lint_source(
@@ -175,8 +191,6 @@ def lint_source(
     path: str = "<string>",
     logical_path: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-    unused_suppressions: bool = True,
 ) -> LintResult:
     """Run both phases over one module's source text.
 
@@ -184,42 +198,12 @@ def lint_source(
     it to make a file under ``tests/`` impersonate, say,
     ``src/repro/core/protocol.py``.  The interprocedural passes run
     over a single-module project, so helper-chain flows *within* the
-    module are still found.  Unused-suppression findings (FBS012) are
-    emitted only when the full rule set ran (an explicit ``rules``
-    narrowing would make every directive for an unselected rule look
-    unused).
+    module are still found.  ``rules`` narrows the run (default: every
+    registered rule).
     """
-    narrowed = rules is not None
     active = list(rules) if rules is not None else all_rules()
     record = _phase1(source, path, logical_path or path, active)
-    project = Project([record.summary])
-    project_findings = run_project_passes(
-        project, {rule.rule_id for rule in active}
-    )
-    return _finalize(
-        [record],
-        project_findings,
-        baseline,
-        unused_suppressions=unused_suppressions and not narrowed,
-    )
-
-
-def lint_file(
-    path: Path,
-    root: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-    logical_path: Optional[str] = None,
-) -> LintResult:
-    """Lint one file; paths in findings are relative to ``root``."""
-    source, report_path = _read(path, root)
-    return lint_source(
-        source,
-        path=report_path,
-        logical_path=logical_path or str(path),
-        rules=rules,
-        baseline=baseline,
-    )
+    return _phase2([record], active)
 
 
 def _read(path: Path, root: Optional[Path]) -> Tuple[str, str]:
@@ -256,26 +240,13 @@ def lint_paths(
     root: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
-    unused_suppressions: bool = True,
 ) -> LintResult:
     """Lint every python file under ``paths`` as one project."""
     rules = _select_rules(select, ignore)
-    narrowed = select is not None or ignore is not None
     root = root or Path.cwd()
 
     records: List[_FileRecord] = []
     for file_path in discover(paths):
         source, report_path = _read(file_path, root)
         records.append(_phase1(source, report_path, str(file_path), rules))
-
-    project = Project([r.summary for r in records])
-    project_findings = run_project_passes(
-        project, {rule.rule_id for rule in rules}
-    )
-    return _finalize(
-        records,
-        project_findings,
-        baseline,
-        unused_suppressions=unused_suppressions and not narrowed,
-    )
+    return _phase2(records, rules)

@@ -9,7 +9,6 @@ discipline:
   FBS003 seeded randomness;
 * :mod:`~repro.analysis.rules.robustness` -- FBS004 assert-as-guard,
   FBS007 exception taxonomy;
-* :mod:`~repro.analysis.rules.layout` -- FBS005 header layout;
 * :mod:`~repro.analysis.rules.metrics_discipline` -- FBS006
   metrics-before-raise;
 * :mod:`~repro.analysis.rules.containment` -- FBS009 multiprocessing
@@ -34,7 +33,6 @@ from repro.analysis.rules import (  # noqa: F401  (imports register rules)
     async_readiness,
     containment,
     determinism,
-    layout,
     metrics_discipline,
     reports,
     robustness,

@@ -4,10 +4,10 @@ A ``# fbslint: disable=FBSxxx`` directive that suppresses nothing is a
 trap: the violation it once excused is gone (or never existed), but the
 comment keeps a hole open for a future regression to slip through
 silently.  After filtering, the engine reports every directive that
-absorbed no finding in the run.  ``--no-unused-suppressions`` opts out,
-and the check is skipped automatically when ``--select``/``--ignore``
-narrowed the rule set (a directive for an unselected rule is not
-evidence of rot).
+absorbed no finding in the run.  The rule is selected like any other
+(``--ignore FBS012`` opts out); when ``--select``/``--ignore`` narrowed
+the rule set, a directive naming a rule that did not run is left alone
+(it is not evidence of rot) and every other directive is still checked.
 
 The findings are produced by the engine's filtering step (it is the
 only place that knows which directives matched); this class exists so

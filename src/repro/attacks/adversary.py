@@ -62,10 +62,6 @@ class OnPathAdversary:
                 return packet
         return None
 
-    def find_all(self, predicate: Callable[[IPv4Packet], bool]) -> List[IPv4Packet]:
-        """All captured packets satisfying ``predicate``."""
-        return [p for p in self.captured_packets() if predicate(p)]
-
     def clear(self) -> None:
         """Forget everything captured so far."""
         self.captured.clear()

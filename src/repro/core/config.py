@@ -143,12 +143,6 @@ class FBSConfig:
     rfkc_ways: int = 1
     #: Whether the header carries the optional algorithm-id field.
     carry_algorithm_id: bool = False
-    #: Rekey a flow after this many bytes (0 = never).  "With use, an
-    #: encryption key will 'wear out' and should be changed" -- rekeying
-    #: is accomplished via the FAM by changing the sfl (Section 5.2).
-    rekey_after_bytes: int = 0
-    #: Rekey a flow after this many datagrams (0 = never).
-    rekey_after_datagrams: int = 0
     #: Capacity of the optional soft-state replay guard (0 = off, the
     #: paper's behaviour).  See :mod:`repro.core.replay_guard`.
     replay_guard_size: int = 0

@@ -29,8 +29,9 @@ __all__ = ["FBSHeader", "FBS_HEADER_LEN", "header_length"]
 FBS_HEADER_LEN = 8 + 4 + 16 + 4
 
 # Precompiled wire codecs: the format strings are parsed once at import
-# instead of once per datagram (fbslint FBS005 cross-checks these widths
-# against the declared layout just like inline struct calls).
+# instead of once per datagram.  Their widths are pinned on real bytes:
+# tests/core/test_header.py spells every field with ``to_bytes`` and
+# tests/core/wire_digests.txt holds the resulting wire.
 _ALGO_ID = struct.Struct(">BB")
 _SFL_CONFOUNDER = struct.Struct(">QI")
 _CONFOUNDER_TIMESTAMP = struct.Struct(">II")

@@ -135,9 +135,6 @@ class FiveTuplePolicy(KeyedMapper):
 class HostLevelPolicy(KeyedMapper):
     """One flow per destination principal (host-level granularity)."""
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        super().__init__(threshold)
-
     def key(self, attributes: DatagramAttributes) -> bytes:
         return attributes.destination_id
 

@@ -12,7 +12,6 @@ paper's presentation date, September 1997).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 __all__ = ["TimestampCodec", "FreshnessWindow", "SIGCOMM97_EPOCH_OFFSET"]
@@ -20,9 +19,6 @@ __all__ = ["TimestampCodec", "FreshnessWindow", "SIGCOMM97_EPOCH_OFFSET"]
 #: Seconds between 1996-01-01 00:00 GMT and 1997-09-14 00:00 GMT
 #: (366 + 256 days): where the simulation's t=0 sits by default.
 SIGCOMM97_EPOCH_OFFSET = (366 + 256) * 86400
-
-#: Precompiled wire codec for the 32-bit minute count.
-_MINUTES = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -41,14 +37,6 @@ class TimestampCodec:
     def decode(self, minutes: int) -> float:
         """32-bit minute count -> simulation seconds (start of minute)."""
         return minutes * 60.0 - self.epoch_offset
-
-    def encode_bytes(self, sim_time: float) -> bytes:
-        """Simulation seconds -> the 4 wire bytes of the timestamp."""
-        return _MINUTES.pack(self.encode(sim_time))
-
-    def decode_bytes(self, data: bytes) -> float:
-        """The 4 wire bytes -> simulation seconds (start of minute)."""
-        return self.decode(_MINUTES.unpack(data)[0])
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ module -- single source of truth -- and are only consumed here at import
 time to build the lookup tables.
 
 Higher-level modes of operation (CBC and friends, padding) live in
-:mod:`repro.crypto.modes`; they drive the ``encrypt_int``/``decrypt_int``
-entry points to keep whole buffers in int space.
+:mod:`repro.crypto.modes`; they call ``_crypt`` against the cipher's
+``subkeys``/``subkeys_rev`` to keep whole buffers in int space.
 """
 
 from __future__ import annotations
@@ -334,14 +334,6 @@ class DES:
         if raw is None:
             raw = self._raw = _raw_schedule(self._key_int)
         return raw
-
-    def encrypt_int(self, block: int) -> int:
-        """Encrypt one block given (and returned) as a 64-bit int."""
-        return _crypt(block, self.subkeys)
-
-    def decrypt_int(self, block: int) -> int:
-        """Decrypt one block given (and returned) as a 64-bit int."""
-        return _crypt(block, self.subkeys_rev)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 8-byte block."""

@@ -41,7 +41,7 @@ from repro.gateway.tenants import GatewayConfig
 from repro.load.sharding import FlowSharder
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.obs.registry import merge_snapshots
-from repro.obs.report import write_report
+from repro.obs.report import parse_cli, write_report
 
 __all__ = ["run_gateway_workload", "main"]
 
@@ -348,11 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parse_cli(_build_parser(), argv)
+    if isinstance(args, int):
+        return args
 
     report = asyncio.run(
         run_gateway_workload(

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from repro.load.engine import LoadError, LoadSpec, run_load, verify_merge
 from repro.load.report import build_report
-from repro.obs.report import write_report
+from repro.obs.report import parse_cli, write_report
 from repro.traces.registry import workload_names, workload_summaries
 from repro.transport.hop import HOP_NAMES
 
@@ -103,10 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parse_cli(_build_parser(), argv)
+    if isinstance(args, int):
+        return args
     if args.workers < 1:
-        parser.error("--workers must be at least 1")
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     workload = args.workload or ("smoke" if args.smoke else "synthetic")
     spec = LoadSpec(
         workers=args.workers,

@@ -6,8 +6,9 @@ cache running FreeBSD 2.1.5 ... on a dedicated 10M Ethernet segment"
 discrete-event simulator providing
 
 * a simulated clock and event scheduler (:mod:`repro.netsim.clock`),
-* links and shared Ethernet segments with bandwidth, propagation delay,
-  loss, duplication and reordering (:mod:`repro.netsim.link`),
+* a shared Ethernet segment (a link is one with two stations) with
+  bandwidth, propagation delay, loss, duplication, reordering and
+  corruption (:mod:`repro.netsim.link`),
 * an IPv4-like network layer with real header serialization, checksums,
   fragmentation/reassembly and TTL-based forwarding
   (:mod:`repro.netsim.ipv4`, :mod:`repro.netsim.fragmentation`),
@@ -29,7 +30,7 @@ bit-for-bit.
 from repro.netsim.clock import Simulator
 from repro.netsim.addresses import IPAddress, FiveTuple
 from repro.netsim.ipv4 import IPv4Header, IPProtocol, IPv4Packet, checksum16
-from repro.netsim.link import Link, LinkConditions, EthernetSegment
+from repro.netsim.link import LinkConditions, EthernetSegment
 from repro.netsim.costmodel import CostModel, PENTIUM_133
 from repro.netsim.host import Host
 from repro.netsim.icmp import IcmpLayer, IcmpMessage
@@ -43,7 +44,6 @@ __all__ = [
     "IPv4Packet",
     "IPProtocol",
     "checksum16",
-    "Link",
     "LinkConditions",
     "EthernetSegment",
     "CostModel",

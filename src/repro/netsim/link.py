@@ -1,18 +1,15 @@
-"""Links and shared Ethernet segments.
+"""The one transmission medium: a shared Ethernet segment.
 
-Two transmission media are provided:
-
-* :class:`Link` -- a unidirectional point-to-point pipe with bandwidth,
-  propagation delay and (optionally) adverse conditions: loss,
-  duplication, and reordering jitter.  Datagram "features" the paper
-  explicitly preserves ("lack of sequencing ..., possibility of omission
-  and duplication", Section 3) are injected here.
-* :class:`EthernetSegment` -- the paper's "dedicated 10M Ethernet
-  segment": a shared medium that serializes transmissions (one frame at
-  a time, FIFO) and hands each frame to the station holding its
-  link-layer destination, as a NIC's address filter does.  Stations
-  attached without an address, and taps (the tcpdump sniffers used for
-  the flow measurements in Section 7.3), are promiscuous.
+:class:`EthernetSegment` is the paper's "dedicated 10M Ethernet
+segment": a shared medium that serializes transmissions (one frame at a
+time, FIFO) and hands each frame to the station holding its link-layer
+destination, as a NIC's address filter does.  Stations attached without
+an address, and taps (the tcpdump sniffers used for the flow
+measurements in Section 7.3), are promiscuous.  A point-to-point link
+is a segment with two stations.  :class:`LinkConditions` injects the
+datagram "features" the paper explicitly preserves ("lack of sequencing
+..., possibility of omission and duplication", Section 3): loss,
+duplication, reordering jitter and corruption.
 
 Frames carry opaque bytes; framing overhead (preamble, MAC header, CRC,
 inter-frame gap -- 38 bytes on classic Ethernet) is accounted in
@@ -22,13 +19,13 @@ serialization time.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.netsim.addresses import IPAddress
 from repro.netsim.clock import Simulator
 
-__all__ = ["LinkConditions", "Link", "EthernetSegment", "ETHERNET_FRAMING_OVERHEAD"]
+__all__ = ["LinkConditions", "EthernetSegment", "ETHERNET_FRAMING_OVERHEAD"]
 
 #: Preamble (8) + MAC header (14) + CRC (4) + inter-frame gap (12) bytes.
 ETHERNET_FRAMING_OVERHEAD = 38
@@ -71,109 +68,6 @@ def _flip_random_bit(frame: bytes, rng: _random.Random) -> bytes:
     return bytes(damaged)
 
 
-class Link:
-    """Unidirectional point-to-point link.
-
-    Frames are serialized at ``bandwidth_bps`` (plus framing overhead),
-    experience ``propagation_delay``, and may be dropped, duplicated, or
-    jittered according to ``conditions``.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth_bps: float = 10_000_000.0,
-        propagation_delay: float = 50e-6,
-        conditions: Optional[LinkConditions] = None,
-        seed: int = 0,
-        framing_overhead: int = ETHERNET_FRAMING_OVERHEAD,
-    ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        self._sim = sim
-        self._bandwidth = bandwidth_bps
-        self._delay = propagation_delay
-        self._conditions = conditions or LinkConditions()
-        self._rng = _random.Random(seed)
-        self._framing = framing_overhead
-        self._receiver: Optional[Receiver] = None
-        #: Time at which the transmitter becomes free (frames serialize).
-        self._tx_free_at = 0.0
-        # Statistics.
-        self.frames_sent = 0
-        self.frames_dropped = 0
-        self.frames_duplicated = 0
-        self.frames_corrupted = 0
-        self.bytes_sent = 0
-
-    def attach(self, receiver: Receiver) -> None:
-        """Set the frame receiver at the far end."""
-        self._receiver = receiver
-
-    @property
-    def conditions(self) -> LinkConditions:
-        """Current fault conditions (fault campaigns swap them mid-run)."""
-        return self._conditions
-
-    @conditions.setter
-    def conditions(self, conditions: LinkConditions) -> None:
-        self._conditions = conditions
-
-    def serialization_time(self, nbytes: int) -> float:
-        """Wire time for a frame of ``nbytes`` payload."""
-        return (nbytes + self._framing) * 8 / self._bandwidth
-
-    @property
-    def busy_until(self) -> float:
-        """Virtual time at which the transmitter becomes idle."""
-        return self._tx_free_at
-
-    def send(self, frame: bytes) -> float:
-        """Queue ``frame`` for transmission; returns its departure time.
-
-        The transmitter serializes frames FIFO: a frame begins
-        transmission when the previous one has fully left the interface.
-        A duplicated frame is a *second transmission*: it serializes
-        back-to-back after the original (duplication is never free
-        airtime) and is counted in ``frames_sent``/``bytes_sent``, so
-        throughput statistics see every wire bit.
-        """
-        if self._receiver is None:
-            raise RuntimeError("link has no receiver attached")
-        copies = 1
-        if self._rng.random() < self._conditions.duplication_probability:
-            copies = 2
-            self.frames_duplicated += 1
-        first_departure = 0.0
-        for copy in range(copies):
-            start = max(self._sim.now, self._tx_free_at)
-            departure = start + self.serialization_time(len(frame))
-            self._tx_free_at = departure
-            self.frames_sent += 1
-            self.bytes_sent += len(frame)
-            if copy == 0:
-                first_departure = departure
-            self._deliver(frame, departure)
-        return first_departure
-
-    def _deliver(self, frame: bytes, departure: float) -> None:
-        """Apply per-copy loss/corruption/jitter and schedule arrival."""
-        if self._rng.random() < self._conditions.loss_probability:
-            self.frames_dropped += 1
-            return
-        if self._rng.random() < self._conditions.corruption_probability:
-            frame = _flip_random_bit(frame, self._rng)
-            self.frames_corrupted += 1
-        jitter = (
-            self._rng.random() * self._conditions.reorder_jitter
-            if self._conditions.reorder_jitter
-            else 0.0
-        )
-        arrival = departure + self._delay + jitter
-        receiver = self._receiver
-        self._sim.schedule_at(arrival, lambda f=frame: receiver(f))
-
-
 class EthernetSegment:
     """A shared segment (classic 10 Mb/s Ethernet by default).
 
@@ -207,7 +101,7 @@ class EthernetSegment:
         self._stations: List[Tuple[Receiver, Optional[IPAddress]]] = []
         self._taps: List[Receiver] = []
         self._medium_free_at = 0.0
-        # Statistics (same names and meanings as Link's).
+        # Statistics.
         self.frames_sent = 0
         self.frames_dropped = 0
         self.frames_duplicated = 0
@@ -260,10 +154,11 @@ class EthernetSegment:
         misdelivers: a frame whose IP destination took the bit flip still
         reaches the station it was sent to, which counts the bad header.
 
-        Adverse conditions mirror :class:`Link`'s semantics: a
-        duplicated frame serializes again on the shared medium (counted
-        in ``frames_sent``/``bytes_sent`` -- duplication occupies real
-        airtime), loss and corruption are drawn once per wire copy (one
+        Adverse conditions: a duplicated frame is a *second
+        transmission* -- it serializes again on the shared medium and is
+        counted in ``frames_sent``/``bytes_sent``, so duplication is
+        never free airtime and throughput statistics see every wire
+        bit; loss and corruption are drawn once per wire copy (one
         signal, every station sees the same fate), and
         ``reorder_jitter`` is applied **per delivery** -- each station's
         receive path adds its own seeded-random delay, so a jittered

@@ -16,7 +16,7 @@ from repro.netsim.addresses import IPAddress
 from repro.netsim.clock import Simulator
 from repro.netsim.costmodel import CostModel, FREE_CPU
 from repro.netsim.host import Host
-from repro.netsim.link import EthernetSegment, Link, LinkConditions
+from repro.netsim.link import EthernetSegment, LinkConditions
 from repro.netsim.stack import Interface, Route
 
 __all__ = ["Network"]

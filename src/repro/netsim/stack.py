@@ -52,12 +52,6 @@ class Interface:
     transmit: Optional[Callable[[bytes, IPAddress], None]] = None
     name: str = "eth0"
 
-    def on_link(self, addr: IPAddress) -> bool:
-        """True if ``addr`` is directly reachable through this interface."""
-        if self.network is None:
-            return False
-        return addr.in_subnet(self.network, self.prefix_len)
-
 
 @dataclass
 class Route:

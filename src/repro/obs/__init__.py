@@ -45,7 +45,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     MetricSpec,
-    fbs_metric_names,
     merge_snapshots,
     parse_metric_key,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricSpec",
     "METRIC_CATALOG",
-    "fbs_metric_names",
     "merge_snapshots",
     "parse_metric_key",
 ]

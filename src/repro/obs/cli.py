@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.obs.aggregate import TraceAggregate
+from repro.obs.report import parse_cli
 
 __all__ = ["main", "render_summary"]
 
@@ -160,7 +161,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--root", default=".", help="repository root (default: cwd)"
     )
 
-    args = parser.parse_args(argv)
+    args = parse_cli(parser, argv)
+    if isinstance(args, int):
+        return args
     if args.selftest:
         return _cmd_selftest()
     if args.command == "summarize":

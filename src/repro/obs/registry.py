@@ -35,7 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricSpec",
     "METRIC_CATALOG",
-    "fbs_metric_names",
     "merge_snapshots",
     "parse_metric_key",
 ]
@@ -475,8 +474,3 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         "gauge", (), "datagrams queued across all tenant queues at snapshot"
     ),
 }
-
-
-def fbs_metric_names() -> List[str]:
-    """The catalog's names, sorted (docs/test convenience)."""
-    return sorted(METRIC_CATALOG)

@@ -1,13 +1,29 @@
-"""The one byte-stable report writer (inside fbslint's FBS011 zone):
-every CLI that emits a report serializes and writes it here."""
+"""The one CLI harness: every ``cli.py`` parses its arguments through
+:func:`parse_cli`, and every CLI that emits a report serializes and
+writes it through the byte-stable writer here (inside fbslint's FBS011
+zone)."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO, Union
 
-__all__ = ["render_report", "write_report"]
+__all__ = ["parse_cli", "render_report", "write_report"]
+
+
+def parse_cli(
+    parser: argparse.ArgumentParser, argv: Optional[Sequence[str]]
+) -> Union[argparse.Namespace, int]:
+    """``parser.parse_args(argv)`` for a ``main`` that returns its exit
+    code: argparse's ``SystemExit`` comes back as the int every CLI
+    documents -- 2 on a usage error, 0 after ``--help`` -- instead of
+    unwinding the caller."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
 
 
 def render_report(report: object) -> str:

@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.obs.report import write_report
+from repro.obs.report import parse_cli, write_report
 from repro.resilience.campaign import run_campaign
 from repro.resilience.scenario import build_matrix
 
@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parse_cli(_build_parser(), argv)
+    if isinstance(args, int):
+        return args
 
     if args.list_scenarios:
         for scenario in build_matrix(smoke=args.smoke):

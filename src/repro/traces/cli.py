@@ -19,7 +19,7 @@ from typing import List, Optional, TextIO
 
 from repro.bench.reporting import render_cdf, render_table
 from repro.netsim.addresses import IPAddress
-from repro.obs.report import write_report
+from repro.obs.report import parse_cli, write_report
 from repro.traces import tcpdump
 from repro.traces.analysis import FlowAnalysis
 from repro.traces.flowsim import CacheSimulator
@@ -247,7 +247,9 @@ def _cmd_cachesim(args, out: TextIO, stdin: TextIO) -> int:
 
 def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout, stdin: TextIO = sys.stdin) -> int:
     """Entry point (also callable from tests with explicit streams)."""
-    args = build_parser().parse_args(argv)
+    args = parse_cli(build_parser(), argv)
+    if isinstance(args, int):
+        return args
     if args.command == "generate":
         return _cmd_generate(args, out)
     if args.command == "analyze":

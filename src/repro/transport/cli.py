@@ -24,7 +24,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.obs.report import write_report
+from repro.obs.report import parse_cli, write_report
 from repro.transport.runner import run_echo
 
 __all__ = ["main"]
@@ -64,11 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parse_cli(_build_parser(), argv)
+    if isinstance(args, int):
+        return args
 
     report = asyncio.run(
         run_echo(

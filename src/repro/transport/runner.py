@@ -66,18 +66,7 @@ async def build_udp_channels(
     client's address from the first datagram that arrives -- first
     contact needs no out-of-band address exchange, matching the
     zero-message-keying story one layer down.
-
-    When no explicit ``retry`` policy is given, the transport config's
-    ``retry_*`` knobs become the channels' first-contact policy, so an
-    operator tunes everything through one object.
     """
-    if retry is None and transport_config is not None:
-        retry = RetryPolicy(
-            initial=transport_config.retry_initial,
-            cap=transport_config.retry_cap,
-            jitter=transport_config.retry_jitter,
-            attempts=transport_config.retry_attempts,
-        )
     t_server = await UdpTransport.create(config=transport_config)
     t_client = await UdpTransport.create(
         remote=t_server.local_address, config=transport_config

@@ -60,13 +60,6 @@ class UdpTransportConfig:
     recv_timeout: float = 1.0
     #: Upper bound on the graceful-close drain (seconds).
     close_timeout: float = 1.0
-    #: First-contact retry policy defaults (see
-    #: :class:`repro.transport.channel.RetryPolicy`): initial backoff,
-    #: multiplicative cap, jitter fraction, attempt budget.
-    retry_initial: float = 0.05
-    retry_cap: float = 1.0
-    retry_jitter: float = 0.5
-    retry_attempts: int = 8
 
 
 class _DatagramQueueProtocol(asyncio.DatagramProtocol):

@@ -3,7 +3,7 @@
 Linted as if it lived at ``src/repro/core/guard.py``.
 """
 # fbslint: module=repro.core.guard
-# fbslint: disable-file=FBS005
+# fbslint: disable-file=FBS009
 
 
 def issue(token):

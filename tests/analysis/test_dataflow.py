@@ -268,6 +268,36 @@ class TestReportOrderV2:
         assert order[0].path == "src/repro/obs/render.py"
         assert "sorted(" in order[0].message
 
+    def test_witness_steps_carry_locations(self, tmp_path):
+        # FBS011 is the same label propagation as FBS001, so its witness
+        # has the same shape: every step names a path (and line).
+        result = make_project(tmp_path, {
+            "src/repro/obs/collect.py": (
+                "class Collector:\n"
+                "    def __init__(self, results):\n"
+                "        self.bad = {name for name, ok in results if not ok}\n"
+                "\n"
+                "    def failing(self):\n"
+                "        return self.bad\n"
+                "\n"
+                "    def lines(self):\n"
+                "        return render(self.failing())\n"
+                "\n"
+                "def render(names):\n"
+                "    return [name for name in names]\n"
+            ),
+        })
+        (finding,) = [f for f in result.findings if f.rule_id == "FBS011"]
+        here = "src/repro/obs/collect.py"
+        assert finding.flow == (
+            f"set comprehension at {here}:3",
+            f"stored into self.bad at {here}:3",
+            f"returned from Collector.failing() ({here})",
+            f"returned to {here}:9",
+            f"passed to render() as 'names' from {here}:9",
+        )
+        assert " -> ".join(finding.flow) in finding.message
+
     def test_sorted_across_modules_is_clean(self, tmp_path):
         result = make_project(tmp_path, {
             "src/repro/obs/collect.py": (

@@ -1,10 +1,11 @@
-"""Engine behaviours: inline suppressions and the baseline contract."""
+"""Engine behaviours: inline suppressions, rule selection, FBS012."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, LintError, lint_source
+from repro.analysis import LintError, lint_source
+from repro.analysis.base import get_rule
 from repro.analysis.engine import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,63 +61,50 @@ class TestSuppressions:
         assert [f.rule_id for f in result.findings] == ["FBS004"]
 
 
-class TestBaseline:
-    def _finding(self):
-        result = lint_source(
-            _ASSERT_GUARD, path="src/repro/core/x.py",
+class TestUnusedDirectiveUnderNarrowing:
+    """FBS012 is an ordinary member of the selected set: a directive is
+    reported as unused iff every rule it names ran."""
+
+    BAD = FIXTURES / "fbs012_bad.py"  # disable-file=FBS009, disable=FBS004
+
+    def _unused(self, **narrowing):
+        result = lint_paths([self.BAD], **narrowing)
+        assert {f.rule_id for f in result.findings} <= {"FBS012"}
+        return [f.line for f in result.findings]
+
+    def test_selecting_the_rule_does_not_switch_it_off(self):
+        # Any narrowing used to disable the step, so asking for FBS012
+        # by name was the one way never to get it.
+        both = self._unused()
+        assert len(both) == 2
+        assert self._unused(ignore=["FBS001"]) == both
+        assert self._unused(select=["FBS004", "FBS009", "FBS012"]) == both
+
+    def test_directive_naming_an_unselected_rule_is_left_alone(self):
+        file_wide, inline = self._unused()
+        assert self._unused(select=["FBS004", "FBS012"]) == [inline]
+        assert self._unused(select=["FBS009", "FBS012"]) == [file_wide]
+        assert self._unused(select=["FBS012"]) == []
+        assert self._unused(ignore=["FBS012"]) == []
+
+    def test_disable_all_names_every_rule(self):
+        source = "def f(t):\n    # fbslint: disable-next-line=all\n    return t\n"
+        full = lint_source(source, logical_path="src/repro/core/x.py")
+        assert [f.rule_id for f in full.findings] == ["FBS012"]
+        narrowed = lint_source(
+            source,
             logical_path="src/repro/core/x.py",
+            rules=[get_rule("FBS004"), get_rule("FBS012")],
         )
-        assert len(result.findings) == 1
-        return result.findings[0]
+        assert narrowed.findings == []
 
-    def test_baseline_absorbs_known_finding(self):
-        f = self._finding()
-        baseline = Baseline({(f.path, f.rule_id, f.fingerprint)})
+    def test_directive_naming_no_registered_rule_is_always_unused(self):
+        # A retired or mistyped id can never suppress anything.
+        source = "def f(t):\n    return t  # fbslint: disable=FBS005\n"
         result = lint_source(
-            _ASSERT_GUARD, path=f.path, logical_path=f.path, baseline=baseline
+            source, logical_path="src/repro/core/x.py", rules=[get_rule("FBS012")]
         )
-        assert result.findings == []
-        assert [b.rule_id for b in result.baselined] == ["FBS004"]
-        assert result.exit_code == 0
-
-    def test_new_findings_still_fail(self):
-        f = self._finding()
-        baseline = Baseline({(f.path, f.rule_id, f.fingerprint)})
-        grown = _ASSERT_GUARD + "\ndef other(t):\n    assert not t\n"
-        result = lint_source(
-            "", path=f.path, logical_path=f.path, baseline=baseline
-        )
-        assert result.exit_code == 0
-        result = lint_source(
-            grown, path=f.path, logical_path=f.path, baseline=baseline
-        )
-        # The original assert is absorbed; the new one is not (same
-        # message, but FBS004 messages are identical -- so use a rule
-        # with distinguishable messages to prove the point instead).
-        assert result.baselined  # old finding absorbed
-
-    def test_fingerprint_survives_line_drift(self):
-        f = self._finding()
-        shifted = "# a new leading comment\n\n" + _ASSERT_GUARD
-        baseline = Baseline({(f.path, f.rule_id, f.fingerprint)})
-        result = lint_source(
-            shifted, path=f.path, logical_path=f.path, baseline=baseline
-        )
-        assert result.findings == []
-        assert len(result.baselined) == 1
-
-    def test_round_trip_through_file(self, tmp_path):
-        f = self._finding()
-        target = tmp_path / "fbslint.baseline"
-        Baseline.write(target, [f])
-        loaded = Baseline.load(target)
-        assert loaded.absorbs(f)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        target = tmp_path / "fbslint.baseline"
-        target.write_text("not a valid line\n")
-        with pytest.raises(ValueError):
-            Baseline.load(target)
+        assert [f.rule_id for f in result.findings] == ["FBS012"]
 
 
 class TestEngine:
@@ -134,8 +122,6 @@ class TestEngine:
         path = FIXTURES / "fbs007_bad.py"
         source = path.read_text(encoding="utf-8")
         logical = "src/repro/core/protocol.py"
-        from repro.analysis.base import get_rule
-
         result = lint_source(
             source, logical_path=logical, rules=[get_rule("FBS004")]
         )

@@ -1,11 +1,11 @@
-"""Surface features: Finding total order, SARIF, docs sync, and FBS012
-opt-outs."""
+"""Surface features: Finding total order, the JSON flow export, docs
+sync, and FBS012 opt-outs."""
 
 import io
 import json
 from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis import all_rules, lint_source
 from repro.analysis.cli import main
 from repro.analysis.docsync import render_table
 from repro.analysis.findings import Finding, Severity
@@ -56,25 +56,9 @@ class TestFindingOrder:
         assert keys == sorted(keys)
 
 
-class TestSarif:
-    def test_sarif_output_shape(self):
-        code, output = run_cli(
-            "--format", "sarif", str(FIXTURES / "fbs004_bad.py")
-        )
-        assert code == 1
-        log = json.loads(output)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "fbslint"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"FBS001", "FBS010", "FBS011", "FBS012"} <= rule_ids
-        results = run["results"]
-        assert results and results[0]["ruleId"] == "FBS004"
-        loc = results[0]["locations"][0]["physicalLocation"]
-        assert loc["region"]["startLine"] >= 1
-        assert results[0]["partialFingerprints"]["fbslintFingerprint"]
-
-    def test_sarif_carries_flow_paths(self, tmp_path):
+class TestJsonFlow:
+    def test_json_carries_flow_paths(self, tmp_path, monkeypatch):
+        # The one machine format exports the witness structurally.
         (tmp_path / "src/repro/core").mkdir(parents=True)
         (tmp_path / "src/repro/core/kdf.py").write_text(
             "def derive(kdf):\n    return kdf.flow_key(1)\n"
@@ -83,16 +67,14 @@ class TestSarif:
             "from repro.core.kdf import derive\n"
             "def audit(kdf):\n    print(derive(kdf))\n"
         )
-        result = lint_paths([tmp_path / "src"], root=tmp_path)
-        from repro.analysis.sarif import render_sarif
-
-        log = render_sarif(result.findings)
-        flows = [
-            r["properties"]["flow"]
-            for r in log["runs"][0]["results"]
-            if "properties" in r
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli("--format", "json", "src")
+        assert code == 1
+        findings = json.loads(output)["findings"]
+        assert sorted(findings[0]) == [
+            "column", "flow", "line", "message", "path", "rule", "severity",
         ]
-        assert flows and all(len(flow) >= 2 for flow in flows)
+        assert all(len(f["flow"]) >= 2 for f in findings)
 
 
 class TestDocsSync:
@@ -134,8 +116,6 @@ class TestDocsSync:
         assert "markers" in output
 
     def test_table_covers_every_rule(self):
-        from repro.analysis import all_rules
-
         table = render_table()
         for rule in all_rules():
             assert rule.rule_id in table
@@ -150,16 +130,15 @@ class TestUnusedSuppressions:
         assert "matches no finding" in result.findings[0].message
 
     def test_opt_out_flag(self):
+        # FBS012 is deselected like any other rule.
+        rules = [rule for rule in all_rules() if rule.rule_id != "FBS012"]
         result = lint_source(
-            self.SOURCE, logical_path="src/repro/core/x.py",
-            unused_suppressions=False,
+            self.SOURCE, logical_path="src/repro/core/x.py", rules=rules
         )
         assert result.findings == []
 
     def test_cli_opt_out(self):
-        code, _ = run_cli(
-            "--no-unused-suppressions", str(FIXTURES / "fbs012_bad.py")
-        )
+        code, _ = run_cli("--ignore", "FBS012", str(FIXTURES / "fbs012_bad.py"))
         assert code == 0
 
     def test_narrowed_select_does_not_fire(self, tmp_path):

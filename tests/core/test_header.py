@@ -1,6 +1,8 @@
 """Security flow header codec tests (Figure 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AlgorithmSuite, MacAlgorithm
 from repro.core.errors import HeaderFormatError
@@ -99,6 +101,42 @@ class TestDerivedFields:
 
     def test_timestamp_bytes(self):
         assert make_header(timestamp=1).timestamp_bytes() == b"\x00\x00\x00\x01"
+
+
+class TestLayoutOverRealBytes:
+    """Figure 2 and the S6 MAC input, spelled with ``to_bytes`` so that
+    no struct format string is on both sides of the comparison."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sfl=st.integers(0, (1 << 64) - 1),
+        confounder=st.integers(0, (1 << 32) - 1),
+        timestamp=st.integers(0, (1 << 32) - 1),
+        mac=st.sampled_from([32, 64, 128, 160]).flatmap(
+            lambda bits: st.binary(min_size=bits // 8, max_size=bits // 8)
+        ),
+        suite_id=st.integers(0, 255),
+        carry=st.booleans(),
+        body=st.binary(max_size=40),
+    )
+    def test_every_field_sits_where_the_paper_puts_it(
+        self, sfl, confounder, timestamp, mac, suite_id, carry, body
+    ):
+        suite = AlgorithmSuite(
+            suite_id=suite_id,
+            mac=MacAlgorithm.KEYED_SHS if len(mac) == 20 else MacAlgorithm.KEYED_MD5,
+            mac_bits=len(mac) * 8,
+        )
+        header = FBSHeader(sfl=sfl, confounder=confounder, mac=mac, timestamp=timestamp)
+        c, t = confounder.to_bytes(4, "big"), timestamp.to_bytes(4, "big")
+        wire = header.encode(suite, carry)
+        assert wire == (
+            (bytes([suite_id, 0]) if carry else b"") + sfl.to_bytes(8, "big") + c + mac + t
+        )
+        assert len(wire) == header_length(suite, carry)
+        assert FBSHeader.decode(wire + body, suite, carry) == header
+        assert header.mac_input(body) == c + t + body  # Figure 4, S6
+        assert header.iv() == c + c  # Section 7.2
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Link and Ethernet segment tests."""
+"""Ethernet segment tests; a link is a segment of two stations."""
 
 import pytest
 
@@ -7,91 +7,89 @@ from repro.netsim.clock import Simulator
 from repro.netsim.link import (
     ETHERNET_FRAMING_OVERHEAD,
     EthernetSegment,
-    Link,
     LinkConditions,
 )
+
+
+def _link(sim, **kwargs):
+    """A point-to-point link: two stations, one sending to the other.
+
+    Returns ``(segment, send, arrivals)``; ``arrivals`` collects the far
+    end's ``(time, frame)`` pairs.
+    """
+    seg = EthernetSegment(sim, **kwargs)
+    arrivals = []
+    near = seg.attach(lambda f: None)
+    seg.attach(lambda f: arrivals.append((sim.now, f)))
+    return seg, lambda frame: seg.send(near, frame), arrivals
 
 
 class TestLink:
     def test_delivery(self):
         sim = Simulator()
-        link = Link(sim)
-        received = []
-        link.attach(received.append)
-        link.send(b"frame-1")
+        _, send, arrivals = _link(sim)
+        send(b"frame-1")
         sim.run()
-        assert received == [b"frame-1"]
+        assert [f for _, f in arrivals] == [b"frame-1"]
 
     def test_serialization_time(self):
-        sim = Simulator()
-        link = Link(sim, bandwidth_bps=8_000_000, propagation_delay=0.0)
-        assert link.serialization_time(1000 - ETHERNET_FRAMING_OVERHEAD) == pytest.approx(
+        seg = EthernetSegment(Simulator(), bandwidth_bps=8_000_000)
+        assert seg.serialization_time(1000 - ETHERNET_FRAMING_OVERHEAD) == pytest.approx(
             0.001
         )
 
     def test_frames_serialize_fifo(self):
         sim = Simulator()
-        link = Link(sim, bandwidth_bps=1_000_000, propagation_delay=0.0)
-        arrivals = []
-        link.attach(lambda f: arrivals.append((sim.now, f)))
-        link.send(b"a" * 100)
-        link.send(b"b" * 100)
+        seg, send, arrivals = _link(sim, bandwidth_bps=1_000_000, propagation_delay=0.0)
+        send(b"a" * 100)
+        send(b"b" * 100)
         sim.run()
         assert [f for _, f in arrivals] == [b"a" * 100, b"b" * 100]
         gap = arrivals[1][0] - arrivals[0][0]
-        assert gap == pytest.approx(link.serialization_time(100))
+        assert gap == pytest.approx(seg.serialization_time(100))
 
     def test_propagation_delay(self):
         sim = Simulator()
-        link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.5)
-        arrivals = []
-        link.attach(lambda f: arrivals.append(sim.now))
-        link.send(b"x")
+        _, send, arrivals = _link(sim, bandwidth_bps=1e9, propagation_delay=0.5)
+        send(b"x")
         sim.run()
-        assert arrivals[0] >= 0.5
+        assert arrivals[0][0] >= 0.5
 
     def test_loss(self):
         sim = Simulator()
-        link = Link(sim, conditions=LinkConditions(loss_probability=1.0), seed=1)
-        received = []
-        link.attach(received.append)
+        seg, send, arrivals = _link(
+            sim, conditions=LinkConditions(loss_probability=1.0), seed=1
+        )
         for _ in range(10):
-            link.send(b"gone")
+            send(b"gone")
         sim.run()
-        assert received == []
-        assert link.frames_dropped == 10
+        assert arrivals == []
+        assert seg.frames_dropped == 10
 
     def test_duplication(self):
         sim = Simulator()
-        link = Link(sim, conditions=LinkConditions(duplication_probability=1.0), seed=2)
-        received = []
-        link.attach(received.append)
-        link.send(b"twice")
+        _, send, arrivals = _link(
+            sim, conditions=LinkConditions(duplication_probability=1.0), seed=2
+        )
+        send(b"twice")
         sim.run()
-        assert received == [b"twice", b"twice"]
+        assert [f for _, f in arrivals] == [b"twice", b"twice"]
 
     def test_reordering_possible(self):
         sim = Simulator()
-        link = Link(
+        _, send, arrivals = _link(
             sim,
             bandwidth_bps=1e9,
             conditions=LinkConditions(reorder_jitter=0.1),
             seed=3,
         )
-        received = []
-        link.attach(received.append)
         frames = [bytes([i]) for i in range(30)]
         for frame in frames:
-            link.send(frame)
+            send(frame)
         sim.run()
+        received = [f for _, f in arrivals]
         assert sorted(received) == sorted(frames)
         assert received != frames  # with jitter 0.1 over 30 frames, certain
-
-    def test_requires_receiver(self):
-        sim = Simulator()
-        link = Link(sim)
-        with pytest.raises(RuntimeError):
-            link.send(b"nowhere")
 
     def test_invalid_conditions(self):
         with pytest.raises(ValueError):
@@ -101,7 +99,7 @@ class TestLink:
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
-            Link(Simulator(), bandwidth_bps=0)
+            EthernetSegment(Simulator(), bandwidth_bps=0)
 
 
 class TestEthernetSegment:
@@ -162,16 +160,14 @@ def _bit_difference(a: bytes, b: bytes) -> int:
 class TestLinkFaultModel:
     def test_corruption_flips_exactly_one_bit(self):
         sim = Simulator()
-        link = Link(
+        seg, send, arrivals = _link(
             sim, conditions=LinkConditions(corruption_probability=1.0), seed=5
         )
-        received = []
-        link.attach(received.append)
-        link.send(b"payload under test")
+        send(b"payload under test")
         sim.run()
-        assert len(received) == 1
-        assert _bit_difference(received[0], b"payload under test") == 1
-        assert link.frames_corrupted == 1
+        assert len(arrivals) == 1
+        assert _bit_difference(arrivals[0][1], b"payload under test") == 1
+        assert seg.frames_corrupted == 1
 
     def test_corruption_probability_validated(self):
         with pytest.raises(ValueError):
@@ -181,38 +177,34 @@ class TestLinkFaultModel:
 
     def test_duplicates_consume_airtime_and_count(self):
         sim = Simulator()
-        link = Link(
+        seg, send, arrivals = _link(
             sim,
             bandwidth_bps=1_000_000,
             propagation_delay=0.0,
             conditions=LinkConditions(duplication_probability=1.0),
             seed=6,
         )
-        arrivals = []
-        link.attach(lambda f: arrivals.append(sim.now))
         frame = b"x" * (125 - ETHERNET_FRAMING_OVERHEAD)  # 1 ms on the wire
-        link.send(frame)
+        send(frame)
         sim.run()
         # The copy is a second transmission: it serializes after the
         # original instead of arriving for free at the same instant.
         assert len(arrivals) == 2
-        assert arrivals[1] - arrivals[0] == pytest.approx(0.001)
-        assert link.frames_duplicated == 1
-        assert link.frames_sent == 2
-        assert link.bytes_sent == 2 * len(frame)
-        assert link.busy_until == pytest.approx(0.002)
+        assert arrivals[1][0] - arrivals[0][0] == pytest.approx(0.001)
+        assert seg.frames_duplicated == 1
+        assert seg.frames_sent == 2
+        assert seg.bytes_sent == 2 * len(frame)
+        assert seg.busy_until == pytest.approx(0.002)
 
     def test_conditions_swappable_mid_run(self):
         sim = Simulator()
-        link = Link(sim, seed=7)
-        received = []
-        link.attach(received.append)
-        link.send(b"clean")
-        link.conditions = LinkConditions(loss_probability=1.0)
-        link.send(b"lost")
+        seg, send, arrivals = _link(sim, seed=7)
+        send(b"clean")
+        seg.conditions = LinkConditions(loss_probability=1.0)
+        send(b"lost")
         sim.run()
-        assert received == [b"clean"]
-        assert link.frames_dropped == 1
+        assert [f for _, f in arrivals] == [b"clean"]
+        assert seg.frames_dropped == 1
 
 
 class TestSegmentFaultModel:
@@ -273,20 +265,6 @@ class TestSegmentFaultModel:
         assert seg.frames_corrupted == 1
         assert inbox_b == inbox_c == sniffed
         assert _bit_difference(inbox_b[0], b"frame on the wire") == 1
-
-    def test_stats_align_with_link(self):
-        # The segment exposes the same counter vocabulary as Link, so
-        # fault campaigns can treat either interchangeably.
-        seg = EthernetSegment(Simulator())
-        link = Link(Simulator())
-        for name in (
-            "frames_sent",
-            "frames_dropped",
-            "frames_duplicated",
-            "frames_corrupted",
-            "bytes_sent",
-        ):
-            assert getattr(seg, name) == getattr(link, name) == 0
 
 
 ADDRESSES = [IPAddress(f"10.0.0.{i + 1}") for i in range(6)]

@@ -4,8 +4,11 @@ Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule): every table
 that says what a source, a clock or an unseeded generator is, and every
 helper that reads a ``raise``/``except``/metrics-bump statement, is
 defined in exactly one module; the rule modules walk no source, sink,
-clock, RNG or raise site of their own; and the engine joins the two
-phases' findings without reconciling them.
+clock, RNG or raise site of their own; the engine joins the two phases'
+findings without reconciling them; and phase 2 is three graph
+algorithms -- one label propagation, one transitive-reach closure, one
+unguarded-raise reporter -- each written once and instantiated per
+rule ("replace, don't fork").
 """
 
 import ast
@@ -93,3 +96,86 @@ def test_no_summary_cache_or_serializer_remains():
         assert "from_dict" not in defined, relative
         if relative != "findings.py":  # Finding.as_dict is --format json
             assert "as_dict" not in defined, relative
+
+
+# -- phase 2: three graph algorithms, each written once --------------------------------
+
+
+def _dataflow_methods():
+    tree = ast.parse((ANALYSIS / "dataflow.py").read_text())
+    return tree, {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _self_calls(function):
+    return {
+        node.func.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    }
+
+
+def test_phase2_has_one_propagation_and_one_closure_loop():
+    tree, methods = _dataflow_methods()
+    fixpoints = [
+        name
+        for name, function in methods.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITERATIONS)"
+    ]
+    assert sorted(fixpoints) == ["_closure", "_propagate"]
+    assert ast.unparse(tree).count("_MAX_ITERATIONS") == 3  # its definition + the two
+
+
+def test_unguarded_reach_has_one_caller():
+    _, methods = _dataflow_methods()
+    callers = [name for name, fn in methods.items() if "_reach_unguarded" in _self_calls(fn)]
+    assert callers == ["_report_unguarded"]
+
+
+#: rule id -> the one algorithm its findings come through.
+SHARED_ALGORITHM = {
+    "FBS001": "_propagate",
+    "FBS011": "_propagate",
+    "FBS002": "_closure",
+    "FBS003": "_closure",
+    "FBS010": "_closure",
+    "FBS006": "_report_unguarded",
+    "FBS007": "_report_unguarded",
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(SHARED_ALGORITHM))
+def test_each_dataflow_rule_reaches_emit_through_its_shared_algorithm(rule_id):
+    _, methods = _dataflow_methods()
+    # The one function that names the rule (outside the dispatcher) is
+    # an instantiation: it obtains its facts from the shared algorithm.
+    naming = [
+        name
+        for name, function in methods.items()
+        if name != "run"
+        and any(
+            isinstance(node, ast.Constant) and node.value == rule_id
+            for node in ast.walk(function)
+        )
+    ]
+    assert len(naming) == 1, naming
+    assert SHARED_ALGORITHM[rule_id] in _self_calls(methods[naming[0]])
+
+
+def test_only_the_instantiations_and_the_raise_reporter_emit():
+    _, methods = _dataflow_methods()
+    emitters = {name for name, fn in methods.items() if "_emit" in _self_calls(fn)}
+    assert emitters == {
+        "_taint_pass",
+        "_report_order_pass",
+        "_impurity_pass",
+        "_blocking_pass",
+        "_report_unguarded",
+    }

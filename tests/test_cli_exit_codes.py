@@ -1,0 +1,22 @@
+"""Every ``python -m repro.<package>`` returns its documented exit code.
+
+Each ``cli.py`` docstring promises "2 on usage errors"; all seven parse
+through :func:`repro.obs.report.parse_cli`, so ``main`` *returns* that 2
+(and 0 after ``--help``) instead of letting argparse's ``SystemExit``
+unwind a caller that invoked it as a function.
+"""
+
+import importlib
+
+import pytest
+
+PACKAGES = ("analysis", "gateway", "load", "obs", "resilience", "traces", "transport")
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
+    main = importlib.import_module(f"repro.{package}.cli").main
+    assert main(["--no-such-flag"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

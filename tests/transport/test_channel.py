@@ -230,25 +230,23 @@ class TestFirstContactRetryOverUdp:
         assert asyncio.run(scenario()) == 2
 
     def test_transport_config_retry_knobs_become_the_policy(self):
-        # Operators tune one object: with no explicit RetryPolicy the
-        # UdpTransportConfig retry_* knobs drive first contact.
+        # First contact is tuned through one object, the RetryPolicy:
+        # the socket config carries no retry knobs to mirror it.
+        wanted = RetryPolicy(initial=0.11, cap=0.22, jitter=0.0, attempts=3)
+
         async def scenario():
-            config = UdpTransportConfig(
-                retry_initial=0.11, retry_cap=0.22,
-                retry_jitter=0.0, retry_attempts=3,
-            )
             client, server = await build_udp_channels(
-                seed=1, transport_config=config
+                seed=1, retry=wanted, transport_config=UdpTransportConfig()
             )
-            policy = client.retry
+            policies = client.retry, server.retry
             await client.close()
             await server.close()
-            return policy
+            return policies
 
-        policy = asyncio.run(scenario())
-        assert policy == RetryPolicy(
-            initial=0.11, cap=0.22, jitter=0.0, attempts=3
-        )
+        assert asyncio.run(scenario()) == (wanted, wanted)
+        assert not [
+            name for name in UdpTransportConfig.__dataclass_fields__ if "retry" in name
+        ]
 
 
 class TestFirstContactRetryOverNetsim:
