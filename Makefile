@@ -23,17 +23,22 @@ loc:
 
 # fbslint: the whole-program protocol-invariant analyzer (ten rules,
 # FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,
-# 2 usage/analysis error.
+# 2 usage/analysis error.  For local use; CI asserts it in tier-1
+# (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
 lint:
 	$(PYTHON) -m repro.analysis src
 
 # Verify the DESIGN.md "Enforced invariants" table matches the rule
 # registry (regenerate with `python -m repro.analysis --write-docs`).
+# For local use; CI asserts it in tier-1
+# (tests/analysis/test_v2_features.py::TestDocsSync::test_repo_docs_are_in_sync).
 lint-docs:
 	$(PYTHON) -m repro.analysis --check-docs
 
 # Observability: end-to-end trace/registry/cache parity selftest plus
 # docs coverage (every event + metric documented) and link checks.
+# For local use; CI asserts both in tier-1 (tests/obs/test_cli.py::
+# test_selftest_passes and ::test_check_docs_passes_on_this_repo).
 obs-check:
 	$(PYTHON) -m repro.obs --selftest
 	$(PYTHON) -m repro.obs check-docs --root .

@@ -90,6 +90,55 @@ def _build_pair(
     return net, sender, receiver
 
 
+def _udp_blast(
+    net: Network,
+    sender: Host,
+    receiver: Host,
+    backlog: Callable[[], float],
+    payload: bytes,
+    total_bytes: int,
+    configuration: str,
+    kind: str,
+) -> ThroughputResult:
+    """A paced UDP blast from ``sender``, goodput at ``receiver``.
+
+    ``backlog()`` is when the resources that pace the sender (its CPU,
+    the wire, a gateway's CPU) are next free; the clock starts when the
+    warm-up datagrams have arrived.
+    """
+    inbox = UdpSocket(receiver, 5001)
+    outbox = UdpSocket(sender, 5002)
+    count = max(1, total_bytes // len(payload))
+    warmup = 2  # absorb one-time keying (upcall, modexp, PVC fetch)
+    state = {"sent": 0}
+    timing = {"start": None}
+
+    def on_receive(_payload, _src, _sport) -> None:
+        if len(inbox.received) == warmup:
+            timing["start"] = net.sim.now
+
+    inbox.on_receive = on_receive
+
+    def pump() -> None:
+        if state["sent"] >= count + warmup:
+            return
+        outbox.sendto(payload, receiver.address, 5001)
+        state["sent"] += 1
+        net.sim.schedule_at(max(net.sim.now, backlog()), pump)
+
+    pump()
+    net.sim.run()
+    measured = max(0, len(inbox.received) - warmup)
+    start = timing["start"] if timing["start"] is not None else 0.0
+    return ThroughputResult(
+        configuration=configuration,
+        kind=kind,
+        payload_bytes=measured * len(payload),
+        elapsed_seconds=net.sim.now - start,
+        datagrams=measured,
+    )
+
+
 def measure_udp_throughput(
     configuration: str,
     total_bytes: int = 500_000,
@@ -108,42 +157,17 @@ def measure_udp_throughput(
     """
     net, sender, receiver = _build_pair(seed, cost_model, bandwidth_bps)
     setup_security(configuration, sender, receiver, seed=seed)
-
-    inbox = UdpSocket(receiver, 5001)
-    outbox = UdpSocket(sender, 5002)
-    count = max(1, total_bytes // payload_size)
-    warmup = 2  # absorb one-time keying (upcall, modexp, PVC fetch)
-    payload = b"\xa5" * payload_size
     segment = net.segment("lan")
-    state = {"sent": 0}
-    timing = {"start": None}
-
-    def on_receive(_payload, _src, _sport) -> None:
-        if len(inbox.received) == warmup:
-            timing["start"] = net.sim.now
-
-    inbox.on_receive = on_receive
-
-    def pump() -> None:
-        if state["sent"] >= count + warmup:
-            return
-        outbox.sendto(payload, receiver.address, 5001)
-        state["sent"] += 1
+    return _udp_blast(
+        net,
+        sender,
+        receiver,
         # Pace on whichever resource backs up: the sender CPU or the wire.
-        next_time = max(net.sim.now, sender.cpu_busy_until, segment.busy_until)
-        net.sim.schedule_at(next_time, pump)
-
-    pump()
-    net.sim.run()
-    measured = max(0, len(inbox.received) - warmup)
-    start = timing["start"] if timing["start"] is not None else 0.0
-    elapsed = net.sim.now - start
-    return ThroughputResult(
-        configuration=configuration,
-        kind="ttcp",
-        payload_bytes=measured * payload_size,
-        elapsed_seconds=elapsed,
-        datagrams=measured,
+        lambda: max(sender.cpu_busy_until, segment.busy_until),
+        b"\xa5" * payload_size,
+        total_bytes,
+        configuration,
+        "ttcp",
     )
 
 
@@ -163,8 +187,6 @@ def measure_routed_udp_throughput(
     trade-off of Section 7.1: gateway mode spares the hosts but pays
     double encapsulation headers and gateway CPU.
     """
-    from repro.core.deploy import FBSDomain
-
     net = Network(seed=seed)
     net.add_segment("lan1", "10.0.1.0", bandwidth_bps=bandwidth_bps)
     net.add_segment("lan2", "10.0.2.0", bandwidth_bps=bandwidth_bps)
@@ -191,41 +213,16 @@ def measure_routed_udp_throughput(
     elif mode != "generic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    inbox = UdpSocket(receiver, 5001)
-    outbox = UdpSocket(sender, 5002)
-    count = max(1, total_bytes // payload_size)
-    warmup = 2
-    payload = b"\x3c" * payload_size
     lan1 = net.segment("lan1")
-    state = {"sent": 0}
-    timing = {"start": None}
-
-    def on_receive(_payload, _src, _sport) -> None:
-        if len(inbox.received) == warmup:
-            timing["start"] = net.sim.now
-
-    inbox.on_receive = on_receive
-
-    def pump() -> None:
-        if state["sent"] >= count + warmup:
-            return
-        outbox.sendto(payload, receiver.address, 5001)
-        state["sent"] += 1
-        next_time = max(
-            net.sim.now, sender.cpu_busy_until, lan1.busy_until, gw1.cpu_busy_until
-        )
-        net.sim.schedule_at(next_time, pump)
-
-    pump()
-    net.sim.run()
-    measured = max(0, len(inbox.received) - warmup)
-    start = timing["start"] if timing["start"] is not None else 0.0
-    return ThroughputResult(
-        configuration=mode,
-        kind="routed-ttcp",
-        payload_bytes=measured * payload_size,
-        elapsed_seconds=net.sim.now - start,
-        datagrams=measured,
+    return _udp_blast(
+        net,
+        sender,
+        receiver,
+        lambda: max(sender.cpu_busy_until, lan1.busy_until, gw1.cpu_busy_until),
+        b"\x3c" * payload_size,
+        total_bytes,
+        mode,
+        "routed-ttcp",
     )
 
 

@@ -388,12 +388,12 @@ class FBSEndpoint:
         """FBSSend (S1-S10) over n >= 1 datagrams, in stages.
 
         Classification, keying and stamping walk shared soft state, so
-        they run in datagram order; MAC, cipher and header encoding are
-        then one kernel pass each -- the numpy lanes across datagrams
-        when there are at least two and the suite is the vectorized
-        pair, the scalar kernels otherwise.  Wire bytes, counters and
-        events do not depend on that choice, nor on how a stream is cut
-        into batches (tests pin both).
+        they run in datagram order; MAC and cipher are then one kernel
+        pass each -- the numpy lanes across datagrams when there are at
+        least two and the suite is the vectorized pair, the scalar
+        kernels otherwise.  Wire bytes, counters and events do not
+        depend on that choice, nor on how a stream is cut into batches
+        (tests pin both).
 
         ``attributes``, when given, is parallel to ``bodies``.
         ``stamps`` optionally supplies a per-datagram simulation time
@@ -482,35 +482,22 @@ class FBSEndpoint:
                     )
                 )
         # (S7, S10) encode the headers, account, emit header + body.
-        if lanes:
-            heads = _lanes(
-                _vector.encode_headers_many,
-                [header.sfl for header in headers],
-                [header.confounder for header in headers],
-                macs,
-                [header.timestamp for header in headers],
-                mac_bytes,
-                suite_id=suite.suite_id if carry else None,
-            )
-        else:
-            heads = []
-            for i in range(n):
-                headers[i].mac = macs[i]
-                heads.append(headers[i].encode(suite, carry))
         tr = self.tracer
         emit = tr.emit if tr.enabled else None
         out: List[bytes] = []
         bytes_out = 0
         for i in range(n):
+            header = headers[i]
+            header.mac = macs[i]
             wire_body = wire_bodies[i]
             bytes_out += len(wire_body)
             if emit is not None:
                 emit(
                     DatagramProtected(
-                        sfl=headers[i].sfl, size=len(wire_body), secret=secret
+                        sfl=header.sfl, size=len(wire_body), secret=secret
                     )
                 )
-            out.append(heads[i] + wire_body)
+            out.append(header.encode(suite, carry) + wire_body)
         self._c_sent.inc(n)
         self._c_bytes_out.inc(bytes_out)
         self._c_flows.inc(flows)

@@ -215,10 +215,11 @@ _ROUND_KEY_LUTS = _round_key_luts()
 def _raw_schedule(key: int) -> Tuple[Tuple[int, ...], ...]:
     """The sixteen round subkeys as raw 6-bit chunks (no table selection).
 
-    This is the schedule the vector datapath consumes
-    (:mod:`repro.crypto.vector` packs the chunks into per-round XOR
-    masks); the scalar path uses :func:`_key_schedule`, which fuses the
-    ``_SPX`` table selection into the same loop.
+    The 48-bit subkeys come from :data:`_ROUND_KEY_LUTS`, which bakes the
+    per-round rotation and PC2 into window lookups on the PC1 output.
+    The vector datapath consumes the chunks as they are
+    (:mod:`repro.crypto.vector` packs them into per-round XOR masks);
+    the scalar path selects its tables over them (:func:`_key_schedule`).
     """
     permuted = _apply_luts(key, 64, _PC1_LUT)
     c = (permuted >> 28) & 0x0FFFFFFF
@@ -246,40 +247,23 @@ def _raw_schedule(key: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rounds)
 
 
-def _key_schedule(key: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """The sixteen round subkeys as selected SP tables.
+def _key_schedule(
+    raw: Tuple[Tuple[int, ...], ...]
+) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The round subkeys of :func:`_raw_schedule` as selected SP tables.
 
-    Each round's 48-bit subkey is split into eight 6-bit chunks and each
-    chunk picks its pre-XORed SP table from ``_SPX`` -- sixteen rounds of
-    eight shared 64-entry tuples, no per-key table construction.  The
-    48-bit subkeys come from :data:`_ROUND_KEY_LUTS`, which bakes the
-    per-round rotation and PC2 into window lookups on the PC1 output.
+    Each 6-bit chunk picks its pre-XORed SP table from ``_SPX`` --
+    sixteen rounds of eight shared 64-entry tuples, no per-key table
+    construction.
     """
-    permuted = _apply_luts(key, 64, _PC1_LUT)
-    c = (permuted >> 28) & 0x0FFFFFFF
-    d = permuted & 0x0FFFFFFF
-    c0, c1, c2, c3 = c >> 21, (c >> 14) & 127, (c >> 7) & 127, c & 127
-    d0, d1, d2, d3 = d >> 21, (d >> 14) & 127, (d >> 7) & 127, d & 127
     spx0, spx1, spx2, spx3, spx4, spx5, spx6, spx7 = _SPX
-    subkeys = []
-    for cw0, cw1, cw2, cw3, dw0, dw1, dw2, dw3 in _ROUND_KEY_LUTS:
-        k48 = (
-            cw0[c0] | cw1[c1] | cw2[c2] | cw3[c3]
-            | dw0[d0] | dw1[d1] | dw2[d2] | dw3[d3]
-        )
-        subkeys.append(
-            (
-                spx0[(k48 >> 42) & 0x3F],
-                spx1[(k48 >> 36) & 0x3F],
-                spx2[(k48 >> 30) & 0x3F],
-                spx3[(k48 >> 24) & 0x3F],
-                spx4[(k48 >> 18) & 0x3F],
-                spx5[(k48 >> 12) & 0x3F],
-                spx6[(k48 >> 6) & 0x3F],
-                spx7[k48 & 0x3F],
-            )
-        )
-    return tuple(subkeys)
+    return tuple(
+        [
+            (spx0[k0], spx1[k1], spx2[k2], spx3[k3],
+             spx4[k4], spx5[k5], spx6[k6], spx7[k7])
+            for k0, k1, k2, k3, k4, k5, k6, k7 in raw
+        ]
+    )
 
 
 class DES:
@@ -301,7 +285,7 @@ class DES:
     :mod:`repro.crypto.modes`.
     """
 
-    __slots__ = ("subkeys", "subkeys_rev", "_key_int", "_raw", "_vector")
+    __slots__ = ("subkeys", "subkeys_rev", "raw_subkeys", "_vector")
 
     #: Process-wide count of key-schedule constructions (one per DES()).
     schedule_builds = 0
@@ -310,30 +294,18 @@ class DES:
         if len(key) != BLOCK_SIZE:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         DES.schedule_builds += 1
-        self._key_int = int.from_bytes(key, "big")
+        #: Sixteen rounds of eight raw 6-bit subkey chunks; the vector
+        #: datapath packs these into per-lane XOR masks.
+        self.raw_subkeys = _raw_schedule(int.from_bytes(key, "big"))
         #: The encryption schedule: what :func:`_crypt` consumes.  The
         #: mode layer (:mod:`repro.crypto.modes`) reads these directly to
         #: drive ``_crypt`` without per-block method dispatch.
-        self.subkeys = _key_schedule(self._key_int)
+        self.subkeys = _key_schedule(self.raw_subkeys)
         self.subkeys_rev = tuple(reversed(self.subkeys))
-        # Lazily-built views for the vector datapath: the raw 6-bit
-        # schedule and the byte-aligned per-round masks, both
-        # directions, that repro.crypto.vector.des packs from it and
-        # caches here (None until a lane pass touches this key).
-        self._raw = None
+        # The byte-aligned per-round masks, both directions, that
+        # repro.crypto.vector.des packs from raw_subkeys and caches here
+        # (None until a lane pass touches this key).
         self._vector = None
-
-    @property
-    def raw_subkeys(self) -> Tuple[Tuple[int, ...], ...]:
-        """Sixteen rounds of eight raw 6-bit subkey chunks.
-
-        Built on first use (the scalar path never needs it) and cached;
-        the vector datapath packs these into per-lane XOR masks.
-        """
-        raw = self._raw
-        if raw is None:
-            raw = self._raw = _raw_schedule(self._key_int)
-        return raw
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 8-byte block."""

@@ -2,41 +2,34 @@
 
 MD5 is the paper's choice both for the flow-key derivation hash ``H`` and
 for the keyed MAC ("keyed MD5 is used to compute the MAC", Section 7.2).
-This is a streaming implementation with the familiar ``update``/``digest``
-interface; correctness is checked against the RFC 1321 test suite and
-against :mod:`hashlib` by the tests.
+The streaming ``update``/``digest`` interface is the shared
+:class:`repro.crypto._md.MerkleDamgard` driver; correctness is checked
+against the RFC 1321 test suite and against :mod:`hashlib` by the tests.
 
 Because every protected datagram pays one MD5 pass over its body, the
 compress function is the datapath's single hottest loop and is written
-for CPython speed:
+for CPython speed (about x1.6 over the four-loop form, on the path
+every budget workload runs; EXPERIMENTS.md "Lane crossovers by stage"):
 
 * the 64 steps are fully unrolled into the four explicit 16-step rounds
   of RFC 1321, with the sine constants inlined and the rotates expressed
   as shift/or on locals (no helper calls, no per-step table indexing);
 * the round functions use the 3-op forms ``F = d ^ (b & (c ^ d))`` and
-  ``G = c ^ (d & (b ^ c))`` instead of the 4-op textbook forms;
-* buffered input lives in a ``bytearray`` consumed via an offset, so
-  streaming ``update`` calls are linear (the naive ``bytes`` reslice is
-  quadratic);
-* running state is an immutable tuple, so ``digest`` needs no clone: it
-  builds the whole RFC 1321 padding block in one shot and folds it into
-  a state copy-on-write.
+  ``G = c ^ (d & (b ^ c))`` instead of the 4-op textbook forms.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.crypto._md import MerkleDamgard
+
 __all__ = ["MD5", "md5", "DIGEST_SIZE"]
 
 #: MD5 digest size in bytes (the paper's 128-bit MAC field).
 DIGEST_SIZE = 16
 
-_INIT_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
-
 _WORDS16 = struct.Struct("<16I")
-_STATE4 = struct.Struct("<4I")
-_LENGTH8 = struct.Struct("<Q")
 
 
 def _compress(state, block, offset=0):
@@ -189,65 +182,16 @@ def _compress(state, block, offset=0):
     )
 
 
-class MD5:
+class MD5(MerkleDamgard):
     """Incremental MD5, mirroring the ``hashlib`` object protocol."""
 
-    digest_size = DIGEST_SIZE
-    block_size = 64
+    __slots__ = ()
     name = "md5"
-
-    __slots__ = ("_state", "_buffer", "_length")
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = _INIT_STATE
-        self._buffer = bytearray()
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._length += len(data)
-        buffer = self._buffer
-        buffer += data
-        end = len(buffer)
-        if end >= 64:
-            state = self._state
-            offset = 0
-            while offset + 64 <= end:
-                state = _compress(state, buffer, offset)
-                offset += 64
-            del buffer[:offset]
-            self._state = state
-
-    def digest(self) -> bytes:
-        """Return the 16-byte digest of everything absorbed so far."""
-        # One-shot RFC 1321 padding: 0x80, zeros to 56 mod 64, then the
-        # 64-bit bit length.  The running state is an immutable tuple,
-        # so finalizing never mutates (or clones) the live object.
-        length = self._length
-        tail = (
-            bytes(self._buffer)
-            + b"\x80"
-            + b"\x00" * ((55 - length) % 64)
-            + _LENGTH8.pack((length * 8) & 0xFFFFFFFFFFFFFFFF)
-        )
-        state = self._state
-        for offset in range(0, len(tail), 64):
-            state = _compress(state, tail, offset)
-        return _STATE4.pack(*state)
-
-    def hexdigest(self) -> str:
-        """Return the digest as a lowercase hex string."""
-        return self.digest().hex()
-
-    def copy(self) -> "MD5":
-        """Return an independent copy of the running state."""
-        clone = MD5.__new__(MD5)
-        clone._state = self._state
-        clone._buffer = bytearray(self._buffer)
-        clone._length = self._length
-        return clone
+    digest_size = DIGEST_SIZE
+    _compress = staticmethod(_compress)
+    _initial = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+    _state_words = struct.Struct("<4I")
+    _length_word = struct.Struct("<Q")
 
 
 def md5(data: bytes) -> bytes:

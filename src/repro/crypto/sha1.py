@@ -5,400 +5,67 @@ The paper names SHS as an alternative candidate for the hash function
 "produces 160-bit hashes" (Section 5.3).  Correctness is checked against
 FIPS vectors and :mod:`hashlib` by the tests.
 
-Like :mod:`repro.crypto.md5`, the compress function is unrolled for
-CPython speed: the message schedule and all 80 steps are explicit, the
-round constants are inlined, rotates are shift/or on locals, and the
-five working variables rotate *roles* instead of being shuffled through
-five assignments per step.  Buffered input lives in a ``bytearray``
-consumed via an offset (linear streaming), the running state is an
-immutable tuple, and ``digest`` builds the padding block in one shot.
+The compress function is the FIPS 180 loop as the standard writes it: an
+80-word message schedule, then four 20-step rounds.  No budget workload
+runs SHS, so unlike :mod:`repro.crypto.md5` it is not unrolled (an
+unroll buys about x1.3 on a path nothing pays for; EXPERIMENTS.md "Lane
+crossovers by stage").  The streaming ``update``/``digest`` interface
+is the shared :class:`repro.crypto._md.MerkleDamgard` driver.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.crypto._md import MerkleDamgard
+
 __all__ = ["SHA1", "sha1", "DIGEST_SIZE"]
 
 #: SHA-1 digest size in bytes (160 bits).
 DIGEST_SIZE = 20
 
-_INIT_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-
 _WORDS16 = struct.Struct(">16I")
-_STATE5 = struct.Struct(">5I")
-_LENGTH8 = struct.Struct(">Q")
 
 
 def _compress(state, block, offset=0):
     """Fold one 64-byte block at ``offset`` into ``state`` (a 5-tuple)."""
-    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15 = _WORDS16.unpack_from(block, offset)
-    a0, b0, c0, d0, e0 = state
-    a = a0
-    b = b0
-    c = c0
-    d = d0
-    e = e0
-    # Message schedule: w16..w79, rotl1 of the taps.
-    t = w13 ^ w8 ^ w2 ^ w0
-    w16 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w14 ^ w9 ^ w3 ^ w1
-    w17 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w15 ^ w10 ^ w4 ^ w2
-    w18 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w16 ^ w11 ^ w5 ^ w3
-    w19 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w17 ^ w12 ^ w6 ^ w4
-    w20 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w18 ^ w13 ^ w7 ^ w5
-    w21 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w19 ^ w14 ^ w8 ^ w6
-    w22 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w20 ^ w15 ^ w9 ^ w7
-    w23 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w21 ^ w16 ^ w10 ^ w8
-    w24 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w22 ^ w17 ^ w11 ^ w9
-    w25 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w23 ^ w18 ^ w12 ^ w10
-    w26 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w24 ^ w19 ^ w13 ^ w11
-    w27 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w25 ^ w20 ^ w14 ^ w12
-    w28 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w26 ^ w21 ^ w15 ^ w13
-    w29 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w27 ^ w22 ^ w16 ^ w14
-    w30 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w28 ^ w23 ^ w17 ^ w15
-    w31 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w29 ^ w24 ^ w18 ^ w16
-    w32 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w30 ^ w25 ^ w19 ^ w17
-    w33 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w31 ^ w26 ^ w20 ^ w18
-    w34 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w32 ^ w27 ^ w21 ^ w19
-    w35 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w33 ^ w28 ^ w22 ^ w20
-    w36 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w34 ^ w29 ^ w23 ^ w21
-    w37 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w35 ^ w30 ^ w24 ^ w22
-    w38 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w36 ^ w31 ^ w25 ^ w23
-    w39 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w37 ^ w32 ^ w26 ^ w24
-    w40 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w38 ^ w33 ^ w27 ^ w25
-    w41 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w39 ^ w34 ^ w28 ^ w26
-    w42 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w40 ^ w35 ^ w29 ^ w27
-    w43 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w41 ^ w36 ^ w30 ^ w28
-    w44 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w42 ^ w37 ^ w31 ^ w29
-    w45 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w43 ^ w38 ^ w32 ^ w30
-    w46 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w44 ^ w39 ^ w33 ^ w31
-    w47 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w45 ^ w40 ^ w34 ^ w32
-    w48 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w46 ^ w41 ^ w35 ^ w33
-    w49 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w47 ^ w42 ^ w36 ^ w34
-    w50 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w48 ^ w43 ^ w37 ^ w35
-    w51 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w49 ^ w44 ^ w38 ^ w36
-    w52 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w50 ^ w45 ^ w39 ^ w37
-    w53 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w51 ^ w46 ^ w40 ^ w38
-    w54 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w52 ^ w47 ^ w41 ^ w39
-    w55 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w53 ^ w48 ^ w42 ^ w40
-    w56 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w54 ^ w49 ^ w43 ^ w41
-    w57 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w55 ^ w50 ^ w44 ^ w42
-    w58 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w56 ^ w51 ^ w45 ^ w43
-    w59 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w57 ^ w52 ^ w46 ^ w44
-    w60 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w58 ^ w53 ^ w47 ^ w45
-    w61 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w59 ^ w54 ^ w48 ^ w46
-    w62 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w60 ^ w55 ^ w49 ^ w47
-    w63 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w61 ^ w56 ^ w50 ^ w48
-    w64 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w62 ^ w57 ^ w51 ^ w49
-    w65 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w63 ^ w58 ^ w52 ^ w50
-    w66 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w64 ^ w59 ^ w53 ^ w51
-    w67 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w65 ^ w60 ^ w54 ^ w52
-    w68 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w66 ^ w61 ^ w55 ^ w53
-    w69 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w67 ^ w62 ^ w56 ^ w54
-    w70 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w68 ^ w63 ^ w57 ^ w55
-    w71 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w69 ^ w64 ^ w58 ^ w56
-    w72 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w70 ^ w65 ^ w59 ^ w57
-    w73 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w71 ^ w66 ^ w60 ^ w58
-    w74 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w72 ^ w67 ^ w61 ^ w59
-    w75 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w73 ^ w68 ^ w62 ^ w60
-    w76 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w74 ^ w69 ^ w63 ^ w61
-    w77 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w75 ^ w70 ^ w64 ^ w62
-    w78 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    t = w76 ^ w71 ^ w65 ^ w63
-    w79 = ((t << 1) | (t >> 31)) & 0xFFFFFFFF
-    # Round 1 (steps 0-19).
-    e = (e + (a << 5 | a >> 27) + (d ^ (b & (c ^ d))) + 0x5A827999 + w0) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (c ^ (a & (b ^ c))) + 0x5A827999 + w1) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (b ^ (e & (a ^ b))) + 0x5A827999 + w2) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (a ^ (d & (e ^ a))) + 0x5A827999 + w3) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (e ^ (c & (d ^ e))) + 0x5A827999 + w4) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (d ^ (b & (c ^ d))) + 0x5A827999 + w5) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (c ^ (a & (b ^ c))) + 0x5A827999 + w6) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (b ^ (e & (a ^ b))) + 0x5A827999 + w7) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (a ^ (d & (e ^ a))) + 0x5A827999 + w8) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (e ^ (c & (d ^ e))) + 0x5A827999 + w9) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (d ^ (b & (c ^ d))) + 0x5A827999 + w10) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (c ^ (a & (b ^ c))) + 0x5A827999 + w11) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (b ^ (e & (a ^ b))) + 0x5A827999 + w12) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (a ^ (d & (e ^ a))) + 0x5A827999 + w13) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (e ^ (c & (d ^ e))) + 0x5A827999 + w14) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (d ^ (b & (c ^ d))) + 0x5A827999 + w15) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (c ^ (a & (b ^ c))) + 0x5A827999 + w16) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (b ^ (e & (a ^ b))) + 0x5A827999 + w17) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (a ^ (d & (e ^ a))) + 0x5A827999 + w18) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (e ^ (c & (d ^ e))) + 0x5A827999 + w19) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    # Round 2 (steps 20-39).
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0x6ED9EBA1 + w20) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0x6ED9EBA1 + w21) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0x6ED9EBA1 + w22) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0x6ED9EBA1 + w23) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0x6ED9EBA1 + w24) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0x6ED9EBA1 + w25) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0x6ED9EBA1 + w26) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0x6ED9EBA1 + w27) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0x6ED9EBA1 + w28) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0x6ED9EBA1 + w29) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0x6ED9EBA1 + w30) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0x6ED9EBA1 + w31) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0x6ED9EBA1 + w32) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0x6ED9EBA1 + w33) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0x6ED9EBA1 + w34) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0x6ED9EBA1 + w35) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0x6ED9EBA1 + w36) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0x6ED9EBA1 + w37) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0x6ED9EBA1 + w38) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0x6ED9EBA1 + w39) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    # Round 3 (steps 40-59).
-    e = (e + (a << 5 | a >> 27) + ((b & c) | ((b | c) & d)) + 0x8F1BBCDC + w40) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + ((a & b) | ((a | b) & c)) + 0x8F1BBCDC + w41) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + ((e & a) | ((e | a) & b)) + 0x8F1BBCDC + w42) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + ((d & e) | ((d | e) & a)) + 0x8F1BBCDC + w43) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + ((c & d) | ((c | d) & e)) + 0x8F1BBCDC + w44) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + ((b & c) | ((b | c) & d)) + 0x8F1BBCDC + w45) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + ((a & b) | ((a | b) & c)) + 0x8F1BBCDC + w46) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + ((e & a) | ((e | a) & b)) + 0x8F1BBCDC + w47) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + ((d & e) | ((d | e) & a)) + 0x8F1BBCDC + w48) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + ((c & d) | ((c | d) & e)) + 0x8F1BBCDC + w49) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + ((b & c) | ((b | c) & d)) + 0x8F1BBCDC + w50) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + ((a & b) | ((a | b) & c)) + 0x8F1BBCDC + w51) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + ((e & a) | ((e | a) & b)) + 0x8F1BBCDC + w52) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + ((d & e) | ((d | e) & a)) + 0x8F1BBCDC + w53) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + ((c & d) | ((c | d) & e)) + 0x8F1BBCDC + w54) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + ((b & c) | ((b | c) & d)) + 0x8F1BBCDC + w55) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + ((a & b) | ((a | b) & c)) + 0x8F1BBCDC + w56) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + ((e & a) | ((e | a) & b)) + 0x8F1BBCDC + w57) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + ((d & e) | ((d | e) & a)) + 0x8F1BBCDC + w58) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + ((c & d) | ((c | d) & e)) + 0x8F1BBCDC + w59) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    # Round 4 (steps 60-79).
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0xCA62C1D6 + w60) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0xCA62C1D6 + w61) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0xCA62C1D6 + w62) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0xCA62C1D6 + w63) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0xCA62C1D6 + w64) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0xCA62C1D6 + w65) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0xCA62C1D6 + w66) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0xCA62C1D6 + w67) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0xCA62C1D6 + w68) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0xCA62C1D6 + w69) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0xCA62C1D6 + w70) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0xCA62C1D6 + w71) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0xCA62C1D6 + w72) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0xCA62C1D6 + w73) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0xCA62C1D6 + w74) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
-    e = (e + (a << 5 | a >> 27) + (b ^ c ^ d) + 0xCA62C1D6 + w75) & 0xFFFFFFFF
-    b = b << 30 | b >> 2
-    d = (d + (e << 5 | e >> 27) + (a ^ b ^ c) + 0xCA62C1D6 + w76) & 0xFFFFFFFF
-    a = a << 30 | a >> 2
-    c = (c + (d << 5 | d >> 27) + (e ^ a ^ b) + 0xCA62C1D6 + w77) & 0xFFFFFFFF
-    e = e << 30 | e >> 2
-    b = (b + (c << 5 | c >> 27) + (d ^ e ^ a) + 0xCA62C1D6 + w78) & 0xFFFFFFFF
-    d = d << 30 | d >> 2
-    a = (a + (b << 5 | b >> 27) + (c ^ d ^ e) + 0xCA62C1D6 + w79) & 0xFFFFFFFF
-    c = c << 30 | c >> 2
+    w = list(_WORDS16.unpack_from(block, offset))
+    for i in range(16, 80):
+        t = w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]
+        w.append(((t << 1) | (t >> 31)) & 0xFFFFFFFF)
+    a, b, c, d, e = state
+    for i in range(20):
+        t = ((a << 5) | (a >> 27)) + (d ^ (b & (c ^ d))) + e + 0x5A827999 + w[i]
+        a, b, c, d, e = t & 0xFFFFFFFF, a, ((b << 30) | (b >> 2)) & 0xFFFFFFFF, c, d
+    for i in range(20, 40):
+        t = ((a << 5) | (a >> 27)) + (b ^ c ^ d) + e + 0x6ED9EBA1 + w[i]
+        a, b, c, d, e = t & 0xFFFFFFFF, a, ((b << 30) | (b >> 2)) & 0xFFFFFFFF, c, d
+    for i in range(40, 60):
+        t = ((a << 5) | (a >> 27)) + ((b & c) | (d & (b | c))) + e + 0x8F1BBCDC + w[i]
+        a, b, c, d, e = t & 0xFFFFFFFF, a, ((b << 30) | (b >> 2)) & 0xFFFFFFFF, c, d
+    for i in range(60, 80):
+        t = ((a << 5) | (a >> 27)) + (b ^ c ^ d) + e + 0xCA62C1D6 + w[i]
+        a, b, c, d, e = t & 0xFFFFFFFF, a, ((b << 30) | (b >> 2)) & 0xFFFFFFFF, c, d
+    h0, h1, h2, h3, h4 = state
     return (
-        (a0 + a) & 0xFFFFFFFF,
-        (b0 + b) & 0xFFFFFFFF,
-        (c0 + c) & 0xFFFFFFFF,
-        (d0 + d) & 0xFFFFFFFF,
-        (e0 + e) & 0xFFFFFFFF,
+        (h0 + a) & 0xFFFFFFFF,
+        (h1 + b) & 0xFFFFFFFF,
+        (h2 + c) & 0xFFFFFFFF,
+        (h3 + d) & 0xFFFFFFFF,
+        (h4 + e) & 0xFFFFFFFF,
     )
 
 
-class SHA1:
+class SHA1(MerkleDamgard):
     """Incremental SHA-1, mirroring the ``hashlib`` object protocol."""
 
-    digest_size = DIGEST_SIZE
-    block_size = 64
+    __slots__ = ()
     name = "sha1"
-
-    __slots__ = ("_state", "_buffer", "_length")
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = _INIT_STATE
-        self._buffer = bytearray()
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._length += len(data)
-        buffer = self._buffer
-        buffer += data
-        end = len(buffer)
-        if end >= 64:
-            state = self._state
-            offset = 0
-            while offset + 64 <= end:
-                state = _compress(state, buffer, offset)
-                offset += 64
-            del buffer[:offset]
-            self._state = state
-
-    def digest(self) -> bytes:
-        """Return the 20-byte digest of everything absorbed so far."""
-        # One-shot FIPS 180 padding; see MD5.digest for the scheme (the
-        # length field is big-endian here).
-        length = self._length
-        tail = (
-            bytes(self._buffer)
-            + b"\x80"
-            + b"\x00" * ((55 - length) % 64)
-            + _LENGTH8.pack((length * 8) & 0xFFFFFFFFFFFFFFFF)
-        )
-        state = self._state
-        for offset in range(0, len(tail), 64):
-            state = _compress(state, tail, offset)
-        return _STATE5.pack(*state)
-
-    def hexdigest(self) -> str:
-        """Return the digest as a lowercase hex string."""
-        return self.digest().hex()
-
-    def copy(self) -> "SHA1":
-        """Return an independent copy of the running state."""
-        clone = SHA1.__new__(SHA1)
-        clone._state = self._state
-        clone._buffer = bytearray(self._buffer)
-        clone._length = self._length
-        return clone
+    digest_size = DIGEST_SIZE
+    _compress = staticmethod(_compress)
+    _initial = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+    _state_words = struct.Struct(">5I")
+    _length_word = struct.Struct(">Q")
 
 
 def sha1(data: bytes) -> bytes:

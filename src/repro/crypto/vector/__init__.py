@@ -5,11 +5,12 @@ process one block of one datagram at a time; a ``protect_batch`` /
 ``unprotect_batch`` call pays the full Python interpreter overhead per
 block.  This package runs the same algorithms across **N independent
 datagram lanes at once**: every DES SP-table lookup becomes one array
-gather over all lanes, every MD5 step becomes a handful of ufunc calls
-over a lane vector, and header stamping becomes column assignments on a
-byte matrix.  The per-lane outputs are bit-identical to the scalar
-kernels -- the scalar modules stay the differential reference, in the
-same pattern as ``des.reference``.
+gather over all lanes and every MD5 step becomes a handful of ufunc
+calls over a lane vector.  The per-lane outputs are bit-identical to the
+scalar kernels -- the scalar modules stay the differential reference, in
+the same pattern as ``des.reference``.  Header encoding is not a lane:
+the scalar ``FBSHeader.encode`` loop beat a byte-matrix encoder at every
+batch size (EXPERIMENTS.md "Lane crossovers by stage").
 
 numpy is optional at runtime: :data:`HAVE_NUMPY` is ``False`` when the
 import fails, the kernel names below then raise, and the protocol layer
@@ -35,7 +36,6 @@ else:
 if HAVE_NUMPY:
     from repro.crypto.vector.des import cbc_decrypt_many, cbc_encrypt_many
     from repro.crypto.vector.md5 import keyed_md5_many, md5_many
-    from repro.crypto.vector.stamp import encode_headers_many
 else:
 
     def _unavailable(*_args, **_kwargs):
@@ -48,14 +48,12 @@ else:
     cbc_encrypt_many = _unavailable
     keyed_md5_many = _unavailable
     md5_many = _unavailable
-    encode_headers_many = _unavailable
 
 __all__ = [
     "HAVE_NUMPY",
     "SINGLE_LANE_MIN_BLOCKS",
     "cbc_decrypt_many",
     "cbc_encrypt_many",
-    "encode_headers_many",
     "keyed_md5_many",
     "md5_many",
 ]

@@ -26,7 +26,7 @@ slice of the N-worker merge equals a single-process run bit for bit.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
 from repro.load.worker import (
@@ -67,24 +67,12 @@ class LoadSpec:
     inline: bool = False
 
     def worker_specs(self) -> List[WorkerSpec]:
-        return [
-            WorkerSpec(
-                worker=i,
-                workers=self.workers,
-                workload=self.workload,
-                seed=self.seed,
-                duration=self.duration,
-                datagrams=self.datagrams,
-                secret=self.secret,
-                threshold=self.threshold,
-                cache_size=self.cache_size,
-                batch=self.batch,
-                vectorize=self.vectorize,
-                trace_dir=self.trace_dir,
-                transport=self.transport,
-            )
-            for i in range(self.workers)
-        ]
+        # Every field but the engine's own ``inline`` is a WorkerSpec
+        # field of the same name; a worker adds its shard index.
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "inline"
+        }
+        return [WorkerSpec(worker=i, **shared) for i in range(self.workers)]
 
 
 def run_load(spec: LoadSpec) -> Dict[str, object]:
@@ -171,18 +159,7 @@ def verify_merge(spec: LoadSpec) -> Dict[str, object]:
     """
     run = run_load(spec)
     reference = run_load(
-        LoadSpec(
-            workers=1,
-            workload=spec.workload,
-            seed=spec.seed,
-            duration=spec.duration,
-            datagrams=spec.datagrams,
-            secret=spec.secret,
-            threshold=spec.threshold,
-            cache_size=spec.cache_size,
-            batch=spec.batch,
-            vectorize=spec.vectorize,
-        )
+        replace(spec, workers=1, trace_dir=None, transport="direct", inline=False)
     )
     sharded = shard_invariant_view(run["merged"])
     single = shard_invariant_view(reference["merged"])

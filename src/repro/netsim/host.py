@@ -88,7 +88,7 @@ class Host:
         self.security: Optional[SecurityModule] = None
 
         self.udp = UdpLayer(
-            transmit=self._udp_transmit,
+            transmit=self.send_raw,
             local_address=self._source_address_for,
             now=lambda: sim.now,
         )
@@ -96,14 +96,14 @@ class Host:
 
         self.tcp = TcpLayer(
             sim=sim,
-            transmit=self._tcp_transmit,
+            transmit=self.send_raw,
             local_address=self._source_address_for,
             mtu_for=self._mtu_for,
         )
         self.stack.register_protocol(IPProtocol.TCP, self.tcp.deliver)
 
         self.icmp = IcmpLayer(
-            transmit=self._udp_transmit,
+            transmit=self.send_raw,
             local_address=self._source_address_for,
         )
         self.stack.register_protocol(IPProtocol.ICMP, self.icmp.deliver)
@@ -197,20 +197,14 @@ class Host:
         self.stack.input_hook = None
         self.tcp.header_reserve = lambda: 0
 
-    # -- transmit paths (transport -> CPU charge -> ip_output) --------------------
-
-    def _udp_transmit(self, packet: IPv4Packet) -> None:
-        cost = self.cost_model.generic_send(len(packet.payload))
-        done = self.charge_cpu(cost)
-        self.sim.schedule_at(done, lambda: self.stack.ip_output(packet))
-
-    def _tcp_transmit(self, packet: IPv4Packet, dont_fragment: bool) -> None:
-        cost = self.cost_model.generic_send(len(packet.payload))
-        done = self.charge_cpu(cost)
-        self.sim.schedule_at(done, lambda: self.stack.ip_output(packet))
+    # -- transmit path (transport -> CPU charge -> ip_output) ---------------------
 
     def send_raw(self, packet: IPv4Packet) -> None:
-        """Send a pre-built IP packet (raw IP; used by tests and attacks)."""
+        """Charge the CPU for one send, then hand ``packet`` to ``ip_output``.
+
+        The transmit path of the UDP, TCP and ICMP layers, and raw IP
+        for a pre-built packet (used by tests and attacks).
+        """
         cost = self.cost_model.generic_send(len(packet.payload))
         done = self.charge_cpu(cost)
         self.sim.schedule_at(done, lambda: self.stack.ip_output(packet))

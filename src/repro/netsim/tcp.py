@@ -415,7 +415,7 @@ class TcpLayer:
     def __init__(
         self,
         sim: Simulator,
-        transmit: Callable[[IPv4Packet, bool], None],
+        transmit: Callable[[IPv4Packet], None],
         local_address: Callable[[IPAddress], IPAddress],
         mtu_for: Callable[[IPAddress], int],
         iss_source: Optional[Callable[[], int]] = None,
@@ -490,7 +490,7 @@ class TcpLayer:
             payload=segment,
         )
         self.segments_sent += 1
-        self._transmit(packet, dont_fragment)
+        self._transmit(packet)
 
     def deliver(self, packet: IPv4Packet) -> None:
         """IP protocol handler for proto 6."""

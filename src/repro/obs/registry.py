@@ -24,7 +24,6 @@ telemetry), and docs/OBSERVABILITY.md enumerates the catalog verbatim
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -245,96 +244,6 @@ class MetricsRegistry:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @staticmethod
-    def merge_snapshots(snapshots: "List[Dict[str, object]]") -> Dict[str, object]:
-        """Combine per-process ``snapshot()`` dictionaries into one.
-
-        This is the scale-out load engine's aggregation step: N worker
-        processes each own disjoint FBS state (their shard's flows,
-        caches, tables), snapshot their private registries, and the
-        parent folds the snapshots into a single registry-consistent
-        view.  Merge semantics per instrument kind:
-
-        * **counters** sum -- each shard's events are disjoint.
-        * **histograms** merge -- ``count``/``sum``/per-bucket counts
-          add, ``min``/``max`` combine, ``mean`` is recomputed from the
-          merged ``sum``/``count``.
-        * **gauges** sum -- shards own disjoint state, so occupancy,
-          active flows, and CPU seconds are additive -- except
-          ``cache_hit_ratio``, a derived quotient, which is recomputed
-          per cache level from the *merged* ``cache_hits`` and
-          ``cache_misses`` counters (summing ratios would be
-          meaningless).
-
-        The result has the same shape as ``snapshot()`` (sorted keys),
-        so ``merge_snapshots([s]) == s`` for any single snapshot up to
-        hit-ratio recomputation, and the operation is associative and
-        commutative -- tests pin both properties.
-        """
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, object]] = {}
-        for snap in snapshots:
-            for key, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
-                counters[key] = counters.get(key, 0) + value
-            for key, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
-                gauges[key] = gauges.get(key, 0.0) + value
-            for key, hist in snap.get("histograms", {}).items():  # type: ignore[union-attr]
-                merged = histograms.get(key)
-                if merged is None:
-                    merged = histograms[key] = {
-                        "count": 0,
-                        "sum": 0.0,
-                        "mean": 0.0,
-                        "min": None,
-                        "max": None,
-                        "buckets": {},
-                    }
-                merged["count"] += hist["count"]
-                merged["sum"] += hist["sum"]
-                for lo in (hist["min"],):
-                    if lo is not None and (
-                        merged["min"] is None or lo < merged["min"]
-                    ):
-                        merged["min"] = lo
-                for hi in (hist["max"],):
-                    if hi is not None and (
-                        merged["max"] is None or hi > merged["max"]
-                    ):
-                        merged["max"] = hi
-                buckets = merged["buckets"]
-                for bucket, count in hist["buckets"].items():
-                    buckets[bucket] = buckets.get(bucket, 0) + count
-        for hist in histograms.values():
-            hist["mean"] = (
-                hist["sum"] / hist["count"] if hist["count"] else 0.0
-            )
-        # Recompute the derived hit-ratio gauges from merged counters.
-        for key in list(gauges):
-            name, labels = parse_metric_key(key)
-            if name != "cache_hit_ratio":
-                continue
-            cache = labels.get("cache", "")
-            hits = counters.get(_render_key(
-                "cache_hits", _labels_key({"cache": cache})
-            ), 0)
-            misses = sum(
-                value
-                for ckey, value in counters.items()
-                if parse_metric_key(ckey)[0] == "cache_misses"
-                and parse_metric_key(ckey)[1].get("cache") == cache
-            )
-            lookups = hits + misses
-            gauges[key] = hits / lookups if lookups else 0.0
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
-        }
-
 
 def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
     """Split a rendered ``name{k=v,...}`` snapshot key back apart."""
@@ -350,8 +259,85 @@ def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 
 def merge_snapshots(snapshots: "List[Dict[str, object]]") -> Dict[str, object]:
-    """Module-level alias for :meth:`MetricsRegistry.merge_snapshots`."""
-    return MetricsRegistry.merge_snapshots(snapshots)
+    """Combine per-process ``snapshot()`` dictionaries into one.
+
+    This is the scale-out load engine's aggregation step: N worker
+    processes each own disjoint FBS state (their shard's flows,
+    caches, tables), snapshot their private registries, and the
+    parent folds the snapshots into a single registry-consistent
+    view.  Merge semantics per instrument kind:
+
+    * **counters** sum -- each shard's events are disjoint.
+    * **histograms** merge -- ``count``/``sum``/per-bucket counts
+      add, ``min``/``max`` combine, ``mean`` is recomputed from the
+      merged ``sum``/``count``.
+    * **gauges** sum -- shards own disjoint state, so occupancy,
+      active flows, and CPU seconds are additive -- except
+      ``cache_hit_ratio``, a derived quotient, which is recomputed
+      per cache level from the *merged* ``cache_hits`` and
+      ``cache_misses`` counters (summing ratios would be
+      meaningless).
+
+    The result has the same shape as ``snapshot()`` (sorted keys),
+    so ``merge_snapshots([s]) == s`` for any single snapshot up to
+    hit-ratio recomputation, and the operation is associative and
+    commutative -- tests pin both properties.
+    """
+    counters: Dict[str, int] = {}
+    gauges: Dict[str, float] = {}
+    histograms: Dict[str, Dict[str, object]] = {}
+    for snap in snapshots:
+        for key, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
+            counters[key] = counters.get(key, 0) + value
+        for key, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
+            gauges[key] = gauges.get(key, 0.0) + value
+        for key, hist in snap.get("histograms", {}).items():  # type: ignore[union-attr]
+            merged = histograms.get(key)
+            if merged is None:
+                merged = histograms[key] = {
+                    "count": 0,
+                    "sum": 0.0,
+                    "mean": 0.0,
+                    "min": None,
+                    "max": None,
+                    "buckets": {},
+                }
+            merged["count"] += hist["count"]
+            merged["sum"] += hist["sum"]
+            lo, hi = hist["min"], hist["max"]
+            if lo is not None and (merged["min"] is None or lo < merged["min"]):
+                merged["min"] = lo
+            if hi is not None and (merged["max"] is None or hi > merged["max"]):
+                merged["max"] = hi
+            buckets = merged["buckets"]
+            for bucket, count in hist["buckets"].items():
+                buckets[bucket] = buckets.get(bucket, 0) + count
+    for hist in histograms.values():
+        hist["mean"] = (
+            hist["sum"] / hist["count"] if hist["count"] else 0.0
+        )
+    # Recompute the derived hit-ratio gauges from merged counters.
+    for key in list(gauges):
+        name, labels = parse_metric_key(key)
+        if name != "cache_hit_ratio":
+            continue
+        cache = labels.get("cache", "")
+        hits = counters.get(_render_key(
+            "cache_hits", _labels_key({"cache": cache})
+        ), 0)
+        misses = sum(
+            value
+            for ckey, value in counters.items()
+            if parse_metric_key(ckey)[0] == "cache_misses"
+            and parse_metric_key(ckey)[1].get("cache") == cache
+        )
+        lookups = hits + misses
+        gauges[key] = hits / lookups if lookups else 0.0
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": dict(sorted(gauges.items())),
+        "histograms": dict(sorted(histograms.items())),
+    }
 
 
 # ---------------------------------------------------------------------------

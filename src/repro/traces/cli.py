@@ -30,6 +30,14 @@ from repro.traces.workloads import CampusLanWorkload, WwwServerWorkload
 __all__ = ["main", "build_parser"]
 
 
+def _float_list(text: str) -> List[float]:
+    return [float(item) for item in text.split(",")]
+
+
+def _int_list(text: str) -> List[int]:
+    return [int(item) for item in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.traces",
@@ -57,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "trace", nargs="?", default=None, help="trace file (file mode only)"
     )
-    sweep.add_argument("--thresholds", default="300,600,900,1200")
+    sweep.add_argument("--thresholds", type=_float_list, default="300,600,900,1200")
     sweep.add_argument(
         "--workloads",
         default=None,
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser("cachesim", help="key cache replay (Figure 11)")
     cache.add_argument("trace")
     cache.add_argument("--host", required=True, help="viewpoint address")
-    cache.add_argument("--sizes", default="2,8,32,128")
+    cache.add_argument("--sizes", type=_int_list, default="2,8,32,128")
     cache.add_argument("--threshold", type=float, default=600.0)
     cache.add_argument(
         "--side", choices=("send", "receive"), default="send",
@@ -192,9 +200,8 @@ def _cmd_sweep(args, out: TextIO, stdin: TextIO) -> int:
         )
         return 2
     trace = _load_trace(args.trace, stdin)
-    thresholds = [float(t) for t in args.thresholds.split(",")]
     rows = []
-    for threshold in thresholds:
+    for threshold in args.thresholds:
         analysis = FlowAnalysis.from_trace(trace, threshold=threshold)
         series = analysis.active_flow_series()
         rows.append(
@@ -219,9 +226,8 @@ def _cmd_sweep(args, out: TextIO, stdin: TextIO) -> int:
 def _cmd_cachesim(args, out: TextIO, stdin: TextIO) -> int:
     trace = _load_trace(args.trace, stdin)
     viewpoint = IPAddress(args.host)
-    sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
-    for size in sizes:
+    for size in args.sizes:
         simulator = CacheSimulator(size, threshold=args.threshold)
         if args.side == "send":
             stats = simulator.send_side(trace, viewpoint)
@@ -250,14 +256,19 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout, stdin: Text
     args = parse_cli(build_parser(), argv)
     if isinstance(args, int):
         return args
-    if args.command == "generate":
-        return _cmd_generate(args, out)
-    if args.command == "analyze":
-        return _cmd_analyze(args, out, stdin)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out, stdin)
-    if args.command == "cachesim":
-        return _cmd_cachesim(args, out, stdin)
+    try:
+        if args.command == "generate":
+            return _cmd_generate(args, out)
+        if args.command == "analyze":
+            return _cmd_analyze(args, out, stdin)
+        if args.command == "sweep":
+            return _cmd_sweep(args, out, stdin)
+        if args.command == "cachesim":
+            return _cmd_cachesim(args, out, stdin)
+    except OSError as exc:
+        # A trace or output path that cannot be opened is a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

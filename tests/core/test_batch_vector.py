@@ -186,9 +186,7 @@ class TestLaneKernelErrorsStayInTheTaxonomy:
     pipelines run every kernel through ``protocol._lanes``, which
     translates."""
 
-    @pytest.mark.parametrize(
-        "kernel", ["keyed_md5_many", "cbc_encrypt_many", "encode_headers_many"]
-    )
+    @pytest.mark.parametrize("kernel", ["keyed_md5_many", "cbc_encrypt_many"])
     def test_send_side(self, monkeypatch, kernel):
         alice, bob, clock = make_pair(vectorize=True)
         monkeypatch.setattr(f"repro.crypto.vector.{kernel}", _not_parallel)

@@ -14,15 +14,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.config import AlgorithmSuite
-from repro.core.header import FBSHeader
 from repro.crypto import modes
-from repro.crypto.des import DES, _key_schedule, _raw_schedule
+from repro.crypto.des import DES
 from repro.crypto.mac import keyed_md5
 from repro.crypto.vector import (
     cbc_decrypt_many,
     cbc_encrypt_many,
-    encode_headers_many,
     keyed_md5_many,
     md5_many,
 )
@@ -134,60 +131,6 @@ class TestVectorDesCbc:
 class TestRawSubkeySplit:
     """The schedule split backing the vector path (DES.raw_subkeys)."""
 
-    def test_raw_chunks_reproduce_selected_schedule(self):
-        # Folding each raw 6-bit chunk through the merged SP selection
-        # must reproduce _key_schedule exactly -- this is the identity
-        # that lets the vector path share the scalar schedule cache.
-        from repro.crypto.des import _SPX
-
-        r = rng()
-        for _ in range(20):
-            key = int.from_bytes(r.randbytes(8), "big")
-            selected = _key_schedule(key)
-            raw = _raw_schedule(key)
-            rebuilt = tuple(
-                tuple(_SPX[box][chunk] for box, chunk in enumerate(chunks))
-                for chunks in raw
-            )
-            assert rebuilt == selected
-
     def test_raw_subkeys_cached_per_instance(self):
         cipher = DES(b"\x01" * 8)
         assert cipher.raw_subkeys is cipher.raw_subkeys
-
-
-class TestVectorHeaderStamp:
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_matches_fbsheader_encode(self, carry):
-        r = rng()
-        suite = AlgorithmSuite()
-        n = 17
-        sfls = [r.randrange(0, 2**64) for _ in range(n)]
-        confounders = [r.randrange(0, 2**32) for _ in range(n)]
-        macs = [r.randbytes(suite.mac_bytes) for _ in range(n)]
-        timestamps = [r.randrange(0, 2**32) for _ in range(n)]
-        got = encode_headers_many(
-            sfls,
-            confounders,
-            macs,
-            timestamps,
-            suite.mac_bytes,
-            suite_id=suite.suite_id if carry else None,
-        )
-        expected = [
-            FBSHeader(
-                sfl=sfls[i],
-                confounder=confounders[i],
-                mac=macs[i],
-                timestamp=timestamps[i],
-            ).encode(suite, carry_algorithm_id=carry)
-            for i in range(n)
-        ]
-        assert got == expected
-
-    def test_empty_batch(self):
-        assert encode_headers_many([], [], [], [], 16) == []
-
-    def test_mismatched_fields_raise(self):
-        with pytest.raises(ValueError):
-            encode_headers_many([1], [2, 3], [b"m" * 16], [4], 16)

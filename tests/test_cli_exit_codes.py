@@ -20,3 +20,23 @@ def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "{trace}", "--thresholds", "300,abc"],
+        ["cachesim", "{trace}", "--host", "10.0.0.1", "--sizes", "2,x"],
+        ["analyze", "{missing}"],
+    ],
+    ids=["bad-threshold-list", "bad-size-list", "unreadable-trace"],
+)
+def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, capsys):
+    from repro.traces.cli import main
+
+    trace = tmp_path / "t.trace"
+    trace.write_text("")
+    paths = {"trace": str(trace), "missing": str(tmp_path / "no-such-file")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
