@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.core.errors import UnknownPrincipalError
+from repro.core.errors import FBSError, UnknownPrincipalError
 from repro.core.keying import Principal
 from repro.crypto.dh import DHGroup, DHPrivateKey, WELL_KNOWN_GROUPS
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, SignatureError
@@ -33,8 +33,11 @@ __all__ = [
 ]
 
 
-class CertificateError(Exception):
-    """A certificate failed verification (signature, validity, binding)."""
+class CertificateError(FBSError):
+    """A certificate failed verification (signature, validity, binding,
+    or an unusable public value).  An :class:`FBSError`: on the receive
+    path a peer that cannot be keyed is a ``keying`` rejection, not a
+    crash."""
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,7 @@ class MasterKeyDaemon:
         # that this check is always possible.
         try:
             certificate.verify(self._ca_public, self._now())
+            self._check_public_value(certificate)
         except CertificateError:
             self.verification_failures += 1
             self.pvc.flush()  # drop the bad entry with the rest; soft state
@@ -128,6 +129,23 @@ class MasterKeyDaemon:
         master = self._private_key.agree(certificate.public_value)
         self.mkc.install(peer.wire_id, master)
         return master
+
+    def _check_public_value(self, certificate: PublicValueCertificate) -> None:
+        """A signature binds a value to a name; it does not make the
+        value a usable group element.  Our short private value
+        (:meth:`DHPrivateKey.generate`) is sound only against a value
+        of our own safe-prime group other than 0, 1 and ``p - 1``, so
+        check that here, before the modexp is charged or spent."""
+        group = self._private_key.group
+        if certificate.group_name != group.name:
+            raise CertificateError(
+                f"certificate for {certificate.subject} is over group "
+                f"{certificate.group_name}, ours is {group.name}"
+            )
+        if not 1 < certificate.public_value < group.p - 1:
+            raise CertificateError(
+                f"degenerate DH public value certified for {certificate.subject}"
+            )
 
     def _certificate_for(self, peer: Principal) -> PublicValueCertificate:
         cached = self.pvc.lookup(peer.wire_id)

@@ -17,6 +17,24 @@ Groups
 groups contemporary with the paper -- plus two small fixed safe-prime
 groups (``TEST128``, ``TEST256``) used throughout the test suite where
 cryptographic strength is irrelevant but speed matters.
+
+Private values
+--------------
+All four groups are *safe-prime* groups: ``p = 2q + 1`` with ``q`` prime,
+and ``g`` generates the subgroup of order ``q``
+(``tests/crypto/test_dh.py`` checks all three facts for every shipped
+group).  In that setting the best attacks on a short exponent cost about
+the square root of its range, so a private value twice as long as the
+key it protects is as strong as a full-length one (van Oorschot &
+Wiener, "On Diffie-Hellman Key Agreement with Short Exponents",
+EUROCRYPT '96; RFC 2631 section 2.2; RFC 3526 section 8).  The paper
+fixes the group, not the exponent's length (Section 5.2), and its flow
+keys are 128 bits, so :meth:`DHPrivateKey.generate` draws 256-bit
+private values: a modexp costs time linear in the exponent's length,
+and first contact over ``OAKLEY2`` is one modexp.  Short exponents lean
+on the peer's value being a proper group element; the master key daemon
+checks ``1 < y < p - 1`` (which leaves only the subgroups of order ``q``
+and ``2q``, both large) before it spends the modexp.
 """
 
 from __future__ import annotations
@@ -82,11 +100,15 @@ class DHGroup:
         )
 
 
+# Each generator spans the subgroup of prime order q = (p - 1) / 2.  2 is
+# a quadratic residue when p = 7 (mod 8), which holds for three of the
+# moduli; TEST256's is 3 (mod 8), where 2 would span all of Z_p* and a
+# public value would leak its exponent's parity, so it takes 4 = 2^2.
 WELL_KNOWN_GROUPS: Dict[str, DHGroup] = {
     "OAKLEY1": DHGroup("OAKLEY1", _OAKLEY1_P, 2),
     "OAKLEY2": DHGroup("OAKLEY2", _OAKLEY2_P, 2),
     "TEST128": DHGroup("TEST128", _TEST128_P, 2),
-    "TEST256": DHGroup("TEST256", _TEST256_P, 2),
+    "TEST256": DHGroup("TEST256", _TEST256_P, 4),
 }
 
 
@@ -96,7 +118,8 @@ class DHPrivateKey:
 
     The paper assumes each principal holds a long-term private value whose
     public counterpart is certified (Section 5.2).  ``generate`` draws the
-    private value from an explicit seeded RNG for reproducibility.
+    private value from an explicit seeded RNG for reproducibility; the
+    constructor accepts any value in the full range ``1 < x < p - 2``.
     """
 
     group: DHGroup
@@ -110,8 +133,22 @@ class DHPrivateKey:
 
     @classmethod
     def generate(cls, group: DHGroup, rng: _random.Random) -> "DHPrivateKey":
-        """Generate a fresh private value from ``rng``."""
-        private = rng.randrange(2, group.p - 2)
+        """Draw a private value of exactly ``min(256, bits(p) - 2)`` bits.
+
+        256 is twice the 128-bit flow key, the standard exponent length
+        for a safe-prime group (see the module docstring for the
+        precondition and the references); 160 bits, RFC 2631's floor,
+        would save a further third of the modexp and make the exponent
+        (80 bits of strength) the weakest link instead of the flow key.
+        The top bit is set so every modexp costs the same, and
+        ``bits(p) - 2`` keeps the value below the subgroup order
+        ``q = (p - 1) / 2`` in the toy groups (``TEST256`` -> 254 bits,
+        ``TEST128`` -> 126).  One rule for every group;
+        ``getrandbits`` yields the same stream on every supported
+        interpreter version, so seeded runs replay.
+        """
+        bits = min(256, group.p.bit_length() - 2)
+        private = rng.getrandbits(bits) | 1 << (bits - 1)
         return cls(group=group, private=private)
 
     def agree(self, peer_public: int) -> bytes:

@@ -21,7 +21,7 @@ counters.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
@@ -101,6 +101,20 @@ class FBSGateway:
             return None
         payload, addr = arrival
         return self._process(payload, addr)
+
+    async def serve_ready(self, limit: int) -> List[str]:
+        """Process up to ``limit`` datagrams the transport already holds.
+
+        One outcome per datagram, in arrival order; returns as soon as
+        the transport has nothing queued -- it never waits to fill.
+        """
+        outcomes: List[str] = []
+        while len(outcomes) < limit:
+            outcome = await self.serve_once(0)
+            if outcome is None:
+                break
+            outcomes.append(outcome)
+        return outcomes
 
     async def serve(self, rounds: int, timeout: Optional[float] = None) -> int:
         """Run ``serve_once`` up to ``rounds`` times; count datagrams."""

@@ -57,7 +57,11 @@ class CostModel:
     fbs_per_packet: float = 65e-6
     #: Cost of one modular exponentiation (pair-based master key); the
     #: paper calls this "fairly expensive".  ~60 ms for a 1024-bit
-    #: exponentiation on a P133.
+    #: exponentiation on a P133 -- a full-length exponent, as in the
+    #: paper's era.  Kept when :meth:`DHPrivateKey.generate` went to
+    #: 256-bit private values (a quarter of the work in real time), so
+    #: Figure 8, the ablations and the security matrix do not move
+    #: (EXPERIMENTS.md "Known deviations" 5).
     modexp: float = 60e-3
     #: Cost of one flow-key derivation (one MD5 over a small buffer).
     flow_key_derivation: float = 30e-6

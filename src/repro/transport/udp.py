@@ -164,6 +164,10 @@ class UdpTransport(Transport):
             timeout = self.config.recv_timeout
         if self._closed and self._queue.empty():
             return None
+        if timeout <= 0:
+            # A poll.  Before Python 3.12 ``wait_for(get(), 0)`` cancels
+            # the ``get`` before it runs: a timeout with datagrams queued.
+            return None if self._queue.empty() else self._queue.get_nowait()
         try:
             return await asyncio.wait_for(self._queue.get(), timeout)
         except asyncio.TimeoutError:

@@ -2,10 +2,12 @@
 
 ``wire_digests.txt`` was recorded from the five hand-written
 ``outbound``/``inbound`` pairs *before* they were replaced by
-:class:`repro.baselines.sealed.SealedDatagramModule`; each variant's
-line must replay exactly: every tapped frame, the counters, both hosts'
-CPU seconds and the final simulated time under the calibrated
-(symmetric) Pentium-133 model.  After a deliberate wire or cost change,
+:class:`repro.baselines.sealed.SealedDatagramModule` (a later change of
+keying re-recorded its ``sha256=`` fields and nothing else; the file's
+header says which); each variant's line must replay exactly: every
+tapped frame, the counters, both hosts' CPU seconds and the final
+simulated time under the calibrated (symmetric) Pentium-133 model.
+After a deliberate wire or cost change,
 ``PYTHONPATH=src python tests/baselines/test_wire_digests.py`` prints
 the lines to paste under the file's comment header.
 """
@@ -32,7 +34,7 @@ VARIANTS = (
 )
 
 
-def digest_line(name: str) -> str:
+def digest_line(name: str, seed: int = 100) -> str:
     """3 conversations x 5 datagrams, then three damaged injections."""
     net = Network(seed=1)
     net.add_segment("lan", "10.0.0.0")
@@ -40,7 +42,7 @@ def digest_line(name: str) -> str:
     b = net.add_host("b", segment="lan", cost_model=PENTIUM_133)
     frames = []
     net.segment("lan").attach_tap(frames.append)
-    module_a, module_b = install_scheme(name, (a, b), 100)
+    module_a, module_b = install_scheme(name, (a, b), seed)
     inboxes = [UdpSocket(b, 6000 + i) for i in range(3)]
     senders = [UdpSocket(a, 3000 + i) for i in range(3)]
     for round_ in range(5):
@@ -91,6 +93,16 @@ def recorded() -> dict:
 @pytest.mark.parametrize("name", VARIANTS)
 def test_variant_replays_the_recorded_digest(name):
     assert digest_line(name) == recorded()[name]
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_only_the_digest_depends_on_the_keys(name):
+    # What a re-record after a keying change may move: another scheme
+    # seed is other keys, so the tapped bytes differ -- and no count,
+    # CPU charge, virtual time or header overhead does.
+    ours, other = (digest_line(name, seed).split() for seed in (100, 101))
+    assert len(ours) == len(other)
+    assert [a.split("=")[0] for a, b in zip(ours, other) if a != b] == ["sha256"]
 
 
 def test_every_variant_is_recorded_once():

@@ -1,5 +1,6 @@
 """Master key daemon tests: upcalls, caching, verification, rekeying."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from repro.core.certificates import (
     CertificateDirectory,
     CertificateError,
 )
+from repro.core.deploy import FBSDomain
+from repro.core.errors import FBSError
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.crypto.dh import DHPrivateKey, WELL_KNOWN_GROUPS
@@ -16,7 +19,7 @@ from repro.crypto.dh import DHPrivateKey, WELL_KNOWN_GROUPS
 GROUP = WELL_KNOWN_GROUPS["TEST128"]
 
 
-def make_world(seed=0):
+def make_world(seed=0, **mkd_kwargs):
     rng = random.Random(seed)
     ca = CertificateAuthority(rng, key_bits=512)
     directory = CertificateDirectory()
@@ -33,6 +36,7 @@ def make_world(seed=0):
             ca_public=ca.public_key,
             fetch=directory.fetch,
             now=lambda: 100.0,
+            **mkd_kwargs,
         )
     return ca, directory, daemons, keys
 
@@ -98,6 +102,68 @@ class TestVerification:
         )
         with pytest.raises(CertificateError):
             alice.master_key(bob_p)
+
+
+def recertify(ca, directory, principal, **fields):
+    """Publish a CA-signed certificate for ``principal`` with ``fields``
+    replaced: the signature is good, the content is not."""
+    forged = dataclasses.replace(
+        directory.fetch(principal.wire_id), signature=b"", **fields
+    )
+    signature = ca._keypair.sign(forged.to_be_signed())
+    directory.publish(dataclasses.replace(forged, signature=signature))
+
+
+#: What a certificate can carry under a valid signature that must still
+#: never reach the modexp: degenerate or out-of-range values, and a value
+#: over another group than the local private value's.
+UNUSABLE = [
+    pytest.param({"public_value": 0}, id="zero"),
+    pytest.param({"public_value": 1}, id="one"),
+    pytest.param({"public_value": GROUP.p - 1}, id="p-minus-one"),
+    pytest.param({"public_value": GROUP.p + 5}, id="out-of-range"),
+    pytest.param({"group_name": "TEST256"}, id="other-group"),
+]
+
+
+class TestCertifiedButUnusablePublicValues:
+    @pytest.mark.parametrize("fields", UNUSABLE)
+    def test_refused_like_a_bad_signature_before_the_modexp(self, fields):
+        charged = []
+        ca, directory, daemons, _ = make_world(
+            charge=charged.append, modexp_cost=0.06
+        )
+        alice = daemons["alice"]
+        bob, carol = Principal.from_name("bob"), Principal.from_name("carol")
+        alice.master_key(carol)
+        recertify(ca, directory, bob, **fields)
+        with pytest.raises(CertificateError):
+            alice.master_key(bob)
+        assert alice.verification_failures == 1
+        assert alice.master_keys_computed == 1  # carol's only
+        assert charged.count(0.06) == 1
+        assert len(alice.pvc) == 0  # flushed, carol's entry included
+        assert alice.mkc.lookup(bob.wire_id) is None
+
+    @pytest.mark.parametrize("fields", UNUSABLE)
+    def test_both_sides_of_an_endpoint_pair_reject_as_keying(self, fields):
+        domain = FBSDomain(seed=3, group=GROUP)
+        a, b = Principal.from_name("alice"), Principal.from_name("bob")
+        alice, bob = domain.make_endpoint(a), domain.make_endpoint(b)
+        wire = alice.protect(b"sent before the directory went bad", b)
+        recertify(domain.ca, domain.directory, a, **fields)
+        # Receive side: a rejection with a reason, not an exception.
+        result = bob.unprotect_batch((wire,), a)
+        assert result.reasons == ["keying"] and result.bodies == [None]
+        assert isinstance(result.errors[0], CertificateError)
+        assert bob.registry.counter("datagrams_rejected", reason="keying").value == 1
+        assert bob.mkd.verification_failures == 1
+        # Send side: the protocol's own error type, and no flow key.
+        assert issubclass(CertificateError, FBSError)
+        with pytest.raises(CertificateError):
+            bob.protect(b"reply", a)
+        assert bob.registry.counter("flow_key_derivations", side="send").value == 0
+        assert bob.mkd.master_keys_computed == 0
 
 
 class TestCostAccounting:

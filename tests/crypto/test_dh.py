@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.dh import DHGroup, DHPrivateKey, WELL_KNOWN_GROUPS
+from repro.crypto.mac import constant_time_equal
 from repro.crypto.primes import is_probable_prime
 
 
@@ -40,24 +42,44 @@ class TestAgreement:
 
 
 class TestGroups:
-    def test_test_groups_are_safe_primes(self):
-        for name in ("TEST128", "TEST256"):
-            p = WELL_KNOWN_GROUPS[name].p
-            assert is_probable_prime(p)
-            assert is_probable_prime((p - 1) // 2)
+    @pytest.mark.parametrize("name", sorted(WELL_KNOWN_GROUPS))
+    def test_every_group_is_a_safe_prime_group(self, name):
+        # The setting in which a short private value is sound: p and
+        # q = (p-1)/2 both prime, and g generating the order-q subgroup.
+        group = WELL_KNOWN_GROUPS[name]
+        q = (group.p - 1) // 2
+        assert is_probable_prime(group.p)
+        assert is_probable_prime(q)
+        assert group.g != 1 and pow(group.g, q, group.p) == 1
 
     def test_oakley_groups_present(self):
         assert WELL_KNOWN_GROUPS["OAKLEY1"].p.bit_length() == 768
         assert WELL_KNOWN_GROUPS["OAKLEY2"].p.bit_length() == 1024
 
-    def test_oakley_primes_probable(self):
-        # Light-touch: a few Miller-Rabin rounds over the published moduli.
-        for name in ("OAKLEY1", "OAKLEY2"):
-            assert is_probable_prime(WELL_KNOWN_GROUPS[name].p, rounds=4)
-
     def test_public_value_computation(self, group):
         assert group.public_value(1) == group.g
         assert group.public_value(2) == pow(group.g, 2, group.p)
+
+
+class TestPrivateValueLength:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(sorted(WELL_KNOWN_GROUPS)),
+    )
+    def test_generate_draws_exactly_the_stated_length(self, seed, name):
+        group = WELL_KNOWN_GROUPS[name]
+        rng = random.Random(seed)
+        s = DHPrivateKey.generate(group, rng)
+        d = DHPrivateKey.generate(group, rng)
+        for key in (s, d):
+            assert key.private.bit_length() == min(256, group.p.bit_length() - 2)
+            assert key.private < (group.p - 1) // 2
+        assert constant_time_equal(s.agree(d.public), d.agree(s.public))
+
+    def test_constructor_keeps_the_full_range(self, group):
+        key = DHPrivateKey(group=group, private=group.p - 3)
+        assert key.public == group.public_value(group.p - 3)
 
 
 class TestDegenerateValues:

@@ -1,9 +1,16 @@
 """The gateway serve loop: admission, backpressure, eviction, delivery."""
 
+import asyncio
+
+from hypothesis import given, settings, strategies as st
+
+from repro.gateway.server import FBSGateway
 from repro.gateway.tenants import GatewayConfig
 from repro.obs.events import TenantAdmitted, TenantEvicted
 from repro.obs.sinks import RingBufferSink
+from repro.transport import UdpTransport
 
+from tests.core.test_mkd import recertify
 from tests.gateway.helpers import gateway_site, send_protected, serve_one
 
 
@@ -176,6 +183,136 @@ class TestRejections:
         serve_one(site)
         assert len(site.gateway.tenants) == 1
         assert site.gateway.admission.ledger_dict()["enqueued"] == 0
+
+
+    def test_certified_degenerate_public_value_is_a_keying_rejection(self):
+        # The CA signed it, so the signature verifies; the value is
+        # p - 1, which no modexp may be spent on.  The serve loop sees a
+        # rejection with a reason, never the daemon's exception.
+        site = gateway_site(tenants=2)
+        recertify(
+            site.domain.ca,
+            site.domain.directory,
+            site.principals[0],
+            public_value=site.domain.group.p - 1,
+        )
+        send_protected(site, 0)
+        assert serve_one(site) == "rejected:keying"
+        send_protected(site, 1, b"the others are served")
+        assert serve_one(site) == "enqueued"
+        assert site.gw_endpoint.mkd.master_keys_computed == 1
+        ledger = site.gateway.admission.ledger_dict()
+        assert (ledger["admitted"], ledger["enqueued"]) == (2, 1)
+        assert site.gateway.tenants.total_queued() == 1
+        assert site.gateway.admission.check_registry() == []
+
+
+#: (tenant, body size, kind) per datagram.  ``forged`` flips a covered
+#: bit, ``stale`` is stamped far outside the freshness window.
+TRAFFIC = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from((0, 1, 64, 300)),
+        st.sampled_from(("good", "good", "forged", "stale")),
+    ),
+    min_size=1,
+    max_size=14,
+)
+#: Four tenants over two slots and shallow queues: eviction,
+#: re-admission and backpressure all occur in a short mix.
+TIGHT = GatewayConfig(max_tenants=2, queue_depth=2)
+
+
+def wire_for(site, tenant, size, kind):
+    endpoint = site.endpoints[tenant]
+    stamp = endpoint.now() + (10_000.0 if kind == "stale" else 0.0)
+    (wire,) = endpoint.protect_batch(
+        (bytes([65 + tenant]) * size,), site.gw_principal, stamps=(stamp,)
+    )
+    if kind == "forged":
+        wire = wire[:-1] + bytes([wire[-1] ^ 1])
+    return wire
+
+
+def observed(gateway, outcomes):
+    """Everything ``serve_ready`` must leave as ``serve_once`` does."""
+    tenants = gateway.tenants
+    return (
+        outcomes,
+        gateway.admission.ledger_dict(),
+        gateway.admission.check_registry(),
+        gateway.endpoint.registry.snapshot(),
+        tenants.coldest().name if len(tenants) else None,
+        [(t.name, list(t.queue), t.summary()) for t in tenants.by_name()],
+    )
+
+
+async def one_at_a_time(gateway, limit):
+    outcomes = [await gateway.serve_once(0) for _ in range(limit)]
+    return [outcome for outcome in outcomes if outcome is not None]
+
+
+#: The two ways to serve ``limit`` datagrams that must be one.
+SERVERS = (FBSGateway.serve_ready, one_at_a_time)
+
+
+class TestServeReady:
+    @settings(max_examples=30, deadline=None)
+    @given(traffic=TRAFFIC, limit=st.integers(0, 16), seed=st.integers(0, 3))
+    def test_equals_that_many_serve_once_calls_over_netsim(
+        self, traffic, limit, seed
+    ):
+        def run(serve):
+            site = gateway_site(tenants=4, seed=seed, gw_config=TIGHT)
+            for tenant, size, kind in traffic:
+                send_protected(site, tenant, raw=wire_for(site, tenant, size, kind))
+            site.net.sim.run()  # everything sent has arrived
+            return observed(site.gateway, asyncio.run(serve(site.gateway, limit)))
+
+        ready, once = (run(serve) for serve in SERVERS)
+        assert ready == once
+        assert len(ready[0]) == min(limit, len(traffic))
+
+    def test_never_waits_on_an_idle_wire(self):
+        site = gateway_site(tenants=1)
+        before = site.gw_transport.now()
+        assert asyncio.run(site.gateway.serve_ready(8)) == []
+        assert site.gw_transport.now() == before
+
+    @settings(max_examples=5, deadline=None)
+    @given(traffic=TRAFFIC, limit=st.integers(1, 16))
+    def test_equals_that_many_serve_once_calls_over_loopback_udp(
+        self, traffic, limit
+    ):
+        async def run(serve):
+            # The site's principals and endpoints, real sockets for its
+            # wire; the gateway starts once it holds every datagram.
+            site = gateway_site(tenants=4, gw_config=TIGHT)
+            listening = await UdpTransport.create()
+            tenants = [
+                await UdpTransport.create(remote=listening.local_address)
+                for _ in site.principals
+            ]
+            directory = {
+                t.local_address: principal
+                for t, principal in zip(tenants, site.principals)
+            }
+            gateway = FBSGateway(
+                site.gw_endpoint, listening, TIGHT, lambda addr: directory[tuple(addr)]
+            )
+            try:
+                for sent, (tenant, size, kind) in enumerate(traffic, 1):
+                    await tenants[tenant].send(wire_for(site, tenant, size, kind))
+                    while listening.stats.datagrams_received < sent:
+                        await asyncio.sleep(0.001)
+                return observed(gateway, await serve(gateway, limit))
+            finally:
+                for transport in (listening, *tenants):
+                    await transport.close()
+
+        ready, once = (asyncio.run(run(serve)) for serve in SERVERS)
+        assert ready == once
+        assert len(ready[0]) == min(limit, len(traffic))
 
 
 class TestAccounting:

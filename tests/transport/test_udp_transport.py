@@ -53,6 +53,22 @@ class TestDatagramPath:
 
         assert asyncio.run(scenario()) is None
 
+    def test_zero_timeout_polls_what_has_arrived(self):
+        # A poll must hand over a queued datagram: asyncio.wait_for(..., 0)
+        # cancels the read first on interpreters before 3.12.
+        async def scenario():
+            client, server = await _pair()
+            for payload in (b"one", b"two"):
+                await client.send(payload)
+            while server.stats.datagrams_received < 2:
+                await asyncio.sleep(0.001)
+            got = [await server.recv(timeout=0) for _ in range(3)]
+            await client.close()
+            await server.close()
+            return got
+
+        assert asyncio.run(scenario()) == [b"one", b"two", None]
+
     def test_server_adopts_first_peer(self):
         # First contact needs no out-of-band address exchange: the
         # server learns where to reply from the first datagram.
