@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs obs-check resilience-smoke load-smoke transport-smoke gateway-smoke traces-smoke traces-sweep bench figures budget-smoke examples reports reports-check clean
+.PHONY: install test loc lint lint-docs obs-check smoke traces-sweep bench figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -21,7 +21,7 @@ test:
 loc:
 	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
 
-# fbslint: the whole-program protocol-invariant analyzer (ten rules,
+# fbslint: the whole-program protocol-invariant analyzer (nine rules,
 # FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,
 # 2 usage/analysis error.  For local use; CI asserts it in tier-1
 # (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
@@ -43,49 +43,14 @@ obs-check:
 	$(PYTHON) -m repro.obs --selftest
 	$(PYTHON) -m repro.obs check-docs --root .
 
-# Fault-injection campaign (CI tier): run the seeded smoke matrix
-# twice; fail on any invariant violation (CLI exit 1) or on report
-# nondeterminism (cmp).
-resilience-smoke:
-	$(PYTHON) -m repro.resilience --smoke --seed 0 --out /tmp/FBS_resilience_a.json
-	$(PYTHON) -m repro.resilience --smoke --seed 0 --out /tmp/FBS_resilience_b.json
-	cmp /tmp/FBS_resilience_a.json /tmp/FBS_resilience_b.json
-
-# Sharded load engine (CI tier): run the 2-worker smoke twice; fail on
-# report nondeterminism (cmp), on any ledger/merge-exactness violation
-# (CLI exit 1 -- --smoke runs the workers-vs-single merge check), or if
-# the aggregate goodput somehow dips below the best single shard.
-load-smoke:
-	$(PYTHON) -m repro.load --smoke --workers 2 --seed 0 --out /tmp/FBS_load_smoke_a.json
-	$(PYTHON) -m repro.load --smoke --workers 2 --seed 0 --out /tmp/FBS_load_smoke_b.json
-	cmp /tmp/FBS_load_smoke_a.json /tmp/FBS_load_smoke_b.json
-	$(PYTHON) -c 'import json; r = json.load(open("/tmp/FBS_load_smoke_a.json")); agg = r["aggregate"]["goodput_dps"]; best = max(w["goodput_dps"] for w in r["workers"]); assert agg >= best, (agg, best); print("load-smoke: aggregate %.1f dps >= best shard %.1f dps; merge %s" % (agg, best, r["merge_check"]["result"]))'
-
-# Real-socket transport (CI tier): run the UDP echo demo twice over
-# loopback; fail on any lost exchange (CLI exit 1) or on report
-# nondeterminism (cmp -- the report is ledger-only, so a lossless run
-# is byte-stable even on real sockets).
-transport-smoke:
-	$(PYTHON) -m repro.transport --demo udp-echo --out /tmp/FBS_transport_a.json
-	$(PYTHON) -m repro.transport --demo udp-echo --out /tmp/FBS_transport_b.json
-	cmp /tmp/FBS_transport_a.json /tmp/FBS_transport_b.json
-
-# Multi-tenant gateway (CI tier): drive the seeded workload twice with
-# capacity eviction in play (--max-tenants below --tenants); fail on any
-# ledger/registry inconsistency (CLI exit 1) or on report
-# nondeterminism (cmp -- the report is ledger-only and byte-stable).
-gateway-smoke:
-	$(PYTHON) -m repro.gateway --tenants 6 --flows 2 --rounds 6 --max-tenants 4 --seed 0 --out /tmp/FBS_gateway_a.json
-	$(PYTHON) -m repro.gateway --tenants 6 --flows 2 --rounds 6 --max-tenants 4 --seed 0 --out /tmp/FBS_gateway_b.json
-	cmp /tmp/FBS_gateway_a.json /tmp/FBS_gateway_b.json
-
-# Heavy-tailed trace sweep (CI tier): run the smoke THRESHOLD/cache
-# grid twice; fail on any Figure 11/13 gate (CLI exit 1) or on report
-# nondeterminism (cmp).
-traces-smoke:
-	$(PYTHON) -m repro.traces sweep --profile smoke --seed 0 --out /tmp/BENCH_traces_a.json
-	$(PYTHON) -m repro.traces sweep --profile smoke --seed 0 --out /tmp/BENCH_traces_b.json
-	cmp /tmp/BENCH_traces_a.json /tmp/BENCH_traces_b.json
+# Same seed, same bytes: every report producer (the resilience, load,
+# transport, gateway and traces smoke runs, fbslint --format json, obs
+# summarize) under two PYTHONHASHSEED values -- exit status (invariant
+# violations, merge exactness, lost exchanges, ledger mismatches, Figure
+# 11/13 gates: CLI exit 1) and stdout bytes must agree.  Part of tier-1;
+# this target runs it alone.
+smoke:
+	$(PYTHON) -m pytest -q tests/test_report_determinism.py
 
 # Regenerate the checked-in full-profile report (nightly tier, ~2 min).
 traces-sweep:

@@ -11,13 +11,13 @@ parses every module once into a summary -- the one fact base -- and a
 project-wide symbol table + call graph; phase 2
 (:mod:`repro.analysis.dataflow`) runs three graph algorithms over it,
 each written once -- label propagation (key-material taint with
-source-to-sink witnesses; report-order determinism), transitive reach
+source-to-sink witnesses), transitive reach
 (impurity; async-blocking) and unguarded raises (rejection accounting;
 the exception taxonomy) -- each the only detector of its rules, a
 same-function flow being the zero-hop case.  The purely syntactic
 invariants (asserts, bare excepts, multiprocessing imports) are
 per-file ``check`` methods under :mod:`repro.analysis.rules`.
-Together: ten rules, FBS001-FBS012 less two retired ids.  The package
+Together: nine rules, FBS001-FBS012 less three retired ids.  The package
 keeps only what a whole-program analyzer alone can check: the 32-byte
 header layout, once FBS005, is a property test over ``FBSHeader``'s
 real bytes (``tests/core/test_header.py``), not a rule.

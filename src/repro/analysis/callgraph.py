@@ -18,29 +18,29 @@ shadowed, and a free name reads the nearest enclosing scope that binds
 it (closures, module globals).  Phase 2
 (:mod:`repro.analysis.dataflow`) never touches an AST: it runs
 fixpoint passes over a :class:`Project` built from these summaries and
-emits every FBS001/002/003/006/007/010/011 finding, a same-function
+emits every FBS001/002/003/006/007/010 finding, a same-function
 flow being the zero-hop case of the interprocedural one.
 
-The dataflow vocabulary is a small label language.  Every expression
-evaluates to a set of *labels* describing where its value may come
-from:
+The dataflow vocabulary is a small label language, key taint and
+nothing else: a label says what a value may *know* (knowledge-flow
+style).  Every expression evaluates to a set of labels describing
+where its value may come from:
 
 * ``("src", desc, line)`` -- the result of a key-derivation call
-  (taint source, knowledge-flow style);
-* ``("set", desc, line)`` -- an unordered ``set``/``frozenset`` value
-  (iteration-order source for FBS011);
+  (taint source);
 * ``("param", name)`` -- the function's own parameter ``name``;
 * ``("ret", site)`` -- the return value of call site ``site``;
 * ``("attr", owner, name)`` -- attribute ``name`` of class ``owner``
   (``self.name`` loads/stores);
-* ``("ord", *label)`` -- ``label`` behind an order-safe boundary (an
-  element of a list/tuple/dict, or a ``sorted()`` result): taint still
-  flows, iteration-order sensitivity does not.  Subscripts and loop
-  targets peel one layer.
+* ``("ctor", callee)`` -- the instance a constructor call makes
+  (types ``self.x = Foo()`` for call resolution; it carries no taint
+  and does not survive being put in a container).
 
+A container holds what its elements hold: lists, tuples, dicts, sets,
+comprehensions, subscripts and loop targets pass labels through.
 Whether a ``param``/``ret``/``attr`` label actually carries key
-material (or set-ordering) is decided by the interprocedural fixpoint
-in phase 2; phase 1 only records the local flows.
+material is decided by the interprocedural fixpoint in phase 2; phase
+1 only records the local flows.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "CallSite",
     "RaiseSite",
     "SinkSite",
-    "OrderSite",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -102,15 +101,16 @@ _NDARRAY_FUNCS = {
     "take",
 }
 
-#: Builtins that consume an iterable without exposing its order but
-#: whose result still carries the contents (taint survives, order
-#: hazard does not).
-_ORDER_INSENSITIVE = {"sorted", "sum", "min", "max"}
-#: Builtins whose scalar result carries neither contents nor order
-#: (``len(key)`` is not key material).
+#: Builtins whose result still carries their argument's contents:
+#: taint passes through (``sorted(keys)``, ``list(keys)``, ``set(keys)``).
+_TAINT_PASSTHROUGH = {
+    "sorted", "sum", "min", "max",
+    "list", "tuple", "enumerate", "iter", "reversed",
+    "set", "frozenset",
+}
+#: Builtins whose scalar result carries no contents (``len(key)`` is
+#: not key material).
 _SCALAR_CONSUMERS = {"len", "any", "all", "bool"}
-#: Builtins/constructors that expose the iteration order of their argument.
-_ORDER_EXPOSING = {"list", "tuple", "enumerate", "iter", "reversed"}
 
 #: Container mutators that inject their argument's taint into the receiver.
 _CONTAINER_MUTATORS = {"append", "add", "insert", "extend", "update", "setdefault"}
@@ -316,17 +316,6 @@ class SinkSite:
 
 
 @dataclass
-class OrderSite:
-    """An iteration-order exposure (FBS011): for/comprehension/list()."""
-
-    kind: str  # "for loop", "comprehension", "list()", ...
-    line: int
-    col: int
-    labels: List[Label]
-    desc: str
-
-
-@dataclass
 class FunctionSummary:
     """Everything phase 2 needs to know about one function."""
 
@@ -341,7 +330,6 @@ class FunctionSummary:
     calls: List[CallSite] = field(default_factory=list)
     raises: List[RaiseSite] = field(default_factory=list)
     sinks: List[SinkSite] = field(default_factory=list)
-    order_sites: List[OrderSite] = field(default_factory=list)
     #: Labels that may flow into the return value (or a yield).
     returns: List[Label] = field(default_factory=list)
     #: ``self.X = <labels>`` stores: (attr, labels, line).
@@ -352,8 +340,6 @@ class FunctionSummary:
     unseeded_random: List[Tuple[str, int, int]] = field(default_factory=list)
     #: Direct blocking primitives: (desc, line, col).
     blocking: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: json.dump/json.dumps calls missing sort_keys: (fn, line, col).
-    unsorted_json: List[Tuple[str, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -480,9 +466,6 @@ class _FunctionSummarizer:
         self.prefix = "" if qname == "<module>" else qname + "."
         self.recording = False
         self._site_ids: Dict[Tuple[int, int, str], int] = {}
-        #: >0 while evaluating arguments of an order-insensitive
-        #: consumer (``sorted(x for x in s)`` is safe end to end).
-        self._order_suppress = 0
         #: Names the innermost enclosing ``except`` clause catches (what
         #: a bare ``raise`` re-raises).
         self._handling: List[str] = []
@@ -552,9 +535,8 @@ class _FunctionSummarizer:
             self._block(stmt.orelse, caught, preceding=prev)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_labels = self._eval(stmt.iter, caught, bump)
-            self._record_order_site("for loop", stmt.iter, iter_labels)
             self._assign(
-                stmt.target, self._element_labels(iter_labels), stmt.lineno,
+                stmt.target, self._contents(iter_labels), stmt.lineno,
                 caught, bump,
             )
             self._block(stmt.body, caught, preceding=prev)
@@ -718,11 +700,7 @@ class _FunctionSummarizer:
         if isinstance(node, ast.Subscript):
             labels = self._eval(node.value, caught, bump)
             self._eval(node.slice, caught, bump)
-            if isinstance(node.slice, ast.Slice):
-                return labels  # a slice keeps the container type
-            # Indexing peels one container layer: an element extracted
-            # from a list-of-sets is a set again.
-            return self._unwrap_ord(labels)
+            return labels
         if isinstance(node, ast.BinOp):
             return self._eval(node.left, caught, bump) | self._eval(
                 node.right, caught, bump
@@ -741,28 +719,6 @@ class _FunctionSummarizer:
             )
         if isinstance(node, ast.Compare):
             return self._compare(node, caught, bump)
-        if isinstance(node, (ast.Tuple, ast.List)):
-            # Elements sit behind an ordered container: iterating the
-            # container is order-safe even when an element is a set.
-            out = set()
-            for elt in node.elts:
-                out |= self._eval(elt, caught, bump)
-            return self._wrap_ord(out)
-        if isinstance(node, ast.Set):
-            out = {("set", "set literal", node.lineno)}
-            for elt in node.elts:
-                out |= self._wrap_ord(
-                    self._taint_only(self._eval(elt, caught, bump))
-                )
-            return out
-        if isinstance(node, ast.Dict):
-            out = set()
-            for k in node.keys:
-                if k is not None:
-                    out |= self._eval(k, caught, bump)
-            for v in node.values:
-                out |= self._eval(v, caught, bump)
-            return self._wrap_ord(out)
         if isinstance(node, ast.Starred):
             return self._eval(node.value, caught, bump)
         if isinstance(node, ast.Await):
@@ -803,11 +759,14 @@ class _FunctionSummarizer:
             return set()
         if isinstance(node, ast.Constant):
             return set()
-        # Fallback: union over child expressions.
+        # Fallback, and every container display: union over child
+        # expressions.
         out = set()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 out |= self._eval(child, caught, bump)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+            return self._contents(out)
         return out
 
     def _lookup(self, name: str) -> Set[Label]:
@@ -822,59 +781,20 @@ class _FunctionSummarizer:
             scope = scope.enclosing
         if scope is None:
             return set()
-        return {
-            l for l in scope.env[name]
-            # The label's kind, beneath any ``ord`` wrapping.
-            if next(part for part in l if part != "ord") not in ("param", "ret")
-        }
+        return {l for l in scope.env[name] if l[0] not in ("param", "ret")}
 
     @staticmethod
-    def _taint_only(labels: Set[Label]) -> Set[Label]:
-        return {l for l in labels if l[0] != "set"}
-
-    @staticmethod
-    def _wrap_ord(labels: Set[Label]) -> Set[Label]:
-        """Neutralize order-sensitivity while preserving taint.
-
-        An ``("ord", ...)`` prefix marks a label whose value sits behind
-        an order-safe boundary: an element inside a list/tuple/dict, or
-        the result of ``sorted()``.  The taint pass strips the prefix
-        and keeps propagating; the report-order pass ignores wrapped
-        labels entirely.
-        """
-        return {("ord",) + l for l in labels}
-
-    @staticmethod
-    def _unwrap_ord(labels: Set[Label]) -> Set[Label]:
-        """Peel one container layer (subscript / loop-target extraction)."""
-        return {tuple(l[1:]) if l[0] == "ord" else l for l in labels}
-
-    @staticmethod
-    def _element_labels(labels: Set[Label]) -> Set[Label]:
-        """Labels a loop target inherits from the iterated value.
-
-        An element extracted from a list-of-sets (ord-wrapped) is a set
-        again; an element of a *set* is not itself a set, so the
-        container's own order-sensitivity must not stick to it -- only
-        its taint does (hence the ord wrap on the passthrough labels).
-        """
-        return {
-            tuple(l[1:]) if l[0] == "ord" else ("ord",) + l
-            for l in labels
-            if l[0] != "set"
-        }
+    def _contents(labels: Set[Label]) -> Set[Label]:
+        """What a container holds, or an element drawn from one: its
+        taint, not its type (``[Foo()]`` is no ``Foo`` for call
+        resolution, and neither is what a loop draws from ``Foo()``)."""
+        return {l for l in labels if l[0] != "ctor"}
 
     def _comprehension(self, node: ast.expr, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
-        # Set/dict comprehensions do not preserve source order anyway, so
-        # iterating a set inside one exposes nothing new; only list and
-        # generator comprehensions record order sites.
-        exposes_order = isinstance(node, (ast.ListComp, ast.GeneratorExp))
         for gen in node.generators:
             iter_labels = self._eval(gen.iter, caught, bump)
-            if exposes_order:
-                self._record_order_site("comprehension", gen.iter, iter_labels)
             self._assign(
-                gen.target, self._element_labels(iter_labels), node.lineno,
+                gen.target, self._contents(iter_labels), node.lineno,
                 caught, bump,
             )
             for cond in gen.ifs:
@@ -885,11 +805,7 @@ class _FunctionSummarizer:
             )
         else:
             out = self._eval(node.elt, caught, bump)
-        if isinstance(node, ast.SetComp):
-            return self._wrap_ord(self._taint_only(out)) | {
-                ("set", "set comprehension", node.lineno)
-            }
-        return self._wrap_ord(out)
+        return self._contents(out)
 
     def _compare(self, node: ast.Compare, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
         operands = [node.left] + list(node.comparators)
@@ -902,9 +818,8 @@ class _FunctionSummarizer:
             if not isinstance(op, (ast.Eq, ast.NotEq)):
                 continue
             for side, labels in ((left, llabels), (right, rlabels)):
-                taint = self._taint_only(labels)
-                if taint:
-                    self._record_sink("==", node, taint, self._describe(side))
+                if labels:
+                    self._record_sink("==", node, labels, self._describe(side))
                     break
         return set()
 
@@ -913,30 +828,21 @@ class _FunctionSummarizer:
     def _call(self, node: ast.Call, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
         func = node.func
         callee = dotted_name(func)
-        order_safe_args = isinstance(func, ast.Name) and func.id in (
-            _ORDER_INSENSITIVE | _SCALAR_CONSUMERS | {"set", "frozenset"}
+        # The receiver of a method call, or a computed callee
+        # (``handlers[k]()``, ``(lambda: ...)()``).
+        receiver = self._eval(
+            func.value if isinstance(func, ast.Attribute) else func,
+            caught, bump,
         )
-        if order_safe_args:
-            self._order_suppress += 1
-        try:
-            # The receiver of a method call, or a computed callee
-            # (``handlers[k]()``, ``(lambda: ...)()``).
-            receiver = self._eval(
-                func.value if isinstance(func, ast.Attribute) else func,
-                caught, bump,
-            )
-            arg_labels = [self._eval(a, caught, bump) for a in node.args]
-            kw_labels = {
-                kw.arg: self._eval(kw.value, caught, bump)
-                for kw in node.keywords
-                if kw.arg is not None
-            }
-            for kw in node.keywords:
-                if kw.arg is None:
-                    self._eval(kw.value, caught, bump)
-        finally:
-            if order_safe_args:
-                self._order_suppress -= 1
+        arg_labels = [self._eval(a, caught, bump) for a in node.args]
+        kw_labels = {
+            kw.arg: self._eval(kw.value, caught, bump)
+            for kw in node.keywords
+            if kw.arg is not None
+        }
+        for kw in node.keywords:
+            if kw.arg is None:
+                self._eval(kw.value, caught, bump)
 
         fname = call_name(node)
 
@@ -954,9 +860,9 @@ class _FunctionSummarizer:
         ):
             pool = self.env.setdefault(func.value.id, set())
             for labels in arg_labels:
-                pool.update(self._taint_only(labels))
+                pool.update(self._contents(labels))
             for labels in kw_labels.values():
-                pool.update(self._taint_only(labels))
+                pool.update(self._contents(labels))
 
         # Key-material source?
         source = _is_source_call(node)
@@ -964,41 +870,10 @@ class _FunctionSummarizer:
             self._register_site(node, callee, arg_labels, kw_labels, caught, bump)
             return {("src", f"{source}()", node.lineno)}
 
-        # set()/frozenset() constructors.
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            out: Set[Label] = {("set", f"{func.id}()", node.lineno)}
-            for labels in arg_labels:
-                out |= self._wrap_ord(self._taint_only(labels))
-            return out
-
-        # Scalar consumers: len(key) is not key material, and the
-        # result cannot leak iteration order either.
         if isinstance(func, ast.Name) and func.id in _SCALAR_CONSUMERS:
             return set()
-        # Order-insensitive and order-exposing builtins.  Both
-        # neutralize order-sensitivity in the result: sorted() by
-        # construction, list()/tuple()/... because the one hazardous
-        # conversion is recorded right here, once.
-        if isinstance(func, ast.Name) and func.id in _ORDER_INSENSITIVE:
-            out = set()
-            for labels in arg_labels:
-                out |= self._taint_only(labels)
-            return self._wrap_ord(out)
-        if isinstance(func, ast.Name) and func.id in _ORDER_EXPOSING:
-            out = set()
-            for labels in arg_labels:
-                self._record_order_site(
-                    f"{func.id}()", node, labels,
-                    desc=self._describe(node.args[0]) if node.args else "",
-                )
-                out |= self._taint_only(labels)
-            return self._wrap_ord(out)
-        # "sep".join(xs) exposes iteration order of xs.
-        if isinstance(func, ast.Attribute) and fname == "join" and node.args:
-            self._record_order_site(
-                "str.join()", node, arg_labels[0],
-                desc=self._describe(node.args[0]),
-            )
+        if isinstance(func, ast.Name) and func.id in _TAINT_PASSTHROUGH:
+            return self._contents(set().union(*arg_labels))
 
         site_id = self._register_site(node, callee, arg_labels, kw_labels, caught, bump)
 
@@ -1007,10 +882,10 @@ class _FunctionSummarizer:
         # (key.hex(), lanes.astype(...).tobytes()), and so does an
         # array constructor fed key bytes (np.frombuffer(key)).
         if isinstance(func, ast.Attribute):
-            out |= self._taint_only(receiver)
+            out |= receiver
             if fname in _NDARRAY_FUNCS:
                 for labels in arg_labels:
-                    out |= self._taint_only(labels)
+                    out |= labels
         # Track which class a constructor call makes (for attr typing).
         if callee and callee.split(".")[-1][:1].isupper():
             out.add(("ctor", callee))
@@ -1067,13 +942,12 @@ class _FunctionSummarizer:
             for kw in keywords
             if kw.arg is not None
         ]:
-            taint = self._taint_only(labels)
-            if taint:
-                self._record_sink(sink, node, taint, self._describe(arg))
+            if labels:
+                self._record_sink(sink, node, labels, self._describe(arg))
                 return
 
     def _detect_library_call(self, node: ast.Call, callee: str) -> None:
-        """Wall clock, unseeded randomness, blocking, unsorted JSON."""
+        """Wall clock, unseeded randomness, blocking."""
         loc = (node.lineno, node.col_offset + 1)
         blocking = BLOCKING_CALLS.get(callee) or BLOCKING_BARE.get(callee)
         if blocking is None and callee.startswith("subprocess."):
@@ -1105,10 +979,6 @@ class _FunctionSummarizer:
             or (attr in _NUMPY_CONSTRUCTORS and argless)
         ):
             self._add_once(self.fs.unseeded_random, (f"{name}()",) + loc)
-        elif name in ("json.dump", "json.dumps") and not any(
-            kw.arg == "sort_keys" for kw in node.keywords
-        ):
-            self._add_once(self.fs.unsorted_json, (name,) + loc)
 
     @staticmethod
     def _add_once(pool: List[Tuple], item: Tuple) -> None:
@@ -1124,41 +994,15 @@ class _FunctionSummarizer:
             kind=kind,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
-            labels=sorted(self._taint_only(labels)),
+            labels=sorted(labels),
             desc=desc,
         )
-        if not site.labels:
-            return
         for existing in self.fs.sinks:
             if (existing.kind, existing.line, existing.col) == (
                 site.kind, site.line, site.col
             ):
                 return
         self.fs.sinks.append(site)
-
-    def _record_order_site(
-        self, kind: str, node: ast.AST, labels: Set[Label], desc: str = ""
-    ) -> None:
-        if not self.recording or self._order_suppress:
-            return
-        interesting = sorted(
-            l for l in labels if l[0] in ("set", "ret", "param", "attr")
-        )
-        if not interesting:
-            return
-        site = OrderSite(
-            kind=kind,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            labels=interesting,
-            desc=desc,
-        )
-        for existing in self.fs.order_sites:
-            if (existing.kind, existing.line, existing.col) == (
-                site.kind, site.line, site.col
-            ):
-                return
-        self.fs.order_sites.append(site)
 
     def _describe(self, node: ast.AST) -> str:
         if isinstance(node, ast.Name):

@@ -7,15 +7,12 @@ only detectors of their rules: a flow that starts and ends in one
 function is the zero-hop case of the same algorithm that follows it
 through calls.
 
-* **Label propagation** (:meth:`_Passes._propagate`): a seed label
-  carried through assignments, calls, returns, containers and
-  ``self.attr`` stores until nothing changes, every step recorded, so a
-  finding carries the full source-to-sink witness path (knowledge-flow
-  style).  Seeded with key material it is the taint rule (FBS001:
-  ndarray views included, an order-safe boundary transparent); seeded
-  with unordered sets it is report order (FBS011: ``sorted(...)`` is
-  opaque; plus ``json.dump`` without ``sort_keys`` in the
-  report-producing packages).
+* **Label propagation** (:meth:`_Passes._propagate`): key material
+  (``src`` labels) carried through assignments, calls, returns,
+  containers and ``self.attr`` stores until nothing changes, every step
+  recorded, so a finding carries the full source-to-sink witness path
+  (knowledge-flow style).  It is the taint rule (FBS001: ndarray views
+  and containers included).
 * **Transitive reach** (:meth:`_Passes._closure`): a function that calls
   something that reaches a primitive reaches it too.  Impurity
   (FBS002/FBS003): reading the wall clock or unseeded randomness is
@@ -56,7 +53,7 @@ __all__ = ["run_project_passes"]
 _MAX_ITERATIONS = 64
 
 #: ``witness(summary, fn, labels)``: the recorded path by which a label
-#: set evaluated inside ``fn`` derives from a seed, or None.
+#: set evaluated inside ``fn`` derives from a key, or None.
 _Witness = Callable[
     [ModuleSummary, FunctionSummary, Iterable[Tuple]], Optional[Tuple[str, ...]]
 ]
@@ -93,16 +90,6 @@ _REPLAY = (
     "deterministic replay requires the simulated clock (sim.now / the "
     "injected now callable) and explicitly seeded generators "
     "(random.Random(seed), numpy.random.default_rng(seed))"
-)
-
-#: Packages whose reports must be byte-identical (FBS011).
-_REPORT_ZONE = (
-    "repro.resilience",
-    "repro.load",
-    "repro.obs",
-    "repro.analysis",
-    "repro.transport",
-    "repro.gateway",
 )
 
 #: The module whose public functions are the protocol surface (FBS007
@@ -191,22 +178,17 @@ class _Passes:
             self._taxonomy_escape_pass()
         if self.rule_ids & {"FBS010"}:
             self._blocking_pass()
-        if self.rule_ids & {"FBS011"}:
-            self._report_order_pass()
         return self.findings
 
-    # -- label propagation: FBS001 key-material taint, FBS011 set provenance ------------
+    # -- label propagation: FBS001 key-material taint ----------------------------------
 
-    def _propagate(self, seed: str, ord_opaque: bool) -> _Witness:
-        """Carry ``seed`` labels to a fixpoint over returns, ``self.attr``
+    def _propagate(self) -> _Witness:
+        """Carry ``src`` labels to a fixpoint over returns, ``self.attr``
         stores and call arguments.
 
         Returns ``witness(summary, fn, labels)``: the shortest recorded
         source-to-here path of a label set evaluated inside ``fn``, or
-        None when nothing in it derives from a seed.  An ``ord``
-        (order-safe) boundary hides a set's iteration order and nothing
-        about a key, so it is opaque to one instantiation and
-        transparent to the other.
+        None when nothing in it derives from a key.
         """
         project = self.project
         ret: Dict[Tuple[str, str], Tuple[str, ...]] = {}
@@ -220,12 +202,8 @@ class _Passes:
         ) -> Optional[Tuple[str, ...]]:
             best: Optional[Tuple[str, ...]] = None
             for label in sorted(labels):
-                while label and label[0] == "ord" and not ord_opaque:
-                    label = tuple(label[1:])
-                if not label:
-                    continue
                 path: Optional[Tuple[str, ...]] = None
-                if label[0] == seed:
+                if label[0] == "src":
                     path = (f"{label[1]} at {summary.path}:{label[2]}",)
                 elif label[0] == "param":
                     path = param.get((summary.key, fn.qname, label[1]))
@@ -294,7 +272,7 @@ class _Passes:
         return witness
 
     def _taint_pass(self) -> None:
-        witness = self._propagate("src", ord_opaque=False)
+        witness = self._propagate()
         for summary, fn in self.project.iter_functions():
             for sink in fn.sinks:
                 path = witness(summary, fn, sink.labels)
@@ -311,37 +289,6 @@ class _Passes:
                     "printed, logged or formatted, and is compared with "
                     "repro.crypto.mac.constant_time_equal, never ==",
                     flow=path,
-                )
-
-    def _report_order_pass(self) -> None:
-        witness = self._propagate("set", ord_opaque=True)
-        for summary, fn in self.project.iter_functions():
-            if not _in_zone(summary, _REPORT_ZONE):
-                continue
-            for site in fn.order_sites:
-                path = witness(summary, fn, site.labels)
-                if path is None:
-                    continue
-                via = f" [{' -> '.join(path)}]" if len(path) > 1 else ""
-                subject = f" over {site.desc}" if site.desc else ""
-                self._emit(
-                    "FBS011",
-                    summary,
-                    site.line,
-                    site.col,
-                    f"unordered iteration ({site.kind}){subject}: the value "
-                    f"comes from {path[0]}{via}; wrap it in sorted(...) so "
-                    "report output is byte-identical across runs",
-                    flow=path,
-                )
-            for fname, line, col in fn.unsorted_json:
-                self._emit(
-                    "FBS011",
-                    summary,
-                    line,
-                    col,
-                    f"{fname}() without sort_keys=True in a report module; "
-                    "byte-identical report contracts require sorted keys",
                 )
 
     def _edge_for_site(

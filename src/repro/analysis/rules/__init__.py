@@ -15,12 +15,10 @@ discipline:
   stays inside ``repro.load``;
 * :mod:`~repro.analysis.rules.async_readiness` -- FBS010 no blocking
   calls in ``async def``;
-* :mod:`~repro.analysis.rules.reports` -- FBS011 deterministic report
-  serialization;
 * :mod:`~repro.analysis.rules.suppressions_hygiene` -- FBS012 unused
   suppression comments.
 
-FBS001-FBS003 and FBS010-FBS012 are *project rules*: they define no
+FBS001-FBS003, FBS010 and FBS012 are *project rules*: they define no
 ``check`` and their findings come from the whole-program passes in
 :mod:`repro.analysis.dataflow` (or, for FBS012, from the engine's
 suppression-filtering step).  FBS006 and FBS007 are split by what the
@@ -34,7 +32,6 @@ from repro.analysis.rules import (  # noqa: F401  (imports register rules)
     containment,
     determinism,
     metrics_discipline,
-    reports,
     robustness,
     suppressions_hygiene,
     taint,

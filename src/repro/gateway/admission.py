@@ -70,7 +70,8 @@ class AdmissionController:
     # -- reporting -------------------------------------------------------------
 
     def ledger_dict(self) -> Dict[str, object]:
-        """A deep copy of the ledger, safe to serialize (FBS011)."""
+        """A deep copy of the ledger, safe to serialize (its bytes are
+        checked by ``tests/test_report_determinism.py``)."""
         return {
             "admitted": self.ledger["admitted"],
             "evicted": dict(self.ledger["evicted"]),

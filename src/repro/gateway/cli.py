@@ -8,10 +8,7 @@ Examples::
     # The identical workload over real asyncio UDP sockets.
     python -m repro.gateway --transport udp --out /tmp/gw-udp.json
 
-The workload partitions flows across ``--shards`` independent gateway
-instances with the :class:`~repro.load.sharding.FlowSharder` (the
-scale-out rule: all of a flow's soft state lives in exactly one
-worker), then drives every (tenant, flow) pair in lockstep rounds:
+The workload drives every (tenant, flow) pair in lockstep rounds:
 tenant protects and sends, gateway receives, admits, queues.  The
 default ``--max-tenants`` is *smaller* than ``--tenants``, so the run
 continuously exercises cache-pressure-aware eviction; shrink
@@ -19,8 +16,9 @@ continuously exercises cache-pressure-aware eviction; shrink
 backpressure.
 
 The JSON report is ledger-only and byte-stable per seed -- counts,
-admission ledgers, merged registry snapshots; no addresses, no timing,
-no PIDs.  ``make gateway-smoke`` runs it twice and ``cmp``s the files.
+the admission ledger, the registry snapshot; no addresses, no timing,
+no PIDs (``tests/test_report_determinism.py`` compares two runs under
+different hash seeds).
 Exit status: 0 when the admission ledgers are exactly consistent with
 the registry counters, 1 otherwise, 2 on usage errors.
 """
@@ -38,9 +36,7 @@ from repro.core.keying import Principal
 from repro.core.policy import FiveTuplePolicy
 from repro.gateway.server import FBSGateway
 from repro.gateway.tenants import GatewayConfig
-from repro.load.sharding import FlowSharder
 from repro.netsim.addresses import FiveTuple, IPAddress
-from repro.obs.registry import merge_snapshots
 from repro.obs.report import parse_cli, write_report
 
 __all__ = ["run_gateway_workload", "main"]
@@ -49,12 +45,16 @@ __all__ = ["run_gateway_workload", "main"]
 SUBSTRATES = ("netsim", "udp")
 
 #: Canonical substrate-independent addressing plan.  The 5-tuples exist
-#: for classification and sharding; over netsim they also match the
-#: simulated topology, over UDP they are purely logical.
+#: for classification; over netsim they also match the simulated
+#: topology, over UDP they are purely logical.
 GATEWAY_ADDRESS = "10.99.0.1"
 GATEWAY_PORT = 9000
 TENANT_PORT_BASE = 5000
 FLOW_SPORT_BASE = 6000
+#: Tenant ``index`` lives at ``10.99.0.{100 + index}``: the plan holds
+#: this many tenants and the CLI refuses more.
+TENANT_HOST_BASE = 100
+MAX_TENANT_COUNT = 256 - TENANT_HOST_BASE
 
 
 def _tenant_name(index: int) -> str:
@@ -62,7 +62,7 @@ def _tenant_name(index: int) -> str:
 
 
 def _tenant_address(index: int) -> str:
-    return f"10.99.0.{100 + index}"
+    return f"10.99.0.{TENANT_HOST_BASE + index}"
 
 
 def _flow_tuple(tenant: int, flow: int) -> FiveTuple:
@@ -75,25 +75,12 @@ def _flow_tuple(tenant: int, flow: int) -> FiveTuple:
     )
 
 
-def _plan_shards(
-    tenants: int, flows: int, shards: int
-) -> List[List[Tuple[int, int, FiveTuple]]]:
-    """Partition every (tenant, flow) pair by its flow's owning shard."""
-    sharder = FlowSharder(shards)
-    plan: List[List[Tuple[int, int, FiveTuple]]] = [[] for _ in range(shards)]
-    for tenant in range(tenants):
-        for flow in range(flows):
-            five_tuple = _flow_tuple(tenant, flow)
-            plan[sharder.shard_of(five_tuple)].append((tenant, flow, five_tuple))
-    return plan
-
-
 def _payload(tenant: int, flow: int, round_index: int, size: int) -> bytes:
     stamp = b"t%02df%02dr%04d|" % (tenant, flow, round_index)
     return stamp + bytes((tenant + flow + j) % 256 for j in range(max(0, size - len(stamp))))
 
 
-async def _drive_shard(
+async def _drive(
     gateway: FBSGateway,
     gateway_principal: Principal,
     tenant_endpoints: Dict[int, object],
@@ -167,26 +154,38 @@ async def _open_udp(tenant_ids: List[int]):
     return gw_transport, tenant_transports, resolver_map
 
 
-async def _run_shard(
-    substrate: str,
-    shard: int,
-    entries: List[Tuple[int, int, FiveTuple]],
-    seed: int,
-    gw_config: GatewayConfig,
-    rounds: int,
-    payload_size: int,
-    drain_every: int,
+async def run_gateway_workload(
+    substrate: str = "netsim",
+    tenants: int = 6,
+    flows: int = 2,
+    rounds: int = 20,
+    seed: int = 0,
+    max_tenants: int = 4,
+    queue_depth: int = 64,
+    payload_size: int = 64,
+    drain_every: int = 1,
 ) -> Dict[str, object]:
-    """Open the substrate, enroll one domain, build the gateway, drive, report."""
-    shard_seed = seed * 1009 + shard
-    tenant_ids = sorted({tenant for tenant, _flow, _ft in entries})
+    """Open the substrate, enroll one domain, build the gateway, drive
+    the workload; return the ledger-only report dict."""
+    if substrate not in SUBSTRATES:
+        raise ValueError(
+            f"unknown substrate {substrate!r}; expected one of {SUBSTRATES}"
+        )
+    gw_config = GatewayConfig(max_tenants=max_tenants, queue_depth=queue_depth)
+    entries = [
+        (tenant, flow, _flow_tuple(tenant, flow))
+        for tenant in range(tenants)
+        for flow in range(flows)
+    ]
+    site_seed = seed * 1009
+    tenant_ids = list(range(tenants))
     if substrate == "netsim":
-        opened = _open_netsim(shard_seed, tenant_ids)
+        opened = _open_netsim(site_seed, tenant_ids)
     else:
         opened = await _open_udp(tenant_ids)
     gw_transport, tenant_transports, resolver_map = opened
 
-    domain = FBSDomain(seed=shard_seed)
+    domain = FBSDomain(seed=site_seed)
     gw_principal = Principal.from_name("gateway")
     gw_endpoint = domain.make_endpoint(
         gw_principal, now=gw_transport.now, sfl_seed=1
@@ -209,7 +208,7 @@ async def _run_shard(
     gateway = FBSGateway(
         gw_endpoint, gw_transport, config=gw_config, resolver=resolver
     )
-    outcomes = await _drive_shard(
+    outcomes = await _drive(
         gateway,
         gw_principal,
         tenant_endpoints,
@@ -220,79 +219,43 @@ async def _run_shard(
         drain_every,
         serve_timeout=1.0,
     )
-    problems = gateway.admission.check_registry()
-    snapshot = gw_endpoint.registry.snapshot()
     report = {
-        "shard": shard,
-        "flow_assignments": len(entries),
-        "outcomes": outcomes,
-        "admission": gateway.admission.ledger_dict(),
-        "tenants": {
-            tenant.name: tenant.summary() for tenant in gateway.tenants.by_name()
-        },
-        "consistency": problems,
-    }
-    for transport in [gw_transport] + [tenant_transports[t] for t in tenant_ids]:
-        await transport.close()
-    return {"report": report, "snapshot": snapshot}
-
-
-async def run_gateway_workload(
-    substrate: str = "netsim",
-    tenants: int = 6,
-    flows: int = 2,
-    rounds: int = 20,
-    seed: int = 0,
-    shards: int = 1,
-    max_tenants: int = 4,
-    queue_depth: int = 64,
-    payload_size: int = 64,
-    drain_every: int = 1,
-) -> Dict[str, object]:
-    """Run the workload; return the ledger-only report dict."""
-    if substrate not in SUBSTRATES:
-        raise ValueError(
-            f"unknown substrate {substrate!r}; expected one of {SUBSTRATES}"
-        )
-    gw_config = GatewayConfig(max_tenants=max_tenants, queue_depth=queue_depth)
-    plan = _plan_shards(tenants, flows, shards)
-    shard_results = []
-    for shard, entries in enumerate(plan):
-        if not entries:
-            continue
-        shard_results.append(
-            await _run_shard(
-                substrate, shard, entries, seed, gw_config,
-                rounds, payload_size, drain_every,
-            )
-        )
-    outcomes: Dict[str, int] = {}
-    consistency: List[str] = []
-    for result in shard_results:
-        for outcome, count in result["report"]["outcomes"].items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + count
-        consistency.extend(
-            f"shard {result['report']['shard']}: {problem}"
-            for problem in result["report"]["consistency"]
-        )
-    return {
         "workload": "gateway",
         "substrate": substrate,
         "tenants": tenants,
         "flows": flows,
         "rounds": rounds,
         "seed": seed,
-        "shards": shards,
         "max_tenants": max_tenants,
         "queue_depth": queue_depth,
         "drain_every": drain_every,
         "outcomes": outcomes,
-        "per_shard": [result["report"] for result in shard_results],
-        "registry": merge_snapshots(
-            [result["snapshot"] for result in shard_results]
-        ),
-        "consistency": consistency,
+        "admission": gateway.admission.ledger_dict(),
+        "per_tenant": {
+            tenant.name: tenant.summary() for tenant in gateway.tenants.by_name()
+        },
+        "registry": gw_endpoint.registry.snapshot(),
+        "consistency": gateway.admission.check_registry(),
     }
+    for transport in [gw_transport] + [tenant_transports[t] for t in tenant_ids]:
+        await transport.close()
+    return report
+
+
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse ``type=``: an int in ``low..high`` (no ``high``: no
+    upper bound), so a value the workload cannot run with is a usage
+    error and not a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="netsim",
         help="datagram substrate to serve over",
     )
-    parser.add_argument("--tenants", type=int, default=6, help="remote peers")
+    parser.add_argument(
+        "--tenants", type=_int_in(0, MAX_TENANT_COUNT), default=6, help="remote peers"
+    )
     parser.add_argument(
         "--flows", type=int, default=2, help="flows per tenant (distinct 5-tuples)"
     )
@@ -315,20 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="independent gateway workers to partition flows across",
-    )
-    parser.add_argument(
         "--max-tenants",
-        type=int,
+        type=_int_in(1),
         default=4,
         help="tenant table capacity (below --tenants exercises eviction)",
     )
     parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=_int_in(0),
         default=64,
         help="per-tenant bounded queue, in datagrams",
     )
@@ -359,7 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             flows=args.flows,
             rounds=args.rounds,
             seed=args.seed,
-            shards=args.shards,
             max_tenants=args.max_tenants,
             queue_depth=args.queue_depth,
             payload_size=args.payload_size,

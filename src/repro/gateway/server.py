@@ -87,15 +87,14 @@ class FBSGateway:
 
     # -- datapath --------------------------------------------------------------
 
-    async def serve_once(self, timeout: Optional[float] = None) -> Optional[str]:
-        """Receive and process one datagram; None when the wire is idle.
+    async def serve_once(self, timeout: float) -> Optional[str]:
+        """Receive and process one datagram; None when the wire stays
+        idle for ``timeout`` seconds (0: poll).
 
         Returns the outcome: ``"enqueued"``, ``"dropped:admission"``,
         ``"dropped:backpressure"``, or ``"rejected:<reason>"`` with the
         endpoint's mutually exclusive rejection reasons.
         """
-        if timeout is None:
-            timeout = self.config.recv_timeout
         arrival = await self.transport.recv_from(timeout)
         if arrival is None:
             return None
@@ -115,15 +114,6 @@ class FBSGateway:
                 break
             outcomes.append(outcome)
         return outcomes
-
-    async def serve(self, rounds: int, timeout: Optional[float] = None) -> int:
-        """Run ``serve_once`` up to ``rounds`` times; count datagrams."""
-        handled = 0
-        for _ in range(rounds):
-            outcome = await self.serve_once(timeout)
-            if outcome is not None:
-                handled += 1
-        return handled
 
     def _process(self, payload: bytes, addr: Address) -> str:
         tenant = self.tenants.get(addr)

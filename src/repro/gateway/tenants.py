@@ -41,13 +41,17 @@ class GatewayConfig:
     #: it are dropped with reason ``backpressure`` and counted -- never
     #: queued without bound.
     queue_depth: int = 64
-    #: Default ``serve_once`` receive timeout in seconds.
-    recv_timeout: float = 0.05
     #: Whether a full tenant table evicts its coldest tenant to admit a
     #: new peer (reclaiming the evictee's key-cache footprint).  When
     #: off, datagrams from unknown peers are dropped with reason
     #: ``admission`` instead.
     evict_cold: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_tenants < 1:
+            raise ValueError("max_tenants must be at least 1")
+        if self.queue_depth < 0:
+            raise ValueError("queue_depth must be non-negative")
 
 
 class TenantState:
@@ -121,7 +125,8 @@ class TenantTable:
         return sum(len(t.queue) for t in self._by_addr.values())
 
     def by_name(self) -> List[TenantState]:
-        """Tenants in stable name order (report iteration, FBS011)."""
+        """Tenants in stable name order (report iteration; the bytes are
+        checked by ``tests/test_report_determinism.py``)."""
         return sorted(self._by_addr.values(), key=lambda t: t.name)
 
     def __len__(self) -> int:

@@ -13,7 +13,8 @@ The JSON report goes to ``--out`` (or stdout); a short human summary
 goes to stderr.  Exit status: 0 on success, 1 when an engine invariant
 or the merge check fails, 2 on usage errors.  Reports are byte-stable:
 the same arguments and seed produce identical bytes on any machine
-(``make load-smoke`` runs the engine twice and ``cmp``s the files).
+(``tests/test_report_determinism.py`` runs the smoke under two hash
+seeds and compares the bytes).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The one CLI harness: every ``cli.py`` parses its arguments through
 :func:`parse_cli`, and every CLI that emits a report serializes and
-writes it through the byte-stable writer here (inside fbslint's FBS011
-zone)."""
+writes it through the byte-stable writer here (what comes out is
+compared under two hash seeds by ``tests/test_report_determinism.py``)."""
 
 from __future__ import annotations
 

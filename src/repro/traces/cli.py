@@ -30,12 +30,31 @@ from repro.traces.workloads import CampusLanWorkload, WwwServerWorkload
 __all__ = ["main", "build_parser"]
 
 
+def _positive(convert):
+    """An argparse ``type=``: ``convert``'s value, refused unless > 0
+    (a THRESHOLD or a cache size of 0 is a usage error, not a
+    traceback out of the analysis)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_float = _positive(float)
+_positive_int = _positive(int)
+
+
 def _float_list(text: str) -> List[float]:
-    return [float(item) for item in text.split(",")]
+    return [_positive_float(item) for item in text.split(",")]
 
 
 def _int_list(text: str) -> List[int]:
-    return [int(item) for item in text.split(",")]
+    return [_positive_int(item) for item in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="flow characteristics of a trace")
     ana.add_argument("trace", help="trace file or - for stdin")
-    ana.add_argument("--threshold", type=float, default=600.0)
+    ana.add_argument("--threshold", type=_positive_float, default=600.0)
 
     sweep = sub.add_parser(
         "sweep",
@@ -89,9 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cachesim", help="key cache replay (Figure 11)")
     cache.add_argument("trace")
-    cache.add_argument("--host", required=True, help="viewpoint address")
+    cache.add_argument(
+        "--host", required=True, type=IPAddress, help="viewpoint address"
+    )
     cache.add_argument("--sizes", type=_int_list, default="2,8,32,128")
-    cache.add_argument("--threshold", type=float, default=600.0)
+    cache.add_argument("--threshold", type=_positive_float, default=600.0)
     cache.add_argument(
         "--side", choices=("send", "receive"), default="send",
         help="TFKC (send) or RFKC (receive) viewpoint",
@@ -225,7 +246,7 @@ def _cmd_sweep(args, out: TextIO, stdin: TextIO) -> int:
 
 def _cmd_cachesim(args, out: TextIO, stdin: TextIO) -> int:
     trace = _load_trace(args.trace, stdin)
-    viewpoint = IPAddress(args.host)
+    viewpoint = args.host
     rows = []
     for size in args.sizes:
         simulator = CacheSimulator(size, threshold=args.threshold)

@@ -25,7 +25,8 @@ figures make:
   back accepted.
 
 Reports are byte-stable: plain data, sorted keys, floats rounded --
-``make traces-smoke`` runs the sweep twice and ``cmp``s the files.
+``tests/test_report_determinism.py`` runs the smoke sweep under two
+hash seeds and compares the bytes.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ plus a clock plus close -- with two implementations:
 Real-clock access is quarantined to :mod:`repro.transport.udp` (the
 fbslint FBS002 carve-out); everything else in the package -- adapter,
 channel, runner, reports -- stays deterministic, and the byte-stable
-report discipline (FBS011) applies to this package like any other
-report producer.
+report discipline (``tests/test_report_determinism.py``) applies to
+this package like any other report producer.
 """
 
 from repro.transport.base import (

@@ -170,7 +170,8 @@ class SecureChannel:
     # -- reporting -------------------------------------------------------------
 
     def ledger_dict(self) -> Dict[str, object]:
-        """A deep copy of the ledger, safe to serialize (FBS011)."""
+        """A deep copy of the ledger, safe to serialize (its bytes are
+        checked by ``tests/test_report_determinism.py``)."""
         rejected = dict(self.ledger["rejected"])
         return {
             "sent": self.ledger["sent"],

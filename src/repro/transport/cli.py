@@ -13,8 +13,8 @@ Both demos run the same driver coroutine from
 report goes to ``--out`` (or stdout); a short human summary goes to
 stderr.  Exit status: 0 when every datagram echoed, 1 otherwise, 2 on
 usage errors.  Reports are ledger-only and byte-stable for lossless
-runs: ``make transport-smoke`` runs the UDP demo twice and ``cmp``s the
-files.
+runs: ``tests/test_report_determinism.py`` runs both demos under two
+hash seeds and compares the bytes.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ first-contact path: the opening datagram of the run *is* the keying
 message, and a retry re-protects with a fresh timestamp.
 
 The report is ledger-only -- no timing, no addresses, no PIDs -- so a
-lossless run is byte-identical across repetitions on any machine.  The
-``transport-smoke`` CI target runs the UDP demo twice and compares the
-JSON byte-for-byte (FBS011 discipline).
+lossless run is byte-identical across repetitions on any machine
+(``tests/test_report_determinism.py`` runs both demos under two hash
+seeds and compares the JSON byte for byte).
 """
 
 from __future__ import annotations

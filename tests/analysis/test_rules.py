@@ -21,7 +21,6 @@ CASES = {
     "FBS007": ("src/repro/core/protocol.py", 4),
     "FBS009": ("src/repro/netsim/parallel.py", 4),
     "FBS010": ("src/repro/core/aio.py", 3),
-    "FBS011": ("src/repro/obs/report.py", 3),
     "FBS012": ("src/repro/core/guard.py", 2),
 }
 

@@ -8,8 +8,7 @@ Three halves of the quarantine story:
 * FBS010 still applies with full force to the carved-out module: async
   transport code must not block the event loop;
 * the real ``src/repro/transport`` package is clean under the whole
-  rule set with no baseline entries, and stays inside the FBS011
-  report zone.
+  rule set with no baseline entries.
 """
 
 from pathlib import Path
@@ -17,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_source
-from repro.analysis.dataflow import _REPORT_ZONE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src"
@@ -88,9 +86,6 @@ class TestAsyncDiscipline:
 
 
 class TestRealPackage:
-    def test_transport_package_in_report_zone(self):
-        assert "repro.transport" in _REPORT_ZONE
-
     def test_transport_sources_exist(self):
         assert (TRANSPORT / "udp.py").is_file()
         assert (TRANSPORT / "netsim.py").is_file()

@@ -1,5 +1,7 @@
 """Tenant table semantics: LRU by activity, bounded, report-stable."""
 
+import pytest
+
 from repro.core.keying import Principal
 from repro.gateway.tenants import GatewayConfig, TenantState, TenantTable
 
@@ -80,3 +82,9 @@ class TestGatewayConfig:
         assert config.max_tenants == 8
         assert config.queue_depth == 64
         assert config.evict_cold is True
+
+    @pytest.mark.parametrize("bad", [{"max_tenants": 0}, {"queue_depth": -1}])
+    def test_refuses_a_table_or_queue_that_cannot_serve(self, bad):
+        # max_tenants=0 ended in StopIteration out of TenantTable.coldest().
+        with pytest.raises(ValueError):
+            GatewayConfig(**bad)

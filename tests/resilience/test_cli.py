@@ -27,15 +27,6 @@ def test_single_scenario_report_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_stdout_report_is_byte_identical_per_seed(capsys):
-    assert main(["--smoke", "--only", "baseline", "--seed", "5"]) == 0
-    first = capsys.readouterr().out
-    assert main(["--smoke", "--only", "baseline", "--seed", "5"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    json.loads(first)  # and it is valid JSON
-
-
 def test_unknown_scenario_is_usage_error(capsys):
     assert main(["--only", "no_such_scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

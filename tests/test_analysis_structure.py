@@ -8,7 +8,9 @@ clock, RNG or raise site of their own; the engine joins the two phases'
 findings without reconciling them; and phase 2 is three graph
 algorithms -- one label propagation, one transitive-reach closure, one
 unguarded-raise reporter -- each written once and instantiated per
-rule ("replace, don't fork").
+rule ("replace, don't fork").  The label language is key taint and
+nothing else: report determinism is checked on the bytes
+(``tests/test_report_determinism.py``), not by a second label dimension.
 """
 
 import ast
@@ -16,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
-ANALYSIS = Path(__file__).resolve().parents[1] / "src" / "repro" / "analysis"
+from repro.analysis import callgraph
+from repro.analysis.context import ModuleContext
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+ANALYSIS = REPO_ROOT / "src" / "repro" / "analysis"
 ONE_HOME = (
     "SOURCE_FRAGMENTS",
     "SOURCE_NAMES",
@@ -142,7 +148,6 @@ def test_unguarded_reach_has_one_caller():
 #: rule id -> the one algorithm its findings come through.
 SHARED_ALGORITHM = {
     "FBS001": "_propagate",
-    "FBS011": "_propagate",
     "FBS002": "_closure",
     "FBS003": "_closure",
     "FBS010": "_closure",
@@ -174,8 +179,52 @@ def test_only_the_instantiations_and_the_raise_reporter_emit():
     emitters = {name for name, fn in methods.items() if "_emit" in _self_calls(fn)}
     assert emitters == {
         "_taint_pass",
-        "_report_order_pass",
         "_impurity_pass",
         "_blocking_pass",
         "_report_unguarded",
     }
+
+
+# -- the label language is key taint and nothing else ----------------------------------
+
+
+def test_summaries_hold_only_the_five_label_kinds():
+    kinds = set()
+    for top in ("src", "tests/analysis/fixtures"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            name = str(path.relative_to(REPO_ROOT))
+            summary = callgraph.summarize_module(
+                ModuleContext(
+                    path=name, logical_path=name, tree=ast.parse(source), source=source
+                )
+            )
+            for fn in summary.functions.values():
+                pools = [fn.returns]
+                pools += [labels for _, labels, _ in fn.attr_stores]
+                pools += [sink.labels for sink in fn.sinks]
+                for site in fn.calls:
+                    pools += site.args + list(site.kwargs.values())
+                kinds.update(label[0] for pool in pools for label in pool)
+    assert kinds == {"src", "param", "ret", "attr", "ctor"}
+
+
+def test_no_iteration_order_analysis_remains_in_src():
+    gone = ('"ord"', "OrderSite", "order_sites", "ord_opaque", "unsorted_json", "_REPORT_ZONE")
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in gone if name in text], path
+
+
+def test_every_json_dump_in_src_sorts_its_keys():
+    # Dict order is insertion order, so this is style, not determinism:
+    # a report's bytes should not depend on the order code built it in.
+    sites = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "json.dump", "json.dumps"
+            ):
+                assert "sort_keys" in {kw.arg for kw in node.keywords}, (path, node.lineno)
+                sites.append(path.name)
+    assert len(sites) == 4

@@ -28,8 +28,14 @@ def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
         ["sweep", "{trace}", "--thresholds", "300,abc"],
         ["cachesim", "{trace}", "--host", "10.0.0.1", "--sizes", "2,x"],
         ["analyze", "{missing}"],
+        ["cachesim", "{trace}", "--host", "notanip"],
+        ["cachesim", "{trace}", "--host", "10.1.0.250", "--sizes", "0"],
+        ["analyze", "{trace}", "--threshold", "0"],
     ],
-    ids=["bad-threshold-list", "bad-size-list", "unreadable-trace"],
+    ids=[
+        "bad-threshold-list", "bad-size-list", "unreadable-trace",
+        "bad-host", "zero-size", "zero-threshold",
+    ],
 )
 def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, capsys):
     from repro.traces.cli import main
@@ -38,5 +44,18 @@ def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, ca
     trace.write_text("")
     paths = {"trace": str(trace), "missing": str(tmp_path / "no-such-file")}
     assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-tenants", "0"], ["--tenants", "157"], ["--queue-depth", "-1"]],
+    ids=["empty-table", "past-the-address-plan", "negative-queue"],
+)
+def test_gateway_value_the_workload_cannot_run_with_is_a_usage_error(argv, capsys):
+    from repro.gateway.cli import main
+
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err

@@ -47,12 +47,6 @@ class TestGenerate:
         text = small_trace_file.read_text()
         assert "udp" in text or "tcp" in text
 
-    def test_deterministic(self):
-        a, b = io.StringIO(), io.StringIO()
-        main(["generate", "--duration", "120", "--clients", "2", "--seed", "9", "-o", "-"], out=a)
-        main(["generate", "--duration", "120", "--clients", "2", "--seed", "9", "-o", "-"], out=b)
-        assert a.getvalue() == b.getvalue()
-
 
 class TestAnalyze:
     def test_analyze_file(self, small_trace_file):

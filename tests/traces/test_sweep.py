@@ -16,9 +16,9 @@ from repro.traces.sweep import (
 
 @pytest.fixture(scope="module")
 def small_report():
-    # The full smoke profile runs in CI via `make traces-smoke`; tests
-    # restrict to two workloads (the negative control + the bursty
-    # heavy-tail) to stay fast while touching every gate kind.
+    # The full smoke profile runs in tests/test_report_determinism.py;
+    # these tests restrict to two workloads (the negative control + the
+    # bursty heavy-tail) to stay fast while touching every gate kind.
     spec = sweep_spec(
         profile="smoke", seed=0, workloads=("onoff-bursty", "synthetic")
     )
