@@ -155,6 +155,10 @@ class AssociativeCache(Generic[V]):
         self.trace_name = trace_name
 
     def _set_for(self, key: bytes) -> "OrderedDict[bytes, V]":
+        if self.sets == 1:
+            # One set (MKC, PVC, any cache with ways == capacity): the
+            # index is 0 whatever the key hashes to.
+            return self._sets[0]
         return self._sets[self._hash.index(key, self.sets)]
 
     def get(self, key: bytes) -> Optional[V]:

@@ -20,6 +20,7 @@ seeds and compares the bytes).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -90,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="DIR",
         default=None,
-        help="write per-worker shard-tagged JSONL event traces here",
+        help="write per-worker shard-tagged JSONL event traces here "
+        "(the directory is created if it does not exist)",
     )
     parser.add_argument(
         "--out", metavar="PATH", default=None, help="report file (default: stdout)"
@@ -110,6 +112,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
+    if args.trace_out is not None:
+        # Before any worker starts: a worker dying on its sink is a traceback.
+        try:
+            os.makedirs(args.trace_out, exist_ok=True)
+        except OSError as exc:
+            print(
+                f"error: --trace-out {args.trace_out}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
     workload = args.workload or ("smoke" if args.smoke else "synthetic")
     spec = LoadSpec(
         workers=args.workers,

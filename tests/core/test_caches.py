@@ -1,6 +1,8 @@
 """Key cache tests: organizations, miss classification, named caches."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.caches import (
     AssociativeCache,
@@ -9,7 +11,7 @@ from repro.core.caches import (
     MissKind,
     PublicValueCache,
 )
-from repro.crypto.crc import ModuloHash
+from repro.crypto.crc import Crc32Hash, ModuloHash
 from repro.obs.events import CacheEvicted
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
@@ -163,6 +165,80 @@ class TestAssociative:
         cache.put(b"b", 3)
         assert cache.stats.evictions == 1
         assert [e.cache for e in sink.of_type(CacheEvicted)] == ["TFKC"]
+
+
+class _CountingHash(Crc32Hash):
+    """CRC-32 that counts its calls and can be told to refuse them."""
+
+    def __init__(self, refuse: bool = False) -> None:
+        self.calls = 0
+        self.refuse = refuse
+
+    def index(self, key: bytes, table_size: int) -> int:
+        if self.refuse:
+            raise AssertionError("a one-set cache consulted its index hash")
+        self.calls += 1
+        return super().index(key, table_size)
+
+
+def _every_operation(cache):
+    cache.put(b"a", 1)
+    cache.put(b"b", 2)
+    assert cache.get(b"a") == 1
+    assert cache.get(b"zz") is None
+    cache.invalidate(b"a")
+    assert cache.evict(b"b") is True
+    assert cache.evict(b"b") is False
+
+
+class TestOneSetSkipsTheIndexHash:
+    """With one set the index is 0 whatever the key hashes to."""
+
+    @pytest.mark.parametrize("capacity, ways", [(4, None), (4, 4), (2, 2)])
+    def test_one_set_never_calls_the_hash(self, capacity, ways):
+        cache = AssociativeCache(capacity, ways, index_hash=_CountingHash(refuse=True))
+        assert cache.sets == 1
+        _every_operation(cache)
+
+    def test_two_sets_still_call_it(self):
+        index_hash = _CountingHash()
+        cache = AssociativeCache(4, ways=2, index_hash=index_hash)
+        assert cache.sets == 2
+        _every_operation(cache)
+        assert index_hash.calls == 7  # one per get/put/invalidate/evict
+
+    def test_named_principal_caches_have_one_set(self):
+        assert MasterKeyCache(8)._cache.sets == 1
+        assert PublicValueCache(8)._cache.sets == 1
+        assert FlowKeyCache(8, ways=8)._cache.sets == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 5),
+        ops=st.lists(
+            st.tuples(st.sampled_from("gpie"), st.integers(0, 8)), max_size=60
+        ),
+    )
+    def test_same_stats_kinds_and_victims_as_the_hashed_lookup(self, capacity, ops):
+        shortcut = AssociativeCache(capacity, index_hash=_CountingHash(refuse=True))
+        hashed = AssociativeCache(capacity, index_hash=Crc32Hash())
+        # The parent's lookup, spelled out: hash, then modulo the one set.
+        hashed._set_for = lambda key: hashed._sets[hashed._hash.index(key, hashed.sets)]
+        for op, n in ops:
+            key = b"flow-key-%d" % n
+            for cache in (shortcut, hashed):
+                if op == "g":
+                    cache.get(key)
+                elif op == "p":
+                    cache.put(key, n)
+                elif op == "i":
+                    cache.invalidate(key)
+                else:
+                    cache.evict(key)
+            # CacheStats carries the hit, per-kind miss and eviction counts.
+            assert shortcut.stats == hashed.stats
+            # LRU order is eviction order: the next victim is the first key.
+            assert list(shortcut._sets[0]) == list(hashed._sets[0])
 
 
 class TestFlowKeyCache:

@@ -59,3 +59,19 @@ def test_gateway_value_the_workload_cannot_run_with_is_a_usage_error(argv, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_load_trace_out_directory_is_created_or_refused_up_front(tmp_path, capsys):
+    from repro.load.cli import main
+
+    argv = ["--smoke", "--workers", "1", "--out", str(tmp_path / "report.json")]
+    missing = tmp_path / "not" / "there"
+    assert main(argv + ["--trace-out", str(missing)]) == 0
+    assert sorted(path.suffix for path in missing.iterdir()) == [".jsonl"]
+    capsys.readouterr()
+    # A path that cannot become a directory: one error line, no worker started.
+    blocked = tmp_path / "report.json" / "traces"
+    assert main(argv + ["--trace-out", str(blocked)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trace-out") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

@@ -14,8 +14,14 @@ import random
 import pytest
 
 from repro.core.config import FBSConfig
+from repro.crypto import vector
 from repro.netsim.link import LinkConditions
-from repro.transport import RetryPolicy, UdpTransportConfig, channel_pair
+from repro.transport import (
+    RetryPolicy,
+    UdpTransport,
+    UdpTransportConfig,
+    channel_pair,
+)
 from repro.transport.channel import SecureChannel
 from repro.transport.runner import build_udp_channels
 
@@ -247,6 +253,43 @@ class TestFirstContactRetryOverUdp:
         assert not [
             name for name in UdpTransportConfig.__dataclass_fields__ if "retry" in name
         ]
+
+
+class TestSecretEchoOverUdp:
+    def test_request_against_a_parked_echo_server(self):
+        # The server task sits in ``recv`` (a parked receiver) while the
+        # client's ``request`` sends and waits: both ends of the UDP
+        # wait path.  Bodies are long enough for unprotect() to hand
+        # them to the lane kernel; without numpy (CI's no-numpy leg runs
+        # this directory) the same echo runs on the scalar block loop.
+        body = bytes(range(256)) * 2
+        assert len(body) >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
+
+        async def scenario():
+            server_transport = await UdpTransport.create()
+            client_transport = await UdpTransport.create(
+                remote=server_transport.local_address
+            )
+            client, server = channel_pair(
+                client_transport, server_transport, seed=7, secret=True
+            )
+            if not vector.HAVE_NUMPY:
+                assert not server.endpoint._vector_ok
+            echo = asyncio.ensure_future(_echo_forever(server, timeout=0.1))
+            try:
+                replies = [await client.request(body, timeout=0.5) for _ in range(8)]
+            finally:
+                echo.cancel()
+            ledgers = [channel.ledger_dict() for channel in (client, server)]
+            await client.close()
+            await server.close()
+            return replies, ledgers
+
+        replies, ledgers = asyncio.run(scenario())
+        assert replies == [body] * 8
+        for ledger in ledgers:
+            assert ledger["accepted"] == 8, ledger
+            assert sum(ledger["rejected"].values()) == 0, ledger
 
 
 class TestFirstContactRetryOverNetsim:

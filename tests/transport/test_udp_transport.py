@@ -7,9 +7,13 @@ loopback exchange completes in well under a millisecond.
 """
 
 import asyncio
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.gateway.server import FBSGateway
 from repro.transport import (
     TransportClosedError,
     TransportError,
@@ -17,6 +21,7 @@ from repro.transport import (
     UdpTransportConfig,
 )
 
+from tests.gateway.helpers import gateway_site
 from tests.transport.helpers import DropSends
 
 
@@ -128,6 +133,211 @@ class TestDatagramPath:
         assert t1 >= t0 + 0.005
 
 
+def _turn_flag():
+    """A list that gains an entry the next time the running loop turns."""
+    turned = []
+    asyncio.get_running_loop().call_soon(turned.append, "the loop turned")
+    return turned
+
+
+async def _udp_gateway(tenants):
+    """A netsim site's principals and endpoints behind real sockets."""
+    site = gateway_site(tenants=tenants)
+    listening = await UdpTransport.create()
+    senders = [
+        await UdpTransport.create(remote=listening.local_address)
+        for _ in site.principals
+    ]
+    directory = {
+        t.local_address: principal for t, principal in zip(senders, site.principals)
+    }
+    gateway = FBSGateway(
+        site.gw_endpoint, listening, resolver=lambda addr: directory[tuple(addr)]
+    )
+    return site, gateway, senders
+
+
+class TestReceivePath:
+    """Harvest -> pop -> only then wait, checked by counts, not clocks."""
+
+    def test_a_pending_datagram_costs_no_loop_turn(self):
+        async def scenario():
+            client, server = await _pair()
+            turned = _turn_flag()
+            await client.send(b"already in the kernel")
+            got = await server.recv_from(1.0)
+            seen = list(turned)
+            await client.close()
+            await server.close()
+            return got[0], seen
+
+        assert asyncio.run(scenario()) == (b"already in the kernel", [])
+
+    def test_gateway_serves_pending_datagrams_without_a_loop_turn(self):
+        async def scenario():
+            site, gateway, senders = await _udp_gateway(tenants=2)
+            turned = _turn_flag()
+            await senders[0].send(site.endpoints[0].protect(b"one", site.gw_principal))
+            once = await gateway.serve_once(1.0)
+            for i in range(8):
+                tenant = i % 2
+                await senders[tenant].send(
+                    site.endpoints[tenant].protect(b"%d" % i, site.gw_principal)
+                )
+            ready = await gateway.serve_ready(8)
+            seen = list(turned)
+            for transport in (gateway.transport, *senders):
+                await transport.close()
+            return once, ready, seen
+
+        once, ready, seen = asyncio.run(scenario())
+        assert (once, ready) == ("enqueued", ["enqueued"] * 8)
+        assert seen == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(st.sampled_from(("send", "turn", "recv")), max_size=40))
+    def test_fifo_across_the_loop_reader_and_the_harvest(self, ops):
+        # A loop turn lets asyncio's reader queue a datagram; a receive
+        # harvests the rest.  Whoever took them, they leave in send order.
+        async def scenario():
+            client, server = await _pair()
+            sent, got = 0, []
+            for op in ops:
+                if op == "send":
+                    await client.send(b"%d" % sent)
+                    sent += 1
+                elif op == "turn":
+                    await asyncio.sleep(0)
+                else:
+                    got.append(await server.recv(timeout=0))
+            got.extend(server.drain())
+            await client.close()
+            await server.close()
+            return sent, [int(payload) for payload in got if payload is not None]
+
+        sent, got = asyncio.run(scenario())
+        assert got == list(range(sent))
+
+    @pytest.mark.parametrize("reader", ["loop", "harvest", "both"])
+    def test_bounded_queue_counts_the_same_whoever_reads(self, reader):
+        async def scenario():
+            client, server = await _pair(UdpTransportConfig(recv_queue=4))
+            for i in range(10):
+                await client.send(b"%d" % i)
+            if reader == "loop":
+                await asyncio.sleep(0.05)
+            elif reader == "both":
+                for _ in range(2):
+                    await asyncio.sleep(0)
+            got = [await server.recv(timeout=0) for _ in range(5)]
+            await client.close()
+            await server.close()
+            return got, server.stats
+
+        got, stats = asyncio.run(scenario())
+        assert got == [b"0", b"1", b"2", b"3", None]
+        assert (stats.datagrams_received, stats.queue_drops) == (4, 6)
+
+    def test_parked_receiver_is_woken_by_an_arrival(self):
+        async def scenario():
+            client, server = await _pair()
+            receive = asyncio.ensure_future(server.recv(timeout=5.0))
+            await asyncio.sleep(0.01)
+            assert not receive.done()
+            await client.send(b"wake up")
+            got = await asyncio.wait_for(receive, 1.0)
+            await client.close()
+            await server.close()
+            return got
+
+        assert asyncio.run(scenario()) == b"wake up"
+
+    def test_parked_receiver_times_out_on_time(self):
+        async def scenario():
+            server = await UdpTransport.create()
+            start = time.monotonic()
+            got = await server.recv(timeout=0.05)
+            waited = time.monotonic() - start
+            await server.close()
+            return got, waited
+
+        got, waited = asyncio.run(scenario())
+        assert got is None
+        assert 0.03 <= waited <= 0.07
+
+    def test_cancelled_receive_leaves_nothing_behind(self):
+        async def scenario():
+            client, server = await _pair()
+            loop = asyncio.get_running_loop()
+            receive = asyncio.ensure_future(server.recv(timeout=5.0))
+            await asyncio.sleep(0.01)
+            receive.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await receive
+            assert server._waiter is None
+            assert [h for h in loop._scheduled if not h.cancelled()] == []
+            await client.send(b"still works")
+            got = await server.recv(timeout=1.0)
+            await client.close()
+            await server.close()
+            return got
+
+        assert asyncio.run(scenario()) == b"still works"
+
+    def test_second_receiver_is_refused_while_one_waits(self):
+        async def scenario():
+            client, server = await _pair()
+            first = asyncio.ensure_future(server.recv(timeout=5.0))
+            await asyncio.sleep(0.01)
+            with pytest.raises(TransportError, match="already has a receiver"):
+                await server.recv(timeout=0)
+            await client.send(b"for the first")
+            got = await asyncio.wait_for(first, 1.0)
+            await client.close()
+            await server.close()
+            return got
+
+        assert asyncio.run(scenario()) == b"for the first"
+
+    def test_busy_socket_does_not_starve_the_loop(self):
+        # A server that always finds a datagram never parks; without the
+        # yield after _YIELD_AFTER receives the backlog below is ~120 ms
+        # during which no timer fires and no other task runs.
+        async def scenario():
+            client, server = await _pair()
+            for burst in range(1, 5):  # the loop's reader queues each burst
+                for _ in range(150):
+                    await client.send(b"backlog")
+                while server.stats.datagrams_received < 150 * burst:
+                    await asyncio.sleep(0.001)
+            running = True
+
+            async def serve():
+                while running:
+                    await server.recv(timeout=1.0)
+                    busy_until = time.perf_counter() + 200e-6
+                    while time.perf_counter() < busy_until:
+                        pass
+
+            async def top_up():
+                while running:
+                    for _ in range(32):
+                        await client.send(b"more")
+                    await asyncio.sleep(0)
+
+            tasks = [asyncio.ensure_future(serve()), asyncio.ensure_future(top_up())]
+            start = time.monotonic()
+            await asyncio.sleep(0.01)
+            waited = time.monotonic() - start
+            running = False
+            await asyncio.gather(*tasks)
+            await client.close()
+            await server.close()
+            return waited
+
+        assert asyncio.run(scenario()) < 0.05
+
+
 class TestShutdown:
     def test_send_after_close_raises(self):
         async def scenario():
@@ -151,6 +361,34 @@ class TestShutdown:
             return kept
 
         assert asyncio.run(scenario()) == [b"in flight"]
+
+    def test_close_keeps_what_the_socket_already_holds(self):
+        # Delivered to the socket before the close, not yet read by
+        # anyone: readable afterwards, and counted.
+        async def scenario():
+            client, server = await _pair()
+            await client.send(b"unread at close")
+            await server.close()
+            got = await server.recv(timeout=0.05)
+            await client.close()
+            return got, server.drain(), server.stats
+
+        got, rest, stats = asyncio.run(scenario())
+        assert (got, rest) == (b"unread at close", [])
+        assert (stats.datagrams_received, stats.queue_drops) == (1, 0)
+
+    def test_close_counts_what_the_full_queue_could_not_take(self):
+        async def scenario():
+            client, server = await _pair(UdpTransportConfig(recv_queue=1))
+            for payload in (b"fits", b"does not"):
+                await client.send(payload)
+            await server.close()
+            await client.close()
+            return server.drain(), server.stats
+
+        kept, stats = asyncio.run(scenario())
+        assert kept == [b"fits"]
+        assert (stats.datagrams_received, stats.queue_drops) == (1, 1)
 
     def test_close_is_idempotent(self):
         async def scenario():
