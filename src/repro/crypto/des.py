@@ -7,19 +7,23 @@ module: everything data-independent is folded into tables at import time,
 everything key-dependent is folded into the key schedule once in
 ``__init__``, and the per-block path is table lookups on plain ints.
 
-* **Combined SP-boxes** -- each 6-bit S-box input maps straight to the
-  P-permuted 32-bit round-function contribution, so one round is eight
-  lookup/XOR/OR steps with no bit walking.
-* **Byte-indexed IP/FP tables** -- the initial and final permutations
-  are each eight 256-entry lookups (bit permutations distribute over OR).
-* **Folded E expansion** -- the expansion's eight overlapping 6-bit
-  windows are read directly off a 34-bit widening of the right half
-  (``R`` with its edge bits wrapped around), so E costs three shifts per
-  round instead of a table application.
-* **Subkeys as 6-bit chunks** -- the key schedule stores each 48-bit
-  round key pre-split into the eight chunks the SP lookups consume, and
-  keeps the reversed (decryption) order too, so ``decrypt_block`` never
-  re-materializes the schedule.
+* **Rotated halves** -- both 32-bit halves are kept rotated left by one
+  (the libdes form), with the rotation folded into the byte-indexed
+  IP/FP tables (eight 256-entry lookups each; a bit permutation
+  distributes over OR).  In ``rotl(R, 1)`` the E-expansion windows of
+  S-boxes 1, 3, 5, 7 are the low six bits of the four bytes, and in
+  that word rotated right by four boxes 0, 2, 4, 6 sit the same way,
+  so E is one rotate.
+* **Packed round keys** -- a round key is two byte-aligned 32-bit masks
+  ``(ka, kb)`` with the 6-bit chunks where those windows are
+  (:func:`_packed`), so two XORs key all eight boxes; the reversed
+  (decryption) order is kept too.  The lane kernel
+  (:mod:`repro.crypto.vector.des`) XORs the same masks.
+* **Paired SP-boxes** -- each 6-bit S-box input maps straight to its
+  P-permuted (and rotated) round-function contribution, and the tables
+  are combined two boxes at a time: masked with ``0x3F3F3F3F`` each
+  keyed word is two 16-bit indices, so one round is four subscripts
+  and about nineteen interpreter operations.
 
 The per-bit specification implementation this kernel is differentially
 tested against lives in :mod:`repro.crypto.des_reference` and is
@@ -35,11 +39,10 @@ Higher-level modes of operation (CBC and friends, padding) live in
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.crypto import des_reference as reference
 from repro.crypto.des_reference import (
-    E as _E,
     FP as _FP,
     IP as _IP,
     P as _P,
@@ -56,72 +59,98 @@ __all__ = ["DES", "BLOCK_SIZE", "reference"]
 BLOCK_SIZE = 8
 
 
-def _byte_luts(width: int, table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Per-input-byte lookup tables for a bit permutation.
+def _rotate_halves(value: int, left: int) -> int:
+    """Rotate each 32-bit half of a 64-bit value left by ``left``."""
+    high, low = value >> 32, value & 0xFFFFFFFF
+    high = ((high << left) | (high >> (32 - left))) & 0xFFFFFFFF
+    low = ((low << left) | (low >> (32 - left))) & 0xFFFFFFFF
+    return high << 32 | low
+
+
+def _or_table(bit_images: Sequence[int]) -> Tuple[int, ...]:
+    """``table[v]``: the OR of ``bit_images[i]`` over the set bits of ``v``."""
+    table = [0]
+    for image in bit_images:
+        table += [image | entry for entry in table]
+    return tuple(table)
+
+
+def _byte_luts(width: int, image: Callable[[int], int]) -> Tuple[Tuple[int, ...], ...]:
+    """Per-input-byte lookup tables for a bit permutation, MSB byte first.
 
     A bit permutation distributes over OR, so permuting a ``width``-bit
-    value equals OR-ing one precomputed table entry per input byte.
+    value equals OR-ing one precomputed table entry per input byte, and
+    a table entry is the OR of its set bits' images: ``image`` walks the
+    permutation once per input *bit*, not once per entry.
     """
-    luts = []
-    for byte_index in range(width // 8):
-        shift = width - 8 * (byte_index + 1)
-        luts.append(
-            tuple(
-                _permute(byte_value << shift, width, table)
-                for byte_value in range(256)
-            )
-        )
-    return tuple(luts)
+    return tuple(
+        _or_table([image(1 << bit) for bit in range(base, base + 8)])
+        for base in range(width - 8, -1, -8)
+    )
 
 
-_IP_LUT = _byte_luts(64, _IP)
-_FP_LUT = _byte_luts(64, _FP)
-_PC1_LUT = _byte_luts(64, _PC1)
+# IP leaves, and FP takes, both halves rotated left by one: the form the
+# rounds keep them in (see _crypt).
+_IP_LUT = _byte_luts(64, lambda v: _rotate_halves(_permute(v, 64, _IP), 1))
+_FP_LUT = _byte_luts(64, lambda v: _permute(_rotate_halves(v, 31), 64, _FP))
+_PC1_LUT = _byte_luts(64, lambda v: _permute(v, 64, _PC1))
 # PC2 consumes a 56-bit quantity: pad to 56 bits (7 bytes).
-_PC2_LUT = _byte_luts(56, _PC2)
+_PC2_LUT = _byte_luts(56, lambda v: _permute(v, 56, _PC2))
 
-# Combined SP-boxes: S-box output already run through the P permutation,
-# so one lookup per 6-bit chunk replaces the per-round S + P work.
+# Combined SP-boxes: S-box output already run through the P permutation
+# and rotated left by one like the half it is XORed into, so one lookup
+# per 6-bit chunk replaces the per-round S + P work.
 _SP = tuple(
     tuple(
-        _permute(
-            _SBOXES[box][((chunk >> 4) & 0b10) | (chunk & 1)][(chunk >> 1) & 0x0F]
-            << (28 - 4 * box),
-            32,
-            _P,
+        _rotate_halves(
+            _permute(
+                _SBOXES[box][((chunk >> 4) & 0b10) | (chunk & 1)][(chunk >> 1) & 0x0F]
+                << (28 - 4 * box),
+                32,
+                _P,
+            ),
+            1,
         )
         for chunk in range(64)
     )
     for box in range(8)
 )
 
-# Every XOR-permutation of every SP-box: ``_SPX[box][k]`` is ``_SP[box]``
-# re-indexed by a 6-bit subkey chunk (``_SPX[box][k][i] == _SP[box][i ^
-# k]``).  The key schedule then *selects* eight tables per round and the
-# round function drops all eight subkey XORs -- the per-key work moves to
-# a handful of tuple lookups at schedule time, the per-block loop is pure
-# subscripting.  8 boxes x 64 chunks x 64 entries ~= 32k shared ints.
-_SPX = tuple(
-    tuple(tuple(sp[i ^ k] for i in range(64)) for k in range(64))
-    for sp in _SP
-)
+
+def _paired(box_a: int, box_b: int) -> Tuple[int, ...]:
+    """``_SP[box_a][i] | _SP[box_b][j]`` at index ``i << 8 | j``.
+
+    Two S-boxes a subscript: the index is sixteen bits of a half masked
+    with ``0x3F3F``, so 4,096 of the slots are live and the rest (``j``
+    above 63) are padding no masked index reaches.
+    """
+    dead = [0] * 192
+    table = []
+    for a in _SP[box_a]:
+        table += [a | b for b in _SP[box_b]]
+        table += dead
+    return tuple(table[: 0x3F3F + 1])
+
+
+_SP13, _SP57 = _paired(1, 3), _paired(5, 7)
+_SP02, _SP46 = _paired(0, 2), _paired(4, 6)
 
 
 def _crypt(
     block: int,
-    subkeys: Sequence[Tuple[Tuple[int, ...], ...]],
+    subkeys: Sequence[Tuple[int, int]],
     # The tables are bound as default arguments so every lookup in the
     # hot loop resolves as a local, not a module global.
     ip0=_IP_LUT[0], ip1=_IP_LUT[1], ip2=_IP_LUT[2], ip3=_IP_LUT[3],
     ip4=_IP_LUT[4], ip5=_IP_LUT[5], ip6=_IP_LUT[6], ip7=_IP_LUT[7],
     fp0=_FP_LUT[0], fp1=_FP_LUT[1], fp2=_FP_LUT[2], fp3=_FP_LUT[3],
     fp4=_FP_LUT[4], fp5=_FP_LUT[5], fp6=_FP_LUT[6], fp7=_FP_LUT[7],
+    sp13=_SP13, sp57=_SP57, sp02=_SP02, sp46=_SP46,
 ) -> int:
     """One DES block in int space (the direction is set by ``subkeys``).
 
     ``subkeys`` is the key schedule as produced by :func:`_key_schedule`:
-    sixteen rounds of eight key-selected SP tables (see ``_SPX``), so the
-    round function is subscripting and OR only.
+    sixteen ``(ka, kb)`` pairs of byte-aligned chunk masks.
     """
     t = (
         ip0[block >> 56]
@@ -135,21 +164,16 @@ def _crypt(
     )
     left = t >> 32
     right = t & 0xFFFFFFFF
-    for t0, t1, t2, t3, t4, t5, t6, t7 in subkeys:
-        # E(R) read off a 34-bit widening of R: bit 32 wrapped above the
-        # MSB, bit 1 wrapped below the LSB.  The eight overlapping 6-bit
-        # expansion windows then sit at shifts 28, 24, ..., 0 (the top
-        # window needs no mask: y >> 28 is already just six bits).
-        y = ((right & 1) << 33) | (right << 1) | (right >> 31)
+    for ka, kb in subkeys:
+        # In rotl(R, 1) the E windows of S-boxes 1, 3, 5, 7 are the low
+        # six bits of bytes 3..0, and in that word rotated right by four
+        # the windows of boxes 0, 2, 4, 6 sit the same way; the mask
+        # drops each byte's two stray bits and the rotate's overflow.
+        odd = (right ^ ka) & 0x3F3F3F3F
+        even = ((right >> 4 | right << 28) ^ kb) & 0x3F3F3F3F
         left, right = right, left ^ (
-            t0[y >> 28]
-            | t1[(y >> 24) & 0x3F]
-            | t2[(y >> 20) & 0x3F]
-            | t3[(y >> 16) & 0x3F]
-            | t4[(y >> 12) & 0x3F]
-            | t5[(y >> 8) & 0x3F]
-            | t6[(y >> 4) & 0x3F]
-            | t7[y & 0x3F]
+            sp13[odd >> 16] | sp57[odd & 0xFFFF]
+            | sp02[even >> 16] | sp46[even & 0xFFFF]
         )
     # Final swap then inverse initial permutation.
     t = (right << 32) | left
@@ -172,39 +196,47 @@ def _apply_luts(value: int, width: int, luts: Tuple[Tuple[int, ...], ...]) -> in
     return out
 
 
+def _packed(k48: int) -> int:
+    """A 48-bit round key as ``ka << 32 | kb``, its 6-bit chunks
+    ``k0..k7`` byte-aligned where the round reads them: ``ka`` is
+    ``k7 | k5 << 8 | k3 << 16 | k1 << 24`` (XORed into ``rotl(R, 1)``),
+    ``kb`` is ``k6 | k4 << 8 | k2 << 16 | k0 << 24`` (into that word
+    rotated right by four).  The lane kernel reads the same two masks.
+    """
+    k0, k1, k2, k3, k4, k5, k6, k7 = [(k48 >> s) & 0x3F for s in range(42, -1, -6)]
+    ka = k7 | k5 << 8 | k3 << 16 | k1 << 24
+    kb = k6 | k4 << 8 | k2 << 16 | k0 << 24
+    return ka << 32 | kb
+
+
 def _round_key_luts() -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Per-round window tables with the rotation *and* PC2 folded in.
+    """Per-round window tables with rotation, PC2 *and* packing folded in.
 
     The schedule's per-round work is ``rotate(C, t); rotate(D, t);
-    PC2(C|D)``.  Both steps are bit permutations, so they compose: bit
-    ``i`` of the unrotated C half lands at position ``(i + t) % 28``
-    after the round's cumulative left-rotation ``t``, and its PC2 image
-    from there is a fixed 48-bit mask.  Folding that composition into
-    tables indexed by 7-bit windows of the *unrotated* halves turns the
-    whole round into eight lookups and seven ORs -- no rotates, no
-    56-bit re-packing, no generic table application.
+    PC2(C|D)``, then :func:`_packed`.  All are bit permutations, so they
+    compose: bit ``i`` of the unrotated C half lands at position
+    ``(i + t) % 28`` after the round's cumulative left-rotation ``t``,
+    and its packed PC2 image from there is a fixed 64-bit mask.  Folding
+    that composition into tables indexed by 7-bit windows of the
+    *unrotated* halves turns the whole round into eight lookups and
+    seven ORs -- no rotates, no 56-bit re-packing, no chunk shuffling.
 
     Layout: sixteen rounds x eight tables (windows of C at bit offsets
     21/14/7/0, then the same four windows of D) x 128 entries.
     """
-    # PC2 image of each single bit of the (rotated) C and D halves.
-    pc2_c_bit = [_apply_luts((1 << i) << 28, 56, _PC2_LUT) for i in range(28)]
-    pc2_d_bit = [_apply_luts(1 << i, 56, _PC2_LUT) for i in range(28)]
+    # Packed PC2 image of each single bit of the (rotated) C and D halves.
+    c_bit = [_packed(_apply_luts((1 << i) << 28, 56, _PC2_LUT)) for i in range(28)]
+    d_bit = [_packed(_apply_luts(1 << i, 56, _PC2_LUT)) for i in range(28)]
     rounds = []
     total = 0
     for shift in _SHIFTS:
         total += shift
         tables = []
-        for half_bits in (pc2_c_bit, pc2_d_bit):
+        for half_bits in (c_bit, d_bit):
             for base in (21, 14, 7, 0):
-                window = []
-                for value in range(128):
-                    k48 = 0
-                    for bit in range(7):
-                        if (value >> bit) & 1:
-                            k48 |= half_bits[(base + bit + total) % 28]
-                    window.append(k48)
-                tables.append(tuple(window))
+                tables.append(
+                    _or_table([half_bits[(base + bit + total) % 28] for bit in range(7)])
+                )
         rounds.append(tuple(tables))
     return tuple(rounds)
 
@@ -212,14 +244,11 @@ def _round_key_luts() -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
 _ROUND_KEY_LUTS = _round_key_luts()
 
 
-def _raw_schedule(key: int) -> Tuple[Tuple[int, ...], ...]:
-    """The sixteen round subkeys as raw 6-bit chunks (no table selection).
+def _key_schedule(key: int) -> Tuple[Tuple[int, int], ...]:
+    """The sixteen round keys as ``(ka, kb)`` mask pairs (:func:`_packed`).
 
-    The 48-bit subkeys come from :data:`_ROUND_KEY_LUTS`, which bakes the
-    per-round rotation and PC2 into window lookups on the PC1 output.
-    The vector datapath consumes the chunks as they are
-    (:mod:`repro.crypto.vector` packs them into per-round XOR masks);
-    the scalar path selects its tables over them (:func:`_key_schedule`).
+    They come from :data:`_ROUND_KEY_LUTS`, which bakes the per-round
+    rotation, PC2 and the packing into window lookups on the PC1 output.
     """
     permuted = _apply_luts(key, 64, _PC1_LUT)
     c = (permuted >> 28) & 0x0FFFFFFF
@@ -228,42 +257,12 @@ def _raw_schedule(key: int) -> Tuple[Tuple[int, ...], ...]:
     d0, d1, d2, d3 = d >> 21, (d >> 14) & 127, (d >> 7) & 127, d & 127
     rounds = []
     for cw0, cw1, cw2, cw3, dw0, dw1, dw2, dw3 in _ROUND_KEY_LUTS:
-        k48 = (
+        packed = (
             cw0[c0] | cw1[c1] | cw2[c2] | cw3[c3]
             | dw0[d0] | dw1[d1] | dw2[d2] | dw3[d3]
         )
-        rounds.append(
-            (
-                (k48 >> 42) & 0x3F,
-                (k48 >> 36) & 0x3F,
-                (k48 >> 30) & 0x3F,
-                (k48 >> 24) & 0x3F,
-                (k48 >> 18) & 0x3F,
-                (k48 >> 12) & 0x3F,
-                (k48 >> 6) & 0x3F,
-                k48 & 0x3F,
-            )
-        )
+        rounds.append((packed >> 32, packed & 0xFFFFFFFF))
     return tuple(rounds)
-
-
-def _key_schedule(
-    raw: Tuple[Tuple[int, ...], ...]
-) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """The round subkeys of :func:`_raw_schedule` as selected SP tables.
-
-    Each 6-bit chunk picks its pre-XORed SP table from ``_SPX`` --
-    sixteen rounds of eight shared 64-entry tuples, no per-key table
-    construction.
-    """
-    spx0, spx1, spx2, spx3, spx4, spx5, spx6, spx7 = _SPX
-    return tuple(
-        [
-            (spx0[k0], spx1[k1], spx2[k2], spx3[k3],
-             spx4[k4], spx5[k5], spx6[k6], spx7[k7])
-            for k0, k1, k2, k3, k4, k5, k6, k7 in raw
-        ]
-    )
 
 
 class DES:
@@ -285,7 +284,7 @@ class DES:
     :mod:`repro.crypto.modes`.
     """
 
-    __slots__ = ("subkeys", "subkeys_rev", "raw_subkeys", "_vector")
+    __slots__ = ("subkeys", "subkeys_rev", "_vector")
 
     #: Process-wide count of key-schedule constructions (one per DES()).
     schedule_builds = 0
@@ -294,17 +293,13 @@ class DES:
         if len(key) != BLOCK_SIZE:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         DES.schedule_builds += 1
-        #: Sixteen rounds of eight raw 6-bit subkey chunks; the vector
-        #: datapath packs these into per-lane XOR masks.
-        self.raw_subkeys = _raw_schedule(int.from_bytes(key, "big"))
         #: The encryption schedule: what :func:`_crypt` consumes.  The
         #: mode layer (:mod:`repro.crypto.modes`) reads these directly to
         #: drive ``_crypt`` without per-block method dispatch.
-        self.subkeys = _key_schedule(self.raw_subkeys)
-        self.subkeys_rev = tuple(reversed(self.subkeys))
-        # The byte-aligned per-round masks, both directions, that
-        # repro.crypto.vector.des packs from raw_subkeys and caches here
-        # (None until a lane pass touches this key).
+        self.subkeys = _key_schedule(int.from_bytes(key, "big"))
+        self.subkeys_rev = self.subkeys[::-1]
+        # Both directions as one array, which repro.crypto.vector.des
+        # builds and caches here (None until a lane pass touches this key).
         self._vector = None
 
     def encrypt_block(self, block: bytes) -> bytes:

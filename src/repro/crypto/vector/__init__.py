@@ -22,9 +22,9 @@ imports numpy.
 #: Blocks from which one CBC body decrypts faster as a single lane of
 #: ``cbc_decrypt_many`` (its blocks in parallel) than through scalar
 #: ``modes.decrypt_cbc``.  The sweep of record is the table in
-#: EXPERIMENTS.md ("Single-lane crossover"): lane/scalar 0.99 at 9
-#: blocks, 1.09 at 10, ahead from there to 24.
-SINGLE_LANE_MIN_BLOCKS = 10
+#: EXPERIMENTS.md ("Single-lane crossover"): lane/scalar 0.92-1.01 at
+#: 13-14 blocks, level at 15, ahead from 16 to 24.
+SINGLE_LANE_MIN_BLOCKS = 15
 
 try:
     import numpy  # noqa: F401  (probe only; kernels import it directly)

@@ -12,7 +12,8 @@ number of numpy calls, not its data, so a round is six calls:
   doubling makes that shift ``rotr(rotl(R, 1), 4)`` -- boxes 0, 2, 4, 6
   sit the same way.  One broadcast shift by ``(0, 4)`` makes both.
 * **Byte-aligned round keys**: two XOR masks with the 6-bit chunks at
-  those bytes (``DES._vector``), so one XOR keys all eight boxes.
+  those bytes -- the scalar schedule as it is (``DES.subkeys``, as an
+  array in ``DES._vector``) -- so one XOR keys all eight boxes.
 * **One gather for eight S-boxes.**  The window bytes, read through a
   ``uint8`` view, index eight stacked 256-entry SP tables (pre-rotated,
   doubled, a byte's two stray high bits ignored by repetition) in one
@@ -57,20 +58,13 @@ _U8 = np.dtype("<u8")
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _rotate32(words, left: int):
-    """Rotate the low 32 bits of each ``uint64`` left by ``left``."""
-    words = words & _LOW32
-    return (
-        (words << np.uint64(left)) | (words >> np.uint64(32 - left))
-    ) & _LOW32
-
-
 def _doubled(words):
     return (words | (words << np.uint64(32))).astype(_U8)
 
 
 def _state_luts():
-    """Byte-indexed IP, SP and FP tables in the rotated, doubled form.
+    """The scalar kernel's IP, SP and FP tables (already in the rotated
+    form) doubled and laid out for one gather each.
 
     ``ip[half]`` maps ``256 * position + byte`` of a raw block to that
     byte's share of the state half; ``sp`` stacks the eight SP boxes in
@@ -79,28 +73,15 @@ def _state_luts():
     its share of the output block, stored so the array's bytes are the
     big-endian block.
     """
-    byte = np.arange(256, dtype=np.uint64)
     ip = np.array(_IP_LUT, dtype=np.uint64)
     ip = np.stack(
-        [
-            _doubled(_rotate32(half, 1)).reshape(-1)
-            for half in (ip >> np.uint64(32), ip)
-        ]
+        [_doubled(half).reshape(-1) for half in (ip >> np.uint64(32), ip & _LOW32)]
     )
     boxes = np.array(_SP, dtype=np.uint64)[[7, 5, 3, 1, 6, 4, 2, 0]]
-    sp = _doubled(_rotate32(boxes[:, byte & np.uint64(63)], 1)).reshape(-1)
-    # Un-rotate each state byte into its half of the pre-output block,
-    # then FP that block through the scalar kernel's byte tables.
-    eights = np.uint64(8) * np.arange(8, dtype=np.uint64)
-    word = _rotate32(byte << eights[:4, None], 31)
-    block = np.stack([word << np.uint64(32), word])
-    position = np.arange(8).reshape(8, 1, 1, 1)
-    fp = np.bitwise_or.reduce(
-        np.array(_FP_LUT, dtype=np.uint64)[
-            position, (block >> eights[::-1].reshape(8, 1, 1, 1)) & np.uint64(255)
-        ],
-        axis=0,
-    )
+    sp = _doubled(boxes[:, np.arange(256) & 63]).reshape(-1)
+    # The scalar tables count a state's bytes from its high end, a
+    # little-endian view of a half from its low end.
+    fp = np.array(_FP_LUT, dtype=np.uint64)[[3, 2, 1, 0, 7, 6, 5, 4]]
     return ip, sp, fp.astype(">u8").view(_U8).reshape(-1)
 
 
@@ -210,14 +191,9 @@ def _packed_subkeys(cipher: DES) -> np.ndarray:
     """
     cached = cipher._vector
     if cached is None:
-        rounds = [
-            (
-                k7 | k5 << 8 | k3 << 16 | k1 << 24,
-                k6 | k4 << 8 | k2 << 16 | k0 << 24,
-            )
-            for k0, k1, k2, k3, k4, k5, k6, k7 in cipher.raw_subkeys
-        ]
-        cached = cipher._vector = np.array([rounds, rounds[::-1]], dtype=_U8)
+        cached = cipher._vector = np.array(
+            [cipher.subkeys, cipher.subkeys_rev], dtype=_U8
+        )
     return cached
 
 

@@ -97,8 +97,9 @@ class EthernetSegment:
         self._delay = propagation_delay
         self._conditions = conditions or LinkConditions()
         self._rng = _random.Random(seed)
-        #: (receiver, link-layer address or None for promiscuous).
-        self._stations: List[Tuple[Receiver, Optional[IPAddress]]] = []
+        #: (receiver, link-layer address as its integer, or None for
+        #: promiscuous): a frame is matched against every station.
+        self._stations: List[Tuple[Receiver, Optional[int]]] = []
         self._taps: List[Receiver] = []
         self._medium_free_at = 0.0
         # Statistics.
@@ -115,7 +116,7 @@ class EthernetSegment:
         the frames sent to that next hop, and broadcasts.  Without one
         the station is promiscuous and is handed every frame.
         """
-        self._stations.append((receiver, address))
+        self._stations.append((receiver, None if address is None else int(address)))
         return len(self._stations) - 1
 
     def attach_tap(self, tap: Receiver) -> None:
@@ -203,6 +204,7 @@ class EthernetSegment:
             self.frames_corrupted += 1
         arrival = departure + self._delay
         if not dropped:
+            hop = None if next_hop is None else int(next_hop)
             for i, (receiver, address) in enumerate(self._stations):
                 if i == station_id:
                     continue
@@ -211,7 +213,7 @@ class EthernetSegment:
                     if self._conditions.reorder_jitter
                     else 0.0
                 )
-                if next_hop is None or address is None or address == next_hop:
+                if hop is None or address is None or address == hop:
                     self._sim.schedule_at(
                         arrival + jitter, lambda f=wire, r=receiver: r(f)
                     )

@@ -1,6 +1,8 @@
 """DES block cipher tests: FIPS vectors, involution, key sensitivity."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.des import BLOCK_SIZE, DES
 
@@ -109,21 +111,64 @@ class TestReferenceImplementation:
                 plaintext
             )
 
-    def test_fast_kernel_matches_reference_randomized(self):
-        # The differential oracle: table-driven kernel == per-bit spec
-        # walk, both directions, across random keys and blocks.
-        import random
-
+    # The four weak keys and one semi-weak key (FIPS 74): schedules that
+    # repeat or mirror, where a mis-packed round key is likeliest to hide.
+    @example(key=bytes.fromhex("0101010101010101"), block=bytes(8))
+    @example(key=bytes.fromhex("FEFEFEFEFEFEFEFE"), block=b"\xff" * 8)
+    @example(key=bytes.fromhex("E0E0E0E0F1F1F1F1"), block=b"datagram")
+    @example(key=bytes.fromhex("1F1F1F1F0E0E0E0E"), block=b"\x80" + bytes(7))
+    @example(key=bytes.fromhex("01FE01FE01FE01FE"), block=bytes(7) + b"\x01")
+    @given(key=st.binary(min_size=8, max_size=8), block=st.binary(min_size=8, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_fast_kernel_matches_reference_randomized(self, key, block):
+        # The differential oracle: ``_crypt`` over the packed schedule ==
+        # the per-bit spec walk, both directions.
+        from repro.crypto.des import _crypt
         from repro.crypto.des_reference import DES as RefDES
 
-        rng = random.Random(0xDE5)
-        for _ in range(40):
-            key = rng.randbytes(8)
-            fast, ref = DES(key), RefDES(key)
-            for _ in range(4):
-                block = rng.randbytes(8)
-                assert fast.encrypt_block(block) == ref.encrypt_block(block)
-                assert fast.decrypt_block(block) == ref.decrypt_block(block)
+        fast, ref = DES(key), RefDES(key)
+        value = int.from_bytes(block, "big")
+        assert _crypt(value, fast.subkeys).to_bytes(8, "big") == ref.encrypt_block(block)
+        assert _crypt(value, fast.subkeys_rev).to_bytes(8, "big") == ref.decrypt_block(block)
+
+
+class TestPairedTables:
+    """The four paired SP tables, entry by entry against ``_SP``."""
+
+    PAIRS = {"_SP13": (1, 3), "_SP57": (5, 7), "_SP02": (0, 2), "_SP46": (4, 6)}
+
+    def test_sp_boxes_are_the_reference_round_function_rotated(self):
+        from repro.crypto.des import _SP
+        from repro.crypto.des_reference import DES as RefDES
+
+        for box in range(8):
+            for chunk in range(64):
+                # A zero half expands to zero, so the subkey is the S-box
+                # input: ``chunk`` into this box, zero into the other seven.
+                f = RefDES._feistel(0, chunk << (42 - 6 * box))
+                expected = 0
+                for other in range(8):
+                    expected |= _SP[other][chunk if other == box else 0]
+                assert expected == ((f << 1) | (f >> 31)) & 0xFFFFFFFF, (box, chunk)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_every_live_entry_is_the_or_of_its_two_boxes(self, name):
+        from repro.crypto import des
+
+        table = getattr(des, name)
+        box_a, box_b = self.PAIRS[name]
+        for i in range(64):
+            for j in range(64):
+                assert table[i << 8 | j] == des._SP[box_a][i] | des._SP[box_b][j]
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_the_mask_reaches_live_slots_only(self, name):
+        from repro.crypto import des
+
+        table = getattr(des, name)
+        live = {i << 8 | j for i in range(64) for j in range(64)}
+        assert {index & 0x3F3F for index in range(1 << 16)} == live
+        assert len(table) == max(live) + 1
 
 
 class TestScheduleCounter:

@@ -1,5 +1,7 @@
 """Cipher mode tests: round trips, padding, confounder semantics."""
 
+import random
+
 import pytest
 
 from repro.crypto.des import DES
@@ -146,3 +148,72 @@ class TestDispatch:
     def test_stream_modes_do_not_expand(self, cipher, mode):
         data = b"x" * 13
         assert len(encrypt(mode, cipher, IV, data)) == 13
+
+
+# ---------------------------------------------------------------------------
+# Every mode against FIPS 81 spelled over the per-bit reference cipher.
+# ---------------------------------------------------------------------------
+
+
+def _xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _chunks(data):
+    return [data[i : i + 8] for i in range(0, len(data), 8)]
+
+
+def _padded(data):
+    fill = 8 - len(data) % 8
+    return data + bytes([fill]) * fill
+
+
+def oracle_encrypt(mode, ref, iv, plaintext):
+    """``mode`` by the book: bytes, slices and ``des_reference`` blocks
+    only -- nothing of :mod:`repro.crypto.des` or ``modes``."""
+    out = []
+    chain = iv
+    if mode is CipherMode.ECB:
+        out = [ref.encrypt_block(_xor(block, iv)) for block in _chunks(_padded(plaintext))]
+    elif mode is CipherMode.CBC:
+        for block in _chunks(_padded(plaintext)):
+            chain = ref.encrypt_block(_xor(block, chain))
+            out.append(chain)
+    elif mode is CipherMode.CFB:
+        for block in _chunks(plaintext):
+            chain = _xor(block, ref.encrypt_block(chain))
+            out.append(chain)
+    else:
+        for block in _chunks(plaintext):
+            chain = ref.encrypt_block(chain)
+            out.append(_xor(block, chain))
+    return b"".join(out)
+
+
+class TestAgainstReferenceOracle:
+    # Empty, sub-block, exact blocks, straddles, and the benchmark's body.
+    SIZES = [0, 1, 7, 8, 9, 16, 63, 64, 65, 512]
+
+    def _case(self, size):
+        rng = random.Random(0x81 + size)
+        return rng.randbytes(8), rng.randbytes(8), rng.randbytes(size)
+
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    @pytest.mark.parametrize("size", SIZES)
+    def test_mode_matches_the_oracle_both_directions(self, mode, size):
+        from repro.crypto.des_reference import DES as RefDES
+
+        key, iv, plaintext = self._case(size)
+        expected = oracle_encrypt(mode, RefDES(key), iv, plaintext)
+        assert encrypt(mode, DES(key), iv, plaintext) == expected
+        assert decrypt(mode, DES(key), iv, expected) == plaintext
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_des_cbc_mac_with_is_the_last_cbc_block_of_length_then_data(self, size):
+        from repro.crypto.des_reference import DES as RefDES
+        from repro.crypto.mac import des_cbc_mac_with
+
+        key, _, data = self._case(size)
+        message = len(data).to_bytes(8, "big") + data
+        chained = oracle_encrypt(CipherMode.CBC, RefDES(key), bytes(8), message)
+        assert des_cbc_mac_with(DES(key), data) == chained[-8:]

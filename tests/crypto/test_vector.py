@@ -128,9 +128,15 @@ class TestVectorDesCbc:
             cbc_decrypt_many([cipher], [], [b"x" * 8])
 
 
-class TestRawSubkeySplit:
-    """The schedule split backing the vector path (DES.raw_subkeys)."""
+class TestOneRoundKeyPacking:
+    """The lane masks are the scalar schedule, both directions."""
 
-    def test_raw_subkeys_cached_per_instance(self):
-        cipher = DES(b"\x01" * 8)
-        assert cipher.raw_subkeys is cipher.raw_subkeys
+    def test_lane_masks_are_the_scalar_schedule_cached_per_instance(self):
+        from repro.crypto.vector.des import _packed_subkeys
+
+        cipher = DES(b"\x01\x23\x45\x67\x89\xab\xcd\xef")
+        masks = _packed_subkeys(cipher)
+        assert masks.shape == (2, 16, 2)
+        assert np.array_equal(masks[0], cipher.subkeys)
+        assert np.array_equal(masks[1], cipher.subkeys_rev)
+        assert _packed_subkeys(cipher) is masks

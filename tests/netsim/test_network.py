@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import Network
+from repro.netsim.addresses import IPAddress
 from repro.netsim.costmodel import FREE_CPU, PENTIUM_133
 from repro.netsim.ipv4 import checksum16
 from repro.netsim.link import LinkConditions
@@ -145,6 +146,20 @@ class TestCostIsIndependentOfPopulation:
             traces.append(pending)
         # ip_output, the one frame delivery, ip_input -- then nothing.
         assert traces[0] == traces[1] == traces[2] == [1, 1, 1, 0]
+
+    def test_matching_a_frame_to_its_station_calls_no_address_method(self, monkeypatch):
+        # Stations are matched on the address's integer recorded at
+        # attach: one Python-level IPAddress.__eq__ per station per frame
+        # was 49 calls a datagram on a gateway segment.
+        net, hosts = self._send_one(49)
+        calls = []
+        original = IPAddress.__eq__
+        monkeypatch.setattr(
+            IPAddress, "__eq__", lambda a, b: calls.append(1) or original(a, b)
+        )
+        segment = net.segment("lan")
+        segment.send(0, b"frame", hosts[1].address)
+        assert calls == []
 
     def test_bystander_stacks_see_nothing(self):
         net, hosts = self._send_one(49)

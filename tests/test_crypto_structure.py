@@ -2,8 +2,9 @@
 
 Plain ``ast`` over ``src/`` (no fbslint rule), in the style of
 ``test_scheme_structure.py``: one streaming hash class, SHA-1 as the
-FIPS 180 loop, one walk of the DES round-key tables, and the lane
-kernels reached from the pipeline stages that pay for them and no more.
+FIPS 180 loop, one walk of the DES round-key tables, one round-key
+packing, a four-subscript scalar DES round, and the lane kernels reached
+from the pipeline stages that pay for them and no more.
 A fast path that comes back has to replace what is here, not fork it.
 """
 
@@ -50,7 +51,47 @@ def test_one_function_walks_the_des_round_key_tables():
             for node in ast.walk(func)
         )
     ]
-    assert walkers == ["_raw_schedule"]
+    assert walkers == ["_key_schedule"]
+
+
+def test_no_key_selected_sp_tables():
+    # PR 24: the round XORs two packed masks; 32k pre-XORed table
+    # entries and the schedule that selected them are gone.
+    names = {
+        node.id
+        for path in CRYPTO.rglob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Name)
+    }
+    assert "_SPX" not in names
+
+
+def test_one_function_packs_round_keys():
+    # Byte-aligning the 6-bit chunks is shifts by 8, 16 and 24; the lane
+    # kernel reads DES.subkeys instead of shifting its own.
+    packers = [
+        (path.relative_to(CRYPTO).as_posix(), func.name)
+        for path in (CRYPTO / "des.py", CRYPTO / "vector" / "des.py")
+        for func in _functions(_tree(path))
+        if {8, 16, 24}
+        <= {
+            node.right.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.LShift)
+            and isinstance(node.right, ast.Constant)
+        }
+    ]
+    assert packers == [("des.py", "_packed")]
+
+
+def test_the_scalar_round_is_four_table_subscripts():
+    (crypt,) = [
+        func for func in _functions(_tree(CRYPTO / "des.py")) if func.name == "_crypt"
+    ]
+    (rounds,) = [node for node in ast.walk(crypt) if isinstance(node, ast.For)]
+    subscripts = [node for node in ast.walk(rounds) if isinstance(node, ast.Subscript)]
+    assert len(subscripts) == 4
 
 
 def test_protocol_reaches_the_lane_kernels_from_five_sites():
