@@ -21,9 +21,10 @@ test:
 loc:
 	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
 
-# fbslint: the whole-program protocol-invariant analyzer (nine rules,
-# FBS001-FBS012, interprocedural). Exit codes: 0 clean, 1 findings,
-# 2 usage/analysis error.  For local use; CI asserts it in tier-1
+# fbslint: the whole-program protocol-invariant analyzer (eight rules,
+# FBS001-FBS012, interprocedural; the receive contract FBS006 once
+# approximated is tests/property/test_receive_contract.py). Exit codes:
+# 0 clean, 1 findings, 2 usage/analysis error.  For local use; CI asserts it in tier-1
 # (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
 lint:
 	$(PYTHON) -m repro.analysis src

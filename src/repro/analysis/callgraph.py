@@ -3,10 +3,9 @@
 fbslint analyzes the tree in two phases.  Phase 1 (this module) parses
 every module once and distills each into a :class:`ModuleSummary`, the
 one fact base every dataflow detector reads: the functions it defines,
-the calls they make (with enough surrounding context -- enclosing
-``try`` handlers, preceding metrics bumps, argument dataflow labels --
-for the interprocedural passes), their key-material sinks, raise
-sites, wall-clock and randomness sites, the classes and their
+the calls they make (with their arguments' dataflow labels, for the
+interprocedural passes), their key-material sinks, wall-clock,
+randomness and blocking sites, the classes and their
 statically-evident attribute types, and the module's imports.  The
 tables that say what a source, a sink, a clock or an unseeded generator
 *is* live here and nowhere else.  Because no other walk exists, this
@@ -18,8 +17,11 @@ shadowed, and a free name reads the nearest enclosing scope that binds
 it (closures, module globals).  Phase 2
 (:mod:`repro.analysis.dataflow`) never touches an AST: it runs
 fixpoint passes over a :class:`Project` built from these summaries and
-emits every FBS001/002/003/006/007/010 finding, a same-function
-flow being the zero-hop case of the interprocedural one.
+emits every FBS001/002/003/010 finding, a same-function flow being
+the zero-hop case of the interprocedural one.  Exceptions are not part
+of the fact base: a ``try`` is one more node the walk passes through,
+and what the receive path may raise or must count is checked on the
+running code (``tests/property/test_receive_contract.py``).
 
 The dataflow vocabulary is a small label language, key taint and
 nothing else: a label says what a value may *know* (knowledge-flow
@@ -54,17 +56,12 @@ from repro.analysis.context import ModuleContext
 
 __all__ = [
     "CallSite",
-    "RaiseSite",
     "SinkSite",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
     "Project",
     "summarize_module",
-    "is_metrics_bump",
-    "raised_name",
-    "handler_names",
-    "BUILTIN_EXC_PARENTS",
 ]
 
 Label = Tuple[Any, ...]
@@ -186,82 +183,6 @@ _NUMPY_GLOBAL_FUNCS = {
 #: without a seed argument.
 _NUMPY_CONSTRUCTORS = {"default_rng", "RandomState"}
 
-#: ``try`` and, where the grammar has it, ``try ... except*``.
-_TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
-
-#: Minimal builtin exception hierarchy (child -> parent) used when
-#: deciding whether an ``except`` clause guards a raise.
-BUILTIN_EXC_PARENTS = {
-    "Exception": "BaseException",
-    "ArithmeticError": "Exception",
-    "ZeroDivisionError": "ArithmeticError",
-    "OverflowError": "ArithmeticError",
-    "AssertionError": "Exception",
-    "AttributeError": "Exception",
-    "LookupError": "Exception",
-    "KeyError": "LookupError",
-    "IndexError": "LookupError",
-    "NameError": "Exception",
-    "NotImplementedError": "RuntimeError",
-    "RecursionError": "RuntimeError",
-    "OSError": "Exception",
-    "IOError": "OSError",
-    "FileNotFoundError": "OSError",
-    "PermissionError": "OSError",
-    "RuntimeError": "Exception",
-    "StopIteration": "Exception",
-    "TypeError": "Exception",
-    "ValueError": "Exception",
-    "UnicodeDecodeError": "ValueError",
-    "UnicodeEncodeError": "ValueError",
-}
-
-
-def raised_name(node: ast.Raise) -> Optional[str]:
-    """The exception class name of ``raise X(...)`` / ``raise X``."""
-    exc = node.exc
-    if isinstance(exc, ast.Call):
-        exc = exc.func
-    if isinstance(exc, ast.Attribute):
-        return exc.attr
-    if isinstance(exc, ast.Name):
-        return exc.id
-    return None
-
-
-def handler_names(handler: ast.ExceptHandler) -> Set[str]:
-    """Exception class names caught by one handler."""
-    node = handler.type
-    names: Set[str] = set()
-    if node is None:
-        return {"BaseException"}
-    items = node.elts if isinstance(node, ast.Tuple) else [node]
-    for item in items:
-        if isinstance(item, ast.Attribute):
-            names.add(item.attr)
-        elif isinstance(item, ast.Name):
-            names.add(item.id)
-    return names
-
-
-def is_metrics_bump(stmt: Optional[ast.stmt]) -> bool:
-    """Is this statement a rejection-accounting step?
-
-    Either the legacy augmented ``+=`` on a ``metrics`` attribute path,
-    or the registry-era bookkeeping call (``self._rejected(...)``,
-    any call whose last name segment contains ``reject``).
-    """
-    if (
-        isinstance(stmt, ast.AugAssign)
-        and isinstance(stmt.op, ast.Add)
-        and "metrics" in dotted_name(stmt.target).split(".")
-    ):
-        return True
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        segments = dotted_name(stmt.value.func).split(".")
-        return bool(segments) and "reject" in segments[-1]
-    return False
-
 
 def _is_source_call(node: ast.Call) -> Optional[str]:
     name = call_name(node)
@@ -284,24 +205,6 @@ class CallSite:
     args: List[List[Label]] = field(default_factory=list)
     #: Labels of each keyword argument.
     kwargs: Dict[str, List[Label]] = field(default_factory=dict)
-    #: Exception names caught by ``try`` blocks enclosing this site.
-    caught: List[str] = field(default_factory=list)
-    #: A metrics bump immediately precedes this statement.
-    bump_before: bool = False
-
-
-@dataclass
-class RaiseSite:
-    """One ``raise`` statement."""
-
-    name: Optional[str]  # None for a bare re-raise
-    line: int
-    col: int
-    bump_before: bool
-    #: Names caught by ``try`` blocks enclosing the raise itself.
-    caught: List[str] = field(default_factory=list)
-    #: For a bare ``raise``: the names its enclosing handler catches.
-    reraise_of: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -328,7 +231,6 @@ class FunctionSummary:
     class_name: Optional[str] = None
     decorators: List[str] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    raises: List[RaiseSite] = field(default_factory=list)
     sinks: List[SinkSite] = field(default_factory=list)
     #: Labels that may flow into the return value (or a yield).
     returns: List[Label] = field(default_factory=list)
@@ -466,150 +368,79 @@ class _FunctionSummarizer:
         self.prefix = "" if qname == "<module>" else qname + "."
         self.recording = False
         self._site_ids: Dict[Tuple[int, int, str], int] = {}
-        #: Names the innermost enclosing ``except`` clause catches (what
-        #: a bare ``raise`` re-raises).
-        self._handling: List[str] = []
 
     def run(self) -> None:
         for recording in (False, True):
             self.recording = recording
-            self._block(self.body, caught=(), preceding=None)
+            for stmt in self.body:
+                self._stmt(stmt)
         self.owner.summary.functions[self.fs.qname] = self.fs
 
     # -- statement walk ----------------------------------------------------------------
 
-    def _block(
-        self,
-        stmts: Sequence[ast.stmt],
-        caught: Tuple[str, ...],
-        preceding: Optional[ast.stmt],
-    ) -> None:
-        for i, stmt in enumerate(stmts):
-            prev = stmts[i - 1] if i > 0 else preceding
-            self._stmt(stmt, caught, prev)
-
-    def _stmt(
-        self, stmt: ast.stmt, caught: Tuple[str, ...], prev: Optional[ast.stmt]
-    ) -> None:
-        bump = is_metrics_bump(prev)
+    def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            labels = self._eval(stmt.value, caught, bump)
+            labels = self._eval(stmt.value)
             for target in stmt.targets:
-                self._assign(target, labels, stmt.lineno, caught, bump)
+                self._assign(target, labels, stmt.lineno)
         elif isinstance(stmt, ast.AnnAssign):
-            self._eval(stmt.annotation, caught, bump)
+            self._eval(stmt.annotation)
             if stmt.value is not None:
-                labels = self._eval(stmt.value, caught, bump)
-                self._assign(stmt.target, labels, stmt.lineno, caught, bump)
+                self._assign(stmt.target, self._eval(stmt.value), stmt.lineno)
         elif isinstance(stmt, ast.AugAssign):
-            labels = self._eval(stmt.value, caught, bump)
-            self._assign(stmt.target, labels, stmt.lineno, caught, bump)
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value, caught, bump)
+            self._assign(stmt.target, self._eval(stmt.value), stmt.lineno)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                labels = self._eval(stmt.value, caught, bump)
+                labels = self._eval(stmt.value)
                 if self.recording:
                     for l in sorted(labels):
                         if l not in self.fs.returns:
                             self.fs.returns.append(l)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._eval(stmt.exc, caught, bump)
-            if stmt.cause is not None:
-                self._eval(stmt.cause, caught, bump)
-            if self.recording:
-                self.fs.raises.append(
-                    RaiseSite(
-                        name=raised_name(stmt),
-                        line=stmt.lineno,
-                        col=stmt.col_offset + 1,
-                        bump_before=bump,
-                        caught=sorted(set(caught)),
-                        reraise_of=[] if stmt.exc is not None else self._handling,
-                    )
-                )
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._eval(stmt.test, caught, bump)
-            self._block(stmt.body, caught, preceding=prev)
-            self._block(stmt.orelse, caught, preceding=prev)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_labels = self._eval(stmt.iter, caught, bump)
-            self._assign(
-                stmt.target, self._contents(iter_labels), stmt.lineno,
-                caught, bump,
-            )
-            self._block(stmt.body, caught, preceding=prev)
-            self._block(stmt.orelse, caught, preceding=prev)
+            iter_labels = self._eval(stmt.iter)
+            self._assign(stmt.target, self._contents(iter_labels), stmt.lineno)
+            for inner in stmt.body + stmt.orelse:
+                self._stmt(inner)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                labels = self._eval(item.context_expr, caught, bump)
+                labels = self._eval(item.context_expr)
                 if item.optional_vars is not None:
-                    self._assign(
-                        item.optional_vars, labels, stmt.lineno, caught, bump
-                    )
-            self._block(stmt.body, caught, preceding=prev)
-        elif isinstance(stmt, _TRY):
-            names: Set[str] = set()
-            for handler in stmt.handlers:
-                names |= handler_names(handler)
-            self._block(stmt.body, caught + tuple(sorted(names)), preceding=prev)
-            for handler in stmt.handlers:
-                self._handler(handler, caught, prev)
-            self._block(stmt.orelse, caught, preceding=prev)
-            self._block(stmt.finalbody, caught, preceding=prev)
-        elif isinstance(stmt, ast.Assert):
-            self._eval(stmt.test, caught, bump)
-            if stmt.msg is not None:
-                self._eval(stmt.msg, caught, bump)
+                    self._assign(item.optional_vars, labels, stmt.lineno)
+            for inner in stmt.body:
+                self._stmt(inner)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._def(stmt, self.fs.class_name, self.prefix, caught, bump)
+            self._def(stmt, self.fs.class_name, self.prefix)
         elif isinstance(stmt, ast.ClassDef):
-            self._class(stmt, caught, bump)
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Pass, ast.Break,
-                               ast.Continue, ast.Global, ast.Nonlocal)):
-            return
+            self._class(stmt)
         else:
-            # Unmodeled statements (match, delete, ...).
-            self._children(stmt, caught, bump)
+            # Statements that bind no label (if, while, try, raise,
+            # match, ...).
+            self._children(stmt)
 
-    def _children(self, node: ast.AST, caught: Tuple[str, ...], bump: bool) -> None:
+    def _children(self, node: ast.AST) -> None:
         """Walk a node the label language does not model.
 
         Nothing under it binds a label, but every expression and
-        statement under it -- a ``match`` arm, a pattern guard, a
-        default value -- is still evaluated, so its calls, sinks and
-        raises are recorded.
+        statement under it -- an ``except`` clause, a ``match`` arm, a
+        pattern guard, a default value -- is still evaluated, so its
+        calls and sinks are recorded.
         """
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._eval(child, caught, bump)
+                self._eval(child)
             elif isinstance(child, ast.stmt):
-                self._stmt(child, caught, None)
+                self._stmt(child)
             else:
-                self._children(child, caught, bump)
+                self._children(child)
 
-    def _handler(
-        self, handler: ast.ExceptHandler, caught: Tuple[str, ...],
-        prev: Optional[ast.stmt],
-    ) -> None:
-        if handler.type is not None:
-            self._eval(handler.type, caught, False)
-        outer, self._handling = self._handling, sorted(handler_names(handler))
-        self._block(handler.body, caught, preceding=prev)
-        self._handling = outer
-
-    def _def(
-        self, node: ast.stmt, class_name: Optional[str], prefix: str,
-        caught: Tuple[str, ...], bump: bool,
-    ) -> None:
+    def _def(self, node: ast.stmt, class_name: Optional[str], prefix: str) -> None:
         """A def met on the walk: its decorators, defaults and
         annotations run here; its body gets a summary of its own."""
         for expr in node.decorator_list:
-            self._eval(expr, caught, bump)
-        self._children(node.args, caught, bump)
+            self._eval(expr)
+        self._children(node.args)
         if node.returns is not None:
-            self._eval(node.returns, caught, bump)
+            self._eval(node.returns)
         if self.recording:
             _FunctionSummarizer(
                 self.owner,
@@ -624,14 +455,14 @@ class _FunctionSummarizer:
                 enclosing=self,
             ).run()
 
-    def _class(self, node: ast.ClassDef, caught: Tuple[str, ...], bump: bool) -> None:
+    def _class(self, node: ast.ClassDef) -> None:
         """A class body runs where it stands, in the enclosing scope;
         its methods are summarized under ``Class.method``, nested
         classes flat."""
         for expr in node.decorator_list + node.bases:
-            self._eval(expr, caught, bump)
+            self._eval(expr)
         for kw in node.keywords:
-            self._eval(kw.value, caught, bump)
+            self._eval(kw.value)
         if self.recording:
             self.owner.summary.classes[node.name] = ClassSummary(
                 name=node.name,
@@ -640,28 +471,25 @@ class _FunctionSummarizer:
             )
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._def(stmt, node.name, node.name + ".", caught, bump)
+                self._def(stmt, node.name, node.name + ".")
             else:
-                self._stmt(stmt, caught, None)
+                self._stmt(stmt)
 
-    def _assign(
-        self, target: ast.AST, labels: Set[Label], line: int,
-        caught: Tuple[str, ...], bump: bool,
-    ) -> None:
+    def _assign(self, target: ast.AST, labels: Set[Label], line: int) -> None:
         if isinstance(target, ast.Name):
             self.env.setdefault(target.id, set()).update(labels)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._assign(elt, labels, line, caught, bump)
+                self._assign(elt, labels, line)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, labels, line, caught, bump)
+            self._assign(target.value, labels, line)
         elif isinstance(target, ast.Subscript):
-            self._eval(target.value, caught, bump)
-            self._eval(target.slice, caught, bump)
+            self._eval(target.value)
+            self._eval(target.slice)
         elif isinstance(target, ast.Attribute):
             base = target.value
             if not (isinstance(base, ast.Name) and base.id in ("self", "cls")):
-                self._eval(base, caught, bump)
+                self._eval(base)
             else:
                 owner = self.fs.class_name
                 if owner and self.recording:
@@ -681,13 +509,11 @@ class _FunctionSummarizer:
 
     # -- expression evaluation ---------------------------------------------------------
 
-    def _eval(
-        self, node: ast.expr, caught: Tuple[str, ...], bump: bool
-    ) -> Set[Label]:
+    def _eval(self, node: ast.expr) -> Set[Label]:
         if isinstance(node, ast.Name):
             return self._lookup(node.id)
         if isinstance(node, ast.Call):
-            return self._call(node, caught, bump)
+            return self._call(node)
         if isinstance(node, ast.Attribute):
             base = node.value
             if isinstance(base, ast.Name) and base.id in ("self", "cls"):
@@ -696,66 +522,62 @@ class _FunctionSummarizer:
                     key = self.owner.summary.key
                     return {("attr", f"{key}.{owner}", node.attr)}
                 return set()
-            return self._eval(base, caught, bump)
+            return self._eval(base)
         if isinstance(node, ast.Subscript):
-            labels = self._eval(node.value, caught, bump)
-            self._eval(node.slice, caught, bump)
+            labels = self._eval(node.value)
+            self._eval(node.slice)
             return labels
         if isinstance(node, ast.BinOp):
-            return self._eval(node.left, caught, bump) | self._eval(
-                node.right, caught, bump
-            )
+            return self._eval(node.left) | self._eval(node.right)
         if isinstance(node, ast.BoolOp):
             out: Set[Label] = set()
             for v in node.values:
-                out |= self._eval(v, caught, bump)
+                out |= self._eval(v)
             return out
         if isinstance(node, ast.UnaryOp):
-            return self._eval(node.operand, caught, bump)
+            return self._eval(node.operand)
         if isinstance(node, ast.IfExp):
-            self._eval(node.test, caught, bump)
-            return self._eval(node.body, caught, bump) | self._eval(
-                node.orelse, caught, bump
-            )
+            self._eval(node.test)
+            return self._eval(node.body) | self._eval(node.orelse)
         if isinstance(node, ast.Compare):
-            return self._compare(node, caught, bump)
+            return self._compare(node)
         if isinstance(node, ast.Starred):
-            return self._eval(node.value, caught, bump)
+            return self._eval(node.value)
         if isinstance(node, ast.Await):
-            return self._eval(node.value, caught, bump)
+            return self._eval(node.value)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             if node.value is not None:
-                labels = self._eval(node.value, caught, bump)
+                labels = self._eval(node.value)
                 if self.recording:
                     for l in sorted(labels):
                         if l not in self.fs.returns:
                             self.fs.returns.append(l)
             return set()
         if isinstance(node, ast.NamedExpr):
-            labels = self._eval(node.value, caught, bump)
-            self._assign(node.target, labels, node.lineno, caught, bump)
+            labels = self._eval(node.value)
+            self._assign(node.target, labels, node.lineno)
             return labels
         if isinstance(node, ast.JoinedStr):
             for part in node.values:
-                self._eval(part, caught, bump)
+                self._eval(part)
             return set()
         if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)):
-            return self._comprehension(node, caught, bump)
+            return self._comprehension(node)
         if isinstance(node, ast.Lambda):
-            # Defaults run now; the body runs later -- outside any
-            # enclosing ``try`` -- with its parameters shadowing ours.
-            self._children(node.args, caught, bump)
+            # Defaults run now; the body runs later, with its
+            # parameters shadowing ours.
+            self._children(node.args)
             shadowed = {
                 p: self.env.pop(p) for p in _param_names(node.args) if p in self.env
             }
-            self._eval(node.body, (), False)
+            self._eval(node.body)
             self.env.update(shadowed)
             return set()
         if isinstance(node, ast.FormattedValue):
-            labels = self._eval(node.value, caught, bump)
+            labels = self._eval(node.value)
             self._record_sink("f-string", node, labels, self._describe(node.value))
             if node.format_spec is not None:
-                self._eval(node.format_spec, caught, bump)
+                self._eval(node.format_spec)
             return set()
         if isinstance(node, ast.Constant):
             return set()
@@ -764,7 +586,7 @@ class _FunctionSummarizer:
         out = set()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                out |= self._eval(child, caught, bump)
+                out |= self._eval(child)
         if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
             return self._contents(out)
         return out
@@ -790,26 +612,21 @@ class _FunctionSummarizer:
         resolution, and neither is what a loop draws from ``Foo()``)."""
         return {l for l in labels if l[0] != "ctor"}
 
-    def _comprehension(self, node: ast.expr, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
+    def _comprehension(self, node: ast.expr) -> Set[Label]:
         for gen in node.generators:
-            iter_labels = self._eval(gen.iter, caught, bump)
-            self._assign(
-                gen.target, self._contents(iter_labels), node.lineno,
-                caught, bump,
-            )
+            iter_labels = self._eval(gen.iter)
+            self._assign(gen.target, self._contents(iter_labels), node.lineno)
             for cond in gen.ifs:
-                self._eval(cond, caught, bump)
+                self._eval(cond)
         if isinstance(node, ast.DictComp):
-            out = self._eval(node.key, caught, bump) | self._eval(
-                node.value, caught, bump
-            )
+            out = self._eval(node.key) | self._eval(node.value)
         else:
-            out = self._eval(node.elt, caught, bump)
+            out = self._eval(node.elt)
         return self._contents(out)
 
-    def _compare(self, node: ast.Compare, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
+    def _compare(self, node: ast.Compare) -> Set[Label]:
         operands = [node.left] + list(node.comparators)
-        label_sets = [self._eval(op, caught, bump) for op in operands]
+        label_sets = [self._eval(op) for op in operands]
         for op, (left, llabels), (right, rlabels) in zip(
             node.ops,
             zip(operands, label_sets),
@@ -825,24 +642,21 @@ class _FunctionSummarizer:
 
     # -- calls -------------------------------------------------------------------------
 
-    def _call(self, node: ast.Call, caught: Tuple[str, ...], bump: bool) -> Set[Label]:
+    def _call(self, node: ast.Call) -> Set[Label]:
         func = node.func
         callee = dotted_name(func)
         # The receiver of a method call, or a computed callee
         # (``handlers[k]()``, ``(lambda: ...)()``).
-        receiver = self._eval(
-            func.value if isinstance(func, ast.Attribute) else func,
-            caught, bump,
-        )
-        arg_labels = [self._eval(a, caught, bump) for a in node.args]
+        receiver = self._eval(func.value if isinstance(func, ast.Attribute) else func)
+        arg_labels = [self._eval(a) for a in node.args]
         kw_labels = {
-            kw.arg: self._eval(kw.value, caught, bump)
+            kw.arg: self._eval(kw.value)
             for kw in node.keywords
             if kw.arg is not None
         }
         for kw in node.keywords:
             if kw.arg is None:
-                self._eval(kw.value, caught, bump)
+                self._eval(kw.value)
 
         fname = call_name(node)
 
@@ -867,7 +681,7 @@ class _FunctionSummarizer:
         # Key-material source?
         source = _is_source_call(node)
         if source is not None:
-            self._register_site(node, callee, arg_labels, kw_labels, caught, bump)
+            self._register_site(node, callee, arg_labels, kw_labels)
             return {("src", f"{source}()", node.lineno)}
 
         if isinstance(func, ast.Name) and func.id in _SCALAR_CONSUMERS:
@@ -875,7 +689,7 @@ class _FunctionSummarizer:
         if isinstance(func, ast.Name) and func.id in _TAINT_PASSTHROUGH:
             return self._contents(set().union(*arg_labels))
 
-        site_id = self._register_site(node, callee, arg_labels, kw_labels, caught, bump)
+        site_id = self._register_site(node, callee, arg_labels, kw_labels)
 
         out = {("ret", site_id)} if site_id is not None else set()
         # A method call on a tainted receiver yields tainted output
@@ -897,8 +711,6 @@ class _FunctionSummarizer:
         callee: str,
         arg_labels: List[Set[Label]],
         kw_labels: Dict[str, Set[Label]],
-        caught: Tuple[str, ...],
-        bump: bool,
     ) -> Optional[int]:
         if not callee or not self.recording:
             # During pass 1 call sites are not registered; returns labels
@@ -917,8 +729,6 @@ class _FunctionSummarizer:
             col=node.col_offset + 1,
             args=[sorted(labels) for labels in arg_labels],
             kwargs={k: sorted(v) for k, v in kw_labels.items()},
-            caught=sorted(set(caught)),
-            bump_before=bump,
         )
         self.fs.calls.append(site)
         site_id = len(self.fs.calls) - 1
@@ -1202,43 +1012,3 @@ class Project:
             # Constructor: resolve to __init__ when it exists.
             return self._find_method(mod, sym, "__init__")
         return None
-
-    # -- exception hierarchy -----------------------------------------------------------
-
-    def exception_ancestors(self, name: str) -> Set[str]:
-        """All (statically known) ancestors of an exception class name."""
-        out: Set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            parent = BUILTIN_EXC_PARENTS.get(current)
-            if parent and parent not in out:
-                out.add(parent)
-                frontier.append(parent)
-            for key in sorted(self.modules):
-                cls = self.modules[key].classes.get(current)
-                if cls is not None:
-                    for base in cls.bases:
-                        base_name = base.split(".")[-1]
-                        if base_name not in out:
-                            out.add(base_name)
-                            frontier.append(base_name)
-                    break
-        out.add("BaseException")
-        return out
-
-    def exception_subclasses(self, root: str) -> Set[str]:
-        """All class names that (statically) descend from ``root``."""
-        out = {root}
-        changed = True
-        while changed:
-            changed = False
-            for key in sorted(self.modules):
-                for cname in sorted(self.modules[key].classes):
-                    if cname in out:
-                        continue
-                    cls = self.modules[key].classes[cname]
-                    if any(b.split(".")[-1] in out for b in cls.bases):
-                        out.add(cname)
-                        changed = True
-        return out

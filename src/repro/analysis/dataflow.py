@@ -1,8 +1,8 @@
 """Phase 2 of the whole-program analyzer: interprocedural fixpoints.
 
-Three graph algorithms, each written once, run over the
-:class:`~repro.analysis.callgraph.Project` built in phase 1.  None of
-them touch an AST -- they consume only the summaries, and they are the
+Two graph algorithms, each written once, run over the
+:class:`~repro.analysis.callgraph.Project` built in phase 1.  Neither
+touches an AST -- they consume only the summaries, and they are the
 only detectors of their rules: a flow that starts and ends in one
 function is the zero-hop case of the same algorithm that follows it
 through calls.
@@ -20,13 +20,11 @@ through calls.
   deterministic core is as banned as the primitive itself.  Blocking
   (FBS010): no blocking primitives -- even hidden behind sync helpers
   -- inside ``async def``, where the reach stops.
-* **Unguarded raises** (:meth:`_Passes._report_unguarded`):
-  per-exception-class reachability from a set of roots -- their own
-  raise sites first -- over call edges that are not *guarded* for that
-  class (guarded = the call site sits in a ``try`` catching the class
-  or an ancestor, or is dominated by a metrics bump).  Rooted at the
-  receive datapath it is rejection accounting (FBS006); rooted at the
-  public protocol surface it is the exception taxonomy (FBS007).
+
+What the receive path raises and counts is not approximated here from
+source text: ``tests/property/test_receive_contract.py`` drives every
+receive surface with adversarial bytes and checks the exception
+taxonomy and the rejection accounting on the running code.
 
 Every fixpoint iterates modules and functions in sorted order and
 records first-found provenance, so witness paths (and therefore finding
@@ -38,14 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import get_rule
-from repro.analysis.callgraph import (
-    BUILTIN_EXC_PARENTS,
-    CallSite,
-    FunctionSummary,
-    ModuleSummary,
-    Project,
-    RaiseSite,
-)
+from repro.analysis.callgraph import CallSite, FunctionSummary, ModuleSummary, Project
 from repro.analysis.findings import Finding
 
 __all__ = ["run_project_passes"]
@@ -57,22 +48,6 @@ _MAX_ITERATIONS = 64
 _Witness = Callable[
     [ModuleSummary, FunctionSummary, Iterable[Tuple]], Optional[Tuple[str, ...]]
 ]
-
-#: Fallback taxonomies when the real errors module is not in the
-#: analyzed set (single-file runs, fixtures).
-_FALLBACK_RECEIVE_ERRORS = {
-    "ReceiveError",
-    "StaleTimestampError",
-    "MacMismatchError",
-    "HeaderFormatError",
-}
-_FALLBACK_TAXONOMY = _FALLBACK_RECEIVE_ERRORS | {
-    "FBSError",
-    "UnknownPrincipalError",
-    "ScenarioError",
-    "CertificateError",
-    "SignatureError",
-}
 
 #: Packages whose callers must stay pure (transitive FBS002/FBS003).
 #: The load and bench layers go through sanctioned clocks by design.
@@ -92,12 +67,6 @@ _REPLAY = (
     "(random.Random(seed), numpy.random.default_rng(seed))"
 )
 
-#: The module whose public functions are the protocol surface (FBS007
-#: roots) and, with it, the packages forming the receive datapath
-#: (FBS006 roots).
-_PROTOCOL_MODULE = "repro.core.protocol"
-_DATAPATH = (_PROTOCOL_MODULE, "repro.baselines")
-
 
 def _under(summary: ModuleSummary, zone: Sequence[str]) -> bool:
     mod = summary.module
@@ -108,12 +77,6 @@ def _under(summary: ModuleSummary, zone: Sequence[str]) -> bool:
 
 def _in_zone(summary: ModuleSummary, zone: Sequence[str]) -> bool:
     return not summary.is_test and _under(summary, zone)
-
-
-def _raised(site: RaiseSite) -> Set[str]:
-    """The class names a raise site raises: its own, or -- for a bare
-    ``raise`` -- the ones its handler caught."""
-    return {site.name} if site.name else set(site.reraise_of)
 
 
 def _bound_params(fn: FunctionSummary) -> List[str]:
@@ -172,10 +135,6 @@ class _Passes:
             self._taint_pass()
         if self.rule_ids & {"FBS002", "FBS003"}:
             self._impurity_pass()
-        if self.rule_ids & {"FBS006"}:
-            self._receive_accounting_pass()
-        if self.rule_ids & {"FBS007"}:
-            self._taxonomy_escape_pass()
         if self.rule_ids & {"FBS010"}:
             self._blocking_pass()
         return self.findings
@@ -421,145 +380,6 @@ class _Passes:
                     f"{' -> '.join(chain)}); the event loop must never be blocked",
                     flow=chain,
                 )
-
-    # -- unguarded raises: FBS006 rejection accounting, FBS007 taxonomy escapes ---------
-
-    def _reach_unguarded(
-        self,
-        roots: List[Tuple[str, str]],
-        covering: Set[str],
-    ) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-        """BFS over call edges not guarded for the exception class."""
-        project = self.project
-        chains: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        frontier: List[Tuple[str, str]] = []
-        for key in roots:
-            summary = project.modules.get(key[0])
-            fn = project.function(*key)
-            if summary is None or fn is None:
-                continue
-            chains[key] = (f"{fn.qname}() ({summary.path}:{fn.line})",)
-            frontier.append(key)
-        while frontier:
-            next_frontier: List[Tuple[str, str]] = []
-            for key in frontier:
-                for site, cmod, cq in self.edges.get(key, ()):
-                    ckey = (cmod, cq)
-                    if (
-                        ckey in chains
-                        or site.bump_before
-                        or set(site.caught) & covering
-                    ):
-                        continue
-                    callee_summary = project.modules.get(cmod)
-                    callee = project.function(cmod, cq)
-                    if callee_summary is None or callee is None:
-                        continue
-                    chains[ckey] = chains[key] + (
-                        f"{cq}() ({callee_summary.path}:{callee.line})",
-                    )
-                    next_frontier.append(ckey)
-            frontier = next_frontier
-        return chains
-
-    def _report_unguarded(
-        self,
-        rule_id: str,
-        roots: List[Tuple[str, str]],
-        classes: Iterable[str],
-        bump_guards: bool,
-        message: Callable[[str, FunctionSummary, Tuple[str, ...]], str],
-    ) -> None:
-        """Report, once per raise site, every raise of one of ``classes``
-        that a root can reach with nothing on the way catching it.
-
-        ``bump_guards`` says whether a metrics bump before the raise
-        accounts for it; ``message(exc, fn, chain)`` is the rule's
-        wording.
-        """
-        if not roots:
-            return
-        project = self.project
-        emitted: Set[Tuple[str, int, int]] = set()
-        for exc in sorted(classes):
-            covering = {exc} | project.exception_ancestors(exc)
-            chains = self._reach_unguarded(roots, covering)
-            for key in sorted(chains):
-                summary = project.modules[key[0]]
-                fn = project.function(*key)
-                for site in fn.raises:
-                    if exc not in _raised(site) or set(site.caught) & covering:
-                        continue
-                    loc = (summary.path, site.line, site.col)
-                    if loc in emitted or (bump_guards and site.bump_before):
-                        continue
-                    emitted.add(loc)
-                    self._emit(
-                        rule_id,
-                        summary,
-                        site.line,
-                        site.col,
-                        message(exc, fn, chains[key]),
-                        flow=chains[key],
-                    )
-
-    def _receive_accounting_pass(self) -> None:
-        project = self.project
-        receive_errors = project.exception_subclasses("ReceiveError")
-        if receive_errors == {"ReceiveError"}:
-            receive_errors = _FALLBACK_RECEIVE_ERRORS
-        roots = [
-            (summary.key, qname)
-            for key in sorted(project.modules)
-            for summary in (project.modules[key],)
-            if _in_zone(summary, _DATAPATH)
-            for qname in sorted(summary.functions)
-        ]
-
-        def message(exc: str, fn: FunctionSummary, chain: Tuple[str, ...]) -> str:
-            where = "on" if len(chain) == 1 else "in a helper reachable from"
-            return (
-                f"{exc} raised in {fn.qname}() {where} the receive "
-                f"datapath [{' -> '.join(chain)}] without a metrics bump on "
-                "the path; every rejected datagram must be counted exactly once"
-            )
-
-        self._report_unguarded(
-            "FBS006", roots, receive_errors, bump_guards=True, message=message
-        )
-
-    def _taxonomy_escape_pass(self) -> None:
-        project = self.project
-        taxonomy = project.exception_subclasses("FBSError") | _FALLBACK_TAXONOMY
-        roots = [
-            (summary.key, qname)
-            for key in sorted(project.modules)
-            for summary in (project.modules[key],)
-            if summary.module == _PROTOCOL_MODULE and not summary.is_test
-            for qname in sorted(summary.functions)
-            if summary.functions[qname].is_public and qname != "<module>"
-        ]
-        # A name that is neither a builtin nor a project class is a
-        # variable holding an already-typed error (``raise error``), not
-        # an escape.
-        classes = {"BaseException", *BUILTIN_EXC_PARENTS}
-        for summary in project.modules.values():
-            classes.update(summary.classes)
-        candidates: Set[str] = set()
-        for summary, fn in project.iter_functions():
-            for site in fn.raises:
-                candidates |= (_raised(site) & classes) - taxonomy
-        self._report_unguarded(
-            "FBS007",
-            roots,
-            candidates,
-            bump_guards=False,
-            message=lambda exc, fn, chain: (
-                f"{exc} raised in {fn.qname}() can escape through a public "
-                f"protocol entry point [{' -> '.join(chain)}]; the protocol "
-                "surface must raise FBSError taxonomy exceptions only"
-            ),
-        )
 
 
 def run_project_passes(project: Project, rule_ids: Set[str]) -> List[Finding]:

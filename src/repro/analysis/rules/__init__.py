@@ -8,9 +8,7 @@ discipline:
 * :mod:`~repro.analysis.rules.determinism` -- FBS002 wall clock,
   FBS003 seeded randomness;
 * :mod:`~repro.analysis.rules.robustness` -- FBS004 assert-as-guard,
-  FBS007 exception taxonomy;
-* :mod:`~repro.analysis.rules.metrics_discipline` -- FBS006
-  metrics-before-raise;
+  FBS007 no swallowed failures;
 * :mod:`~repro.analysis.rules.containment` -- FBS009 multiprocessing
   stays inside ``repro.load``;
 * :mod:`~repro.analysis.rules.async_readiness` -- FBS010 no blocking
@@ -21,17 +19,16 @@ discipline:
 FBS001-FBS003, FBS010 and FBS012 are *project rules*: they define no
 ``check`` and their findings come from the whole-program passes in
 :mod:`repro.analysis.dataflow` (or, for FBS012, from the engine's
-suppression-filtering step).  FBS006 and FBS007 are split by what the
-invariant is about, not run twice: their raise-site halves are dataflow
-passes, and the halves no summary records (the ``reasons[i]`` store
-check; bare ``except``) are the ``check`` methods here.
+suppression-filtering step).  The receive contract -- every rejection
+counted once, only ``FBSError`` types out of the protocol surface, no
+exception out of a baseline's receive hook -- is no rule: it is checked
+on the running code by ``tests/property/test_receive_contract.py``.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imports register rules)
     async_readiness,
     containment,
     determinism,
-    metrics_discipline,
     robustness,
     suppressions_hygiene,
     taint,

@@ -4,13 +4,11 @@
   guard written as an assert silently stops guarding in optimized
   deployments.  Library code in ``src/repro`` must raise explicit,
   typed errors; test code keeps its asserts.
-* **FBS007** -- the exception taxonomy: public FBS protocol entry
-  points raise :class:`repro.core.errors.FBSError` subclasses only, so
-  callers can write one ``except FBSError`` and mean it (the
-  exception-flow pass in :mod:`repro.analysis.dataflow`, which follows
-  a raise out through every unguarded call); and nowhere in the tree
-  may a bare ``except:`` or an ``except Exception: pass`` swallow a
-  failure (the ``check`` below).
+* **FBS007** -- nowhere in the tree may a bare ``except:`` or an
+  ``except Exception: pass`` swallow a failure.  That the public
+  protocol surface raises :class:`repro.core.errors.FBSError`
+  subclasses only is checked on the running code, by
+  ``tests/property/test_receive_contract.py``.
 """
 
 from __future__ import annotations
@@ -54,11 +52,8 @@ class ExceptionTaxonomyRule(Rule):
     rule_id = "FBS007"
     name = "exception-taxonomy"
     severity = Severity.WARNING
-    description = (
-        "no bare except / except-Exception-pass anywhere; public protocol "
-        "entry points raise FBSError subclasses only"
-    )
-    rationale = "callers rely on 'except FBSError' catching every protocol failure"
+    description = "no bare except / except-Exception-pass anywhere"
+    rationale = "a swallowed failure is an invisible one; handlers name what they catch"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.core.errors import FBSError
 from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
 from repro.crypto.des import BLOCK_SIZE, DES
 from repro.crypto.mac import constant_time_equal, keyed_md5
@@ -128,12 +129,16 @@ class SealedDatagramModule(SecurityModule):
 
     def _open(self, packet: IPv4Packet) -> Optional[bytes]:
         """The plaintext, or None for whatever reason it is refused:
-        short, unkeyable, MAC mismatch, bad padding."""
+        short, unkeyable (a sender with no certificate included), MAC
+        mismatch, bad padding."""
         data = packet.payload
         if len(data) < self.body_offset:
             return None
         prefix, iv, mac, body = self.split(data)
-        keys = self.receive_keys(packet, prefix)
+        try:
+            keys = self.receive_keys(packet, prefix)
+        except FBSError:
+            return None
         if keys is None:
             return None
         cipher_key, mac_key = keys

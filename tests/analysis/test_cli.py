@@ -67,11 +67,11 @@ class TestOptions:
         code, output = run_cli("--list-rules")
         assert code == 0
         for rule_id in (
-            "FBS001", "FBS002", "FBS003", "FBS004", "FBS006", "FBS007",
-            "FBS009", "FBS010", "FBS012",
+            "FBS001", "FBS002", "FBS003", "FBS004", "FBS007", "FBS009",
+            "FBS010", "FBS012",
         ):
             assert rule_id in output
-        assert len(output.splitlines()) == 9
+        assert len(output.splitlines()) == 8
 
     def test_ignore_silences_rule(self, tmp_path):
         target = tmp_path / "dirty.py"

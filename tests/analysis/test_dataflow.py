@@ -2,8 +2,8 @@
 
 Each test lays out a miniature ``src/repro`` tree in ``tmp_path`` and
 runs :func:`lint_paths` over it, exercising the whole-program passes:
-taint through call chains and containers, exception-flow accounting
-into helpers, and the impurity-wrapper loophole.
+taint through call chains and containers, and the impurity-wrapper
+loophole.
 """
 
 from pathlib import Path
@@ -85,74 +85,6 @@ class TestTaintV2:
         assert len(taint) == 1, [f.render() for f in result.findings]
         assert "interprocedural" not in taint[0].message
         assert taint[0].flow == ("flow_key() at src/repro/core/leak.py:2",)
-
-
-class TestExceptionFlowV2:
-    DATAPATH = (
-        "from repro.core.checks import verify_mac\n"
-        "\n"
-        "def receive(dgram):\n"
-        "    return verify_mac(dgram)\n"
-    )
-
-    def test_unguarded_raise_in_helper_is_found(self, tmp_path):
-        result = make_project(tmp_path, {
-            "src/repro/core/protocol.py": self.DATAPATH,
-            "src/repro/core/checks.py": (
-                "from repro.core.errors import MacMismatchError\n"
-                "\n"
-                "def verify_mac(dgram):\n"
-                "    if not dgram:\n"
-                "        raise MacMismatchError('bad mac')\n"
-                "    return dgram\n"
-            ),
-        })
-        acct = [f for f in result.findings if f.rule_id == "FBS006"]
-        assert len(acct) == 1, [f.render() for f in result.findings]
-        finding = acct[0]
-        assert finding.path == "src/repro/core/checks.py"
-        assert "receive datapath" in finding.message
-        assert any("receive()" in step for step in finding.flow)
-
-    def test_guarded_call_site_is_clean(self, tmp_path):
-        result = make_project(tmp_path, {
-            "src/repro/core/protocol.py": (
-                "from repro.core.checks import verify_mac\n"
-                "\n"
-                "def receive(dgram, metrics):\n"
-                "    try:\n"
-                "        return verify_mac(dgram)\n"
-                "    except MacMismatchError:\n"
-                "        metrics.rejected += 1\n"
-                "        raise\n"
-            ),
-            "src/repro/core/checks.py": (
-                "from repro.core.errors import MacMismatchError\n"
-                "\n"
-                "def verify_mac(dgram):\n"
-                "    if not dgram:\n"
-                "        raise MacMismatchError('bad mac')\n"
-                "    return dgram\n"
-            ),
-        })
-        acct = [f for f in result.findings if f.rule_id == "FBS006"]
-        assert acct == [], [f.render() for f in acct]
-
-    def test_bumped_raise_in_helper_is_clean(self, tmp_path):
-        result = make_project(tmp_path, {
-            "src/repro/core/protocol.py": self.DATAPATH,
-            "src/repro/core/checks.py": (
-                "from repro.core.errors import MacMismatchError\n"
-                "\n"
-                "def verify_mac(dgram, metrics=None):\n"
-                "    if not dgram:\n"
-                "        metrics.datagrams_rejected += 1\n"
-                "        raise MacMismatchError('bad mac')\n"
-                "    return dgram\n"
-            ),
-        })
-        acct = [f for f in result.findings if f.rule_id == "FBS006"]
-        assert acct == [], [f.render() for f in acct]
 
 
 class TestImpurityV2:

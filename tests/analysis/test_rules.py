@@ -17,8 +17,7 @@ CASES = {
     "FBS002": ("src/repro/netsim/badclock.py", 7),
     "FBS003": ("src/repro/core/jitter.py", 8),
     "FBS004": ("src/repro/baselines/guard.py", 1),
-    "FBS006": ("src/repro/baselines/receiver.py", 6),
-    "FBS007": ("src/repro/core/protocol.py", 4),
+    "FBS007": ("src/repro/core/protocol.py", 2),
     "FBS009": ("src/repro/netsim/parallel.py", 4),
     "FBS010": ("src/repro/core/aio.py", 3),
     "FBS012": ("src/repro/core/guard.py", 2),
@@ -113,18 +112,6 @@ def test_no_expression_hides_from_the_one_walk(shape, rule_id):
 
 _WALL_CLOCK = "import time\n\ndef now_wall():\n    return time.time()\n"
 _ASSERT_GUARD = "def issue(t):\n    assert t\n    return t\n"
-_SILENT_RAISE = (
-    "from repro.core.errors import MacMismatchError\n\n"
-    "def unprotect(mac_ok):\n"
-    "    if not mac_ok:\n"
-    "        raise MacMismatchError('bad mac')\n"
-)
-_BUILTIN_RAISE = (
-    "def protect(body):\n"
-    "    if body is None:\n"
-    "        raise ValueError('no body')\n"
-    "    return body\n"
-)
 
 
 def test_wall_clock_allowed_in_bench():
@@ -184,34 +171,6 @@ def test_module_pragma_counts_only_on_a_comment_line_of_its_own():
     ] == ["FBS004"]
 
 
-def test_metrics_rule_scoped_to_protocol_and_baselines():
-    # The codec layers raise ReceiveErrors with no metrics object; the
-    # protocol engine counts them.  FBS006 must not fire outside
-    # core/protocol.py and baselines/.
-    header = lint_source(
-        _SILENT_RAISE, logical_path="src/repro/core/header.py"
-    )
-    baseline = lint_source(
-        _SILENT_RAISE, logical_path="src/repro/baselines/kdc.py"
-    )
-    assert [f for f in header.findings if f.rule_id == "FBS006"] == []
-    assert [f.rule_id for f in baseline.findings] == ["FBS006"]
-
-
-def test_taxonomy_raise_check_scoped_to_protocol():
-    # Only core/protocol.py's public surface is bound to the FBSError
-    # taxonomy; helper modules may raise builtins.
-    protocol = lint_source(
-        _BUILTIN_RAISE, logical_path="src/repro/core/protocol.py"
-    )
-    deploy = lint_source(
-        _BUILTIN_RAISE, logical_path="src/repro/core/deploy.py"
-    )
-    assert [f.rule_id for f in protocol.findings] == ["FBS007"]
-    assert "public protocol entry point" in protocol.findings[0].message
-    assert deploy.findings == []
-
-
 def test_compare_against_none_is_not_flagged():
     source = (
         "def check(kdf):\n"
@@ -223,9 +182,9 @@ def test_compare_against_none_is_not_flagged():
 
 
 def test_real_header_module_is_clean():
-    # The codec raises typed errors with no metrics object of its own
-    # and still lints clean alone (its layout is pinned on real bytes by
-    # tests/core/test_header.py, not by a rule).
+    # The codec lints clean alone (its layout is pinned on real bytes by
+    # tests/core/test_header.py, and its failures on hostile bytes by
+    # tests/property/test_receive_contract.py, not by a rule).
     path = Path(__file__).parents[2] / "src/repro/core/header.py"
     result = lint_source(
         path.read_text(encoding="utf-8"), logical_path=str(path)

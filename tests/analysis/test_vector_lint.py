@@ -158,41 +158,6 @@ class TestNdarrayTaintThroughHelper:
         assert self._lint(form, "table").findings == []
 
 
-# -- FBS007: a bad lane on the n=1 route is a "mac" rejection --------------------
-
-_ROUTE_RAISES_BUILTIN = (
-    "def unprotect(self, state, header, body):\n"
-    "    plain = cbc_decrypt_many([state.cipher], [header.iv()], [body])[0]\n"
-    "    if plain is None:\n"
-    "        raise ValueError('undecryptable body')\n"
-    "    return plain\n"
-)
-
-_ROUTE_RAISES_TAXONOMY = (
-    "from repro.core.errors import MacMismatchError\n"
-    "def unprotect(self, state, header, body):\n"
-    "    plain = cbc_decrypt_many([state.cipher], [header.iv()], [body])[0]\n"
-    "    if plain is None:\n"
-    "        self._rejected('mac', header.sfl)\n"
-    "        raise MacMismatchError('undecryptable body')\n"
-    "    return plain\n"
-)
-
-
-class TestSingleLaneRouteTaxonomy:
-    def test_none_lane_raised_as_valueerror_flagged(self):
-        result = lint_source(
-            _ROUTE_RAISES_BUILTIN, logical_path="src/repro/core/protocol.py"
-        )
-        assert [f.rule_id for f in result.findings] == ["FBS007"]
-
-    def test_none_lane_mapped_to_mac_rejection_clean(self):
-        result = lint_source(
-            _ROUTE_RAISES_TAXONOMY, logical_path="src/repro/core/protocol.py"
-        )
-        assert result.findings == []
-
-
 # -- FBS003: numpy global randomness ------------------------------------------
 
 _NUMPY_GLOBAL = (

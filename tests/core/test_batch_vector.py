@@ -181,10 +181,10 @@ def trace_of(sink):
 
 class TestLaneKernelErrorsStayInTheTaxonomy:
     """The lane kernels guard their own arguments with ``ValueError``;
-    the protocol surface raises ``FBSError`` subclasses only (fbslint
-    FBS007 follows the raise out through an unguarded call), so the
-    pipelines run every kernel through ``protocol._lanes``, which
-    translates."""
+    the protocol surface raises ``FBSError`` subclasses only
+    (``tests/property/test_receive_contract.py`` checks that over
+    adversarial bytes), so the pipelines run every kernel through
+    ``protocol._lanes``, which translates."""
 
     @pytest.mark.parametrize("kernel", ["keyed_md5_many", "cbc_encrypt_many"])
     def test_send_side(self, monkeypatch, kernel):

@@ -185,7 +185,9 @@ class TestTraceAndRegistryAgree:
     def test_every_reason_is_a_receive_error_path(self, pair):
         # The reason vocabulary is closed: nothing in the receive path
         # can reject without going through ``_rejected`` with one of
-        # these strings (fbslint FBS006 enforces it).
+        # these strings (tests/property/test_receive_contract.py checks
+        # it on adversarial bytes: every rejection counted once, under
+        # one of these reasons, with the error type the reason names).
         assert set(REJECTION_REASONS) == {
             "header",
             "stale_timestamp",

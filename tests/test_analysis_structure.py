@@ -1,16 +1,17 @@
 """Structural gate: fbslint states each fact and each detector once.
 
 Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule): every table
-that says what a source, a clock or an unseeded generator is, and every
-helper that reads a ``raise``/``except``/metrics-bump statement, is
-defined in exactly one module; the rule modules walk no source, sink,
-clock, RNG or raise site of their own; the engine joins the two phases'
-findings without reconciling them; and phase 2 is three graph
-algorithms -- one label propagation, one transitive-reach closure, one
-unguarded-raise reporter -- each written once and instantiated per
-rule ("replace, don't fork").  The label language is key taint and
-nothing else: report determinism is checked on the bytes
-(``tests/test_report_determinism.py``), not by a second label dimension.
+that says what a source, a clock or an unseeded generator is is defined
+in exactly one module; the rule modules walk no source, sink, clock or
+RNG site of their own; the engine joins the two phases' findings
+without reconciling them; and phase 2 is two graph algorithms -- one
+label propagation, one transitive-reach closure -- each written once
+and instantiated per rule ("replace, don't fork").  The label language
+is key taint and nothing else, and the fact base has no exception
+dimension: report determinism is checked on the bytes
+(``tests/test_report_determinism.py``) and the receive contract on the
+running code (``tests/property/test_receive_contract.py``), not by a
+second or third dimension of the walk.
 """
 
 import ast
@@ -33,9 +34,6 @@ ONE_HOME = (
     "_GLOBAL_RANDOM_FUNCS",
     "_NUMPY_GLOBAL_FUNCS",
     "_NUMPY_CONSTRUCTORS",
-    "raised_name",
-    "handler_names",
-    "is_metrics_bump",
 )
 #: AST node types only the phase-1 summarizer may dispatch on.
 SUMMARIZER_ONLY = {"Raise", "Compare", "JoinedStr", "FormattedValue"}
@@ -63,7 +61,7 @@ def _homes(name):
 
 
 @pytest.mark.parametrize("name", ONE_HOME)
-def test_each_fact_table_and_statement_reader_has_one_home(name):
+def test_each_fact_table_has_one_home(name):
     assert _homes(name) == ["callgraph.py"]
 
 
@@ -104,7 +102,7 @@ def test_no_summary_cache_or_serializer_remains():
             assert "as_dict" not in defined, relative
 
 
-# -- phase 2: three graph algorithms, each written once --------------------------------
+# -- phase 2: two graph algorithms, each written once ----------------------------------
 
 
 def _dataflow_methods():
@@ -139,10 +137,14 @@ def test_phase2_has_one_propagation_and_one_closure_loop():
     assert ast.unparse(tree).count("_MAX_ITERATIONS") == 3  # its definition + the two
 
 
-def test_unguarded_reach_has_one_caller():
+def test_phase2_is_two_graph_algorithms():
+    # Every pass obtains its facts from one of the two algorithms and
+    # from nothing else (``_emit`` only reports them).
     _, methods = _dataflow_methods()
-    callers = [name for name, fn in methods.items() if "_reach_unguarded" in _self_calls(fn)]
-    assert callers == ["_report_unguarded"]
+    passes = [name for name in methods if name.endswith("_pass")]
+    assert sorted(passes) == ["_blocking_pass", "_impurity_pass", "_taint_pass"]
+    used = set().union(*(_self_calls(methods[name]) for name in passes))
+    assert used - {"_emit"} == {"_propagate", "_closure"}
 
 
 #: rule id -> the one algorithm its findings come through.
@@ -151,8 +153,6 @@ SHARED_ALGORITHM = {
     "FBS002": "_closure",
     "FBS003": "_closure",
     "FBS010": "_closure",
-    "FBS006": "_report_unguarded",
-    "FBS007": "_report_unguarded",
 }
 
 
@@ -174,15 +174,40 @@ def test_each_dataflow_rule_reaches_emit_through_its_shared_algorithm(rule_id):
     assert SHARED_ALGORITHM[rule_id] in _self_calls(methods[naming[0]])
 
 
-def test_only_the_instantiations_and_the_raise_reporter_emit():
+def test_only_the_instantiations_emit():
     _, methods = _dataflow_methods()
     emitters = {name for name, fn in methods.items() if "_emit" in _self_calls(fn)}
-    assert emitters == {
-        "_taint_pass",
-        "_impurity_pass",
-        "_blocking_pass",
-        "_report_unguarded",
-    }
+    assert emitters == {"_taint_pass", "_impurity_pass", "_blocking_pass"}
+
+
+# -- no exception dimension in the fact base ------------------------------------------
+
+#: What the exception-flow analysis was made of; the receive contract is
+#: checked on the running code instead.
+EXCEPTION_FLOW = ("RaiseSite", "bump_before", "exception_ancestors", "BUILTIN_EXC_PARENTS")
+
+
+def test_no_exception_flow_analysis_remains():
+    for path in sorted(ANALYSIS.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in EXCEPTION_FLOW if name in text], path
+
+
+def test_the_summarizer_walk_threads_no_handler_or_bump_context():
+    tree = ast.parse((ANALYSIS / "callgraph.py").read_text())
+    summarizer = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_FunctionSummarizer"
+    )
+    threaded = [
+        (method.name, arg.arg)
+        for method in summarizer.body
+        if isinstance(method, ast.FunctionDef)
+        for arg in method.args.args + method.args.kwonlyargs
+        if arg.arg in ("caught", "bump")
+    ]
+    assert threaded == []
 
 
 # -- the label language is key taint and nothing else ----------------------------------
