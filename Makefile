@@ -15,11 +15,12 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # src/ line counts per package, largest first, over every file git
-# would track (a module not yet `git add`-ed counts too): the number
-# behind ROADMAP's "least code" aim (CI appends it to the test job's
-# summary).
+# would track (a module not yet `git add`-ed counts too): physical
+# lines, then lines counted as code (no blank, comment-only or
+# docstring lines) -- the numbers behind ROADMAP's "least code" aim
+# (CI appends them to the test job's summary).
 loc:
-	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, part, "/"); pkg = (n > 3) ? part[3] : "(top level)"; lines[pkg] += $$1; total += $$1 } END { for (pkg in lines) printf "%7d  %s\n", lines[pkg], pkg; printf "%7d  total\n", total }' | sort -k1,1nr -k2
+	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs $(PYTHON) tools/loc.py
 
 # fbslint: the whole-program protocol-invariant analyzer (eight rules,
 # FBS001-FBS012, interprocedural; the receive contract FBS006 once

@@ -34,7 +34,7 @@ Most applications need only three things::
 """
 
 from repro.core.config import AlgorithmSuite, FBSConfig
-from repro.core.deploy import CertificateServer, FBSDomain
+from repro.core.deploy import FBSDomain
 from repro.core.ip_mapping import FBSIPMapping
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
@@ -47,7 +47,6 @@ __all__ = [
     "AlgorithmSuite",
     "FBSConfig",
     "FBSDomain",
-    "CertificateServer",
     "FBSIPMapping",
     "FBSEndpoint",
     "Principal",

@@ -85,7 +85,3 @@ class ModuleContext:
             parts = self.logical_path.replace("\\", "/").split("/")
             return "tests" in parts
         return any(p in ("tests", "conftest") for p in self.module_parts)
-
-    def is_module(self, *parts: str) -> bool:
-        """Exact module match, e.g. ``is_module("core", "protocol")``."""
-        return self.module_parts == ("repro",) + parts

@@ -16,7 +16,7 @@ explicitly.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.netsim.clock import Simulator
 from repro.netsim.ipv4 import IPv4Packet
@@ -51,20 +51,6 @@ class OnPathAdversary:
             except ValueError:
                 continue
         return out
-
-    def find(
-        self,
-        predicate: Callable[[IPv4Packet], bool],
-    ) -> Optional[IPv4Packet]:
-        """First captured packet satisfying ``predicate``."""
-        for packet in self.captured_packets():
-            if predicate(packet):
-                return packet
-        return None
-
-    def clear(self) -> None:
-        """Forget everything captured so far."""
-        self.captured.clear()
 
     # -- injection ---------------------------------------------------------------------
 

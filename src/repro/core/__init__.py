@@ -50,7 +50,6 @@ from repro.core.protocol import FBSEndpoint, FBSError, ReceiveError
 from repro.core.ip_mapping import FBSIPMapping
 from repro.core.app_mapping import ApplicationDirectory, FBSApplication
 from repro.core.gateway import FBSGatewayTunnel
-from repro.core.netfetch import NetworkCertificateFetcher
 from repro.core.replay_guard import DuplicateDatagramError, ReplayGuard
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "ApplicationDirectory",
     "FBSApplication",
     "FBSGatewayTunnel",
-    "NetworkCertificateFetcher",
     "ReplayGuard",
     "DuplicateDatagramError",
 ]

@@ -7,10 +7,10 @@ X.509-flavoured certificate binding a principal to its Diffie-Hellman
 public value, signed by a certificate authority, plus a directory
 service the master key daemon queries on PVC misses.
 
-Certificates are canonically serialized so signatures are well-defined
-and so they can travel over the (insecure) simulated network -- the
-fetch "should not and need not be secure" because "the certificates are
-to be verified on receipt" (Section 5.3).
+Certificates are canonically serialized so signatures are well-defined;
+the fetch "should not and need not be secure" because "the certificates
+are to be verified on receipt" (Section 5.3), and the MKD verifies every
+one it uses.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random as _random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.core.errors import FBSError, UnknownPrincipalError
 from repro.core.keying import Principal
@@ -64,60 +64,6 @@ class PublicValueCertificate:
             + struct.pack(">H", len(value_bytes))
             + value_bytes
             + struct.pack(">dd", self.not_before, self.not_after)
-        )
-
-    def encode(self) -> bytes:
-        """Full wire encoding, including the signature and subject name."""
-        body = self.to_be_signed()
-        display = self.subject.name.encode("utf-8")
-        return (
-            struct.pack(">H", len(display))
-            + display
-            + struct.pack(">I", len(body))
-            + body
-            + struct.pack(">H", len(self.signature))
-            + self.signature
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PublicValueCertificate":
-        """Parse a wire encoding produced by :meth:`encode`."""
-        offset = 0
-        (name_len,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        display = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (body_len,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        body = data[offset : offset + body_len]
-        offset += body_len
-        (sig_len,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        signature = data[offset : offset + sig_len]
-
-        # Unpack the body.
-        boff = 0
-        (wid_len,) = struct.unpack_from(">H", body, boff)
-        boff += 2
-        wire_id = body[boff : boff + wid_len]
-        boff += wid_len
-        (gname_len,) = struct.unpack_from(">H", body, boff)
-        boff += 2
-        group_name = body[boff : boff + gname_len].decode("ascii")
-        boff += gname_len
-        (val_len,) = struct.unpack_from(">H", body, boff)
-        boff += 2
-        public_value = int.from_bytes(body[boff : boff + val_len], "big")
-        boff += val_len
-        not_before, not_after = struct.unpack_from(">dd", body, boff)
-
-        return cls(
-            subject=Principal(name=display, wire_id=wire_id),
-            group_name=group_name,
-            public_value=public_value,
-            not_before=not_before,
-            not_after=not_after,
-            signature=signature,
         )
 
     def verify(self, ca_public: RSAPublicKey, now: float) -> None:
@@ -188,9 +134,8 @@ class CertificateAuthority:
 class CertificateDirectory:
     """The certificate lookup service (CA directory / secure-DNS stand-in).
 
-    ``fetch`` is the operation a PVC miss triggers.  In-process use is a
-    plain dict lookup; network-backed use wraps this behind the secure
-    flow bypass (see :mod:`repro.core.mkd`).
+    ``fetch`` is the operation a PVC miss triggers: a plain dict lookup
+    (see :mod:`repro.core.mkd`).
     """
 
     def __init__(self) -> None:

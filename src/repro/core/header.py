@@ -103,18 +103,10 @@ class FBSHeader:
         (timestamp,) = _U32.unpack_from(data, offset)
         return cls(sfl=sfl, confounder=confounder, mac=mac, timestamp=timestamp)
 
-    def confounder_bytes(self) -> bytes:
-        """The confounder as 4 bytes (MAC input)."""
-        return _U32.pack(self.confounder)
-
     def iv(self) -> bytes:
         """The 64-bit DES IV: the 32-bit confounder duplicated."""
         four = _U32.pack(self.confounder)
         return four + four
-
-    def timestamp_bytes(self) -> bytes:
-        """The timestamp as 4 bytes (MAC input)."""
-        return _U32.pack(self.timestamp)
 
     def mac_input(self, body: bytes) -> bytes:
         """``confounder | timestamp | body`` -- the MAC'ed bytes of S6/R7,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.core.config import AlgorithmSuite, MacAlgorithm
-from repro.crypto.dh import DHGroup, DHPrivateKey
 from repro.obs.events import CryptoStateBuilt
 
 __all__ = ["Principal", "KeyDerivation", "FlowCryptoState"]
@@ -61,10 +60,6 @@ class KeyDerivation:
 
     def __init__(self, suite: AlgorithmSuite) -> None:
         self._suite = suite
-
-    def master_key(self, own: DHPrivateKey, peer_public: int) -> bytes:
-        """The pair-based master key K_{S,D} (raw DH shared secret bytes)."""
-        return own.agree(peer_public)
 
     def flow_key(
         self,

@@ -10,9 +10,10 @@ The MKD owns:
 * the principal's long-term DH private value,
 * the public value cache (PVC) of peer certificates,
 * the master key cache (MKC) of computed pair keys, and
-* the fetch path to the certificate directory -- which travels through
-  the *secure flow bypass* so certificate fetches are never themselves
-  FBS-protected (avoiding the circularity the paper calls out).
+* the fetch path to the certificate directory -- which in the paper
+  travels through the *secure flow bypass* so certificate fetches are
+  never themselves FBS-protected (avoiding the circularity it calls
+  out); here it is a directory lookup priced as that round trip.
 
 Costs: a PVC miss is "extremely expensive" (a network round trip); an
 MKC miss costs a modular exponentiation; an upcall costs a kernel/user
@@ -37,8 +38,7 @@ from repro.crypto.rsa import RSAPublicKey
 
 __all__ = ["MasterKeyDaemon"]
 
-#: Fetch function type: principal wire id -> certificate.  Network-backed
-#: implementations go through the secure flow bypass.
+#: Fetch function type: principal wire id -> certificate.
 FetchFunc = Callable[[bytes], PublicValueCertificate]
 ChargeFunc = Callable[[float], None]
 
@@ -55,8 +55,8 @@ class MasterKeyDaemon:
     ca_public:
         The certification hierarchy's verification key.
     fetch:
-        How to obtain a peer certificate on a PVC miss (directory lookup
-        or a network client using the secure flow bypass).
+        How to obtain a peer certificate on a PVC miss (a directory
+        lookup).
     pvc_size / mkc_size:
         Cache capacities.
     charge / costs:
@@ -151,7 +151,7 @@ class MasterKeyDaemon:
         cached = self.pvc.lookup(peer.wire_id)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        # PVC miss: fetch from the directory over the secure flow bypass.
+        # PVC miss: fetch from the directory, priced as the bypass round trip.
         self._charge(self._fetch_cost)
         self.certificate_fetches += 1
         certificate = self._fetch(peer.wire_id)

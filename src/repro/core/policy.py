@@ -15,8 +15,6 @@ written once, in :class:`KeyedMapper`; a policy is that mapper plus a
   raw IP (ICMP/IGMP) degenerates to ("raw IP can be considered as
   host-level flows", footnote 10), and the closest FBS gets to SKIP-style
   host keying.
-* :class:`AttributePolicy` -- any subset of 5-tuple fields plus
-  OS-specific attributes (uid, pid, application tag).
 * :class:`PerDatagramPolicy` -- a fresh flow per datagram: the
   degenerate lower bound showing what per-datagram keying costs
   (ablation use).
@@ -45,7 +43,6 @@ __all__ = [
     "ThresholdSweeper",
     "HostLevelPolicy",
     "PerDatagramPolicy",
-    "AttributePolicy",
     "RekeyingPolicy",
 ]
 
@@ -175,67 +172,6 @@ class PerDatagramPolicy:
         entry = fst.entry_at(fst.slot_for(key))
         fst.lookups += 1
         return start_flow(entry, key, attributes, now, fst, allocator)
-
-
-class AttributePolicy(KeyedMapper):
-    """A configurable mapper over arbitrary datagram attributes.
-
-    The paper's FAM "takes as input a set of attributes (e.g.,
-    destination principal address) of a datagram and possibly other
-    system parameters (e.g., process id, time)" -- i.e. policies may be
-    operating-system specific.  This mapper generalizes: the flow key is
-    built from any chosen subset of 5-tuple fields plus any keys of
-    ``DatagramAttributes.extra`` (uid, pid, application tag, ...).
-
-    Examples::
-
-        # One flow per (destination host, destination port): service
-        # granularity, ignoring the client port.
-        AttributePolicy(fields=("daddr", "dport"))
-
-        # One flow per destination per local *user*:
-        AttributePolicy(fields=("daddr",), extra_keys=("uid",))
-    """
-
-    _FIELD_GETTERS = {
-        "proto": lambda ft: bytes([ft.proto]),
-        "saddr": lambda ft: ft.saddr.to_bytes(),
-        "sport": lambda ft: ft.sport.to_bytes(2, "big"),
-        "daddr": lambda ft: ft.daddr.to_bytes(),
-        "dport": lambda ft: ft.dport.to_bytes(2, "big"),
-    }
-
-    def __init__(
-        self,
-        fields: tuple = ("proto", "saddr", "sport", "daddr", "dport"),
-        extra_keys: tuple = (),
-        threshold: Optional[float] = 600.0,
-    ) -> None:
-        unknown = [f for f in fields if f not in self._FIELD_GETTERS]
-        if unknown:
-            raise ValueError(f"unknown 5-tuple fields: {unknown}")
-        if not fields and not extra_keys:
-            raise ValueError("AttributePolicy needs at least one attribute")
-        super().__init__(threshold)
-        self.fields = tuple(fields)
-        self.extra_keys = tuple(extra_keys)
-
-    def key(self, attributes: DatagramAttributes) -> bytes:
-        parts = []
-        if self.fields:
-            if attributes.five_tuple is None:
-                raise ValueError(
-                    f"AttributePolicy needs a five_tuple for fields {self.fields}"
-                )
-            for field in self.fields:
-                parts.append(self._FIELD_GETTERS[field](attributes.five_tuple))
-        for key in self.extra_keys:
-            value = attributes.extra.get(key)
-            if value is None:
-                raise ValueError(f"datagram missing required attribute {key!r}")
-            encoded = str(value).encode("utf-8")
-            parts.append(len(encoded).to_bytes(2, "big") + encoded)
-        return b"attr:" + b"".join(parts)
 
 
 class RekeyingPolicy:

@@ -13,7 +13,6 @@ from typing import Optional
 __all__ = [
     "is_probable_prime",
     "generate_prime",
-    "generate_safe_prime",
     "SMALL_PRIMES",
 ]
 
@@ -74,19 +73,3 @@ def generate_prime(bits: int, rng: _random.Random) -> int:
         if is_probable_prime(candidate, rng=rng):
             return candidate
 
-
-def generate_safe_prime(bits: int, rng: _random.Random) -> int:
-    """Generate a safe prime p (p = 2q + 1 with q prime) of ``bits`` bits.
-
-    Safe primes make every quadratic residue a generator of the order-q
-    subgroup, which is the standard hygiene for Diffie-Hellman moduli.
-    Sizes used in tests are small (128-512 bits) to keep generation fast;
-    the shipped well-known groups use fixed published moduli.
-    """
-    if bits < 4:
-        raise ValueError("safe prime size must be at least 4 bits")
-    while True:
-        q = generate_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if p.bit_length() == bits and is_probable_prime(p, rng=rng):
-            return p

@@ -16,7 +16,7 @@ The pieces, in datapath order:
   cache-pressure-aware reclamation of a cold tenant's footprint across
   all four key caches (PVC/MKC/TFKC/RFKC).
 * :mod:`repro.gateway.server` -- the serve loop tying them together
-  over any transport's addressed (``recv_from``/``send_to``) surface.
+  over any transport's addressed (``recv_from``) surface.
 * :mod:`repro.gateway.cli` -- ``python -m repro.gateway``: the seeded
   multi-tenant workload with byte-stable JSON reports, shardable with
   the :class:`~repro.load.sharding.FlowSharder`.

@@ -37,7 +37,7 @@ from repro.core.policy import FiveTuplePolicy
 from repro.gateway.server import FBSGateway
 from repro.gateway.tenants import GatewayConfig
 from repro.netsim.addresses import FiveTuple, IPAddress
-from repro.obs.report import parse_cli, write_report
+from repro.obs.report import parse_cli, refuse_path, write_report
 
 __all__ = ["run_gateway_workload", "main"]
 
@@ -310,6 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parse_cli(_build_parser(), argv)
     if isinstance(args, int):
         return args
+    if refuse_path("--out", args.out):
+        return 2
 
     report = asyncio.run(
         run_gateway_workload(

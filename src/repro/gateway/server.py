@@ -31,17 +31,7 @@ from repro.gateway.tenants import Address, GatewayConfig, TenantState, TenantTab
 from repro.obs.events import TenantAdmitted, TenantEvicted
 from repro.transport.base import Transport
 
-__all__ = ["FBSGateway", "default_resolver"]
-
-
-def default_resolver(addr: Address) -> Principal:
-    """Name an unknown peer after its transport address.
-
-    Real deployments resolve addresses to enrolled principals (the CLI
-    passes a directory-backed resolver); the default keeps small tests
-    self-describing.
-    """
-    return Principal.from_name(f"{addr[0]}:{addr[1]}")
+__all__ = ["FBSGateway"]
 
 
 class FBSGateway:
@@ -58,8 +48,8 @@ class FBSGateway:
     config:
         Table and queue bounds; defaults are test-sized.
     resolver:
-        Maps a peer address to the :class:`Principal` whose keys
-        protect its traffic.  Defaults to :func:`default_resolver`.
+        Maps a peer address to the enrolled :class:`Principal` whose keys
+        protect its traffic (the CLI's is directory-backed).
     """
 
     def __init__(
@@ -67,12 +57,13 @@ class FBSGateway:
         endpoint: FBSEndpoint,
         transport: Transport,
         config: Optional[GatewayConfig] = None,
-        resolver: Optional[Callable[[Address], Principal]] = None,
+        *,
+        resolver: Callable[[Address], Principal],
     ) -> None:
         self.endpoint = endpoint
         self.transport = transport
         self.config = config or GatewayConfig()
-        self.resolver = resolver or default_resolver
+        self.resolver = resolver
         self.tenants = TenantTable()
         self.admission = AdmissionController(endpoint.registry)
         registry = endpoint.registry

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.load.engine import LoadError, LoadSpec, run_load, verify_merge
 from repro.load.report import build_report
-from repro.obs.report import parse_cli, write_report
+from repro.obs.report import parse_cli, refuse_path, write_report
 from repro.traces.registry import workload_names, workload_summaries
 from repro.transport.hop import HOP_NAMES
 
@@ -122,6 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    if refuse_path("--out", args.out):
+        return 2
     workload = args.workload or ("smoke" if args.smoke else "synthetic")
     spec = LoadSpec(
         workers=args.workers,

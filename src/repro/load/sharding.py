@@ -50,10 +50,3 @@ class FlowSharder:
         shard_of = self.shard_of
         return [r for r in records if shard_of(r.five_tuple) == worker]
 
-    def shard_sizes(self, records: Iterable[PacketRecord]) -> List[int]:
-        """Datagram count per shard (balance diagnostics)."""
-        sizes = [0] * self.workers
-        shard_of = self.shard_of
-        for record in records:
-            sizes[shard_of(record.five_tuple)] += 1
-        return sizes

@@ -33,7 +33,6 @@ from repro.netsim.ipv4 import IPv4Header, IPProtocol, IPv4Packet, checksum16
 from repro.netsim.link import LinkConditions, EthernetSegment
 from repro.netsim.costmodel import CostModel, PENTIUM_133
 from repro.netsim.host import Host
-from repro.netsim.icmp import IcmpLayer, IcmpMessage
 from repro.netsim.network import Network
 
 __all__ = [
@@ -49,7 +48,5 @@ __all__ = [
     "CostModel",
     "PENTIUM_133",
     "Host",
-    "IcmpLayer",
-    "IcmpMessage",
     "Network",
 ]

@@ -137,16 +137,6 @@ class FiveTuple:
             dport=dport,
         )
 
-    def reversed(self) -> "FiveTuple":
-        """The 5-tuple of the opposite direction (flows are unidirectional)."""
-        return FiveTuple(
-            proto=self.proto,
-            saddr=self.daddr,
-            sport=self.dport,
-            daddr=self.saddr,
-            dport=self.sport,
-        )
-
     def __str__(self) -> str:
         return (
             f"proto={self.proto} {self.saddr}:{self.sport}"

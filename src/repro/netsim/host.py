@@ -20,7 +20,6 @@ from repro.netsim.addresses import IPAddress
 from repro.netsim.clock import HostClock, Simulator
 from repro.netsim.costmodel import CostModel, FREE_CPU
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
-from repro.netsim.icmp import IcmpLayer
 from repro.netsim.stack import Interface, IPStack
 from repro.netsim.tcp import TcpLayer
 from repro.netsim.udp import UdpLayer
@@ -102,11 +101,6 @@ class Host:
         )
         self.stack.register_protocol(IPProtocol.TCP, self.tcp.deliver)
 
-        self.icmp = IcmpLayer(
-            transmit=self.send_raw,
-            local_address=self._source_address_for,
-        )
-        self.stack.register_protocol(IPProtocol.ICMP, self.icmp.deliver)
         self.stack.on_fragmentation_needed = self._fragmentation_needed
         #: Locally originated DF packets dropped for exceeding the MTU
         #: (the sender-side symptom of the paper's tcp_output bug).
@@ -190,19 +184,12 @@ class Host:
             return None
         return registry.snapshot()
 
-    def remove_security(self) -> None:
-        """Uninstall any security module (back to GENERIC)."""
-        self.security = None
-        self.stack.output_hook = None
-        self.stack.input_hook = None
-        self.tcp.header_reserve = lambda: 0
-
     # -- transmit path (transport -> CPU charge -> ip_output) ---------------------
 
     def send_raw(self, packet: IPv4Packet) -> None:
         """Charge the CPU for one send, then hand ``packet`` to ``ip_output``.
 
-        The transmit path of the UDP, TCP and ICMP layers, and raw IP
+        The transmit path of the UDP and TCP layers, and raw IP
         for a pre-built packet (used by tests and attacks).
         """
         cost = self.cost_model.generic_send(len(packet.payload))
@@ -212,12 +199,10 @@ class Host:
     # -- receive path ----------------------------------------------------------------
 
     def _fragmentation_needed(self, packet: IPv4Packet) -> None:
-        """DF packet too big: count locally, or answer with ICMP when
-        the packet was being forwarded (router behaviour)."""
+        """DF packet too big: count it when this host originated it (a
+        forwarded one is dropped silently; there is no ICMP)."""
         if self.stack.is_local(packet.header.src):
             self.local_df_drops += 1
-        else:
-            self.icmp.send_unreachable(packet)
 
     def frame_arrived(self, frame: bytes) -> None:
         """Entry point wired to the link/segment receiver."""

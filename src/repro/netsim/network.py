@@ -2,9 +2,7 @@
 
 ``Network`` wires hosts onto shared Ethernet segments (the paper's
 testbed topology) or point-to-point links, assigns addresses, and
-installs the static routes a small campus topology needs.  It also owns
-the name -> address directory used by the security layer to resolve
-principals.
+installs the static routes a small campus topology needs.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self._segments: Dict[str, Tuple[EthernetSegment, IPAddress, int]] = {}
         self._next_host_octet: Dict[str, int] = {}
-        self.directory: Dict[str, IPAddress] = {}
 
     # -- media ------------------------------------------------------------------
 
@@ -86,7 +83,7 @@ class Network:
         if name in self.hosts:
             raise ValueError(f"host {name!r} already exists")
         host = Host(self.sim, name, cost_model=cost_model, forwarding=forwarding)
-        self.directory[name] = self.attach_to_segment(host, segment, address, mtu).address
+        self.attach_to_segment(host, segment, address, mtu)
         self.hosts[name] = host
         return host
 
@@ -140,9 +137,3 @@ class Network:
         host.stack.add_route(
             Route(network=IPAddress(0), prefix_len=0, interface=iface, gateway=gw_addr)
         )
-
-    # -- directory ----------------------------------------------------------------
-
-    def resolve(self, name: str) -> IPAddress:
-        """Name -> address lookup (the simulation's DNS)."""
-        return self.directory[name]

@@ -119,7 +119,8 @@ class IPStack:
         #: security"); end-to-end FBS never touches it.
         self.forward_hook: Optional[PacketHook] = None
         #: Fired when a DF packet cannot fit the egress MTU (the event
-        #: 4.4BSD answers with ICMP type 3 code 4).
+        #: 4.4BSD answers with ICMP type 3 code 4; the simulation has no
+        #: ICMP, so the host only counts its own).
         self.on_fragmentation_needed: Optional[Callable[[IPv4Packet], None]] = None
 
     # -- configuration ------------------------------------------------------
@@ -202,7 +203,7 @@ class IPStack:
         try:
             pieces = fragment(packet, route.interface.mtu)
         except FragmentationNeeded:
-            # 4.4BSD answers with ICMP "fragmentation needed" and drops.
+            # Dropped (4.4BSD would also answer ICMP "fragmentation needed").
             self.stats.bad_headers += 1
             if self.on_fragmentation_needed is not None:
                 self.on_fragmentation_needed(packet)

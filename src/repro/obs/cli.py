@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.obs.aggregate import TraceAggregate
-from repro.obs.report import parse_cli
+from repro.obs.report import parse_cli, refuse_path
 
 __all__ = ["main", "render_summary"]
 
@@ -110,8 +110,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_check_docs(args: argparse.Namespace) -> int:
     from repro.obs.doccheck import run_doc_checks
 
-    root = os.path.abspath(args.root)
-    problems = run_doc_checks(root)
+    if refuse_path("--root", args.root, directory=True):
+        return 2
+    problems = run_doc_checks(os.path.abspath(args.root))
     if problems:
         for problem in problems:
             print(f"check-docs: {problem}", file=sys.stderr)

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence, TextIO, Union
 
-__all__ = ["parse_cli", "render_report", "write_report"]
+__all__ = ["parse_cli", "refuse_path", "render_report", "write_report"]
 
 
 def parse_cli(
@@ -24,6 +25,27 @@ def parse_cli(
         return parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+
+
+def refuse_path(flag: str, path: Optional[str], directory: bool = False) -> bool:
+    """True, after one ``error: FLAG PATH: reason`` line on stderr, when
+    ``path`` cannot serve: a report file that cannot be opened for
+    writing, or (``directory``) a directory that cannot be listed.
+    Called before any work, so the caller's exit 2 is a usage error and
+    never a finished run lost to its last write.  ``None`` (stdout, or
+    the default) always serves."""
+    if path is None:
+        return False
+    try:
+        if directory:
+            os.listdir(path)
+        else:
+            with open(path, "a", encoding="utf-8"):
+                pass
+    except OSError as exc:
+        print(f"error: {flag} {path}: {exc.strerror}", file=sys.stderr)
+        return True
+    return False
 
 
 def render_report(report: object) -> str:

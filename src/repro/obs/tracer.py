@@ -51,10 +51,6 @@ class Tracer:
         event.t = self._now()
         self.sink.emit(event)
 
-    def with_clock(self, now: Callable[[], float]) -> "Tracer":
-        """A tracer on the same sink with a different clock."""
-        return Tracer(self.sink, now=now)
-
 
 #: The process-wide disabled tracer: shared, stateless, free.
 NULL_TRACER = Tracer(NullSink())

@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.obs.report import parse_cli, write_report
+from repro.obs.report import parse_cli, refuse_path, write_report
 from repro.resilience.campaign import run_campaign
 from repro.resilience.scenario import build_matrix
 
@@ -68,6 +68,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for scenario in build_matrix(smoke=args.smoke):
             print(f"{scenario.name}: {scenario.description}")
         return 0
+    if refuse_path("--out", args.out):
+        return 2
 
     try:
         report = run_campaign(

@@ -19,7 +19,7 @@ from typing import List, Optional, TextIO
 
 from repro.bench.reporting import render_cdf, render_table
 from repro.netsim.addresses import IPAddress
-from repro.obs.report import parse_cli, write_report
+from repro.obs.report import parse_cli, refuse_path, write_report
 from repro.traces import tcpdump
 from repro.traces.analysis import FlowAnalysis
 from repro.traces.flowsim import CacheSimulator
@@ -190,6 +190,8 @@ def _cmd_sweep_harness(args, out: TextIO) -> int:
         )
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
+        return 2
+    if refuse_path("--out", args.out):
         return 2
     report = run_sweep(spec)
     write_report(report, args.out, stdout=out)

@@ -40,11 +40,6 @@ class Trace:
             for i in range(len(self._records) - 1)
         )
 
-    def append(self, record: PacketRecord) -> None:
-        if self._records and record.time < self._records[-1].time:
-            self._sorted = False
-        self._records.append(record)
-
     def sort(self) -> None:
         """Time-order the records (stable)."""
         if not self._sorted:

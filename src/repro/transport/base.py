@@ -16,13 +16,11 @@ never reach around it for:
 * **shutdown** -- ``close`` stops new traffic and drains what is already
   in flight; datagrams received before the close remain readable.
 
-The primary surface is ``async`` (the real-socket backend lives on an
-asyncio event loop, and fbslint FBS010 checks that nothing in it
-blocks).  Substrates that need no event loop -- the netsim adapter's
-"loop" is the discrete-event simulator itself -- implement the
-``*_sync`` methods and inherit async wrappers that complete without
-ever awaiting; event-loop-only transports leave the sync methods
-raising :class:`TransportError`.
+The surface is ``async`` (the real-socket backend lives on an asyncio
+event loop, and fbslint FBS010 checks that nothing in it blocks).  The
+netsim adapter, whose "loop" is the discrete-event simulator itself,
+completes every call without awaiting and also offers the same calls
+synchronously (:class:`repro.transport.netsim.NetsimTransport`).
 """
 
 from __future__ import annotations
@@ -90,87 +88,36 @@ class Transport:
     def closed(self) -> bool:
         return self._closed
 
-    # -- sync surface (event-loop-free substrates) -----------------------------
-
-    def send_sync(self, payload: bytes) -> None:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await send()'"
-        )
-
-    def recv_sync(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await recv()'"
-        )
-
-    def close_sync(self) -> None:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await close()'"
-        )
-
-    def sleep_sync(self, seconds: float) -> None:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await sleep()'"
-        )
-
-    def send_to_sync(self, payload: bytes, addr: Tuple[str, int]) -> None:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await send_to()'"
-        )
-
-    def recv_from_sync(
-        self, timeout: Optional[float] = None
-    ) -> Optional[Tuple[bytes, Tuple[str, int]]]:
-        raise TransportError(
-            f"{self.name} transport is event-loop only; use 'await recv_from()'"
-        )
-
-    # -- async surface ---------------------------------------------------------
-    #
-    # Default wrappers delegate to the sync implementations and complete
-    # without awaiting; event-loop substrates override them natively.
+    # -- datagram I/O ----------------------------------------------------------
 
     async def send(self, payload: bytes) -> None:
         """Send one datagram to the connected peer."""
-        self.send_sync(payload)
+        raise NotImplementedError
 
     async def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
         """Receive one datagram, or ``None`` once ``timeout`` seconds of
         this transport's clock pass without one.  ``timeout=None`` waits
         until the substrate can prove nothing further will arrive."""
-        return self.recv_sync(timeout)
+        raise NotImplementedError
+
+    async def recv_from(
+        self, timeout: Optional[float] = None
+    ) -> Optional[Tuple[bytes, Tuple[str, int]]]:
+        """:meth:`recv` with the datagram's source address, a
+        ``(host_string, port)`` token: a server transport (the gateway)
+        talks to many peers and tells them apart by it."""
+        raise NotImplementedError
 
     async def close(self) -> None:
         """Stop new traffic and drain in-flight datagrams."""
-        self.close_sync()
+        raise NotImplementedError
 
     async def sleep(self, seconds: float) -> None:
         """Let ``seconds`` of this transport's clock elapse (datagrams
         keep arriving into the receive queue meanwhile).  Retry backoff
         goes through this so the same retry logic runs over simulated
         and real time."""
-        self.sleep_sync(seconds)
-
-    # -- addressed (unconnected) surface ---------------------------------------
-    #
-    # A server transport talks to *many* peers: it needs to know where a
-    # datagram came from and to answer that exact address.  Addresses are
-    # substrate tokens -- ``(host_string, port)`` tuples whose only
-    # contract is that answering ``send_to(reply, addr)`` reaches whoever
-    # ``recv_from`` attributed ``addr`` to.  The connected send/recv
-    # surface above stays primary; substrates that cannot demultiplex
-    # leave these raising :class:`TransportError`.
-
-    async def send_to(self, payload: bytes, addr: Tuple[str, int]) -> None:
-        """Send one datagram to an explicit peer address."""
-        self.send_to_sync(payload, addr)
-
-    async def recv_from(
-        self, timeout: Optional[float] = None
-    ) -> Optional[Tuple[bytes, Tuple[str, int]]]:
-        """Receive one datagram with its source address, or ``None`` on
-        timeout.  The address can be handed straight back to
-        :meth:`send_to`."""
-        return self.recv_from_sync(timeout)
+        raise NotImplementedError
 
     # -- bookkeeping -----------------------------------------------------------
 

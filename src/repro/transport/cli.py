@@ -24,7 +24,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.obs.report import parse_cli, write_report
+from repro.obs.report import parse_cli, refuse_path, write_report
 from repro.transport.runner import run_echo
 
 __all__ = ["main"]
@@ -67,6 +67,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parse_cli(_build_parser(), argv)
     if isinstance(args, int):
         return args
+    if refuse_path("--out", args.out):
+        return 2
 
     report = asyncio.run(
         run_echo(

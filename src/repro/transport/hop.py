@@ -44,10 +44,6 @@ class WireHop:
         """Carry ``wire`` to the receiver; return what arrived, in order."""
         raise NotImplementedError
 
-    def stats(self) -> dict:
-        """Substrate accounting for the worker report (byte-stable)."""
-        return {}
-
 
 class DirectHop(WireHop):
     """In-memory hand-off -- the wiring every prior report used."""
@@ -90,12 +86,6 @@ class NetsimHop(WireHop):
             self.tx.send_sync(datagram)
         self.net.sim.run()
         return self.rx.drain()
-
-    def stats(self) -> dict:
-        return {
-            "tx": self.tx.stats.to_dict(),
-            "rx": self.rx.stats.to_dict(),
-        }
 
 
 def build_hop(name: str, seed: int = 0) -> WireHop:

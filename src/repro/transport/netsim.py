@@ -10,9 +10,10 @@ view of simulated time.
 Because the simulator *is* this substrate's event loop, ``recv`` simply
 runs the simulation forward until a datagram arrives, the virtual
 deadline passes, or the event queue empties -- all in virtual time, no
-wall clock anywhere (this module stays inside the FBS002 ban).  The
-async surface inherited from :class:`Transport` completes without ever
-awaiting, so the same driver coroutines run over netsim and real UDP.
+wall clock anywhere (this module stays inside the FBS002 ban).  Each
+call exists in a ``*_sync`` form, and the async :class:`Transport`
+surface wraps it without ever awaiting, so the same driver coroutines
+run over netsim and real UDP.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ class NetsimTransport(Transport):
         self.stats.datagrams_received += 1
         self._queue.append((payload, (str(src), sport)))
 
-    def connect(self, remote: Tuple[IPAddress, int]) -> None:
-        """Set (or re-set) the peer this transport sends to."""
-        self.remote = remote
-
-    @property
-    def local_address(self) -> Tuple[IPAddress, int]:
-        return (self.host.address, self.local_port)
-
     # -- Transport surface -----------------------------------------------------
 
     def now(self) -> float:
@@ -81,7 +74,7 @@ class NetsimTransport(Transport):
         if self._closed:
             raise TransportClosedError(f"send on closed {self.name} transport")
         if self.remote is None:
-            raise TransportClosedError("netsim transport has no peer; connect() first")
+            raise TransportClosedError("netsim transport has no peer")
         dst, dport = self.remote
         self.host.udp.sendto(payload, self.local_port, dst, dport)
         self.stats.datagrams_sent += 1
@@ -115,12 +108,6 @@ class NetsimTransport(Transport):
                 sentinel.cancel()
         return self._queue.popleft() if self._queue else None
 
-    def send_to_sync(self, payload: bytes, addr: Tuple[str, int]) -> None:
-        if self._closed:
-            raise TransportClosedError(f"send on closed {self.name} transport")
-        self.host.udp.sendto(payload, self.local_port, IPAddress(addr[0]), addr[1])
-        self.stats.datagrams_sent += 1
-
     def close_sync(self) -> None:
         if self._closed:
             return
@@ -134,6 +121,25 @@ class NetsimTransport(Transport):
         out = [payload for payload, _addr in self._queue]
         self._queue.clear()
         return out
+
+    # -- the async surface: the same calls, never awaiting ---------------------
+
+    async def send(self, payload: bytes) -> None:
+        self.send_sync(payload)
+
+    async def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
+        return self.recv_sync(timeout)
+
+    async def recv_from(
+        self, timeout: Optional[float] = None
+    ) -> Optional[Tuple[bytes, Tuple[str, int]]]:
+        return self.recv_from_sync(timeout)
+
+    async def close(self) -> None:
+        self.close_sync()
+
+    async def sleep(self, seconds: float) -> None:
+        self.sleep_sync(seconds)
 
 
 def netsim_transport_pair(

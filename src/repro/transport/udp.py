@@ -152,10 +152,6 @@ class UdpTransport(Transport):
             raise TransportError("transport not started; use UdpTransport.create()")
         return self._transport.get_extra_info("sockname")[:2]
 
-    def connect(self, remote: Tuple[str, int]) -> None:
-        """Set (or re-set) the peer this transport sends to."""
-        self.remote = remote
-
     # -- receive path: harvest -> pop -> only then wait ------------------------
 
     def _arrive(self, data: bytes, addr: Tuple[str, int]) -> None:
@@ -202,7 +198,7 @@ class UdpTransport(Transport):
         if self._closed or self._transport is None:
             raise TransportClosedError("send on closed udp transport")
         if self.remote is None:
-            raise TransportError("udp transport has no peer; connect() first")
+            raise TransportError("udp transport has no peer yet")
         # DatagramTransport.sendto never blocks: asyncio buffers and
         # flushes from the loop.
         self._transport.sendto(payload, self.remote)
@@ -243,12 +239,6 @@ class UdpTransport(Transport):
             if not self._queue:
                 return None
         return self._queue.popleft()
-
-    async def send_to(self, payload: bytes, addr: Tuple[str, int]) -> None:
-        if self._closed or self._transport is None:
-            raise TransportClosedError("send on closed udp transport")
-        self._transport.sendto(payload, addr)
-        self.stats.datagrams_sent += 1
 
     async def close(self) -> None:
         """Graceful shutdown: flush buffered sends, tear down the socket.

@@ -50,20 +50,6 @@ class TestAdversary:
         assert rx.received[0][0] == b"forged"
         assert rx.received[0][1] == a.address  # spoofed source accepted
 
-    def test_find_and_clear(self):
-        net = Network(seed=3)
-        net.add_segment("lan", "10.0.0.0")
-        a = net.add_host("a", segment="lan")
-        b = net.add_host("b", segment="lan")
-        adversary = OnPathAdversary(net.sim, net.segment("lan"))
-        UdpSocket(b, 5000)
-        UdpSocket(a).sendto(b"x", b.address, 5000)
-        net.sim.run()
-        assert adversary.find(lambda p: p.header.dst == b.address) is not None
-        assert adversary.find(lambda p: False) is None
-        adversary.clear()
-        assert adversary.captured == []
-
 
 class TestReplay:
     def test_full_scenario(self):

@@ -79,22 +79,6 @@ class TestIssueVerify:
             bob_cert.verify(other.public_key, now=100.0)
 
 
-class TestWireCodec:
-    def test_roundtrip(self, bob_cert, ca):
-        decoded = PublicValueCertificate.decode(bob_cert.encode())
-        assert decoded.subject.wire_id == bob_cert.subject.wire_id
-        assert decoded.public_value == bob_cert.public_value
-        assert decoded.signature == bob_cert.signature
-        decoded.verify(ca.public_key, now=100.0)  # signature survives
-
-    def test_decoded_tampering_detected(self, bob_cert, ca):
-        raw = bytearray(bob_cert.encode())
-        raw[-1] ^= 0xFF  # corrupt the signature
-        decoded = PublicValueCertificate.decode(bytes(raw))
-        with pytest.raises(CertificateError):
-            decoded.verify(ca.public_key, now=100.0)
-
-
 class TestDirectory:
     def test_publish_fetch(self, bob_cert):
         directory = CertificateDirectory()

@@ -1,11 +1,10 @@
-"""Deployment helper tests: domains, enrollment, certificate server."""
+"""Deployment helper tests: domains and enrollment."""
 
 import pytest
 
-from repro.core.deploy import CertificateServer, FBSDomain
+from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.netsim import Network
-from repro.netsim.sockets import UdpSocket
 
 
 class TestDomain:
@@ -40,39 +39,3 @@ class TestDomain:
         assert host.security is mapping
         assert host.stack.output_hook is not None
 
-
-class TestCertificateServer:
-    def test_serves_certificates_over_udp(self):
-        net = Network(seed=5)
-        net.add_segment("lan", "10.0.0.0")
-        server_host = net.add_host("certs", segment="lan")
-        client_host = net.add_host("client", segment="lan")
-        domain = FBSDomain(seed=5)
-        # Publish a certificate for some principal.
-        endpoint = domain.make_endpoint(Principal.from_name("alice"))
-        server = CertificateServer(server_host, domain.directory)
-
-        responses = []
-        sock = UdpSocket(client_host)
-        sock.on_receive = lambda payload, src, sport: responses.append(payload)
-        sock.sendto(endpoint.principal.wire_id, server_host.address, 500)
-        net.sim.run()
-        assert server.requests_served == 1
-        from repro.core.certificates import PublicValueCertificate
-
-        cert = PublicValueCertificate.decode(responses[0])
-        assert cert.subject.wire_id == endpoint.principal.wire_id
-        cert.verify(domain.ca.public_key, now=0.0)
-
-    def test_unknown_principal_silent(self):
-        net = Network(seed=6)
-        net.add_segment("lan", "10.0.0.0")
-        server_host = net.add_host("certs", segment="lan")
-        client_host = net.add_host("client", segment="lan")
-        domain = FBSDomain(seed=6)
-        server = CertificateServer(server_host, domain.directory)
-        sock = UdpSocket(client_host)
-        sock.sendto(b"\x00\x05ghost", server_host.address, 500)
-        net.sim.run()
-        assert server.requests_served == 0
-        assert sock.received == []

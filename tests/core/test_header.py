@@ -96,12 +96,6 @@ class TestDerivedFields:
         header = make_header(confounder=0x01020304)
         assert header.iv() == bytes.fromhex("0102030401020304")
 
-    def test_confounder_bytes(self):
-        assert make_header(confounder=5).confounder_bytes() == b"\x00\x00\x00\x05"
-
-    def test_timestamp_bytes(self):
-        assert make_header(timestamp=1).timestamp_bytes() == b"\x00\x00\x00\x01"
-
 
 class TestLayoutOverRealBytes:
     """Figure 2 and the S6 MAC input, spelled with ``to_bytes`` so that

@@ -12,7 +12,6 @@ from repro.core import app_mapping, ip_mapping
 from repro.core.fam import DatagramAttributes
 from repro.core.flows import FlowStateTable, SflAllocator
 from repro.core.policy import (
-    AttributePolicy,
     FiveTuplePolicy,
     HostLevelPolicy,
     PerDatagramPolicy,
@@ -51,7 +50,6 @@ KEYED = dict(
 MAPPERS = [
     ("five-tuple", lambda: FiveTuplePolicy(threshold=THRESHOLD), KEYED),
     ("host-level", lambda: HostLevelPolicy(threshold=THRESHOLD), KEYED),
-    ("attribute", lambda: AttributePolicy(threshold=THRESHOLD), KEYED),
     ("app-conversation", lambda: app_mapping.ConversationPolicy(threshold=THRESHOLD), KEYED),
     ("ip-conversation", lambda: ip_mapping.ConversationPolicy(threshold=THRESHOLD), KEYED),
     (
@@ -108,7 +106,6 @@ def test_mapper_script(build, expected):
     [
         FiveTuplePolicy,
         HostLevelPolicy,
-        AttributePolicy,
         app_mapping.ConversationPolicy,
         ip_mapping.ConversationPolicy,
     ],

@@ -192,81 +192,3 @@ class TestRekeyingPolicy:
         with pytest.raises(ValueError):
             RekeyingPolicy(FiveTuplePolicy(), after_bytes=-1)
 
-
-class TestAttributePolicy:
-    from repro.core.policy import AttributePolicy  # noqa: F401 (import check)
-
-    def _attrs(self, sport=1000, dport=23, uid=None, size=10):
-        attrs = make_attrs(sport=sport, dport=dport, size=size)
-        if uid is not None:
-            attrs.extra["uid"] = uid
-        return attrs
-
-    def test_service_granularity(self, env):
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy(fields=("daddr", "dport"))
-        a = policy.classify(self._attrs(sport=1000), 0.0, fst, alloc).sfl
-        b = policy.classify(self._attrs(sport=2000), 0.0, fst, alloc).sfl
-        assert a == b  # client port ignored at service granularity
-        c = policy.classify(self._attrs(dport=80), 0.0, fst, alloc).sfl
-        assert c != a
-
-    def test_per_user_flows(self, env):
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy(fields=("daddr",), extra_keys=("uid",))
-        a = policy.classify(self._attrs(uid=100), 0.0, fst, alloc).sfl
-        b = policy.classify(self._attrs(uid=200), 0.0, fst, alloc).sfl
-        assert a != b  # same destination, different users
-        again = policy.classify(self._attrs(uid=100), 1.0, fst, alloc).sfl
-        assert again == a
-
-    def test_missing_extra_rejected(self, env):
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy(fields=(), extra_keys=("uid",))
-        with pytest.raises(ValueError):
-            policy.classify(self._attrs(), 0.0, fst, alloc)
-
-    def test_missing_five_tuple_rejected(self, env):
-        from repro.core.fam import DatagramAttributes
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy(fields=("daddr",))
-        with pytest.raises(ValueError):
-            policy.classify(
-                DatagramAttributes(destination_id=b"\x0a\x00\x00\x02"), 0.0, fst, alloc
-            )
-
-    def test_threshold_behaviour(self, env):
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy(fields=("daddr",), threshold=100.0)
-        first = policy.classify(self._attrs(), 0.0, fst, alloc).sfl
-        second = policy.classify(self._attrs(), 500.0, fst, alloc).sfl
-        assert second != first
-        assert policy.repeated_flows == 1
-
-    def test_validation(self):
-        from repro.core.policy import AttributePolicy
-
-        with pytest.raises(ValueError):
-            AttributePolicy(fields=("bogus",))
-        with pytest.raises(ValueError):
-            AttributePolicy(fields=(), extra_keys=())
-
-    def test_full_tuple_equals_five_tuple_policy(self, env):
-        from repro.core.policy import AttributePolicy
-
-        fst, alloc = env
-        policy = AttributePolicy()  # all five fields
-        a = policy.classify(self._attrs(sport=1), 0.0, fst, alloc).sfl
-        b = policy.classify(self._attrs(sport=1), 1.0, fst, alloc).sfl
-        c = policy.classify(self._attrs(sport=2), 1.0, fst, alloc).sfl
-        assert a == b and c != a

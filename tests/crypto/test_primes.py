@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.primes import generate_prime, generate_safe_prime, is_probable_prime
+from repro.crypto.primes import generate_prime, is_probable_prime
 
 
 class TestIsProbablePrime:
@@ -45,14 +45,3 @@ class TestGeneratePrime:
         with pytest.raises(ValueError):
             generate_prime(2, random.Random(0))
 
-
-class TestGenerateSafePrime:
-    def test_safe_prime_structure(self):
-        p = generate_safe_prime(32, random.Random(11))
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)
-        assert p.bit_length() == 32
-
-    def test_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            generate_safe_prime(3, random.Random(0))

@@ -298,7 +298,8 @@ class TestServeReady:
                 for t, principal in zip(tenants, site.principals)
             }
             gateway = FBSGateway(
-                site.gw_endpoint, listening, TIGHT, lambda addr: directory[tuple(addr)]
+                site.gw_endpoint, listening, TIGHT,
+                resolver=lambda addr: directory[tuple(addr)],
             )
             try:
                 for sent, (tenant, size, kind) in enumerate(traffic, 1):

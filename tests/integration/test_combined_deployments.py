@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.app_mapping import ApplicationDirectory, FBSApplication
-from repro.core.deploy import CertificateServer, FBSDomain
+from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.netsim import Network
 from repro.netsim.sockets import UdpSocket
@@ -82,46 +82,3 @@ class TestGatewayPlusEndToEnd:
         assert got == [b"layered all the way down"]
         assert t1.encapsulated >= 1
 
-
-class TestNetworkFetchBehindGateways:
-    def test_certificate_server_reachable_through_tunnel(self):
-        """Hosts fetch certificates from a server on the *other* site:
-        the fetch crosses the gateway tunnel (wrapped on the WAN), while
-        the end hosts' own FBS bypasses it at their edge."""
-        net = Network(seed=74)
-        net.add_segment("lan1", "10.0.1.0")
-        net.add_segment("lan2", "10.0.2.0")
-        net.add_segment("wan", "192.168.0.0")
-        client = net.add_host("client", segment="lan1")
-        certs = net.add_host("certs", segment="lan2")
-        peer = net.add_host("peer", segment="lan1")
-        gw1 = net.add_router("gw1", segments=["lan1", "wan"])
-        gw2 = net.add_router("gw2", segments=["lan2", "wan"])
-        for host, lan, gw in ((client, "lan1", gw1), (peer, "lan1", gw1), (certs, "lan2", gw2)):
-            net.add_default_route(host, lan, gw)
-        net.add_default_route(gw1, "wan", gw2)
-        net.add_default_route(gw2, "wan", gw1)
-
-        domain = FBSDomain(seed=75)
-        t1 = domain.enroll_gateway(gw1)
-        t2 = domain.enroll_gateway(gw2)
-        t1.add_peer("10.0.2.0", 24, gw2.address)
-        t2.add_peer("10.0.1.0", 24, gw1.address)
-        server = CertificateServer(certs, domain.directory)
-
-        fbs_client = domain.enroll_host_with_network_fetch(
-            client, certs, encrypt_all=True
-        )
-        fbs_peer = domain.enroll_host_with_network_fetch(peer, certs, encrypt_all=True)
-
-        inbox = UdpSocket(peer, 5000)
-        sender = UdpSocket(client)
-        # Round 1: both sides' fetches resolve across the tunnel.
-        sender.sendto(b"round 1", peer.address, 5000)
-        net.sim.run()
-        sender.sendto(b"round 2", peer.address, 5000)
-        net.sim.run()
-        sender.sendto(b"round 3", peer.address, 5000)
-        net.sim.run()
-        assert server.requests_served >= 2
-        assert [p for p, _, _ in inbox.received][-1] == b"round 3"

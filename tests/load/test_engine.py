@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.load import engine
 from repro.load.engine import LoadError, LoadSpec, check_invariants, run_load, verify_merge
 from repro.load.report import build_report
 from repro.load.worker import WorkerSpec, run_worker, shard_invariant_view
@@ -43,6 +44,32 @@ class TestLedger:
         with pytest.raises(LoadError, match="received"):
             check_invariants(broken)
 
+    def test_check_invariants_catches_aggregate_ledger_break(self):
+        run = run_load(smoke_spec(workers=2))
+        broken = copy.deepcopy(run)
+        broken["merged"]["counters"]["datagrams_received"] += 1
+        with pytest.raises(LoadError, match="aggregate"):
+            check_invariants(broken)
+
+    def test_check_invariants_catches_received_merge_drift(self):
+        # The merged ledger balances but no longer sums the shards'.
+        run = run_load(smoke_spec(workers=2))
+        broken = copy.deepcopy(run)
+        broken["merged"]["counters"]["datagrams_received"] += 1
+        broken["merged"]["counters"]["datagrams_accepted"] += 1
+        with pytest.raises(LoadError, match="merged received"):
+            check_invariants(broken)
+
+    def test_check_invariants_catches_accepted_merge_drift(self):
+        # Each shard balances, the sums of received agree, but one shard
+        # calls a datagram rejected that the merge counts accepted.
+        run = run_load(smoke_spec(workers=2))
+        broken = copy.deepcopy(run)
+        broken["workers"][0]["accepted"] -= 1
+        broken["workers"][0]["rejected"]["mac"] = 1
+        with pytest.raises(LoadError, match="merged accepted"):
+            check_invariants(broken)
+
     def test_check_invariants_catches_eviction(self):
         run = run_load(smoke_spec(workers=2))
         broken = copy.deepcopy(run)
@@ -62,6 +89,19 @@ class TestMergeExactness:
     def test_merge_exact_with_encryption(self):
         run = verify_merge(smoke_spec(workers=2, secret=True))
         assert run["merge_check"]["result"] == "exact"
+
+    def test_a_merge_that_miscounts_is_caught(self, monkeypatch):
+        real = engine.merge_snapshots
+
+        def miscounting(snapshots):
+            merged = real(snapshots)
+            if len(snapshots) > 1:
+                merged["counters"]["flows_started"] += 1
+            return merged
+
+        monkeypatch.setattr(engine, "merge_snapshots", miscounting)
+        with pytest.raises(LoadError, match=r"merge mismatch at counters\[flows_started\]"):
+            verify_merge(smoke_spec(workers=2))
 
     def test_pair_scoped_caches_are_excluded_not_dropped(self):
         run = run_load(smoke_spec(workers=2))

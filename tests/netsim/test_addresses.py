@@ -78,13 +78,6 @@ class TestFiveTuple:
     def test_pack_length(self):
         assert len(self._tuple().pack()) == 13
 
-    def test_reversed(self):
-        ft = self._tuple()
-        rev = ft.reversed()
-        assert rev.saddr == ft.daddr and rev.sport == ft.dport
-        assert rev.daddr == ft.saddr and rev.dport == ft.sport
-        assert rev.reversed() == ft
-
     def test_hashable(self):
         assert len({self._tuple(), self._tuple()}) == 1
 

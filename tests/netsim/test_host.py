@@ -92,17 +92,6 @@ class TestSecurityInstallation:
         net.sim.run()
         assert rx.received == []
 
-    def test_remove_security(self):
-        net, a, b = build_pair()
-        a.install_security(_TagModule())
-        a.remove_security()
-        assert a.stack.output_hook is None
-        assert a.tcp.header_reserve() == 0
-        rx = UdpSocket(b, 5000)
-        UdpSocket(a).sendto(b"clean", b.address, 5000)
-        net.sim.run()
-        assert rx.received[0][0] == b"clean"
-
     def test_header_reserve_wired_to_tcp(self):
         _, a, _ = build_pair()
         a.install_security(_TagModule())

@@ -34,12 +34,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             net.add_segment("lan", "10.1.0.0")
 
-    def test_directory(self):
-        net = Network()
-        net.add_segment("lan", "10.0.0.0")
-        host = net.add_host("server", segment="lan")
-        assert net.resolve("server") == host.address
-
     def test_cost_model_attached(self):
         net = Network()
         net.add_segment("lan", "10.0.0.0")

@@ -53,14 +53,6 @@ class TestTracer:
         Tracer(ring).emit(CacheHit(cache="PVC"))
         assert ring.events[0].t == 0.0
 
-    def test_with_clock_keeps_the_sink(self):
-        ring = RingBufferSink()
-        base = Tracer(ring)
-        shifted = base.with_clock(lambda: 7.0)
-        shifted.emit(CacheHit(cache="MKC"))
-        assert shifted.sink is ring
-        assert ring.events[0].t == 7.0
-
     def test_enabled_mirrors_sink(self):
         assert Tracer(RingBufferSink()).enabled is True
         assert Tracer(NullSink()).enabled is False

@@ -9,13 +9,17 @@ Three things must hold for the campaign to be trustworthy evidence:
    (negative controls -- a harness that can't fail proves nothing).
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.netsim.fragmentation import Reassembler
+from repro.netsim.link import LinkConditions
 from repro.obs.report import render_report
 from repro.resilience import build_matrix, run_campaign, run_scenario
-from repro.resilience.faults import FlushSoftState, ReplayBurst
+from repro.resilience.faults import Fault, FlushSoftState, ReplayBurst, SetConditions
+from repro.resilience.harness import RECEIVER_PORT
+from repro.resilience.invariants import check_all
 from repro.resilience.report import scenario_report
 from repro.resilience.scenario import SMOKE_DATAGRAMS, Scenario
 
@@ -23,6 +27,25 @@ from repro.resilience.scenario import SMOKE_DATAGRAMS, Scenario
 def _scenario(name, smoke=True):
     matrix = build_matrix(smoke=smoke)
     return next(s for s in matrix if s.name == name)
+
+
+@dataclass(frozen=True)
+class _SendAs(Fault):
+    """One datagram the sender never scheduled, from ``role``'s own
+    stack (so under its own keys): a stolen sender key, or a receiver
+    that answers."""
+
+    role: str = "sender"
+
+    def apply(self, harness) -> None:
+        peer = "receiver" if self.role == "sender" else "sender"
+        harness.host(self.role).udp.sendto(
+            b"never scheduled", 7777, harness.host(peer).address, RECEIVER_PORT
+        )
+
+
+def _fired(violations, invariant):
+    return [v for v in violations if v.startswith(invariant)]
 
 
 class TestVerdicts:
@@ -127,6 +150,67 @@ class TestNegativeControls:
         )
         _result, violations = run_scenario(scenario, seed=0)
         assert any(v.startswith("recovery") for v in violations)
+
+    def test_stolen_sender_key_trips_authenticity(self):
+        forged = replace(_scenario("baseline"), faults=(_SendAs(at=0.5),))
+        result, violations = run_scenario(forged, seed=0)
+        assert b"never scheduled" in result.delivered
+        assert _fired(violations, "authenticity")
+
+    def test_a_flush_into_a_dead_link_trips_recovery(self):
+        cut = replace(
+            _scenario("baseline"),
+            faults=(
+                FlushSoftState(at=0.4, target="receiver"),
+                SetConditions(at=0.4, conditions=LinkConditions(loss_probability=1.0)),
+            ),
+            min_goodput=0.0,
+        )
+        _result, violations = run_scenario(cut, seed=0)
+        assert [v for v in _fired(violations, "recovery") if "never followed" in v]
+
+    def test_a_receiver_that_answers_trips_silence(self):
+        chatty = replace(_scenario("baseline"), faults=(_SendAs(at=0.5, role="receiver"),))
+        _result, violations = run_scenario(chatty, seed=0)
+        assert _fired(violations, "silence")
+
+    def test_partials_past_the_cap_trip_bounded_memory(self, monkeypatch):
+        # The probe reads a cap below what the reassembler holds under
+        # fragment loss: memory past the bound.
+        monkeypatch.setattr(Reassembler, "max_partials", property(lambda self: 1))
+        _result, violations = run_scenario(_scenario("mtu_collapse", smoke=False), seed=0)
+        assert _fired(violations, "bounded_memory")
+
+
+class TestAccountingControls:
+    """A receiver whose trace and registry disagree: one planted defect
+    per accounting check, on a real run's evidence."""
+
+    @pytest.fixture(scope="class")
+    def forgery(self):
+        result, violations = run_scenario(_scenario("forgery"), seed=0)
+        assert violations == [] and result.counters["datagrams_rejected{reason=mac}"] > 0
+        return result
+
+    def test_a_reason_outside_the_vocabulary(self, forgery):
+        rogue = {"type": "DatagramRejected", "reason": "rogue", "t": 0.0}
+        violations = check_all(replace(forgery, events=forgery.events + [rogue]))
+        assert [v for v in violations if "'rogue' is not in" in v]
+
+    def test_a_rejection_counted_but_not_traced(self, forgery):
+        first = next(
+            i for i, e in enumerate(forgery.events)
+            if e["type"] == "DatagramRejected" and e["reason"] == "mac"
+        )
+        events = forgery.events[:first] + forgery.events[first + 1:]
+        violations = check_all(replace(forgery, events=events))
+        assert [v for v in violations if "datagrams_rejected{reason=mac} but the trace" in v]
+
+    def test_a_datagram_dropped_without_a_reason(self, forgery):
+        counters = dict(forgery.counters)
+        counters["datagrams_received"] += 1
+        violations = check_all(replace(forgery, counters=counters))
+        assert [v for v in violations if "without exactly one rejection reason" in v]
 
 
 class TestScaling:

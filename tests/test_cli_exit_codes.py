@@ -75,3 +75,55 @@ def test_load_trace_out_directory_is_created_or_refused_up_front(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: --trace-out") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def _never(*_args, **_kwargs):
+    raise AssertionError("the workload ran before the path was checked")
+
+
+@pytest.mark.parametrize(
+    "module,work,argv",
+    [
+        ("repro.load.cli", "verify_merge", ["--smoke", "--workers", "1", "--out", "{bad}"]),
+        ("repro.gateway.cli", "run_gateway_workload", ["--out", "{bad}"]),
+        ("repro.resilience.cli", "run_campaign", ["--smoke", "--out", "{bad}"]),
+        ("repro.transport.cli", "run_echo", ["--out", "{bad}"]),
+        ("repro.traces.cli", "run_sweep", ["sweep", "--profile", "smoke", "--out", "{bad}"]),
+        ("repro.obs.doccheck", "run_doc_checks", ["check-docs", "--root", "{bad}"]),
+    ],
+    ids=["load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs"],
+)
+def test_an_unusable_path_is_refused_before_any_work(module, work, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module(module), work, _never)
+    package = module.split(".")[1]
+    main = importlib.import_module(f"repro.{package}.cli").main
+    bad = str(tmp_path / "missing" / "r.json")
+    assert main([arg.format(bad=bad) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2]} {bad}: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "module,work,argv",
+    [
+        ("repro.load.cli", "verify_merge", ["--smoke", "--workers", "1", "--out", "{dir}"]),
+        ("repro.gateway.cli", "run_gateway_workload", ["--out", "{dir}"]),
+        ("repro.resilience.cli", "run_campaign", ["--smoke", "--out", "{dir}"]),
+        ("repro.transport.cli", "run_echo", ["--out", "{dir}"]),
+        ("repro.traces.cli", "run_sweep", ["sweep", "--profile", "smoke", "--out", "{dir}"]),
+        ("repro.obs.doccheck", "run_doc_checks", ["check-docs", "--root", "{file}"]),
+    ],
+    ids=["load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs"],
+)
+def test_a_path_of_the_wrong_kind_is_refused_before_any_work(module, work, argv, tmp_path, monkeypatch, capsys):
+    # A report path naming a directory, or a docs root naming a file.
+    monkeypatch.setattr(importlib.import_module(module), work, _never)
+    package = module.split(".")[1]
+    main = importlib.import_module(f"repro.{package}.cli").main
+    (tmp_path / "README.md").write_text("")
+    paths = {"dir": str(tmp_path), "file": str(tmp_path / "README.md")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2]} {argv[-1].format(**paths)}: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

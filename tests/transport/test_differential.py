@@ -108,9 +108,8 @@ class TestHopPlumbing:
         hop = NetsimHop(seed=0)
         batch = [b"%04d" % i for i in range(500)]
         assert hop.relay(batch) == batch
-        stats = hop.stats()
-        assert stats["tx"]["datagrams_sent"] == 500
-        assert stats["rx"]["queue_drops"] == 0
+        assert hop.tx.stats.datagrams_sent == 500
+        assert hop.rx.stats.queue_drops == 0
 
     def test_netsim_hop_carries_successive_batches(self):
         hop = NetsimHop(seed=0)

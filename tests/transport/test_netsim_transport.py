@@ -59,6 +59,27 @@ class TestDatagramPath:
         with pytest.raises(TransportClosedError):
             t_a.send_sync(b"nope")
 
+    def test_close_twice_is_a_no_op(self):
+        net, t_a, t_b = two_host_pair()
+        t_a.close_sync()
+        t_a.close_sync()
+        assert t_a.closed
+
+    def test_send_without_a_peer_raises(self):
+        net = Network(seed=0)
+        net.add_segment("lan", "10.50.0.0")
+        t = NetsimTransport(net.add_host("a", segment="lan"))
+        with pytest.raises(TransportClosedError, match="no peer"):
+            t.send_sync(b"nowhere")
+        assert t.stats.datagrams_sent == 0
+
+    def test_recv_from_names_the_source(self):
+        net, t_a, t_b = two_host_pair()
+        t_a.send_sync(b"who")
+        assert t_b.recv_from_sync(timeout=5.0) == (
+            b"who", (str(net.hosts["a"].address), t_a.local_port)
+        )
+
     def test_close_releases_the_port(self):
         net = Network(seed=0)
         net.add_segment("lan", "10.50.0.0")
@@ -96,6 +117,15 @@ class TestAsyncSurface:
         got, now = asyncio.run(scenario())
         assert got == b"ping"
         assert now > 0.0
+
+    def test_async_recv_from_is_the_sync_call(self):
+        async def scenario():
+            net, t_a, t_b = two_host_pair()
+            await t_b.send(b"back")
+            return await t_a.recv_from(timeout=5.0), t_b.local_port
+
+        (payload, (_host, port)), sender_port = asyncio.run(scenario())
+        assert (payload, port) == (b"back", sender_port)
 
 
 class TestUdpSocketBitIdentity:

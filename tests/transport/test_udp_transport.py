@@ -404,15 +404,6 @@ class TestShutdown:
         with pytest.raises(TransportError):
             t.local_address
 
-    def test_sync_surface_refuses(self):
-        # The UDP backend is event-loop only; the sync escapes exist for
-        # substrates whose "event loop" is the simulator.
-        t = UdpTransport()
-        with pytest.raises(TransportError):
-            t.send_sync(b"x")
-        with pytest.raises(TransportError):
-            t.recv_sync()
-
 
 class TestInjectedLoss:
     def test_dropped_sends_time_out(self):
