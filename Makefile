@@ -15,16 +15,20 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # src/ line counts per package, largest first, over every file git
-# would track (a module not yet `git add`-ed counts too): physical
-# lines, then lines counted as code (no blank, comment-only or
-# docstring lines) -- the numbers behind ROADMAP's "least code" aim
-# (CI appends them to the test job's summary).
+# would track that is in the working tree (a module not yet `git add`-ed
+# counts, one deleted but not yet staged does not): physical lines, then
+# lines counted as code (no blank, comment-only or docstring lines) --
+# the numbers behind ROADMAP's "least code" aim (CI appends them to the
+# test job's summary).
 loc:
-	@git ls-files --cached --others --exclude-standard 'src/repro/*.py' | xargs $(PYTHON) tools/loc.py
+	@$(PYTHON) tools/loc.py
 
-# fbslint: the whole-program protocol-invariant analyzer (eight rules,
-# FBS001-FBS012, interprocedural; the receive contract FBS006 once
-# approximated is tests/property/test_receive_contract.py). Exit codes:
+# fbslint: the whole-program protocol-invariant analyzer (five rules,
+# FBS001-FBS012, interprocedural key taint; what running code can show
+# is tested on it: the receive contract in
+# tests/property/test_receive_contract.py, the wall clock and unseeded
+# randomness in tests/test_report_determinism.py, blocking on the event
+# loop by tests/shim/loopguard.py). Exit codes:
 # 0 clean, 1 findings, 2 usage/analysis error.  For local use; CI asserts it in tier-1
 # (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
 lint:
@@ -47,10 +51,11 @@ obs-check:
 
 # Same seed, same bytes: every report producer (the resilience, load,
 # transport, gateway and traces smoke runs, fbslint --format json, obs
-# summarize) under two PYTHONHASHSEED values -- exit status (invariant
-# violations, merge exactness, lost exchanges, ledger mismatches, Figure
-# 11/13 gates: CLI exit 1) and stdout bytes must agree.  Part of tier-1;
-# this target runs it alone.
+# summarize) under two PYTHONHASHSEED values, the second with every
+# wall clock 10^6 s ahead and the blocking-call audit hook on -- exit
+# status (invariant violations, merge exactness, lost exchanges, ledger
+# mismatches, Figure 11/13 gates: CLI exit 1) and stdout bytes must
+# agree.  Part of tier-1; this target runs it alone.
 smoke:
 	$(PYTHON) -m pytest -q tests/test_report_determinism.py
 

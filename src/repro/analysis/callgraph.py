@@ -2,26 +2,26 @@
 
 fbslint analyzes the tree in two phases.  Phase 1 (this module) parses
 every module once and distills each into a :class:`ModuleSummary`, the
-one fact base every dataflow detector reads: the functions it defines,
-the calls they make (with their arguments' dataflow labels, for the
-interprocedural passes), their key-material sinks, wall-clock,
-randomness and blocking sites, the classes and their
+one fact base the taint detector reads: the functions it defines, the
+calls they make (with their arguments' dataflow labels, for the
+interprocedural pass), their key-material sinks, the classes and their
 statically-evident attribute types, and the module's imports.  The
-tables that say what a source, a sink, a clock or an unseeded generator
-*is* live here and nowhere else.  Because no other walk exists, this
-one reaches every place python evaluates an expression: the module
-body is a pseudo-function whose walk summarizes each def and class
-where it meets it, decorators, default values and class bodies run in
-the enclosing scope, lambda bodies are walked with their parameters
-shadowed, and a free name reads the nearest enclosing scope that binds
-it (closures, module globals).  Phase 2
-(:mod:`repro.analysis.dataflow`) never touches an AST: it runs
-fixpoint passes over a :class:`Project` built from these summaries and
-emits every FBS001/002/003/010 finding, a same-function flow being
-the zero-hop case of the interprocedural one.  Exceptions are not part
-of the fact base: a ``try`` is one more node the walk passes through,
-and what the receive path may raise or must count is checked on the
-running code (``tests/property/test_receive_contract.py``).
+tables that say what a source or a sink *is* live here and nowhere
+else.  Because no other walk exists, this one reaches every place
+python evaluates an expression: the module body is a pseudo-function
+whose walk summarizes each def and class where it meets it,
+decorators, default values and class bodies run in the enclosing
+scope, lambda bodies are walked with their parameters shadowed, and a
+free name reads the nearest enclosing scope that binds it (closures,
+module globals).  Phase 2 (:mod:`repro.analysis.dataflow`) never
+touches an AST: it runs one fixpoint over a :class:`Project` built
+from these summaries and emits every FBS001 finding, a same-function
+flow being the zero-hop case of the interprocedural one.  Exceptions,
+clocks, generators and blocking calls are not part of the fact base:
+what the receive path may raise or must count, what reaches a report
+and what runs on the event loop are checked on the running code
+(``tests/property/test_receive_contract.py``,
+``tests/test_report_determinism.py``, ``tests/shim/loopguard.py``).
 
 The dataflow vocabulary is a small label language, key taint and
 nothing else: a label says what a value may *know* (knowledge-flow
@@ -112,77 +112,6 @@ _SCALAR_CONSUMERS = {"len", "any", "all", "bool"}
 #: Container mutators that inject their argument's taint into the receiver.
 _CONTAINER_MUTATORS = {"append", "add", "insert", "extend", "update", "setdefault"}
 
-#: Direct blocking primitives (FBS010); dotted call names.
-BLOCKING_CALLS = {
-    "time.sleep": "time.sleep()",
-    "os.system": "os.system()",
-    "os.popen": "os.popen()",
-    "os.wait": "os.wait()",
-    "subprocess.run": "subprocess.run()",
-    "subprocess.call": "subprocess.call()",
-    "subprocess.check_call": "subprocess.check_call()",
-    "subprocess.check_output": "subprocess.check_output()",
-    "subprocess.Popen": "subprocess.Popen()",
-    "socket.create_connection": "socket.create_connection()",
-    "socket.socket": "socket.socket()",
-    "socket.getaddrinfo": "socket.getaddrinfo()",
-    "socket.gethostbyname": "socket.gethostbyname()",
-}
-#: Bare names that block when called inside ``async def`` (sync file I/O).
-BLOCKING_BARE = {"open": "open()", "input": "input()"}
-
-_BANNED_TIME_ATTRS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
-    "clock",
-}
-_BANNED_DATETIME_ATTRS = {"now", "today", "utcnow"}
-
-#: Module-level functions of :mod:`random` that use the shared global
-#: (implicitly OS-seeded) generator.
-_GLOBAL_RANDOM_FUNCS = {
-    "random", "randint", "randrange", "randbytes", "choice", "choices",
-    "shuffle", "sample", "uniform", "getrandbits", "gauss", "normalvariate",
-    "lognormvariate", "expovariate", "betavariate", "gammavariate",
-    "paretovariate", "weibullvariate", "vonmisesvariate", "triangular", "seed",
-}
-
-#: ``numpy.random`` module-level sampling functions: they draw from the
-#: process-global (implicitly seeded) legacy ``RandomState``, exactly
-#: the nondeterminism FBS003 bans for the stdlib generator.
-_NUMPY_GLOBAL_FUNCS = {
-    "beta",
-    "binomial",
-    "bytes",
-    "choice",
-    "exponential",
-    "gamma",
-    "normal",
-    "permutation",
-    "poisson",
-    "rand",
-    "randint",
-    "randn",
-    "random",
-    "random_sample",
-    "ranf",
-    "sample",
-    "seed",
-    "shuffle",
-    "standard_normal",
-    "uniform",
-}
-
-#: ``numpy.random`` constructors that are nondeterministic when called
-#: without a seed argument.
-_NUMPY_CONSTRUCTORS = {"default_rng", "RandomState"}
-
 
 def _is_source_call(node: ast.Call) -> Optional[str]:
     name = call_name(node)
@@ -223,11 +152,8 @@ class FunctionSummary:
     """Everything phase 2 needs to know about one function."""
 
     qname: str  # "FBSEndpoint.unprotect", "decode", "<module>"
-    name: str
     line: int
     params: List[str] = field(default_factory=list)
-    is_async: bool = False
-    is_public: bool = True
     class_name: Optional[str] = None
     decorators: List[str] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
@@ -236,12 +162,6 @@ class FunctionSummary:
     returns: List[Label] = field(default_factory=list)
     #: ``self.X = <labels>`` stores: (attr, labels, line).
     attr_stores: List[Tuple[str, List[Label], int]] = field(default_factory=list)
-    #: Direct wall-clock reads: (desc, line, col).
-    wall_clock: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: Direct global/unseeded randomness: (desc, line, col).
-    unseeded_random: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: Direct blocking primitives: (desc, line, col).
-    blocking: List[Tuple[str, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -259,20 +179,14 @@ class ModuleSummary:
     """The phase-1 product for one source file."""
 
     path: str  # report path (repo-relative)
-    module: Optional[str]  # dotted "repro.core.protocol" or None
+    #: Symbol-table key: the dotted name ("repro.core.protocol"), else
+    #: the path.  A module that lost a contested dotted name (a fixture
+    #: impersonating a real module) is re-keyed by path.
+    key: str
     #: Import bindings: local name -> ("module", target) | ("from", module, name).
     imports: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-    #: Test modules are exempt from most interprocedural findings.
-    is_test: bool = False
-    #: Symbol-table key: the dotted name, else the path.  A module that
-    #: lost a contested dotted name (a fixture impersonating a real
-    #: module) is re-keyed by path and keeps ``module`` for scoping.
-    key: str = ""
-
-    def __post_init__(self) -> None:
-        self.key = self.key or self.module or self.path
 
 
 # -- phase-1 summarizer ----------------------------------------------------------------
@@ -282,22 +196,8 @@ class _ModuleSummarizer:
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
         module = ".".join(ctx.module_parts) if ctx.module_parts else None
-        self.summary = ModuleSummary(path=ctx.path, module=module)
+        self.summary = ModuleSummary(path=ctx.path, key=module or ctx.path)
         self._collect_imports(ctx.tree)
-
-    def canonical(self, callee: str) -> str:
-        """The library name a call target denotes, its import resolved.
-
-        ``t.monotonic`` under ``import time as t`` and ``monotonic``
-        under ``from time import monotonic`` are both
-        ``time.monotonic``; ``np.random.rand`` is ``numpy.random.rand``.
-        A head that is no import binding gives ``""``.
-        """
-        head, _, rest = callee.partition(".")
-        target = self.summary.imports.get(head)
-        if target is None:
-            return ""
-        return ".".join(target[1:] + ((rest,) if rest else ()))
 
     def _collect_imports(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
@@ -318,8 +218,8 @@ class _ModuleSummarizer:
         # sinks take part in the interprocedural passes.  Its walk -- like
         # every function's -- summarizes each def and class it meets.
         _FunctionSummarizer(
-            self, "<module>", "<module>", self.ctx.tree.body, params=[],
-            is_async=False, class_name=None, line=1, decorators=[],
+            self, "<module>", self.ctx.tree.body, params=[],
+            class_name=None, line=1, decorators=[],
         ).run()
         return self.summary
 
@@ -337,10 +237,8 @@ class _FunctionSummarizer:
         self,
         owner: _ModuleSummarizer,
         qname: str,
-        name: str,
         body: Sequence[ast.stmt],
         params: List[str],
-        is_async: bool,
         class_name: Optional[str],
         line: int,
         decorators: List[str],
@@ -353,11 +251,8 @@ class _FunctionSummarizer:
         self.enclosing = enclosing
         self.fs = FunctionSummary(
             qname=qname,
-            name=name,
             line=line,
             params=params,
-            is_async=is_async,
-            is_public=not name.startswith("_") or name == "<module>",
             class_name=class_name,
             decorators=decorators,
         )
@@ -445,10 +340,8 @@ class _FunctionSummarizer:
             _FunctionSummarizer(
                 self.owner,
                 prefix + node.name,
-                node.name,
                 node.body,
                 params=_param_names(node.args),
-                is_async=isinstance(node, ast.AsyncFunctionDef),
                 class_name=class_name,
                 line=node.lineno,
                 decorators=[dotted_name(d) for d in node.decorator_list],
@@ -660,9 +553,6 @@ class _FunctionSummarizer:
 
         fname = call_name(node)
 
-        # Detectors that do not produce dataflow labels.
-        if self.recording:
-            self._detect_library_call(node, callee)
         self._detect_taint_sink(node, func, fname, node.args, node.keywords,
                                 arg_labels, kw_labels)
 
@@ -756,45 +646,6 @@ class _FunctionSummarizer:
                 self._record_sink(sink, node, labels, self._describe(arg))
                 return
 
-    def _detect_library_call(self, node: ast.Call, callee: str) -> None:
-        """Wall clock, unseeded randomness, blocking."""
-        loc = (node.lineno, node.col_offset + 1)
-        blocking = BLOCKING_CALLS.get(callee) or BLOCKING_BARE.get(callee)
-        if blocking is None and callee.startswith("subprocess."):
-            blocking = f"{callee}()"
-        if blocking is not None:
-            self._add_once(self.fs.blocking, (blocking,) + loc)
-
-        name = self.owner.canonical(callee)
-        module, _, attr = name.rpartition(".")
-        argless = not (node.args or node.keywords)
-        if module == "time" and attr in _BANNED_TIME_ATTRS:
-            self._add_once(self.fs.wall_clock, (f"{name}()",) + loc)
-        elif (
-            name.startswith("datetime.")
-            and attr in _BANNED_DATETIME_ATTRS
-            and argless
-        ):
-            # An aware now(tz) is still a wall-clock read, but the ban
-            # is on the argless form.
-            self._add_once(self.fs.wall_clock, (f"datetime {attr}()",) + loc)
-        elif module == "random" and (
-            attr in _GLOBAL_RANDOM_FUNCS
-            or attr == "SystemRandom"
-            or (attr == "Random" and argless)
-        ):
-            self._add_once(self.fs.unseeded_random, (f"{name}()",) + loc)
-        elif module == "numpy.random" and (
-            attr in _NUMPY_GLOBAL_FUNCS
-            or (attr in _NUMPY_CONSTRUCTORS and argless)
-        ):
-            self._add_once(self.fs.unseeded_random, (f"{name}()",) + loc)
-
-    @staticmethod
-    def _add_once(pool: List[Tuple], item: Tuple) -> None:
-        if item not in pool:
-            pool.append(item)
-
     def _record_sink(
         self, kind: str, node: ast.AST, labels: Set[Label], desc: str
     ) -> None:
@@ -836,9 +687,7 @@ class _FunctionSummarizer:
 
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     """Distill one parsed module into its phase-1 summary."""
-    summary = _ModuleSummarizer(ctx).run()
-    summary.is_test = ctx.is_test_code
-    return summary
+    return _ModuleSummarizer(ctx).run()
 
 
 # -- the project (phase-2 substrate) ---------------------------------------------------

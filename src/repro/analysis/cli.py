@@ -32,8 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "fbslint: whole-program dataflow checks for the FBS security "
-            "invariants (key secrecy, determinism, error discipline)."
+            "fbslint: whole-program checks for the FBS invariants running "
+            "code cannot show (key secrecy, error discipline, process "
+            "containment)."
         ),
     )
     parser.add_argument(

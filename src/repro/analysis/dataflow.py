@@ -1,39 +1,34 @@
-"""Phase 2 of the whole-program analyzer: interprocedural fixpoints.
+"""Phase 2 of the whole-program analyzer: the interprocedural taint fixpoint.
 
-Two graph algorithms, each written once, run over the
-:class:`~repro.analysis.callgraph.Project` built in phase 1.  Neither
-touches an AST -- they consume only the summaries, and they are the
-only detectors of their rules: a flow that starts and ends in one
-function is the zero-hop case of the same algorithm that follows it
-through calls.
+One graph algorithm runs over the
+:class:`~repro.analysis.callgraph.Project` built in phase 1.  It never
+touches an AST -- it consumes only the summaries -- and it is the only
+detector of its rule: a flow that starts and ends in one function is
+the zero-hop case of the same algorithm that follows it through calls.
 
-* **Label propagation** (:meth:`_Passes._propagate`): key material
-  (``src`` labels) carried through assignments, calls, returns,
-  containers and ``self.attr`` stores until nothing changes, every step
-  recorded, so a finding carries the full source-to-sink witness path
-  (knowledge-flow style).  It is the taint rule (FBS001: ndarray views
-  and containers included).
-* **Transitive reach** (:meth:`_Passes._closure`): a function that calls
-  something that reaches a primitive reaches it too.  Impurity
-  (FBS002/FBS003): reading the wall clock or unseeded randomness is
-  banned where it stands, and calling an impure function from the
-  deterministic core is as banned as the primitive itself.  Blocking
-  (FBS010): no blocking primitives -- even hidden behind sync helpers
-  -- inside ``async def``, where the reach stops.
+**Label propagation** (:meth:`_Passes._propagate`): key material
+(``src`` labels) carried through assignments, calls, returns,
+containers and ``self.attr`` stores until nothing changes, every step
+recorded, so a finding carries the full source-to-sink witness path
+(knowledge-flow style).  It is the taint rule (FBS001: ndarray views
+and containers included), and it stays a static check because a check
+on the running code sees only the paths a test takes.
 
-What the receive path raises and counts is not approximated here from
-source text: ``tests/property/test_receive_contract.py`` drives every
-receive surface with adversarial bytes and checks the exception
-taxonomy and the rejection accounting on the running code.
+Nothing the running code can show is approximated here from source
+text.  What the receive path raises and counts is checked by
+``tests/property/test_receive_contract.py``; the wall clock and
+unseeded generators by ``tests/test_report_determinism.py``, whose
+second side runs under a clock-offset shim; blocking calls on the
+event loop by the audit hook in ``tests/shim/loopguard.py``.
 
-Every fixpoint iterates modules and functions in sorted order and
+The fixpoint iterates modules and functions in sorted order and
 records first-found provenance, so witness paths (and therefore finding
 messages) are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.base import get_rule
 from repro.analysis.callgraph import CallSite, FunctionSummary, ModuleSummary, Project
@@ -49,35 +44,6 @@ _Witness = Callable[
     [ModuleSummary, FunctionSummary, Iterable[Tuple]], Optional[Tuple[str, ...]]
 ]
 
-#: Packages whose callers must stay pure (transitive FBS002/FBS003).
-#: The load and bench layers go through sanctioned clocks by design.
-_PURITY_ZONE = ("repro.core", "repro.crypto", "repro.netsim", "repro.baselines")
-
-#: Modules that may read the real clock themselves: ``repro.bench``
-#: measures real time, and ``repro.transport.udp`` *is* the real-time
-#: substrate -- its ``now()`` is the clock the rest of the stack
-#: injects, which keeps real time quarantined behind the transport
-#: boundary.  Everything else (the rest of ``repro.transport``
-#: included) stays under the ban.
-_CLOCK_SANCTIONED = ("repro.bench", "repro.transport.udp")
-
-_REPLAY = (
-    "deterministic replay requires the simulated clock (sim.now / the "
-    "injected now callable) and explicitly seeded generators "
-    "(random.Random(seed), numpy.random.default_rng(seed))"
-)
-
-
-def _under(summary: ModuleSummary, zone: Sequence[str]) -> bool:
-    mod = summary.module
-    return mod is not None and any(
-        mod == z or mod.startswith(z + ".") for z in zone
-    )
-
-
-def _in_zone(summary: ModuleSummary, zone: Sequence[str]) -> bool:
-    return not summary.is_test and _under(summary, zone)
-
 
 def _bound_params(fn: FunctionSummary) -> List[str]:
     """Parameters that positional call arguments map onto."""
@@ -92,10 +58,8 @@ def _bound_params(fn: FunctionSummary) -> List[str]:
 
 
 class _Passes:
-    def __init__(self, project: Project, rule_ids: Set[str]) -> None:
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.rule_ids = rule_ids
-        self.findings: List[Finding] = []
         # Resolved call edges, precomputed once:
         # (module_key, qname) -> [(site, callee_module_key, callee_qname)]
         self.edges: Dict[Tuple[str, str], List[Tuple[CallSite, str, str]]] = {}
@@ -106,38 +70,6 @@ class _Passes:
                 if resolved is not None:
                     out.append((site, resolved[0], resolved[1]))
             self.edges[(summary.key, fn.qname)] = out
-
-    def _emit(
-        self,
-        rule_id: str,
-        summary: ModuleSummary,
-        line: int,
-        col: int,
-        message: str,
-        flow: Tuple[str, ...] = (),
-    ) -> None:
-        if rule_id not in self.rule_ids:
-            return
-        self.findings.append(
-            Finding(
-                rule_id=rule_id,
-                severity=get_rule(rule_id).severity,
-                path=summary.path,
-                line=line,
-                column=col,
-                message=message,
-                flow=flow,
-            )
-        )
-
-    def run(self) -> List[Finding]:
-        if self.rule_ids & {"FBS001"}:
-            self._taint_pass()
-        if self.rule_ids & {"FBS002", "FBS003"}:
-            self._impurity_pass()
-        if self.rule_ids & {"FBS010"}:
-            self._blocking_pass()
-        return self.findings
 
     # -- label propagation: FBS001 key-material taint ----------------------------------
 
@@ -230,25 +162,33 @@ class _Passes:
                 break
         return witness
 
-    def _taint_pass(self) -> None:
+    def _taint_pass(self) -> List[Finding]:
         witness = self._propagate()
+        rule = get_rule("FBS001")
+        findings = []
         for summary, fn in self.project.iter_functions():
             for sink in fn.sinks:
                 path = witness(summary, fn, sink.labels)
                 if path is None:
                     continue
                 via = " through an interprocedural flow" if len(path) > 1 else ""
-                self._emit(
-                    "FBS001",
-                    summary,
-                    sink.line,
-                    sink.col,
-                    f"key material ({sink.desc}) reaches {sink.kind}{via} "
-                    f"[{' -> '.join(path)}]; key material must never be "
-                    "printed, logged or formatted, and is compared with "
-                    "repro.crypto.mac.constant_time_equal, never ==",
-                    flow=path,
+                findings.append(
+                    Finding(
+                        rule_id=rule.rule_id,
+                        severity=rule.severity,
+                        path=summary.path,
+                        line=sink.line,
+                        column=sink.col,
+                        message=(
+                            f"key material ({sink.desc}) reaches {sink.kind}{via} "
+                            f"[{' -> '.join(path)}]; key material must never be "
+                            "printed, logged or formatted, and is compared with "
+                            "repro.crypto.mac.constant_time_equal, never =="
+                        ),
+                        flow=path,
+                    )
                 )
+        return findings
 
     def _edge_for_site(
         self, summary: ModuleSummary, fn: FunctionSummary, site_id: int
@@ -261,127 +201,7 @@ class _Passes:
                 return edge
         return None
 
-    # -- transitive reach: FBS002/FBS003 impurity, FBS010 blocking --------------------
-
-    def _closure(
-        self,
-        direct: Callable[[FunctionSummary], Optional[Tuple[str, Tuple[str, int, int]]]],
-        through: Callable[[FunctionSummary], bool] = lambda fn: True,
-    ) -> Dict[Tuple[str, str], Tuple[str, str, str, Tuple[str, ...]]]:
-        """Which functions reach a primitive, directly or through calls.
-
-        ``direct(fn)`` is the ``(kind, (desc, line, col))`` of a
-        primitive ``fn`` uses itself, or None; the fact passes from a
-        callee to its callers through every function ``through``
-        accepts.  Returns ``(module_key, qname) -> (kind, desc, where,
-        chain)``, ``chain`` naming the calls from that function down to
-        the primitive.
-        """
-        project = self.project
-        facts: Dict[Tuple[str, str], Tuple[str, str, str, Tuple[str, ...]]] = {}
-        for summary, fn in project.iter_functions():
-            found = direct(fn) if through(fn) else None
-            if found is not None:
-                kind, (desc, line, _col) = found
-                facts[(summary.key, fn.qname)] = (
-                    kind, desc, f"{summary.path}:{line}", (f"{fn.qname}()",)
-                )
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for summary, fn in project.iter_functions():
-                key = (summary.key, fn.qname)
-                if key in facts or not through(fn):
-                    continue
-                for _site, cmod, cq in self.edges[key]:
-                    fact = facts.get((cmod, cq))
-                    if fact is not None:
-                        facts[key] = fact[:3] + ((f"{fn.qname}()",) + fact[3],)
-                        changed = True
-                        break
-            if not changed:
-                break
-        return facts
-
-    def _impurity_pass(self) -> None:
-        def direct(fn: FunctionSummary):
-            if fn.wall_clock:
-                return "clock", fn.wall_clock[0]
-            if fn.unseeded_random:
-                return "random", fn.unseeded_random[0]
-            return None
-
-        impure = self._closure(direct)
-        rules = {
-            "clock": ("FBS002", "the wall clock"),
-            "random": ("FBS003", "unseeded randomness"),
-        }
-        for summary, fn in self.project.iter_functions():
-            if summary.is_test:
-                continue
-            # Zero hops: the function reads the primitive itself.
-            own = [("random", site) for site in fn.unseeded_random]
-            if not _under(summary, _CLOCK_SANCTIONED):
-                own += [("clock", site) for site in fn.wall_clock]
-            for kind, (desc, line, col) in own:
-                rule_id, what = rules[kind]
-                self._emit(
-                    rule_id, summary, line, col, f"{desc} uses {what}; {_REPLAY}"
-                )
-            if not _in_zone(summary, _PURITY_ZONE):
-                continue
-            for site, cmod, cq in self.edges[(summary.key, fn.qname)]:
-                fact = impure.get((cmod, cq))
-                if fact is None:
-                    continue
-                kind, desc, where, chain = fact
-                rule_id, what = rules[kind]
-                self._emit(
-                    rule_id,
-                    summary,
-                    site.line,
-                    site.col,
-                    f"call to impure {cq}() transitively reaches {what} "
-                    f"({desc} at {where}, via {' -> '.join(chain)}); {_REPLAY}",
-                    flow=chain,
-                )
-
-    def _blocking_pass(self) -> None:
-        # An ``async def`` is where the rule reports, not a helper the
-        # fact travels through: awaiting a coroutine yields to the loop.
-        blocking = self._closure(
-            lambda fn: ("blocking", fn.blocking[0]) if fn.blocking else None,
-            through=lambda fn: not fn.is_async,
-        )
-        for summary, fn in self.project.iter_functions():
-            if not fn.is_async or summary.is_test:
-                continue
-            for desc, line, col in fn.blocking:
-                self._emit(
-                    "FBS010",
-                    summary,
-                    line,
-                    col,
-                    f"blocking call {desc} inside async function "
-                    f"{fn.qname}(); the event loop must never be blocked -- "
-                    "use the loop clock or an executor",
-                )
-            for site, cmod, cq in self.edges[(summary.key, fn.qname)]:
-                fact = blocking.get((cmod, cq))
-                if fact is None:
-                    continue
-                _kind, desc, where, chain = fact
-                self._emit(
-                    "FBS010",
-                    summary,
-                    site.line,
-                    site.col,
-                    f"async function {fn.qname}() calls {cq}(), which "
-                    f"transitively blocks on {desc} at {where} (via "
-                    f"{' -> '.join(chain)}); the event loop must never be blocked",
-                    flow=chain,
-                )
-
 
 def run_project_passes(project: Project, rule_ids: Set[str]) -> List[Finding]:
-    """Run every interprocedural pass whose rule is selected."""
-    return _Passes(project, rule_ids).run()
+    """Run the taint pass if FBS001 is selected."""
+    return _Passes(project)._taint_pass() if "FBS001" in rule_ids else []

@@ -7,11 +7,10 @@ The engine is a *two-phase whole-program analyzer*:
   imports) over its AST, and distills it into a
   :class:`~repro.analysis.callgraph.ModuleSummary`.
 * **Phase 2** builds a :class:`~repro.analysis.callgraph.Project` from
-  the summaries and runs the dataflow passes
-  (:mod:`repro.analysis.dataflow`): key-material taint, exception-flow
-  accounting, wall-clock and randomness impurity, async-blocking, and
-  report-order determinism.  Every finding has exactly one producer,
-  so the two phases' outputs are concatenated, never reconciled.
+  the summaries and runs the key-material taint fixpoint
+  (:mod:`repro.analysis.dataflow`).  Every finding has exactly one
+  producer, so the two phases' outputs are concatenated, never
+  reconciled.
 
 A finding is accepted in one way: an inline ``# fbslint: disable...``
 comment (:mod:`repro.analysis.suppressions`), itself policed by FBS012,
@@ -67,16 +66,14 @@ def _select_rules(
     select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
 ) -> List[Rule]:
     rules = all_rules()
-    if select:
-        wanted = {r.upper() for r in select}
-        unknown = wanted - {r.rule_id for r in rules}
-        if unknown:
-            raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        rules = [r for r in rules if r.rule_id in wanted]
-    if ignore:
-        dropped = {r.upper() for r in ignore}
-        rules = [r for r in rules if r.rule_id not in dropped]
-    return rules
+    wanted = {r.upper() for r in select or ()}
+    dropped = {r.upper() for r in ignore or ()}
+    unknown = (wanted | dropped) - {r.rule_id for r in rules}
+    if unknown:
+        raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+    return [
+        r for r in rules if (not wanted or r.rule_id in wanted) and r.rule_id not in dropped
+    ]
 
 
 def _parse(source: str, path: str) -> ast.Module:

@@ -21,7 +21,8 @@ class Severity(enum.IntEnum):
 
     ``ERROR`` findings break the paper's security argument (secret
     leaks, guards that vanish under ``-O``); ``WARNING`` findings break engineering
-    discipline the ROADMAP relies on (determinism, metrics, taxonomy).
+    discipline the ROADMAP relies on (no swallowed failures, process
+    containment, no stale suppressions).
     Both fail the lint run -- severity only orders the report.
     """
 

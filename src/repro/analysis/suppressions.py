@@ -3,7 +3,7 @@
 Three forms, mirroring the linters this codebase's contributors know:
 
 * ``# fbslint: disable=FBS001,FBS004`` -- suppress on this line;
-* ``# fbslint: disable-next-line=FBS002`` -- suppress on the following
+* ``# fbslint: disable-next-line=FBS001`` -- suppress on the following
   line (for lines too long to carry a trailing comment);
 * ``# fbslint: disable-file=FBS004`` -- anywhere in the file, suppress
   the rule for the whole module.

@@ -1,8 +1,10 @@
 """Real-clock access for benchmarks.
 
-FBS002 bans wall-clock reads outside ``repro.bench``: protocol and
-simulation code must take the simulated clock so every experiment is
-reproducible.  Benchmarks, by definition, measure the real machine, so
+Wall-clock reads stay out of protocol and simulation code: it takes
+the simulated clock so every experiment is reproducible, and the
+report-determinism differential (``tests/test_report_determinism.py``)
+runs every report producer with the wall clocks 10**6 s ahead on one
+side, so a reading that reaches a report fails it.  Benchmarks, by definition, measure the real machine, so
 this module is the one sanctioned place that touches :mod:`time`.
 
 The scale-out load engine (:mod:`repro.load`) imports these helpers

@@ -185,8 +185,8 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
     hop = build_hop(spec.transport, seed=spec.seed * 1000 + spec.worker)
     cpu = wall = None
     if spec.timing:
-        # Real clocks live in repro.bench (FBS002); imported lazily so
-        # the canonical (byte-stable) path never touches them.
+        # Real clocks live in repro.bench; imported lazily so the
+        # canonical (byte-stable) path never touches them.
         from repro.bench.clocks import process_cpu_seconds, wall_seconds
 
         cpu0 = process_cpu_seconds()

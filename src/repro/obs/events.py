@@ -13,8 +13,8 @@ Design rules:
 
 * The ``t`` field is **simulation time**, stamped by the
   :class:`~repro.obs.tracer.Tracer` at emit time from the clock it was
-  constructed with -- never the wall clock (fbslint FBS002 would reject
-  it anyway).
+  constructed with -- never the wall clock (the report-determinism
+  differential's clock shim would show it in a trace summary).
 * Events carry *identifiers* (sfl, cache name, reason), never key
   material -- nothing here may ever hold a flow or master key (FBS001).
 * Rejection reasons are **mutually exclusive**: a failed ``unprotect``

@@ -34,7 +34,8 @@ class Tracer:
         Simulation-clock callable used to stamp ``event.t``.  Defaults
         to a constant 0.0 (events still ordered by emission in any
         ordered sink).  Never pass a wall clock -- traces must be
-        deterministic (fbslint FBS002).
+        deterministic (``tests/test_report_determinism.py`` summarizes
+        one with every wall clock 10**6 s ahead on one side).
     """
 
     __slots__ = ("sink", "enabled", "_now")

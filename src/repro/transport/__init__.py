@@ -19,11 +19,12 @@ plus a clock plus close -- with two implementations:
   first-contact path.  This is the deployable substrate: kernel
   scheduling, real loss, real clocks.
 
-Real-clock access is quarantined to :mod:`repro.transport.udp` (the
-fbslint FBS002 carve-out); everything else in the package -- adapter,
-channel, runner, reports -- stays deterministic, and the byte-stable
-report discipline (``tests/test_report_determinism.py``) applies to
-this package like any other report producer.
+Real-clock access is quarantined to :mod:`repro.transport.udp`;
+everything else in the package -- adapter, channel, runner, reports --
+stays deterministic, and the byte-stable report discipline
+(``tests/test_report_determinism.py``, whose second side runs with
+every wall clock 10**6 s ahead) applies to this package like any other
+report producer.
 """
 
 from repro.transport.base import (

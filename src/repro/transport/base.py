@@ -8,8 +8,9 @@ never reach around it for:
   transport-driven endpoint sees.  Over the netsim adapter that is the
   host's simulated clock; over real UDP sockets it is the machine's
   monotonic clock.  Keeping the clock on the transport is what
-  quarantines real-time reads behind the transport boundary (fbslint
-  FBS002).
+  quarantines real-time reads behind the transport boundary (the
+  report-determinism differential's clock shim checks no reading
+  reaches a report).
 * **datagram I/O** -- ``send``/``recv`` with per-call timeouts.  ``recv``
   returns ``None`` on timeout rather than raising: over an unreliable
   substrate a missing datagram is an ordinary outcome, not an error.
@@ -17,7 +18,8 @@ never reach around it for:
   in flight; datagrams received before the close remain readable.
 
 The surface is ``async`` (the real-socket backend lives on an asyncio
-event loop, and fbslint FBS010 checks that nothing in it blocks).  The
+event loop, and the audit hook of ``tests/shim/loopguard.py`` checks
+that nothing in it blocks).  The
 netsim adapter, whose "loop" is the discrete-event simulator itself,
 completes every call without awaiting and also offers the same calls
 synchronously (:class:`repro.transport.netsim.NetsimTransport`).

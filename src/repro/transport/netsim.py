@@ -10,7 +10,8 @@ view of simulated time.
 Because the simulator *is* this substrate's event loop, ``recv`` simply
 runs the simulation forward until a datagram arrives, the virtual
 deadline passes, or the event queue empties -- all in virtual time, no
-wall clock anywhere (this module stays inside the FBS002 ban).  Each
+wall clock anywhere (the report-determinism differential's clock
+shim would show one in the netsim echo's report).  Each
 call exists in a ``*_sync`` form, and the async :class:`Transport`
 surface wraps it without ever awaiting, so the same driver coroutines
 run over netsim and real UDP.

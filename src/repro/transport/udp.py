@@ -8,9 +8,10 @@ Design points, in the order an operator hits them:
 
 * **Event loop, never threads.**  :class:`UdpTransport` sends through
   ``asyncio``'s datagram endpoint and every wait is an ``await``
-  (fbslint FBS010 checks, whole-program, that nothing here blocks the
-  loop -- not even through a sync helper); the one socket it reads
-  itself is non-blocking.
+  (every test, and every report producer on the differential's shim
+  side, runs under an audit hook that fails a blocking call made while
+  the loop runs a task: ``tests/shim/loopguard.py``); the one socket
+  it reads itself is non-blocking.
 * **A receive is harvest -> pop -> only then wait.**  ``recv_from``
   first reads the socket until ``EAGAIN`` (``_harvest``), returns the
   queue's head if there is one -- no event-loop turn, no ``Task``, no
@@ -44,8 +45,10 @@ Design points, in the order an operator hits them:
   before the close stays readable via ``recv``/``drain``.
 
 **Clock quarantine.**  This module is the one place outside
-``repro.bench`` allowed to read the real clock (the fbslint FBS002
-carve-out): :meth:`UdpTransport.now` is ``time.monotonic``.  Protocol
+``repro.bench`` that reads the real clock: :meth:`UdpTransport.now` is
+``time.monotonic``, and no report may depend on its absolute value
+(the report-determinism differential runs the UDP echo with every
+wall clock 10**6 s ahead on one side and requires the same bytes).  Protocol
 code never reads time directly -- it takes ``transport.now``, so the
 swap from simulated to real time happens entirely behind the transport
 boundary.
@@ -189,9 +192,9 @@ class UdpTransport(Transport):
     # -- Transport surface -----------------------------------------------------
 
     def now(self) -> float:
-        # The FBS002 carve-out: the one sanctioned real-clock read
-        # outside repro.bench.  Monotonic, so freshness windows and
-        # latency math never see wall-clock steps.
+        # The one sanctioned real-clock read outside repro.bench.
+        # Monotonic, so freshness windows and latency math never see
+        # wall-clock steps.
         return time.monotonic()
 
     async def send(self, payload: bytes) -> None:

@@ -1,9 +1,8 @@
 """Interprocedural (phase-2) tests: multi-module projects on disk.
 
 Each test lays out a miniature ``src/repro`` tree in ``tmp_path`` and
-runs :func:`lint_paths` over it, exercising the whole-program passes:
-taint through call chains and containers, and the impurity-wrapper
-loophole.
+runs :func:`lint_paths` over it, exercising the whole-program taint
+pass through call chains, attribute stores and containers.
 """
 
 from pathlib import Path
@@ -85,100 +84,6 @@ class TestTaintV2:
         assert len(taint) == 1, [f.render() for f in result.findings]
         assert "interprocedural" not in taint[0].message
         assert taint[0].flow == ("flow_key() at src/repro/core/leak.py:2",)
-
-
-class TestImpurityV2:
-    def test_wall_clock_wrapper_loophole_closed(self, tmp_path):
-        # A pure-looking wrapper around time.time() is as banned in the
-        # deterministic core as the call itself.
-        result = make_project(tmp_path, {
-            "src/repro/helpers.py": (
-                "import time\n"
-                "\n"
-                "def now():\n"
-                "    return time.time()\n"
-            ),
-            "src/repro/core/session.py": (
-                "from repro.helpers import now\n"
-                "\n"
-                "def stamp():\n"
-                "    return now()\n"
-            ),
-        })
-        wrapped = [
-            f for f in result.findings
-            if f.rule_id == "FBS002" and f.path == "src/repro/core/session.py"
-        ]
-        assert len(wrapped) == 1, [f.render() for f in result.findings]
-        assert "transitively reaches the wall clock" in wrapped[0].message
-
-    def test_unseeded_random_wrapper_loophole_closed(self, tmp_path):
-        result = make_project(tmp_path, {
-            "src/repro/helpers.py": (
-                "import random\n"
-                "\n"
-                "def jitter():\n"
-                "    return random.random()\n"
-            ),
-            "src/repro/core/session.py": (
-                "from repro.helpers import jitter\n"
-                "\n"
-                "def delay():\n"
-                "    return jitter()\n"
-            ),
-        })
-        wrapped = [
-            f for f in result.findings
-            if f.rule_id == "FBS003" and f.path == "src/repro/core/session.py"
-        ]
-        assert len(wrapped) == 1, [f.render() for f in result.findings]
-
-    @pytest.mark.parametrize(
-        "draw", ["np.random.rand()", "np.random.default_rng()", "np.random.RandomState()"]
-    )
-    def test_numpy_random_wrapper_loophole_closed(self, tmp_path, draw):
-        # Same shape as the stdlib case above; the helper's own site is
-        # excused inline, which must not excuse its caller in the core.
-        result = make_project(tmp_path, {
-            "src/repro/helpers.py": (
-                "import numpy as np\n"
-                "\n"
-                "def jitter():\n"
-                f"    return {draw}  # fbslint: disable=FBS003\n"
-            ),
-            "src/repro/core/session.py": (
-                "from repro.helpers import jitter\n"
-                "\n"
-                "def delay():\n"
-                "    return jitter()\n"
-            ),
-        })
-        assert result.suppressed == 1
-        assert [(f.rule_id, f.path, f.line) for f in result.findings] == [
-            ("FBS003", "src/repro/core/session.py", 4)
-        ]
-        assert "transitively reaches unseeded randomness" in result.findings[0].message
-        assert f"numpy.random.{draw[len('np.random.'):]}" in result.findings[0].message
-
-    def test_bench_callers_stay_exempt(self, tmp_path):
-        result = make_project(tmp_path, {
-            "src/repro/helpers.py": (
-                "import time\n"
-                "\n"
-                "def now():\n"
-                "    return time.time()\n"
-            ),
-            "src/repro/bench/timing.py": (
-                "from repro.helpers import now\n"
-                "\n"
-                "def elapsed(start):\n"
-                "    return now() - start\n"
-            ),
-        })
-        assert not any(
-            f.rule_id == "FBS002" and f.path == "src/repro/bench/timing.py"
-            for f in result.findings
-        )
 
 
 #: What can hold a key between its derivation and ``print(held)``.

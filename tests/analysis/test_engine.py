@@ -133,8 +133,8 @@ class TestEngine:
             "def f(t):\n    assert t\n"  # FBS004, error
         )
         (tmp_path / "b.py").write_text(
-            "import random\n\ndef g():\n    return random.random()\n"
-        )  # FBS003, warning
+            "def g():\n    try:\n        return 1\n    except:\n        return 0\n"
+        )  # FBS007, warning
         result = lint_paths(
             [tmp_path / "b.py", tmp_path / "a.py"], root=tmp_path
         )

@@ -50,7 +50,7 @@ class TestFindingOrder:
 
     def test_engine_orders_same_location_findings(self, tmp_path):
         # Same path/line/column, different rules: deterministic order.
-        source = "import time\n\ndef f(t):\n    assert t and time.time()\n"
+        source = "import multiprocessing  # fbslint: disable=FBS004\n"
         result = lint_source(source, logical_path="src/repro/core/x.py")
         keys = [(-int(f.severity),) + f.sort_key for f in result.findings]
         assert keys == sorted(keys)

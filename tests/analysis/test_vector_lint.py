@@ -1,9 +1,8 @@
 """fbslint coverage for the vector datapath (ISSUE 7 satellite).
 
-Two halves: the new detections fire on vector-style violations (key
-material laundered through ndarrays, numpy's global RNG), and the real
-``repro.crypto.vector`` modules are clean under the full rule set with
-no baseline entries.
+Two halves: FBS001 fires on key material laundered through ndarrays,
+and the real ``repro.crypto.vector`` modules are clean under the full
+rule set with no suppressions.
 """
 
 from pathlib import Path
@@ -156,54 +155,6 @@ class TestNdarrayTaintThroughHelper:
 
     def test_public_array_reaching_the_same_helper_is_clean(self, form):
         assert self._lint(form, "table").findings == []
-
-
-# -- FBS003: numpy global randomness ------------------------------------------
-
-_NUMPY_GLOBAL = (
-    "import numpy as np\n"
-    "def noise():\n"
-    "    return np.random.random(64)\n"
-)
-
-_NUMPY_UNSEEDED = (
-    "from numpy.random import default_rng\n"
-    "def rng():\n"
-    "    return default_rng()\n"
-)
-
-_NUMPY_SEEDED = (
-    "import numpy as np\n"
-    "def rng(seed):\n"
-    "    return np.random.default_rng(seed)\n"
-)
-
-
-class TestNumpyRandomness:
-    def test_global_numpy_sampling_flagged(self):
-        result = lint_source(
-            _NUMPY_GLOBAL, logical_path="src/repro/crypto/vector/des.py"
-        )
-        assert [f.rule_id for f in result.findings] == ["FBS003"]
-        assert "default_rng(seed)" in result.findings[0].message
-
-    def test_unseeded_default_rng_flagged(self):
-        result = lint_source(
-            _NUMPY_UNSEEDED, logical_path="src/repro/crypto/vector/des.py"
-        )
-        assert [f.rule_id for f in result.findings] == ["FBS003"]
-
-    def test_seeded_default_rng_clean(self):
-        result = lint_source(
-            _NUMPY_SEEDED, logical_path="src/repro/crypto/vector/des.py"
-        )
-        assert result.findings == []
-
-    def test_numpy_sampling_still_fine_in_tests(self):
-        result = lint_source(
-            _NUMPY_GLOBAL, logical_path="tests/crypto/test_vector.py"
-        )
-        assert result.findings == []
 
 
 # -- the real vector package is clean ------------------------------------------

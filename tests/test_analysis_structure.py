@@ -1,17 +1,18 @@
 """Structural gate: fbslint states each fact and each detector once.
 
 Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule): every table
-that says what a source, a clock or an unseeded generator is is defined
-in exactly one module; the rule modules walk no source, sink, clock or
-RNG site of their own; the engine joins the two phases' findings
-without reconciling them; and phase 2 is two graph algorithms -- one
-label propagation, one transitive-reach closure -- each written once
-and instantiated per rule ("replace, don't fork").  The label language
-is key taint and nothing else, and the fact base has no exception
-dimension: report determinism is checked on the bytes
-(``tests/test_report_determinism.py``) and the receive contract on the
-running code (``tests/property/test_receive_contract.py``), not by a
-second or third dimension of the walk.
+that says what a source or a sink is is defined in exactly one module;
+the rule modules walk no source or sink site of their own; the engine
+joins the two phases' findings without reconciling them; and phase 2
+is one graph algorithm, label propagation, written once ("replace,
+don't fork").  The label language is key taint and nothing else, and
+the fact base has no exception, clock, generator or blocking
+dimension: report determinism, the wall clock and unseeded randomness
+are checked on the bytes (``tests/test_report_determinism.py`` and its
+clock-offset shim), blocking on the event loop by one audit hook
+(``tests/shim/loopguard.py``) and the receive contract on the running
+code (``tests/property/test_receive_contract.py``), not by another
+dimension of the walk.
 """
 
 import ast
@@ -24,11 +25,19 @@ from repro.analysis.context import ModuleContext
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ANALYSIS = REPO_ROOT / "src" / "repro" / "analysis"
-ONE_HOME = (
-    "SOURCE_FRAGMENTS",
-    "SOURCE_NAMES",
-    "LOG_METHODS",
-    "_NDARRAY_FUNCS",
+ONE_HOME = ("SOURCE_FRAGMENTS", "SOURCE_NAMES", "LOG_METHODS", "_NDARRAY_FUNCS")
+#: What FBS002, FBS003 and FBS010 were made of: the reach algorithm, its
+#: two passes and their zones, the call-site detector, and the clock,
+#: generator and blocking-call tables it read.
+RETIRED = (
+    "_closure",
+    "_impurity_pass",
+    "_blocking_pass",
+    "_PURITY_ZONE",
+    "_CLOCK_SANCTIONED",
+    "_detect_library_call",
+    "BLOCKING_CALLS",
+    "BLOCKING_BARE",
     "_BANNED_TIME_ATTRS",
     "_BANNED_DATETIME_ATTRS",
     "_GLOBAL_RANDOM_FUNCS",
@@ -63,6 +72,16 @@ def _homes(name):
 @pytest.mark.parametrize("name", ONE_HOME)
 def test_each_fact_table_has_one_home(name):
     assert _homes(name) == ["callgraph.py"]
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_no_reach_algorithm_or_site_table_remains(name):
+    assert _homes(name) == []
+
+
+def test_no_rule_module_for_what_running_code_shows():
+    modules = {path.stem for path in (ANALYSIS / "rules").glob("*.py")}
+    assert not modules & {"determinism", "async_readiness"}
 
 
 def test_rule_modules_walk_no_dataflow_site():
@@ -102,10 +121,10 @@ def test_no_summary_cache_or_serializer_remains():
             assert "as_dict" not in defined, relative
 
 
-# -- phase 2: two graph algorithms, each written once ----------------------------------
+# -- phase 2: one graph algorithm, written once ------------------------------------------
 
 
-def _dataflow_methods():
+def _dataflow_functions():
     tree = ast.parse((ANALYSIS / "dataflow.py").read_text())
     return tree, {
         node.name: node
@@ -114,70 +133,62 @@ def _dataflow_methods():
     }
 
 
-def _self_calls(function):
+def _names(function, kind):
     return {
-        node.func.attr
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
         for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "self"
+        if isinstance(node, ast.Call) and isinstance(node.func, kind)
     }
 
 
-def test_phase2_has_one_propagation_and_one_closure_loop():
-    tree, methods = _dataflow_methods()
+def test_phase2_has_one_fixpoint_loop_and_one_pass():
+    tree, functions = _dataflow_functions()
     fixpoints = [
         name
-        for name, function in methods.items()
+        for name, function in functions.items()
         for node in ast.walk(function)
         if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITERATIONS)"
     ]
-    assert sorted(fixpoints) == ["_closure", "_propagate"]
-    assert ast.unparse(tree).count("_MAX_ITERATIONS") == 3  # its definition + the two
+    assert fixpoints == ["_propagate"]
+    assert ast.unparse(tree).count("_MAX_ITERATIONS") == 2  # its definition + the one
+    assert [name for name in functions if name.endswith("_pass")] == ["_taint_pass"]
 
 
-def test_phase2_is_two_graph_algorithms():
-    # Every pass obtains its facts from one of the two algorithms and
-    # from nothing else (``_emit`` only reports them).
-    _, methods = _dataflow_methods()
-    passes = [name for name in methods if name.endswith("_pass")]
-    assert sorted(passes) == ["_blocking_pass", "_impurity_pass", "_taint_pass"]
-    used = set().union(*(_self_calls(methods[name]) for name in passes))
-    assert used - {"_emit"} == {"_propagate", "_closure"}
-
-
-#: rule id -> the one algorithm its findings come through.
-SHARED_ALGORITHM = {
-    "FBS001": "_propagate",
-    "FBS002": "_closure",
-    "FBS003": "_closure",
-    "FBS010": "_closure",
-}
-
-
-@pytest.mark.parametrize("rule_id", sorted(SHARED_ALGORITHM))
-def test_each_dataflow_rule_reaches_emit_through_its_shared_algorithm(rule_id):
-    _, methods = _dataflow_methods()
-    # The one function that names the rule (outside the dispatcher) is
-    # an instantiation: it obtains its facts from the shared algorithm.
+def test_the_one_pass_builds_every_finding_from_the_one_algorithm():
+    _, functions = _dataflow_functions()
+    builders = [name for name, fn in functions.items() if "Finding" in _names(fn, ast.Name)]
+    assert builders == ["_taint_pass"]
+    assert "_propagate" in _names(functions["_taint_pass"], ast.Attribute)
     naming = [
         name
-        for name, function in methods.items()
-        if name != "run"
-        and any(
-            isinstance(node, ast.Constant) and node.value == rule_id
-            for node in ast.walk(function)
-        )
+        for name, function in functions.items()
+        if any(isinstance(node, ast.Constant) and node.value == "FBS001" for node in ast.walk(function))
     ]
-    assert len(naming) == 1, naming
-    assert SHARED_ALGORITHM[rule_id] in _self_calls(methods[naming[0]])
+    assert sorted(naming) == ["_taint_pass", "run_project_passes"]
 
 
-def test_only_the_instantiations_emit():
-    _, methods = _dataflow_methods()
-    emitters = {name for name, fn in methods.items() if "_emit" in _self_calls(fn)}
-    assert emitters == {"_taint_pass", "_impurity_pass", "_blocking_pass"}
+# -- the audit hook is written once -----------------------------------------------------
+
+
+def test_the_audit_hook_is_defined_once_and_shared():
+    tests = REPO_ROOT / "tests"
+    hooks = [
+        path.relative_to(tests).as_posix()
+        for path in sorted(tests.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.addaudithook"
+    ]
+    assert hooks == ["shim/loopguard.py"]
+    for user in ("conftest.py", "shim/sitecustomize.py"):
+        tree = ast.parse((tests / user).read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "loopguard" in imported, user
+        assert "loopguard.install()" in ast.unparse(tree), user
 
 
 # -- no exception dimension in the fact base ------------------------------------------
@@ -232,6 +243,18 @@ def test_summaries_hold_only_the_five_label_kinds():
                     pools += site.args + list(site.kwargs.values())
                 kinds.update(label[0] for pool in pools for label in pool)
     assert kinds == {"src", "param", "ret", "attr", "ctor"}
+
+
+def test_summaries_carry_no_clock_generator_or_loop_fact():
+    fields = {
+        "FunctionSummary": callgraph.FunctionSummary.__dataclass_fields__,
+        "ModuleSummary": callgraph.ModuleSummary.__dataclass_fields__,
+    }
+    gone = {"is_async", "wall_clock", "unseeded_random", "blocking", "is_test"}
+    assert {name: set(held) & gone for name, held in fields.items()} == {
+        "FunctionSummary": set(),
+        "ModuleSummary": set(),
+    }
 
 
 def test_no_iteration_order_analysis_remains_in_src():

@@ -1,13 +1,17 @@
 """Line counts per package for ``make loc``: physical lines, and lines
 counted as code (no blank, comment-only or docstring lines).
 
-Usage: ``python tools/loc.py FILE...`` over ``src/repro/**.py`` paths;
-prints ``lines  code  package`` rows, largest first, with the total.
+Usage: ``python tools/loc.py`` from the repository root.  It counts
+every ``src/repro/**.py`` file git tracks or would track (a module not
+yet ``git add``-ed counts) that is in the working tree (one deleted but
+not yet staged does not); prints ``lines  code  package`` rows, largest
+first, with the total.
 """
 
 import ast
 import io
-import sys
+import os
+import subprocess
 import tokenize
 from collections import defaultdict
 
@@ -37,9 +41,18 @@ def code_lines(text: str) -> int:
     return len(lines - docstrings)
 
 
-def main(paths) -> None:
+def source_files():
+    """The ``src/repro`` modules git lists that exist on disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "src/repro/*.py"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    return [path for path in listed if os.path.isfile(path)]
+
+
+def main() -> None:
     counts = defaultdict(lambda: [0, 0])
-    for path in paths:
+    for path in source_files():
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         parts = path.split("/")
@@ -52,4 +65,4 @@ def main(paths) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
