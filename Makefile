@@ -41,12 +41,11 @@ lint:
 lint-docs:
 	$(PYTHON) -m repro.analysis --check-docs
 
-# Observability: end-to-end trace/registry/cache parity selftest plus
-# docs coverage (every event + metric documented) and link checks.
-# For local use; CI asserts both in tier-1 (tests/obs/test_cli.py::
-# test_selftest_passes and ::test_check_docs_passes_on_this_repo).
+# Observability docs coverage (every event + metric documented) and
+# link checks.  For local use; CI asserts it in tier-1
+# (tests/obs/test_cli.py::test_check_docs_passes_on_this_repo).  That
+# a trace folds to the live registry is tests/obs/test_registry.py::TestFold.
 obs-check:
-	$(PYTHON) -m repro.obs --selftest
 	$(PYTHON) -m repro.obs check-docs --root .
 
 # Same seed, same bytes: every report producer (the resilience, load,

@@ -36,7 +36,8 @@ async def run() -> None:
     )
 
     # 2. One FBS domain, two principals.  Each endpoint reads time from
-    #    its transport, and each channel keeps an accept/reject ledger.
+    #    its transport, and each channel reads an accept/reject ledger
+    #    off its endpoint's counters.
     retry = RetryPolicy(initial=0.05, cap=1.0, jitter=0.5, attempts=8)
     client, server = channel_pair(
         client_transport, server_transport, seed=7, retry=retry
@@ -57,7 +58,7 @@ async def run() -> None:
     #    the kernel lost it.
     reply = await client.request(b"hello over the kernel", timeout=0.5)
     print(
-        f"first contact: {client.ledger['sent']} datagram(s) sent, "
+        f"first contact: {client.ledger_dict()['sent']} datagram(s) sent, "
         f"reply {reply!r}"
     )
     assert reply == b"hello over the kernel"

@@ -5,7 +5,8 @@
   deployments.  Library code in ``src/repro`` must raise explicit,
   typed errors; test code keeps its asserts.
 * **FBS007** -- nowhere in the tree may a bare ``except:`` or an
-  ``except Exception: pass`` swallow a failure.  That the public
+  ``except Exception:`` whose body is only ``pass``, ``continue`` or
+  ``...`` swallow a failure.  That the public
   protocol surface raises :class:`repro.core.errors.FBSError`
   subclasses only is checked on the running code, by
   ``tests/property/test_receive_contract.py``.
@@ -52,7 +53,7 @@ class ExceptionTaxonomyRule(Rule):
     rule_id = "FBS007"
     name = "exception-taxonomy"
     severity = Severity.WARNING
-    description = "no bare except / except-Exception-pass anywhere"
+    description = "no bare except / except-Exception-pass (or continue) anywhere"
     rationale = "a swallowed failure is an invisible one; handlers name what they catch"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -75,11 +76,16 @@ class ExceptionTaxonomyRule(Rule):
             isinstance(node.type, ast.Name)
             and node.type.id in ("Exception", "BaseException")
         )
-        swallows = all(isinstance(stmt, ast.Pass) for stmt in node.body)
+        swallows = all(
+            isinstance(stmt, (ast.Pass, ast.Continue))
+            or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                and stmt.value.value is Ellipsis)
+            for stmt in node.body
+        )
         if broad and swallows:
             yield self.finding(
                 ctx,
                 node,
-                f"'except {node.type.id}: pass' silently swallows every "
-                "failure; narrow the type or handle the error",
+                f"'except {node.type.id}' with a pass/continue/... body silently "
+                "swallows every failure; narrow the type or handle the error",
             )

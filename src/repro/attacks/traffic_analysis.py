@@ -21,6 +21,7 @@ trade-off explicit and quantitative.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -28,7 +29,7 @@ from repro.attacks.adversary import OnPathAdversary
 from repro.baselines import install_scheme
 from repro.core.config import AlgorithmSuite
 from repro.core.deploy import FBSDomain
-from repro.core.errors import ScenarioError
+from repro.core.errors import HeaderFormatError, ScenarioError
 from repro.core.header import FBSHeader
 from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
@@ -79,8 +80,6 @@ def _observe(frames: List[bytes], scheme: str, data_hosts: Set[str]) -> TrafficA
 
         if scheme == "generic":
             if packet.header.proto == IPProtocol.UDP and len(packet.payload) >= 4:
-                import struct
-
                 sport, dport = struct.unpack_from(">HH", packet.payload, 0)
                 report.ports_visible.update((sport, dport))
                 conversations.add(packet.payload[:4] + packet.header.src.to_bytes())
@@ -88,7 +87,7 @@ def _observe(frames: List[bytes], scheme: str, data_hosts: Set[str]) -> TrafficA
             # FBS variants: the observer reads the cleartext sfl.
             try:
                 header = FBSHeader.decode(packet.payload, suite)
-            except Exception:
+            except HeaderFormatError:
                 continue
             conversations.add(header.sfl.to_bytes(8, "big"))
     report.linkable_conversations = len(conversations)

@@ -16,10 +16,13 @@ two organizations are its two ends:
 
 Misses are classified into the paper's three types -- compulsory
 (cold), capacity, and collision -- using the standard technique: a
-parallel fully-associative LRU "shadow" of the same capacity.  A miss
-that the shadow would also suffer is a capacity miss (or cold if the
-key was never seen); a miss that the shadow would have hit is a
-collision miss, attributable purely to the indexing.
+parallel fully-associative LRU "shadow" of the same capacity, holding
+what a fully-associative cache would hold under the same operations
+(a hit refreshes, an install inserts, a flush, eviction or
+invalidation drops).  A miss that the shadow would also suffer is a
+capacity miss (or cold if the key was never looked up before); a miss
+that the shadow would have hit is a collision miss, attributable purely
+to the indexing -- so a fully-associative cache never has one.
 """
 
 from __future__ import annotations
@@ -97,26 +100,36 @@ class _MissClassifier:
         self._seen: Set[bytes] = set()
         self._lru: "OrderedDict[bytes, None]" = OrderedDict()
 
-    def classify_and_touch(self, key: bytes, hit: bool) -> Optional[MissKind]:
-        """Update the shadow; return the miss kind (None on a hit)."""
+    def classify(self, key: bytes, hit: bool) -> Optional[MissKind]:
+        """Account one lookup; return the miss kind (None on a hit)."""
         kind: Optional[MissKind] = None
-        if not hit:
-            if key not in self._seen:
-                kind = MissKind.COLD
-            elif key in self._lru:
-                # The ideal cache still holds it: the real miss is due to
-                # the indexing, i.e. a collision miss.
-                kind = MissKind.COLLISION
-            else:
-                kind = MissKind.CAPACITY
+        if hit:
+            self.touch(key)
+        elif key not in self._seen:
+            kind = MissKind.COLD
+        elif key in self._lru:
+            # The ideal cache still holds it: the real miss is due to
+            # the indexing, i.e. a collision miss.
+            kind = MissKind.COLLISION
+        else:
+            kind = MissKind.CAPACITY
         self._seen.add(key)
+        return kind
+
+    def touch(self, key: bytes) -> None:
+        """The ideal cache uses or installs ``key``."""
         if key in self._lru:
             self._lru.move_to_end(key)
         else:
             if len(self._lru) >= self._capacity:
                 self._lru.popitem(last=False)
             self._lru[key] = None
-        return kind
+
+    def drop(self, key: bytes) -> None:
+        self._lru.pop(key, None)
+
+    def clear(self) -> None:
+        self._lru.clear()
 
 
 class AssociativeCache(Generic[V]):
@@ -165,7 +178,7 @@ class AssociativeCache(Generic[V]):
         """Lookup; updates LRU order and statistics."""
         bucket = self._set_for(key)
         hit = key in bucket
-        kind = self._classifier.classify_and_touch(key, hit)
+        kind = self._classifier.classify(key, hit)
         if kind is not None:
             self.stats.record_miss(kind)
         tr = self.tracer
@@ -183,6 +196,7 @@ class AssociativeCache(Generic[V]):
     def put(self, key: bytes, value: V) -> None:
         """Install ``key``, evicting the set's LRU entry if full."""
         bucket = self._set_for(key)
+        self._classifier.touch(key)
         if key in bucket:
             bucket.move_to_end(key)
             bucket[key] = value
@@ -201,6 +215,7 @@ class AssociativeCache(Generic[V]):
     def invalidate(self, key: bytes) -> None:
         """Remove ``key`` if present."""
         self._set_for(key).pop(key, None)
+        self._classifier.drop(key)
 
     def evict(self, key: bytes) -> bool:
         """Deliberately displace ``key``; returns whether it was live.
@@ -215,6 +230,7 @@ class AssociativeCache(Generic[V]):
         if key not in bucket:
             return False
         del bucket[key]
+        self._classifier.drop(key)
         self._evicted()
         return True
 
@@ -222,6 +238,7 @@ class AssociativeCache(Generic[V]):
         """Drop all entries (soft state)."""
         for bucket in self._sets:
             bucket.clear()
+        self._classifier.clear()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._sets)

@@ -10,8 +10,9 @@ The pieces, in datapath order:
 
 * :mod:`repro.gateway.tenants` -- who is talking: the bounded tenant
   table with per-tenant bounded delivery queues.
-* :mod:`repro.gateway.admission` -- whether they may: the admission
-  ledger, mirrored one-for-one onto registry counters.
+* :mod:`repro.gateway.admission` -- whether they may: each admission
+  outcome counted once on the endpoint's registry, and the ledger read
+  from it.
 * :mod:`repro.gateway.eviction` -- what leaves when the table is full:
   cache-pressure-aware reclamation of a cold tenant's footprint across
   all four key caches (PVC/MKC/TFKC/RFKC).

@@ -65,7 +65,9 @@ class FBSGateway:
         self.config = config or GatewayConfig()
         self.resolver = resolver
         self.tenants = TenantTable()
-        self.admission = AdmissionController(endpoint.registry)
+        self.admission = AdmissionController(
+            endpoint.registry, self.tenants.total_queued
+        )
         registry = endpoint.registry
         gauge_tenants = registry.gauge("gateway_active_tenants")
         gauge_depth = registry.gauge("gateway_queue_depth")
@@ -125,7 +127,6 @@ class FBSGateway:
         tenant.flows.add(result.headers[0].sfl)
         tenant.queue.append(result.bodies[0])
         tenant.enqueued += 1
-        self.admission.enqueued()
         return "enqueued"
 
     # -- admission -------------------------------------------------------------

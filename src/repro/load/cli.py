@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.load.engine import LoadError, LoadSpec, run_load, verify_merge
 from repro.load.report import build_report
-from repro.obs.report import parse_cli, refuse_path, write_report
+from repro.obs.report import number, parse_cli, refuse_path, write_report
 from repro.traces.registry import workload_names, workload_summaries
 from repro.transport.hop import HOP_NAMES
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sharded multi-process FBS load engine",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker process count"
+        "--workers", type=number(int, 1), default=1, help="worker process count"
     )
     # Choices and help text both derive from the one registry in
     # repro.traces.registry: a newly registered workload shows up here
@@ -56,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--duration",
-        type=float,
+        type=number(float),
         default=None,
         help="workload duration override, simulated seconds",
     )
     parser.add_argument(
         "--datagrams",
-        type=int,
+        type=number(),
         default=None,
         help="cap the workload at this many datagrams",
     )
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="encrypt bodies (DES-CBC) in addition to the MAC",
     )
     parser.add_argument(
-        "--batch", type=int, default=256, help="datapath batch size"
+        "--batch", type=number(int, 1), default=256, help="datapath batch size"
     )
     parser.add_argument(
         "--no-vectorize",
@@ -109,9 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parse_cli(_build_parser(), argv)
     if isinstance(args, int):
         return args
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     if args.trace_out is not None:
         # Before any worker starts: a worker dying on its sink is a traceback.
         try:

@@ -5,20 +5,21 @@ Four pieces (docs/OBSERVABILITY.md is the operator's guide):
 * **Events + tracer** (:mod:`repro.obs.events`,
   :mod:`repro.obs.tracer`) -- typed, sim-clock-stamped protocol events
   behind a zero-cost :data:`NULL_TRACER` default.
-* **Sinks + aggregation** (:mod:`repro.obs.sinks`,
-  :mod:`repro.obs.aggregate`) -- ring buffer, JSONL trace files, and
-  streaming aggregation that exactly matches live cache statistics.
+* **Sinks** (:mod:`repro.obs.sinks`) -- ring buffer, JSONL trace
+  files, and a constant-memory sink that folds events onto a registry.
 * **Metrics registry** (:mod:`repro.obs.registry`) -- named counters,
   gauges, and histograms with snapshot-time collectors;
-  :data:`METRIC_CATALOG` is the closed list of FBS metric names.
-* **Report writer** (:mod:`repro.obs.report`) -- the one byte-stable
-  JSON serialization and ``--out``-or-stdout write every CLI uses.
+  :data:`METRIC_CATALOG` is the closed list of FBS metric names, and
+  :data:`EVENT_COUNTERS` maps each event type onto its counters, so a
+  trace folds to the same numbers the live registry holds.
+* **CLI harness** (:mod:`repro.obs.report`) -- argument parsing, the
+  numeric argument type, and the one byte-stable JSON serialization
+  and ``--out``-or-stdout write every CLI uses.
 
 Import direction: ``repro.core`` imports this package; nothing here
-imports ``repro.core`` except the CLI/selftest, lazily.
+reaches above it except ``check-docs``, lazily.
 """
 
-from repro.obs.aggregate import CacheTally, TraceAggregate
 from repro.obs.events import (
     CACHE_LEVELS,
     EVENT_TYPES,
@@ -39,6 +40,7 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.registry import (
+    EVENT_COUNTERS,
     METRIC_CATALOG,
     Counter,
     Gauge,
@@ -54,7 +56,7 @@ from repro.obs.sinks import (
     NullSink,
     RingBufferSink,
     Sink,
-    read_jsonl,
+    read_records,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -83,13 +85,10 @@ __all__ = [
     "RingBufferSink",
     "JsonlSink",
     "AggregatingSink",
-    "read_jsonl",
+    "read_records",
     # tracer
     "Tracer",
     "NULL_TRACER",
-    # aggregation
-    "CacheTally",
-    "TraceAggregate",
     # registry
     "Counter",
     "Gauge",
@@ -97,6 +96,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricSpec",
     "METRIC_CATALOG",
+    "EVENT_COUNTERS",
     "merge_snapshots",
     "parse_metric_key",
 ]

@@ -1,15 +1,15 @@
-"""``python -m repro.obs``: trace summarizer, docs checker, selftest.
+"""``python -m repro.obs``: trace summarizer and docs checker.
 
 Subcommands:
 
-* ``summarize TRACE [--json]`` -- aggregate a JSONL trace and print a
-  Figure 11-style per-cache report plus datapath totals.
+* ``summarize TRACE [--json]`` -- fold a JSONL trace onto a metrics
+  registry and print a Figure 11-style per-cache report plus datapath
+  totals (``--json``: the registry's ``snapshot()``).
 * ``check-docs [--root DIR]`` -- run the docs-vs-code sync checks
   (OBSERVABILITY.md coverage + markdown link resolution).
-* ``--selftest`` -- run the end-to-end observability selftest.
 
-Exit codes: 0 success, 1 a check or selftest failed, 2 usage error
-(argparse's convention, which this module reuses).
+Exit codes: 0 success, 1 a check failed or the trace is unreadable, 2
+usage error (argparse's convention, which this module reuses).
 """
 
 from __future__ import annotations
@@ -18,92 +18,93 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from repro.obs.aggregate import TraceAggregate
+from repro.obs.events import MISS_KINDS, REJECTION_REASONS
+from repro.obs.registry import MetricsRegistry, parse_metric_key
 from repro.obs.report import parse_cli, refuse_path
+from repro.obs.sinks import read_records
 
 __all__ = ["main", "render_summary"]
 
 
-def render_summary(aggregate: TraceAggregate, source: str) -> str:
-    """Human-readable report over an aggregated trace."""
-    lines: List[str] = []
-    lines.append(f"trace: {source}")
-    span = (
-        "n/a"
-        if aggregate.first_t is None
-        else f"{aggregate.first_t:.3f}s .. {aggregate.last_t:.3f}s"
-    )
-    lines.append(f"records: {aggregate.records}   time span: {span}")
-    lines.append("")
+def render_summary(
+    registry: MetricsRegistry,
+    source: str,
+    records: int,
+    span: Optional[Tuple[float, float]],
+) -> str:
+    """Human-readable report over a folded trace."""
+    caches = sorted({
+        parse_metric_key(key)[1]["cache"]
+        for key in registry.snapshot()["counters"]  # type: ignore[union-attr]
+        if "{cache=" in key
+    })
 
-    if aggregate.caches:
-        header = (
-            "cache", "lookups", "hits", "miss rate",
-            "cold", "capacity", "collision", "evicted",
-        )
-        rows = [header] + [
-            tuple(str(col) for col in row) for row in aggregate.cache_rows()
-        ]
-        widths = [
-            max(len(row[i]) for row in rows) for i in range(len(header))
-        ]
-        for idx, row in enumerate(rows):
-            lines.append(
-                "  ".join(
-                    col.ljust(widths[i]) if i == 0 else col.rjust(widths[i])
-                    for i, col in enumerate(row)
-                )
+    def count(name: str, **labels: str) -> int:
+        return registry.counter(name, **labels).value
+
+    shown = "n/a" if span is None else f"{span[0]:.3f}s .. {span[1]:.3f}s"
+    lines = [f"trace: {source}", f"records: {records}   time span: {shown}", ""]
+    if caches:
+        rows = [("cache", "lookups", "hits", "miss rate") + MISS_KINDS + ("evicted",)]
+        for cache in caches:
+            hits = count("cache_hits", cache=cache)
+            misses = [count("cache_misses", cache=cache, kind=kind) for kind in MISS_KINDS]
+            lookups = hits + sum(misses)
+            rate = sum(misses) / lookups if lookups else 0.0
+            rows.append(
+                (cache, str(lookups), str(hits), f"{rate * 100:.3f}%")
+                + tuple(map(str, misses))
+                + (str(count("cache_evictions", cache=cache)),)
             )
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        rows.insert(1, tuple("-" * width for width in widths))
+        for row in rows:
+            lines.append("  ".join(
+                col.ljust(width) if i == 0 else col.rjust(width)
+                for i, (col, width) in enumerate(zip(row, widths))
+            ))
         lines.append("")
 
+    rejected = {r: count("datagrams_rejected", reason=r) for r in REJECTION_REASONS}
     lines.append(
-        "datagrams: "
-        f"{aggregate.datagrams_protected} protected, "
-        f"{aggregate.datagrams_accepted} accepted, "
-        f"{sum(aggregate.rejections.values())} rejected, "
-        f"{aggregate.replay_drops} replay drops"
+        f"datagrams: {count('datagrams_sent')} protected, "
+        f"{count('datagrams_accepted')} accepted, {sum(rejected.values())} rejected"
     )
     lines.append(
-        "bytes: "
-        f"{aggregate.bytes_protected} protected, "
-        f"{aggregate.bytes_accepted} accepted"
+        f"bytes: {count('bytes_protected')} protected, "
+        f"{count('bytes_accepted')} accepted"
     )
-    if aggregate.rejections:
-        detail = ", ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(aggregate.rejections.items())
-        )
+    if any(rejected.values()):
+        detail = ", ".join(f"{r}={n}" for r, n in rejected.items() if n)
         lines.append(f"rejections by reason: {detail}")
-    kd = aggregate.key_derivations
     lines.append(
-        "keying: "
-        f"{aggregate.flows_started} flows started, "
-        f"{kd.get('send', 0)} send / {kd.get('receive', 0)} receive "
-        "key derivations, "
-        f"{aggregate.crypto_state_builds} crypto-state builds"
+        f"keying: {count('flows_started')} flows started, "
+        f"{count('flow_key_derivations', side='send')} send / "
+        f"{count('flow_key_derivations', side='receive')} receive key derivations, "
+        f"{count('crypto_state_builds')} crypto-state builds"
     )
     return "\n".join(lines)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    from repro.obs.sinks import read_jsonl
-
+    registry = MetricsRegistry()
+    records, span = 0, None
     try:
-        aggregate = read_jsonl(args.trace)
-    except OSError as exc:
-        print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        for record in read_records(args.trace):
+            registry.fold(record)
+            records += 1
+            t = record.get("t")
+            if isinstance(t, (int, float)):
+                span = (t, t) if span is None else (min(span[0], t), max(span[1], t))
+    except (OSError, ValueError) as exc:  # unreadable, or not a trace
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(aggregate.summary(), indent=2, sort_keys=True))
+        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
     else:
-        print(render_summary(aggregate, args.trace))
+        print(render_summary(registry, args.trace, records, span))
     return 0
 
 
@@ -122,37 +123,19 @@ def _cmd_check_docs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest() -> int:
-    from repro.obs.selftest import run_selftest
-
-    failures = run_selftest()
-    if failures:
-        for failure in failures:
-            print(f"selftest: FAIL: {failure}", file=sys.stderr)
-        print(f"selftest: {len(failures)} failure(s)", file=sys.stderr)
-        return 1
-    print("selftest: ok")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="FBS observability tools (see docs/OBSERVABILITY.md)",
     )
-    parser.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the end-to-end observability selftest and exit",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p_sum = sub.add_parser(
-        "summarize", help="aggregate a JSONL trace into a cache report"
+        "summarize", help="fold a JSONL trace into a cache report"
     )
     p_sum.add_argument("trace", help="path to a JSONL trace file")
     p_sum.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
+        "--json", action="store_true", help="emit the folded registry snapshot as JSON"
     )
 
     p_docs = sub.add_parser(
@@ -165,8 +148,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_cli(parser, argv)
     if isinstance(args, int):
         return args
-    if args.selftest:
-        return _cmd_selftest()
     if args.command == "summarize":
         return _cmd_summarize(args)
     if args.command == "check-docs":

@@ -20,12 +20,18 @@ instrumentation registers.  Two invariants are enforced by tests:
 every name a real endpoint registers is in the catalog (no unlisted
 telemetry), and docs/OBSERVABILITY.md enumerates the catalog verbatim
 (no undocumented telemetry).
+
+A trace speaks the same vocabulary: :meth:`MetricsRegistry.fold` counts
+a record onto the counters :data:`EVENT_COUNTERS` names for its type,
+so an endpoint's complete trace folds to the endpoint's own counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs.events import MISS_KINDS
 
 __all__ = [
     "Counter",
@@ -34,6 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricSpec",
     "METRIC_CATALOG",
+    "EVENT_COUNTERS",
     "merge_snapshots",
     "parse_metric_key",
 ]
@@ -200,6 +207,22 @@ class MetricsRegistry:
         never pays for values only an observer wants.
         """
         self._collectors.append(collect)
+
+    # -- traces ---------------------------------------------------------------
+
+    def fold(self, record: Dict[str, object]) -> None:
+        """Count one trace record (``Event.to_dict`` form) onto its
+        :data:`EVENT_COUNTERS` row, labelled by the record's fields of the
+        same names.  An unknown ``type`` counts nothing (the JSONL schema
+        is append-only); an unknown ``CacheMiss.kind`` raises ValueError."""
+        etype = record.get("type")
+        if etype == "CacheMiss" and record.get("kind") not in MISS_KINDS:
+            raise ValueError(f"unknown CacheMiss kind {record.get('kind')!r}")
+        for name, amount_field in EVENT_COUNTERS.get(str(etype), ()):
+            labels = {label: record.get(label) for label in METRIC_CATALOG[name].labels}
+            amount = 1 if amount_field is None else record.get(amount_field)
+            if isinstance(amount, int):
+                self.counter(name, **labels).inc(amount)
 
     # -- introspection --------------------------------------------------------
 
@@ -459,4 +482,25 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "gateway_queue_depth": MetricSpec(
         "gauge", (), "datagrams queued across all tenant queues at snapshot"
     ),
+}
+
+#: Event type name -> the catalog counters one such event bumps, as
+#: ``(counter, amount field)``: by 1 when the field is None, else by the
+#: record's value of it; labels are the counter's catalog labels, read
+#: from the event.  ``ReplayDropped`` counts nothing: the ``duplicate``
+#: rejection it accompanies already does.
+EVENT_COUNTERS: Dict[str, Tuple[Tuple[str, Optional[str]], ...]] = {
+    "FlowStarted": (("flows_started", None),),
+    "KeyDerived": (("flow_key_derivations", None),),
+    "CryptoStateBuilt": (("crypto_state_builds", None),),
+    "CacheHit": (("cache_hits", None),),
+    "CacheMiss": (("cache_misses", None),),
+    "CacheEvicted": (("cache_evictions", None),),
+    "DatagramProtected": (("datagrams_sent", None), ("bytes_protected", "size")),
+    "DatagramAccepted": (("datagrams_accepted", None), ("bytes_accepted", "size")),
+    "DatagramRejected": (("datagrams_rejected", None),),
+    "ReplayDropped": (),
+    "SoftStateFlushed": (("soft_state_flushes", None),),
+    "TenantAdmitted": (("gateway_tenants_admitted", None),),
+    "TenantEvicted": (("gateway_tenants_evicted", None),),
 }

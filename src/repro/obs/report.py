@@ -1,7 +1,8 @@
 """The one CLI harness: every ``cli.py`` parses its arguments through
-:func:`parse_cli`, and every CLI that emits a report serializes and
-writes it through the byte-stable writer here (what comes out is
-compared under two hash seeds by ``tests/test_report_determinism.py``)."""
+:func:`parse_cli` (numeric options typed by :func:`number`), and every
+CLI that emits a report serializes and writes it through the
+byte-stable writer here (what comes out is compared under two hash
+seeds by ``tests/test_report_determinism.py``)."""
 
 from __future__ import annotations
 
@@ -9,9 +10,36 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, TextIO, Union
 
-__all__ = ["parse_cli", "refuse_path", "render_report", "write_report"]
+__all__ = ["number", "parse_cli", "refuse_path", "render_report", "write_report"]
+
+
+def number(
+    convert: Callable[[str], float] = int,
+    low: float = 0,
+    high: Optional[float] = None,
+) -> Callable[[str], float]:
+    """The argparse ``type=`` of every numeric option: ``convert``'s
+    value, refused unless it is above ``low`` (a float) or at least
+    ``low`` (an int) and, given ``high``, at most ``high`` -- so a count,
+    size or duration the run cannot use (NaN included) is a usage error
+    (exit 2, one ``error:`` line) and never a traceback or a silently
+    clamped run."""
+    strict = convert is float
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        # Written so every comparison with NaN fails the check.
+        ok = value > low if strict else value >= low
+        if not ok or (high is not None and not value <= high):
+            above = "greater than" if strict else "at least"
+            bound = f"{above} {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def parse_cli(

@@ -12,9 +12,9 @@ Four implementations, one per operating mode:
 * :class:`JsonlSink` -- one JSON object per line, the trace-file schema
   ``python -m repro.obs summarize`` consumes (see
   docs/OBSERVABILITY.md for the schema).
-* :class:`AggregatingSink` -- no storage, just running counts (a live
-  :class:`~repro.obs.aggregate.TraceAggregate`); constant memory at any
-  trace length.
+* :class:`AggregatingSink` -- no storage, just running counts: each
+  event folded onto a :class:`~repro.obs.registry.MetricsRegistry`, so
+  constant memory at any trace length.
 
 Sinks receive fully built :class:`~repro.obs.events.Event` objects from
 a :class:`~repro.obs.tracer.Tracer`; they never see key material
@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Deque, List, Optional, Union
+from typing import IO, Deque, Dict, Iterator, List, Optional, Union
 
-from repro.obs.aggregate import TraceAggregate
 from repro.obs.events import Event
+from repro.obs.registry import MetricsRegistry
 
-__all__ = ["Sink", "NullSink", "RingBufferSink", "JsonlSink", "AggregatingSink"]
+__all__ = [
+    "Sink", "NullSink", "RingBufferSink", "JsonlSink", "AggregatingSink",
+    "read_records",
+]
 
 
 class Sink:
@@ -104,9 +107,10 @@ class JsonlSink(Sink):
     load engine tags each worker's trace with ``{"shard": i}`` so N
     worker files can be concatenated and still attribute every event.
     Tag keys must not collide with event fields (``type``/``t``/payload
-    keys stay authoritative), and consumers fold unknown fields away
-    (:class:`~repro.obs.aggregate.TraceAggregate` ignores them), so a
-    tagged trace summarizes identically to an untagged one.
+    keys stay authoritative), and :meth:`MetricsRegistry.fold
+    <repro.obs.registry.MetricsRegistry.fold>` reads only the fields it
+    counts by, so a tagged trace summarizes identically to an untagged
+    one.
     """
 
     def __init__(
@@ -142,22 +146,19 @@ class JsonlSink(Sink):
 
 
 class AggregatingSink(Sink):
-    """Folds events into a :class:`TraceAggregate` as they arrive."""
+    """Folds events onto its own :class:`MetricsRegistry` as they arrive."""
 
     def __init__(self) -> None:
-        self.aggregate = TraceAggregate()
+        self.registry = MetricsRegistry()
 
     def emit(self, event: Event) -> None:
-        self.aggregate.add(event.to_dict())
-
-    def summary(self) -> dict:
-        """The aggregate's summary dictionary (see TraceAggregate)."""
-        return self.aggregate.summary()
+        self.registry.fold(event.to_dict())
 
 
-def read_jsonl(path: str) -> "TraceAggregate":
-    """Aggregate a JSONL trace file (the ``summarize`` entry point)."""
-    aggregate = TraceAggregate()
+def read_records(path: str) -> Iterator[Dict[str, object]]:
+    """The event records of a JSONL trace file, in order (blank lines
+    skipped); a line that is not one raises :class:`ValueError` naming
+    ``path:line``."""
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
@@ -169,5 +170,4 @@ def read_jsonl(path: str) -> "TraceAggregate":
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
             if not isinstance(record, dict) or "type" not in record:
                 raise ValueError(f"{path}:{lineno}: not an event record")
-            aggregate.add(record)
-    return aggregate
+            yield record

@@ -19,7 +19,7 @@ from typing import List, Optional, TextIO
 
 from repro.bench.reporting import render_cdf, render_table
 from repro.netsim.addresses import IPAddress
-from repro.obs.report import parse_cli, refuse_path, write_report
+from repro.obs.report import number, parse_cli, refuse_path, write_report
 from repro.traces import tcpdump
 from repro.traces.analysis import FlowAnalysis
 from repro.traces.flowsim import CacheSimulator
@@ -30,23 +30,10 @@ from repro.traces.workloads import CampusLanWorkload, WwwServerWorkload
 __all__ = ["main", "build_parser"]
 
 
-def _positive(convert):
-    """An argparse ``type=``: ``convert``'s value, refused unless > 0
-    (a THRESHOLD or a cache size of 0 is a usage error, not a
-    traceback out of the analysis)."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-        return value
-
-    parse.__name__ = convert.__name__
-    return parse
-
-
-_positive_float = _positive(float)
-_positive_int = _positive(int)
+# A THRESHOLD or a cache size of 0 is a usage error, not a traceback
+# out of the analysis.
+_positive_float = number(float)
+_positive_int = number(int, 1)
 
 
 def _float_list(text: str) -> List[float]:
@@ -66,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a synthetic trace")
     gen.add_argument("--kind", choices=("lan", "www"), default="lan")
-    gen.add_argument("--duration", type=float, default=3600.0, help="seconds")
-    gen.add_argument("--clients", type=int, default=16)
+    gen.add_argument("--duration", type=_positive_float, default=3600.0, help="seconds")
+    gen.add_argument("--clients", type=_positive_int, default=16)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", default="-", help="file or - for stdout")
 

@@ -83,6 +83,8 @@ def build_workload(
         raise ValueError(
             f"unknown workload {name!r}; choose from {workload_names()}"
         ) from None
+    if datagrams is not None and datagrams < 0:
+        raise ValueError(f"datagrams must be non-negative, got {datagrams}")
     trace = builder(seed, duration).generate()
     if datagrams is not None and len(trace) > datagrams:
         trace = Trace(

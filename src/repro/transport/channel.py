@@ -6,7 +6,8 @@ one :class:`~repro.core.protocol.FBSEndpoint` to one
 their division of labour:
 
 * the *endpoint* owns security: protect on send, unprotect on receive,
-  the accept/reject ledger with its mutually exclusive reasons;
+  and the counters the accept/reject ledger is read from, with their
+  mutually exclusive reasons;
 * the *transport* owns the substrate: datagram I/O, timeouts, the
   clock, loss.
 
@@ -91,13 +92,6 @@ class SecureChannel:
         self.secret = secret
         self.retry = retry or RetryPolicy()
         self._rng = random.Random(seed)
-        #: Channel-level accept/reject ledger -- the cross-substrate
-        #: comparison surface (acceptance tests assert netsim == UDP).
-        self.ledger: Dict[str, object] = {
-            "sent": 0,
-            "accepted": 0,
-            "rejected": {reason: 0 for reason in REJECTION_REASONS},
-        }
 
     # -- datagram path ---------------------------------------------------------
 
@@ -105,7 +99,6 @@ class SecureChannel:
         """Protect one datagram and hand it to the substrate."""
         wire = self.endpoint.protect(body, self.peer, secret=self.secret)
         await self.transport.send(wire)
-        self.ledger["sent"] += 1
 
     async def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
         """Receive and unprotect one datagram.
@@ -113,17 +106,12 @@ class SecureChannel:
         Returns the plaintext body, or ``None`` when nothing arrived
         within ``timeout`` *or* what arrived was rejected -- over an
         unreliable substrate both are the same outcome to the caller,
-        and the ledger tells them apart.
+        and the endpoint's rejection counters tell them apart.
         """
         wire = await self.transport.recv(timeout)
         if wire is None:
             return None
         result = self.endpoint.unprotect_batch((wire,), self.peer, self.secret)
-        reason = result.reasons[0]
-        if reason is not None:
-            self.ledger["rejected"][reason] += 1
-            return None
-        self.ledger["accepted"] += 1
         return result.bodies[0]
 
     async def request(
@@ -170,13 +158,18 @@ class SecureChannel:
     # -- reporting -------------------------------------------------------------
 
     def ledger_dict(self) -> Dict[str, object]:
-        """A deep copy of the ledger, safe to serialize (its bytes are
-        checked by ``tests/test_report_determinism.py``)."""
-        rejected = dict(self.ledger["rejected"])
+        """The accept/reject ledger, read from the endpoint's registry,
+        with the transport's counters -- the cross-substrate comparison
+        surface (its bytes are checked by
+        ``tests/test_report_determinism.py``)."""
+        registry = self.endpoint.registry
         return {
-            "sent": self.ledger["sent"],
-            "accepted": self.ledger["accepted"],
-            "rejected": rejected,
+            "sent": registry.counter("datagrams_sent").value,
+            "accepted": registry.counter("datagrams_accepted").value,
+            "rejected": {
+                reason: registry.counter("datagrams_rejected", reason=reason).value
+                for reason in REJECTION_REASONS
+            },
             "transport": self.transport.stats.to_dict(),
         }
 

@@ -24,7 +24,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.obs.report import parse_cli, refuse_path, write_report
+from repro.obs.report import number, parse_cli, refuse_path, write_report
 from repro.transport.runner import run_echo
 
 __all__ = ["main"]
@@ -45,15 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="substrate to run the echo workload over",
     )
     parser.add_argument(
-        "--datagrams", type=int, default=50, help="echo exchanges to run"
+        "--datagrams", type=number(), default=50, help="echo exchanges to run"
     )
     parser.add_argument(
-        "--payload-size", type=int, default=64, help="payload bytes per datagram"
+        "--payload-size", type=number(), default=64, help="payload bytes per datagram"
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=number(float),
         default=1.0,
         help="per-receive timeout, seconds (simulated or real)",
     )

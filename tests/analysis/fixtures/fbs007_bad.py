@@ -17,3 +17,12 @@ class FBSEndpoint:
             return bytes(body)
         except:  # bare except
             return b""
+
+    def _decode_all(self, datagrams):
+        headers = []
+        for datagram in datagrams:
+            try:
+                headers.append(self._encode(datagram))
+            except Exception:
+                continue  # swallowed failure, one datagram at a time
+        return headers

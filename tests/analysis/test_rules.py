@@ -15,7 +15,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CASES = {
     "FBS001": ("src/repro/core/session.py", 10),
     "FBS004": ("src/repro/baselines/guard.py", 1),
-    "FBS007": ("src/repro/core/protocol.py", 2),
+    "FBS007": ("src/repro/core/protocol.py", 3),
     "FBS009": ("src/repro/netsim/parallel.py", 4),
     "FBS012": ("src/repro/core/guard.py", 2),
 }

@@ -100,6 +100,39 @@ class TestMissClassification:
     def test_miss_rate_empty(self):
         assert AssociativeCache(4, ways=1).stats.miss_rate == 0.0
 
+    def test_a_dropped_entry_is_not_a_collision_on_its_next_miss(self):
+        # Regression: flush and evict emptied the cache but not the
+        # shadow, so a fully associative cache reported collisions.
+        cache = AssociativeCache(4)
+        cache.get(b"a"); cache.put(b"a", 1); cache.flush(); cache.get(b"a")
+        cache.get(b"b"); cache.put(b"b", 2); cache.evict(b"b"); cache.get(b"b")
+        assert (cache.stats.collision_misses, cache.stats.capacity_misses) == (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("get", "put", "flush", "evict", "invalidate")),
+                st.integers(0, 6),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_a_fully_associative_cache_has_no_collision_misses(self, capacity, ops):
+        cache = AssociativeCache(capacity)
+        for op, key in ops:
+            key = bytes([key])
+            if op == "get":
+                cache.get(key)
+            elif op == "put":
+                cache.put(key, key)
+            elif op == "flush":
+                cache.flush()
+            else:
+                getattr(cache, op)(key)
+        assert cache.stats.collision_misses == 0
+
 
 class TestAssociative:
     def test_lru_eviction(self):

@@ -54,4 +54,4 @@ class TestUsageErrors:
 
     def test_zero_workers_is_a_usage_error(self, capsys):
         assert main(["--workers", "0"]) == 2
-        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert "--workers: must be at least 1" in capsys.readouterr().err

@@ -9,9 +9,11 @@ the last count -- the trace is the ground truth, not an approximation.
 import pytest
 
 from repro.netsim.addresses import IPAddress
-from repro.obs import JsonlSink, read_jsonl
+from repro.obs import JsonlSink, parse_metric_key, read_records
 from repro.traces.flowsim import CacheSimulator
 from repro.traces.workloads import CampusLanWorkload
+
+from tests.obs.helpers import fold_file
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +22,12 @@ def lan_trace():
     return CampusLanWorkload(duration=900.0, clients=6, seed=5).generate()
 
 
-def _assert_tally_matches(tally, stats):
-    assert tally.hits == stats.hits
-    assert tally.cold == stats.cold_misses
-    assert tally.capacity == stats.capacity_misses
-    assert tally.collision == stats.collision_misses
-    assert tally.evictions == stats.evictions
-    assert tally.miss_rate == pytest.approx(stats.miss_rate)
+def _assert_tally_matches(registry, cache, stats):
+    assert registry.counter("cache_hits", cache=cache).value == stats.hits
+    for kind in ("cold", "capacity", "collision"):
+        misses = registry.counter("cache_misses", cache=cache, kind=kind).value
+        assert misses == getattr(stats, f"{kind}_misses")
+    assert registry.counter("cache_evictions", cache=cache).value == stats.evictions
 
 
 def test_summarized_trace_equals_simulator_stats(tmp_path, lan_trace):
@@ -38,10 +39,12 @@ def test_summarized_trace_equals_simulator_stats(tmp_path, lan_trace):
         recv = sim.receive_side(lan_trace, server)
 
     assert send.lookups > 0 and recv.lookups > 0
-    aggregate = read_jsonl(str(path))
-    assert set(aggregate.caches) == {"TFKC[8]", "RFKC[8]"}
-    _assert_tally_matches(aggregate.caches["TFKC[8]"], send)
-    _assert_tally_matches(aggregate.caches["RFKC[8]"], recv)
+    registry = fold_file(path)
+    _assert_tally_matches(registry, "TFKC[8]", send)
+    _assert_tally_matches(registry, "RFKC[8]", recv)
+    counters = registry.snapshot()["counters"]
+    assert {parse_metric_key(key)[1]["cache"] for key in counters} == {"TFKC[8]", "RFKC[8]"}
+    assert set(registry.names()) == {"cache_hits", "cache_misses", "cache_evictions"}
 
 
 def test_sweep_sizes_share_one_trace_file(tmp_path, lan_trace):
@@ -52,14 +55,11 @@ def test_sweep_sizes_share_one_trace_file(tmp_path, lan_trace):
         for size in (4, 16):
             sim = CacheSimulator(size, sink=sink, label=f"[{size}]")
             stats[size] = sim.send_side(lan_trace, server)
-    aggregate = read_jsonl(str(path))
+    registry = fold_file(path)
     for size in (4, 16):
-        _assert_tally_matches(aggregate.caches[f"TFKC[{size}]"], stats[size])
+        _assert_tally_matches(registry, f"TFKC[{size}]", stats[size])
     # Bigger cache, no worse miss rate -- the Figure 11 shape.
-    assert (
-        aggregate.caches["TFKC[16]"].miss_rate
-        <= aggregate.caches["TFKC[4]"].miss_rate
-    )
+    assert stats[16].miss_rate <= stats[4].miss_rate
 
 
 def test_events_carry_the_trace_clock(tmp_path, lan_trace):
@@ -67,7 +67,7 @@ def test_events_carry_the_trace_clock(tmp_path, lan_trace):
     path = tmp_path / "clock.jsonl"
     with JsonlSink(str(path)) as sink:
         CacheSimulator(8, sink=sink).send_side(lan_trace, server)
-    aggregate = read_jsonl(str(path))
-    assert aggregate.first_t is not None
-    assert 0.0 <= aggregate.first_t <= aggregate.last_t <= 900.0
-    assert aggregate.last_t > 0.0
+    times = [record["t"] for record in read_records(str(path))]
+    assert times == sorted(times)
+    assert 0.0 <= times[0] <= times[-1] <= 900.0
+    assert times[-1] > 0.0

@@ -15,7 +15,9 @@ import pytest
 from repro.load.engine import LoadSpec, run_load
 from repro.obs import JsonlSink, MetricsRegistry, merge_snapshots, parse_metric_key
 from repro.obs.events import DatagramProtected
-from repro.obs.sinks import read_jsonl
+
+from tests.obs.helpers import fold_file
+from tests.obs.test_registry import EVENT_DERIVED, event_counters
 
 
 def snap_with(hits, misses):
@@ -112,8 +114,7 @@ class TestShardTaggedSink:
 class TestSummarizeParity:
     def test_concatenated_shard_traces_reproduce_merged_counters(self, tmp_path):
         # The CLI contract: cat worker*.jsonl | summarize == merged
-        # registry counters.  (`python -m repro.obs summarize` is a thin
-        # wrapper over read_jsonl.)
+        # registry counters, on every counter a trace can reproduce.
         run = run_load(
             LoadSpec(
                 workers=2,
@@ -126,8 +127,9 @@ class TestSummarizeParity:
         with open(combined, "w") as out:
             for worker in (0, 1):
                 out.write((tmp_path / f"worker{worker}.jsonl").read_text())
-        aggregate = read_jsonl(str(combined))
-        counters = run["merged"]["counters"]
-        assert aggregate.datagrams_protected == counters["datagrams_sent"]
-        assert aggregate.datagrams_accepted == counters["datagrams_accepted"]
-        assert aggregate.flows_started == counters["flows_started"]
+        folded = event_counters(fold_file(combined).snapshot())
+        assert folded == event_counters(run["merged"])
+        assert {parse_metric_key(key)[0] for key in folded} >= EVENT_DERIVED - {
+            "gateway_tenants_admitted", "gateway_tenants_evicted",
+            "soft_state_flushes", "datagrams_rejected", "cache_evictions",
+        }

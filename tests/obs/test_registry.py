@@ -1,12 +1,34 @@
-"""MetricsRegistry: memoization, rendering, collectors, the catalog."""
+"""MetricsRegistry: memoization, rendering, collectors, the catalog,
+and folding a trace onto the catalog's counters."""
 
+import asyncio
 import json
+import random
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.core.config import FBSConfig
+from repro.core.deploy import FBSDomain
+from repro.core.keying import Principal
+from repro.gateway.tenants import GatewayConfig
+from repro.obs import AggregatingSink, MetricsRegistry, parse_metric_key
 from repro.obs.events import CACHE_LEVELS, MISS_KINDS, REJECTION_REASONS
-from repro.obs.registry import DEFAULT_BUCKETS, METRIC_CATALOG, Histogram
+from repro.obs.registry import DEFAULT_BUCKETS, EVENT_COUNTERS, METRIC_CATALOG, Histogram
+
+from tests.gateway.helpers import gateway_site, send_protected
+
+#: The counters a trace can reproduce: every name EVENT_COUNTERS bumps.
+EVENT_DERIVED = {name for rows in EVENT_COUNTERS.values() for name, _ in rows}
+
+
+def event_counters(snapshot):
+    """A snapshot's nonzero event-derived counters (a live registry also
+    holds zero-valued series its collectors create; a fold does not)."""
+    return {
+        key: value
+        for key, value in snapshot["counters"].items()
+        if value and parse_metric_key(key)[0] in EVENT_DERIVED
+    }
 
 
 class TestInstruments:
@@ -92,6 +114,17 @@ class TestCollectorsAndSnapshot:
         assert parsed["counters"]["datagrams_sent"] == 3
         assert parsed["histograms"]["mac_cost_seconds"]["count"] == 1
 
+    def test_endpoint_snapshot_round_trips_with_its_gauges(self):
+        domain = FBSDomain(seed=4)
+        alice = domain.make_endpoint(Principal.from_name("alice"))
+        bob = domain.make_endpoint(Principal.from_name("bob"))
+        bob.unprotect(alice.protect(b"body", bob.principal), alice.principal)
+        snapshot = bob.registry.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert {
+            f"cache_hit_ratio{{cache={level}}}" for level in CACHE_LEVELS
+        } <= set(snapshot["gauges"])
+
 
 class TestCatalog:
     def test_catalog_is_the_documented_twenty_six(self):
@@ -129,3 +162,104 @@ class TestCatalog:
         bob.registry.snapshot()
         for endpoint in (alice, bob):
             assert set(endpoint.registry.names()) <= set(METRIC_CATALOG)
+
+
+class TestFold:
+    def test_each_event_type_counts_onto_its_catalog_row(self):
+        reg = MetricsRegistry()
+        reg.fold({"type": "CacheMiss", "cache": "MKC", "kind": "capacity", "t": 0})
+        reg.fold({"type": "DatagramProtected", "sfl": 1, "size": 40, "secret": True})
+        reg.fold({"type": "DatagramProtected", "sfl": 1, "size": 24, "secret": False})
+        reg.fold({"type": "DatagramRejected", "reason": "mac", "sfl": 1})
+        reg.fold({"type": "ReplayDropped", "sfl": 1})
+        reg.fold({"type": "TenantEvicted", "peer": "t", "reason": "capacity"})
+        assert reg.snapshot()["counters"] == {
+            "bytes_protected": 64,
+            "cache_misses{cache=MKC,kind=capacity}": 1,
+            "datagrams_rejected{reason=mac}": 1,
+            "datagrams_sent": 2,
+            "gateway_tenants_evicted{reason=capacity}": 1,
+        }
+
+    def test_unknown_type_counts_nothing(self):
+        # The JSONL schema is append-only: a newer writer's events fold
+        # to nothing rather than failing the summary.
+        reg = MetricsRegistry()
+        reg.fold({"type": "SomethingNewer", "cache": "PVC", "t": 0})
+        assert reg.snapshot()["counters"] == {}
+
+    def test_unknown_miss_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown CacheMiss kind"):
+            MetricsRegistry().fold({"type": "CacheMiss", "cache": "PVC", "kind": "??"})
+
+    def test_a_traced_pair_folds_to_its_live_counters(self):
+        # Tiny caches, a replay guard, flushes, tampering, replays, stale
+        # datagrams and batches: every event-derived counter of every
+        # endpoint, folded from that endpoint's own trace, equals the
+        # live registry's, series by series.
+        config = FBSConfig().with_(
+            tfkc_size=4, rfkc_size=4, mkc_size=2, pvc_size=2, replay_guard_size=64
+        )
+        domain = FBSDomain(config=config, seed=23)
+        clock = [0.0]
+        sinks = [AggregatingSink() for _ in range(5)]
+        endpoints = [
+            domain.make_endpoint(
+                Principal.from_name(f"p{i}"), now=lambda: clock[0], tracer=sink
+            )
+            for i, sink in enumerate(sinks)
+        ]
+        rng = random.Random(5)
+        accepted = []
+        for step in range(300):
+            clock[0] += 0.5
+            sender, receiver = rng.sample(endpoints, 2)
+            secret = rng.random() < 0.5
+            if step % 40 == 39:
+                rng.choice(endpoints).flush_all_caches()
+            if step == 150:
+                clock[0] += 400.0  # everything accepted so far is now stale
+            n = 8 if step % 25 == 0 else 1
+            wires = sender.protect_batch(
+                [b"body %d/%d" % (step, i) for i in range(n)], receiver.principal,
+                secret=secret,
+            )
+            roll = rng.random()
+            if roll < 0.1:  # tampered: mac
+                wires = [w[:-1] + bytes([w[-1] ^ 1]) for w in wires]
+            elif roll < 0.15 and accepted:  # replayed: duplicate or stale
+                sender, receiver, secret, wires = rng.choice(accepted)
+            elif roll < 0.18:  # garbage: header
+                wires = [b"\x00" * 5]
+            result = receiver.unprotect_batch(wires, sender.principal, secret)
+            if all(reason is None for reason in result.reasons):
+                accepted.append((sender, receiver, secret, wires))
+        folded = set()
+        for endpoint, sink in zip(endpoints, sinks):
+            live = event_counters(endpoint.registry.snapshot())
+            assert event_counters(sink.registry.snapshot()) == live
+            folded |= set(live)
+        names = {parse_metric_key(key)[0] for key in folded}
+        assert names == EVENT_DERIVED - {
+            "gateway_tenants_admitted", "gateway_tenants_evicted",
+        }
+        for level in CACHE_LEVELS:
+            assert f"cache_hits{{cache={level}}}" in folded
+        for kind in MISS_KINDS:
+            assert any(f"kind={kind}}}" in key for key in folded), kind
+        for reason in set(REJECTION_REASONS) - {"keying"}:
+            assert f"datagrams_rejected{{reason={reason}}}" in folded, reason
+
+    def test_a_traced_gateway_folds_to_its_live_counters(self):
+        sink = AggregatingSink()
+        site = gateway_site(
+            tenants=4, gw_config=GatewayConfig(max_tenants=2), tracer=sink
+        )
+        for round_index in range(3):
+            for tenant in range(4):
+                send_protected(site, tenant, b"r%d" % round_index)
+                assert asyncio.run(site.gateway.serve_once(5.0)) == "enqueued"
+        live = event_counters(site.gw_endpoint.registry.snapshot())
+        assert event_counters(sink.registry.snapshot()) == live
+        assert live["gateway_tenants_admitted"] == 12
+        assert live["gateway_tenants_evicted{reason=capacity}"] == 10

@@ -16,8 +16,10 @@ from repro.obs import (
     RingBufferSink,
     Tracer,
     event_from_dict,
-    read_jsonl,
+    read_records,
 )
+
+from tests.obs.helpers import fold_file
 
 
 def emit_sample(sink, n=5):
@@ -102,11 +104,12 @@ class TestJsonlSink:
         path = tmp_path / "trace.jsonl"
         with JsonlSink(str(path)) as sink:
             emit_sample(sink, n=4)
-        aggregate = read_jsonl(str(path))
-        assert aggregate.records == 6
-        assert aggregate.caches["TFKC"].hits == 4
-        assert aggregate.caches["RFKC"].cold == 1
-        assert aggregate.datagrams_accepted == 1
+        assert len(list(read_records(str(path)))) == 6
+        registry = fold_file(path)
+        assert registry.counter("cache_hits", cache="TFKC").value == 4
+        assert registry.counter("cache_misses", cache="RFKC", kind="cold").value == 1
+        assert registry.counter("datagrams_accepted").value == 1
+        assert registry.counter("bytes_accepted").value == 64
 
 
 class TestAggregatingSink:
@@ -126,13 +129,8 @@ class TestAggregatingSink:
 
         with JsonlSink(str(path)) as jsonl:
             emit_sample(Tee(jsonl), n=3)
-        assert read_jsonl(str(path)).summary() == live.summary()
-
-    def test_time_span_tracked(self):
-        live = AggregatingSink()
-        emit_sample(live, n=3)
-        assert live.aggregate.first_t == 0.0
-        assert live.aggregate.last_t == 2.0
+        assert fold_file(path).snapshot() == live.registry.snapshot()
+        assert live.registry.counter("cache_hits", cache="TFKC").value == 3
 
 
 class TestReadJsonlErrors:
@@ -140,21 +138,22 @@ class TestReadJsonlErrors:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "CacheHit", "cache": "PVC", "t": 0}\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
-            read_jsonl(str(path))
+            fold_file(path)
 
     def test_typeless_record_fails(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"cache": "PVC"}\n')
         with pytest.raises(ValueError, match="not an event record"):
-            read_jsonl(str(path))
+            fold_file(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('\n{"type": "CacheHit", "cache": "PVC", "t": 0}\n\n')
-        assert read_jsonl(str(path)).records == 1
+        assert len(list(read_records(str(path)))) == 1
+        assert fold_file(path).counter("cache_hits", cache="PVC").value == 1
 
     def test_unknown_miss_kind_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"type": "CacheMiss", "cache": "PVC", "kind": "??", "t": 0}\n')
         with pytest.raises(ValueError, match="unknown CacheMiss kind"):
-            read_jsonl(str(path))
+            fold_file(path)

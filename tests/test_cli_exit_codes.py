@@ -31,10 +31,13 @@ def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
         ["cachesim", "{trace}", "--host", "notanip"],
         ["cachesim", "{trace}", "--host", "10.1.0.250", "--sizes", "0"],
         ["analyze", "{trace}", "--threshold", "0"],
+        ["analyze", "{trace}", "--threshold", "nan"],
+        ["sweep", "{trace}", "--thresholds", "300,nan"],
     ],
     ids=[
         "bad-threshold-list", "bad-size-list", "unreadable-trace",
-        "bad-host", "zero-size", "zero-threshold",
+        "bad-host", "zero-size", "zero-threshold", "nan-threshold",
+        "nan-in-threshold-list",
     ],
 )
 def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, capsys):
@@ -50,8 +53,14 @@ def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, ca
 
 @pytest.mark.parametrize(
     "argv",
-    [["--max-tenants", "0"], ["--tenants", "157"], ["--queue-depth", "-1"]],
-    ids=["empty-table", "past-the-address-plan", "negative-queue"],
+    [
+        ["--max-tenants", "0"], ["--tenants", "157"], ["--queue-depth", "-1"],
+        ["--flows", "-1"], ["--rounds", "-2"],
+    ],
+    ids=[
+        "empty-table", "past-the-address-plan", "negative-queue",
+        "negative-flows", "negative-rounds",
+    ],
 )
 def test_gateway_value_the_workload_cannot_run_with_is_a_usage_error(argv, capsys):
     from repro.gateway.cli import main
@@ -59,6 +68,40 @@ def test_gateway_value_the_workload_cannot_run_with_is_a_usage_error(argv, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "package,argv",
+    [
+        ("load", ["--smoke", "--datagrams", "-1"]),
+        ("load", ["--smoke", "--duration", "-5"]),
+        ("load", ["--smoke", "--batch", "-3"]),
+        ("transport", ["--datagrams", "-1"]),
+        ("load", ["--smoke", "--duration", "nan"]),
+        ("transport", ["--timeout", "0"]),
+        ("transport", ["--timeout", "nan"]),
+        ("traces", ["generate", "--clients", "0"]),
+    ],
+    ids=[
+        "load-negative-datagrams", "load-negative-duration", "load-negative-batch",
+        "load-nan-duration", "transport-negative-datagrams", "transport-zero-timeout",
+        "transport-nan-timeout", "traces-no-clients",
+    ],
+)
+def test_a_number_the_run_cannot_use_is_a_usage_error(package, argv, capsys):
+    # Each was a clamp, a silent slice or a traceback: one argparse type
+    # (``obs.report.number``) now refuses it before any work.
+    main = importlib.import_module(f"repro.{package}.cli").main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_a_workload_refuses_a_negative_datagram_cap():
+    from repro.traces.registry import build_workload
+
+    with pytest.raises(ValueError, match="non-negative"):
+        build_workload("smoke", seed=0, datagrams=-1)
 
 
 def test_load_trace_out_directory_is_created_or_refused_up_front(tmp_path, capsys):

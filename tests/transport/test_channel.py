@@ -53,9 +53,10 @@ class TestLedger:
 
         got, reply = asyncio.run(scenario())
         assert (got, reply) == (b"first", b"reply")
-        assert ch_a.ledger["sent"] == 1 and ch_a.ledger["accepted"] == 1
-        assert ch_b.ledger["sent"] == 1 and ch_b.ledger["accepted"] == 1
-        assert all(v == 0 for v in ch_a.ledger["rejected"].values())
+        ledger_a, ledger_b = ch_a.ledger_dict(), ch_b.ledger_dict()
+        assert ledger_a["sent"] == 1 and ledger_a["accepted"] == 1
+        assert ledger_b["sent"] == 1 and ledger_b["accepted"] == 1
+        assert all(v == 0 for v in ledger_a["rejected"].values())
 
     def test_tampered_datagram_rejected_as_mac(self):
         net, t_a, t_b = two_host_pair()
@@ -67,8 +68,8 @@ class TestLedger:
             return await ch_b.recv(timeout=2.0)
 
         assert asyncio.run(scenario()) is None
-        assert ch_b.ledger["rejected"]["mac"] == 1
-        assert ch_b.ledger["accepted"] == 0
+        assert ch_b.ledger_dict()["rejected"]["mac"] == 1
+        assert ch_b.ledger_dict()["accepted"] == 0
 
     def test_garbage_rejected_as_header(self):
         net, t_a, t_b = two_host_pair()
@@ -79,7 +80,7 @@ class TestLedger:
             return await ch_b.recv(timeout=2.0)
 
         assert asyncio.run(scenario()) is None
-        assert ch_b.ledger["rejected"]["header"] == 1
+        assert ch_b.ledger_dict()["rejected"]["header"] == 1
 
     def test_ledger_dict_carries_transport_stats(self):
         net, t_a, t_b = two_host_pair()
@@ -168,8 +169,8 @@ class TestRequestDrainsTheWindow:
         assert reply == b"late reply"
         # The duplicate was rejected, but the attempt kept listening:
         # exactly one send, no retransmission.
-        assert ch_a.ledger["sent"] == 1
-        assert ch_a.ledger["rejected"]["duplicate"] == 1
+        assert ch_a.ledger_dict()["sent"] == 1
+        assert ch_a.ledger_dict()["rejected"]["duplicate"] == 1
 
 
 class TestFirstContactRetryOverUdp:
@@ -188,7 +189,7 @@ class TestFirstContactRetryOverUdp:
                 echo.cancel()
             await lossy_client.close()
             await server.close()
-            return reply, lossy_client.ledger["sent"], lossy.dropped
+            return reply, lossy_client.ledger_dict()["sent"], lossy.dropped
 
         reply, sent, dropped = asyncio.run(scenario())
         assert reply == b"open sesame"
@@ -206,16 +207,16 @@ class TestFirstContactRetryOverUdp:
             reply = await doomed.request(b"anyone?", timeout=0.02)
             await doomed.close()
             await server.close()
-            return reply, doomed.ledger["sent"]
+            return reply, doomed.ledger_dict()["sent"]
 
         reply, sent = asyncio.run(scenario())
         assert reply is None
         assert sent == FAST_RETRY.attempts
 
     def test_every_retry_reprotects_with_fresh_timestamp(self):
-        # Each attempt runs the full protect path: the sender ledger and
-        # the endpoint's sent counter advance per retransmission, so a
-        # late duplicate can never be double-delivered (replay guard).
+        # Each attempt runs the full protect path: the endpoint's sent
+        # counter, which the ledger reads, advances per retransmission, so
+        # a late duplicate can never be double-delivered (replay guard).
         async def scenario():
             client, server = await build_udp_channels(seed=6, retry=FAST_RETRY)
             lossy = DropSends(client.transport, drop_first=1)
@@ -228,7 +229,7 @@ class TestFirstContactRetryOverUdp:
                 await ch.request(b"fresh", timeout=0.1)
             finally:
                 echo.cancel()
-            protect_count = ch.ledger["sent"]
+            protect_count = ch.ledger_dict()["sent"]
             await ch.close()
             await server.close()
             return protect_count
@@ -321,5 +322,5 @@ class TestFirstContactRetryOverNetsim:
 
         delivered = asyncio.run(scenario())
         assert delivered == 5  # retries absorbed 40% loss
-        assert ch_a.ledger["sent"] > 5  # some exchanges needed resends
+        assert ch_a.ledger_dict()["sent"] > 5  # some exchanges needed resends
         assert net.sim.now > 0.5  # backoff genuinely elapsed (virtually)
