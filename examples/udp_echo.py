@@ -20,7 +20,7 @@ Run:  python examples/udp_echo.py
 
 import asyncio
 
-from repro.transport import RetryPolicy, UdpTransport, channel_pair
+from repro.transport import UdpTransport, channel_pair
 
 
 async def run() -> None:
@@ -38,10 +38,7 @@ async def run() -> None:
     # 2. One FBS domain, two principals.  Each endpoint reads time from
     #    its transport, and each channel reads an accept/reject ledger
     #    off its endpoint's counters.
-    retry = RetryPolicy(initial=0.05, cap=1.0, jitter=0.5, attempts=8)
-    client, server = channel_pair(
-        client_transport, server_transport, seed=7, retry=retry
-    )
+    client, server = channel_pair(client_transport, server_transport, seed=7)
 
     # 3. The server side: unprotect each datagram, re-protect the body,
     #    echo it back.  Plain application code -- FBS rides below it.
@@ -54,8 +51,9 @@ async def run() -> None:
     server_task = asyncio.ensure_future(echo_server())
 
     # 4. First contact.  The opening datagram keys the flow *and*
-    #    carries the payload; request() would resend it under backoff if
-    #    the kernel lost it.
+    #    carries the payload; request() would resend it if the kernel
+    #    lost it, up to 8 attempts, backing off 0.05 s, 0.1 s, ... (capped
+    #    at 1 s, jittered by +-50%).
     reply = await client.request(b"hello over the kernel", timeout=0.5)
     print(
         f"first contact: {client.ledger_dict()['sent']} datagram(s) sent, "

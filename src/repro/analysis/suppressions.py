@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -38,9 +38,6 @@ class SuppressionIndex:
     """All fbslint directives of one source file, queryable per finding."""
 
     def __init__(self, source: str) -> None:
-        #: line number -> rule ids suppressed on that line ("all" wildcard).
-        self.by_line: Dict[int, Set[str]] = {}
-        self.file_wide: Set[str] = set()
         #: Every directive as written: (comment line, kind, sorted rules).
         self.directives: List[Tuple[int, str, Tuple[str, ...]]] = []
         #: Indices into ``directives`` that absorbed at least one finding.
@@ -67,12 +64,6 @@ class SuppressionIndex:
             if not rules:
                 continue
             self.directives.append((line, kind, tuple(sorted(rules))))
-            if kind == "disable-file":
-                self.file_wide |= rules
-            elif kind == "disable-next-line":
-                self.by_line.setdefault(line + 1, set()).update(rules)
-            else:
-                self.by_line.setdefault(line, set()).update(rules)
 
     def _matching_directives(self, finding: Finding) -> List[int]:
         hits = []

@@ -31,7 +31,7 @@ from repro.core.config import AlgorithmSuite
 from repro.core.deploy import FBSDomain
 from repro.core.errors import HeaderFormatError, ScenarioError
 from repro.core.header import FBSHeader
-from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
+from repro.core.ip_mapping import is_bypass
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
 from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
@@ -69,7 +69,7 @@ def _observe(frames: List[bytes], scheme: str, data_hosts: Set[str]) -> TrafficA
             continue
         pair = (str(packet.header.src), str(packet.header.dst))
         # Certificate traffic is infrastructure, not the workload.
-        if is_bypass(packet, {CERTIFICATE_PORT}):
+        if is_bypass(packet):
             continue
         if pair[0] not in data_hosts and pair[1] not in data_hosts:
             continue

@@ -17,7 +17,7 @@ detected" -- demonstrated by :mod:`repro.attacks.cutpaste`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
@@ -39,8 +39,6 @@ class HostPairKeying(SealedDatagramModule):
     include_mac:
         Add a keyed-MD5 MAC (keyed on the *master* key -- the flaw
         remains: one key for everything).
-    bypass_ports:
-        UDP ports exempt from processing (certificate fetches).
     """
 
     name = "host-pair"
@@ -50,10 +48,9 @@ class HostPairKeying(SealedDatagramModule):
         host: Host,
         mkd: MasterKeyDaemon,
         include_mac: bool = False,
-        bypass_ports: Optional[set] = None,
         confounder_seed: int = 99,
     ) -> None:
-        super().__init__(host, 0, confounder_seed, include_mac, bypass_ports)
+        super().__init__(host, 0, confounder_seed, include_mac)
         self.mkd = mkd
 
     # -- keying --------------------------------------------------------------

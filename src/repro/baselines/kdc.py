@@ -40,6 +40,10 @@ from repro.netsim.ipv4 import IPv4Packet
 __all__ = ["KeyDistributionCenter", "KdcSessionKeying"]
 
 _TICKET_LEN = 24  # E_Kd(session key 8 | source addr 4 | expiry 4) padded
+#: Round trip of the request/reply exchange with the KDC, seconds.
+KDC_RTT = 10e-3
+#: How long an issued ticket stays valid, seconds.
+TICKET_LIFETIME = 8 * 3600.0
 
 
 class KeyDistributionCenter:
@@ -88,20 +92,10 @@ class KdcSessionKeying(SealedDatagramModule):
 
     name = "kdc-session"
 
-    def __init__(
-        self,
-        host: Host,
-        kdc: KeyDistributionCenter,
-        kdc_rtt: float = 10e-3,
-        ticket_lifetime: float = 8 * 3600.0,
-        bypass_ports: Optional[set] = None,
-        seed: int = 17,
-    ) -> None:
-        super().__init__(host, _TICKET_LEN, seed, bypass_ports=bypass_ports)
+    def __init__(self, host: Host, kdc: KeyDistributionCenter, seed: int = 17) -> None:
+        super().__init__(host, _TICKET_LEN, seed)
         self.kdc = kdc
         self.secret = kdc.register(host.address)
-        self._kdc_rtt = kdc_rtt
-        self._ticket_lifetime = ticket_lifetime
         # Hard state, both directions.
         self._send_assocs: Dict[int, _Association] = {}
         self._recv_keys: Dict[bytes, bytes] = {}  # ticket -> session key
@@ -128,14 +122,14 @@ class KdcSessionKeying(SealedDatagramModule):
             issued = self.kdc.issue(
                 packet.header.src,
                 dst,
-                expiry=int(self.host.sim.now + self._ticket_lifetime),
+                expiry=int(self.host.sim.now + TICKET_LIFETIME),
             )
             if issued is None:
                 return None
             # The KDC exchange: request + reply, one round trip.
             self.setup_messages += 2
-            self.setup_delay_seconds += self._kdc_rtt
-            self.host.charge_cpu(self._kdc_rtt)
+            self.setup_delay_seconds += KDC_RTT
+            self.host.charge_cpu(KDC_RTT)
             assoc = _Association(session_key=issued[0], ticket=issued[1])
             self._send_assocs[int(dst)] = assoc
         return assoc.ticket, (assoc.session_key, assoc.session_key)

@@ -17,7 +17,7 @@ measures it against FBS's once-per-flow derivation.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
@@ -34,6 +34,8 @@ _KEY_LEN = 8
 #: Calibrated cost of drawing one 64-bit BBS key on the Pentium 133:
 #: 64 modular squarings of a 512-bit modulus at ~45 us each.
 BBS_KEY_COST_SECONDS = 64 * 45e-6
+#: Size of the simulated generator's modulus.
+BBS_BITS = 128
 
 
 class PerDatagramHostPair(SealedDatagramModule):
@@ -41,17 +43,10 @@ class PerDatagramHostPair(SealedDatagramModule):
 
     name = "host-pair-per-datagram"
 
-    def __init__(
-        self,
-        host: Host,
-        mkd: MasterKeyDaemon,
-        bypass_ports: Optional[set] = None,
-        seed: int = 7,
-        bbs_bits: int = 128,
-    ) -> None:
-        super().__init__(host, _KEY_LEN, seed, bypass_ports=bypass_ports)
+    def __init__(self, host: Host, mkd: MasterKeyDaemon, seed: int = 7) -> None:
+        super().__init__(host, _KEY_LEN, seed)
         self.mkd = mkd
-        self._bbs = BlumBlumShub(seed=seed, bits=bbs_bits)
+        self._bbs = BlumBlumShub(seed=seed, bits=BBS_BITS)
         self.keys_generated = 0
 
     def _master_cipher(self, peer: Principal) -> DES:

@@ -31,6 +31,12 @@ from repro.netsim.ipv4 import IPv4Packet
 __all__ = ["PhoturisSessionKeying"]
 
 _SPI_LEN = 4
+#: One network round trip between the peers, seconds.
+RTT = 2e-3
+#: Round trips the exchange costs (Photuris: cookie + value = 2).
+EXCHANGE_RTTS = 2
+#: One Diffie-Hellman modular exponentiation, seconds.
+MODEXP_COST = 60e-3
 
 
 @dataclass
@@ -49,8 +55,6 @@ class PhoturisSessionKeying(SealedDatagramModule):
     registry:
         Shared ``{int(address): module}`` map through which the
         simulated exchange installs the peer's SA.
-    exchange_rtts:
-        Round trips the exchange costs (Photuris: cookie + value = 2).
     """
 
     name = "photuris-session"
@@ -60,19 +64,10 @@ class PhoturisSessionKeying(SealedDatagramModule):
         host: Host,
         registry: Dict[int, "PhoturisSessionKeying"],
         dh_private_seed: int = 5,
-        rtt: float = 2e-3,
-        exchange_rtts: int = 2,
-        modexp_cost: float = 60e-3,
-        bypass_ports: Optional[set] = None,
     ) -> None:
-        super().__init__(
-            host, _SPI_LEN, dh_private_seed * 31 + 7, bypass_ports=bypass_ports
-        )
+        super().__init__(host, _SPI_LEN, dh_private_seed * 31 + 7)
         self.registry = registry
         registry[int(host.address)] = self
-        self._rtt = rtt
-        self._exchange_rtts = exchange_rtts
-        self._modexp_cost = modexp_cost
         self._dh_seed = dh_private_seed
         self._next_spi = (dh_private_seed * 1000003) & 0x7FFFFFFF
         # Hard state.
@@ -98,13 +93,13 @@ class PhoturisSessionKeying(SealedDatagramModule):
         if peer is None:
             return None
         # Cookie round trip + value exchange: messages and delay.
-        messages = self._exchange_rtts * 2
-        delay = self._exchange_rtts * self._rtt + 2 * self._modexp_cost
+        messages = EXCHANGE_RTTS * 2
+        delay = EXCHANGE_RTTS * RTT + 2 * MODEXP_COST
         self.setup_messages += messages
         peer.setup_messages += messages
         self.setup_delay_seconds += delay
         self.host.charge_cpu(delay)
-        peer.host.charge_cpu(2 * self._modexp_cost)
+        peer.host.charge_cpu(2 * MODEXP_COST)
         self.exchanges += 1
         # Both sides derive the same session key from the (simulated) DH
         # exchange; model it as a hash over the sorted endpoint pair and

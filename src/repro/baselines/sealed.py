@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.errors import FBSError
-from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
+from repro.core.ip_mapping import is_bypass
 from repro.crypto.des import BLOCK_SIZE, DES
 from repro.crypto.mac import constant_time_equal, keyed_md5
 from repro.crypto.modes import decrypt_cbc, encrypt_cbc
@@ -39,26 +39,18 @@ class SealedDatagramModule(SecurityModule):
     """bypass -> key -> seal -> charge -> count, and its inverse.
 
     A scheme passes its ``prefix_len`` (bytes it puts in front of the
-    IV), the seed of its IV generator, whether datagrams carry the MAC,
-    and the UDP ports exempt from processing (certificate fetches).
+    IV), the seed of its IV generator, and whether datagrams carry the
+    MAC; certificate-directory traffic is exempt (``is_bypass``).
     """
 
     def __init__(
-        self,
-        host: Host,
-        prefix_len: int,
-        iv_seed: int,
-        include_mac: bool = True,
-        bypass_ports: Optional[set] = None,
+        self, host: Host, prefix_len: int, iv_seed: int, include_mac: bool = True
     ) -> None:
         self.host = host
         self.include_mac = include_mac
         self.prefix_len = prefix_len
         #: Where ciphertext starts in a sealed datagram.
         self.body_offset = prefix_len + _IV_LEN + (_MAC_LEN if include_mac else 0)
-        self._bypass_ports = (
-            bypass_ports if bypass_ports is not None else {CERTIFICATE_PORT}
-        )
         self._iv_rng = LinearCongruential(iv_seed)
         self.outbound_protected = 0
         self.outbound_dropped = 0
@@ -96,7 +88,7 @@ class SealedDatagramModule(SecurityModule):
     # -- the IP hooks -----------------------------------------------------------
 
     def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if is_bypass(packet, self._bypass_ports):
+        if is_bypass(packet):
             return packet
         keyed = self.send_keys(packet)
         if keyed is None:
@@ -113,7 +105,7 @@ class SealedDatagramModule(SecurityModule):
         return packet
 
     def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
-        if is_bypass(packet, self._bypass_ports):
+        if is_bypass(packet):
             return packet
         plaintext = self._open(packet)
         if plaintext is None:

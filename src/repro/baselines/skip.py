@@ -50,6 +50,8 @@ _PREFIX = struct.Struct(">I8s")
 #: strong Kp each packet; cheaper than BBS-per-key since implementations
 #: batched entropy, but still per-packet work).
 PACKET_KEY_COST_SECONDS = 120e-6
+#: Lifetime of one ``Kijn``, seconds: the hour of SKIP's ``n``.
+KEY_INTERVAL = 3600.0
 
 
 class SkipHostKeying(SealedDatagramModule):
@@ -57,17 +59,9 @@ class SkipHostKeying(SealedDatagramModule):
 
     name = "skip"
 
-    def __init__(
-        self,
-        host: Host,
-        mkd: MasterKeyDaemon,
-        key_interval: float = 3600.0,
-        bypass_ports: Optional[set] = None,
-        seed: int = 23,
-    ) -> None:
-        super().__init__(host, _PREFIX.size, seed, bypass_ports=bypass_ports)
+    def __init__(self, host: Host, mkd: MasterKeyDaemon, seed: int = 23) -> None:
+        super().__init__(host, _PREFIX.size, seed)
         self.mkd = mkd
-        self.key_interval = key_interval
         self._kp_rng = CounterRandom(b"skip-kp" + seed.to_bytes(4, "big"))
         self._kijn_cache: Dict[tuple, bytes] = {}
         self.packet_keys_generated = 0
@@ -75,7 +69,7 @@ class SkipHostKeying(SealedDatagramModule):
     # -- keying ---------------------------------------------------------------------
 
     def _interval_now(self) -> int:
-        return int(self.host.sim.now // self.key_interval)
+        return int(self.host.sim.now // KEY_INTERVAL)
 
     def interval_key(self, peer: Principal, n: int) -> bytes:
         """Kijn = h(Kij | n): the hourly host-pair key."""

@@ -114,14 +114,12 @@ class FBSApplication:
         directory: ApplicationDirectory,
         port: int = 0,
         config: Optional[FBSConfig] = None,
-        secret_by_default: bool = True,
         sfl_seed: int = 0,
     ) -> None:
         self.host = host
         self.principal = principal
         self.directory = directory
         self.config = config or FBSConfig()
-        self.secret_by_default = secret_by_default
         self.policy = ConversationPolicy(threshold=self.config.threshold)
         self.endpoint = FBSEndpoint(
             principal=principal,
@@ -150,16 +148,17 @@ class FBSApplication:
         payload: bytes,
         destination: str,
         conversation: bytes = b"",
-        secret: Optional[bool] = None,
+        secret: bool = True,
     ) -> None:
-        """Protect and send one datagram to a named application."""
+        """Protect and send one datagram to a named application.  The
+        receiver always decrypts, so a ``secret=False`` datagram is
+        dropped there."""
         peer, address, port = self.directory.resolve(destination)
         attributes = DatagramAttributes(
             destination_id=peer.wire_id,
             size=len(payload),
             extra={"conversation": conversation},
         )
-        secret = self.secret_by_default if secret is None else secret
         protected = self.endpoint.protect(
             payload, peer, attributes=attributes, secret=secret
         )
@@ -184,9 +183,7 @@ class FBSApplication:
             self.rejected += 1
             return
         try:
-            body = self.endpoint.unprotect(
-                protected, source, secret=self.secret_by_default
-            )
+            body = self.endpoint.unprotect(protected, source, secret=True)
         except (ReceiveError, FBSError):
             self.rejected += 1
             return

@@ -89,6 +89,14 @@ class PublicValueCertificate:
             ) from exc
 
 
+#: RSA modulus size of the certificate authority's signing key.
+CA_KEY_BITS = 512
+#: The validity window every certificate is issued with: from the
+#: simulation's start to beyond any run.
+NOT_BEFORE = 0.0
+NOT_AFTER = 1e12
+
+
 class CertificateAuthority:
     """Issues and verifies public value certificates.
 
@@ -96,29 +104,23 @@ class CertificateAuthority:
     verifications.
     """
 
-    def __init__(self, rng: _random.Random, key_bits: int = 512, name: str = "ca") -> None:
-        self.name = name
-        self._keypair = RSAKeyPair.generate(key_bits, rng)
+    def __init__(self, rng: _random.Random) -> None:
+        self._keypair = RSAKeyPair.generate(CA_KEY_BITS, rng)
 
     @property
     def public_key(self) -> RSAPublicKey:
         """The verification key every principal is provisioned with."""
         return self._keypair.public
 
-    def issue(
-        self,
-        subject: Principal,
-        key: DHPrivateKey,
-        not_before: float = 0.0,
-        not_after: float = 1e12,
-    ) -> PublicValueCertificate:
-        """Issue a certificate over a principal's DH public value."""
+    def issue(self, subject: Principal, key: DHPrivateKey) -> PublicValueCertificate:
+        """Issue a certificate over a principal's DH public value, valid
+        from :data:`NOT_BEFORE` to :data:`NOT_AFTER`."""
         cert = PublicValueCertificate(
             subject=subject,
             group_name=key.group.name,
             public_value=key.public,
-            not_before=not_before,
-            not_after=not_after,
+            not_before=NOT_BEFORE,
+            not_after=NOT_AFTER,
         )
         signature = self._keypair.sign(cert.to_be_signed())
         return PublicValueCertificate(

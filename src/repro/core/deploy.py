@@ -36,12 +36,11 @@ class FBSDomain:
         seed: int = 0,
         group: Optional[DHGroup] = None,
         config: Optional[FBSConfig] = None,
-        ca_key_bits: int = 512,
     ) -> None:
         self.rng = _random.Random(seed)
         self.group = group or WELL_KNOWN_GROUPS["TEST256"]
         self.config = config or FBSConfig()
-        self.ca = CertificateAuthority(self.rng, key_bits=ca_key_bits)
+        self.ca = CertificateAuthority(self.rng)
         self.directory = CertificateDirectory()
         self.private_keys: Dict[str, DHPrivateKey] = {}
         self._enrolled = 0
@@ -55,16 +54,10 @@ class FBSDomain:
         charge=None,
     ) -> MasterKeyDaemon:
         """Generate keys, certify, publish; return the principal's MKD."""
-        return self._enroll(
-            principal, principal.name, self.config, now=now, charge=charge
-        )
+        return self._enroll(principal, principal.name, now=now, charge=charge)
 
     def _enroll(
-        self,
-        principal: Principal,
-        name: str,
-        config: FBSConfig,
-        **mkd_kwargs,
+        self, principal: Principal, name: str, **mkd_kwargs
     ) -> MasterKeyDaemon:
         """The one enrolment: keygen -> certify -> publish -> MKD (whose
         PVC misses go to the directory)."""
@@ -76,12 +69,12 @@ class FBSDomain:
             private_key=key,
             ca_public=self.ca.public_key,
             fetch=self.directory.fetch,
-            pvc_size=config.pvc_size,
-            mkc_size=config.mkc_size,
+            pvc_size=self.config.pvc_size,
+            mkc_size=self.config.mkc_size,
             **mkd_kwargs,
         )
 
-    def _enroll_on_host(self, host: Host, config: FBSConfig) -> MasterKeyDaemon:
+    def _enroll_on_host(self, host: Host) -> MasterKeyDaemon:
         """Enrol a simulated host: its clock, its CPU and its cost model
         (a directory fetch is priced at the model's round trip)."""
         self._enrolled += 1
@@ -89,7 +82,6 @@ class FBSDomain:
         return self._enroll(
             Principal.from_ip(host.address),
             host.name,
-            config,
             now=host.clock.now,
             charge=lambda cost: host.charge_cpu(cost) and None,
             modexp_cost=model.modexp,
@@ -127,31 +119,20 @@ class FBSDomain:
 
     # -- simulated hosts (IP mapping) ----------------------------------------------
 
-    def enroll_host(
-        self,
-        host: Host,
-        config: Optional[FBSConfig] = None,
-        **mapping_kwargs,
-    ) -> FBSIPMapping:
+    def enroll_host(self, host: Host, **mapping_kwargs) -> FBSIPMapping:
         """Enroll a simulated host and install the FBS IP mapping."""
-        config = config or self.config
-        mkd = self._enroll_on_host(host, config)
+        mkd = self._enroll_on_host(host)
         mapping = FBSIPMapping(
             host=host,
             mkd=mkd,
-            config=config,
+            config=self.config,
             sfl_seed=self._enrolled,
             **mapping_kwargs,
         )
         mapping.install()
         return mapping
 
-    def enroll_gateway(
-        self,
-        host: Host,
-        config: Optional[FBSConfig] = None,
-        per_conversation: bool = True,
-    ):
+    def enroll_gateway(self, host: Host):
         """Enroll a forwarding router as an FBS security gateway.
 
         Returns a :class:`repro.core.gateway.FBSGatewayTunnel`; call
@@ -161,12 +142,7 @@ class FBSDomain:
         """
         from repro.core.gateway import FBSGatewayTunnel
 
-        config = config or self.config
-        mkd = self._enroll_on_host(host, config)
+        mkd = self._enroll_on_host(host)
         return FBSGatewayTunnel(
-            host=host,
-            mkd=mkd,
-            config=config,
-            per_conversation=per_conversation,
-            sfl_seed=self._enrolled,
+            host=host, mkd=mkd, config=self.config, sfl_seed=self._enrolled
         )

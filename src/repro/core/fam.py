@@ -85,19 +85,16 @@ class FlowAssociationMechanism:
     def __init__(
         self,
         mapper: Mapper,
-        sweeper: Optional[Sweeper] = None,
         fst: Optional[FlowStateTable] = None,
         fst_size: int = 64,
         sfl_seed: int = 0,
-        sweep_interval: float = 60.0,
     ) -> None:
         self.mapper = mapper
-        self.sweeper = sweeper
+        #: Installed by :meth:`configure_sweeper`; none by default.
+        self.sweeper: Optional[Sweeper] = None
         self.fst = fst if fst is not None else FlowStateTable(fst_size)
         self.allocator = SflAllocator(seed=sfl_seed)
-        self._sweep_interval = sweep_interval
         self._last_sweep = 0.0
-        self.classifications = 0
         #: Event tracer; the owning protocol engine replaces this with
         #: its own so flow starts land in the endpoint's trace.
         self.tracer = NULL_TRACER
@@ -113,7 +110,6 @@ class FlowAssociationMechanism:
         if self.sweeper is not None and now - self._last_sweep >= self._sweep_interval:
             self.sweeper.sweep(self.fst, now)
             self._last_sweep = now
-        self.classifications += 1
         entry = self.mapper.classify(attributes, now, self.fst, self.allocator)
         if not entry.valid:
             raise RuntimeError("mapper returned an invalid FST entry")
@@ -126,7 +122,8 @@ class FlowAssociationMechanism:
     def configure_sweeper(
         self, sweeper: Optional[Sweeper], sweep_interval: float
     ) -> None:
-        """Install (or remove, with ``None``) the sweeper at runtime.
+        """Install (or remove, with ``None``) the sweeper: the one way a
+        FAM gets one.
 
         Fault-injection campaigns use this to race aggressive sweeping
         against live traffic; the next :meth:`classify` whose ``now`` is

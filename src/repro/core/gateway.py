@@ -14,9 +14,7 @@ gateway).  Interior hosts need no modification and no keys.
 The interesting FBS twist over plain gateway encryption: the FAM still
 classifies by the *inner* 5-tuple, so each end-to-end conversation
 crossing the tunnel gets its own flow key -- conversation-level
-granularity at the gateway, not one bulk key per gateway pair.  Set
-``per_conversation=False`` for the coarse host-level alternative and
-compare compromise scopes.
+granularity at the gateway, not one bulk key per gateway pair.
 
 On the wire between gateways, outside observers see only
 gateway-to-gateway packets: source/destination pairs of interior hosts
@@ -57,9 +55,6 @@ class FBSGatewayTunnel:
     protected_networks:
         Networks behind *this* gateway; traffic arriving for them from
         the tunnel is decapsulated and forwarded inward.
-    per_conversation:
-        Classify tunnel traffic by inner 5-tuple (flow per end-to-end
-        conversation) instead of by remote gateway (one bulk flow).
     """
 
     def __init__(
@@ -67,14 +62,12 @@ class FBSGatewayTunnel:
         host: Host,
         mkd: MasterKeyDaemon,
         config: Optional[FBSConfig] = None,
-        per_conversation: bool = True,
         sfl_seed: int = 0,
     ) -> None:
         if not host.stack.forwarding:
             raise ValueError("gateway tunnel requires a forwarding host")
         self.host = host
         self.config = config or FBSConfig()
-        self.per_conversation = per_conversation
         self.policy = ConversationPolicy(threshold=self.config.threshold)
         self.endpoint = FBSEndpoint(
             principal=Principal.from_ip(host.address),
@@ -118,13 +111,9 @@ class FBSGatewayTunnel:
             return packet  # not tunnel traffic: forward in the clear
         peer = Principal.from_ip(gateway)
         inner = packet.encode()
-        if self.per_conversation:
-            five_tuple = extract_five_tuple(packet)
-        else:
-            five_tuple = None
         attributes = DatagramAttributes(
             destination_id=peer.wire_id,
-            five_tuple=five_tuple,
+            five_tuple=extract_five_tuple(packet),
             size=len(inner),
         )
         self._charge_crypto(len(inner))

@@ -22,7 +22,7 @@ IP path (the transport layer already charged that), using the calibrated
 from __future__ import annotations
 
 import struct
-from typing import Callable, Optional, Set
+from typing import Optional
 
 from repro.core.config import FBSConfig, MacAlgorithm
 from repro.core.errors import FBSError
@@ -37,7 +37,8 @@ from repro.netsim.ipv4 import IPProtocol, IPv4Packet
 
 __all__ = ["ConversationPolicy", "FBSIPMapping", "is_bypass"]
 
-#: Well-known UDP port of the certificate directory service.
+#: Well-known UDP port of the certificate directory service: the one
+#: port whose datagrams bypass FBS.
 CERTIFICATE_PORT = 500
 
 
@@ -68,8 +69,8 @@ def extract_five_tuple(packet: IPv4Packet) -> Optional[FiveTuple]:
     )
 
 
-def is_bypass(packet: IPv4Packet, ports: Set[int]) -> bool:
-    """Bypass check: is this plaintext traffic for an exempt port?
+def is_bypass(packet: IPv4Packet) -> bool:
+    """Bypass check: is this plaintext certificate-directory traffic?
 
     For a bypassed datagram the transport header sits where the FBS
     header would otherwise be, so the port fields are at offset 0.
@@ -83,7 +84,7 @@ def is_bypass(packet: IPv4Packet, ports: Set[int]) -> bool:
     if len(packet.payload) < 8:
         return False
     sport, dport = struct.unpack_from(">HH", packet.payload, 0)
-    if sport not in ports and dport not in ports:
+    if CERTIFICATE_PORT not in (sport, dport):
         return False
     if packet.header.proto == IPProtocol.UDP:
         (length,) = struct.unpack_from(">H", packet.payload, 4)
@@ -102,19 +103,14 @@ class FBSIPMapping(SecurityModule):
         host: Host,
         mkd: MasterKeyDaemon,
         config: Optional[FBSConfig] = None,
-        secret_policy: Optional[Callable[[IPv4Packet], bool]] = None,
         encrypt_all: bool = False,
-        bypass_ports: Optional[Set[int]] = None,
-        apply_tcp_fix: bool = True,
         sfl_seed: int = 0,
         tracer=None,
         registry=None,
     ) -> None:
         self.host = host
         self.config = config or FBSConfig()
-        self._secret_policy = secret_policy or (lambda _pkt: encrypt_all)
-        self._bypass_ports = bypass_ports if bypass_ports is not None else {CERTIFICATE_PORT}
-        self._apply_tcp_fix = apply_tcp_fix
+        self.encrypt_all = encrypt_all
 
         principal = Principal.from_ip(host.address)
         self.policy = ConversationPolicy(threshold=self.config.threshold)
@@ -147,7 +143,6 @@ class FBSIPMapping(SecurityModule):
         self.outbound_protected = 0
         self.inbound_accepted = 0
         self.inbound_rejected = 0
-        self.bypassed = 0
 
     def _collect_host(self) -> None:
         self.endpoint.registry.gauge("host_cpu_seconds").set(
@@ -162,15 +157,10 @@ class FBSIPMapping(SecurityModule):
         Includes the security flow header plus, when the configured
         cipher mode pads (ECB/CBC), the worst-case one-block padding
         expansion -- otherwise an exact-fit DF segment that gets
-        encrypted would still outgrow the MTU.
-
-        With ``apply_tcp_fix=False`` this lies to TCP (returns 0),
-        reproducing the paper's pre-fix breakage: exact-fit DF segments
-        grow past the MTU once the FBS header is inserted and are
-        dropped, stalling bulk transfers.
+        encrypted would still outgrow the MTU (the paper's pre-fix
+        breakage: exact-fit DF segments grow past the MTU once the FBS
+        header is inserted and are dropped, stalling bulk transfers).
         """
-        if not self._apply_tcp_fix:
-            return 0
         from repro.crypto.des import BLOCK_SIZE
         from repro.crypto.modes import CipherMode
 
@@ -183,8 +173,7 @@ class FBSIPMapping(SecurityModule):
 
     def outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """FBSSend hook: runs between ip_output parts 1 and 2."""
-        if is_bypass(packet, self._bypass_ports):
-            self.bypassed += 1
+        if is_bypass(packet):
             return packet
         five_tuple = extract_five_tuple(packet)
         destination = Principal.from_ip(packet.header.dst)
@@ -193,11 +182,10 @@ class FBSIPMapping(SecurityModule):
             five_tuple=five_tuple,
             size=len(packet.payload),
         )
-        secret = self._secret_policy(packet)
-        self._charge_fbs_cost(len(packet.payload), secret)
+        self._charge_fbs_cost(len(packet.payload), self.encrypt_all)
         try:
             protected = self.endpoint.protect(
-                packet.payload, destination, attributes=attributes, secret=secret
+                packet.payload, destination, attributes=attributes, secret=self.encrypt_all
             )
         except FBSError:
             return None
@@ -210,18 +198,16 @@ class FBSIPMapping(SecurityModule):
 
     def inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """FBSReceive hook: runs between ip_input parts 2 and 3."""
-        if is_bypass(packet, self._bypass_ports):
-            self.bypassed += 1
+        if is_bypass(packet):
             return packet
         source = Principal.from_ip(packet.header.src)
-        secret = self._secret_policy(packet)
         self._charge_fbs_cost(
             max(0, len(packet.payload) - self.endpoint.header_size),
-            secret,
+            self.encrypt_all,
             receive=True,
         )
         try:
-            body = self.endpoint.unprotect(packet.payload, source, secret=secret)
+            body = self.endpoint.unprotect(packet.payload, source, secret=self.encrypt_all)
         except FBSError:  # ReceiveError included
             self.inbound_rejected += 1
             return None

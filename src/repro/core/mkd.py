@@ -90,7 +90,6 @@ class MasterKeyDaemon:
         self._fetch_cost = fetch_cost
         self._upcall_cost = upcall_cost
         # Statistics.
-        self.upcalls = 0
         self.certificate_fetches = 0
         self.master_keys_computed = 0
         self.verification_failures = 0
@@ -103,7 +102,6 @@ class MasterKeyDaemon:
         This is the kernel's entry point on an MKC miss in the send path
         (and symmetrically on the receive path).
         """
-        self.upcalls += 1
         self._charge(self._upcall_cost)
         return self.master_key(peer)
 

@@ -228,9 +228,7 @@ class FBSEndpoint:
             from repro.core.replay_guard import ReplayGuard
 
             self.replay_guard: Optional["ReplayGuard"] = ReplayGuard(
-                capacity=self.config.replay_guard_size,
-                window=2 * self.config.freshness_half_window + 60.0,
-                freshness_half_window=self.config.freshness_half_window,
+                self.config.replay_guard_size, self.config.freshness_half_window
             )
             self.replay_guard.tracer = self.tracer
         else:

@@ -15,8 +15,8 @@ datagrams and refuse exact duplicates.
   sender repeats a confounder within a flow inside the window -- with
   32-bit confounders, negligible at LAN rates.
 * Memory is bounded by an LRU of ``capacity`` entries; entries older
-  than the freshness window are purged since the timestamp check
-  already rejects anything that old.
+  than the freshness span are purged since the timestamp check already
+  rejects anything that old.
 
 Trade-off surfaced honestly: benign *network* duplication (which the
 paper's FBS deliberately lets through) is now suppressed too --
@@ -27,7 +27,7 @@ delivery of each protected datagram.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.errors import ReceiveError
 from repro.core.header import FBSHeader
@@ -44,34 +44,17 @@ class DuplicateDatagramError(ReceiveError):
 class ReplayGuard:
     """Bounded LRU memory of recently accepted datagrams."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        window: float = 240.0,
-        freshness_half_window: Optional[float] = None,
-    ) -> None:
+    def __init__(self, capacity: int, freshness_half_window: float) -> None:
         if capacity < 1:
             raise ValueError("replay guard capacity must be positive")
-        if window <= 0:
-            raise ValueError("replay guard window must be positive")
-        # The guard is only sound if its memory outlives freshness: a
-        # datagram stamped in minute M stays fresh for up to
-        # 2*half_window + 60 s (the minute-resolution slack), so an
-        # entry expiring any earlier would re-admit a replay the
-        # freshness check still accepts.
-        if freshness_half_window is not None:
-            required = 2.0 * freshness_half_window + 60.0
-            if window < required:
-                raise ValueError(
-                    f"replay guard window {window}s is shorter than the "
-                    f"freshness span {required}s (2*{freshness_half_window}"
-                    "+60): guard entries would expire while their "
-                    "datagram is still fresh"
-                )
         self.capacity = capacity
-        self.window = window
+        # The guard's memory is exactly the freshness span: a datagram
+        # stamped in minute M stays fresh for up to 2*half_window + 60 s
+        # (the minute-resolution slack), so an entry expiring any
+        # earlier would re-admit a replay the freshness check still
+        # accepts.
+        self.window = 2.0 * freshness_half_window + 60.0
         self._seen: "OrderedDict[Tuple[int, int, bytes], float]" = OrderedDict()
-        self.duplicates_rejected = 0
         #: Event tracer; the owning protocol engine replaces this with
         #: its own so replay drops land in the endpoint's trace.
         self.tracer = NULL_TRACER
@@ -89,7 +72,6 @@ class ReplayGuard:
         self._expire(now)
         key = self._key(header)
         if key in self._seen:
-            self.duplicates_rejected += 1
             tr = self.tracer
             if tr.enabled:
                 tr.emit(ReplayDropped(sfl=header.sfl))

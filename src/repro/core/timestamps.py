@@ -6,8 +6,8 @@ wrap around in the next 8000 years."  Section 5.2 (R3): "The checking
 should be based on a sliding window centered on the current time."
 
 The simulation clock starts at 0; :class:`TimestampCodec` maps simulated
-seconds onto the 1996 epoch via a configurable offset (defaulting to the
-paper's presentation date, September 1997).
+seconds onto the 1996 epoch by a fixed offset: simulated t=0 is the
+paper's presentation date, September 1997.
 """
 
 from __future__ import annotations
@@ -17,26 +17,25 @@ from dataclasses import dataclass
 __all__ = ["TimestampCodec", "FreshnessWindow", "SIGCOMM97_EPOCH_OFFSET"]
 
 #: Seconds between 1996-01-01 00:00 GMT and 1997-09-14 00:00 GMT
-#: (366 + 256 days): where the simulation's t=0 sits by default.
-SIGCOMM97_EPOCH_OFFSET = (366 + 256) * 86400
+#: (366 + 256 days): where the simulation's t=0 sits.  A float, so the
+#: codec's arithmetic stays float-only.
+SIGCOMM97_EPOCH_OFFSET = float((366 + 256) * 86400)
 
 
 @dataclass(frozen=True)
 class TimestampCodec:
     """Encode simulation time as minutes-since-1996 (32-bit)."""
 
-    epoch_offset: float = float(SIGCOMM97_EPOCH_OFFSET)
-
     def encode(self, sim_time: float) -> int:
         """Simulation seconds -> 32-bit minute count."""
-        minutes = int((sim_time + self.epoch_offset) // 60)
+        minutes = int((sim_time + SIGCOMM97_EPOCH_OFFSET) // 60)
         if not 0 <= minutes <= 0xFFFFFFFF:
             raise ValueError(f"timestamp out of 32-bit range: {minutes}")
         return minutes
 
     def decode(self, minutes: int) -> float:
         """32-bit minute count -> simulation seconds (start of minute)."""
-        return minutes * 60.0 - self.epoch_offset
+        return minutes * 60.0 - SIGCOMM97_EPOCH_OFFSET
 
 
 @dataclass(frozen=True)

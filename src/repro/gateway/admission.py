@@ -15,10 +15,10 @@ from repro.obs.registry import MetricsRegistry
 
 __all__ = ["AdmissionController", "DROP_REASONS", "EVICTION_REASONS"]
 
-#: Mutually exclusive ``gateway_datagrams_dropped`` reasons: the tenant
-#: table refused the peer, the tenant's bounded queue was full, or the
-#: datagram was queued but its tenant was evicted before delivery.
-DROP_REASONS = ("admission", "backpressure", "evicted")
+#: Mutually exclusive ``gateway_datagrams_dropped`` reasons: the tenant's
+#: bounded queue was full, or the datagram was queued but its tenant was
+#: evicted before delivery.
+DROP_REASONS = ("backpressure", "evicted")
 
 #: ``gateway_tenants_evicted`` reasons (currently only table pressure).
 EVICTION_REASONS = ("capacity",)

@@ -84,9 +84,9 @@ class FBSGateway:
         """Receive and process one datagram; None when the wire stays
         idle for ``timeout`` seconds (0: poll).
 
-        Returns the outcome: ``"enqueued"``, ``"dropped:admission"``,
-        ``"dropped:backpressure"``, or ``"rejected:<reason>"`` with the
-        endpoint's mutually exclusive rejection reasons.
+        Returns the outcome: ``"enqueued"``, ``"dropped:backpressure"``,
+        or ``"rejected:<reason>"`` with the endpoint's mutually exclusive
+        rejection reasons.
         """
         arrival = await self.transport.recv_from(timeout)
         if arrival is None:
@@ -109,12 +109,7 @@ class FBSGateway:
         return outcomes
 
     def _process(self, payload: bytes, addr: Address) -> str:
-        tenant = self.tenants.get(addr)
-        if tenant is None:
-            tenant = self._admit(addr)
-            if tenant is None:
-                return "dropped:admission"
-        tenant.last_active = self.transport.now()
+        tenant = self.tenants.get(addr) or self._admit(addr)
         if len(tenant.queue) >= self.config.queue_depth:
             # Shed before unprotect: no crypto for undeliverable bytes.
             tenant.dropped += 1
@@ -131,11 +126,8 @@ class FBSGateway:
 
     # -- admission -------------------------------------------------------------
 
-    def _admit(self, addr: Address) -> Optional[TenantState]:
+    def _admit(self, addr: Address) -> TenantState:
         if len(self.tenants) >= self.config.max_tenants:
-            if not self.config.evict_cold:
-                self.admission.dropped("admission")
-                return None
             cold = self.tenants.coldest()
             if cold.queue:
                 # Accepted but never delivered: account before discarding.
@@ -147,12 +139,7 @@ class FBSGateway:
             if tr.enabled:
                 tr.emit(TenantEvicted(peer=cold.name, reason="capacity"))
         principal = self.resolver(addr)
-        tenant = TenantState(
-            name=principal.name,
-            principal=principal,
-            addr=addr,
-            now=self.transport.now(),
-        )
+        tenant = TenantState(name=principal.name, principal=principal, addr=addr)
         self.tenants.admit(tenant)
         self.admission.admitted()
         tr = self.endpoint.tracer

@@ -35,17 +35,12 @@ class GatewayConfig:
     """
 
     #: Tenant table capacity.  Admission beyond it evicts the coldest
-    #: tenant (``evict_cold``) or drops the datagram.
+    #: tenant, reclaiming its key-cache footprint.
     max_tenants: int = 8
     #: Bounded per-tenant delivery queue, in datagrams.  Arrivals beyond
     #: it are dropped with reason ``backpressure`` and counted -- never
     #: queued without bound.
     queue_depth: int = 64
-    #: Whether a full tenant table evicts its coldest tenant to admit a
-    #: new peer (reclaiming the evictee's key-cache footprint).  When
-    #: off, datagrams from unknown peers are dropped with reason
-    #: ``admission`` instead.
-    evict_cold: bool = True
 
     def __post_init__(self) -> None:
         if self.max_tenants < 1:
@@ -63,25 +58,17 @@ class TenantState:
         "addr",
         "queue",
         "flows",
-        "last_active",
         "enqueued",
         "delivered",
         "dropped",
     )
 
-    def __init__(
-        self,
-        name: str,
-        principal: Principal,
-        addr: Address,
-        now: float = 0.0,
-    ) -> None:
+    def __init__(self, name: str, principal: Principal, addr: Address) -> None:
         self.name = name
         self.principal = principal
         self.addr = addr
         self.queue: Deque[bytes] = deque()
         self.flows: Set[int] = set()
-        self.last_active = now
         self.enqueued = 0
         self.delivered = 0
         self.dropped = 0

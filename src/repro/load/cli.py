@@ -75,11 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch", type=number(int, 1), default=256, help="datapath batch size"
     )
     parser.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="force the scalar per-datagram kernels (skip repro.crypto.vector)",
-    )
-    parser.add_argument(
         "--transport",
         choices=HOP_NAMES,
         default="direct",
@@ -130,7 +125,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         datagrams=args.datagrams,
         secret=args.secret,
         batch=args.batch,
-        vectorize=not args.no_vectorize,
         trace_dir=args.trace_out,
         transport=args.transport,
     )

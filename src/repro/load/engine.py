@@ -53,10 +53,7 @@ class LoadSpec:
     duration: Optional[float] = None
     datagrams: Optional[int] = None
     secret: bool = False
-    threshold: float = 600.0
-    cache_size: int = 4096
     batch: int = 256
-    vectorize: bool = True
     trace_dir: Optional[str] = None
     #: Wire hop between protect and unprotect (``direct`` or
     #: ``netsim``); see :class:`repro.load.worker.WorkerSpec.transport`.
@@ -141,7 +138,7 @@ def check_invariants(run: Dict[str, object]) -> None:
     )
     if evictions:
         raise LoadError(
-            f"{evictions} cache evictions recorded; raise cache_size -- "
+            f"{evictions} cache evictions recorded; raise CACHE_SIZE -- "
             "merge exactness requires eviction-free flow-key caches"
         )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.load.engine import LoadSpec
+from repro.load.worker import CACHE_SIZE, SHARD_EXACT
 
 __all__ = ["REPORT_VERSION", "build_report"]
 
@@ -80,8 +81,8 @@ def build_report(run: Dict[str, object]) -> Dict[str, object]:
             "duration": spec.duration,
             "datagrams": spec.datagrams,
             "secret": spec.secret,
-            "threshold": _round(spec.threshold),
-            "cache_size": spec.cache_size,
+            "threshold": _round(SHARD_EXACT.threshold),
+            "cache_size": CACHE_SIZE,
             "batch": spec.batch,
         },
         "workers": workers_out,

@@ -61,15 +61,7 @@ class WorkerSpec:
     duration: Optional[float] = None
     datagrams: Optional[int] = None
     secret: bool = False
-    threshold: float = 600.0
-    cache_size: int = 4096
     batch: int = 256
-    #: Batch replay through the numpy lane kernels
-    #: (:mod:`repro.crypto.vector`) when available.  Metrics are
-    #: identical either way (the vector path is bit-equivalent); the
-    #: knob exists for timing comparisons and for forcing the scalar
-    #: path on numpy-less deployments.
-    vectorize: bool = True
     #: When set, write a shard-tagged JSONL event trace to
     #: ``<trace_dir>/worker<i>.jsonl``.
     trace_dir: Optional[str] = None
@@ -84,6 +76,17 @@ class WorkerSpec:
     #: pair over a perfect simulated segment (same ledgers, datagrams
     #: genuinely traverse the transport interface).
     transport: str = "direct"
+
+
+#: Flow-key cache size and associativity of every worker endpoint: fully
+#: associative and large enough that no workload evicts (see the module
+#: docstring).
+CACHE_SIZE = 4096
+#: The shard-exact configuration; everything else is the paper's default.
+SHARD_EXACT = FBSConfig(
+    tfkc_size=CACHE_SIZE, tfkc_ways=CACHE_SIZE,
+    rfkc_size=CACHE_SIZE, rfkc_ways=CACHE_SIZE,
+)
 
 
 class _SimClock:
@@ -106,7 +109,6 @@ def _make_endpoint(
     domain: FBSDomain,
     principal: Principal,
     clock: _SimClock,
-    spec: WorkerSpec,
     sfl_seed: int,
     tracer,
 ) -> FBSEndpoint:
@@ -114,7 +116,7 @@ def _make_endpoint(
     registry = MetricsRegistry()
     mkd = domain.enroll_principal(principal, now=clock)
     fam = FlowAssociationMechanism(
-        mapper=FiveTuplePolicy(threshold=spec.threshold),
+        mapper=FiveTuplePolicy(threshold=domain.config.threshold),
         fst=UnboundedFlowTable(),
         sfl_seed=sfl_seed,
     )
@@ -144,15 +146,7 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
     records = FlowSharder(spec.workers).filter_shard(trace, spec.worker)
 
     clock = _SimClock()
-    config = FBSConfig(
-        threshold=spec.threshold,
-        tfkc_size=spec.cache_size,
-        tfkc_ways=spec.cache_size,
-        rfkc_size=spec.cache_size,
-        rfkc_ways=spec.cache_size,
-        vectorize=spec.vectorize,
-    )
-    domain = FBSDomain(seed=spec.seed, config=config)
+    domain = FBSDomain(seed=spec.seed, config=SHARD_EXACT)
     sender_name = f"load-sender-{spec.worker}"
     receiver_name = f"load-receiver-{spec.worker}"
     sink = None
@@ -166,12 +160,10 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
     sender_principal = Principal.from_name(sender_name)
     receiver_principal = Principal.from_name(receiver_name)
     sender = _make_endpoint(
-        domain, sender_principal, clock, spec, sfl_seed=2 * spec.worker + 1,
-        tracer=tracer,
+        domain, sender_principal, clock, sfl_seed=2 * spec.worker + 1, tracer=tracer
     )
     receiver = _make_endpoint(
-        domain, receiver_principal, clock, spec, sfl_seed=2 * spec.worker + 2,
-        tracer=tracer,
+        domain, receiver_principal, clock, sfl_seed=2 * spec.worker + 2, tracer=tracer
     )
 
     receiver_wire = receiver_principal.wire_id

@@ -46,7 +46,6 @@ class Simulator:
         self._now = start_time
         self._queue: List[Tuple[float, int, CancelToken, Callable[[], None]]] = []
         self._sequence = itertools.count()
-        self._running = False
 
     @property
     def now(self) -> float:

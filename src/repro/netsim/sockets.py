@@ -78,7 +78,6 @@ class TcpServer:
         self.port = port
         self.connections: List[TcpConnection] = []
         self.received: List[bytearray] = []
-        self.closed_count = 0
         self.on_data: Optional[Callable[[TcpConnection, bytes], None]] = None
         host.tcp.listen(port, self._on_accept)
 
@@ -93,7 +92,6 @@ class TcpServer:
                 self.on_data(c, chunk)
 
         def closed() -> None:
-            self.closed_count += 1
             conn.close()  # echo the FIN (passive close)
 
         conn.on_data = data

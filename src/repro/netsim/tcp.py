@@ -148,7 +148,6 @@ class TcpConnection:
         self.on_fail: Optional[Callable[[str], None]] = None
         # Stats.
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.segments_retransmitted = 0
 
     # -- public API ----------------------------------------------------------
@@ -332,7 +331,6 @@ class TcpConnection:
 
     def _deliver(self, payload: bytes) -> None:
         self.rcv_nxt = (self.rcv_nxt + len(payload)) % _SEQ_MOD
-        self.bytes_received += len(payload)
         if self.on_data:
             self.on_data(payload)
 
@@ -432,7 +430,6 @@ class TcpLayer:
         #: FBS header reserve for MSS calculation (the tcp_output.c fix).
         #: Left at a constant 0 unless the FBS mapping installs its own.
         self.header_reserve: Callable[[], int] = lambda: 0
-        self.segments_sent = 0
         self.segments_received = 0
 
     # -- API --------------------------------------------------------------------
@@ -489,7 +486,6 @@ class TcpLayer:
             ),
             payload=segment,
         )
-        self.segments_sent += 1
         self._transmit(packet)
 
     def deliver(self, packet: IPv4Packet) -> None:

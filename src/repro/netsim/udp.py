@@ -79,7 +79,6 @@ class UdpLayer:
         #: change).
         self.rebind_wait = 0.0
         self.datagrams_sent = 0
-        self.datagrams_delivered = 0
         self.checksum_failures = 0
         self.no_port = 0
 
@@ -166,5 +165,4 @@ class UdpLayer:
         if callback is None:
             self.no_port += 1
             return
-        self.datagrams_delivered += 1
         callback(body[UDP_HEADER_LEN:], packet.header.src, header.sport)

@@ -8,10 +8,9 @@ Two checks, both pure-stdlib:
   :data:`repro.obs.events.EVENT_TYPES` and every metric name in
   :data:`repro.obs.registry.METRIC_CATALOG`; ``docs/DEPLOYMENT.md``
   owes every operator-facing knob of the real-socket transport
-  (``UdpTransportConfig`` and ``RetryPolicy`` fields, ``--transport``
-  hop names) and of the gateway (``GatewayConfig`` fields, admission
-  drop/eviction reasons).  The guides cannot silently fall behind the
-  code.
+  (``UdpTransportConfig`` fields, ``--transport`` hop names) and of the
+  gateway (``GatewayConfig`` fields, admission drop/eviction reasons).
+  The guides cannot silently fall behind the code.
 * **Links** -- every relative markdown link in the repo's top-level and
   ``docs/`` markdown files must resolve to an existing file (anchors
   are stripped; external ``http(s)``/``mailto`` links are skipped).
@@ -77,7 +76,6 @@ def deployment_names() -> Dict[str, Sequence[str]]:
     # and must not pull them in eagerly; check-docs is an offline CLI path.
     from repro.gateway.admission import DROP_REASONS, EVICTION_REASONS
     from repro.gateway.tenants import GatewayConfig
-    from repro.transport.channel import RetryPolicy
     from repro.transport.hop import HOP_NAMES
     from repro.transport.udp import UdpTransportConfig
 
@@ -86,7 +84,6 @@ def deployment_names() -> Dict[str, Sequence[str]]:
 
     return {
         "UdpTransportConfig knob": knobs(UdpTransportConfig),
-        "RetryPolicy knob": knobs(RetryPolicy),
         "--transport value": HOP_NAMES,
         "GatewayConfig knob": knobs(GatewayConfig),
         "gateway reason": DROP_REASONS + EVICTION_REASONS,

@@ -87,9 +87,9 @@ class Gauge:
         self.value = value
 
 
-#: Default histogram buckets, tuned for CPU-cost seconds on the
+#: Every histogram's buckets, tuned for CPU-cost seconds on the
 #: calibrated Pentium-133 model (25 us .. 10 ms; +inf is implicit).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
+BUCKETS: Tuple[float, ...] = (
     25e-6,
     50e-6,
     100e-6,
@@ -105,21 +105,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 class Histogram:
     """A fixed-bucket distribution of observed values."""
 
-    __slots__ = ("name", "labels", "buckets", "bucket_counts", "count",
-                 "total", "min", "max")
+    __slots__ = ("name", "labels", "bucket_counts", "count", "total", "min", "max")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelsKey,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        if list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be sorted ascending")
+    def __init__(self, name: str, labels: LabelsKey) -> None:
         self.name = name
         self.labels = labels
-        self.buckets = tuple(buckets)
-        self.bucket_counts = [0] * (len(buckets) + 1)  # last = +inf
+        self.bucket_counts = [0] * (len(BUCKETS) + 1)  # last = +inf
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -132,7 +123,7 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, upper in enumerate(self.buckets):
+        for i, upper in enumerate(BUCKETS):
             if value <= upper:
                 self.bucket_counts[i] += 1
                 return
@@ -145,7 +136,7 @@ class Histogram:
     def to_dict(self) -> Dict[str, object]:
         bucket_map = {
             f"le={upper:g}": self.bucket_counts[i]
-            for i, upper in enumerate(self.buckets)
+            for i, upper in enumerate(BUCKETS)
         }
         bucket_map["le=+inf"] = self.bucket_counts[-1]
         return {
@@ -183,18 +174,11 @@ class MetricsRegistry:
             instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: str,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: str) -> Histogram:
         key = (name, _labels_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(
-                name, key[1], buckets=buckets or DEFAULT_BUCKETS
-            )
+            instrument = self._histograms[key] = Histogram(name, key[1])
         return instrument
 
     # -- collectors -----------------------------------------------------------
@@ -472,9 +456,9 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "gateway_datagrams_dropped": MetricSpec(
         "counter",
         ("reason",),
-        "datagrams the gateway dropped before protocol processing "
-        "(admission: tenant table full with eviction disabled; "
-        "backpressure: the tenant's bounded queue was full)",
+        "datagrams the gateway dropped (backpressure: the tenant's "
+        "bounded queue was full, before protocol processing; evicted: "
+        "queued, then lost with its evicted tenant)",
     ),
     "gateway_active_tenants": MetricSpec(
         "gauge", (), "tenants currently resident in the gateway table"

@@ -107,14 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _BadTrace(Exception):
+    """A trace file that does not parse: a usage error, like one that
+    cannot be opened."""
+
+
 def _load_trace(path: str, stdin: TextIO) -> Trace:
-    if path == "-":
-        return tcpdump.load(stdin)
-    with open(path) as handle:
-        return tcpdump.load(handle)
+    try:
+        if path == "-":
+            return tcpdump.load(stdin)
+        with open(path) as handle:
+            return tcpdump.load(handle)
+    except ValueError as exc:
+        raise _BadTrace(f"{path}: {exc}") from None
 
 
 def _cmd_generate(args, out: TextIO) -> int:
+    if args.output != "-" and refuse_path("--output", args.output):
+        return 2
     if args.kind == "lan":
         workload = CampusLanWorkload(
             duration=args.duration, clients=args.clients, seed=args.seed
@@ -275,8 +285,9 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout, stdin: Text
             return _cmd_sweep(args, out, stdin)
         if args.command == "cachesim":
             return _cmd_cachesim(args, out, stdin)
-    except OSError as exc:
-        # A trace or output path that cannot be opened is a usage error.
+    except (OSError, _BadTrace) as exc:
+        # A trace or output path that cannot be opened, or a trace that
+        # does not parse, is a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

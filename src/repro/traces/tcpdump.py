@@ -80,10 +80,16 @@ def dump(trace: Trace, stream: TextIO) -> None:
 
 
 def load(stream: TextIO) -> Trace:
-    """Read a trace from ``stream``."""
+    """Read a trace from ``stream``.
+
+    Raises
+    ------
+    ValueError
+        On a malformed line, naming its line number.
+    """
     description = ""
     records = []
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
@@ -91,7 +97,10 @@ def load(stream: TextIO) -> Trace:
             if not description:
                 description = line.lstrip("# ")
             continue
-        records.append(parse_line(line))
+        try:
+            records.append(parse_line(line))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     trace = Trace(records, description=description)
     trace.sort()
     return trace

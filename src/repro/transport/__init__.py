@@ -33,7 +33,7 @@ from repro.transport.base import (
     TransportError,
     TransportStats,
 )
-from repro.transport.channel import RetryPolicy, SecureChannel, channel_pair
+from repro.transport.channel import SecureChannel, channel_pair
 from repro.transport.hop import DirectHop, NetsimHop, WireHop, build_hop
 from repro.transport.netsim import NetsimTransport, netsim_transport_pair
 from repro.transport.udp import UdpTransport, UdpTransportConfig
@@ -44,7 +44,6 @@ __all__ = [
     "TransportClosedError",
     "TransportStats",
     "SecureChannel",
-    "RetryPolicy",
     "channel_pair",
     "WireHop",
     "DirectHop",

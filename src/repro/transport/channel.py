@@ -20,8 +20,8 @@ first protected datagram of a flow carries everything the receiver
 needs.  That means first contact has no handshake to lean on -- if the
 first datagram is lost, *nothing* tells the sender except silence.
 :meth:`SecureChannel.request` implements the standard remedy: resend
-under a jittered exponential backoff (:class:`RetryPolicy`) until a
-reply arrives or the attempt budget runs out.  Every retransmission is
+under a jittered exponential backoff (:func:`backoff`) until a reply
+arrives or the :data:`ATTEMPTS` run out.  Every retransmission is
 re-protected (fresh timestamp, same flow), so a straggler duplicate
 arriving late is rejected by the receiver's replay guard rather than
 double-delivered.  Backoff sleeps go through ``transport.sleep``, so
@@ -33,7 +33,6 @@ stay reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import FBSConfig
@@ -43,35 +42,26 @@ from repro.core.protocol import FBSEndpoint
 from repro.obs.events import REJECTION_REASONS
 from repro.transport.base import Transport
 
-__all__ = ["RetryPolicy", "SecureChannel", "channel_pair"]
+__all__ = ["ATTEMPTS", "SecureChannel", "backoff", "channel_pair"]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Jittered exponential backoff for the first-contact path.
+#: The first-contact backoff schedule.  Attempt ``i`` (0-based) waits
+#: ``min(BACKOFF_INITIAL * 2**i, BACKOFF_CAP)`` seconds, scaled by a
+#: uniform factor in ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`` so
+#: synchronized senders do not retry in lockstep, and clamped back to the
+#: cap: the cap is a ceiling on any single backoff, jitter included.
+BACKOFF_INITIAL = 0.05
+BACKOFF_CAP = 1.0
+BACKOFF_JITTER = 0.5
+#: Total send attempts of a first contact (the original send counts as one).
+ATTEMPTS = 8
 
-    Attempt ``i`` (0-based) waits ``min(initial * 2**i, cap)`` seconds,
-    then scales that wait by a uniform factor in ``[1 - jitter, 1 +
-    jitter]`` so synchronized senders do not retry in lockstep.  The
-    jittered wait is clamped back to ``cap``: the cap is a ceiling on
-    any single backoff, jitter included.
-    """
 
-    #: Backoff before the first retransmission, seconds.
-    initial: float = 0.05
-    #: Ceiling on any single backoff, seconds.
-    cap: float = 1.0
-    #: Jitter fraction; 0 disables jitter entirely.
-    jitter: float = 0.5
-    #: Total send attempts (the original send counts as one).
-    attempts: int = 8
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        base = min(self.initial * (2.0 ** attempt), self.cap)
-        if self.jitter <= 0:
-            return base
-        jittered = base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-        return min(jittered, self.cap)
+def backoff(attempt: int, rng: random.Random) -> float:
+    """Seconds to wait before retransmission ``attempt + 1``."""
+    base = min(BACKOFF_INITIAL * (2.0 ** attempt), BACKOFF_CAP)
+    jittered = base * rng.uniform(1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER)
+    return min(jittered, BACKOFF_CAP)
 
 
 class SecureChannel:
@@ -82,15 +72,13 @@ class SecureChannel:
         endpoint: FBSEndpoint,
         transport: Transport,
         peer: Principal,
-        secret: bool = False,
-        retry: Optional[RetryPolicy] = None,
         seed: int = 0,
     ) -> None:
         self.endpoint = endpoint
         self.transport = transport
         self.peer = peer
-        self.secret = secret
-        self.retry = retry or RetryPolicy()
+        #: Encrypt bodies as well as MAC them (off: the MAC-only default).
+        self.secret = False
         self._rng = random.Random(seed)
 
     # -- datagram path ---------------------------------------------------------
@@ -114,19 +102,14 @@ class SecureChannel:
         result = self.endpoint.unprotect_batch((wire,), self.peer, self.secret)
         return result.bodies[0]
 
-    async def request(
-        self,
-        body: bytes,
-        timeout: float = 0.25,
-        retry: Optional[RetryPolicy] = None,
-    ) -> Optional[bytes]:
+    async def request(self, body: bytes, timeout: float = 0.25) -> Optional[bytes]:
         """Send ``body`` and wait for one reply, retrying on silence.
 
         This is the first-contact pattern: with zero-message keying a
         lost opening datagram produces no error signal, so each attempt
         re-protects the body (fresh timestamp) and resends after a
-        jittered backoff.  Returns the first accepted reply, or ``None``
-        once the attempt budget is spent.
+        jittered backoff (:func:`backoff`).  Returns the first accepted
+        reply, or ``None`` once all :data:`ATTEMPTS` are spent.
 
         Within one attempt the *whole* timeout window is drained: a
         rejected arrival (a duplicate straggler, a corrupted datagram)
@@ -135,11 +118,10 @@ class SecureChannel:
         listening for the remainder of its window instead of burning
         the attempt and resending immediately.
         """
-        policy = retry or self.retry
         now = self.transport.now
-        for attempt in range(max(1, policy.attempts)):
+        for attempt in range(ATTEMPTS):
             if attempt:
-                await self.transport.sleep(policy.backoff(attempt - 1, self._rng))
+                await self.transport.sleep(backoff(attempt - 1, self._rng))
             await self.send(body)
             deadline = now() + timeout
             remaining = timeout
@@ -179,8 +161,6 @@ def channel_pair(
     transport_b: Transport,
     seed: int = 0,
     config: Optional[FBSConfig] = None,
-    secret: bool = False,
-    retry: Optional[RetryPolicy] = None,
 ) -> Tuple[SecureChannel, SecureChannel]:
     """Enroll two principals in one domain and wire them up.
 
@@ -194,10 +174,6 @@ def channel_pair(
     p_b = Principal.from_name(f"transport-b-{seed}")
     ep_a = domain.make_endpoint(p_a, now=transport_a.now, sfl_seed=seed * 2 + 1)
     ep_b = domain.make_endpoint(p_b, now=transport_b.now, sfl_seed=seed * 2 + 2)
-    ch_a = SecureChannel(
-        ep_a, transport_a, peer=p_b, secret=secret, retry=retry, seed=seed * 2 + 1
-    )
-    ch_b = SecureChannel(
-        ep_b, transport_b, peer=p_a, secret=secret, retry=retry, seed=seed * 2 + 2
-    )
+    ch_a = SecureChannel(ep_a, transport_a, peer=p_b, seed=seed * 2 + 1)
+    ch_b = SecureChannel(ep_b, transport_b, peer=p_a, seed=seed * 2 + 2)
     return ch_a, ch_b

@@ -7,9 +7,10 @@ the pluggable step between the two: it takes the protected batch the
 sender emitted and returns the batch the receiver's substrate actually
 delivered.
 
-* :class:`DirectHop` -- the historical wiring: the lists are the same
-  object, no substrate at all.  This is the default, so every existing
-  load report stays byte-identical.
+* :class:`DirectHop` -- the historical wiring: the receiver gets a new
+  list holding the very datagrams the sender emitted, no substrate at
+  all.  This is the default, so every existing load report stays
+  byte-identical.
 * :class:`NetsimHop` -- each batch is relayed through a
   :class:`~repro.transport.netsim.NetsimTransport` pair over a private
   two-host simulated segment with perfect conditions (lossless,
@@ -34,6 +35,11 @@ __all__ = ["WireHop", "DirectHop", "NetsimHop", "build_hop", "HOP_NAMES"]
 #: Valid ``--transport`` values, in CLI order.
 HOP_NAMES = ("direct", "netsim")
 
+#: The netsim hop's MTU: high enough that one wire datagram stays one
+#: frame -- fragmentation timing is netsim-experiment territory, not
+#: load-engine territory.
+HOP_MTU = 65535
+
 
 class WireHop:
     """One-way relay of a protected wire batch (see module docstring)."""
@@ -46,7 +52,8 @@ class WireHop:
 
 
 class DirectHop(WireHop):
-    """In-memory hand-off -- the wiring every prior report used."""
+    """In-memory hand-off -- the wiring every prior report used: a copy
+    of the batch list, the same ``bytes`` objects in it."""
 
     name = "direct"
 
@@ -65,16 +72,13 @@ class NetsimHop(WireHop):
 
     name = "netsim"
 
-    def __init__(self, seed: int = 0, mtu: int = 65535) -> None:
+    def __init__(self, seed: int = 0) -> None:
         # A private simulator per hop: workers are isolated processes,
         # and simulated time advances only inside relay().
-        # mtu defaults high so one wire datagram stays one frame --
-        # fragmentation timing is netsim-experiment territory, not
-        # load-engine territory.
         self.net = Network(seed=seed)
         self.net.add_segment("hop", "10.99.0.0")
-        tx_host = self.net.add_host("hop-tx", segment="hop", mtu=mtu)
-        rx_host = self.net.add_host("hop-rx", segment="hop", mtu=mtu)
+        tx_host = self.net.add_host("hop-tx", segment="hop", mtu=HOP_MTU)
+        rx_host = self.net.add_host("hop-rx", segment="hop", mtu=HOP_MTU)
         # Queue bound sized for whole load batches: a perfect link must
         # never drop, or the DirectHop ledger equality breaks.
         self.tx, self.rx = netsim_transport_pair(

@@ -12,7 +12,7 @@ the interface symmetry the transport tentpole promises.
 
 Lost exchanges (possible only over a lossy substrate; loopback and the
 perfect netsim segment never lose) are retried under the channel's
-jittered backoff policy, exercising the zero-message-keying
+jittered backoff schedule, exercising the zero-message-keying
 first-contact path: the opening datagram of the run *is* the keying
 message, and a retry re-protects with a fresh timestamp.
 
@@ -28,9 +28,9 @@ import random
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import FBSConfig
-from repro.transport.channel import RetryPolicy, SecureChannel, channel_pair
+from repro.transport.channel import ATTEMPTS, SecureChannel, backoff, channel_pair
 from repro.transport.netsim import netsim_transport_pair
-from repro.transport.udp import UdpTransport, UdpTransportConfig
+from repro.transport.udp import UdpTransport
 
 __all__ = ["run_echo", "build_netsim_channels", "build_udp_channels"]
 
@@ -39,9 +39,7 @@ SUBSTRATES = ("netsim", "udp")
 
 
 def build_netsim_channels(
-    seed: int = 0,
-    config: Optional[FBSConfig] = None,
-    retry: Optional[RetryPolicy] = None,
+    seed: int = 0, config: Optional[FBSConfig] = None
 ) -> Tuple[SecureChannel, SecureChannel]:
     """A channel pair over a private two-host simulated segment."""
     from repro.netsim.network import Network
@@ -51,14 +49,11 @@ def build_netsim_channels(
     client_host = net.add_host("echo-client", segment="echo")
     server_host = net.add_host("echo-server", segment="echo")
     t_client, t_server = netsim_transport_pair(client_host, server_host)
-    return channel_pair(t_client, t_server, seed=seed, config=config, retry=retry)
+    return channel_pair(t_client, t_server, seed=seed, config=config)
 
 
 async def build_udp_channels(
-    seed: int = 0,
-    config: Optional[FBSConfig] = None,
-    retry: Optional[RetryPolicy] = None,
-    transport_config: Optional[UdpTransportConfig] = None,
+    seed: int = 0, config: Optional[FBSConfig] = None
 ) -> Tuple[SecureChannel, SecureChannel]:
     """A channel pair over real loopback UDP sockets (ephemeral ports).
 
@@ -67,11 +62,9 @@ async def build_udp_channels(
     contact needs no out-of-band address exchange, matching the
     zero-message-keying story one layer down.
     """
-    t_server = await UdpTransport.create(config=transport_config)
-    t_client = await UdpTransport.create(
-        remote=t_server.local_address, config=transport_config
-    )
-    return channel_pair(t_client, t_server, seed=seed, config=config, retry=retry)
+    t_server = await UdpTransport.create()
+    t_client = await UdpTransport.create(remote=t_server.local_address)
+    return channel_pair(t_client, t_server, seed=seed, config=config)
 
 
 async def run_echo(
@@ -80,22 +73,17 @@ async def run_echo(
     payload_size: int = 64,
     seed: int = 0,
     timeout: float = 1.0,
-    retry: Optional[RetryPolicy] = None,
-    transport_config: Optional[UdpTransportConfig] = None,
 ) -> Dict[str, object]:
     """Run the echo workload; return the ledger-only report dict."""
     if substrate == "netsim":
-        client, server = build_netsim_channels(seed=seed, retry=retry)
+        client, server = build_netsim_channels(seed=seed)
     elif substrate == "udp":
-        client, server = await build_udp_channels(
-            seed=seed, retry=retry, transport_config=transport_config
-        )
+        client, server = await build_udp_channels(seed=seed)
     else:
         raise ValueError(
             f"unknown substrate {substrate!r}; expected one of {SUBSTRATES}"
         )
 
-    policy = retry or client.retry
     rng = random.Random(seed)
     echoed = 0
     exchanges_retried = 0
@@ -104,10 +92,10 @@ async def run_echo(
             max(0, payload_size - 12)
         ))
         reply = None
-        for attempt in range(max(1, policy.attempts)):
+        for attempt in range(ATTEMPTS):
             if attempt:
                 exchanges_retried += 1
-                await client.transport.sleep(policy.backoff(attempt - 1, rng))
+                await client.transport.sleep(backoff(attempt - 1, rng))
             await client.send(payload)
             # Serve one echo: over UDP the awaits inside recv() run the
             # event loop; over netsim they advance simulated time.

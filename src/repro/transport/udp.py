@@ -41,7 +41,7 @@ Design points, in the order an operator hits them:
 * **Graceful shutdown.**  ``close`` stops new sends, takes what the
   socket already holds into the queue (counted like any arrival), lets
   asyncio flush its send buffer, and waits (bounded by
-  ``close_timeout``) for the endpoint teardown; everything delivered
+  ``_CLOSE_TIMEOUT``) for the endpoint teardown; everything delivered
   before the close stays readable via ``recv``/``drain``.
 
 **Clock quarantine.**  This module is the one place outside
@@ -69,6 +69,10 @@ __all__ = ["UdpTransport", "UdpTransportConfig"]
 
 #: ``recvfrom`` buffer: no UDP payload is larger.
 _MAX_DATAGRAM = 65536
+#: ``recv`` timeout in seconds when the caller passes none.
+_RECV_TIMEOUT = 1.0
+#: Upper bound on the graceful-close drain, seconds.
+_CLOSE_TIMEOUT = 1.0
 #: Receives in a row served without turning the event loop before one
 #: turn is taken: its ~6 us amortise to under 0.4 us a datagram, and a
 #: timer or another task waits behind at most 16 datagrams' work.
@@ -86,10 +90,6 @@ class UdpTransportConfig:
     #: Bounded receive queue, in datagrams.  Arrivals beyond it are
     #: dropped and counted in ``stats.queue_drops``.
     recv_queue: int = 1024
-    #: Default ``recv`` timeout in seconds when the caller passes none.
-    recv_timeout: float = 1.0
-    #: Upper bound on the graceful-close drain (seconds).
-    close_timeout: float = 1.0
 
 
 class _DatagramQueueProtocol(asyncio.DatagramProtocol):
@@ -225,7 +225,7 @@ class UdpTransport(Transport):
         self._harvest()
         if not self._queue:
             if timeout is None:
-                timeout = self.config.recv_timeout
+                timeout = _RECV_TIMEOUT
             if self._closed or timeout <= 0:
                 return None
             # Kernel and queue both empty: park on one future, resolved
@@ -260,9 +260,7 @@ class UdpTransport(Transport):
             self._sock = None
             self._transport.close()  # flushes the send buffer first
             try:
-                await asyncio.wait_for(
-                    self._closed_event.wait(), self.config.close_timeout
-                )
+                await asyncio.wait_for(self._closed_event.wait(), _CLOSE_TIMEOUT)
             except asyncio.TimeoutError:
                 self._transport.abort()
 

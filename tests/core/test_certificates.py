@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import certificates
 from repro.core.certificates import (
     CertificateAuthority,
     CertificateDirectory,
@@ -19,7 +20,7 @@ GROUP = WELL_KNOWN_GROUPS["TEST128"]
 
 @pytest.fixture(scope="module")
 def ca():
-    return CertificateAuthority(random.Random(1), key_bits=512)
+    return CertificateAuthority(random.Random(1))
 
 
 @pytest.fixture
@@ -28,8 +29,9 @@ def bob_key():
 
 
 @pytest.fixture
-def bob_cert(ca, bob_key):
-    return ca.issue(Principal.from_name("bob"), bob_key, not_before=0.0, not_after=1e6)
+def bob_cert(ca, bob_key, monkeypatch):
+    monkeypatch.setattr(certificates, "NOT_AFTER", 1e6)
+    return ca.issue(Principal.from_name("bob"), bob_key)
 
 
 class TestIssueVerify:
@@ -44,8 +46,9 @@ class TestIssueVerify:
         with pytest.raises(CertificateError):
             bob_cert.verify(ca.public_key, now=2e6)
 
-    def test_not_yet_valid_rejected(self, ca, bob_key):
-        cert = ca.issue(Principal.from_name("bob"), bob_key, not_before=50.0)
+    def test_not_yet_valid_rejected(self, ca, bob_key, monkeypatch):
+        monkeypatch.setattr(certificates, "NOT_BEFORE", 50.0)
+        cert = ca.issue(Principal.from_name("bob"), bob_key)
         with pytest.raises(CertificateError):
             cert.verify(ca.public_key, now=10.0)
 
@@ -74,7 +77,7 @@ class TestIssueVerify:
             forged.verify(ca.public_key, now=100.0)
 
     def test_wrong_ca_rejected(self, bob_cert):
-        other = CertificateAuthority(random.Random(9), key_bits=512)
+        other = CertificateAuthority(random.Random(9))
         with pytest.raises(CertificateError):
             bob_cert.verify(other.public_key, now=100.0)
 
@@ -91,10 +94,12 @@ class TestDirectory:
         with pytest.raises(UnknownPrincipalError):
             directory.fetch(b"\x00\x05ghost")
 
-    def test_republish_replaces(self, ca, bob_key):
+    def test_republish_replaces(self, ca, bob_key, monkeypatch):
         directory = CertificateDirectory()
-        old = ca.issue(Principal.from_name("bob"), bob_key, not_after=10.0)
-        new = ca.issue(Principal.from_name("bob"), bob_key, not_after=99.0)
+        monkeypatch.setattr(certificates, "NOT_AFTER", 10.0)
+        old = ca.issue(Principal.from_name("bob"), bob_key)
+        monkeypatch.setattr(certificates, "NOT_AFTER", 99.0)
+        new = ca.issue(Principal.from_name("bob"), bob_key)
         directory.publish(old)
         directory.publish(new)
         assert directory.fetch(old.subject.wire_id).not_after == 99.0

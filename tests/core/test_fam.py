@@ -24,7 +24,6 @@ class TestClassification:
         fam = FlowAssociationMechanism(mapper=FiveTuplePolicy())
         entry = fam.classify(make_attrs(), 0.0)
         assert entry.valid and entry.sfl != 0
-        assert fam.classifications == 1
 
     def test_stable_within_flow(self):
         fam = FlowAssociationMechanism(mapper=FiveTuplePolicy())
@@ -52,9 +51,8 @@ class TestSweeperIntegration:
     def test_sweeper_runs_on_interval(self):
         policy = FiveTuplePolicy(threshold=None)
         sweeper = ThresholdSweeper(threshold=100.0)
-        fam = FlowAssociationMechanism(
-            mapper=policy, sweeper=sweeper, sweep_interval=60.0
-        )
+        fam = FlowAssociationMechanism(mapper=policy)
+        fam.configure_sweeper(sweeper, sweep_interval=60.0)
         fam.classify(make_attrs(sport=1), 0.0)
         fam.classify(make_attrs(sport=2), 50.0)  # no sweep yet
         assert fam.fst.expirations == 0

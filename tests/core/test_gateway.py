@@ -8,7 +8,7 @@ from repro.netsim.ipv4 import IPv4Packet
 from repro.netsim.sockets import TcpClient, TcpServer, UdpSocket
 
 
-def build_site_to_site(seed=0, per_conversation=True):
+def build_site_to_site(seed=0):
     """Two LANs joined by FBS gateways across a WAN segment."""
     net = Network(seed=seed)
     net.add_segment("lan1", "10.0.1.0")
@@ -24,8 +24,8 @@ def build_site_to_site(seed=0, per_conversation=True):
     net.add_default_route(gw2, "wan", gw1)
 
     domain = FBSDomain(seed=seed + 40)
-    t1 = domain.enroll_gateway(gw1, per_conversation=per_conversation)
-    t2 = domain.enroll_gateway(gw2, per_conversation=per_conversation)
+    t1 = domain.enroll_gateway(gw1)
+    t2 = domain.enroll_gateway(gw2)
     t1.add_peer("10.0.2.0", 24, gw2.address)
     t2.add_peer("10.0.1.0", 24, gw1.address)
     return net, a, b, gw1, gw2, t1, t2
@@ -124,7 +124,7 @@ class TestSiteToSite:
 
 class TestFlowGranularity:
     def test_per_conversation_flows(self):
-        net, a, b, _, _, t1, _ = build_site_to_site(9, per_conversation=True)
+        net, a, b, _, _, t1, _ = build_site_to_site(9)
         for port in (5000, 5001, 5002):
             UdpSocket(b, port)
         socks = [UdpSocket(a) for _ in range(3)]
@@ -135,17 +135,6 @@ class TestFlowGranularity:
         # its own key: a compromise exposes one conversation, not the
         # whole gateway pair.
         assert t1.endpoint.registry.counter("flows_started").value == 3
-
-    def test_bulk_gateway_flow(self):
-        net, a, b, _, _, t1, _ = build_site_to_site(10, per_conversation=False)
-        for port in (5000, 5001, 5002):
-            UdpSocket(b, port)
-        socks = [UdpSocket(a) for _ in range(3)]
-        for i, sock in enumerate(socks):
-            sock.sendto(b"conv", b.address, 5000 + i)
-        net.sim.run()
-        # Host-level alternative: everything in one flow.
-        assert t1.endpoint.registry.counter("flows_started").value == 1
 
 
 class TestTamper:

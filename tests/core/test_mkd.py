@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import certificates
 from repro.core.certificates import (
     CertificateAuthority,
     CertificateDirectory,
@@ -21,7 +22,7 @@ GROUP = WELL_KNOWN_GROUPS["TEST128"]
 
 def make_world(seed=0, **mkd_kwargs):
     rng = random.Random(seed)
-    ca = CertificateAuthority(rng, key_bits=512)
+    ca = CertificateAuthority(rng)
     directory = CertificateDirectory()
     daemons = {}
     keys = {}
@@ -70,7 +71,6 @@ class TestMasterKeys:
         alice = daemons["alice"]
         alice.upcall_master_key(Principal.from_name("bob"))
         alice.upcall_master_key(Principal.from_name("bob"))
-        assert alice.upcalls == 2
         assert alice.master_keys_computed == 1
 
 
@@ -86,13 +86,14 @@ class TestVerification:
             alice.master_key(evil)
         assert alice.verification_failures == 1
 
-    def test_expired_certificate_rejected(self):
+    def test_expired_certificate_rejected(self, monkeypatch):
         rng = random.Random(3)
-        ca = CertificateAuthority(rng, key_bits=512)
+        ca = CertificateAuthority(rng)
         directory = CertificateDirectory()
         bob_p = Principal.from_name("bob")
         bob_key = DHPrivateKey.generate(GROUP, rng)
-        directory.publish(ca.issue(bob_p, bob_key, not_after=50.0))
+        monkeypatch.setattr(certificates, "NOT_AFTER", 50.0)
+        directory.publish(ca.issue(bob_p, bob_key))
         alice = MasterKeyDaemon(
             principal=Principal.from_name("alice"),
             private_key=DHPrivateKey.generate(GROUP, rng),
@@ -169,7 +170,7 @@ class TestCertifiedButUnusablePublicValues:
 class TestCostAccounting:
     def test_costs_charged_on_misses_only(self):
         rng = random.Random(4)
-        ca = CertificateAuthority(rng, key_bits=512)
+        ca = CertificateAuthority(rng)
         directory = CertificateDirectory()
         bob_p = Principal.from_name("bob")
         directory.publish(ca.issue(bob_p, DHPrivateKey.generate(GROUP, rng)))

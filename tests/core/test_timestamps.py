@@ -9,13 +9,17 @@ from repro.core.timestamps import (
 )
 
 
+#: Minute zero of the simulation on the 1996 clock.
+T0 = SIGCOMM97_EPOCH_OFFSET // 60
+
+
 class TestCodec:
     def test_minute_resolution(self):
-        codec = TimestampCodec(epoch_offset=0.0)
-        assert codec.encode(0.0) == 0
-        assert codec.encode(59.9) == 0
-        assert codec.encode(60.0) == 1
-        assert codec.encode(3600.0) == 60
+        codec = TimestampCodec()
+        assert codec.encode(0.0) == T0
+        assert codec.encode(59.9) == T0
+        assert codec.encode(60.0) == T0 + 1
+        assert codec.encode(3600.0) == T0 + 60
 
     def test_epoch_offset(self):
         codec = TimestampCodec()
@@ -24,23 +28,23 @@ class TestCodec:
         assert codec.encode(0.0) == SIGCOMM97_EPOCH_OFFSET // 60
 
     def test_decode_inverts_to_minute_start(self):
-        codec = TimestampCodec(epoch_offset=0.0)
+        codec = TimestampCodec()
         assert codec.decode(codec.encode(125.0)) == 120.0
 
     def test_no_wrap_for_8000_years(self):
-        codec = TimestampCodec(epoch_offset=0.0)
+        codec = TimestampCodec()
         eight_thousand_years = 8000 * 365.25 * 86400
-        assert codec.encode(eight_thousand_years) < 2**32
+        assert codec.encode(eight_thousand_years - SIGCOMM97_EPOCH_OFFSET) < 2**32
 
     def test_out_of_range_rejected(self):
-        codec = TimestampCodec(epoch_offset=0.0)
+        codec = TimestampCodec()
         with pytest.raises(ValueError):
-            codec.encode(-3600.0)
+            codec.encode(-SIGCOMM97_EPOCH_OFFSET - 3600.0)
 
 
 class TestFreshness:
     def _window(self, half=120.0):
-        codec = TimestampCodec(epoch_offset=0.0)
+        codec = TimestampCodec()
         return FreshnessWindow(codec=codec, half_window=half), codec
 
     def test_current_minute_is_fresh(self):

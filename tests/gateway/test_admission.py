@@ -21,7 +21,7 @@ class TestCountedOnce:
         assert admission.ledger_dict() == {
             "admitted": 1,
             "evicted": {"capacity": 1},
-            "dropped": {"admission": 0, "backpressure": 1, "evicted": 3},
+            "dropped": {"backpressure": 1, "evicted": 3},
             "enqueued": 2,
             "delivered": 2,
         }
@@ -32,11 +32,11 @@ class TestCountedOnce:
     def test_ledger_dict_is_a_copy(self):
         admission = AdmissionController(MetricsRegistry(), queued=lambda: 0)
         ledger = admission.ledger_dict()
-        ledger["dropped"]["admission"] = 99
-        assert admission.ledger_dict()["dropped"]["admission"] == 0
+        ledger["dropped"]["backpressure"] = 99
+        assert admission.ledger_dict()["dropped"]["backpressure"] == 0
 
     def test_reason_vocabularies_are_closed(self):
-        assert DROP_REASONS == ("admission", "backpressure", "evicted")
+        assert DROP_REASONS == ("backpressure", "evicted")
         assert EVICTION_REASONS == ("capacity",)
 
 

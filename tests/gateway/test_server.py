@@ -122,17 +122,6 @@ class TestEviction:
         serve_one(site)
         assert site.gateway.admission.ledger_dict()["dropped"]["evicted"] == 1
 
-    def test_eviction_disabled_sheds_unknown_peers(self):
-        site = gateway_site(
-            tenants=2, gw_config=GatewayConfig(max_tenants=1, evict_cold=False)
-        )
-        send_protected(site, 0)
-        assert serve_one(site) == "enqueued"
-        send_protected(site, 1)
-        assert serve_one(site) == "dropped:admission"
-        assert len(site.gateway.tenants) == 1
-        assert site.gateway.admission.ledger_dict()["dropped"]["admission"] == 1
-
 
 class TestBackpressure:
     def test_full_queue_drops_with_reason(self):

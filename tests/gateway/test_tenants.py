@@ -6,13 +6,10 @@ from repro.core.keying import Principal
 from repro.gateway.tenants import GatewayConfig, TenantState, TenantTable
 
 
-def make_tenant(i, now=0.0):
+def make_tenant(i):
     name = f"tenant-{i:02d}"
     return TenantState(
-        name=name,
-        principal=Principal.from_name(name),
-        addr=("10.88.0.10", 5000 + i),
-        now=now,
+        name=name, principal=Principal.from_name(name), addr=("10.88.0.10", 5000 + i)
     )
 
 
@@ -81,7 +78,6 @@ class TestGatewayConfig:
         config = GatewayConfig()
         assert config.max_tenants == 8
         assert config.queue_depth == 64
-        assert config.evict_cold is True
 
     @pytest.mark.parametrize("bad", [{"max_tenants": 0}, {"queue_depth": -1}])
     def test_refuses_a_table_or_queue_that_cannot_serve(self, bad):

@@ -9,6 +9,8 @@ from repro.netsim import Network
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import TcpClient, TcpServer
 
+from tests.core.test_ip_mapping import enroll_before_the_fix
+
 
 def build_pair(seed=0):
     net = Network(seed=seed)
@@ -46,8 +48,8 @@ class TestUnreachable:
         # stack; the host counts these locally.
         net, a, b = build_pair(seed=4)
         domain = FBSDomain(seed=5)
-        domain.enroll_host(a, encrypt_all=True, apply_tcp_fix=False)
-        domain.enroll_host(b, encrypt_all=True, apply_tcp_fix=False)
+        enroll_before_the_fix(domain, a)
+        enroll_before_the_fix(domain, b)
         TcpServer(b, 9000)
         client = TcpClient(a, b.address, 9000)
         client.conn.on_connect = lambda: client.send(bytes(10_000))

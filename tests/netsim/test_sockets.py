@@ -75,8 +75,7 @@ class TestTcpWrappers:
 
         client.conn.on_connect = go
         net.sim.run()
-        assert server.closed_count == 1
-        assert client.closed
+        assert client.closed  # only after the server echoed the FIN
 
     def test_failure_reported(self):
         net, a, b = build_pair()

@@ -53,7 +53,7 @@ from repro.core.errors import (
     StaleTimestampError,
 )
 from repro.core.header import FBSHeader
-from repro.core.ip_mapping import CERTIFICATE_PORT, is_bypass
+from repro.core.ip_mapping import is_bypass
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
 from repro.core.replay_guard import DuplicateDatagramError
@@ -78,7 +78,7 @@ ERROR_OF = {
     "duplicate": DuplicateDatagramError,
 }
 
-GATEWAY_OUTCOMES = {"enqueued", "dropped:admission", "dropped:backpressure"} | {
+GATEWAY_OUTCOMES = {"enqueued", "dropped:backpressure"} | {
     f"rejected:{reason}" for reason in REJECTION_REASONS
 }
 
@@ -363,15 +363,15 @@ def test_every_rejection_reason_is_observed():
 ENROLLED_TENANTS = 2
 
 
-def gateway_world(evict_cold):
+def gateway_world():
     """Two enrolled tenants and a third whose address resolves to a
     principal nobody enrolled, behind a two-tenant table with shallow
-    queues (so admission and backpressure drops happen too)."""
+    queues (so evictions and backpressure drops happen too)."""
     ring = RingBufferSink()
     site = gateway_site(
         tenants=ENROLLED_TENANTS + 1,
         config=FBSConfig(replay_guard_size=64),
-        gw_config=GatewayConfig(max_tenants=2, queue_depth=3, evict_cold=evict_cold),
+        gw_config=GatewayConfig(max_tenants=2, queue_depth=3),
         tracer=ring,
     )
     enrolled = site.gateway.resolver
@@ -422,11 +422,10 @@ def check_serve(world, tenant, data):
         min_size=1,
         max_size=10,
     ),
-    evict_cold=st.booleans(),
 )
 @settings(max_examples=10, deadline=None)
-def test_gateway_keeps_the_receive_contract(arrivals, evict_cold):
-    world = gateway_world(evict_cold)
+def test_gateway_keeps_the_receive_contract(arrivals):
+    world = gateway_world()
     site = world.site
     problems = []
     for tenant, recipe in arrivals:
@@ -495,7 +494,7 @@ def check_inject(world, src, payload):
         header=IPv4Header(src=src, dst=world.b.address, proto=IPProtocol.UDP),
         payload=payload,
     )
-    expected = 0 if is_bypass(packet, {CERTIFICATE_PORT}) else 1
+    expected = 0 if is_bypass(packet) else 1
     before = hook_count(world.module)
     world.stranger.send_raw(packet)
     try:

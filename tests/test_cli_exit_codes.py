@@ -33,11 +33,15 @@ def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
         ["analyze", "{trace}", "--threshold", "0"],
         ["analyze", "{trace}", "--threshold", "nan"],
         ["sweep", "{trace}", "--thresholds", "300,nan"],
+        ["analyze", "{garbage}"],
+        ["cachesim", "{garbage}", "--host", "10.0.0.1"],
+        ["sweep", "{garbage}"],
     ],
     ids=[
         "bad-threshold-list", "bad-size-list", "unreadable-trace",
         "bad-host", "zero-size", "zero-threshold", "nan-threshold",
-        "nan-in-threshold-list",
+        "nan-in-threshold-list", "malformed-trace-analyze",
+        "malformed-trace-cachesim", "malformed-trace-sweep",
     ],
 )
 def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, capsys):
@@ -45,10 +49,21 @@ def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, ca
 
     trace = tmp_path / "t.trace"
     trace.write_text("")
-    paths = {"trace": str(trace), "missing": str(tmp_path / "no-such-file")}
+    garbage = tmp_path / "garbage.trace"
+    garbage.write_text("# a comment\ngarbage line here\n")
+    paths = {
+        "trace": str(trace),
+        "missing": str(tmp_path / "no-such-file"),
+        "garbage": str(garbage),
+    }
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    if "{garbage}" in argv:
+        # One line naming the file and the line, as for an unopenable trace.
+        assert err.splitlines() == [
+            f"error: {garbage}: line 2: malformed trace line: 'garbage line here'"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -133,8 +148,12 @@ def _never(*_args, **_kwargs):
         ("repro.transport.cli", "run_echo", ["--out", "{bad}"]),
         ("repro.traces.cli", "run_sweep", ["sweep", "--profile", "smoke", "--out", "{bad}"]),
         ("repro.obs.doccheck", "run_doc_checks", ["check-docs", "--root", "{bad}"]),
+        ("repro.traces.cli", "CampusLanWorkload", ["generate", "--output", "{bad}"]),
     ],
-    ids=["load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs"],
+    ids=[
+        "load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs",
+        "traces-generate",
+    ],
 )
 def test_an_unusable_path_is_refused_before_any_work(module, work, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module(module), work, _never)
@@ -156,8 +175,12 @@ def test_an_unusable_path_is_refused_before_any_work(module, work, argv, tmp_pat
         ("repro.transport.cli", "run_echo", ["--out", "{dir}"]),
         ("repro.traces.cli", "run_sweep", ["sweep", "--profile", "smoke", "--out", "{dir}"]),
         ("repro.obs.doccheck", "run_doc_checks", ["check-docs", "--root", "{file}"]),
+        ("repro.traces.cli", "CampusLanWorkload", ["generate", "--output", "{dir}"]),
     ],
-    ids=["load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs"],
+    ids=[
+        "load", "gateway", "resilience", "transport", "traces-sweep", "obs-check-docs",
+        "traces-generate",
+    ],
 )
 def test_a_path_of_the_wrong_kind_is_refused_before_any_work(module, work, argv, tmp_path, monkeypatch, capsys):
     # A report path naming a directory, or a docs root naming a file.

@@ -16,19 +16,26 @@ import pytest
 from repro.core.config import FBSConfig
 from repro.crypto import vector
 from repro.netsim.link import LinkConditions
-from repro.transport import (
-    RetryPolicy,
-    UdpTransport,
-    UdpTransportConfig,
-    channel_pair,
-)
-from repro.transport.channel import SecureChannel
+from repro.transport import UdpTransport, channel_pair
+from repro.transport import channel
+from repro.transport.channel import SecureChannel, backoff
 from repro.transport.runner import build_udp_channels
 
 from tests.transport.helpers import DropSends, two_host_pair
 
-#: Fast real-time backoff so the UDP retry tests stay sub-second.
-FAST_RETRY = RetryPolicy(initial=0.01, cap=0.02, jitter=0.0, attempts=5)
+
+def schedule(monkeypatch, initial, cap, jitter, attempts):
+    """Patch the one backoff schedule for a test."""
+    monkeypatch.setattr(channel, "BACKOFF_INITIAL", initial)
+    monkeypatch.setattr(channel, "BACKOFF_CAP", cap)
+    monkeypatch.setattr(channel, "BACKOFF_JITTER", jitter)
+    monkeypatch.setattr(channel, "ATTEMPTS", attempts)
+
+
+@pytest.fixture
+def fast_retry(monkeypatch):
+    """Fast real-time backoff so the UDP retry tests stay sub-second."""
+    schedule(monkeypatch, initial=0.01, cap=0.02, jitter=0.0, attempts=5)
 
 
 async def _echo_forever(server, timeout=0.05):
@@ -90,22 +97,21 @@ class TestLedger:
         assert set(snapshot) == {"sent", "accepted", "rejected", "transport"}
 
 
-class TestRetryPolicy:
-    def test_backoff_doubles_to_the_cap(self):
-        policy = RetryPolicy(initial=0.1, cap=0.5, jitter=0.0, attempts=8)
+class TestBackoff:
+    def test_backoff_doubles_to_the_cap(self, monkeypatch):
+        schedule(monkeypatch, initial=0.1, cap=0.5, jitter=0.0, attempts=8)
         rng = random.Random(0)
-        waits = [policy.backoff(i, rng) for i in range(5)]
+        waits = [backoff(i, rng) for i in range(5)]
         assert waits == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(initial=0.1, cap=1.0, jitter=0.5, attempts=8)
         rng = random.Random(1)
         for attempt in range(6):
-            base = min(0.1 * 2 ** attempt, 1.0)
-            wait = policy.backoff(attempt, rng)
+            base = min(0.05 * 2 ** attempt, 1.0)
+            wait = backoff(attempt, rng)
             # Jitter widens the wait both ways, but the cap stays a hard
             # ceiling on any single backoff.
-            assert base * 0.5 <= wait <= min(base * 1.5, policy.cap)
+            assert base * 0.5 <= wait <= min(base * 1.5, channel.BACKOFF_CAP)
 
     def test_cap_is_a_ceiling_even_with_jitter(self):
         # Regression: the jitter multiplier used to be applied *after*
@@ -118,22 +124,20 @@ class TestRetryPolicy:
             def uniform(lo, hi):
                 return hi
 
-        policy = RetryPolicy(initial=0.1, cap=1.0, jitter=0.5, attempts=8)
-        assert policy.backoff(10, TopOfRange()) == pytest.approx(1.0)
+        assert backoff(10, TopOfRange()) == pytest.approx(1.0)
         # Below the cap the jitter still widens upward as documented.
-        assert policy.backoff(0, TopOfRange()) == pytest.approx(0.15)
+        assert backoff(0, TopOfRange()) == pytest.approx(0.075)
         # And across many real draws nothing ever exceeds the cap.
         rng = random.Random(2026)
         assert all(
-            policy.backoff(attempt, rng) <= policy.cap
+            backoff(attempt, rng) <= channel.BACKOFF_CAP
             for attempt in range(8)
             for _ in range(50)
         )
 
     def test_jitter_is_seed_deterministic(self):
-        policy = RetryPolicy(jitter=0.5)
-        a = [policy.backoff(i, random.Random(9)) for i in range(4)]
-        b = [policy.backoff(i, random.Random(9)) for i in range(4)]
+        a = [backoff(i, random.Random(9)) for i in range(4)]
+        b = [backoff(i, random.Random(9)) for i in range(4)]
         assert a == b
 
 
@@ -174,14 +178,11 @@ class TestRequestDrainsTheWindow:
 
 
 class TestFirstContactRetryOverUdp:
-    def test_request_survives_dropped_first_contact(self):
+    def test_request_survives_dropped_first_contact(self, fast_retry):
         async def scenario():
-            client, server = await build_udp_channels(seed=3, retry=FAST_RETRY)
+            client, server = await build_udp_channels(seed=3)
             lossy = DropSends(client.transport, drop_first=2)
-            lossy_client = SecureChannel(
-                client.endpoint, lossy, peer=client.peer,
-                retry=FAST_RETRY, seed=3,
-            )
+            lossy_client = SecureChannel(client.endpoint, lossy, peer=client.peer, seed=3)
             echo = asyncio.ensure_future(_echo_forever(server))
             try:
                 reply = await lossy_client.request(b"open sesame", timeout=0.1)
@@ -196,14 +197,11 @@ class TestFirstContactRetryOverUdp:
         assert sent == 3  # two vanished, the third connected
         assert len(dropped) == 2
 
-    def test_request_returns_none_when_budget_spent(self):
+    def test_request_returns_none_when_budget_spent(self, fast_retry):
         async def scenario():
-            client, server = await build_udp_channels(seed=4, retry=FAST_RETRY)
+            client, server = await build_udp_channels(seed=4)
             black_hole = DropSends(client.transport, drop_first=10 ** 6)
-            doomed = SecureChannel(
-                client.endpoint, black_hole, peer=client.peer,
-                retry=FAST_RETRY, seed=4,
-            )
+            doomed = SecureChannel(client.endpoint, black_hole, peer=client.peer, seed=4)
             reply = await doomed.request(b"anyone?", timeout=0.02)
             await doomed.close()
             await server.close()
@@ -211,19 +209,16 @@ class TestFirstContactRetryOverUdp:
 
         reply, sent = asyncio.run(scenario())
         assert reply is None
-        assert sent == FAST_RETRY.attempts
+        assert sent == channel.ATTEMPTS == 5
 
-    def test_every_retry_reprotects_with_fresh_timestamp(self):
+    def test_every_retry_reprotects_with_fresh_timestamp(self, fast_retry):
         # Each attempt runs the full protect path: the endpoint's sent
         # counter, which the ledger reads, advances per retransmission, so
         # a late duplicate can never be double-delivered (replay guard).
         async def scenario():
-            client, server = await build_udp_channels(seed=6, retry=FAST_RETRY)
+            client, server = await build_udp_channels(seed=6)
             lossy = DropSends(client.transport, drop_first=1)
-            ch = SecureChannel(
-                client.endpoint, lossy, peer=client.peer,
-                retry=FAST_RETRY, seed=6,
-            )
+            ch = SecureChannel(client.endpoint, lossy, peer=client.peer, seed=6)
             echo = asyncio.ensure_future(_echo_forever(server))
             try:
                 await ch.request(b"fresh", timeout=0.1)
@@ -235,25 +230,6 @@ class TestFirstContactRetryOverUdp:
             return protect_count
 
         assert asyncio.run(scenario()) == 2
-
-    def test_transport_config_retry_knobs_become_the_policy(self):
-        # First contact is tuned through one object, the RetryPolicy:
-        # the socket config carries no retry knobs to mirror it.
-        wanted = RetryPolicy(initial=0.11, cap=0.22, jitter=0.0, attempts=3)
-
-        async def scenario():
-            client, server = await build_udp_channels(
-                seed=1, retry=wanted, transport_config=UdpTransportConfig()
-            )
-            policies = client.retry, server.retry
-            await client.close()
-            await server.close()
-            return policies
-
-        assert asyncio.run(scenario()) == (wanted, wanted)
-        assert not [
-            name for name in UdpTransportConfig.__dataclass_fields__ if "retry" in name
-        ]
 
 
 class TestSecretEchoOverUdp:
@@ -271,9 +247,8 @@ class TestSecretEchoOverUdp:
             client_transport = await UdpTransport.create(
                 remote=server_transport.local_address
             )
-            client, server = channel_pair(
-                client_transport, server_transport, seed=7, secret=True
-            )
+            client, server = channel_pair(client_transport, server_transport, seed=7)
+            client.secret = server.secret = True
             if not vector.HAVE_NUMPY:
                 assert not server.endpoint._vector_ok
             echo = asyncio.ensure_future(_echo_forever(server, timeout=0.1))
@@ -294,22 +269,22 @@ class TestSecretEchoOverUdp:
 
 
 class TestFirstContactRetryOverNetsim:
-    def test_retry_in_pure_virtual_time(self):
+    def test_retry_in_pure_virtual_time(self, monkeypatch):
         # Seeded probabilistic loss on the simulated segment; the whole
         # backoff dance runs on the virtual clock, so this test is
         # deterministic AND instant.
         conditions = LinkConditions(loss_probability=0.4)
         net, t_a, t_b = two_host_pair(seed=11, conditions=conditions)
-        policy = RetryPolicy(initial=0.5, cap=4.0, jitter=0.5, attempts=10)
-        ch_a, ch_b = channel_pair(t_a, t_b, seed=11, retry=policy)
+        schedule(monkeypatch, initial=0.5, cap=4.0, jitter=0.5, attempts=10)
+        ch_a, ch_b = channel_pair(t_a, t_b, seed=11)
 
         async def scenario():
             delivered = 0
             for i in range(5):
                 payload = b"msg %d" % i
-                for attempt in range(policy.attempts):
+                for attempt in range(channel.ATTEMPTS):
                     if attempt:
-                        await t_a.sleep(policy.backoff(attempt - 1, ch_a._rng))
+                        await t_a.sleep(backoff(attempt - 1, ch_a._rng))
                     await ch_a.send(payload)
                     got = await ch_b.recv(timeout=2.0)
                     if got is not None:

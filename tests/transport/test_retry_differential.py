@@ -1,7 +1,7 @@
 """Netsim-vs-UDP differential for the retry path under seeded loss.
 
 The transport tentpole's promise is interface symmetry: the same driver
-coroutine, the same channels, the same retry policy produce the same
+coroutine, the same channels, the same retry schedule produce the same
 *protocol-visible* outcome over simulated and real substrates.  The
 existing differentials cover the lossless echo; this one covers the
 interesting case -- first contact under loss plus a duplicated datagram
@@ -20,12 +20,13 @@ import random
 from typing import List, Optional
 
 from repro.core.config import FBSConfig
-from repro.transport import RetryPolicy
+from repro.transport import channel
 from repro.transport.base import Transport
-from repro.transport.channel import SecureChannel
+from repro.transport.channel import SecureChannel, backoff
 from repro.transport.runner import build_netsim_channels, build_udp_channels
 
-POLICY = RetryPolicy(initial=0.01, cap=0.02, jitter=0.0, attempts=4)
+#: The backoff schedule both substrates run under.
+SCHEDULE = dict(BACKOFF_INITIAL=0.01, BACKOFF_CAP=0.02, BACKOFF_JITTER=0.0, ATTEMPTS=4)
 EXCHANGES = 6
 TIMEOUT = 0.1
 
@@ -85,9 +86,9 @@ async def _drive(client: SecureChannel, server: SecureChannel) -> int:
     echoed = 0
     for i in range(EXCHANGES):
         payload = b"differential %03d" % i
-        for attempt in range(POLICY.attempts):
+        for attempt in range(channel.ATTEMPTS):
             if attempt:
-                await client.transport.sleep(POLICY.backoff(attempt - 1, rng))
+                await client.transport.sleep(backoff(attempt - 1, rng))
             await client.send(payload)
             request = await server.recv(TIMEOUT)
             if request is not None:
@@ -105,17 +106,11 @@ async def _drive(client: SecureChannel, server: SecureChannel) -> int:
 async def _run(substrate: str):
     config = FBSConfig(replay_guard_size=64)
     if substrate == "netsim":
-        client, server = build_netsim_channels(
-            seed=17, config=config, retry=POLICY
-        )
+        client, server = build_netsim_channels(seed=17, config=config)
     else:
-        client, server = await build_udp_channels(
-            seed=17, config=config, retry=POLICY
-        )
+        client, server = await build_udp_channels(seed=17, config=config)
     faults = ScriptedFaults(client.transport, DROPS, DUPLICATE)
-    lossy_client = SecureChannel(
-        client.endpoint, faults, peer=client.peer, retry=POLICY, seed=17
-    )
+    lossy_client = SecureChannel(client.endpoint, faults, peer=client.peer, seed=17)
     try:
         echoed = await _drive(lossy_client, server)
     finally:
@@ -132,7 +127,9 @@ def _protocol_ledger(channel: SecureChannel) -> dict:
 
 
 class TestRetryDifferential:
-    def test_ledgers_identical_across_substrates(self):
+    def test_ledgers_identical_across_substrates(self, monkeypatch):
+        for name, value in SCHEDULE.items():
+            monkeypatch.setattr(channel, name, value)
         n_echoed, n_client, n_server, n_faults = asyncio.run(_run("netsim"))
         u_echoed, u_client, u_server, u_faults = asyncio.run(_run("udp"))
 
