@@ -82,17 +82,20 @@ SOURCE_NAMES = {"agree"}
 
 LOG_METHODS = {"debug", "info", "warning", "error", "exception", "critical", "log"}
 
-#: Array constructors/combinators that return (a view of) their array
-#: arguments: key bytes fed to these stay key material
-#: (``repro.crypto.vector`` moves MAC keys and DES round masks through
-#: ndarrays; ``np.take(masks, lanes)`` gathers key rows, it does not
-#: launder them).  Methods need no table: a call on a tainted receiver
-#: (``.astype()``, ``.view()``, ``.tobytes()``) is tainted already.
-_NDARRAY_FUNCS = {
+#: Constructors/combinators whose result holds their arguments' contents:
+#: key bytes fed to these stay key material (``repro.crypto.vector``
+#: moves MAC keys and DES round masks through ndarrays and packed ints;
+#: ``np.take(masks, lanes)`` gathers key rows and
+#: ``int.from_bytes(key, "little")`` re-spells them, neither launders
+#: them).  Methods need no table: a call on a tainted receiver
+#: (``.astype()``, ``.view()``, ``.tobytes()``, ``.to_bytes()``) is
+#: tainted already.
+_CONTENT_FUNCS = {
     "array",
     "asarray",
     "ascontiguousarray",
     "concatenate",
+    "from_bytes",
     "frombuffer",
     "stack",
     "take",
@@ -583,11 +586,11 @@ class _FunctionSummarizer:
 
         out = {("ret", site_id)} if site_id is not None else set()
         # A method call on a tainted receiver yields tainted output
-        # (key.hex(), lanes.astype(...).tobytes()), and so does an
-        # array constructor fed key bytes (np.frombuffer(key)).
+        # (key.hex(), lanes.astype(...).tobytes()), and so does a
+        # constructor fed key bytes (np.frombuffer(key), int.from_bytes(key)).
         if isinstance(func, ast.Attribute):
             out |= receiver
-            if fname in _NDARRAY_FUNCS:
+            if fname in _CONTENT_FUNCS:
                 for labels in arg_labels:
                     out |= labels
         # Track which class a constructor call makes (for attr typing).

@@ -387,9 +387,11 @@ class FBSEndpoint:
 
         Classification, keying and stamping walk shared soft state, so
         they run in datagram order; MAC and cipher are then one kernel
-        pass each -- the numpy lanes across datagrams when there are at
-        least two and the suite is the vectorized pair, the scalar
-        kernels otherwise.  Wire bytes, counters and events do not
+        pass each -- the lanes across datagrams when the suite is the
+        vectorized pair and the batch is as wide as the stage's measured
+        crossover (two datagrams for the MAC,
+        ``CBC_ENCRYPT_MIN_LANES`` for CBC encrypt), the scalar kernels
+        otherwise.  Wire bytes, counters and events do not
         depend on that choice, nor on how a stream is cut into batches
         (tests pin both).
 
@@ -408,7 +410,6 @@ class FBSEndpoint:
         if n == 0:
             # An empty batch is a no-op: no counters, no events.
             return []
-        lanes = n >= 2 and self._vector_ok
         suite = self.config.suite
         carry = self.config.carry_algorithm_id
         mac_bytes = suite.mac_bytes
@@ -447,7 +448,7 @@ class FBSEndpoint:
                 )
             )
         # (S6) MAC over confounder | timestamp | plaintext body.
-        if lanes:
+        if self._vector_ok and n >= 2:
             macs = _lanes(
                 _vector.keyed_md5_many,
                 [state.mac_key for state in states],
@@ -463,7 +464,7 @@ class FBSEndpoint:
         # cipher (key schedule included) is cached on the flow state.
         if not secret:
             wire_bodies = bodies
-        elif lanes:
+        elif self._vector_ok and n >= _vector.CBC_ENCRYPT_MIN_LANES:
             wire_bodies = _lanes(
                 _vector.cbc_encrypt_many,
                 [state.cipher for state in states],
@@ -533,9 +534,10 @@ class FBSEndpoint:
         rejection accounting is exact and the reasons stay mutually
         exclusive.  Header parse, freshness and keying walk shared soft
         state and run in datagram order, rejecting inline; survivors
-        take one decrypt pass and one MAC pass (numpy lanes across
-        datagrams when there are at least two and the suite is the
-        vectorized pair, scalar kernels otherwise); the replay guard,
+        take one decrypt pass and one MAC pass (lanes across datagrams
+        when at least two datagrams *reach that stage* and the suite is
+        the vectorized pair, scalar kernels otherwise: a garbage
+        datagram cannot buy a lone survivor a lane pass); the replay guard,
         delivery and accounting then run in datagram order again, so
         per-index reasons, counters, events and replay-guard memory
         order do not depend on the kernel choice.
@@ -555,7 +557,6 @@ class FBSEndpoint:
         if n == 0:
             # An empty batch is a no-op: no counters, no events.
             return result
-        lanes = n >= 2 and self._vector_ok
         suite = self.config.suite
         carry = self.config.carry_algorithm_id
         mac_bytes = suite.mac_bytes
@@ -600,7 +601,7 @@ class FBSEndpoint:
         # (R10-11 before R7-9; see the module docstring on Figure 4's
         # ordering) optional decryption with the flow's cached cipher.
         if secret and alive:
-            if lanes:
+            if self._vector_ok and len(alive) >= 2:
                 plains = _lanes(
                     _vector.cbc_decrypt_many,
                     [states[i].cipher for i in alive],
@@ -630,7 +631,7 @@ class FBSEndpoint:
                     alive.append(i)
             self._c_decryptions.inc(len(alive))
         # (R7-9) MAC verification over the plaintext.
-        if lanes and alive:
+        if self._vector_ok and len(alive) >= 2:
             macs = _lanes(
                 _vector.keyed_md5_many,
                 [states[i].mac_key for i in alive],

@@ -1,12 +1,15 @@
-"""numpy-vectorized batch crypto kernels: the lane datapath.
+"""Batch crypto kernels: the lane datapath.
 
 The scalar kernels (:mod:`repro.crypto.des`, :mod:`repro.crypto.md5`)
 process one block of one datagram at a time; a ``protect_batch`` /
 ``unprotect_batch`` call pays the full Python interpreter overhead per
 block.  This package runs the same algorithms across **N independent
-datagram lanes at once**: every DES SP-table lookup becomes one array
-gather over all lanes and every MD5 step becomes a handful of ufunc
-calls over a lane vector.  The per-lane outputs are bit-identical to the
+datagram lanes at once**: every DES SP-table lookup becomes one numpy
+gather over all lanes, and every MD5 step a handful of operations over
+all lanes on packed Python ints (a 64-bit slot a lane), where one wide
+int operation costs less than a numpy call.
+Which stage takes lanes at which batch width is the protocol's choice
+(:data:`CBC_ENCRYPT_MIN_LANES`).  The per-lane outputs are bit-identical to the
 scalar kernels -- the scalar modules stay the differential reference, in
 the same pattern as ``des.reference``.  Header encoding is not a lane:
 the scalar ``FBSHeader.encode`` loop beat a byte-matrix encoder at every
@@ -25,6 +28,11 @@ imports numpy.
 #: EXPERIMENTS.md ("Single-lane crossover"): lane/scalar 0.92-1.01 at
 #: 13-14 blocks, level at 15, ahead from 16 to 24.
 SINGLE_LANE_MIN_BLOCKS = 15
+
+#: Fewest datagrams from which ``protect_batch`` CBC-encrypts as lanes;
+#: below it the scalar loop is faster (EXPERIMENTS.md "Lane crossovers by
+#: stage").  Decrypt and MAC lanes win from two datagrams.
+CBC_ENCRYPT_MIN_LANES = 12
 
 try:
     import numpy  # noqa: F401  (probe only; kernels import it directly)

@@ -22,6 +22,10 @@ number of numpy calls, not its data, so a round is six calls:
 * **IP and FP as one gather each** on the block / state bytes, with the
   rotation, doubling, half swap and big-endian store in the tables.
 
+A call costs what its Python wrapper costs too, so every gather is the
+table's bound ``take`` (``np.take`` is two Python-level wrappers on top),
+and a round's masks are a list of rows built once per width.
+
 Two CBC drivers with different parallel axes:
 
 * :func:`cbc_encrypt_many` chains within a lane, so it is lane-parallel
@@ -136,15 +140,15 @@ def _lanes(width: int) -> _Lanes:
 
 def _rounds(
     lanes: _Lanes,
-    masks,
-    shift=np.right_shift, xor=np.bitwise_xor, add=np.add, take=np.take,
+    masks: List[np.ndarray],
+    shift=np.right_shift, xor=np.bitwise_xor, add=np.add, take=_SPB.take,
     or_reduce=np.bitwise_or.reduce,
 ) -> None:  # fmt: skip
     """Sixteen DES rounds on ``lanes.state``, in place.
 
-    ``masks`` is ``(16, 2, m)`` with ``m`` the width or 1.  Sixteen is
-    even, so the halves end in their own rows: ``state[0]`` is L16 and
-    ``state[1]`` is R16.
+    ``masks`` is the sixteen ``(2, m)`` round masks, ``m`` the width or
+    1.  Sixteen is even, so the halves end in their own rows:
+    ``state[0]`` is L16 and ``state[1]`` is R16.
     """
     windows = lanes.windows
     window_bytes = lanes.window_bytes
@@ -159,7 +163,7 @@ def _rounds(
         add(window_bytes, _BYTE_OFFSETS, index_rows)
         # Every index is a byte plus a table offset, so in range: "clip"
         # only spares take the bounce buffer "raise" needs with out=.
-        take(_SPB, index, None, parts, "clip")
+        take(index, None, parts, "clip")
         or_reduce(parts, 0, None, f)
         xor(target, f, target)
 
@@ -168,7 +172,7 @@ def _initial(lanes: _Lanes, block_bytes) -> None:
     """IP of raw blocks, ``(width, 8)`` bytes, into ``lanes.state``."""
     np.add(block_bytes.T, _IP_OFFSETS, lanes.index)
     for table, half in zip(_IP, lanes.halves):
-        np.take(table, lanes.index, None, lanes.parts, "clip")
+        table.take(lanes.index, None, lanes.parts, "clip")
         np.bitwise_or.reduce(lanes.parts, 0, None, half)
 
 
@@ -177,7 +181,7 @@ def _final(lanes: _Lanes, high_low) -> np.ndarray:
     whose bytes in memory are the big-endian block."""
     state_bytes = high_low.view(np.uint8).reshape(2, -1, 8)[:, :, :4]
     np.add(state_bytes.transpose(0, 2, 1), _BYTE_OFFSETS, lanes.index_rows)
-    np.take(_FP, lanes.index, None, lanes.parts, "clip")
+    _FP.take(lanes.index, None, lanes.parts, "clip")
     return np.bitwise_or.reduce(lanes.parts, 0)
 
 
@@ -219,7 +223,7 @@ def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None) -> np.ndarra
     index = np.array(lane_index, dtype=np.intp)
     if repeats is not None:
         index = np.repeat(index, repeats)
-    return np.take(np.stack(packed, axis=2), index, axis=2)
+    return np.stack(packed, axis=2).take(index, 2)
 
 
 def _check_lanes(ciphers, ivs, texts) -> int:
@@ -272,11 +276,15 @@ def cbc_encrypt_many(
     # Pre-FP states as (R16, L16): the next step's chain value as is.
     out = np.empty((2, max_blocks, n), dtype=_U8)
     chain = permuted[:, 0]
+    active = 0
     for block in range(max_blocks):
         m = n - bisect_right(ascending, block)
-        lanes = _lanes(m)
+        if m != active:
+            active = m
+            lanes = _lanes(m)
+            rows = list(masks[:, :, :m])
         np.bitwise_xor(permuted[:, block + 1, :m], chain[:, :m], lanes.state)
-        _rounds(lanes, masks[:, :, :m])
+        _rounds(lanes, rows)
         chain = out[:, block, :m]
         np.copyto(chain, lanes.state[::-1])
     out = out.reshape(2, -1)
@@ -323,10 +331,8 @@ def cbc_decrypt_many(
     )
     lanes = _lanes(total)
     _initial(lanes, joined.reshape(total, 8))
-    _rounds(
-        lanes,
-        _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts),
-    )
+    masks = _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts)
+    _rounds(lanes, list(masks))
     plain = _final(lanes, lanes.state[::-1])
     # XOR is bytewise, so the chain words need no byte-order care.
     cipher_words = joined.view(_U8)

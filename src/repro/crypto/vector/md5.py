@@ -1,37 +1,36 @@
-"""Lane-parallel MD5 / keyed MD5 over numpy ``uint32`` arrays.
+"""Lane-parallel MD5 / keyed MD5 over packed Python ints.
 
-One array element per *message* ("lane"): a batch of N datagrams runs
-the 64 MD5 steps over length-N vectors, so the Python dispatch cost of
-a step is paid once per batch instead of once per message.
+One *lane* per message: a batch of N datagrams runs the 64 MD5 steps
+once over all N lanes, so the Python cost of a step is paid once per
+batch instead of once per message.  At datagram-batch widths that cost
+is the number of operations, not their data, and a Python int is the
+widest register an operation can take (EXPERIMENTS.md "Lanes priced by
+the call"):
 
-What makes this fast at datagram-batch lane counts (tens of lanes,
-where ufunc *dispatch* -- not arithmetic -- dominates):
-
+* **Packed lanes.**  Lane *i* sits in bits ``[64i, 64i + 32)`` of each
+  of four ints (SIMD within a register); the upper 32 bits of a slot
+  are guard bits.  One 4,096-bit XOR (64 lanes) costs ~0.07 us against
+  ~0.75 us for a 64-element numpy call.  ``M`` is ``0xFFFFFFFF`` once a
+  slot and every step constant is repeated the same way, both built
+  once per batch width.  A step is ``t = ((a + F + K + X) & M) << s``
+  then ``a = b + ((t | t >> 32) & M)``, with the scalar kernel's 3-op
+  ``F`` forms and ``~d`` as ``d ^ M``: masked before the rotate and at
+  the block end only.  A register gains less than 2**32 a step, so
+  inside a block every slot stays below 2**41 and no carry reaches the
+  next lane.
 * **Fully unrolled compress.**  The 64 steps are generated as straight-
-  line source at import time and compiled once; the ufuncs and every
-  per-step constant are bound in the function's globals, so each step
-  is a fixed sequence of C calls with no Python-level table indexing.
-* **Positional ``out`` everywhere.**  Every ufunc writes into a
-  preallocated scratch array passed positionally (``np.add(a, b, t)``);
-  keyword dispatch and per-step allocations both cost more than the
-  64-lane arithmetic itself.
-* **0-d array constants.**  Shift counts live in 0-d arrays: a numpy
-  scalar or Python int operand re-enters dtype resolution on every
-  call.
-* **Same-dtype ops only.**  The rotate is the classic uint32
-  ``(t << s) | (t >> (32 - s))`` -- four calls where a widening
-  multiply-rotate would need three, but every call stays
-  uint32-to-uint32.  Mixed-dtype ufuncs go through numpy's casting
-  buffers and cost 2-3x per call, which loses more than the saved
-  dispatch (measured: the three-call u64 variant is ~37% slower).
+  line source and compiled once, at import (:func:`_build_compress`); each
+  step is a fixed sequence of operations with no Python-level table
+  walk.
 * **Ragged batches: march to the longest lane.**  Lanes are sorted by
   padded block count (longest first); each block step processes the
-  still-active prefix ``[:m]`` and finished lanes simply freeze in
-  place.  No length-bucketing passes, no scatter/gather per step.
+  still-active prefix, which is the low slots, so a shorter batch works
+  on a shorter int and finished lanes freeze in place.
 
-Outputs are bit-identical to :mod:`repro.crypto.md5` (the differential
-reference); the property suite pins the equivalence over random batch
-shapes and lengths.
+numpy does the one transpose of the padded lanes into message words and
+the final view of the registers as digests.  Outputs are bit-identical
+to :mod:`repro.crypto.md5` (the differential reference); the property
+suite pins the equivalence over random batch shapes and lengths.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right
-from typing import List, Sequence
+from functools import lru_cache
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,81 +76,99 @@ def _message_index(step: int) -> int:
     return (7 * position) % 16
 
 
-#: Message-word gather order and additive constants in step order, so
-#: the whole per-block schedule ``X[idx] + K`` is one vectorized pass.
-_IDXV = np.array([_message_index(step) for step in range(64)], dtype=np.intp)
-_KV = np.array(_K, dtype=np.uint32)
-
-
-def _compress_source() -> str:
-    """Generate the unrolled 64-step compress function body."""
+def _packed_source() -> str:
+    """The unrolled 64-step compress over packed-int lanes."""
     lines = [
-        "def _compress_lanes(A, B, C, D, f, t, u, *xk):",
-        '    """Sixty-four unrolled MD5 steps over lane arrays, in place."""',
+        "def _compress_packed(A, B, C, D, M, K, X):",
+        '    """Sixty-four unrolled MD5 steps over packed lanes; the new state."""',
+        "    a, b, c, d = A, B, C, D",
+        "    " + ", ".join(f"x{k}" for k in range(16)) + " = X",
     ]
-    registers = ["A", "B", "C", "D"]
+    registers = ["a", "b", "c", "d"]
     for step in range(64):
         a, b, c, d = registers
         round_no = step // 16
-        if round_no == 0:  # F = (b & c) | (~b & d) == d ^ (b & (c ^ d))
-            lines += [
-                f"    xor_({c}, {d}, f)",
-                f"    and_(f, {b}, f)",
-                f"    xor_(f, {d}, f)",
-            ]
-        elif round_no == 1:  # G = (b & d) | (c & ~d) == c ^ (d & (b ^ c))
-            lines += [
-                f"    xor_({b}, {c}, f)",
-                f"    and_(f, {d}, f)",
-                f"    xor_(f, {c}, f)",
-            ]
-        elif round_no == 2:  # H = b ^ c ^ d
-            lines += [
-                f"    xor_({b}, {c}, f)",
-                f"    xor_(f, {d}, f)",
-            ]
-        else:  # I = c ^ (b | ~d)
-            lines += [
-                f"    inv_({d}, f)",
-                f"    or_(f, {b}, f)",
-                f"    xor_(f, {c}, f)",
-            ]
+        if round_no == 0:
+            f = f"{d} ^ ({b} & ({c} ^ {d}))"
+        elif round_no == 1:
+            f = f"{c} ^ ({d} & ({b} ^ {c}))"
+        elif round_no == 2:
+            f = f"{b} ^ {c} ^ {d}"
+        else:  # ~d within each slot's low 32 bits
+            f = f"{c} ^ ({b} | ({d} ^ M))"
+        shift = _SHIFTS[round_no][step % 4]
         lines += [
-            f"    add_({a}, xk[{step}], t)",
-            "    add_(t, f, t)",
-            f"    lsh_(t, LS{step}, u)",
-            f"    rsh_(t, RS{step}, t)",
-            "    or_(u, t, t)",
-            f"    add_({b}, t, {a})",
+            f"    t = (({a} + ({f}) + K[{step}] + x{_message_index(step)}) & M)"
+            f" << {shift}",
+            f"    {a} = {b} + ((t | (t >> 32)) & M)",
         ]
         registers = [d, a, b, c]
-    # 64 steps rotate the register roles a whole number of times, so
-    # the buffers end holding their own roles: no epilogue needed.
+    lines.append("    return (A + a) & M, (B + b) & M, (C + c) & M, (D + d) & M")
     return "\n".join(lines)
 
 
-def _build_compress():
-    namespace = {
-        "xor_": np.bitwise_xor,
-        "and_": np.bitwise_and,
-        "or_": np.bitwise_or,
-        "inv_": np.invert,
-        "add_": np.add,
-        "lsh_": np.left_shift,
-        "rsh_": np.right_shift,
-    }
-    for step in range(64):
-        shift = _SHIFTS[step // 16][step % 4]
-        namespace[f"LS{step}"] = np.array(shift, dtype=np.uint32)
-        namespace[f"RS{step}"] = np.array(32 - shift, dtype=np.uint32)
+def _build_compress() -> Callable:
+    namespace: dict = {}
     exec(  # one compile at import; the source is fixed straight-line code
-        compile(_compress_source(), "<repro.crypto.vector.md5>", "exec"),
-        namespace,
+        compile(_packed_source(), "<repro.crypto.vector.md5>", "exec"), namespace
     )
-    return namespace["_compress_lanes"]
+    return namespace["_compress_packed"]
 
 
-_compress_lanes = _build_compress()
+_compress_packed = _build_compress()
+
+
+@lru_cache(maxsize=64)
+def _packed_constants(width: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """``(M, K, initial state)`` with each 32-bit value repeated in
+    ``width`` 64-bit slots."""
+    ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * width, "little")
+    return (
+        0xFFFFFFFF * ones,
+        tuple(k * ones for k in _K),
+        tuple(word * ones for word in _INIT),
+    )
+
+
+def _packed_lanes(n: int, ascending: List[int], max_blocks: int, buf) -> bytes:
+    """Digests of the padded rows in ``buf``, row order, as packed ints."""
+    row = 8 * n  # one message word of every lane
+    # (block, word, lane) as zero-extended <u8: a word of the first m
+    # lanes is 8 * m contiguous bytes, one from_bytes each.
+    words = (
+        np.frombuffer(buf, dtype="<u4")
+        .reshape(n, max_blocks, 16)
+        .transpose(1, 2, 0)
+        .astype("<u8")
+        .tobytes()
+    )
+    width = n
+    mask, steps, state = _packed_constants(n)
+    frozen = (0, 0, 0, 0)
+    for block in range(max_blocks):
+        m = n - bisect_right(ascending, block)
+        if m != width:
+            # The lanes in slots m.. are done: park them, go narrower.
+            low = (1 << 64 * m) - 1
+            frozen = tuple(f | (s & ~low) for f, s in zip(frozen, state))
+            state = tuple(s & low for s in state)
+            width = m
+            mask, steps, _ = _packed_constants(m)
+        base = block * 16 * row
+        size = 8 * m
+        state = _compress_packed(
+            *state,
+            mask,
+            steps,
+            [
+                int.from_bytes(words[at : at + size], "little")
+                for at in range(base, base + 16 * row, row)
+            ],
+        )
+    registers = b"".join(
+        (f | s).to_bytes(row, "little") for f, s in zip(frozen, state)
+    )
+    return np.frombuffer(registers, dtype="<u4").reshape(4, n, 2)[:, :, 0].T.tobytes()
 
 
 def _digest_lanes(payloads: Sequence[bytes]) -> List[bytes]:
@@ -158,7 +176,7 @@ def _digest_lanes(payloads: Sequence[bytes]) -> List[bytes]:
     n = len(payloads)
     nblocks = [(len(payload) + 9 + 63) >> 6 for payload in payloads]
     # Longest lanes first (stable, so equal lengths keep batch order):
-    # the active set at every block step is then a prefix view.
+    # the active set at every block step is then a prefix.
     order = sorted(range(n), key=lambda lane: -nblocks[lane])
     ascending = sorted(nblocks)
     max_blocks = nblocks[order[0]]
@@ -172,53 +190,7 @@ def _digest_lanes(payloads: Sequence[bytes]) -> List[bytes]:
         buf[offset + size] = 0x80
         end = offset + nblocks[lane] * 64
         buf[end - 8 : end] = _LENGTH8.pack((size << 3) & 0xFFFFFFFFFFFFFFFF)
-    words = (
-        np.frombuffer(buf, dtype=np.uint8)
-        .reshape(n, max_blocks, 64)
-        .view("<u4")
-        .astype(np.uint32)  # native byte order for the arithmetic
-    )
-    # The whole message schedule up front: one gather + one add for
-    # every (lane, block), transposed so each step reads a contiguous
-    # lane vector.
-    schedule = np.ascontiguousarray(
-        (words[:, :, _IDXV] + _KV).transpose(1, 2, 0)
-    )  # [block, step, lane]
-    state_a = np.full(n, _INIT[0], dtype=np.uint32)
-    state_b = np.full(n, _INIT[1], dtype=np.uint32)
-    state_c = np.full(n, _INIT[2], dtype=np.uint32)
-    state_d = np.full(n, _INIT[3], dtype=np.uint32)
-    work = [np.empty(n, dtype=np.uint32) for _ in range(4)]
-    f_buf = np.empty(n, dtype=np.uint32)
-    t_buf = np.empty(n, dtype=np.uint32)
-    u_buf = np.empty(n, dtype=np.uint32)
-    for block in range(max_blocks):
-        m = n - bisect_right(ascending, block)
-        rows = list(schedule[block])
-        if m == n:
-            a, b, c, d = work
-            sa, sb, sc, sd = state_a, state_b, state_c, state_d
-            f, t, u = f_buf, t_buf, u_buf
-        else:
-            a, b, c, d = (w[:m] for w in work)
-            sa, sb, sc, sd = state_a[:m], state_b[:m], state_c[:m], state_d[:m]
-            f, t, u = f_buf[:m], t_buf[:m], u_buf[:m]
-            rows = [row[:m] for row in rows]
-        np.copyto(a, sa)
-        np.copyto(b, sb)
-        np.copyto(c, sc)
-        np.copyto(d, sd)
-        _compress_lanes(a, b, c, d, f, t, u, *rows)
-        np.add(sa, a, sa)
-        np.add(sb, b, sb)
-        np.add(sc, c, sc)
-        np.add(sd, d, sd)
-    digest_words = np.empty((n, 4), dtype="<u4")
-    digest_words[:, 0] = state_a
-    digest_words[:, 1] = state_b
-    digest_words[:, 2] = state_c
-    digest_words[:, 3] = state_d
-    raw = digest_words.tobytes()
+    raw = _packed_lanes(n, ascending, max_blocks, buf)
     out: List[bytes] = [b""] * n
     for row, lane in enumerate(order):
         out[lane] = raw[row * 16 : row * 16 + 16]

@@ -48,3 +48,13 @@ def leak_deferred(kdf, sfl, master, src, dst):
             print(flow_key)  # leak: a closure reads the key
 
     return audit, tagged, Debug
+
+
+def leak_packed(kdf, sfl, master, src, dst):
+    # The packed-int MAC lanes move keys through int.from_bytes; taint
+    # must survive the int, its lane arithmetic and its to_bytes.
+    flow_key = kdf.flow_key(sfl, master, src, dst)
+    packed = int.from_bytes(flow_key, "little")
+    print(packed)  # leak: key as a packed int
+    print((packed << 64 | packed).to_bytes(32, "little"))  # leak: packed lanes
+    return packed == 0  # leak: variable-time compare on a packed key

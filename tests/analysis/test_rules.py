@@ -13,7 +13,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: rule id -> (logical path the fixtures impersonate, findings expected
 #: from the violating fixture).
 CASES = {
-    "FBS001": ("src/repro/core/session.py", 10),
+    "FBS001": ("src/repro/core/session.py", 13),
     "FBS004": ("src/repro/baselines/guard.py", 1),
     "FBS007": ("src/repro/core/protocol.py", 3),
     "FBS009": ("src/repro/netsim/parallel.py", 4),

@@ -19,6 +19,7 @@ from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
 from repro.core.errors import FBSError, UnknownPrincipalError
 from repro.core.keying import Principal
+from repro.crypto import vector
 from repro.obs import RingBufferSink, Tracer
 
 pytestmark = pytest.mark.skipif(
@@ -190,8 +191,10 @@ class TestLaneKernelErrorsStayInTheTaxonomy:
     def test_send_side(self, monkeypatch, kernel):
         alice, bob, clock = make_pair(vectorize=True)
         monkeypatch.setattr(f"repro.crypto.vector.{kernel}", _not_parallel)
+        # Wide enough for every send-side stage to take its lanes.
+        bodies = BODIES * -(-vector.CBC_ENCRYPT_MIN_LANES // len(BODIES))
         with pytest.raises(FBSError, match="not parallel"):
-            protect_all(alice, bob, clock, True, secret=True)
+            alice.protect_batch(bodies, bob.principal, secret=True)
 
     @pytest.mark.parametrize("kernel", ["cbc_decrypt_many", "keyed_md5_many"])
     def test_receive_side(self, monkeypatch, kernel):
@@ -204,6 +207,67 @@ class TestLaneKernelErrorsStayInTheTaxonomy:
 
 def _not_parallel(*_args, **_kwargs):
     raise ValueError("lanes are not parallel")
+
+
+@pytest.fixture
+def lane_widths(monkeypatch):
+    """Every lane kernel call the pipelines make, as ``(kernel, lanes,
+    first body length)``."""
+    calls = []
+    for name in ("keyed_md5_many", "cbc_encrypt_many", "cbc_decrypt_many"):
+
+        def spy(*args, _real=getattr(vector, name), _name=name):
+            calls.append((_name, len(args[-1]), len(args[-1][0])))
+            return _real(*args)
+
+        monkeypatch.setattr(vector, name, spy)
+    return calls
+
+
+class TestLanesPerStage:
+    """Each stage chooses lanes from the datagrams that reach it, at the
+    stage's measured crossover."""
+
+    @pytest.mark.parametrize("garbage", [1, 63])
+    @pytest.mark.parametrize("size", [64, 1024])
+    @pytest.mark.parametrize("secret", [False, True])
+    def test_a_lone_survivor_never_runs_a_one_lane_batch(
+        self, lane_widths, garbage, size, secret
+    ):
+        alice, bob, _ = make_pair(vectorize=True)
+        body = b"\x5a" * size
+        wires = alice.protect_batch([body], bob.principal, secret=secret)
+        del lane_widths[:]
+        result = bob.unprotect_batch(
+            [b"\x00" * 7] * garbage + wires, alice.principal, secret=secret
+        )
+        assert result.reasons == ["header"] * garbage + [None]
+        assert result.bodies[-1] == body
+        # One lane is only ever _decrypt's single-lane route, which has
+        # its own crossover.
+        assert [
+            call
+            for call in lane_widths
+            if call[1] < 2
+            and not (
+                call[0] == "cbc_decrypt_many"
+                and call[2] >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
+            )
+        ] == []
+
+    def test_cbc_encrypt_lanes_start_at_their_crossover(self, lane_widths):
+        alice, bob, _ = make_pair(vectorize=True)
+        for n in (2, vector.CBC_ENCRYPT_MIN_LANES - 1, vector.CBC_ENCRYPT_MIN_LANES):
+            del lane_widths[:]
+            alice.protect_batch([b"body"] * n, bob.principal, secret=True)
+            widths = {
+                name: [lanes for kernel, lanes, _ in lane_widths if kernel == name]
+                for name in ("keyed_md5_many", "cbc_encrypt_many")
+            }
+            assert widths == {
+                "keyed_md5_many": [n],
+                "cbc_encrypt_many": [n] if n >= vector.CBC_ENCRYPT_MIN_LANES else [],
+            }
 
 
 def kinds_of(sink):

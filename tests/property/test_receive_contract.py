@@ -24,8 +24,8 @@ The bytes are the ``garbage`` strategy of ``test_codec_props`` (0-128
 bytes, up to twice a nominal 64-byte datagram) and real datagrams with
 a bit flipped, cut short, extended, given another datagram's header
 field, or replayed, from enrolled and unenrolled senders.  The endpoint
-runs are the vectorized pair (keyed MD5 + DES-CBC, numpy lanes at
-n >= 2 where numpy is installed) and a scalar-only suite, with and
+runs are the vectorized pair (keyed MD5 + DES-CBC, lane kernels at
+each stage's crossover where numpy is installed) and a scalar-only suite, with and
 without the replay guard, secret on and off.
 
 Every world is built fresh per example, so a failure replays exactly.
@@ -159,7 +159,7 @@ class Clock:
 
 
 SUITES = {
-    # The vectorized pair: numpy lanes at n >= 2.
+    # The vectorized pair: lane kernels at each stage's crossover.
     "md5-des": AlgorithmSuite(),
     # No lane kernel: scalar at every n.
     "hmac-shs": AlgorithmSuite(mac=MacAlgorithm.HMAC_SHS, mac_bits=160),

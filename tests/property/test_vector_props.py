@@ -17,6 +17,7 @@ np = pytest.importorskip("numpy")
 from repro.crypto import modes
 from repro.crypto.des import DES
 from repro.crypto.mac import constant_time_equal, keyed_md5
+from repro.crypto.md5 import md5
 from repro.crypto.vector import (
     cbc_decrypt_many,
     cbc_encrypt_many,
@@ -52,6 +53,45 @@ class TestMd5Identity:
         ]
         expected = [keyed_md5(k, m) for k, m in zip(keys, messages)]
         assert keyed_md5_many(keys, messages) == expected
+
+
+#: MD5 padding boundaries (one block holds 55 bytes of message; 56..63
+#: spill the length into a second block) and their two-block twins.
+MD5_EDGES = (0, 55, 56, 63, 64, 119, 120)
+
+
+@st.composite
+def md5_batches(draw):
+    """Batches of 1-300 lanes: edge and random lengths, all-``0xFF``
+    bodies (every addition carries into the guard bits), keys drawn from
+    a small pool so lanes repeat them."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    # One seed draw: per-call draws of up to 300 lanes of bodies
+    # overrun hypothesis's entropy budget.
+    rng = draw(st.randoms(use_true_random=True))
+    pool = [rng.randbytes(rng.choice((0, 8, 16))) for _ in range(rng.randint(1, 4))]
+    keys, messages = [], []
+    for _ in range(n):
+        size = rng.choice(MD5_EDGES) if rng.random() < 0.5 else rng.randint(0, 300)
+        fill = rng.random() < 0.25
+        messages.append(b"\xff" * size if fill else rng.randbytes(size))
+        keys.append(rng.choice(pool))
+    return keys, messages
+
+
+class TestPackedLanes:
+    @given(batch=md5_batches())
+    @settings(max_examples=25, deadline=None)
+    def test_keyed_md5_many_matches_scalar_at_every_width(self, batch):
+        keys, messages = batch
+        expected = [keyed_md5(k, m) for k, m in zip(keys, messages)]
+        assert keyed_md5_many(keys, messages) == expected
+        assert md5_many(messages) == [md5(m) for m in messages]
+
+    @pytest.mark.parametrize("n", [1, 64, 2_000])
+    def test_known_answers_up_to_a_set_up_pool(self, n):
+        messages = [bytes([i & 0xFF]) * (i % 130) for i in range(n)]
+        assert md5_many(messages) == [hashlib.md5(m).digest() for m in messages]
 
 
 class TestCbcIdentity:

@@ -25,7 +25,7 @@ from repro.analysis.context import ModuleContext
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ANALYSIS = REPO_ROOT / "src" / "repro" / "analysis"
-ONE_HOME = ("SOURCE_FRAGMENTS", "SOURCE_NAMES", "LOG_METHODS", "_NDARRAY_FUNCS")
+ONE_HOME = ("SOURCE_FRAGMENTS", "SOURCE_NAMES", "LOG_METHODS", "_CONTENT_FUNCS")
 #: What FBS002, FBS003 and FBS010 were made of: the reach algorithm, its
 #: two passes and their zones, the call-site detector, and the clock,
 #: generator and blocking-call tables it read.

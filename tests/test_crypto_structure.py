@@ -114,6 +114,24 @@ def test_protocol_reaches_the_lane_kernels_from_five_sites():
     ]
 
 
+def test_the_md5_compress_is_generated_once_at_import():
+    tree = _tree(CRYPTO / "vector" / "md5.py")
+    at_import = [
+        (statement.targets[0].id, ast.unparse(statement.value))
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and isinstance(statement.value, ast.Call)
+        and ast.unparse(statement.value.func) == "_build_compress"
+    ]
+    assert at_import == [("_compress_packed", "_build_compress()")]
+    compiles = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "compile"
+    ]
+    assert len(compiles) == 1
+
+
 def test_the_vector_package_has_three_modules():
     modules = sorted(path.name for path in (CRYPTO / "vector").glob("*.py"))
     assert modules == ["__init__.py", "des.py", "md5.py"]
