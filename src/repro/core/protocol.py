@@ -336,11 +336,6 @@ class FBSEndpoint:
             source, destination = peer, self.principal
         entry = cache.lookup_entry(sfl, destination.wire_id, source.wire_id)
         if entry is not None:
-            if entry.crypto is None:
-                # Key installed by an out-of-band path (e.g. a test or
-                # simulator using FlowKeyCache directly): derive state
-                # once and pin it to the entry.
-                entry.crypto = self._build_crypto_state(entry.flow_key)
             return entry.crypto
         master = self.mkd.upcall_master_key(peer)
         self._charge(self._flow_key_cost)

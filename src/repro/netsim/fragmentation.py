@@ -57,6 +57,10 @@ def fragment(packet: IPv4Packet, mtu: int) -> List[IPv4Packet]:
 
 _Key = Tuple[IPAddress, IPAddress, int, int]
 
+#: The largest payload an IPv4 datagram can carry (``total_length`` is
+#: 16 bits and covers the header).
+MAX_PAYLOAD = 0xFFFF - IPV4_HEADER_LEN
+
 
 @dataclass
 class _PartialDatagram:
@@ -111,7 +115,9 @@ class Reassembler:
     max_fragments:
         Cap on distinct pieces one partial may hold (BSD's
         ``ip_maxfragsperpacket``): a datagram sliced absurdly thin is
-        discarded whole rather than buffered piece by piece.
+        discarded whole rather than buffered piece by piece.  A piece
+        ending past :data:`MAX_PAYLOAD` discards its partial too; both
+        count in ``overflow_drops``.
     """
 
     def __init__(
@@ -150,6 +156,12 @@ class Reassembler:
             return packet
         self._expire()
         key: _Key = (header.src, header.dst, header.identification, header.proto)
+        if header.fragment_offset * 8 + len(packet.payload) > MAX_PAYLOAD:
+            # No IPv4 datagram can hold this piece: drop it and its
+            # partial (4.4BSD ip_reass, IP_MAXPACKET), counted as overflow.
+            self._partials.pop(key, None)
+            self.overflow_drops += 1
+            return None
         partial = self._partials.get(key)
         if partial is None:
             while len(self._partials) >= self._max_partials:

@@ -147,8 +147,18 @@ class IPv4Packet:
 
     @classmethod
     def decode(cls, data: bytes) -> "IPv4Packet":
-        """Parse a raw packet; trusts ``total_length`` for payload extent."""
+        """Parse a raw packet; ``total_length`` bounds the payload.
+
+        A ``total_length`` shorter than the header it is part of, or
+        longer than the datagram, is a ``ValueError`` (4.4BSD's
+        ``ipstat.ips_badlen``; ``ip_input`` counts it in ``bad_headers``).
+        """
         header = IPv4Header.decode(data)
+        if header.total_length < IPV4_HEADER_LEN:
+            raise ValueError(
+                f"IPv4 total_length {header.total_length} is shorter than "
+                "its header"
+            )
         if header.total_length > len(data):
             raise ValueError(
                 f"IPv4 total_length {header.total_length} exceeds datagram "

@@ -152,7 +152,9 @@ class UdpLayer:
         except ValueError:
             self.checksum_failures += 1
             return
-        if header.length > len(packet.payload):
+        # A length shorter than the UDP header or longer than the IP
+        # payload is dropped, as 4.4BSD's udps_badlen (counted here).
+        if not UDP_HEADER_LEN <= header.length <= len(packet.payload):
             self.checksum_failures += 1
             return
         body = packet.payload[: header.length]

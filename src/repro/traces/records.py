@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional
 
@@ -19,8 +20,8 @@ class PacketRecord:
     size: int  # transport payload bytes
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("negative timestamp")
+        if not math.isfinite(self.time) or self.time < 0:
+            raise ValueError(f"timestamp {self.time} is not a finite time >= 0")
         if self.size < 0:
             raise ValueError("negative size")
 

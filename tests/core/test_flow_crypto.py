@@ -1,6 +1,7 @@
 """FlowCryptoState: the per-flow crypto cache level (Figure 6 fast path).
 
-Three contracts:
+Two contracts (that flushing the state never breaks delivery is the
+soft-state machine's, ``tests/property/test_soft_state_machine.py``):
 
 * **Equivalence** -- ``FlowCryptoState.mac`` is bit-identical to the
   generic ``suite.mac.func(mac_key, data)`` construction for every
@@ -10,8 +11,6 @@ Three contracts:
   datagram performs zero flow-key derivations, zero crypto-state builds
   and zero DES key-schedule constructions (Section 5.3: "only MAC
   computation and encryption").
-* **Soft state** -- ``flush_all_caches()`` drops the state with the
-  key; endpoints still interoperate when flushed between every datagram.
 """
 
 import pytest
@@ -108,23 +107,6 @@ class TestCacheHitFastPath:
         assert alice.registry.counter("crypto_state_builds").value == 1
         assert bob.registry.counter("crypto_state_builds").value == 1
 
-    def test_out_of_band_key_install_pins_state_on_entry(self):
-        # A TFKC entry installed without crypto state (the flowsim /
-        # direct-cache idiom) gets state built once on first use and
-        # pinned to the entry, not rebuilt per lookup.
-        alice, bob, _ = make_pair()
-        flow_key = bytes(range(16))
-        sfl = 0x1234
-        alice.tfkc.install(
-            sfl, bob.principal.wire_id, alice.principal.wire_id, flow_key
-        )
-        before = alice.registry.counter("crypto_state_builds").value
-        state = alice._flow_state(sfl, bob.principal, True)
-        assert state.flow_key == flow_key
-        assert alice.registry.counter("crypto_state_builds").value == before + 1
-        assert alice._flow_state(sfl, bob.principal, True) is state
-        assert alice.registry.counter("crypto_state_builds").value == before + 1
-
 
 class TestNullTracerFastPath:
     """Tracing off (the default) leaves the warm path untouched."""
@@ -181,38 +163,3 @@ class TestNullTracerFastPath:
             "decryptions": 1,
             "cache_hits{cache=RFKC}": 1,
         }
-
-
-class TestSoftState:
-    def test_flush_drops_crypto_state_with_the_key(self):
-        alice, bob, _ = make_pair()
-        wire = alice.protect(b"warm up", bob.principal, secret=True)
-        bob.unprotect(wire, alice.principal, secret=True)
-        states_before = keying_work(alice, bob)
-        alice.flush_all_caches()
-        bob.flush_all_caches()
-        wire = alice.protect(b"after flush", bob.principal, secret=True)
-        assert bob.unprotect(wire, alice.principal, secret=True) == b"after flush"
-        derivations, builds, schedules = keying_work(alice, bob)
-        # Everything was re-derived and rebuilt exactly once per side.
-        assert derivations == states_before[0] + 2
-        assert builds == states_before[1] + 2
-
-    @pytest.mark.parametrize("secret", [True, False])
-    def test_interop_with_flush_between_every_datagram(self, secret):
-        alice, bob, _ = make_pair()
-        for i in range(5):
-            body = bytes([i]) * (i * 40 + 1)
-            wire = alice.protect(body, bob.principal, secret=secret)
-            assert bob.unprotect(wire, alice.principal, secret=secret) == body
-            alice.flush_all_caches()
-            bob.flush_all_caches()
-
-    def test_one_sided_flush_interop(self):
-        # Receiver keeps its cache while the sender loses its own.
-        alice, bob, _ = make_pair()
-        for i in range(3):
-            body = f"datagram {i}".encode()
-            wire = alice.protect(body, bob.principal, secret=True)
-            assert bob.unprotect(wire, alice.principal, secret=True) == body
-            alice.flush_all_caches()

@@ -184,3 +184,15 @@ class TestReassemblerBounds:
             result = reasm.push(piece)
         assert result is not None and result.payload == packet.payload
         assert reasm.overflow_drops == 0
+
+    def test_a_piece_ending_past_the_largest_datagram_drops_its_partial(self):
+        # Offsets up to 8191 x 8 could otherwise reassemble a payload no
+        # IPv4 datagram can carry (its encode() would overflow).
+        reasm, _ = self._reassembler()
+        first = make_packet(1480, more_fragments=True)
+        last = make_packet(1480, fragment_offset=8191)
+        assert reasm.push(first) is None
+        assert reasm.pending == 1
+        assert reasm.push(last) is None
+        assert reasm.pending == 0
+        assert reasm.overflow_drops == 1

@@ -131,6 +131,21 @@ class TestPacketCodec:
         with pytest.raises(ValueError):
             IPv4Packet.decode(raw)
 
+    @pytest.mark.parametrize("total_length", [0, 5, 19])
+    def test_total_length_shorter_than_the_header_is_a_bad_header(self, total_length):
+        from repro.netsim import Network
+
+        net = Network(seed=0)
+        net.add_segment("lan", "10.0.0.0")
+        host = net.add_host("b", segment="lan")
+        header = make_header(dst=host.address, total_length=total_length)
+        raw = header.encode() + b"abcdef"
+        with pytest.raises(ValueError):
+            IPv4Packet.decode(raw)
+        host.stack.ip_input(raw)
+        assert host.stack.stats.bad_headers == 1
+        assert host.stack.stats.packets_delivered == 0
+
     def test_empty_payload(self):
         packet = IPv4Packet(header=make_header(), payload=b"")
         assert IPv4Packet.decode(packet.encode()).payload == b""

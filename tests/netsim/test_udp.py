@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import Network
 from repro.netsim.addresses import IPAddress
+from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import UdpSocket
 from repro.netsim.udp import UDP_HEADER_LEN, UDPHeader
 
@@ -64,6 +65,21 @@ class TestDelivery:
         tx.sendto(b"void", b.address, 9999)
         net.sim.run()
         assert b.udp.no_port == 1
+
+    @pytest.mark.parametrize("length", range(UDP_HEADER_LEN))
+    def test_length_shorter_than_the_header_is_dropped(self, length):
+        net, a, b = build_pair()
+        rx = UdpSocket(b, 5000)
+        header = UDPHeader(sport=4000, dport=5000, length=length)
+        a.send_raw(
+            IPv4Packet(
+                header=IPv4Header(src=a.address, dst=b.address, proto=IPProtocol.UDP),
+                payload=header.encode(),
+            )
+        )
+        net.sim.run()
+        assert rx.received == []
+        assert b.udp.checksum_failures == 1
 
     def test_large_datagram_fragments_and_reassembles(self):
         net, a, b = build_pair()

@@ -36,12 +36,14 @@ def test_main_returns_two_on_a_usage_error_and_zero_for_help(package, capsys):
         ["analyze", "{garbage}"],
         ["cachesim", "{garbage}", "--host", "10.0.0.1"],
         ["sweep", "{garbage}"],
+        ["analyze", "{nan}"],
     ],
     ids=[
         "bad-threshold-list", "bad-size-list", "unreadable-trace",
         "bad-host", "zero-size", "zero-threshold", "nan-threshold",
         "nan-in-threshold-list", "malformed-trace-analyze",
         "malformed-trace-cachesim", "malformed-trace-sweep",
+        "nan-time-in-trace",
     ],
 )
 def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, capsys):
@@ -51,10 +53,13 @@ def test_traces_bad_list_or_unreadable_trace_is_a_usage_error(argv, tmp_path, ca
     trace.write_text("")
     garbage = tmp_path / "garbage.trace"
     garbage.write_text("# a comment\ngarbage line here\n")
+    nan = tmp_path / "nan.trace"
+    nan.write_text("nan 10.0.0.1.1000 > 10.0.0.2.80: tcp 100\n")
     paths = {
         "trace": str(trace),
         "missing": str(tmp_path / "no-such-file"),
         "garbage": str(garbage),
+        "nan": str(nan),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
