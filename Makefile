@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs obs-check smoke traces-sweep bench figures budget-smoke examples reports reports-check clean
+.PHONY: install test loc lint lint-docs obs-check smoke traces-sweep bench crossovers figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -67,6 +67,13 @@ traces-sweep:
 # traced ladders.
 bench:
 	$(PYTHON) benchmarks/budget/run.py --out /tmp/FBS_budget.json
+
+# Lane against scalar per stage and width, alternating windows, best of
+# nine: the sweep behind SINGLE_LANE_MIN_BLOCKS, CBC_ENCRYPT_MIN_LANES
+# and the MAC stages' n >= 2 (EXPERIMENTS.md "Single-lane crossover",
+# "Lane crossovers by stage"; ~1 min).
+crossovers:
+	$(PYTHON) tools/crossover.py
 
 # The same at smoke length, then the manifest/schema and
 # count-repeatability tests.  Gates outputs, not speed.

@@ -18,7 +18,7 @@ everything key-dependent is folded into the key schedule once in
   ``(ka, kb)`` with the 6-bit chunks where those windows are
   (:func:`_packed`), so two XORs key all eight boxes; the reversed
   (decryption) order is kept too.  The lane kernel
-  (:mod:`repro.crypto.vector.des`) XORs the same masks.
+  (:mod:`repro.crypto.vector.des`) XORs the same masks, byte by byte.
 * **Paired SP-boxes** -- each 6-bit S-box input maps straight to its
   P-permuted (and rotated) round-function contribution, and the tables
   are combined two boxes at a time: masked with ``0x3F3F3F3F`` each

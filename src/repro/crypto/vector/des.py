@@ -1,30 +1,35 @@
-"""Lane-parallel DES-CBC over numpy ``uint64`` arrays, six calls a round.
+"""Lane-parallel DES-CBC over numpy ``uint64`` arrays, four calls a round.
 
 The scalar kernel (:mod:`repro.crypto.des`) runs one block through
 sixteen table-lookup rounds; here the rounds run over *arrays* of
 blocks.  At datagram-batch widths (tens of lanes) a pass costs its
-number of numpy calls, not its data, so a round is six calls:
+number of numpy calls, not its data, so a round is four calls:
 
-* **Rotated, doubled state.**  Each 32-bit half is kept rotated left by
-  one (the libdes form) and repeated in both halves of a ``<u8`` word.
-  In ``rotl(R, 1)`` the E-windows of S-boxes 1, 3, 5, 7 are the low six
-  bits of bytes 3..0; in the low word of ``doubled >> 4`` -- the
-  doubling makes that shift ``rotr(rotl(R, 1), 4)`` -- boxes 0, 2, 4, 6
-  sit the same way.  One broadcast shift by ``(0, 4)`` makes both.
-* **Byte-aligned round keys**: two XOR masks with the 6-bit chunks at
-  those bytes -- the scalar schedule as it is (``DES.subkeys``, as an
-  array in ``DES._vector``) -- so one XOR keys all eight boxes.
-* **One gather for eight S-boxes.**  The window bytes, read through a
-  ``uint8`` view, index eight stacked 256-entry SP tables (pre-rotated,
-  doubled, a byte's two stray high bits ignored by repetition) in one
-  ``take``; the P-permuted outputs are disjoint, so one OR-reduce over
-  the table axis is the round function.
+* **Windowed state.**  Each 32-bit half is kept rotated left by one
+  (the libdes form), ``h``, in the low half of a ``<u8`` word, with
+  ``rotr(h, 4)`` in the high half.  In ``h`` the E-windows of S-boxes
+  1, 3, 5, 7 are the low six bits of bytes 3..0, in ``rotr(h, 4)``
+  those of boxes 0, 2, 4, 6, so the word's eight bytes, read through a
+  ``uint8`` view, are the eight windows with no shift.  The form is a
+  bit permutation, linear over XOR: the tables are stored in it and
+  the chaining below works in it unchanged.
+* **Key byte and table offset in one XOR.**  A round's row holds
+  ``k | j << 8`` for window byte ``j``, ``k`` the scalar schedule's key
+  byte there (``DES.subkeys``, both directions as one ``uint16`` array
+  in ``DES._vector``).  A window byte is below 256, so the XOR keys the
+  window and adds its table's offset at once.
+* **One gather for eight S-boxes.**  The indices reach eight stacked
+  256-entry SP tables (pre-rotated, windowed, a byte's two stray high
+  bits ignored by repetition) in one ``take``; the P-permuted outputs
+  are disjoint, so one OR-reduce over the table axis is the round
+  function, and one XOR puts it into the other half.
 * **IP and FP as one gather each** on the block / state bytes, with the
-  rotation, doubling, half swap and big-endian store in the tables.
+  rotation, windowed form, half swap and big-endian store in the
+  tables.
 
 A call costs what its Python wrapper costs too, so every gather is the
 table's bound ``take`` (``np.take`` is two Python-level wrappers on top),
-and a round's masks are a list of rows built once per width.
+and a round's rows are a list built once per width.
 
 Two CBC drivers with different parallel axes:
 
@@ -62,13 +67,20 @@ _U8 = np.dtype("<u8")
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _doubled(words):
-    return (words | (words << np.uint64(32))).astype(_U8)
+def _windowed(words):
+    """32-bit words in the state form: ``h`` low, ``rotr(h, 4)`` high.
+
+    The form is a bit permutation of ``h``, so OR and XOR commute with
+    it: tables stored in it combine into states in it, and CBC chains
+    states in it.
+    """
+    rotated = ((words >> np.uint64(4)) | (words << np.uint64(28))) & _LOW32
+    return (words | (rotated << np.uint64(32))).astype(_U8)
 
 
 def _state_luts():
     """The scalar kernel's IP, SP and FP tables (already in the rotated
-    form) doubled and laid out for one gather each.
+    form), put in the state form and laid out for one gather each.
 
     ``ip[half]`` maps ``256 * position + byte`` of a raw block to that
     byte's share of the state half; ``sp`` stacks the eight SP boxes in
@@ -79,10 +91,10 @@ def _state_luts():
     """
     ip = np.array(_IP_LUT, dtype=np.uint64)
     ip = np.stack(
-        [_doubled(half).reshape(-1) for half in (ip >> np.uint64(32), ip & _LOW32)]
+        [_windowed(half).reshape(-1) for half in (ip >> np.uint64(32), ip & _LOW32)]
     )
     boxes = np.array(_SP, dtype=np.uint64)[[7, 5, 3, 1, 6, 4, 2, 0]]
-    sp = _doubled(boxes[:, np.arange(256) & 63]).reshape(-1)
+    sp = _windowed(boxes[:, np.arange(256) & 63]).reshape(-1)
     # The scalar tables count a state's bytes from its high end, a
     # little-endian view of a half from its low end.
     fp = np.array(_FP_LUT, dtype=np.uint64)[[3, 2, 1, 0, 7, 6, 5, 4]]
@@ -90,10 +102,11 @@ def _state_luts():
 
 
 _IP, _SPB, _FP = _state_luts()
-_SHIFTS = np.array([[0], [4]], dtype=_U8)
 _IP_OFFSETS = (256 * np.arange(8, dtype=np.intp)).reshape(8, 1)
 #: Table offsets of the low four bytes of two state words.
 _BYTE_OFFSETS = _IP_OFFSETS.reshape(2, 4, 1)
+#: A round row's slot ids, above its key bytes.
+_SLOTS = np.arange(8, dtype=np.uint16) << np.uint16(8)
 
 #: Widths up to this keep their scratch; these are the widths where a
 #: pass is call-bound, and the bound keeps the cache a few megabytes.
@@ -103,23 +116,16 @@ _CACHED_WIDTH = 256
 class _Lanes:
     """Scratch buffers and the views a round reads, for one width."""
 
-    __slots__ = (
-        "state", "halves", "sources", "windows", "window_bytes",
-        "index", "index_rows", "parts", "f",
-    )  # fmt: skip
+    __slots__ = ("state", "halves", "sources", "index", "index_rows", "parts", "f")
 
     def __init__(self, width: int) -> None:
         self.state = np.empty((2, width), dtype=_U8)
         # Round r XORs f(state[1 - r % 2]) into state[r % 2]: the
-        # halves trade roles instead of places.
+        # halves trade roles instead of places.  A source is the other
+        # half's eight window bytes, ``(8, width)``.
         self.halves = (self.state[0], self.state[1])
-        self.sources = (self.state[1:2], self.state[0:1])
-        self.windows = np.empty((2, width), dtype=_U8)
-        self.window_bytes = (
-            self.windows.view(np.uint8)
-            .reshape(2, width, 8)[:, :, :4]
-            .transpose(0, 2, 1)
-        )
+        state_bytes = self.state.view(np.uint8).reshape(2, width, 8)
+        self.sources = (state_bytes[1].T, state_bytes[0].T)
         self.index = np.empty((8, width), dtype=np.intp)
         self.index_rows = self.index.reshape(2, 4, width)
         self.parts = np.empty((8, width), dtype=_U8)
@@ -140,31 +146,29 @@ def _lanes(width: int) -> _Lanes:
 
 def _rounds(
     lanes: _Lanes,
-    masks: List[np.ndarray],
-    shift=np.right_shift, xor=np.bitwise_xor, add=np.add, take=_SPB.take,
-    or_reduce=np.bitwise_or.reduce,
+    rows: List[np.ndarray],
+    xor=np.bitwise_xor, take=_SPB.take, or_reduce=np.bitwise_or.reduce,
 ) -> None:  # fmt: skip
-    """Sixteen DES rounds on ``lanes.state``, in place.
+    """Sixteen DES rounds on ``lanes.state``, in place: four calls each.
 
-    ``masks`` is the sixteen ``(2, m)`` round masks, ``m`` the width or
+    ``rows`` is the sixteen ``(8, m)`` round rows, ``m`` the width or
     1.  Sixteen is even, so the halves end in their own rows:
     ``state[0]`` is L16 and ``state[1]`` is R16.
     """
-    windows = lanes.windows
-    window_bytes = lanes.window_bytes
+    sources = lanes.sources
+    halves = lanes.halves
     index = lanes.index
-    index_rows = lanes.index_rows
     parts = lanes.parts
     f = lanes.f
-    for rnd, mask in enumerate(masks):
-        target = lanes.halves[rnd & 1]
-        shift(lanes.sources[rnd & 1], _SHIFTS, windows)
-        xor(windows, mask, windows)
-        add(window_bytes, _BYTE_OFFSETS, index_rows)
+    for rnd, row in enumerate(rows):
+        # A window byte is below 256, so XOR with ``k | slot << 8`` keys
+        # it and adds its table's offset at once.
+        xor(sources[rnd & 1], row, index)
         # Every index is a byte plus a table offset, so in range: "clip"
         # only spares take the bounce buffer "raise" needs with out=.
         take(index, None, parts, "clip")
         or_reduce(parts, 0, None, f)
+        target = halves[rnd & 1]
         xor(target, f, target)
 
 
@@ -185,24 +189,25 @@ def _final(lanes: _Lanes, high_low) -> np.ndarray:
     return np.bitwise_or.reduce(lanes.parts, 0)
 
 
-def _packed_subkeys(cipher: DES) -> np.ndarray:
-    """``(direction, round, parity)`` XOR masks, cached on the cipher.
+def _round_rows(cipher: DES) -> np.ndarray:
+    """``(direction, round, slot)`` rows, cached on the cipher.
 
-    Parity 0 carries the odd chunks (k7, k5, k3, k1 in bytes 0..3, the
-    windows of the unshifted word), parity 1 the even chunks (k6, k4,
-    k2, k0, the windows of the word shifted by four).  Direction 1 is
-    the reversed (decryption) schedule.
+    Slot ``j`` is ``k | j << 8``, ``k`` the scalar schedule's key byte
+    for window byte ``j``: bytes 0..3 of ``ka`` (k7, k5, k3, k1), then
+    of ``kb`` (k6, k4, k2, k0).  Direction 1 is the reversed
+    (decryption) schedule.
     """
     cached = cipher._vector
     if cached is None:
-        cached = cipher._vector = np.array(
-            [cipher.subkeys, cipher.subkeys_rev], dtype=_U8
-        )
+        key_bytes = np.array(
+            [cipher.subkeys, cipher.subkeys_rev], dtype="<u4"
+        ).view(np.uint8)
+        cached = cipher._vector = key_bytes.astype(np.uint16) | _SLOTS
     return cached
 
 
 def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None) -> np.ndarray:
-    """Round masks for a batch, ``(16, 2, m)``.
+    """Round rows for a batch, ``(16, 8, m)``.
 
     ``ciphers`` is per lane; ``repeats`` optionally expands lanes to
     per-block columns (the flattened decrypt axis).  A single-key batch
@@ -216,7 +221,7 @@ def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None) -> np.ndarra
         pos = index_of.get(id(cipher))
         if pos is None:
             pos = index_of[id(cipher)] = len(packed)
-            packed.append(_packed_subkeys(cipher)[int(decrypt)])
+            packed.append(_round_rows(cipher)[int(decrypt)])
         lane_index.append(pos)
     if len(packed) == 1:
         return packed[0][:, :, None]
@@ -272,7 +277,7 @@ def cbc_encrypt_many(
         .reshape(-1, 8),
     )
     permuted = whole.state.reshape(2, max_blocks + 1, n)
-    masks = _mask_rows([ciphers[lane] for lane in order], decrypt=False)
+    rows = _mask_rows([ciphers[lane] for lane in order], decrypt=False)
     # Pre-FP states as (R16, L16): the next step's chain value as is.
     out = np.empty((2, max_blocks, n), dtype=_U8)
     chain = permuted[:, 0]
@@ -282,9 +287,9 @@ def cbc_encrypt_many(
         if m != active:
             active = m
             lanes = _lanes(m)
-            rows = list(masks[:, :, :m])
+            step_rows = list(rows[:, :, :m])
         np.bitwise_xor(permuted[:, block + 1, :m], chain[:, :m], lanes.state)
-        _rounds(lanes, rows)
+        _rounds(lanes, step_rows)
         chain = out[:, block, :m]
         np.copyto(chain, lanes.state[::-1])
     out = out.reshape(2, -1)
@@ -331,8 +336,8 @@ def cbc_decrypt_many(
     )
     lanes = _lanes(total)
     _initial(lanes, joined.reshape(total, 8))
-    masks = _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts)
-    _rounds(lanes, list(masks))
+    rows = _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts)
+    _rounds(lanes, list(rows))
     plain = _final(lanes, lanes.state[::-1])
     # XOR is bytewise, so the chain words need no byte-order care.
     cipher_words = joined.view(_U8)

@@ -129,14 +129,16 @@ class TestVectorDesCbc:
 
 
 class TestOneRoundKeyPacking:
-    """The lane masks are the scalar schedule, both directions."""
+    """The lane rows are the scalar schedule, both directions."""
 
-    def test_lane_masks_are_the_scalar_schedule_cached_per_instance(self):
-        from repro.crypto.vector.des import _packed_subkeys
+    def test_lane_rows_are_the_scalar_schedule_cached_per_instance(self):
+        from repro.crypto.vector.des import _round_rows
 
         cipher = DES(b"\x01\x23\x45\x67\x89\xab\xcd\xef")
-        masks = _packed_subkeys(cipher)
-        assert masks.shape == (2, 16, 2)
-        assert np.array_equal(masks[0], cipher.subkeys)
-        assert np.array_equal(masks[1], cipher.subkeys_rev)
-        assert _packed_subkeys(cipher) is masks
+        rows = _round_rows(cipher)
+        for direction, schedule in enumerate((cipher.subkeys, cipher.subkeys_rev)):
+            for rnd, (ka, kb) in enumerate(schedule):
+                key_bytes = (ka | kb << 32).to_bytes(8, "little")
+                assert [v & 0xFF for v in rows[direction, rnd].tolist()] == list(key_bytes)
+                assert [v >> 8 for v in rows[direction, rnd].tolist()] == list(range(8))
+        assert _round_rows(cipher) is rows

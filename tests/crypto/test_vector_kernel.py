@@ -1,12 +1,16 @@
 """The DES lane kernel against the FIPS 46 specification implementation.
 
 ``tests/crypto/test_vector.py`` pins the CBC drivers to the scalar mode
-layer; this file pins what is underneath them -- IP, sixteen rounds on
-the rotated, doubled state, FP -- to :mod:`repro.crypto.des_reference`,
-block by block, at the widths where the kernel changes behaviour: one
-lane, the scratch-cache bound, and a width far past it.
+layer; this file pins what is underneath them -- IP, sixteen four-call
+rounds on the windowed state (``h`` low, ``rotr(h, 4)`` high), FP -- to
+:mod:`repro.crypto.des_reference`, block by block, at the widths where
+the kernel changes behaviour: one lane, the scratch-cache bound, and a
+width far past it.  The round rows are pinned by what they mean: the
+scalar schedule's key bytes, each above its table's slot id.
 """
 
+import ast
+import inspect
 import random
 
 import pytest
@@ -82,32 +86,87 @@ def test_fips_known_answer():
     ]
 
 
-class TestMaskRows:
-    def test_single_and_mixed_key_batches_share_one_shape(self):
-        single = lane_des._mask_rows([_CIPHERS[0]] * 5, decrypt=False)
-        mixed = lane_des._mask_rows(_CIPHERS[:5], decrypt=False)
-        assert single.shape == (16, 2, 1)
-        assert mixed.shape == (16, 2, 5)
-        # The prefix slice the encrypt loop takes is valid for both.
-        assert single[:, :, :3].shape == (16, 2, 1)
-        assert mixed[:, :, :3].shape == (16, 2, 3)
-        assert (mixed[:, :, :1] == single).all()
+def _scalar_bytes(subkey):
+    """A scalar ``(ka, kb)`` round key as the eight window bytes it keys,
+    slot order (``ka`` low to high, then ``kb``)."""
+    ka, kb = subkey
+    return [(ka >> 8 * i) & 0xFF for i in range(4)] + [
+        (kb >> 8 * i) & 0xFF for i in range(4)
+    ]
 
-    def test_masks_are_packed_once_per_cipher_both_directions(self):
+
+class TestMaskRows:
+    """What a round row means, whatever array holds it."""
+
+    @pytest.mark.parametrize("decrypt", [False, True])
+    def test_each_slot_is_the_scalar_key_byte_above_its_slot_id(self, decrypt):
+        cipher = _CIPHERS[5]
+        schedule = cipher.subkeys_rev if decrypt else cipher.subkeys
+        rows = lane_des._mask_rows([cipher], decrypt=decrypt)
+        for rnd, subkey in enumerate(schedule):
+            for slot, key_byte in enumerate(_scalar_bytes(subkey)):
+                (value,) = rows[rnd, slot].tolist()
+                assert value & 0xFF == key_byte
+                assert value >> 8 == slot
+
+    def test_rows_are_built_once_per_cipher_for_both_directions(self):
         cipher = DES(b"\x02" * 8)
         assert cipher._vector is None
         forward = lane_des._mask_rows([cipher], decrypt=False)
         cached = cipher._vector
-        assert cached.shape == (2, 16, 2)
         backward = lane_des._mask_rows([cipher, cipher], decrypt=True)
         assert cipher._vector is cached
         assert (backward[::-1] == forward).all()
 
+    def test_one_key_broadcasts_and_prefixes_stay_valid(self):
+        single = lane_des._mask_rows([_CIPHERS[0]] * 5, decrypt=False)
+        mixed = lane_des._mask_rows(_CIPHERS[:5], decrypt=False)
+        assert single.shape[2] == 1
+        assert mixed.shape[2] == 5
+        # The prefix slice the encrypt loop takes is valid for both.
+        assert single[:, :, :3].shape[2] == 1
+        assert mixed[:, :, :3].shape[2] == 3
+        assert (mixed[:, :, :1] == single).all()
+
     def test_repeats_expand_lanes_to_blocks(self):
         rows = lane_des._mask_rows(_CIPHERS[:2], decrypt=True, repeats=[3, 2])
-        assert rows.shape == (16, 2, 5)
-        assert (rows[:, :, 0] == rows[:, :, 2]).all()
-        assert (rows[:, :, 3] == rows[:, :, 4]).all()
+        lone = [lane_des._mask_rows([c], decrypt=True) for c in _CIPHERS[:2]]
+        assert rows.shape[2] == 5
+        for column, lane in enumerate([0, 0, 0, 1, 1]):
+            assert (rows[:, :, column] == lone[lane][:, :, 0]).all()
+
+
+class _Counting:
+    """A stand-in for one of ``_rounds``' bound calls that counts them."""
+
+    def __init__(self, call):
+        self.call = call
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.call(*args)
+
+
+@pytest.mark.parametrize("width", [1, 64])
+def test_a_round_is_four_numpy_calls(width):
+    lanes = lane_des._lanes(width)
+    lanes.state[:] = 0
+    # Its bound defaults are the only callables a round reaches.
+    defaults = lane_des._rounds.__defaults__
+    assert len(defaults) == 3
+    xor, take, or_reduce = (_Counting(call) for call in defaults)
+    ciphers = [_CIPHERS[lane % len(_CIPHERS)] for lane in range(width)]
+    rows = list(lane_des._mask_rows(ciphers, decrypt=False))
+    lane_des._rounds(lanes, rows, xor, take, or_reduce)
+    assert (xor.calls, take.calls, or_reduce.calls) == (32, 16, 16)
+    (loop,) = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(lane_des._rounds)))
+        if isinstance(node, ast.For)
+    ]
+    body = [node for statement in loop.body for node in ast.walk(statement)]
+    assert sum(isinstance(node, ast.Call) for node in body) == 4
 
 
 def test_scratch_is_kept_only_for_call_bound_widths():

@@ -19,6 +19,10 @@ receive surface:
   type its reason names; the gateway's ledger agrees with its registry;
   a baseline counts every datagram it does not bypass once, accepted or
   rejected.
+* **Specification.**  For the vectorized pair (the IP mapping's layout),
+  each datagram's body or reason is what ``tests/spec/fbs_spec.py``'s
+  ``spec_receive`` says, guard on and off: a garbled secret body that
+  reaches the decrypt lanes is judged by the reference DES.
 
 The bytes are the ``garbage`` strategy of ``test_codec_props`` (0-128
 bytes, up to twice a nominal 64-byte datagram) and real datagrams with
@@ -67,6 +71,7 @@ from repro.netsim.sockets import UdpSocket
 from repro.obs import REJECTION_REASONS, DatagramRejected, RingBufferSink
 from tests.gateway.helpers import TENANT_PORT_BASE, gateway_site, serve_one
 from tests.property.test_codec_props import garbage
+from tests.spec.fbs_spec import Domain, spec_receive
 
 #: The error type each rejection reason records (``keying`` is any
 #: FBSError that is not a receive-validation failure).
@@ -168,7 +173,10 @@ SUITES = {
 
 def endpoint_world(suite="md5-des", guard=True):
     """alice (enrolled) sends to bob (traced into ``ring``); mallory is
-    never enrolled.  ``pool`` starts with a datagram ten minutes old."""
+    never enrolled.  ``pool`` starts with a datagram ten minutes old.
+    The vectorized pair is the IP mapping's layout, so its world carries
+    the specification (``spec``, None for the other suite) and the
+    specification's replay memory (``seen``)."""
     clock = Clock()
     config = FBSConfig(suite=SUITES[suite], replay_guard_size=64 if guard else 0)
     domain = FBSDomain(seed=25, config=config)
@@ -180,6 +188,11 @@ def endpoint_world(suite="md5-des", guard=True):
     return SimpleNamespace(
         alice=alice,
         bob=bob,
+        clock=clock,
+        spec=Domain.enrolled(domain, alice.principal, bob.principal)
+        if suite == "md5-des"
+        else None,
+        seen=[],
         mallory=Principal.from_name("mallory"),
         ring=ring,
         pool=[stale],
@@ -286,6 +299,40 @@ def check_unprotect(endpoint, ring, data, source, secret):
     return problems
 
 
+def received(endpoint, ring, datagrams, source, secret):
+    """``(result, contract violations)`` of one receive: ``unprotect``
+    for one datagram, ``unprotect_batch`` for more.  ``result`` is the
+    batch result the receive recorded, or None if it recorded none."""
+    results = []
+    real = endpoint.unprotect_batch
+    endpoint.unprotect_batch = lambda *a, **k: results.append(real(*a, **k)) or results[-1]
+    try:
+        if len(datagrams) == 1:
+            problems = check_unprotect(endpoint, ring, datagrams[0], source, secret)
+        else:
+            problems = check_batch(endpoint, ring, datagrams, source, secret)
+    finally:
+        endpoint.__dict__.pop("unprotect_batch", None)
+    return (results[0] if results else None), problems
+
+
+def check_spec(world, datagrams, source, secret, result):
+    """Each datagram's body or reason is ``spec_receive``'s, in order
+    (the specification's replay memory is ``world.seen``).  Garbage
+    secret bodies that reach the decrypt lanes are judged by the
+    reference DES, not by the scalar kernel."""
+    problems = []
+    for i, wire in enumerate(datagrams):
+        expected = spec_receive(
+            world.spec, source.wire_id, world.bob.principal.wire_id,
+            wire, world.clock.now, secret, world.seen,
+        )  # fmt: skip
+        got = (result.bodies[i], result.reasons[i])
+        if got != expected:
+            problems.append(f"[{i}] {wire.hex()}: {got!r}, the specification {expected!r}")
+    return problems
+
+
 def check_protect(endpoint, bodies, destination, secret):
     """``(wires, violations)``: ``protect``/``protect_batch`` either
     protect every body or refuse with an FBSError (``wires`` None)."""
@@ -317,12 +364,10 @@ def run_endpoint(world, batches, secret):
         datagrams = assemble(batch, wires, world.pool, world.fields)
         source = world.alice.principal if enrolled else world.mallory
         for _ in range(1 + again):
-            if len(datagrams) == 1:
-                problems += check_unprotect(
-                    world.bob, world.ring, datagrams[0], source, secret
-                )
-            else:
-                problems += check_batch(world.bob, world.ring, datagrams, source, secret)
+            result, more = received(world.bob, world.ring, datagrams, source, secret)
+            problems += more
+            if world.spec is not None and result is not None:
+                problems += check_spec(world, datagrams, source, secret, result)
     return problems
 
 

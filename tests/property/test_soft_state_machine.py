@@ -32,7 +32,7 @@ from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.crypto.vector import CBC_ENCRYPT_MIN_LANES
 from repro.obs import RingBufferSink
-from tests.property.test_receive_contract import Clock, check_batch, check_unprotect
+from tests.property.test_receive_contract import Clock, received
 from tests.spec import fbs_spec
 from tests.spec.fbs_spec import Domain, spec_receive, spec_send
 
@@ -66,22 +66,6 @@ bodies = st.tuples(sizes, st.integers(0, 255)).map(
 batches = st.sampled_from([1, 2, CBC_ENCRYPT_MIN_LANES, CBC_ENCRYPT_MIN_LANES + 2]).flatmap(
     lambda n: st.lists(bodies, min_size=n, max_size=n)
 )
-
-
-def received(endpoint, ring, datagrams, source, secret):
-    """``(result, contract violations)`` of one receive: ``unprotect``
-    for one datagram, ``unprotect_batch`` for more."""
-    results = []
-    real = endpoint.unprotect_batch
-    endpoint.unprotect_batch = lambda *a, **k: results.append(real(*a, **k)) or results[-1]
-    try:
-        if len(datagrams) == 1:
-            problems = check_unprotect(endpoint, ring, datagrams[0], source, secret)
-        else:
-            problems = check_batch(endpoint, ring, datagrams, source, secret)
-    finally:
-        endpoint.__dict__.pop("unprotect_batch", None)
-    return results[0], problems
 
 
 class SoftState(RuleBasedStateMachine):

@@ -1,0 +1,44 @@
+"""``make crossovers`` runs: ``tools/crossover.py`` at two widths and one
+window a side exits 0 and prints both tables in their layout.
+
+It lives outside ``src/``, so it runs as the command it is.  The figures
+are not checked: they are the host's.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("numpy")
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
+
+
+def test_two_widths_one_repeat_print_both_tables():
+    run = subprocess.run(
+        [sys.executable, str(_TOOL), "--blocks", "2,16", "--lanes", "2,12",
+         "--sizes", "64", "--repeat", "1", "--window-ms", "1"],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert run.returncode == 0, run.stderr
+    rows = [line for line in run.stdout.splitlines() if line.startswith("|")]
+    assert rows[0] == "| blocks | 2 | 16 |"
+    assert re.fullmatch(r"\| lane / scalar \| [\d.]+ \| [\d.]+ \|", rows[2])
+    assert rows[3] == "| stage | body | kernel | n=2 | n=12 |"
+    stages = [tuple(row.split(" | ")[:3]) for row in rows[5:]]
+    assert stages == [
+        (f"| {stage}", "64 B", kernel)
+        for stage in ("keyed-MD5", "CBC encrypt", "CBC decrypt")
+        for kernel in ("scalar", "lane")
+    ]
+    # Two widths a row, and the faster kernel of each pair in bold.
+    bold = [[cell.startswith("**") for cell in row.split(" | ")[3:]] for row in rows[5:]]
+    assert all(len(cells) == 2 for cells in bold)
+    for scalar, lane in zip(bold[::2], bold[1::2]):
+        assert all(s or l for s, l in zip(scalar, lane))
+    lines = run.stdout.splitlines()
+    assert sum(line.startswith("crossover: ") for line in lines) == 1
+    assert sum(": crossover n = " in line for line in lines) == 3
