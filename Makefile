@@ -70,8 +70,9 @@ bench:
 
 # Lane against scalar per stage and width, alternating windows, best of
 # nine: the sweep behind SINGLE_LANE_MIN_BLOCKS, CBC_ENCRYPT_MIN_LANES
-# and the MAC stages' n >= 2 (EXPERIMENTS.md "Single-lane crossover",
-# "Lane crossovers by stage"; ~1 min).
+# and the MAC stages' n >= 2, then the DES lane pass by width beside its
+# numpy calls a round (EXPERIMENTS.md "Single-lane crossover", "Lane
+# crossovers by stage", "DES lane pass"; ~1 min).
 crossovers:
 	$(PYTHON) tools/crossover.py
 

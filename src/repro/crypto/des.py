@@ -18,7 +18,8 @@ everything key-dependent is folded into the key schedule once in
   ``(ka, kb)`` with the 6-bit chunks where those windows are
   (:func:`_packed`), so two XORs key all eight boxes; the reversed
   (decryption) order is kept too.  The lane kernel
-  (:mod:`repro.crypto.vector.des`) XORs the same masks, byte by byte.
+  (:mod:`repro.crypto.vector.des`) XORs the same masks as one
+  ``ka | kb << 32`` word.
 * **Paired SP-boxes** -- each 6-bit S-box input maps straight to its
   P-permuted (and rotated) round-function contribution, and the tables
   are combined two boxes at a time: masked with ``0x3F3F3F3F`` each
@@ -298,8 +299,9 @@ class DES:
         #: drive ``_crypt`` without per-block method dispatch.
         self.subkeys = _key_schedule(int.from_bytes(key, "big"))
         self.subkeys_rev = self.subkeys[::-1]
-        # Both directions as one array, which repro.crypto.vector.des
-        # builds and caches here (None until a lane pass touches this key).
+        # Both directions' lane key words (K_0, the round-key
+        # differences, K_15), which repro.crypto.vector.des builds and
+        # caches here (None until a lane pass touches this key).
         self._vector = None
 
     def encrypt_block(self, block: bytes) -> bytes:

@@ -25,16 +25,16 @@ imports numpy.
 #: Blocks from which one CBC body decrypts faster as a single lane of
 #: ``cbc_decrypt_many`` (its blocks in parallel) than through scalar
 #: ``modes.decrypt_cbc``.  The sweep of record (``tools/crossover.py``,
-#: ``make crossovers``) is in EXPERIMENTS.md ("A DES lane round in four
-#: calls"): lane rate over scalar rate, median of six runs, 1.02 at 10
-#: blocks, 1.15 at 11, 1.48 at 12.
-SINGLE_LANE_MIN_BLOCKS = 11
+#: ``make crossovers``) is in EXPERIMENTS.md ("A DES lane round in two
+#: calls"): lane rate over scalar rate, median of six runs, 0.99 at 6
+#: blocks, 1.13 at 7, 1.31 at 8.
+SINGLE_LANE_MIN_BLOCKS = 7
 
 #: Fewest datagrams from which ``protect_batch`` CBC-encrypts as lanes;
 #: below it the scalar loop is faster (the same sweep: lanes behind at
-#: 6 x 64 B, ahead from 8 at 64 B, 256 B and 1 KB).  Decrypt and MAC
-#: lanes win from two datagrams.
-CBC_ENCRYPT_MIN_LANES = 8
+#: 3 x 64 B, 256 B and 1 KB, ahead from 4 at all three).  Decrypt and
+#: MAC lanes win from two datagrams.
+CBC_ENCRYPT_MIN_LANES = 4
 
 try:
     import numpy  # noqa: F401  (probe only; kernels import it directly)

@@ -1,35 +1,40 @@
-"""Lane-parallel DES-CBC over numpy ``uint64`` arrays, four calls a round.
+"""Lane-parallel DES-CBC over numpy ``uint64`` arrays, two calls a round.
 
 The scalar kernel (:mod:`repro.crypto.des`) runs one block through
 sixteen table-lookup rounds; here the rounds run over *arrays* of
 blocks.  At datagram-batch widths (tens of lanes) a pass costs its
-number of numpy calls, not its data, so a round is four calls:
+number of numpy calls, not its data, so a round is two calls, a gather
+and a reduce:
 
-* **Windowed state.**  Each 32-bit half is kept rotated left by one
-  (the libdes form), ``h``, in the low half of a ``<u8`` word, with
-  ``rotr(h, 4)`` in the high half.  In ``h`` the E-windows of S-boxes
-  1, 3, 5, 7 are the low six bits of bytes 3..0, in ``rotr(h, 4)``
-  those of boxes 0, 2, 4, 6, so the word's eight bytes, read through a
-  ``uint8`` view, are the eight windows with no shift.  The form is a
-  bit permutation, linear over XOR: the tables are stored in it and
-  the chaining below works in it unchanged.
-* **Key byte and table offset in one XOR.**  A round's row holds
-  ``k | j << 8`` for window byte ``j``, ``k`` the scalar schedule's key
-  byte there (``DES.subkeys``, both directions as one ``uint16`` array
-  in ``DES._vector``).  A window byte is below 256, so the XOR keys the
-  window and adds its table's offset at once.
-* **One gather for eight S-boxes.**  The indices reach eight stacked
-  256-entry SP tables (pre-rotated, windowed, a byte's two stray high
-  bits ignored by repetition) in one ``take``; the P-permuted outputs
-  are disjoint, so one OR-reduce over the table axis is the round
-  function, and one XOR puts it into the other half.
-* **IP and FP as one gather each** on the block / state bytes, with the
-  rotation, windowed form, half swap and big-endian store in the
-  tables.
+* **The state is its own index.**  A half ``R_r`` is kept as ``Q_r =
+  E(R_r) ^ K_r | TAG`` in one ``<u8`` word.  ``E`` is the scalar
+  kernel's window form: ``h = rotl(R, 1)`` low, ``rotr(h, 4)`` high,
+  masked with ``0x3F..3F``, so the word's eight bytes are the eight
+  S-box windows (boxes 7, 5, 3, 1, then 6, 4, 2, 0).  ``K_r`` is the
+  scalar schedule's ``ka | kb << 32`` (``DES.subkeys``), which keys
+  those bytes.  ``TAG`` fills two of the bits the mask frees: bits 6-7
+  of byte ``2k`` hold ``k``.  Read as four ``uint16``, word ``k`` is
+  window pair ``k`` beside its tag, a direct index into one 16,384-entry
+  pair table (128 KB) whose entries are the two boxes' SP words in the
+  same form, ORed.  So the gather needs no index-building call.
+* **A round is one gather and one XOR-reduce.**  ``R_{r+1} = R_{r-1} ^
+  f(R_r)`` and ``E`` is linear, so ``Q_{r+1} = Q_{r-1} ^ (K_{r-1} ^
+  K_{r+1}) ^ E(f)``.  Round ``r``'s slab holds six rows: the four
+  lookups, ``Q_{r-1}`` and that key difference.  The reduce over the
+  slab axis writes ``Q_{r+1}`` straight into the slab two rounds on.
+  Lookups and key words carry no tag, so ``TAG`` survives every round.
+* **Key words.**  A cipher caches eighteen words a direction in
+  ``DES._vector``: ``K_0``, the sixteen differences (``K_{-1} = K_16 =
+  0``) and ``K_15``.  Entry adds ``K_0`` and ``TAG``, exit removes
+  ``K_15``.
+* **IP and FP as gathers.**  IP writes the masked window form of both
+  halves; FP reads the sixteen window bytes of (R16, L16), ignoring
+  the tags, and stores the big-endian block.  Both come from the
+  scalar kernel's byte tables.
 
-A call costs what its Python wrapper costs too, so every gather is the
+A call costs what its Python wrapper costs too, so the gather is the
 table's bound ``take`` (``np.take`` is two Python-level wrappers on top),
-and a round's rows are a list built once per width.
+and a width's sixteen rounds of views are a plan built once.
 
 Two CBC drivers with different parallel axes:
 
@@ -38,8 +43,11 @@ Two CBC drivers with different parallel axes:
   the still-active prefix.  IP and FP are hoisted out of the chain: IP
   is a bit permutation, so ``IP(P ^ C) = IP(P) ^ IP(C)``, and
   ``IP(FP(x)) = x``, so the chain value is the previous step's pre-FP
-  state.  All plaintext blocks (and IVs) are permuted in one call, a
-  step is rounds only, and FP runs once over all outputs.
+  state.  With ``K_15 ^ K_0`` folded into every permuted plaintext's
+  low half and ``TAG`` (and ``K_15``) into the IV row once a batch, a
+  step's pre-FP state (``Q_16``, ``Q_15``) XORed with the next block is
+  that block's (``Q_{-1}``, ``Q_0``): a step is one XOR, the rounds
+  and one copy, and FP runs once over all outputs.
 * :func:`cbc_decrypt_many` has no chain (``P_i = D(C_i) ^ C_{i-1}``):
   every block of every lane flattens into one pass, the chain inputs
   being the ciphertext shifted by one block with the IVs scattered at
@@ -47,7 +55,7 @@ Two CBC drivers with different parallel axes:
   lanes.
 
 Outputs are bit-identical to :mod:`repro.crypto.modes` (the
-differential reference).  The scratch cache is not thread-safe.
+differential reference).  The shared scratch is not thread-safe.
 """
 
 from __future__ import annotations
@@ -62,74 +70,88 @@ from repro.crypto.modes import pad_block, unpad_block
 
 __all__ = ["cbc_decrypt_many", "cbc_encrypt_many"]
 
-#: Little-endian on every host, so byte views index the same windows.
+#: Little-endian on every host, so byte and pair views read the same
+#: windows.
 _U8 = np.dtype("<u8")
-_LOW32 = np.uint64(0xFFFFFFFF)
+#: The eight six-bit windows of a state word.
+_WINDOWS = np.uint64(0x3F3F3F3F3F3F3F3F)
+#: Bits 6-7 of byte ``2k`` hold ``k``: the ``uint16`` word ``k`` of a
+#: state is ``pair k | k << 6``, its offset in the pair table.
+_TAG = np.uint64(0x00C0_0080_0040_0000)
 
 
-def _windowed(words):
-    """32-bit words in the state form: ``h`` low, ``rotr(h, 4)`` high.
+def _window_form(words):
+    """32-bit ``h`` words as ``E``-form words: ``h`` low, ``rotr(h, 4)``
+    high, masked to the eight windows.  Linear over XOR and OR."""
+    return (words | (words >> 4 | words << 28) << 32) & _WINDOWS
 
-    The form is a bit permutation of ``h``, so OR and XOR commute with
-    it: tables stored in it combine into states in it, and CBC chains
-    states in it.
+
+def _luts():
+    """IP, the pair table and FP, each laid out for one gather.
+
+    ``ip[half, 256 * position + byte]`` is that raw-block byte's share
+    of the ``E``-form of L0 (half 0) or R0.  ``pair[b << 8 | k << 6 |
+    a]`` is the SP words of window pair ``k`` (state bytes ``2k`` and
+    ``2k + 1``) at inputs ``a`` and ``b``.  ``fp[256 * (8 * half +
+    byte) + value]`` is that state byte's share of the block, R16 being
+    half 0, stored so the array's bytes are the big-endian block.
     """
-    rotated = ((words >> np.uint64(4)) | (words << np.uint64(28))) & _LOW32
-    return (words | (rotated << np.uint64(32))).astype(_U8)
+    ip = np.array(_IP_LUT, dtype=_U8)
+    ip = _window_form(np.stack([ip >> 32, ip & 0xFFFFFFFF])).reshape(2, -1)
+    boxes = _window_form(np.array(_SP, dtype=_U8)[[7, 5, 3, 1, 6, 4, 2, 0]])
+    pair = (np.ascontiguousarray(boxes[1::2].T)[:, :, None] | boxes[0::2]).reshape(-1)
+    # The scalar FP tables read h's bytes, counted from the state's high
+    # end.  A low state byte holds bits 0-5 of h's byte and the high
+    # byte beside it (``rotr(h, 4)``) bits 6-7, as its bits 2-3.  Axes:
+    # half, low or high, byte, then the value's bits 6-7, 4-5, 2-3, 0-1,
+    # so each table repeats the scalar entries of its live bits alone.
+    order = [3, 2, 1, 0, 7, 6, 5, 4]
+    fp = np.empty((2, 2, 4, 4, 4, 4, 4), dtype=">u8")
+    fp[:, 0] = np.array([_FP_LUT[i][:64] for i in order], dtype=_U8).reshape(2, 4, 1, 4, 4, 4)
+    fp[:, 1] = np.array([_FP_LUT[i][::64] for i in order], dtype=_U8).reshape(2, 4, 1, 1, 4, 1)
+    return ip, pair, fp.view(_U8).reshape(-1)
 
 
-def _state_luts():
-    """The scalar kernel's IP, SP and FP tables (already in the rotated
-    form), put in the state form and laid out for one gather each.
+_IP, _PAIR, _FP = _luts()
+#: Table offsets of a half's eight bytes, or of a raw block's.
+_FP_OFFSETS = (256 * np.arange(16, dtype=np.intp)).reshape(2, 8, 1)
+_IP_OFFSETS = _FP_OFFSETS[0]
 
-    ``ip[half]`` maps ``256 * position + byte`` of a raw block to that
-    byte's share of the state half; ``sp`` stacks the eight SP boxes in
-    window-byte order (odd boxes 7..1 then even boxes 6..0); ``fp``
-    maps ``256 * (4 * half + byte) + value`` of a (high, low) state to
-    its share of the output block, stored so the array's bytes are the
-    big-endian block.
-    """
-    ip = np.array(_IP_LUT, dtype=np.uint64)
-    ip = np.stack(
-        [_windowed(half).reshape(-1) for half in (ip >> np.uint64(32), ip & _LOW32)]
-    )
-    boxes = np.array(_SP, dtype=np.uint64)[[7, 5, 3, 1, 6, 4, 2, 0]]
-    sp = _windowed(boxes[:, np.arange(256) & 63]).reshape(-1)
-    # The scalar tables count a state's bytes from its high end, a
-    # little-endian view of a half from its low end.
-    fp = np.array(_FP_LUT, dtype=np.uint64)[[3, 2, 1, 0, 7, 6, 5, 4]]
-    return ip, sp, fp.astype(">u8").view(_U8).reshape(-1)
-
-
-_IP, _SPB, _FP = _state_luts()
-_IP_OFFSETS = (256 * np.arange(8, dtype=np.intp)).reshape(8, 1)
-#: Table offsets of the low four bytes of two state words.
-_BYTE_OFFSETS = _IP_OFFSETS.reshape(2, 4, 1)
-#: A round row's slot ids, above its key bytes.
-_SLOTS = np.arange(8, dtype=np.uint16) << np.uint16(8)
-
-#: Widths up to this keep their scratch; these are the widths where a
-#: pass is call-bound, and the bound keeps the cache a few megabytes.
+#: Widths up to this keep their plan: the widths where a pass is
+#: call-bound.  Their scratch is one buffer, 784 B a lane at the widest
+#: (196 KiB), as one pass runs at a time.
 _CACHED_WIDTH = 256
+_SCRATCH = np.empty(98 * _CACHED_WIDTH, dtype=_U8)
 
 
 class _Lanes:
-    """Scratch buffers and the views a round reads, for one width."""
+    """Scratch ``words`` for one width and the plan of views its rounds
+    read.
 
-    __slots__ = ("state", "halves", "sources", "index", "index_rows", "parts", "f")
+    ``words`` is sixteen slabs of six rows (four lookups, ``Q_{r-1}``,
+    key difference ``r``) and then ``Q_15``, ``Q_16``.
+    """
 
-    def __init__(self, width: int) -> None:
-        self.state = np.empty((2, width), dtype=_U8)
-        # Round r XORs f(state[1 - r % 2]) into state[r % 2]: the
-        # halves trade roles instead of places.  A source is the other
-        # half's eight window bytes, ``(8, width)``.
-        self.halves = (self.state[0], self.state[1])
-        state_bytes = self.state.view(np.uint8).reshape(2, width, 8)
-        self.sources = (state_bytes[1].T, state_bytes[0].T)
-        self.index = np.empty((8, width), dtype=np.intp)
-        self.index_rows = self.index.reshape(2, 4, width)
-        self.parts = np.empty((8, width), dtype=_U8)
-        self.f = np.empty(width, dtype=_U8)
+    __slots__ = ("words", "keys", "entry", "ends", "plan")
+
+    def __init__(self, words):
+        width = words.shape[1]
+        self.words = words
+        slabs = words[:96].reshape(16, 6, width)
+        # states[i] is Q_{i-1}.
+        states = [*slabs[:, 4], *words[96:]]
+        self.keys = slabs[:, 5]
+        #: (Q_{-1}, Q_0): where IP or a chain step writes.
+        self.entry = slabs[:2, 4]
+        #: (Q_16, Q_15): the pre-FP (R16, L16), ``K_15`` still in L16.
+        self.ends = words[96:][::-1]
+        #: Round r: Q_r as four pair indices, the lookups, the slab,
+        #: and Q_{r+1}.
+        self.plan = [
+            (states[r + 1].view("<u2").reshape(width, 4).T,
+             slabs[r, :4], slabs[r], states[r + 2])
+            for r in range(16)
+        ]  # fmt: skip
 
 
 _LANES: Dict[int, _Lanes] = {}
@@ -138,97 +160,81 @@ _LANES: Dict[int, _Lanes] = {}
 def _lanes(width: int) -> _Lanes:
     lanes = _LANES.get(width)
     if lanes is None:
-        lanes = _Lanes(width)
-        if width <= _CACHED_WIDTH:
-            _LANES[width] = lanes
+        if width > _CACHED_WIDTH:
+            return _Lanes(np.empty((98, width), dtype=_U8))
+        lanes = _LANES[width] = _Lanes(_SCRATCH[: 98 * width].reshape(98, width))
     return lanes
 
 
-def _rounds(
-    lanes: _Lanes,
-    rows: List[np.ndarray],
-    xor=np.bitwise_xor, take=_SPB.take, or_reduce=np.bitwise_or.reduce,
-) -> None:  # fmt: skip
-    """Sixteen DES rounds on ``lanes.state``, in place: four calls each.
+def _rounds(plan, take=_PAIR.take, xor_reduce=np.bitwise_xor.reduce):
+    """Sixteen DES rounds over a width's plan, in place: two calls each.
 
-    ``rows`` is the sixteen ``(8, m)`` round rows, ``m`` the width or
-    1.  Sixteen is even, so the halves end in their own rows:
-    ``state[0]`` is L16 and ``state[1]`` is R16.
+    Every index is a pair, a tag and no more, so in range: "clip" only
+    spares ``take`` the bounce buffer "raise" needs with ``out=``.
     """
-    sources = lanes.sources
-    halves = lanes.halves
-    index = lanes.index
-    parts = lanes.parts
-    f = lanes.f
-    for rnd, row in enumerate(rows):
-        # A window byte is below 256, so XOR with ``k | slot << 8`` keys
-        # it and adds its table's offset at once.
-        xor(sources[rnd & 1], row, index)
-        # Every index is a byte plus a table offset, so in range: "clip"
-        # only spares take the bounce buffer "raise" needs with out=.
-        take(index, None, parts, "clip")
-        or_reduce(parts, 0, None, f)
-        target = halves[rnd & 1]
-        xor(target, f, target)
+    for index, lookups, slab, target in plan:
+        take(index, None, lookups, "clip")
+        xor_reduce(slab, 0, None, target)
 
 
-def _initial(lanes: _Lanes, block_bytes) -> None:
-    """IP of raw blocks, ``(width, 8)`` bytes, into ``lanes.state``."""
-    np.add(block_bytes.T, _IP_OFFSETS, lanes.index)
-    for table, half in zip(_IP, lanes.halves):
-        table.take(lanes.index, None, lanes.parts, "clip")
-        np.bitwise_or.reduce(lanes.parts, 0, None, half)
+def _initial(block_bytes, halves):
+    """IP of raw blocks, ``(width, 8)`` bytes, into ``(2, width)``
+    ``E``-form (L0, R0), untagged and unkeyed."""
+    index = np.add(block_bytes.T, _IP_OFFSETS)
+    parts = np.empty(index.shape, dtype=_U8)
+    for table, half in zip(_IP, halves):
+        table.take(index, None, parts, "clip")
+        np.bitwise_or.reduce(parts, 0, None, half)
 
 
-def _final(lanes: _Lanes, high_low) -> np.ndarray:
-    """FP of ``(2, width)`` (R16, L16) states: blocks as ``<u8`` words
-    whose bytes in memory are the big-endian block."""
-    state_bytes = high_low.view(np.uint8).reshape(2, -1, 8)[:, :, :4]
-    np.add(state_bytes.transpose(0, 2, 1), _BYTE_OFFSETS, lanes.index_rows)
-    _FP.take(lanes.index, None, lanes.parts, "clip")
-    return np.bitwise_or.reduce(lanes.parts, 0)
+def _final(high_low):
+    """FP of ``(2, width)`` (R16, L16) ``E``-form states, tags ignored:
+    blocks as ``<u8`` words whose bytes in memory are the big-endian
+    block."""
+    state_bytes = high_low.view(np.uint8).reshape(2, -1, 8)
+    index = np.add(state_bytes.transpose(0, 2, 1), _FP_OFFSETS)
+    parts = _FP.take(index.reshape(16, -1), None, None, "clip")
+    return np.bitwise_or.reduce(parts, 0)
 
 
-def _round_rows(cipher: DES) -> np.ndarray:
-    """``(direction, round, slot)`` rows, cached on the cipher.
+def _lane_words(ciphers, decrypt):
+    """Key words for a batch, ``(18, lanes)``: one column a lane, or one
+    column for a single-key batch, which broadcasts against any width.
 
-    Slot ``j`` is ``k | j << 8``, ``k`` the scalar schedule's key byte
-    for window byte ``j``: bytes 0..3 of ``ka`` (k7, k5, k3, k1), then
-    of ``kb`` (k6, k4, k2, k0).  Direction 1 is the reversed
-    (decryption) schedule.
+    Word ``w`` is ``K_{w-2} ^ K_w``, ``K_r = ka | kb << 32`` of the
+    scalar schedule and zero outside rounds 0..15: word 0 is ``K_0``,
+    words 1..16 round ``r``'s ``K_{r-1} ^ K_{r+1}``, and word 17
+    ``K_15``.  Each cipher caches both directions' words, ``(2, 18)``,
+    direction 1 being the reversed (decryption) schedule.
     """
-    cached = cipher._vector
-    if cached is None:
-        key_bytes = np.array(
-            [cipher.subkeys, cipher.subkeys_rev], dtype="<u4"
-        ).view(np.uint8)
-        cached = cipher._vector = key_bytes.astype(np.uint16) | _SLOTS
-    return cached
-
-
-def _mask_rows(ciphers: Sequence[DES], decrypt: bool, repeats=None) -> np.ndarray:
-    """Round rows for a batch, ``(16, 8, m)``.
-
-    ``ciphers`` is per lane; ``repeats`` optionally expands lanes to
-    per-block columns (the flattened decrypt axis).  A single-key batch
-    has ``m == 1`` and broadcasts against any width; slicing ``[:, :,
-    :k]`` is valid for both.
-    """
-    index_of: Dict[int, int] = {}
-    packed = []
-    lane_index = []
+    if ciphers.count(ciphers[0]) == len(ciphers):
+        ciphers = ciphers[:1]
+    words = []
     for cipher in ciphers:
-        pos = index_of.get(id(cipher))
-        if pos is None:
-            pos = index_of[id(cipher)] = len(packed)
-            packed.append(_round_rows(cipher)[int(decrypt)])
-        lane_index.append(pos)
-    if len(packed) == 1:
-        return packed[0][:, :, None]
-    index = np.array(lane_index, dtype=np.intp)
-    if repeats is not None:
-        index = np.repeat(index, repeats)
-    return np.stack(packed, axis=2).take(index, 2)
+        cached = cipher._vector
+        if cached is None:
+            keys = np.zeros((2, 20), dtype=_U8)
+            # Little-endian, so a (ka, kb) pair read as one word is ka | kb << 32.
+            keys[:, 2:18, None] = np.array(
+                [cipher.subkeys, cipher.subkeys_rev], dtype="<u4"
+            ).view(_U8)
+            cached = cipher._vector = keys[:, 2:] ^ keys[:, :-2]
+        words.append(cached[int(decrypt)])
+    return np.array(words).T
+
+
+def _pass(lanes, words, block_bytes):
+    """Raw blocks ``(width, 8)`` through IP, the rounds and FP under key
+    words ``(18, 1 or width)``: ECB, as ``<u8`` big-endian block words."""
+    np.copyto(lanes.keys, words[1:17])
+    entry = lanes.entry
+    _initial(block_bytes, entry)
+    entry ^= _TAG
+    entry[1] ^= words[0]
+    _rounds(lanes.plan)
+    ends = lanes.ends
+    ends[1] ^= words[17]
+    return _final(ends)
 
 
 def _check_lanes(ciphers, ivs, texts) -> int:
@@ -257,7 +263,7 @@ def cbc_encrypt_many(
         return []
     padded = [pad_block(plaintext) for plaintext in plaintexts]
     nblocks = [len(data) >> 3 for data in padded]
-    order = sorted(range(n), key=lambda lane: -nblocks[lane])
+    order = sorted(range(n), key=nblocks.__getitem__, reverse=True)
     ascending = sorted(nblocks)
     max_blocks = nblocks[order[0]]
     # One row per lane: the IV, then the padded plaintext.
@@ -267,18 +273,21 @@ def cbc_encrypt_many(
         data = ivs[lane] + padded[lane]
         buf[row * width : row * width + len(data)] = data
     # Block-major (2, 1 + max_blocks, n): a step's lanes are contiguous.
-    # Its scratch is not from the cache, so no step's can alias it.
-    whole = _Lanes((max_blocks + 1) * n)
+    permuted = np.empty((2, max_blocks + 1, n), dtype=_U8)
     _initial(
-        whole,
         np.frombuffer(buf, dtype=np.uint8)
         .reshape(n, max_blocks + 1, 8)
         .transpose(1, 0, 2)
         .reshape(-1, 8),
+        permuted.reshape(2, -1),
     )
-    permuted = whole.state.reshape(2, max_blocks + 1, n)
-    rows = _mask_rows([ciphers[lane] for lane in order], decrypt=False)
-    # Pre-FP states as (R16, L16): the next step's chain value as is.
+    words = _lane_words([ciphers[lane] for lane in order], decrypt=False)
+    # The IV row becomes a previous step's (Q_16, Q_15), and a plaintext
+    # row XORed with one becomes a step's (Q_{-1}, Q_0).
+    permuted[1] ^= words[17]
+    permuted[1, 1:] ^= words[0]
+    permuted[:, 0] ^= _TAG
+    # Pre-FP states (Q_16, Q_15): the next step's chain value as is.
     out = np.empty((2, max_blocks, n), dtype=_U8)
     chain = permuted[:, 0]
     active = 0
@@ -287,13 +296,13 @@ def cbc_encrypt_many(
         if m != active:
             active = m
             lanes = _lanes(m)
-            step_rows = list(rows[:, :, :m])
-        np.bitwise_xor(permuted[:, block + 1, :m], chain[:, :m], lanes.state)
-        _rounds(lanes, step_rows)
+            np.copyto(lanes.keys, words[1:17, :m])
+        np.bitwise_xor(permuted[:, block + 1, :m], chain[:, :m], lanes.entry)
+        _rounds(lanes.plan)
         chain = out[:, block, :m]
-        np.copyto(chain, lanes.state[::-1])
-    out = out.reshape(2, -1)
-    raw = _final(_lanes(out.shape[1]), out).reshape(max_blocks, n).T.tobytes()
+        np.copyto(chain, lanes.ends)
+    out[1] ^= words[17]
+    raw = _final(out.reshape(2, -1)).reshape(max_blocks, n).T.tobytes()
     width = max_blocks * 8
     results = [b""] * n
     for row, lane in enumerate(order):
@@ -334,11 +343,10 @@ def cbc_decrypt_many(
     joined = np.frombuffer(
         b"".join(ciphertexts[lane] for lane in valid), dtype=np.uint8
     )
-    lanes = _lanes(total)
-    _initial(lanes, joined.reshape(total, 8))
-    rows = _mask_rows([ciphers[lane] for lane in valid], decrypt=True, repeats=counts)
-    _rounds(lanes, list(rows))
-    plain = _final(lanes, lanes.state[::-1])
+    words = _lane_words([ciphers[lane] for lane in valid], decrypt=True)
+    if words.shape[1] > 1:
+        words = np.repeat(words, counts, 1)
+    plain = _pass(_lanes(total), words, joined.reshape(total, 8))
     # XOR is bytewise, so the chain words need no byte-order care.
     cipher_words = joined.view(_U8)
     previous = np.empty(total, dtype=_U8)

@@ -229,7 +229,11 @@ class UdpTransport(Transport):
             if self._closed or timeout <= 0:
                 return None
             # Kernel and queue both empty: park on one future, resolved
-            # by the next arrival or by the timer.
+            # by the next arrival or by the timer.  Not asyncio.timeout:
+            # at expiry it cancels the awaiting task and turns the
+            # CancelledError into a TimeoutError, where this timer only
+            # wakes the future, and it costs more a park even when
+            # nothing expires (EXPERIMENTS.md "The Python floor").
             self._turnless = 0
             loop = asyncio.get_running_loop()
             self._waiter = loop.create_future()

@@ -1,7 +1,6 @@
 """Per-rule fixture tests: each rule fires on its violating fixture and
 stays quiet on the compliant one (acceptance criteria of ISSUE 1)."""
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -61,27 +60,23 @@ _PREAMBLE = "from repro.core import kdf\nKEY = kdf.flow_key(1)\n"
 _BANNED = "print(KEY)"
 
 #: Places an expression can hide from a walk that only follows
-#: function bodies: name -> (source with ``EXPR`` slots, minimum python).
+#: function bodies: name -> source with ``EXPR`` slots.
 _SHAPES = {
-    "lambda body": ("f = lambda: EXPR\n", (3, 9)),
-    "class body": ("class C:\n    x = EXPR\n", (3, 9)),
-    "default value": ("def f(x=EXPR, *, y=EXPR):\n    return x\n", (3, 9)),
-    "decorator": ("@deco(EXPR)\ndef f():\n    pass\n", (3, 9)),
-    "class keyword": ("class C(Base, flag=EXPR):\n    pass\n", (3, 9)),
-    "conditional def": ("if FAST:\n    def f():\n        return EXPR\n", (3, 9)),
+    "lambda body": "f = lambda: EXPR\n",
+    "class body": "class C:\n    x = EXPR\n",
+    "default value": "def f(x=EXPR, *, y=EXPR):\n    return x\n",
+    "decorator": "@deco(EXPR)\ndef f():\n    pass\n",
+    "class keyword": "class C(Base, flag=EXPR):\n    pass\n",
+    "conditional def": "if FAST:\n    def f():\n        return EXPR\n",
     "method of a local class": (
-        "def f():\n    class C:\n        def m(self):\n            return EXPR\n",
-        (3, 9),
+        "def f():\n    class C:\n        def m(self):\n            return EXPR\n"
     ),
-    "computed callee": ("(lambda: EXPR)()\n", (3, 9)),
-    "key-derivation receiver": ("k = make(EXPR).flow_key(1)\n", (3, 9)),
-    "subscript store": ("d = {}\nd[EXPR] = 1\n", (3, 9)),
-    "format spec": ('def f(v):\n    return f"{v:{EXPR}}"\n', (3, 9)),
-    "match arm": (
-        "match v:\n    case 1 if EXPR:\n        pass\n    case _:\n        EXPR\n",
-        (3, 10),
-    ),
-    "except* handler": ("try:\n    pass\nexcept* OSError:\n    EXPR\n", (3, 11)),
+    "computed callee": "(lambda: EXPR)()\n",
+    "key-derivation receiver": "k = make(EXPR).flow_key(1)\n",
+    "subscript store": "d = {}\nd[EXPR] = 1\n",
+    "format spec": 'def f(v):\n    return f"{v:{EXPR}}"\n',
+    "match arm": "match v:\n    case 1 if EXPR:\n        pass\n    case _:\n        EXPR\n",
+    "except* handler": "try:\n    pass\nexcept* OSError:\n    EXPR\n",
 }
 
 
@@ -89,9 +84,7 @@ _SHAPES = {
 def test_no_expression_hides_from_the_one_walk(shape):
     # The taint rule sees exactly what the phase-1 summarizer walks, so
     # every place python evaluates an expression must be on the walk.
-    template, minimum = _SHAPES[shape]
-    if sys.version_info < minimum:
-        pytest.skip(f"{shape} needs python {minimum}")
+    template = _SHAPES[shape]
     result = lint_source(
         _PREAMBLE + template.replace("EXPR", _BANNED),
         logical_path="src/repro/core/x.py",

@@ -3,8 +3,8 @@
 The gate every simplicity PR cites as "hold wire bytes", written down:
 one seeded endpoint pair, a fixed clock and six bodies of fixed sizes,
 MAC-only and secret, sent one ``protect`` at a time (n=1, the scalar
-kernels) and as one ``protect_batch`` (the MAC and decrypt lanes; six
-bodies are below the CBC-encrypt lane crossover).  Each line of
+kernels) and as one ``protect_batch`` (the MAC, CBC-encrypt and decrypt
+lanes; six bodies are past the CBC-encrypt lane crossover).  Each line of
 ``wire_digests.txt`` is the SHA-256 of what went on the wire plus what
 the receiver made of it, two damaged copies included.  Both kernel sets
 must replay every line -- so must an interpreter without numpy, where

@@ -129,16 +129,18 @@ class TestVectorDesCbc:
 
 
 class TestOneRoundKeyPacking:
-    """The lane rows are the scalar schedule, both directions."""
+    """The lane key words are the scalar schedule, both directions."""
 
-    def test_lane_rows_are_the_scalar_schedule_cached_per_instance(self):
-        from repro.crypto.vector.des import _round_rows
+    def test_lane_key_words_are_the_scalar_schedule_cached_per_instance(self):
+        from repro.crypto.vector.des import _lane_words
 
         cipher = DES(b"\x01\x23\x45\x67\x89\xab\xcd\xef")
-        rows = _round_rows(cipher)
         for direction, schedule in enumerate((cipher.subkeys, cipher.subkeys_rev)):
-            for rnd, (ka, kb) in enumerate(schedule):
-                key_bytes = (ka | kb << 32).to_bytes(8, "little")
-                assert [v & 0xFF for v in rows[direction, rnd].tolist()] == list(key_bytes)
-                assert [v >> 8 for v in rows[direction, rnd].tolist()] == list(range(8))
-        assert _round_rows(cipher) is rows
+            words = _lane_words([cipher], decrypt=bool(direction))[:, 0]
+            keys = [ka | kb << 32 for ka, kb in schedule]
+            # K_0 enters with the state, K_15 leaves with it.
+            assert words[0] == keys[0]
+            assert words[17] == keys[15]
+        cached = cipher._vector
+        _lane_words([cipher], decrypt=False)
+        assert cipher._vector is cached

@@ -1,12 +1,12 @@
 """The DES lane kernel against the FIPS 46 specification implementation.
 
 ``tests/crypto/test_vector.py`` pins the CBC drivers to the scalar mode
-layer; this file pins what is underneath them -- IP, sixteen four-call
-rounds on the windowed state (``h`` low, ``rotr(h, 4)`` high), FP -- to
+layer; this file pins what is underneath them -- IP, sixteen two-call
+rounds on the keyed window state ``Q_r = E(R_r) ^ K_r | TAG``, FP -- to
 :mod:`repro.crypto.des_reference`, block by block, at the widths where
 the kernel changes behaviour: one lane, the scratch-cache bound, and a
-width far past it.  The round rows are pinned by what they mean: the
-scalar schedule's key bytes, each above its table's slot id.
+width far past it.  The key words, the pair table and the tag are
+pinned by what they mean, whatever arrays hold them.
 """
 
 import ast
@@ -18,7 +18,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.crypto import des_reference, vector
-from repro.crypto.des import DES
+from repro.crypto.des import _SP, DES
 from repro.crypto.vector import des as lane_des
 
 WIDTHS = [1, 2, 63, 64, 65, 8192]
@@ -44,11 +44,9 @@ def _reference(key, block, decrypt):
 def _ecb_pass(ciphers, blocks, decrypt):
     """Raw blocks through the kernel, no chaining: IP, rounds, FP."""
     width = len(blocks)
-    lanes = lane_des._lanes(width)
     raw = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(width, 8)
-    lane_des._initial(lanes, raw)
-    lane_des._rounds(lanes, lane_des._mask_rows(ciphers, decrypt=decrypt))
-    out = lane_des._final(lanes, lanes.state[::-1]).tobytes()
+    words = lane_des._lane_words(ciphers, decrypt=decrypt)
+    out = lane_des._pass(lane_des._lanes(width), words, raw).tobytes()
     return [out[8 * i : 8 * i + 8] for i in range(width)]
 
 
@@ -68,14 +66,15 @@ def test_mixed_key_pass_matches_reference(width, decrypt):
     assert got == [_reference(key, block, decrypt) for key, block in picks]
 
 
+@pytest.mark.parametrize("decrypt", [False, True])
 @pytest.mark.parametrize("width", WIDTHS)
-def test_single_key_pass_matches_reference(width):
+def test_single_key_pass_matches_reference(width, decrypt):
     r = random.Random(~width)
     picks = [r.randrange(len(_BLOCKS)) for _ in range(width)]
     got = _ecb_pass(
-        [_CIPHERS[3]] * width, [_BLOCKS[block] for block in picks], False
+        [_CIPHERS[3]] * width, [_BLOCKS[block] for block in picks], decrypt
     )
-    assert got == [_reference(3, block, False) for block in picks]
+    assert got == [_reference(3, block, decrypt) for block in picks]
 
 
 def test_fips_known_answer():
@@ -84,56 +83,95 @@ def test_fips_known_answer():
     assert _ecb_pass([cipher], [bytes.fromhex("0123456789ABCDEF")], False) == [
         bytes.fromhex("85E813540F0AB405")
     ]
-
-
-def _scalar_bytes(subkey):
-    """A scalar ``(ka, kb)`` round key as the eight window bytes it keys,
-    slot order (``ka`` low to high, then ``kb``)."""
-    ka, kb = subkey
-    return [(ka >> 8 * i) & 0xFF for i in range(4)] + [
-        (kb >> 8 * i) & 0xFF for i in range(4)
+    assert _ecb_pass([cipher], [bytes.fromhex("85E813540F0AB405")], True) == [
+        bytes.fromhex("0123456789ABCDEF")
     ]
 
 
-class TestMaskRows:
-    """What a round row means, whatever array holds it."""
+def _window_form(h):
+    """A 32-bit rotated half as its eight six-bit windows: ``h`` low,
+    ``rotr(h, 4)`` high, each byte's two top bits clear."""
+    rotated = (h >> 4 | h << 28) & 0xFFFFFFFF
+    return (h | rotated << 32) & 0x3F3F3F3F3F3F3F3F
+
+
+class TestKeyWords:
+    """What a cipher's eighteen words mean, whatever array holds them."""
 
     @pytest.mark.parametrize("decrypt", [False, True])
-    def test_each_slot_is_the_scalar_key_byte_above_its_slot_id(self, decrypt):
+    def test_each_difference_word_is_its_neighbours_xor(self, decrypt):
         cipher = _CIPHERS[5]
         schedule = cipher.subkeys_rev if decrypt else cipher.subkeys
-        rows = lane_des._mask_rows([cipher], decrypt=decrypt)
-        for rnd, subkey in enumerate(schedule):
-            for slot, key_byte in enumerate(_scalar_bytes(subkey)):
-                (value,) = rows[rnd, slot].tolist()
-                assert value & 0xFF == key_byte
-                assert value >> 8 == slot
+        keys = [0] + [ka | kb << 32 for ka, kb in schedule] + [0]
+        words = lane_des._lane_words([cipher], decrypt=decrypt)[:, 0].tolist()
+        assert len(words) == 18
+        for rnd in range(16):
+            # K_{r-1} ^ K_{r+1}, with K_{-1} = K_16 = 0.
+            assert words[1 + rnd] == keys[rnd] ^ keys[rnd + 2]
 
-    def test_rows_are_built_once_per_cipher_for_both_directions(self):
+    def test_both_directions_are_cached_once_per_cipher(self):
         cipher = DES(b"\x02" * 8)
         assert cipher._vector is None
-        forward = lane_des._mask_rows([cipher], decrypt=False)
+        lane_des._lane_words([cipher], decrypt=False)
         cached = cipher._vector
-        backward = lane_des._mask_rows([cipher, cipher], decrypt=True)
+        assert cached.shape == (2, 18)
+        lane_des._lane_words([cipher, cipher], decrypt=True)
+        lane_des._lane_words([cipher, _CIPHERS[0]], decrypt=False)
         assert cipher._vector is cached
-        assert (backward[::-1] == forward).all()
 
-    def test_one_key_broadcasts_and_prefixes_stay_valid(self):
-        single = lane_des._mask_rows([_CIPHERS[0]] * 5, decrypt=False)
-        mixed = lane_des._mask_rows(_CIPHERS[:5], decrypt=False)
-        assert single.shape[2] == 1
-        assert mixed.shape[2] == 5
-        # The prefix slice the encrypt loop takes is valid for both.
-        assert single[:, :, :3].shape[2] == 1
-        assert mixed[:, :, :3].shape[2] == 3
-        assert (mixed[:, :, :1] == single).all()
+    def test_a_single_key_batch_is_one_column(self):
+        cipher = _CIPHERS[2]
+        for decrypt in (False, True):
+            one = lane_des._lane_words([cipher] * 5, decrypt=decrypt)
+            assert one.shape == (18, 1)
+            assert (one[:, 0] == cipher._vector[int(decrypt)]).all()
 
-    def test_repeats_expand_lanes_to_blocks(self):
-        rows = lane_des._mask_rows(_CIPHERS[:2], decrypt=True, repeats=[3, 2])
-        lone = [lane_des._mask_rows([c], decrypt=True) for c in _CIPHERS[:2]]
-        assert rows.shape[2] == 5
-        for column, lane in enumerate([0, 0, 0, 1, 1]):
-            assert (rows[:, :, column] == lone[lane][:, :, 0]).all()
+    def test_lanes_are_columns_and_one_lane_broadcasts(self):
+        mixed = lane_des._lane_words(_CIPHERS[:5], decrypt=False)
+        assert mixed.shape == (18, 5)
+        for lane in range(5):
+            one = lane_des._lane_words([_CIPHERS[lane]], decrypt=False)
+            # One lane is one column, which broadcasts against any width.
+            assert one.shape == (18, 1)
+            assert (mixed[:, lane : lane + 1] == one).all()
+
+
+class TestPairTable:
+    """The one gather table and the tag that indexes it."""
+
+    def test_tag_puts_pair_k_at_offset_k(self):
+        tag = int(lane_des._TAG)
+        tag_bytes = tag.to_bytes(8, "little")
+        for k in range(4):
+            assert tag_bytes[2 * k] == k << 6
+            assert tag_bytes[2 * k + 1] == 0
+        assert tag & 0x3F3F3F3F3F3F3F3F == 0
+
+    def test_each_pair_entry_is_the_masked_sp_pair_at_its_tag(self):
+        # State bytes 0..7 are the windows of boxes 7, 5, 3, 1, 6, 4, 2, 0.
+        boxes = [7, 5, 3, 1, 6, 4, 2, 0]
+        table = lane_des._PAIR.tolist()
+        assert len(table) == 1 << 14
+        for index, entry in enumerate(table):
+            k, a, b = index >> 6 & 3, index & 63, index >> 8
+            pair = _SP[boxes[2 * k]][a] | _SP[boxes[2 * k + 1]][b]
+            assert entry == _window_form(pair), hex(index)
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_tag_is_intact_after_a_full_pass(self, width):
+        r = random.Random(width)
+        blocks = [r.randbytes(8) for _ in range(width)]
+        ciphers = [_CIPHERS[lane % len(_CIPHERS)] for lane in range(width)]
+        lanes = lane_des._lanes(width)
+        got = _ecb_pass(ciphers, blocks, False)
+        assert got == [_REFERENCE[lane % len(_CIPHERS)].encrypt_block(block)
+                       for lane, block in enumerate(blocks)]  # fmt: skip
+        # Every state the pass wrote, Q_{-1} .. Q_16: row 4 of each slab,
+        # then the last two words.
+        states = list(lanes.words[4:96:6]) + [lanes.words[96], lanes.words[97]]
+        assert len(states) == 18
+        for state in states:
+            assert (state & ~lane_des._WINDOWS == lane_des._TAG).all()
 
 
 class _Counting:
@@ -149,30 +187,40 @@ class _Counting:
 
 
 @pytest.mark.parametrize("width", [1, 64])
-def test_a_round_is_four_numpy_calls(width):
+def test_a_round_is_two_numpy_calls(width):
     lanes = lane_des._lanes(width)
-    lanes.state[:] = 0
+    lanes.words[:] = 0
+    lanes.entry[:] = lane_des._TAG
     # Its bound defaults are the only callables a round reaches.
     defaults = lane_des._rounds.__defaults__
-    assert len(defaults) == 3
-    xor, take, or_reduce = (_Counting(call) for call in defaults)
-    ciphers = [_CIPHERS[lane % len(_CIPHERS)] for lane in range(width)]
-    rows = list(lane_des._mask_rows(ciphers, decrypt=False))
-    lane_des._rounds(lanes, rows, xor, take, or_reduce)
-    assert (xor.calls, take.calls, or_reduce.calls) == (32, 16, 16)
+    assert len(defaults) == 2
+    take, xor_reduce = (_Counting(call) for call in defaults)
+    lane_des._rounds(lanes.plan, take, xor_reduce)
+    assert (take.calls, xor_reduce.calls) == (16, 16)
     (loop,) = [
         node
         for node in ast.walk(ast.parse(inspect.getsource(lane_des._rounds)))
         if isinstance(node, ast.For)
     ]
     body = [node for statement in loop.body for node in ast.walk(statement)]
-    assert sum(isinstance(node, ast.Call) for node in body) == 4
+    assert sum(isinstance(node, ast.Call) for node in body) == 2
 
 
-def test_scratch_is_kept_only_for_call_bound_widths():
+def test_cached_widths_share_one_scratch_buffer():
     bound = lane_des._CACHED_WIDTH
     assert lane_des._lanes(bound) is lane_des._lanes(bound)
     assert lane_des._lanes(bound + 1) is not lane_des._lanes(bound + 1)
+    # Every view a width keeps is into its words; a cached width's words
+    # are the shared buffer's prefix, so the cache's scratch is that
+    # buffer whatever widths it holds.
+    for width in (1, 3, bound):
+        lanes = lane_des._lanes(width)
+        for view in (lanes.keys, lanes.entry, lanes.ends, *sum(lanes.plan, ())):
+            assert np.shares_memory(view, lanes.words)
+        assert lanes.words.base is lane_des._SCRATCH
+        assert lanes.words.shape == (98, width)
+    assert not np.shares_memory(lane_des._lanes(bound + 1).words, lane_des._SCRATCH)
+    assert lane_des._SCRATCH.nbytes == 98 * 8 * bound <= 8 << 20
 
 
 def test_short_iv_is_refused_not_misaligned():

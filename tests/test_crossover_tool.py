@@ -1,5 +1,5 @@
 """``make crossovers`` runs: ``tools/crossover.py`` at two widths and one
-window a side exits 0 and prints both tables in their layout.
+window a side exits 0 and prints its three tables in their layout.
 
 It lives outside ``src/``, so it runs as the command it is.  The figures
 are not checked: they are the host's.
@@ -17,7 +17,7 @@ pytest.importorskip("numpy")
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
 
 
-def test_two_widths_one_repeat_print_both_tables():
+def test_two_widths_one_repeat_print_all_three_tables():
     run = subprocess.run(
         [sys.executable, str(_TOOL), "--blocks", "2,16", "--lanes", "2,12",
          "--sizes", "64", "--repeat", "1", "--window-ms", "1"],
@@ -28,17 +28,23 @@ def test_two_widths_one_repeat_print_both_tables():
     assert rows[0] == "| blocks | 2 | 16 |"
     assert re.fullmatch(r"\| lane / scalar \| [\d.]+ \| [\d.]+ \|", rows[2])
     assert rows[3] == "| stage | body | kernel | n=2 | n=12 |"
-    stages = [tuple(row.split(" | ")[:3]) for row in rows[5:]]
+    stages = [tuple(row.split(" | ")[:3]) for row in rows[5:11]]
     assert stages == [
         (f"| {stage}", "64 B", kernel)
         for stage in ("keyed-MD5", "CBC encrypt", "CBC decrypt")
         for kernel in ("scalar", "lane")
     ]
     # Two widths a row, and the faster kernel of each pair in bold.
-    bold = [[cell.startswith("**") for cell in row.split(" | ")[3:]] for row in rows[5:]]
+    bold = [[cell.startswith("**") for cell in row.split(" | ")[3:]] for row in rows[5:11]]
     assert all(len(cells) == 2 for cells in bold)
     for scalar, lane in zip(bold[::2], bold[1::2]):
         assert all(s or l for s, l in zip(scalar, lane))
     lines = run.stdout.splitlines()
     assert sum(line.startswith("crossover: ") for line in lines) == 1
     assert sum(": crossover n = " in line for line in lines) == 3
+    # The pass table: a timing row and a per-block row at each of its
+    # fixed widths.
+    assert rows[11] == "| width | 1 | 8 | 64 | 183 | 1024 | 11712 |"
+    assert re.fullmatch(r"\| us per pass( \| [\d,.]+){6} \|", rows[13])
+    assert re.fullmatch(r"\| ns per block-round( \| [\d,.]+){6} \|", rows[14])
+    assert len(rows) == 15

@@ -23,6 +23,9 @@ prints the two tables of EXPERIMENTS.md:
 
 Under each, the fewest blocks or lanes from which the lane is never
 slower again (within the widths swept), beside the protocol's constant.
+A third table, **DES lane pass**, times the kernel under both CBC
+drivers: microseconds per sixteen-round pass at the widths of
+``PASS_WIDTHS``.
 The figures are this host's; compare rows inside one run.
 """
 
@@ -39,12 +42,19 @@ from repro.core.keying import FlowCryptoState  # noqa: E402
 from repro.crypto import modes, vector  # noqa: E402
 from repro.crypto.des import DES  # noqa: E402
 
+if vector.HAVE_NUMPY:
+    from repro.crypto.vector import des as lane_des
+
 #: Each stage's lane threshold in ``FBSEndpoint``: its name there, its value.
 THRESHOLDS = {
     "keyed-MD5": ("n >= 2", 2),
     "CBC encrypt": ("CBC_ENCRYPT_MIN_LANES", vector.CBC_ENCRYPT_MIN_LANES),
     "CBC decrypt": ("n >= 2", 2),
 }
+
+#: The pass table's widths: one lane, a small batch, a replay batch's
+#: 64 lanes, the blocks of one 1,460 B body, and flattened decrypts.
+PASS_WIDTHS = [1, 8, 64, 183, 1024, 11712]
 
 
 def _seconds_per_call(call, calls):
@@ -171,6 +181,33 @@ def stage_table(stages, lanes, sizes, repeat, window_s, rng):
     return lines + [""] + notes
 
 
+def pass_table(widths, repeat, window_s):
+    """Microseconds per sixteen-round pass of the DES lane kernel (the
+    rounds alone: no IP, FP or chaining), a width's best window."""
+    us = []
+    for width in widths:
+        lanes = lane_des._lanes(width)
+        lanes.words[:] = 0
+
+        def one_pass(plan=lanes.plan):
+            lane_des._rounds(plan)
+
+        calls = max(1, int(window_s / _seconds_per_call(one_pass, 1)))
+        us.append(min(_seconds_per_call(one_pass, calls) for _ in range(repeat)) * 1e6)
+    lines = [
+        "DES lane pass (us per sixteen rounds, two numpy calls a round as "
+        "test_a_round_is_two_numpy_calls pins, by width):",
+        "",
+    ]
+    lines.append(_row(["width"] + list(widths)))
+    lines.append(_row(["---"] * (len(widths) + 1)))
+    lines.append(_row(["us per pass"] + [f"{cell:,.1f}" for cell in us]))
+    lines.append(_row(["ns per block-round"] + [
+        f"{cell * 1000 / 16 / width:,.2f}" for cell, width in zip(us, widths)
+    ]))  # fmt: skip
+    return lines
+
+
 def _widths(text):
     return [int(item) for item in text.split(",")]
 
@@ -197,6 +234,7 @@ def main(argv=None):
     window_s = args.window_ms / 1000
     lines = single_lane_table(args.blocks, args.repeat, window_s, rng)
     lines += [""] + stage_table(stages, args.lanes, args.sizes, args.repeat, window_s, rng)
+    lines += [""] + pass_table(PASS_WIDTHS, args.repeat, window_s)
     print("\n".join(lines))
     return 0
 
