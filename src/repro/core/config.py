@@ -146,13 +146,12 @@ class FBSConfig:
     #: Capacity of the optional soft-state replay guard (0 = off, the
     #: paper's behaviour).  See :mod:`repro.core.replay_guard`.
     replay_guard_size: int = 0
-    #: Let the datapath's MAC, cipher and header-encode stages call the
-    #: numpy lane kernels (:mod:`repro.crypto.vector`).  Purely a speed
-    #: switch: wire bytes, counters, rejection reasons and event order
-    #: are bit-identical to the scalar kernels (differential tests pin
-    #: this).  The endpoint silently uses the scalar kernels when numpy
-    #: is missing, the batch has fewer than two datagrams, or the suite
-    #: is not the vectorized pair (keyed MD5 + DES-CBC).
+    #: Let the datapath's MAC and cipher stages call the lane kernels
+    #: (:mod:`repro.crypto.vector`).  Purely a speed switch: wire bytes,
+    #: counters, rejection reasons and event order are bit-identical to
+    #: the scalar kernels (differential tests pin this).  The endpoint
+    #: uses the scalar kernels below each stage's lane crossover, or
+    #: when the suite is not the vectorized pair (keyed MD5 + DES-CBC).
     vectorize: bool = True
 
     def __post_init__(self) -> None:

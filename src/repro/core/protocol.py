@@ -59,10 +59,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["FBSEndpoint", "FBSError", "ReceiveError", "BatchReceiveResult"]
 
-#: Shortest secret body ``FBSEndpoint._decrypt`` hands to the lane
-#: kernel instead of the scalar block loop.
-_LANE_DECRYPT_MIN_BYTES = 8 * _vector.SINGLE_LANE_MIN_BLOCKS
-
 
 def _lanes(kernel: Callable, *args, **kwargs):
     """Run one :mod:`repro.crypto.vector` lane kernel for a batch.
@@ -217,10 +213,10 @@ class FBSEndpoint:
         )
         # The lane kernels apply only to the suite they implement
         # (keyed MD5 + DES-CBC, the paper's IP mapping); anything else
-        # takes the scalar kernels, as does a numpy-less interpreter.
+        # takes the scalar kernels.  Read only by the three stage
+        # choosers below (_macs, _encrypt, _decrypt).
         self._vector_ok = (
             self.config.vectorize
-            and _vector.HAVE_NUMPY
             and self.config.suite.mac is MacAlgorithm.KEYED_MD5
             and self.config.suite.cipher_mode is modes.CipherMode.CBC
         )
@@ -295,28 +291,6 @@ class FBSEndpoint:
         self._c_builds.inc()
         return FlowCryptoState(flow_key, self.config.suite, tracer=self.tracer)
 
-    def _decrypt(
-        self, state: FlowCryptoState, header: FBSHeader, body: bytes
-    ) -> Optional[bytes]:
-        """(R10-11) one body through the flow's cached cipher.
-
-        ``None`` marks a body that is not a whole number of blocks or
-        whose padding is garbled: an integrity failure, rejected as
-        ``"mac"`` by the caller.  CBC decryption has no chain
-        dependency, so a body long enough to pay for a kernel pass runs
-        as one lane of the vector kernel, its blocks in parallel.
-        """
-        try:
-            if self._vector_ok and len(body) >= _LANE_DECRYPT_MIN_BYTES:
-                return _vector.cbc_decrypt_many(
-                    (state.cipher,), (header.iv(),), (body,)
-                )[0]
-            return modes.decrypt(
-                self.config.suite.cipher_mode, state.cipher, header.iv(), body
-            )
-        except ValueError:
-            return None
-
     def _flow_state(
         self, sfl: int, peer: Principal, sending: bool
     ) -> FlowCryptoState:
@@ -347,6 +321,63 @@ class FBSEndpoint:
         state = self._build_crypto_state(flow_key)
         cache.install(sfl, destination.wire_id, source.wire_id, flow_key, crypto=state)
         return state
+
+    # -- the crypto stages: one kernel choice each --------------------------------
+
+    def _macs(
+        self, states: Sequence[FlowCryptoState], inputs: Sequence[bytes]
+    ) -> List[bytes]:
+        """(S6, R7-8) each input's MAC under its flow: keyed-MD5 lanes
+        from two datagrams on the vectorized pair, each flow's cached
+        MAC otherwise."""
+        if self._vector_ok and len(inputs) >= 2:
+            keys = [state.mac_key for state in states]
+            macs = _lanes(_vector.keyed_md5_many, keys, inputs)
+            mac_bytes = self.config.suite.mac_bytes
+            return macs if mac_bytes == 16 else [mac[:mac_bytes] for mac in macs]
+        return list(map(FlowCryptoState.mac, states, inputs))
+
+    def _encrypt(
+        self,
+        states: Sequence[FlowCryptoState],
+        ivs: Sequence[bytes],
+        bodies: Sequence[bytes],
+    ) -> List[bytes]:
+        """(S8-9) each body under its flow's cached cipher: lanes from
+        ``CBC_ENCRYPT_MIN_LANES`` datagrams, the scalar loop below."""
+        ciphers = [state.cipher for state in states]
+        if self._vector_ok and len(bodies) >= _vector.CBC_ENCRYPT_MIN_LANES:
+            return _lanes(_vector.cbc_encrypt_many, ciphers, ivs, bodies)
+        mode = self.config.suite.cipher_mode
+        return [modes.encrypt(mode, *lane) for lane in zip(ciphers, ivs, bodies)]
+
+    def _decrypt(
+        self,
+        states: Sequence[FlowCryptoState],
+        ivs: Sequence[bytes],
+        bodies: Sequence[bytes],
+    ) -> List[Optional[bytes]]:
+        """(R10-11) each body under its flow's cached cipher.
+
+        ``None`` marks a body that is not a whole number of blocks or
+        whose padding is garbled: an integrity failure, rejected as
+        ``"mac"`` by the caller.  CBC decryption has no chain
+        dependency, so lanes pay from two datagrams, and one body long
+        enough to pay for a kernel pass runs as a lane of its own, its
+        blocks in parallel.
+        """
+        ciphers = [state.cipher for state in states]
+        wide = len(bodies) >= 2 or len(bodies[0]) >= 8 * _vector.SINGLE_LANE_MIN_BLOCKS
+        if self._vector_ok and wide:
+            return _lanes(_vector.cbc_decrypt_many, ciphers, ivs, bodies)
+        mode = self.config.suite.cipher_mode
+        plains: List[Optional[bytes]] = []
+        for lane in zip(ciphers, ivs, bodies):
+            try:
+                plains.append(modes.decrypt(mode, *lane))
+            except ValueError:
+                plains.append(None)
+        return plains
 
     # -- FBSSend (Figure 4, left) ------------------------------------------------
 
@@ -381,11 +412,10 @@ class FBSEndpoint:
         """FBSSend (S1-S10) over n >= 1 datagrams, in stages.
 
         Classification, keying and stamping walk shared soft state, so
-        they run in datagram order; MAC and cipher are then one kernel
-        pass each -- the lanes across datagrams when the suite is the
-        vectorized pair and the batch is as wide as the stage's measured
-        crossover (two datagrams for the MAC,
-        ``CBC_ENCRYPT_MIN_LANES`` for CBC encrypt), the scalar kernels
+        they run in datagram order; MAC and cipher are then one call
+        each (``_macs``, ``_encrypt``), which picks the lanes across
+        datagrams when the suite is the vectorized pair and the batch is
+        as wide as the stage's measured crossover, the scalar kernels
         otherwise.  Wire bytes, counters and events do not
         depend on that choice, nor on how a stream is cut into batches
         (tests pin both).
@@ -407,8 +437,7 @@ class FBSEndpoint:
             return []
         suite = self.config.suite
         carry = self.config.carry_algorithm_id
-        mac_bytes = suite.mac_bytes
-        zero_mac = b"\x00" * mac_bytes
+        zero_mac = b"\x00" * suite.mac_bytes
         fam_classify = self.fam.classify
         flow_state = self._flow_state
         next_u32 = self._confounder_rng.next_u32
@@ -417,9 +446,11 @@ class FBSEndpoint:
         dest_wire = destination.wire_id
         # (S1-5) classify, flow crypto state (logically the flow key;
         # physically the TFKC entry carrying the precomputed per-key
-        # state), confounder and timestamp.
+        # state), confounder and timestamp; then (S6)'s input,
+        # confounder | timestamp | plaintext body.
         headers: List[FBSHeader] = []
         states: List[FlowCryptoState] = []
+        inputs: List[bytes] = []
         flows = 0
         for i in range(n):
             body = bodies[i]
@@ -434,47 +465,22 @@ class FBSEndpoint:
             if entry.datagrams == 1:
                 flows += 1
             states.append(flow_state(entry.sfl, destination, True))
-            headers.append(
-                FBSHeader(
-                    sfl=entry.sfl,
-                    confounder=next_u32(),
-                    mac=zero_mac,
-                    timestamp=encode_ts(now),
-                )
+            header = FBSHeader(
+                sfl=entry.sfl,
+                confounder=next_u32(),
+                mac=zero_mac,
+                timestamp=encode_ts(now),
             )
-        # (S6) MAC over confounder | timestamp | plaintext body.
-        if self._vector_ok and n >= 2:
-            macs = _lanes(
-                _vector.keyed_md5_many,
-                [state.mac_key for state in states],
-                [headers[i].mac_input(bodies[i]) for i in range(n)],
-            )
-            if mac_bytes != 16:
-                macs = [mac[:mac_bytes] for mac in macs]
-        else:
-            macs = []
-            for i in range(n):
-                macs.append(states[i].mac(headers[i].mac_input(bodies[i])))
+            headers.append(header)
+            inputs.append(header.mac_input(body))
+        # (S6) MAC.
+        macs = self._macs(states, inputs)
         # (S8-9) optional encryption with the confounder-derived IV; the
         # cipher (key schedule included) is cached on the flow state.
-        if not secret:
-            wire_bodies = bodies
-        elif self._vector_ok and n >= _vector.CBC_ENCRYPT_MIN_LANES:
-            wire_bodies = _lanes(
-                _vector.cbc_encrypt_many,
-                [state.cipher for state in states],
-                [header.iv() for header in headers],
-                bodies,
-            )
-        else:
-            cipher_mode = suite.cipher_mode
-            wire_bodies = []
-            for i in range(n):
-                wire_bodies.append(
-                    modes.encrypt(
-                        cipher_mode, states[i].cipher, headers[i].iv(), bodies[i]
-                    )
-                )
+        wire_bodies = bodies
+        if secret:
+            ivs = [header.iv() for header in headers]
+            wire_bodies = self._encrypt(states, ivs, bodies)
         # (S7, S10) encode the headers, account, emit header + body.
         tr = self.tracer
         emit = tr.emit if tr.enabled else None
@@ -529,9 +535,8 @@ class FBSEndpoint:
         rejection accounting is exact and the reasons stay mutually
         exclusive.  Header parse, freshness and keying walk shared soft
         state and run in datagram order, rejecting inline; survivors
-        take one decrypt pass and one MAC pass (lanes across datagrams
-        when at least two datagrams *reach that stage* and the suite is
-        the vectorized pair, scalar kernels otherwise: a garbage
+        take one ``_decrypt`` and one ``_macs`` call (each chooses its
+        kernel from the datagrams that *reach that stage*: a garbage
         datagram cannot buy a lone survivor a lane pass); the replay guard,
         delivery and accounting then run in datagram order again, so
         per-index reasons, counters, events and replay-guard memory
@@ -554,7 +559,6 @@ class FBSEndpoint:
             return result
         suite = self.config.suite
         carry = self.config.carry_algorithm_id
-        mac_bytes = suite.mac_bytes
         decode = FBSHeader.decode
         header_len = self._header_len
         is_fresh = self.freshness.is_fresh
@@ -563,8 +567,9 @@ class FBSEndpoint:
         now_fn = self.now
         self._c_received.inc(n)
         # (R2-6) parse the header, check freshness, recover the flow
-        # crypto state (via the RFKC).
-        states: List[Optional[FlowCryptoState]] = [None] * n
+        # crypto state (via the RFKC).  ``states`` is parallel to
+        # ``alive``, the survivors' indices.
+        states: List[FlowCryptoState] = []
         nows: List[float] = [0.0] * n
         alive: List[int] = []
         for i in range(n):
@@ -587,7 +592,7 @@ class FBSEndpoint:
                 )
                 continue
             try:
-                states[i] = flow_state(header.sfl, source, False)
+                states.append(flow_state(header.sfl, source, False))
             except FBSError as exc:
                 rejected(result, i, "keying", exc)
                 continue
@@ -596,19 +601,11 @@ class FBSEndpoint:
         # (R10-11 before R7-9; see the module docstring on Figure 4's
         # ordering) optional decryption with the flow's cached cipher.
         if secret and alive:
-            if self._vector_ok and len(alive) >= 2:
-                plains = _lanes(
-                    _vector.cbc_decrypt_many,
-                    [states[i].cipher for i in alive],
-                    [headers[i].iv() for i in alive],
-                    [bodies[i] for i in alive],
-                )
-            else:
-                plains = []
-                for i in alive:
-                    plains.append(self._decrypt(states[i], headers[i], bodies[i]))
-            decrypted = alive
-            alive = []
+            plains = self._decrypt(
+                states, [headers[i].iv() for i in alive], [bodies[i] for i in alive]
+            )
+            decrypted, decrypted_states = alive, states
+            alive, states = [], []
             for position, i in enumerate(decrypted):
                 plain = plains[position]
                 if plain is None:
@@ -624,20 +621,10 @@ class FBSEndpoint:
                 else:
                     bodies[i] = plain
                     alive.append(i)
+                    states.append(decrypted_states[position])
             self._c_decryptions.inc(len(alive))
         # (R7-9) MAC verification over the plaintext.
-        if self._vector_ok and len(alive) >= 2:
-            macs = _lanes(
-                _vector.keyed_md5_many,
-                [states[i].mac_key for i in alive],
-                [headers[i].mac_input(bodies[i]) for i in alive],
-            )
-            if mac_bytes != 16:
-                macs = [mac[:mac_bytes] for mac in macs]
-        else:
-            macs = []
-            for i in alive:
-                macs.append(states[i].mac(headers[i].mac_input(bodies[i])))
+        macs = self._macs(states, [headers[i].mac_input(bodies[i]) for i in alive])
         verified = alive
         alive = []
         for position, i in enumerate(verified):

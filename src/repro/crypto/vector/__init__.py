@@ -15,12 +15,12 @@ the same pattern as ``des.reference``.  Header encoding is not a lane:
 the scalar ``FBSHeader.encode`` loop beat a byte-matrix encoder at every
 batch size (EXPERIMENTS.md "Lane crossovers by stage").
 
-numpy is optional at runtime: :data:`HAVE_NUMPY` is ``False`` when the
-import fails, the kernel names below then raise, and the protocol layer
-(:class:`repro.core.protocol.FBSEndpoint`) silently falls back to the
-scalar kernels.  Nothing in ``repro`` outside this package
-imports numpy.
+numpy is a plain dependency of the project (``pyproject.toml``); nothing
+in ``repro`` outside this package imports it.
 """
+
+from repro.crypto.vector.des import cbc_decrypt_many, cbc_encrypt_many
+from repro.crypto.vector.md5 import keyed_md5_many
 
 #: Blocks from which one CBC body decrypts faster as a single lane of
 #: ``cbc_decrypt_many`` (its blocks in parallel) than through scalar
@@ -36,34 +36,9 @@ SINGLE_LANE_MIN_BLOCKS = 7
 #: MAC lanes win from two datagrams.
 CBC_ENCRYPT_MIN_LANES = 4
 
-try:
-    import numpy  # noqa: F401  (probe only; kernels import it directly)
-except ImportError:
-    HAVE_NUMPY = False
-else:
-    HAVE_NUMPY = True
-
-if HAVE_NUMPY:
-    from repro.crypto.vector.des import cbc_decrypt_many, cbc_encrypt_many
-    from repro.crypto.vector.md5 import keyed_md5_many, md5_many
-else:
-
-    def _unavailable(*_args, **_kwargs):
-        raise RuntimeError(
-            "repro.crypto.vector requires numpy; the scalar datapath "
-            "(repro.crypto.des / .md5 / .modes) is the fallback"
-        )
-
-    cbc_decrypt_many = _unavailable
-    cbc_encrypt_many = _unavailable
-    keyed_md5_many = _unavailable
-    md5_many = _unavailable
-
 __all__ = [
-    "HAVE_NUMPY",
     "SINGLE_LANE_MIN_BLOCKS",
     "cbc_decrypt_many",
     "cbc_encrypt_many",
     "keyed_md5_many",
-    "md5_many",
 ]

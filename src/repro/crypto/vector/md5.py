@@ -43,7 +43,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["keyed_md5_many", "md5_many"]
+__all__ = ["keyed_md5_many"]
 
 _INIT = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
 
@@ -195,13 +195,6 @@ def _digest_lanes(payloads: Sequence[bytes]) -> List[bytes]:
     for row, lane in enumerate(order):
         out[lane] = raw[row * 16 : row * 16 + 16]
     return out
-
-
-def md5_many(messages: Sequence[bytes]) -> List[bytes]:
-    """MD5 digest of each message (bit-identical to ``repro.crypto.md5``)."""
-    if not messages:
-        return []
-    return _digest_lanes(messages)
 
 
 def keyed_md5_many(keys: Sequence[bytes], messages: Sequence[bytes]) -> List[bytes]:

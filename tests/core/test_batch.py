@@ -1,6 +1,5 @@
-"""The batch surface's own contract: parallel-argument validation, the
-result's tallies, and the scalar kernels where numpy was never
-installed.
+"""The batch surface's own contract: parallel-argument validation and
+the result's tallies.
 
 That a stream's wire bytes, bodies and rejection reasons do not depend
 on how it is cut into calls is checked against the specification by
@@ -14,7 +13,6 @@ from repro.core.deploy import FBSDomain
 from repro.core.errors import FBSError
 from repro.core.keying import Principal
 from repro.core.protocol import BatchReceiveResult
-from repro.crypto import vector
 
 
 class Clock:
@@ -49,20 +47,3 @@ class TestBatchValidation:
         )
         assert result.accepted == 1
         assert result.rejected == {"mac": 2}
-
-
-@pytest.mark.skipif(vector.HAVE_NUMPY, reason="CI's no-numpy leg owns this")
-class TestScalarFallbackWhereNumpyWasNeverInstalled:
-    """The real absence, not a stub on ``sys.path`` (that one is
-    ``test_batch_vector.py::TestNumpylessFallback``, which needs numpy
-    to be there to hide)."""
-
-    def test_secret_batch_round_trips_on_the_scalar_kernels(self):
-        domain = FBSDomain(seed=7)
-        alice = domain.make_endpoint(Principal.from_name("ci-alice"))
-        bob = domain.make_endpoint(Principal.from_name("ci-bob"))
-        assert not alice._vector_ok, "vector path must be disabled"
-        bodies = [bytes([i]) * (i * 37 % 256) for i in range(16)]
-        wires = alice.protect_batch(bodies, bob.principal, secret=True)
-        result = bob.unprotect_batch(wires, alice.principal, secret=True)
-        assert result.bodies == bodies and result.reasons == [None] * 16

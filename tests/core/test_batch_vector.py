@@ -1,18 +1,13 @@
-"""Kernel choice inside the one pipeline: lanes vs scalar, and fallback.
+"""Kernel choice inside the one pipeline: lanes vs scalar.
 
 ``FBSConfig.vectorize`` only picks the kernels each pipeline stage
 calls, so it must be invisible except in speed.  Wire bytes, bodies and
 rejection reasons under either setting are checked against the
 specification by ``tests/property/test_soft_state_machine.py``; here,
-which kernel each stage calls, that lane errors stay in the FBS
-taxonomy, that the event sequence does not depend on the switch, and
-(in a subprocess) that the endpoint falls back to the scalar kernels
-when numpy is absent.
+which kernel each stage calls and from which width, that lane errors
+stay in the FBS taxonomy, and that the event sequence and the registry
+do not depend on the switch.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -22,11 +17,6 @@ from repro.core.errors import FBSError, UnknownPrincipalError
 from repro.core.keying import Principal
 from repro.crypto import vector
 from repro.obs import RingBufferSink, Tracer
-
-pytestmark = pytest.mark.skipif(
-    not __import__("repro.crypto.vector", fromlist=["HAVE_NUMPY"]).HAVE_NUMPY,
-    reason="vector differential needs numpy (fallback covered separately)",
-)
 
 
 class Clock:
@@ -87,9 +77,12 @@ def traced_world(vectorize):
 def every_reason_stream(alice, bob):
     """Eight secret datagrams of one flow: header, stale, keying, ok,
     bad pad, bad MAC, duplicate (of the ok one), ok.  The keying failure
-    is the directory refusing bob's first master-key upcall."""
+    is the directory refusing bob's first master-key upcall.  Bodies
+    are long enough for one datagram alone to take the decrypt lane."""
     wires = alice.protect_batch(
-        [bytes([i]) * 40 for i in range(8)], bob.principal, secret=True
+        [bytes([i]) * (8 * vector.SINGLE_LANE_MIN_BLOCKS) for i in range(8)],
+        bob.principal,
+        secret=True,
     )
     h = bob.header_size
     wires[0] = wires[0][:7]
@@ -163,6 +156,14 @@ def lane_widths(monkeypatch):
     return calls
 
 
+#: Secret body sizes straddling the single-lane crossover, from one block
+#: below to well above (the padded length is the body rounded up past
+#: the next multiple of 8).
+SINGLE_LANE_SIZES = [0, 1, 8, 512, 1500] + [
+    8 * vector.SINGLE_LANE_MIN_BLOCKS + delta for delta in (-17, -9, -8, -1, 0, 7)
+]
+
+
 class TestLanesPerStage:
     """Each stage chooses lanes from the datagrams that reach it, at the
     stage's measured crossover."""
@@ -208,12 +209,63 @@ class TestLanesPerStage:
                 "cbc_encrypt_many": [n] if n >= vector.CBC_ENCRYPT_MIN_LANES else [],
             }
 
+    def test_cbc_decrypt_lanes_start_at_their_crossover(self, lane_widths):
+        # Two datagrams take lanes at any length; one takes a lane of its
+        # own, its blocks in parallel, from SINGLE_LANE_MIN_BLOCKS blocks.
+        alice, bob, _ = make_pair(vectorize=True)
+        for size in SINGLE_LANE_SIZES:
+            body = bytes([size & 0xFF]) * size
+            wire = alice.protect(body, bob.principal, secret=True)
+            del lane_widths[:]
+            assert bob.unprotect(wire, alice.principal, secret=True) == body
+            padded = len(wire) - bob.header_size
+            lane = padded >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
+            assert lane_widths == ([("cbc_decrypt_many", 1, padded)] if lane else [])
+        wires = alice.protect_batch([b"body"] * 2, bob.principal, secret=True)
+        del lane_widths[:]
+        bob.unprotect_batch(wires, alice.principal, secret=True)
+        assert lane_widths[0] == ("cbc_decrypt_many", 2, 8)
+
+    def test_batch_of_one_takes_the_same_route(self, lane_widths):
+        # A batch of one long body takes the single lane too; a tampered
+        # one is rejected as "mac" from the lane as from the block loop.
+        a_v, b_v, _ = make_pair(vectorize=True)
+        a_s, b_s, _ = make_pair(vectorize=False)
+        body = b"\x5a" * 512
+        wires = [a_v.protect(body, b_v.principal, secret=True)]
+        assert wires == [a_s.protect(body, b_s.principal, secret=True)]
+        del lane_widths[:]
+        result_v = b_v.unprotect_batch(wires, a_v.principal, secret=True)
+        result_s = b_s.unprotect_batch(wires, a_s.principal, secret=True)
+        assert result_v.bodies == result_s.bodies == [body]
+        assert lane_widths == [("cbc_decrypt_many", 1, 520)]
+        bad = [wires[0][:-1] + bytes([wires[0][-1] ^ 1])]
+        result_v = b_v.unprotect_batch(bad, a_v.principal, secret=True)
+        result_s = b_s.unprotect_batch(bad, a_s.principal, secret=True)
+        assert result_v.reasons == result_s.reasons == ["mac"]
+        assert b_v.registry.snapshot() == b_s.registry.snapshot()
+
 
 def kinds_of(sink):
     return [
         getattr(event, "reason", None) or type(event).__name__
         for event in sink.events
     ]
+
+
+def one_datagram_per_call(vectorize):
+    """Bob's endpoint and trace after receiving ``every_reason_stream``
+    through ``unprotect``, one datagram a call."""
+    alice, bob, clock, sink = traced_world(vectorize)
+    wires, stamps = every_reason_stream(alice, bob)
+    sink.clear()
+    for wire, stamp in zip(wires, stamps):
+        clock.now = stamp
+        try:
+            bob.unprotect(wire, alice.principal, secret=True)
+        except FBSError:
+            pass
+    return bob, sink
 
 
 class TestEventOrder:
@@ -223,6 +275,7 @@ class TestEventOrder:
         protect_all(a_v, b_v, clk_v, True, secret=True)
         protect_all(a_s, b_s, clk_s, False, secret=True)
         assert trace_of(sink_v) == trace_of(sink_s)
+        assert a_v.registry.snapshot() == a_s.registry.snapshot()
         # Emitted after the cipher stage: the event carries the wire
         # size (PKCS#7 always pads), not the plaintext size.
         sizes = [e["size"] for name, e in trace_of(sink_v) if name == "DatagramProtected"]
@@ -240,6 +293,7 @@ class TestEventOrder:
             assert result.reasons == REASONS
             traces.append(trace_of(sink))
         assert traces[0] == traces[1]
+        assert worlds[0][1].registry.snapshot() == worlds[1][1].registry.snapshot()
         # The staged order: keying and inline rejections in datagram
         # order, then decrypt failures, then MAC failures, then the
         # in-order replay-guard and delivery pass.
@@ -260,15 +314,7 @@ class TestEventOrder:
     def test_one_datagram_per_call_keeps_the_scalar_order(self, vectorize):
         # n=1 has no stages to reorder: each datagram's events stay
         # together, exactly as the scalar loop before the merge.
-        alice, bob, clock, sink = traced_world(vectorize)
-        wires, stamps = every_reason_stream(alice, bob)
-        sink.clear()
-        for wire, stamp in zip(wires, stamps):
-            clock.now = stamp
-            try:
-                bob.unprotect(wire, alice.principal, secret=True)
-            except FBSError:
-                pass
+        _, sink = one_datagram_per_call(vectorize)
         assert kinds_of(sink) == [
             "header",
             "stale_timestamp",
@@ -280,6 +326,12 @@ class TestEventOrder:
             "CacheHit", "ReplayDropped", "duplicate",
             "CacheHit", "DatagramAccepted",
         ]  # fmt: skip
+
+    def test_one_datagram_per_call_leaves_the_scalar_registry(self):
+        # The single-lane decrypt counts decryptions, bytes and cache
+        # traffic as the scalar block loop does, for every reason.
+        (bob_v, _), (bob_s, _) = (one_datagram_per_call(v) for v in (True, False))
+        assert bob_v.registry.snapshot() == bob_s.registry.snapshot()
 
 
 class TestEmptyBatchCounters:
@@ -296,63 +348,3 @@ class TestEmptyBatchCounters:
         assert result.bodies == [] and result.reasons == []
         assert bob.registry.snapshot() == before
 
-
-_NO_NUMPY_SCRIPT = r"""
-import sys
-
-import repro.crypto.vector as vector
-
-assert not vector.HAVE_NUMPY, "numpy stub did not take effect"
-try:
-    vector.keyed_md5_many([b"k"], [b"m"])
-except RuntimeError:
-    pass
-else:
-    sys.exit("kernel stub should raise without numpy")
-
-from repro.core.config import FBSConfig
-from repro.core.deploy import FBSDomain
-from repro.core.keying import Principal
-
-domain = FBSDomain(seed=3, config=FBSConfig(vectorize=True))
-alice = domain.make_endpoint(Principal.from_name("alice"), now=lambda: 0.0)
-bob = domain.make_endpoint(Principal.from_name("bob"), now=lambda: 0.0)
-assert not alice._vector_ok, "endpoint must fall back without numpy"
-bodies = [b"", b"one", b"x" * 100]
-wires = alice.protect_batch(bodies, bob.principal, secret=True)
-result = bob.unprotect_batch(wires, alice.principal, secret=True)
-assert result.bodies == bodies, result.reasons
-# A secret body far above the single-lane crossover, one datagram at a
-# time: the n=1 route must also stand down without numpy.
-long_body = b"y" * 512
-assert 512 >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
-wire = alice.protect(long_body, bob.principal, secret=True)
-assert bob.unprotect(wire, alice.principal, secret=True) == long_body
-wire = alice.protect(long_body, bob.principal, secret=True)
-solo = bob.unprotect_batch([wire], alice.principal, secret=True)
-assert solo.bodies == [long_body], solo.reasons
-print("FALLBACK-OK")
-"""
-
-
-class TestNumpylessFallback:
-    def test_batch_roundtrip_without_numpy(self, tmp_path):
-        # A numpy stub that raises ImportError, placed ahead of the
-        # real one: the endpoint must silently take the scalar loop.
-        (tmp_path / "numpy.py").write_text(
-            'raise ImportError("numpy disabled for fallback test")\n'
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(tmp_path), os.path.abspath(src)]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_NUMPY_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "FALLBACK-OK" in proc.stdout

@@ -7,10 +7,9 @@ kernels) and as one ``protect_batch`` (the MAC, CBC-encrypt and decrypt
 lanes; six bodies are past the CBC-encrypt lane crossover).  Each line of
 ``wire_digests.txt`` is the SHA-256 of what went on the wire plus what
 the receiver made of it, two damaged copies included.  Both kernel sets
-must replay every line -- so must an interpreter without numpy, where
-``vectorize=True`` stands down to the scalar kernels -- and the two
-lines of a secrecy mode are equal because wire bytes do not depend on
-how a stream is cut into batches.  (The Section 2 baselines' wire is
+must replay every line, and the two lines of a secrecy mode are equal
+because wire bytes do not depend on how a stream is cut into batches.
+(The Section 2 baselines' wire is
 pinned the same way in ``tests/baselines/wire_digests.txt``.)  The
 lines are also *derived*: ``test_the_specification_derives_the_recorded_digest``
 recomputes each from the executable specification

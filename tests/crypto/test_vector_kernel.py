@@ -13,9 +13,8 @@ import ast
 import inspect
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.crypto import des_reference, vector
 from repro.crypto.des import _SP, DES

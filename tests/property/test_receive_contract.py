@@ -29,7 +29,7 @@ bytes, up to twice a nominal 64-byte datagram) and real datagrams with
 a bit flipped, cut short, extended, given another datagram's header
 field, or replayed, from enrolled and unenrolled senders.  The endpoint
 runs are the vectorized pair (keyed MD5 + DES-CBC, lane kernels at
-each stage's crossover where numpy is installed) and a scalar-only suite, with and
+each stage's crossover) and a scalar-only suite, with and
 without the replay guard, secret on and off.
 
 Every world is built fresh per example, so a failure replays exactly.

@@ -7,11 +7,8 @@ plaintexts), a key per lane rather than a cycled pool, and the batch
 of one.
 """
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-pytest.importorskip("numpy")
 
 from repro.crypto import modes
 from repro.crypto.des import DES

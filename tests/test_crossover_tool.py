@@ -10,10 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-pytest.importorskip("numpy")
-
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
 
 

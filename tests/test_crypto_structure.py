@@ -3,8 +3,8 @@
 Plain ``ast`` over ``src/`` (no fbslint rule), in the style of
 ``test_scheme_structure.py``: one streaming hash class, SHA-1 as the
 FIPS 180 loop, one walk of the DES round-key tables, one round-key
-packing, a four-subscript scalar DES round, and the lane kernels reached
-from the pipeline stages that pay for them and no more.
+packing, a four-subscript scalar DES round, and one lane-or-scalar
+choice per pipeline stage.
 A fast path that comes back has to replace what is here, not fork it.
 """
 
@@ -94,24 +94,43 @@ def test_the_scalar_round_is_four_table_subscripts():
     assert len(subscripts) == 4
 
 
-def test_protocol_reaches_the_lane_kernels_from_five_sites():
-    # MAC on send and receive, CBC encrypt, CBC decrypt, and _decrypt's
-    # single-lane route; header encoding is the scalar loop.
-    kernels = sorted(
-        node.attr
-        for node in ast.walk(_tree(SRC / "core" / "protocol.py"))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "_vector"
-        and node.attr.endswith("_many")
-    )
-    assert kernels == [
-        "cbc_decrypt_many",
-        "cbc_decrypt_many",
-        "cbc_encrypt_many",
-        "keyed_md5_many",
-        "keyed_md5_many",
+def test_each_crypto_stage_chooses_its_kernel_in_one_place():
+    # _macs (send and receive), _encrypt and _decrypt: each holds its
+    # stage's one lane kernel call and is the only reader of _vector_ok.
+    (endpoint,) = [
+        node
+        for node in _tree(SRC / "core" / "protocol.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "FBSEndpoint"
     ]
+    kernels, readers = [], []
+    for method in _functions(endpoint):
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if ast.unparse(node.value) == "_vector" and node.attr.endswith("_many"):
+                kernels.append((node.attr, method.name))
+            elif node.attr == "_vector_ok" and isinstance(node.ctx, ast.Load):
+                readers.append(method.name)
+    assert sorted(kernels) == [
+        ("cbc_decrypt_many", "_decrypt"),
+        ("cbc_encrypt_many", "_encrypt"),
+        ("keyed_md5_many", "_macs"),
+    ]
+    assert sorted(readers) == ["_decrypt", "_encrypt", "_macs"]
+
+
+def test_the_lane_package_imports_its_kernels_outright():
+    # numpy is a declared dependency: no import is guarded, so there is
+    # no second, numpy-absent configuration of the endpoints.
+    guarded = [
+        (path.name, ast.unparse(handler.type))
+        for path in sorted((CRYPTO / "vector").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Try)
+        for handler in node.handlers
+        if handler.type is not None and "ImportError" in ast.unparse(handler.type)
+    ]
+    assert guarded == []
 
 
 def test_the_md5_compress_is_generated_once_at_import():

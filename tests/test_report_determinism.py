@@ -177,7 +177,6 @@ def test_a_set_iterated_into_a_real_report_is_caught(tmp_path):
 )
 def test_an_unseeded_draw_in_a_real_report_is_caught(tmp_path, module, draw):
     # No shim needed: an unseeded generator is seeded from OS entropy.
-    pytest.importorskip(module)
     report_a, report_b = planted_reports(tmp_path, draw, f"import {module}", shim=False)
     assert report_a.pop("planted") != report_b.pop("planted")
     assert report_a == report_b

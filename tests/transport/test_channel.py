@@ -237,8 +237,7 @@ class TestSecretEchoOverUdp:
         # The server task sits in ``recv`` (a parked receiver) while the
         # client's ``request`` sends and waits: both ends of the UDP
         # wait path.  Bodies are long enough for unprotect() to hand
-        # them to the lane kernel; without numpy (CI's no-numpy leg runs
-        # this directory) the same echo runs on the scalar block loop.
+        # them to the lane kernel.
         body = bytes(range(256)) * 2
         assert len(body) >= 8 * vector.SINGLE_LANE_MIN_BLOCKS
 
@@ -249,8 +248,6 @@ class TestSecretEchoOverUdp:
             )
             client, server = channel_pair(client_transport, server_transport, seed=7)
             client.secret = server.secret = True
-            if not vector.HAVE_NUMPY:
-                assert not server.endpoint._vector_ok
             echo = asyncio.ensure_future(_echo_forever(server, timeout=0.1))
             try:
                 replies = [await client.request(body, timeout=0.5) for _ in range(8)]

@@ -41,9 +41,7 @@ from repro.core.config import AlgorithmSuite  # noqa: E402
 from repro.core.keying import FlowCryptoState  # noqa: E402
 from repro.crypto import modes, vector  # noqa: E402
 from repro.crypto.des import DES  # noqa: E402
-
-if vector.HAVE_NUMPY:
-    from repro.crypto.vector import des as lane_des
+from repro.crypto.vector import des as lane_des  # noqa: E402
 
 #: Each stage's lane threshold in ``FBSEndpoint``: its name there, its value.
 THRESHOLDS = {
@@ -224,8 +222,6 @@ def main(argv=None):
     parser.add_argument("--window-ms", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if not vector.HAVE_NUMPY:
-        parser.error("the lane kernels need numpy")
     stages = args.stages.split(",")
     unknown = set(stages) - set(THRESHOLDS)
     if unknown or args.repeat < 1 or args.window_ms <= 0:
