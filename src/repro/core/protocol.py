@@ -260,6 +260,10 @@ class FBSEndpoint:
         reg.gauge("active_flows").set(
             float(self.fam.active_flows(self.now(), self.config.threshold))
         )
+        guard = self.replay_guard
+        if guard is not None:
+            reg.counter("replay_guard_fresh_evictions").value = guard.fresh_evictions
+            reg.gauge("replay_guard_oldest_age_s").set(guard.oldest_age(self.now()))
 
     def _rejected(
         self, result: BatchReceiveResult, i: int, reason: str, error: FBSError

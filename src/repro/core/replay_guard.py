@@ -16,7 +16,10 @@ datagrams and refuse exact duplicates.
   32-bit confounders, negligible at LAN rates.
 * Memory is bounded by an LRU of ``capacity`` entries; entries older
   than the freshness span are purged since the timestamp check already
-  rejects anything that old.
+  rejects anything that old.  An entry the bound drops while its
+  datagram is still fresh is counted (``fresh_evictions``): past that
+  point a replay of it is delivered again, so the guard's real memory
+  is its last ``capacity`` accepted datagrams, ``oldest_age`` seconds.
 
 Trade-off surfaced honestly: benign *network* duplication (which the
 paper's FBS deliberately lets through) is now suppressed too --
@@ -55,6 +58,8 @@ class ReplayGuard:
         # accepts.
         self.window = 2.0 * freshness_half_window + 60.0
         self._seen: "OrderedDict[Tuple[int, int, bytes], float]" = OrderedDict()
+        #: Entries the capacity bound dropped while still fresh.
+        self.fresh_evictions = 0
         #: Event tracer; the owning protocol engine replaces this with
         #: its own so replay drops land in the endpoint's trace.
         self.tracer = NULL_TRACER
@@ -81,7 +86,9 @@ class ReplayGuard:
             )
         self._seen[key] = now
         if len(self._seen) > self.capacity:
+            # _expire has just run: every entry left is fresh.
             self._seen.popitem(last=False)
+            self.fresh_evictions += 1
 
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
@@ -90,6 +97,13 @@ class ReplayGuard:
             if oldest >= cutoff:
                 break
             self._seen.popitem(last=False)
+
+    def oldest_age(self, now: float) -> float:
+        """Seconds since the oldest remembered datagram was accepted
+        (0 when the guard is empty): how far back a replay is refused."""
+        for accepted in self._seen.values():
+            return now - accepted
+        return 0.0
 
     def flush(self) -> None:
         """Drop all memory (soft state: always safe, only weakens the

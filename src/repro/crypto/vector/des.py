@@ -27,10 +27,15 @@ and a reduce:
   ``DES._vector``: ``K_0``, the sixteen differences (``K_{-1} = K_16 =
   0``) and ``K_15``.  Entry adds ``K_0`` and ``TAG``, exit removes
   ``K_15``.
-* **IP and FP as gathers.**  IP writes the masked window form of both
-  halves; FP reads the sixteen window bytes of (R16, L16), ignoring
-  the tags, and stores the big-endian block.  Both come from the
-  scalar kernel's byte tables.
+* **IP and FP in two forms, chosen by width.**  Both map big-endian
+  block words to the window form of both halves and back, tags
+  ignored.  A narrow pass gathers the scalar kernel's byte tables:
+  few calls, but about 0.14 us a block and index arrays that grow
+  with the width.  A pass of ``_NETWORK_MIN_BLOCKS`` blocks or more
+  runs the five-stage ``PERM_OP`` network of d3des and libdes as
+  delta swaps over whole ``uint64`` arrays: about 45 elementwise
+  calls a permutation whatever the width.  :func:`_permutations` is
+  the one place the form is chosen.
 
 A call costs what its Python wrapper costs too, so the gather is the
 table's bound ``take`` (``np.take`` is two Python-level wrappers on top),
@@ -80,10 +85,27 @@ _WINDOWS = np.uint64(0x3F3F3F3F3F3F3F3F)
 _TAG = np.uint64(0x00C0_0080_0040_0000)
 
 
-def _window_form(words):
-    """32-bit ``h`` words as ``E``-form words: ``h`` low, ``rotr(h, 4)``
-    high, masked to the eight windows.  Linear over XOR and OR."""
-    return (words | (words >> 4 | words << 28) << 32) & _WINDOWS
+#: Shift counts and masks as ``uint64``: a Python int operand costs
+#: every ufunc call a scalar conversion.
+_1, _28, _31, _32 = (np.uint64(count) for count in (1, 28, 31, 32))
+_HALF = np.uint64(0xFFFFFFFF)
+#: The windows of ``h`` and of ``rotr(h, 4) << 32``.
+_LOW_WINDOWS = np.uint64(0x3F3F3F3F)
+_HIGH_WINDOWS = np.uint64(0x3F3F3F3F_00000000)
+
+
+def _window_form(words, t, u):
+    """32-bit ``h`` words as ``E``-form words, in place: ``h`` low,
+    ``rotr(h, 4)`` high, masked to the eight windows.  Linear over XOR
+    and OR.  ``t`` and ``u`` are scratch of the words' shape: at pass
+    widths a temporary costs more than the arithmetic."""
+    # Above bit 31, h << 28 | h << 60 is rotr(h, 4) << 32.
+    np.left_shift(words, _28, t)
+    np.left_shift(t, _32, u)
+    t |= u
+    t &= _HIGH_WINDOWS
+    words &= _LOW_WINDOWS
+    words |= t
 
 
 def _luts():
@@ -97,8 +119,11 @@ def _luts():
     half 0, stored so the array's bytes are the big-endian block.
     """
     ip = np.array(_IP_LUT, dtype=_U8)
-    ip = _window_form(np.stack([ip >> 32, ip & 0xFFFFFFFF])).reshape(2, -1)
-    boxes = _window_form(np.array(_SP, dtype=_U8)[[7, 5, 3, 1, 6, 4, 2, 0]])
+    ip = np.stack([ip >> _32, ip & _HALF])
+    _window_form(ip, np.empty_like(ip), np.empty_like(ip))
+    ip = ip.reshape(2, -1)
+    boxes = np.array(_SP, dtype=_U8)[[7, 5, 3, 1, 6, 4, 2, 0]]
+    _window_form(boxes, np.empty_like(boxes), np.empty_like(boxes))
     pair = (np.ascontiguousarray(boxes[1::2].T)[:, :, None] | boxes[0::2]).reshape(-1)
     # The scalar FP tables read h's bytes, counted from the state's high
     # end.  A low state byte holds bits 0-5 of h's byte and the high
@@ -177,24 +202,118 @@ def _rounds(plan, take=_PAIR.take, xor_reduce=np.bitwise_xor.reduce):
         xor_reduce(slab, 0, None, target)
 
 
-def _initial(block_bytes, halves):
-    """IP of raw blocks, ``(width, 8)`` bytes, into ``(2, width)``
-    ``E``-form (L0, R0), untagged and unkeyed."""
-    index = np.add(block_bytes.T, _IP_OFFSETS)
+def _ip_gather(blocks, halves):
+    """IP of contiguous ``>u8`` block words into ``(2, width)``
+    ``E``-form (L0, R0), untagged and unkeyed: sixteen byte gathers."""
+    index = np.add(blocks.view(np.uint8).reshape(-1, 8).T, _IP_OFFSETS)
     parts = np.empty(index.shape, dtype=_U8)
     for table, half in zip(_IP, halves):
         table.take(index, None, parts, "clip")
         np.bitwise_or.reduce(parts, 0, None, half)
 
 
-def _final(high_low):
+def _fp_gather(high_low):
     """FP of ``(2, width)`` (R16, L16) ``E``-form states, tags ignored:
     blocks as ``<u8`` words whose bytes in memory are the big-endian
-    block."""
+    block.  Sixteen byte gathers."""
     state_bytes = high_low.view(np.uint8).reshape(2, -1, 8)
     index = np.add(state_bytes.transpose(0, 2, 1), _FP_OFFSETS)
     parts = _FP.take(index.reshape(16, -1), None, None, "clip")
     return np.bitwise_or.reduce(parts, 0)
+
+
+#: IP's first four stages on ``L << 32 | R`` as delta swaps ``(d, m)``:
+#: bits ``m`` trade places with bits ``m << d``.  FP runs them reversed.
+_SWAPS = tuple(
+    (np.uint64(d), np.uint64(m))
+    for d, m in ((36, 0x0F0F0F0F), (48, 0x0000FFFF), (30, 0xCCCCCCCC), (24, 0xFF00FF00))
+)
+#: IP's fifth stage swaps these bits of the two halves.
+_ODD = np.uint64(0xAAAAAAAA)
+#: Bits 6-7 of ``h``'s bytes, which the high windows hold as bits 2-3.
+_HIGH_PAIRS = np.uint64(0xC0C0C0C0)
+
+
+def _delta_swaps(x, t, swaps):
+    """Apply ``swaps`` to ``x`` in place, ``t`` scratch of its shape."""
+    for d, m in swaps:
+        np.right_shift(x, d, t)
+        t ^= x
+        t &= m
+        x ^= t
+        t <<= d
+        x ^= t
+
+
+def _rotl(half, t):
+    """Rotate 32-bit words left by one, in place."""
+    np.right_shift(half, _31, t)
+    half <<= _1
+    half |= t
+    half &= _HALF
+
+
+def _rotr(half, t):
+    """Rotate 32-bit words right by one, in place."""
+    np.left_shift(half, _31, t)
+    half >>= _1
+    half |= t
+    half &= _HALF
+
+
+def _swap_odd(left, right, t):
+    np.bitwise_xor(left, right, t)
+    t &= _ODD
+    left ^= t
+    right ^= t
+
+
+def _ip_network(blocks, halves):
+    """:func:`_ip_gather` as delta swaps over whole word arrays."""
+    x = blocks.astype(np.uint64)
+    t = np.empty_like(x)
+    _delta_swaps(x, t, _SWAPS)
+    left, right = halves
+    np.right_shift(x, _32, left)
+    np.bitwise_and(x, _HALF, right)
+    # The fifth stage, leaving the rotated halves the rounds use.
+    _rotl(right, t)
+    _swap_odd(left, right, t)
+    _rotl(left, t)
+    for half in halves:
+        _window_form(half, t, x)
+
+
+def _fp_network(high_low):
+    """:func:`_fp_gather` as IP's network run backwards."""
+    # h from each window form; the tags fall outside both masks.
+    h = high_low >> _28
+    h &= _HIGH_PAIRS
+    h |= high_low & _LOW_WINDOWS
+    left, right = h
+    t = np.empty_like(left)
+    _rotr(left, t)
+    _swap_odd(left, right, t)
+    _rotr(right, t)
+    x = left << _32
+    x |= right
+    _delta_swaps(x, t, _SWAPS[::-1])
+    return x.byteswap(True)
+
+
+#: Passes of at least this many blocks permute with the networks, whose
+#: cost is their call count; narrower ones with the gathers, whose cost
+#: is their blocks.  The crossover of ``make crossovers``' "DES lane
+#: IP + FP by form" table; a 1,460 B body is 183 blocks, a batch of 64
+#: of them 11,712.
+_NETWORK_MIN_BLOCKS = 768
+
+
+def _permutations(blocks):
+    """``(ip, fp)`` for a pass of ``blocks`` blocks."""
+    if blocks >= _NETWORK_MIN_BLOCKS:
+        return _ip_network, _fp_network
+    return _ip_gather, _fp_gather
 
 
 def _lane_words(ciphers, decrypt):
@@ -223,18 +342,20 @@ def _lane_words(ciphers, decrypt):
     return np.array(words).T
 
 
-def _pass(lanes, words, block_bytes):
-    """Raw blocks ``(width, 8)`` through IP, the rounds and FP under key
-    words ``(18, 1 or width)``: ECB, as ``<u8`` big-endian block words."""
+def _pass(lanes, words, blocks):
+    """Contiguous ``>u8`` block words through IP, the rounds and FP under
+    key words ``(18, 1 or width)``: ECB, as ``<u8`` big-endian block
+    words."""
+    ip, fp = _permutations(len(blocks))
     np.copyto(lanes.keys, words[1:17])
     entry = lanes.entry
-    _initial(block_bytes, entry)
+    ip(blocks, entry)
     entry ^= _TAG
     entry[1] ^= words[0]
     _rounds(lanes.plan)
     ends = lanes.ends
     ends[1] ^= words[17]
-    return _final(ends)
+    return fp(ends)
 
 
 def _check_lanes(ciphers, ivs, texts) -> int:
@@ -273,14 +394,11 @@ def cbc_encrypt_many(
         data = ivs[lane] + padded[lane]
         buf[row * width : row * width + len(data)] = data
     # Block-major (2, 1 + max_blocks, n): a step's lanes are contiguous.
+    blocks = np.empty((max_blocks + 1, n), dtype=">u8")
+    np.copyto(blocks, np.frombuffer(buf, dtype=">u8").reshape(n, max_blocks + 1).T)
+    ip, fp = _permutations(max_blocks * n)
     permuted = np.empty((2, max_blocks + 1, n), dtype=_U8)
-    _initial(
-        np.frombuffer(buf, dtype=np.uint8)
-        .reshape(n, max_blocks + 1, 8)
-        .transpose(1, 0, 2)
-        .reshape(-1, 8),
-        permuted.reshape(2, -1),
-    )
+    ip(blocks.reshape(-1), permuted.reshape(2, -1))
     words = _lane_words([ciphers[lane] for lane in order], decrypt=False)
     # The IV row becomes a previous step's (Q_16, Q_15), and a plaintext
     # row XORed with one becomes a step's (Q_{-1}, Q_0).
@@ -302,7 +420,7 @@ def cbc_encrypt_many(
         chain = out[:, block, :m]
         np.copyto(chain, lanes.ends)
     out[1] ^= words[17]
-    raw = _final(out.reshape(2, -1)).reshape(max_blocks, n).T.tobytes()
+    raw = fp(out.reshape(2, -1)).reshape(max_blocks, n).T.tobytes()
     width = max_blocks * 8
     results = [b""] * n
     for row, lane in enumerate(order):
@@ -346,7 +464,7 @@ def cbc_decrypt_many(
     words = _lane_words([ciphers[lane] for lane in valid], decrypt=True)
     if words.shape[1] > 1:
         words = np.repeat(words, counts, 1)
-    plain = _pass(_lanes(total), words, joined.reshape(total, 8))
+    plain = _pass(_lanes(total), words, joined.view(">u8"))
     # XOR is bytewise, so the chain words need no byte-order care.
     cipher_words = joined.view(_U8)
     previous = np.empty(total, dtype=_U8)

@@ -436,6 +436,18 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         "full soft-state flushes (reboot/fault injection); recovery "
         "must follow without any synchronization messages",
     ),
+    "replay_guard_fresh_evictions": MetricSpec(
+        "counter",
+        (),
+        "replay-guard entries its capacity dropped while their datagram "
+        "was still fresh (a replay of one is delivered again)",
+    ),
+    "replay_guard_oldest_age_s": MetricSpec(
+        "gauge",
+        (),
+        "seconds since the replay guard's oldest remembered datagram was "
+        "accepted (0 when empty): its real memory",
+    ),
     "mac_cost_seconds": MetricSpec(
         "histogram",
         (),

@@ -125,3 +125,45 @@ class TestWindowFreshnessRelationship:
         bob = domain.make_endpoint(Principal.from_name("bob"))
         assert bob.replay_guard is not None
         assert bob.replay_guard.window == 2 * 45.0 + 60.0
+
+
+class TestMemoryInTheRegistry:
+    """The guard's real memory, read from a snapshot of ``repro.obs``."""
+
+    def test_capacity_evictions_of_fresh_entries_and_the_oldest_age(self):
+        domain = FBSDomain(seed=8, config=FBSConfig(replay_guard_size=4))
+        clock = {"now": 0.0}
+        alice = domain.make_endpoint(Principal.from_name("alice"), now=lambda: clock["now"])
+        bob = domain.make_endpoint(Principal.from_name("bob"), now=lambda: clock["now"])
+        for i in range(6):
+            clock["now"] = float(i)
+            wire = alice.protect(b"msg %d" % i, bob.principal)
+            assert bob.unprotect(wire, alice.principal) == b"msg %d" % i
+        clock["now"] = 10.0
+        snapshot = bob.registry.snapshot()
+        # Six fresh datagrams through four slots: the first two went
+        # while a replay of them was still inside the freshness span.
+        assert snapshot["counters"]["replay_guard_fresh_evictions"] == 2
+        # The oldest remembered datagram is the third, accepted at 2 s.
+        assert snapshot["gauges"]["replay_guard_oldest_age_s"] == 8.0
+        bob.flush_all_caches()
+        snapshot = bob.registry.snapshot()
+        assert snapshot["gauges"]["replay_guard_oldest_age_s"] == 0.0
+        assert snapshot["counters"]["replay_guard_fresh_evictions"] == 2
+
+    def test_expired_entries_are_not_fresh_evictions(self):
+        guard = ReplayGuard(2, freshness_half_window=20.0)
+        for i in range(2):
+            guard.check_and_remember(header(confounder=i), now=0.0)
+        # Past the 100 s span both entries expire before the third lands.
+        guard.check_and_remember(header(confounder=2), now=150.0)
+        guard.check_and_remember(header(confounder=3), now=150.0)
+        assert (guard.fresh_evictions, len(guard)) == (0, 2)
+        assert guard.oldest_age(160.0) == 10.0
+
+    def test_no_guard_registers_neither_metric(self):
+        domain = FBSDomain(seed=9)
+        bob = domain.make_endpoint(Principal.from_name("bob"))
+        snapshot = bob.registry.snapshot()
+        assert "replay_guard_fresh_evictions" not in snapshot["counters"]
+        assert "replay_guard_oldest_age_s" not in snapshot["gauges"]

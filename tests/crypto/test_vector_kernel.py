@@ -4,23 +4,29 @@
 layer; this file pins what is underneath them -- IP, sixteen two-call
 rounds on the keyed window state ``Q_r = E(R_r) ^ K_r | TAG``, FP -- to
 :mod:`repro.crypto.des_reference`, block by block, at the widths where
-the kernel changes behaviour: one lane, the scratch-cache bound, and a
-width far past it.  The key words, the pair table and the tag are
-pinned by what they mean, whatever arrays hold them.
+the kernel changes behaviour: one lane, the scratch-cache bound, either
+side of the width where IP and FP change form, and a width far past
+it.  Both forms of IP and FP are pinned to the scalar kernel's tables
+on their own.  The key words, the pair table and the tag are pinned by
+what they mean, whatever arrays hold them.
 """
 
 import ast
+import dis
 import inspect
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.crypto import des_reference, vector
-from repro.crypto.des import _SP, DES
+from repro.crypto import des_reference, modes, vector
+from repro.crypto.des import _FP_LUT, _IP_LUT, _SP, DES, _apply_luts
 from repro.crypto.vector import des as lane_des
 
-WIDTHS = [1, 2, 63, 64, 65, 8192]
+MIN = lane_des._NETWORK_MIN_BLOCKS
+WIDTHS = [1, 2, 63, 64, 65, MIN - 1, MIN, 8192]
 
 _RNG = random.Random(0xDE5)
 _KEYS = [_RNG.randbytes(8) for _ in range(8)]
@@ -43,7 +49,7 @@ def _reference(key, block, decrypt):
 def _ecb_pass(ciphers, blocks, decrypt):
     """Raw blocks through the kernel, no chaining: IP, rounds, FP."""
     width = len(blocks)
-    raw = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(width, 8)
+    raw = np.frombuffer(b"".join(blocks), dtype=">u8")
     words = lane_des._lane_words(ciphers, decrypt=decrypt)
     out = lane_des._pass(lane_des._lanes(width), words, raw).tobytes()
     return [out[8 * i : 8 * i + 8] for i in range(width)]
@@ -92,6 +98,102 @@ def _window_form(h):
     ``rotr(h, 4)`` high, each byte's two top bits clear."""
     rotated = (h >> 4 | h << 28) & 0xFFFFFFFF
     return (h | rotated << 32) & 0x3F3F3F3F3F3F3F3F
+
+
+_FORMS = {
+    "gather": (lane_des._ip_gather, lane_des._fp_gather),
+    "network": (lane_des._ip_network, lane_des._fp_network),
+}
+# A bit permutation is linear over XOR: the 64 unit blocks pin it, and
+# random blocks check the same through every path at once.
+_UNITS = [1 << bit for bit in range(64)]
+_VALUES = _UNITS + [random.Random(64).getrandbits(64) for _ in range(64)]
+
+
+class TestPermutationForms:
+    """IP and FP, each form on its own, against the scalar byte tables."""
+
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_ip_is_the_window_form_of_the_scalar_ip(self, form):
+        ip, _ = _FORMS[form]
+        halves = np.empty((2, len(_VALUES)), dtype=np.uint64)
+        ip(np.array(_VALUES, dtype=">u8"), halves)
+        for value, left, right in zip(_VALUES, *halves.tolist()):
+            # The scalar IP tables give rotl(L0, 1) << 32 | rotl(R0, 1).
+            rotated = _apply_luts(value, 64, _IP_LUT)
+            assert (left, right) == (
+                _window_form(rotated >> 32),
+                _window_form(rotated & 0xFFFFFFFF),
+            ), hex(value)
+
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_fp_reads_the_windows_and_ignores_the_rest(self, form):
+        _, fp = _FORMS[form]
+        r = random.Random(form)
+        # Every bit outside the windows, the tags among them, is noise.
+        def noisy(h):
+            return _window_form(h) | r.getrandbits(64) & ~0x3F3F3F3F3F3F3F3F
+
+        rows = [
+            [noisy(value >> 32) for value in _VALUES],
+            [noisy(value & 0xFFFFFFFF) for value in _VALUES],
+        ]
+        out = fp(np.array(rows, dtype=np.uint64)).tobytes()
+        for i, value in enumerate(_VALUES):
+            # The scalar FP tables read (rotl(R16, 1), rotl(L16, 1)).
+            expected = _apply_luts(value, 64, _FP_LUT).to_bytes(8, "big")
+            assert out[8 * i : 8 * i + 8] == expected, hex(value)
+
+    def test_the_width_picks_the_form_at_one_constant(self):
+        assert lane_des._permutations(MIN - 1) == _FORMS["gather"]
+        assert lane_des._permutations(MIN) == _FORMS["network"]
+        assert lane_des._CACHED_WIDTH < MIN
+
+
+def _lanes_of(counts, seed):
+    """One cipher, IV and plaintext a lane, the plaintext padding to
+    ``counts[lane]`` blocks."""
+    r = random.Random(seed)
+    ciphers = [_CIPHERS[lane % len(_CIPHERS)] for lane in range(len(counts))]
+    ivs = [r.randbytes(8) for _ in counts]
+    texts = [r.randbytes(8 * count - 1 - r.randrange(8)) for count in counts]
+    return ciphers, ivs, texts
+
+
+@pytest.fixture
+def chosen(monkeypatch):
+    """The block counts ``_permutations`` is asked about."""
+    asked = []
+    choose = lane_des._permutations
+
+    def spy(blocks):
+        asked.append(blocks)
+        return choose(blocks)
+
+    monkeypatch.setattr(lane_des, "_permutations", spy)
+    return asked
+
+
+# Lane shapes whose flattened width is ``width``: one long lane, ragged
+# lanes (decrypt flattens them; encrypt's rectangle is lanes x longest),
+# and one block a lane.
+_SHAPES = {
+    "one lane": lambda width: [width],
+    "ragged": lambda width: [width - 10, 7, 2, 1],
+    "one block a lane": lambda width: [1] * width,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("width", [MIN - 1, MIN])
+def test_cbc_batches_either_side_of_the_boundary_match_modes(width, shape, chosen):
+    counts = _SHAPES[shape](width)
+    ciphers, ivs, texts = _lanes_of(counts, f"{shape} {width}")
+    bodies = vector.cbc_encrypt_many(ciphers, ivs, texts)
+    assert bodies == [modes.encrypt_cbc(c, iv, t) for c, iv, t in zip(ciphers, ivs, texts)]
+    assert vector.cbc_decrypt_many(ciphers, ivs, bodies) == texts
+    # Decrypt flattens every block; encrypt pads lanes to the longest.
+    assert chosen == [len(counts) * max(counts), width]
 
 
 class TestKeyWords:
@@ -203,6 +305,44 @@ def test_a_round_is_two_numpy_calls(width):
     ]
     body = [node for statement in loop.body for node in ast.walk(statement)]
     assert sum(isinstance(node, ast.Call) for node in body) == 2
+
+
+def _calls(run):
+    """Bytecodes ``run`` executes in the lane module's frames, by name."""
+    counts = Counter()
+
+    def trace(frame, event, arg):
+        if frame.f_globals.get("__name__") != lane_des.__name__:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            counts[dis.opname[frame.f_code.co_code[frame.f_lasti]]] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+def test_the_network_form_runs_the_same_calls_at_any_width():
+    counts = []
+    for width in (MIN, 8 * MIN):
+        blocks = np.arange(width, dtype=">u8")
+        halves = np.empty((2, width), dtype=np.uint64)
+
+        def run():
+            lane_des._ip_network(blocks, halves)
+            lane_des._fp_network(halves)
+
+        counts.append(_calls(run))
+    # No bytecode runs a block at a time, so every numpy call (a call or
+    # an operator) runs over whole arrays, about 45 a permutation.
+    assert counts[0] == counts[1]
+    numpy_calls = sum(n for name, n in counts[0].items() if name.startswith(("CALL", "BINARY_OP")))
+    assert 60 <= numpy_calls <= 120
 
 
 def test_cached_widths_share_one_scratch_buffer():

@@ -125,8 +125,8 @@ class TestCollectorsAndSnapshot:
 
 
 class TestCatalog:
-    def test_catalog_is_the_documented_twenty_six(self):
-        assert len(METRIC_CATALOG) == 26
+    def test_catalog_is_the_documented_twenty_eight(self):
+        assert len(METRIC_CATALOG) == 28
 
     def test_specs_are_well_formed(self):
         for name, spec in METRIC_CATALOG.items():

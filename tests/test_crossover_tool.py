@@ -1,5 +1,5 @@
 """``make crossovers`` runs: ``tools/crossover.py`` at two widths and one
-window a side exits 0 and prints its three tables in their layout.
+window a side exits 0 and prints its four tables in their layout.
 
 It lives outside ``src/``, so it runs as the command it is.  The figures
 are not checked: they are the host's.
@@ -13,7 +13,7 @@ from pathlib import Path
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
 
 
-def test_two_widths_one_repeat_print_all_three_tables():
+def test_two_widths_one_repeat_print_all_four_tables():
     run = subprocess.run(
         [sys.executable, str(_TOOL), "--blocks", "2,16", "--lanes", "2,12",
          "--sizes", "64", "--repeat", "1", "--window-ms", "1"],
@@ -43,4 +43,16 @@ def test_two_widths_one_repeat_print_all_three_tables():
     assert rows[11] == "| width | 1 | 8 | 64 | 183 | 1024 | 11712 |"
     assert re.fullmatch(r"\| us per pass( \| [\d,.]+){6} \|", rows[13])
     assert re.fullmatch(r"\| ns per block-round( \| [\d,.]+){6} \|", rows[14])
-    assert len(rows) == 15
+    # The form table: a row a form at its fixed widths, the faster of
+    # each pair in bold, and its crossover beside the constant.
+    assert rows[15] == "| form | 65 | 256 | 512 | 768 | 1024 | 1536 | 2048 | 11712 |"
+    forms = [row.split(" | ") for row in rows[17:19]]
+    assert [cells[0] for cells in forms] == ["| gather", "| network"]
+    for gather, network in zip(forms[0][1:], forms[1][1:]):
+        assert gather.startswith("**") or network.startswith("**")
+        assert re.fullmatch(r"(\*\*)?[\d,]+(\*\*)?( \|)?", gather)
+    (note,) = [line for line in lines if line.startswith("IP + FP crossover: ")]
+    assert re.fullmatch(
+        r"IP \+ FP crossover: (\d+|None) blocks \(_NETWORK_MIN_BLOCKS = \d+\)", note
+    )
+    assert len(rows) == 19

@@ -25,7 +25,11 @@ Under each, the fewest blocks or lanes from which the lane is never
 slower again (within the widths swept), beside the protocol's constant.
 A third table, **DES lane pass**, times the kernel under both CBC
 drivers: microseconds per sixteen-round pass at the widths of
-``PASS_WIDTHS``.
+``PASS_WIDTHS``.  A fourth, **DES lane IP + FP by form**, times the
+permutations around those rounds in both forms, byte-table gathers and
+delta-swap networks, at the widths of ``FORM_WIDTHS``, with the fewest
+blocks from which the network is never slower again beside
+``_NETWORK_MIN_BLOCKS``.
 The figures are this host's; compare rows inside one run.
 """
 
@@ -33,6 +37,8 @@ import argparse
 import random
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -53,6 +59,10 @@ THRESHOLDS = {
 #: The pass table's widths: one lane, a small batch, a replay batch's
 #: 64 lanes, the blocks of one 1,460 B body, and flattened decrypts.
 PASS_WIDTHS = [1, 8, 64, 183, 1024, 11712]
+
+#: The form table's widths: one 512 B body's 65 blocks, the scratch
+#: cache's bound, either side of the form boundary, and a replay batch.
+FORM_WIDTHS = [65, 256, 512, 768, 1024, 1536, 2048, 11712]
 
 
 def _seconds_per_call(call, calls):
@@ -124,6 +134,16 @@ def _row(cells):
     return "| " + " | ".join(str(cell) for cell in cells) + " |"
 
 
+def _us_cells(timed, side):
+    """One side of ``race`` pairs in microseconds, bold where it is the
+    faster."""
+    cells = []
+    for pair in timed:
+        us = f"{pair[side] * 1e6:,.0f}"
+        cells.append(f"**{us}**" if pair[side] <= pair[1 - side] else us)
+    return cells
+
+
 def single_lane_calls(cipher, iv, body):
     def scalar():
         return modes.decrypt_cbc(cipher, iv, body)
@@ -168,11 +188,7 @@ def stage_table(stages, lanes, sizes, repeat, window_s, rng):
         for size in sizes:
             timed = [race(*stage_calls(stage, n, size, rng), repeat, window_s) for n in lanes]
             for side, kernel in enumerate(("scalar", "lane")):
-                cells = []
-                for pair in timed:
-                    us = f"{pair[side] * 1e6:,.0f}"
-                    cells.append(f"**{us}**" if pair[side] <= pair[1 - side] else us)
-                lines.append(_row([stage, f"{size} B", kernel] + cells))
+                lines.append(_row([stage, f"{size} B", kernel] + _us_cells(timed, side)))
             found = crossover(lanes, [lane <= scalar for scalar, lane in timed])
             name, value = THRESHOLDS[stage]
             notes.append(f"{stage} {size} B: crossover n = {found} ({name}: {value})")
@@ -180,8 +196,9 @@ def stage_table(stages, lanes, sizes, repeat, window_s, rng):
 
 
 def pass_table(widths, repeat, window_s):
-    """Microseconds per sixteen-round pass of the DES lane kernel (the
-    rounds alone: no IP, FP or chaining), a width's best window."""
+    """Microseconds per sixteen-round pass of the DES lane kernel, a
+    width's best window: the rounds alone, IP and FP being the form
+    table's and the chaining neither's."""
     us = []
     for width in widths:
         lanes = lane_des._lanes(width)
@@ -203,6 +220,43 @@ def pass_table(widths, repeat, window_s):
     lines.append(_row(["ns per block-round"] + [
         f"{cell * 1000 / 16 / width:,.2f}" for cell, width in zip(us, widths)
     ]))  # fmt: skip
+    return lines
+
+
+def form_calls(width, rng):
+    """``(gather, network)`` zero-argument IP + FP calls over ``width``
+    random blocks and states, checked to give the same outputs."""
+    blocks = np.frombuffer(rng.randbytes(8 * width), dtype=">u8")
+    states = np.frombuffer(rng.randbytes(16 * width), dtype=np.uint64).reshape(2, width)
+    halves = np.empty((2, width), dtype=np.uint64)
+    calls = []
+    for ip, fp in ((lane_des._ip_gather, lane_des._fp_gather),
+                   (lane_des._ip_network, lane_des._fp_network)):  # fmt: skip
+
+        def both(ip=ip, fp=fp):
+            ip(blocks, halves)
+            return halves.copy(), fp(states)
+
+        calls.append(both)
+    (ip_gather, fp_gather), (ip_network, fp_network) = (call() for call in calls)
+    if not ((ip_gather == ip_network).all() and (fp_gather == fp_network).all()):
+        raise AssertionError(f"IP/FP forms disagree at {width} blocks")
+    return calls
+
+
+def form_table(widths, repeat, window_s, rng):
+    timed = [race(*form_calls(width, rng), repeat, window_s) for width in widths]
+    lines = ["DES lane IP + FP by form (us per IP and FP, the faster in bold):", ""]
+    lines.append(_row(["form"] + list(widths)))
+    lines.append(_row(["---"] * (len(widths) + 1)))
+    for side, form in enumerate(("gather", "network")):
+        lines.append(_row([form] + _us_cells(timed, side)))
+    found = crossover(widths, [network <= gather for gather, network in timed])
+    lines.append("")
+    lines.append(
+        f"IP + FP crossover: {found} blocks (_NETWORK_MIN_BLOCKS = "
+        f"{lane_des._NETWORK_MIN_BLOCKS})"
+    )
     return lines
 
 
@@ -231,6 +285,7 @@ def main(argv=None):
     lines = single_lane_table(args.blocks, args.repeat, window_s, rng)
     lines += [""] + stage_table(stages, args.lanes, args.sizes, args.repeat, window_s, rng)
     lines += [""] + pass_table(PASS_WIDTHS, args.repeat, window_s)
+    lines += [""] + form_table(FORM_WIDTHS, args.repeat, window_s, rng)
     print("\n".join(lines))
     return 0
 
