@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint lint-docs obs-check smoke traces-sweep bench crossovers figures budget-smoke examples reports reports-check clean
+.PHONY: install test loc lint obs-check smoke traces-sweep bench crossovers figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -23,23 +23,13 @@ test:
 loc:
 	@$(PYTHON) tools/loc.py
 
-# fbslint: the whole-program protocol-invariant analyzer (five rules,
-# FBS001-FBS012, interprocedural key taint; what running code can show
-# is tested on it: the receive contract in
-# tests/property/test_receive_contract.py, the wall clock and unseeded
-# randomness in tests/test_report_determinism.py, blocking on the event
-# loop by tests/shim/loopguard.py). Exit codes:
-# 0 clean, 1 findings, 2 usage/analysis error.  For local use; CI asserts it in tier-1
+# fbslint: whole-program key taint (FBS001), the one check running code
+# cannot make (a run sees only the paths it takes; EXPERIMENTS.md
+# "fbslint keeps key taint").  Exit codes: 0 clean, 1 findings, 2
+# usage/analysis error.  For local use; CI asserts it in tier-1
 # (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
 lint:
 	$(PYTHON) -m repro.analysis src
-
-# Verify the DESIGN.md "Enforced invariants" table matches the rule
-# registry (regenerate with `python -m repro.analysis --write-docs`).
-# For local use; CI asserts it in tier-1
-# (tests/analysis/test_v2_features.py::TestDocsSync::test_repo_docs_are_in_sync).
-lint-docs:
-	$(PYTHON) -m repro.analysis --check-docs
 
 # Observability docs coverage (every event + metric documented) and
 # link checks.  For local use; CI asserts it in tier-1
@@ -49,12 +39,13 @@ obs-check:
 	$(PYTHON) -m repro.obs check-docs --root .
 
 # Same seed, same bytes: every report producer (the resilience, load,
-# transport, gateway and traces smoke runs, fbslint --format json, obs
-# summarize) under two PYTHONHASHSEED values, the second with every
-# wall clock 10^6 s ahead and the blocking-call audit hook on -- exit
-# status (invariant violations, merge exactness, lost exchanges, ledger
-# mismatches, Figure 11/13 gates: CLI exit 1) and stdout bytes must
-# agree.  Part of tier-1; this target runs it alone.
+# transport, gateway and traces smoke runs, fbslint, obs summarize)
+# under two PYTHONHASHSEED values, the second with every wall clock
+# 10^6 s ahead, the blocking-call audit hook on and key canaries
+# recorded -- exit status (invariant violations, merge exactness, lost
+# exchanges, ledger mismatches, Figure 11/13 gates: CLI exit 1) and
+# stdout bytes must agree, and no recorded key may appear in that
+# side's outputs.  Part of tier-1; this target runs it alone.
 smoke:
 	$(PYTHON) -m pytest -q tests/test_report_determinism.py
 

@@ -1,61 +1,30 @@
-"""fbslint: static enforcement of the FBS security invariants.
+"""fbslint: whole-program key taint over the FBS tree.
 
-The paper's security argument rests on key material staying secret,
-which the rest of this repository upholds by convention --
-constant-time MAC compares, no key in a log line.  *Knowledge Flow
-Analysis for Security Protocols* (Torlak et al., PAPERS.md) makes the
-case for checking such flow properties mechanically; this package is
-that check for our tree: a two-phase whole-program analyzer.  Phase 1
-(:mod:`repro.analysis.callgraph`) parses every module once into a
+The paper's security argument (Sections 5.2 and 6.1) rests on
+``K_{S,D}`` and ``K_f`` staying secret.  *Knowledge Flow Analysis for
+Security Protocols* (Torlak et al., PAPERS.md) makes the case for
+checking such flow properties mechanically; this package is that check
+for our tree, and nothing else.  Phase 1
+(:mod:`repro.analysis.callgraph`) distills every module once into a
 summary -- the one fact base -- and a project-wide symbol table + call
-graph; phase 2 (:mod:`repro.analysis.dataflow`) runs one graph
-algorithm over it, label propagation (key-material taint with
-source-to-sink witnesses), a same-function flow being the zero-hop
-case.  The purely syntactic invariants (asserts, bare excepts,
-multiprocessing imports) are per-file ``check`` methods under
-:mod:`repro.analysis.rules`.  Together: five rules, FBS001-FBS012 less
-seven retired ids.  The package keeps only what running code cannot
-show.  The 32-byte header layout, once FBS005, is a property test over
-``FBSHeader``'s real bytes (``tests/core/test_header.py``); the receive
-contract, once FBS006 and half of FBS007, is a property over every
-receive surface driven with adversarial bytes
-(``tests/property/test_receive_contract.py``); the wall clock and
-unseeded randomness, once FBS002 and FBS003, are the report-determinism
-differential and its clock-offset shim
-(``tests/test_report_determinism.py``); blocking on the event loop,
-once FBS010, is an audit hook every test runs under
-(``tests/shim/loopguard.py``).
+graph; phase 2 (:mod:`repro.analysis.dataflow`) runs one fixpoint over
+it: key material carried from a derivation call (``flow_key``,
+``master_key``, ``mac_key``, ``agree``, ...) to a print, log call,
+f-string or ``==`` compare is a finding (FBS001) with its witness path.
+
+What running code can show is checked there instead: key canaries in
+every report producer's outputs (``tests/shim/canary.py``), one
+``constant_time_equal`` per datagram at R8
+(``tests/property/test_receive_contract.py``), and the syntactic repo
+policy -- no ``assert`` in library code, no swallowed exception,
+process fan-out only in ``repro.load`` -- by plain ``ast``
+(``tests/test_policy_structure.py``).
 
 Run it as ``python -m repro.analysis [paths]`` (see
-:mod:`repro.analysis.cli` for the exit-code contract) or through
-``make lint``.  DESIGN.md's "Enforced invariants" section documents
-each rule (the table is generated from the registry; ``--check-docs``
-keeps it honest) and how to suppress a false positive -- an inline
-``# fbslint: disable=RULE`` comment, the one way a finding is accepted.
+:mod:`repro.analysis.cli` for the exit codes) or ``make lint``.
 """
 
-from repro.analysis.base import Rule, all_rules, get_rule, register
-from repro.analysis.context import ModuleContext
-from repro.analysis.engine import (
-    LintError,
-    LintResult,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.suppressions import SuppressionIndex
+from repro.analysis.dataflow import Finding
+from repro.analysis.engine import LintError, lint_paths, lint_source
 
-__all__ = [
-    "Rule",
-    "register",
-    "all_rules",
-    "get_rule",
-    "ModuleContext",
-    "LintError",
-    "LintResult",
-    "lint_source",
-    "lint_paths",
-    "Finding",
-    "Severity",
-    "SuppressionIndex",
-]
+__all__ = ["Finding", "LintError", "lint_paths", "lint_source"]

@@ -1,7 +1,7 @@
-"""Phase 1 of the whole-program analyzer: module summaries + call graph.
+"""Phase 1 of the key-taint analysis: module summaries + call graph.
 
-fbslint analyzes the tree in two phases.  Phase 1 (this module) parses
-every module once and distills each into a :class:`ModuleSummary`, the
+fbslint analyzes the tree in two phases.  Phase 1 (this module) takes
+every parsed module once and distills it into a :class:`ModuleSummary`, the
 one fact base the taint detector reads: the functions it defines, the
 calls they make (with their arguments' dataflow labels, for the
 interprocedural pass), their key-material sinks, the classes and their
@@ -51,7 +51,6 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.base import call_name, dotted_name
 from repro.analysis.context import ModuleContext
 
 __all__ = [
@@ -114,6 +113,30 @@ _SCALAR_CONSUMERS = {"len", "any", "all", "bool"}
 
 #: Container mutators that inject their argument's taint into the receiver.
 _CONTAINER_MUTATORS = {"append", "add", "insert", "extend", "update", "setdefault"}
+
+
+def dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for Name/Attribute chains, ``""`` otherwise."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    elif parts:
+        # Chain rooted in a call/subscript: mark the unknown root.
+        parts.append("?")
+    return ".".join(reversed(parts))
+
+
+def call_name(call: ast.Call) -> str:
+    """The trailing identifier of a call target (``x.y.f()`` -> ``f``)."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
 
 
 def _is_source_call(node: ast.Call) -> Optional[str]:

@@ -1,25 +1,22 @@
-"""Phase 2 of the whole-program analyzer: the interprocedural taint fixpoint.
+"""Phase 2 of the key-taint analysis: the interprocedural fixpoint.
 
 One graph algorithm runs over the
 :class:`~repro.analysis.callgraph.Project` built in phase 1.  It never
 touches an AST -- it consumes only the summaries -- and it is the only
-detector of its rule: a flow that starts and ends in one function is
-the zero-hop case of the same algorithm that follows it through calls.
+detector: a flow that starts and ends in one function is the zero-hop
+case of the same algorithm that follows it through calls.
 
 **Label propagation** (:meth:`_Passes._propagate`): key material
 (``src`` labels) carried through assignments, calls, returns,
 containers and ``self.attr`` stores until nothing changes, every step
 recorded, so a finding carries the full source-to-sink witness path
-(knowledge-flow style).  It is the taint rule (FBS001: ndarray views
-and containers included), and it stays a static check because a check
-on the running code sees only the paths a test takes.
-
-Nothing the running code can show is approximated here from source
-text.  What the receive path raises and counts is checked by
-``tests/property/test_receive_contract.py``; the wall clock and
-unseeded generators by ``tests/test_report_determinism.py``, whose
-second side runs under a clock-offset shim; blocking calls on the
-event loop by the audit hook in ``tests/shim/loopguard.py``.
+(knowledge-flow style).  A key that reaches ``print``/``repr``/a
+logging call/an f-string is a leak, and one in an ``==``/``!=``
+compare is a timing channel: key and digest compares go through
+:func:`repro.crypto.mac.constant_time_equal`.  This stays a static
+check because a check on the running code sees only the paths a test
+takes (EXPERIMENTS.md "fbslint keeps key taint" lists the shapes the
+running checks miss).
 
 The fixpoint iterates modules and functions in sorted order and
 records first-found provenance, so witness paths (and therefore finding
@@ -28,13 +25,12 @@ messages) are deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.base import get_rule
 from repro.analysis.callgraph import CallSite, FunctionSummary, ModuleSummary, Project
-from repro.analysis.findings import Finding
 
-__all__ = ["run_project_passes"]
+__all__ = ["Finding", "taint_findings"]
 
 _MAX_ITERATIONS = 64
 
@@ -43,6 +39,22 @@ _MAX_ITERATIONS = 64
 _Witness = Callable[
     [ModuleSummary, FunctionSummary, Iterable[Tuple]], Optional[Tuple[str, ...]]
 ]
+
+
+@dataclass(frozen=True)
+class Finding:
+    """Key material reaching a sink at one source location."""
+
+    path: str
+    line: int
+    column: int
+    message: str
+    #: The witness path, source -> ... -> sink (also in ``message``).
+    flow: Tuple[str, ...] = field(default=(), compare=False)
+
+    def render(self) -> str:
+        """The one report line."""
+        return f"{self.path}:{self.line}:{self.column}: FBS001 {self.message}"
 
 
 def _bound_params(fn: FunctionSummary) -> List[str]:
@@ -164,7 +176,6 @@ class _Passes:
 
     def _taint_pass(self) -> List[Finding]:
         witness = self._propagate()
-        rule = get_rule("FBS001")
         findings = []
         for summary, fn in self.project.iter_functions():
             for sink in fn.sinks:
@@ -174,8 +185,6 @@ class _Passes:
                 via = " through an interprocedural flow" if len(path) > 1 else ""
                 findings.append(
                     Finding(
-                        rule_id=rule.rule_id,
-                        severity=rule.severity,
                         path=summary.path,
                         line=sink.line,
                         column=sink.col,
@@ -202,6 +211,6 @@ class _Passes:
         return None
 
 
-def run_project_passes(project: Project, rule_ids: Set[str]) -> List[Finding]:
-    """Run the taint pass if FBS001 is selected."""
-    return _Passes(project)._taint_pass() if "FBS001" in rule_ids else []
+def taint_findings(project: Project) -> List[Finding]:
+    """Every key-material flow from a source to a sink in ``project``."""
+    return _Passes(project)._taint_pass()

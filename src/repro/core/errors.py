@@ -41,5 +41,5 @@ class UnknownPrincipalError(FBSError):
 class ScenarioError(FBSError):
     """An attack/evaluation scenario did not reach its expected state
     (e.g. traffic that must be delivered before the attack was lost).
-    Raised explicitly so the guard survives ``python -O`` (fbslint
-    FBS004)."""
+    Raised explicitly so the guard survives ``python -O``
+    (``tests/test_policy_structure.py`` bans ``assert`` here)."""

@@ -18,7 +18,8 @@ per-worker observability into one registry-consistent view.
   goodput only; real-clock numbers live in the bench).
 * :mod:`repro.load.cli` -- ``python -m repro.load``.
 
-``multiprocessing`` is allowed *only here* (fbslint FBS009): soft state
+``multiprocessing`` is allowed *only here*
+(``tests/test_policy_structure.py``): soft state
 and trace sinks are not fork-safe, and every worker must rebuild its
 world from a picklable spec.
 """

@@ -7,7 +7,8 @@ replays them through a private sender/receiver endpoint pair with
 private metric registries.  Nothing is shared between workers -- no
 sockets, no locks, no inherited soft state -- which is both the
 fork-safety discipline (``multiprocessing`` with the ``spawn`` start
-method; see fbslint FBS009) and the reason merged metrics are exact.
+method; ``tests/test_policy_structure.py`` keeps it here) and the
+reason merged metrics are exact.
 
 Shard-exact configuration.  Three choices make a flow's counters depend
 only on that flow's own datagrams, so that the merge over any worker

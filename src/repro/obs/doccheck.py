@@ -16,8 +16,9 @@ Two checks, both pure-stdlib:
   are stripped; external ``http(s)``/``mailto`` links are skipped).
 
 Both return plain lists of problem strings so the CLI can print them
-and exit nonzero without any assertion machinery (fbslint FBS004 bans
-``assert`` under ``src/repro``).
+and exit nonzero without any assertion machinery
+(``tests/test_policy_structure.py`` bans ``assert`` under
+``src/repro``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Violating fixture for FBS004: an assert guarding library behaviour.
+"""Negative control for tests/test_policy_structure.py: an assert guard.
 
-Linted as if it lived at ``src/repro/baselines/guard.py`` (the same
+Checked as if it lived at ``src/repro/baselines/guard.py`` (the same
 source is quiet under a ``tests/`` logical path).
 """
 

@@ -1,6 +1,6 @@
-"""Compliant fixture for FBS004: guards are explicit typed raises.
+"""Compliant twin for tests/test_policy_structure.py: typed raises guard.
 
-Linted as if it lived at ``src/repro/baselines/guard.py``.
+Checked as if it lived at ``src/repro/baselines/guard.py``.
 """
 
 # fbslint: module=repro.baselines.guard

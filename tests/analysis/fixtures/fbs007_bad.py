@@ -1,6 +1,6 @@
-"""Violating fixture for FBS007: swallowed failures.
+"""Negative control for tests/test_policy_structure.py: swallowed failures.
 
-Linted as if it lived at ``src/repro/core/protocol.py``.
+Checked as if it lived at ``src/repro/core/protocol.py``.
 """
 
 # fbslint: module=repro.core.protocol

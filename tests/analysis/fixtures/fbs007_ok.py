@@ -1,7 +1,7 @@
-"""Compliant fixture for FBS007: narrow excepts that handle what they
-catch.
+"""Compliant twin for tests/test_policy_structure.py: narrow excepts that
+handle what they catch.
 
-Linted as if it lived at ``src/repro/core/protocol.py``.
+Checked as if it lived at ``src/repro/core/protocol.py``.
 """
 
 # fbslint: module=repro.core.protocol

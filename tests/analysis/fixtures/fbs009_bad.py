@@ -1,6 +1,6 @@
-"""Violating fixture for FBS009: process fan-out outside ``repro.load``.
+"""Negative control for tests/test_policy_structure.py: fan-out outside load.
 
-Linted as if it lived at ``src/repro/netsim/parallel.py`` (the same
+Checked as if it lived at ``src/repro/netsim/parallel.py`` (the same
 source is quiet under a ``src/repro/load/`` logical path).
 """
 

@@ -1,6 +1,6 @@
-"""Compliant fixture for FBS009: multiprocessing inside ``repro.load``.
+"""Compliant twin for tests/test_policy_structure.py: fan-out in repro.load.
 
-Linted as if it lived at ``src/repro/load/engine.py`` -- the one
+Checked as if it lived at ``src/repro/load/engine.py`` -- the one
 package where process fan-out is sanctioned (spawn start method,
 picklable worker specs, nothing shared).
 """

@@ -1,13 +1,15 @@
 """Corpus robustness: the whole-program engine over every real module.
 
-Acceptance criteria of ISSUE 6: the engine survives ``src/`` and
-``tests/`` without crashing, produces the same findings in the same
-order across two runs, and ``--format json`` output is byte-identical.
+The engine survives ``src/`` and ``tests/`` without crashing, reports
+in a total order, and finds exactly the recorded set.  That the report
+is byte-stable run to run is the determinism differential's job
+(``tests/test_report_determinism.py`` runs this CLI under two hash
+seeds).
 """
 
 import ast
 import io
-import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,62 +24,42 @@ FIXTURE_DIR = "tests/analysis/fixtures/"
 #: The corpus run, sorted: ``RULE path:line:column`` per finding in a
 #: fixture, ``RULE path xN`` per rule and file anywhere else.
 RECORDED = Path(__file__).parent / "corpus_findings.txt"
-
-
-def run_json(monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    out = io.StringIO()
-    code = main(["--format", "json", "src", "tests"], out=out)
-    return code, out.getvalue()
+#: One report line: ``path:line:column: RULE message``.
+LINE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+):(?P<column>\d+): (?P<rule>FBS\d{3}) (?P<message>.+)$")
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    """One corpus run, shared by the tests that only read it."""
+    """One corpus run: its exit code and its report lines, parsed."""
     with pytest.MonkeyPatch.context() as patch:
-        return run_json(patch)
+        patch.chdir(REPO_ROOT)
+        out = io.StringIO()
+        code = main(["src", "tests"], out=out)
+    *lines, summary = out.getvalue().splitlines()
+    assert summary == f"fbslint: {len(lines)} findings"
+    return code, [LINE.match(line).groupdict() for line in lines]
 
 
-def test_corpus_stable_and_byte_identical(corpus, monkeypatch):
-    code1, first = corpus
-    code2, second = run_json(monkeypatch)
-    # The fixture corpus contains deliberate violations, so a nonzero
-    # exit is expected -- but it must be *reproducibly* nonzero.
-    assert code1 == code2 == 1
-    assert first == second, "two identical runs must serialize identically"
-
-    payload = json.loads(first)
-    assert payload["files_checked"] > 200
-    findings = payload["findings"]
+def test_corpus_run_is_ordered_and_located(corpus):
+    # The fixture corpus holds deliberate leaks, so the run exits 1.
+    code, findings = corpus
+    assert code == 1
     assert findings, "fixture violations must surface"
-    # Total order: severity-major, then (path, line, col, rule, message).
-    keys = [
-        (-_severity_rank(f["severity"]), f["path"], f["line"], f["column"],
-         f["rule"], f["message"])
-        for f in findings
-    ]
+    # Total order: path, line, column, message.
+    keys = [(f["path"], int(f["line"]), int(f["column"]), f["message"]) for f in findings]
     assert keys == sorted(keys)
-    # Every finding is located and attributed.
-    for f in findings:
-        assert f["rule"].startswith("FBS")
-        assert f["line"] >= 1 and f["column"] >= 1
-        assert f["path"]
-
-
-def _severity_rank(name):
-    return {"warning": 1, "error": 2}[name]
+    assert all(int(f["line"]) >= 1 and int(f["column"]) >= 1 for f in findings)
 
 
 def test_corpus_locations_match_the_recorded_set(corpus):
-    # The differential that carried the rules from two engines to one:
-    # where a finding is reported may only change on purpose.  Messages
+    # Where a finding is reported may only change on purpose.  Messages
     # are free to change.  The fixtures change deliberately, so their
     # findings are pinned by location; an ordinary module (a test that
     # compares two derived keys) is pinned by count, so an unrelated
     # edit that shifts its lines does not touch this file.
-    _, output = corpus
+    _, findings = corpus
     found, counts = [], Counter()
-    for f in json.loads(output)["findings"]:
+    for f in findings:
         if f["path"].startswith(FIXTURE_DIR):
             found.append(f"{f['rule']} {f['path']}:{f['line']}:{f['column']}")
         else:
@@ -125,12 +107,3 @@ def test_summarizer_walks_every_expression_and_statement(monkeypatch):
             if isinstance(node, watched) and id(node) not in seen
         ]
         assert not missed, missed
-
-
-def test_self_analysis_is_clean(monkeypatch):
-    # The analyzer must hold itself (and the whole src tree) to its own
-    # rules with an empty baseline.
-    monkeypatch.chdir(REPO_ROOT)
-    out = io.StringIO()
-    code = main(["src"], out=out)
-    assert code == 0, out.getvalue()

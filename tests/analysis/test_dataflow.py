@@ -45,8 +45,8 @@ class TestTaintV2:
                 "    print(ks)\n"
             ),
         })
-        taint = [f for f in result.findings if f.rule_id == "FBS001"]
-        assert len(taint) == 1, [f.render() for f in result.findings]
+        taint = result
+        assert len(taint) == 1, [f.render() for f in taint]
         finding = taint[0]
         assert finding.path == "src/repro/core/app.py"
         # The witness spans the whole chain: source, two returns, sink.
@@ -65,8 +65,8 @@ class TestTaintV2:
                 "        print(self._key)\n"
             ),
         })
-        taint = [f for f in result.findings if f.rule_id == "FBS001"]
-        assert len(taint) == 1, [f.render() for f in result.findings]
+        taint = result
+        assert len(taint) == 1, [f.render() for f in taint]
         assert "stored into self._key" in " ".join(taint[0].flow)
 
     def test_purely_local_flow_stays_with_v1(self, tmp_path):
@@ -80,8 +80,8 @@ class TestTaintV2:
                 "    print(key)\n"
             ),
         })
-        taint = [f for f in result.findings if f.rule_id == "FBS001"]
-        assert len(taint) == 1, [f.render() for f in result.findings]
+        taint = result
+        assert len(taint) == 1, [f.render() for f in taint]
         assert "interprocedural" not in taint[0].message
         assert taint[0].flow == ("flow_key() at src/repro/core/leak.py:2",)
 
@@ -113,8 +113,8 @@ class TestContainers:
             "src/repro/core/leak.py": "def leak(kdf):\n"
             + "".join(f"    {line}\n" for line in body.splitlines()),
         })
-        taint = [f for f in result.findings if f.rule_id == "FBS001"]
-        assert len(taint) == 1, [f.render() for f in result.findings]
+        taint = result
+        assert len(taint) == 1, [f.render() for f in taint]
         assert taint[0].flow == ("flow_key() at src/repro/core/leak.py:2",)
 
     @pytest.mark.parametrize(
@@ -139,5 +139,4 @@ class TestContainers:
                 "        self.printer.show(self.key)\n"
             ),
         })
-        taint = [f for f in result.findings if f.rule_id == "FBS001"]
-        assert len(taint) == (1 if resolves else 0), [f.render() for f in taint]
+        assert len(result) == (1 if resolves else 0), [f.render() for f in result]

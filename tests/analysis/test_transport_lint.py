@@ -1,9 +1,9 @@
-"""The real ``src/repro/transport`` package is clean under the whole
-fbslint rule set with no suppressions.  Its clock and its event loop
-are checked on the running code: the report-determinism differential
-runs the transport demos with every wall clock 10**6 s ahead on one
-side (the transport's ``now`` may differ, the report may not), and
-every test runs under ``tests/shim/loopguard.py``.
+"""The real ``src/repro/transport`` package is clean under fbslint's key
+taint.  Its clock and its event loop are checked on the running code:
+the report-determinism differential runs the transport demos with
+every wall clock 10**6 s ahead on one side (the transport's ``now`` may
+differ, the report may not), and every test runs under
+``tests/shim/loopguard.py``.
 """
 
 from pathlib import Path
@@ -31,4 +31,4 @@ class TestRealPackage:
             path=str(path),
             logical_path=f"src/repro/transport/{module}",
         )
-        assert result.findings == [], [f.render() for f in result.findings]
+        assert result == [], [f.render() for f in result]

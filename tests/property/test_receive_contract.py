@@ -19,6 +19,10 @@ receive surface:
   type its reason names; the gateway's ledger agrees with its registry;
   a baseline counts every datagram it does not bypass once, accepted or
   rejected.
+* **Compare discipline.**  Every receive calls ``constant_time_equal``
+  once for each datagram that reaches R8 (each MAC R7 computed), on the
+  scalar and the lane MAC paths alike: a tag compared with ``==``
+  leaks through its timing how much of a forgery was right.
 * **Specification.**  For the vectorized pair (the IP mapping's layout),
   each datagram's body or reason is what ``tests/spec/fbs_spec.py``'s
   ``spec_receive`` says, guard on and off: a garbled secret body that
@@ -37,7 +41,10 @@ Each check returns the violations it saw (empty is a pass); the planted
 defects at the bottom show that the checks report them.
 """
 
+import __future__
+import inspect
 import struct
+import textwrap
 from collections import Counter
 from types import SimpleNamespace
 
@@ -59,6 +66,7 @@ from repro.core.errors import (
 from repro.core.header import FBSHeader
 from repro.core.ip_mapping import is_bypass
 from repro.core.keying import Principal
+from repro.core import protocol
 from repro.core.protocol import FBSEndpoint
 from repro.core.replay_guard import DuplicateDatagramError
 from repro.crypto.des import DES
@@ -299,21 +307,49 @@ def check_unprotect(endpoint, ring, data, source, secret):
     return problems
 
 
+def compare_discipline(result, secret, computed, compared):
+    """Violations of R8's discipline by one receive that recorded
+    ``result``: R7 ``computed`` MACs, R8 made ``compared``
+    ``constant_time_equal`` calls.  Every datagram past keying (and
+    past decryption, which may reject as ``mac``) reaches R8."""
+    reasons = Counter(result.reasons)
+    past_keying = len(result.reasons) - sum(
+        reasons[r] for r in ("header", "stale_timestamp", "keying")
+    )
+    at_least = reasons[None] + reasons["duplicate"] + (0 if secret else reasons["mac"])
+    problems = []
+    if not at_least <= computed <= past_keying:
+        problems.append(f"R7 computed {computed} MACs, {at_least}..{past_keying} reached R8")
+    if compared != computed:
+        problems.append(f"{compared} constant_time_equal calls for {computed} MACs at R8")
+    return problems
+
+
 def received(endpoint, ring, datagrams, source, secret):
     """``(result, contract violations)`` of one receive: ``unprotect``
     for one datagram, ``unprotect_batch`` for more.  ``result`` is the
     batch result the receive recorded, or None if it recorded none."""
-    results = []
+    results, computed, compared = [], [], []
     real = endpoint.unprotect_batch
     endpoint.unprotect_batch = lambda *a, **k: results.append(real(*a, **k)) or results[-1]
+    macs = endpoint._macs
+    endpoint._macs = lambda states, inputs: computed.append(len(inputs)) or macs(states, inputs)
+    equal = protocol.constant_time_equal
+    protocol.constant_time_equal = lambda a, b: compared.append(1) or equal(a, b)
     try:
         if len(datagrams) == 1:
             problems = check_unprotect(endpoint, ring, datagrams[0], source, secret)
         else:
             problems = check_batch(endpoint, ring, datagrams, source, secret)
     finally:
+        protocol.constant_time_equal = equal
         endpoint.__dict__.pop("unprotect_batch", None)
-    return (results[0] if results else None), problems
+        endpoint.__dict__.pop("_macs", None)
+    if not results:
+        return None, problems
+    return results[0], problems + compare_discipline(
+        results[0], secret, sum(computed), len(compared)
+    )
 
 
 def check_spec(world, datagrams, source, secret, result):
@@ -393,10 +429,8 @@ def test_every_rejection_reason_is_observed():
     wires = a.protect_batch([b"first", b"second"], b.principal)
     flipped = wires[1][:-1] + bytes([wires[1][-1] ^ 1])
     stream = [b"\x00" * 5, world.pool[0], wires[0], flipped, wires[0]]
-    before = receive_counts(b)
-    world.ring.clear()
-    result = b.unprotect_batch(stream, a.principal)
-    assert accounting(b, world.ring, before, len(stream), result) == []
+    result, problems = received(b, world.ring, stream, a.principal, False)
+    assert problems == []
     assert result.reasons == ["header", "stale_timestamp", None, "mac", "duplicate"]
     stranger = a.protect(b"who am i", b.principal)
     assert check_unprotect(b, world.ring, stranger, world.mallory, False) == []
@@ -617,6 +651,26 @@ def test_planted_struct_error_from_the_header_decoder_is_reported(monkeypatch):
     assert [p.split(":")[0] for p in problems] == ["unprotect_batch raised struct.error"]
     problems = check_unprotect(bob, ring, b"\x00" * 5, alice, False)
     assert [p.split(":")[0] for p in problems] == ["unprotect raised struct.error"]
+
+
+R8_COMPARE = "constant_time_equal(macs[position], headers[i].mac)"
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["scalar", "lanes"])
+def test_planted_equals_compare_at_r8_is_reported(monkeypatch, n):
+    # The real unprotect_batch with its one R8 call rewritten as ``==``:
+    # one datagram takes the scalar MAC, three the keyed-MD5 lanes.
+    source = textwrap.dedent(inspect.getsource(FBSEndpoint.unprotect_batch))
+    assert source.count(R8_COMPARE) == 1
+    planted = source.replace(R8_COMPARE, "macs[position] == headers[i].mac")
+    flags = __future__.annotations.compiler_flag
+    namespace = {}
+    exec(compile(planted, protocol.__file__, "exec", flags), vars(protocol), namespace)
+    monkeypatch.setattr(FBSEndpoint, "unprotect_batch", namespace["unprotect_batch"])
+    world = endpoint_world()
+    wires = world.alice.protect_batch([b"x"] * n, world.bob.principal)
+    _, problems = received(world.bob, world.ring, wires, world.alice.principal, False)
+    assert problems == [f"0 constant_time_equal calls for {n} MACs at R8"]
 
 
 def _open_without_refusal(self, packet):

@@ -6,18 +6,22 @@ workers inherit it; CI's nightly resilience matrix does the same.
 Python imports ``sitecustomize`` at startup, before any ``repro``
 module, so that side runs
 
-* with every wall clock fbslint's FBS002 banned read 10**6 s ahead:
+* with every wall clock read 10**6 s ahead:
   ``time.time``, ``monotonic`` and ``perf_counter`` with their ``_ns``
   forms, and ``datetime.now``/``today``/``utcnow``.  A report byte that
   depends on a clock reading differs between the two sides; one that
   depends only on the difference of two readings of one clock (the
   transport's ``now``, the event loop's timers) does not;
-* under the blocking-call audit hook (``loopguard.py``).
+* under the blocking-call audit hook (``loopguard.py``);
+* with key canaries (``canary.py``): every key ``repro`` derives is
+  recorded on stderr, logs render at DEBUG and every ``FBSError`` logs
+  its text, so the test can search the run's outputs for the keys.
 """
 
 import datetime
 import time
 
+import canary
 import loopguard
 
 OFFSET_S = 10 ** 6
@@ -44,4 +48,6 @@ class _AheadDatetime(datetime.datetime):
 
 
 datetime.datetime = _AheadDatetime
+# Before ``repro`` is imported: ``from time import sleep`` binds the wrapper.
 loopguard.install()
+canary.install()

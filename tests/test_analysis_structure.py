@@ -1,18 +1,19 @@
-"""Structural gate: fbslint states each fact and each detector once.
+"""Structural gate: fbslint is key taint, stated once ("replace, don't fork").
 
-Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule): every table
-that says what a source or a sink is is defined in exactly one module;
-the rule modules walk no source or sink site of their own; the engine
-joins the two phases' findings without reconciling them; and phase 2
-is one graph algorithm, label propagation, written once ("replace,
-don't fork").  The label language is key taint and nothing else, and
+Plain ``ast`` over ``src/repro/analysis`` (no fbslint rule).  The
+package is the two phases of one check and a thin engine and CLI
+around them: no rule framework (``rules/``, a registry, ``Severity``),
+no suppression syntax, no generated doc table, no option but the paths.
+Every table that says what a source or a sink is is defined in exactly
+one module, and phase 2 is one graph algorithm, label propagation,
+written once.  The label language is key taint and nothing else, and
 the fact base has no exception, clock, generator or blocking
 dimension: report determinism, the wall clock and unseeded randomness
 are checked on the bytes (``tests/test_report_determinism.py`` and its
 clock-offset shim), blocking on the event loop by one audit hook
-(``tests/shim/loopguard.py``) and the receive contract on the running
-code (``tests/property/test_receive_contract.py``), not by another
-dimension of the walk.
+(``tests/shim/loopguard.py``), the receive contract on the running code
+(``tests/property/test_receive_contract.py``) and the syntactic repo
+policy by ``tests/test_policy_structure.py``.
 """
 
 import ast
@@ -21,14 +22,20 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import callgraph
+from repro.analysis.cli import main
 from repro.analysis.context import ModuleContext
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ANALYSIS = REPO_ROOT / "src" / "repro" / "analysis"
+#: The whole package: phase 1, phase 2, the module identity, the engine
+#: and the CLI.
+MODULES = {"__init__", "__main__", "callgraph", "context", "dataflow", "engine", "cli"}
 ONE_HOME = ("SOURCE_FRAGMENTS", "SOURCE_NAMES", "LOG_METHODS", "_CONTENT_FUNCS")
 #: What FBS002, FBS003 and FBS010 were made of: the reach algorithm, its
 #: two passes and their zones, the call-site detector, and the clock,
-#: generator and blocking-call tables it read.
+#: generator and blocking-call tables it read.  Then what the rule
+#: framework was made of: the registry, severities, rule selection, the
+#: suppression parser and FBS012, and the DESIGN.md table generator.
 RETIRED = (
     "_closure",
     "_impurity_pass",
@@ -43,9 +50,21 @@ RETIRED = (
     "_GLOBAL_RANDOM_FUNCS",
     "_NUMPY_GLOBAL_FUNCS",
     "_NUMPY_CONSTRUCTORS",
+    "Rule",
+    "register",
+    "all_rules",
+    "get_rule",
+    "_REGISTRY",
+    "Severity",
+    "_select_rules",
+    "SuppressionIndex",
+    "_DIRECTIVE",
+    "_unused_suppression_findings",
+    "render_table",
+    "check_docs",
+    "write_docs",
+    "LintResult",
 )
-#: AST node types only the phase-1 summarizer may dispatch on.
-SUMMARIZER_ONLY = {"Raise", "Compare", "JoinedStr", "FormattedValue"}
 
 
 def _trees():
@@ -79,46 +98,33 @@ def test_no_reach_algorithm_or_site_table_remains(name):
     assert _homes(name) == []
 
 
-def test_no_rule_module_for_what_running_code_shows():
-    modules = {path.stem for path in (ANALYSIS / "rules").glob("*.py")}
-    assert not modules & {"determinism", "async_readiness"}
+def test_the_package_is_the_one_check():
+    assert not list(ANALYSIS.rglob("rules/*.py"))
+    assert {path.stem for path in ANALYSIS.glob("*.py")} == MODULES
 
 
-def test_rule_modules_walk_no_dataflow_site():
-    for relative, tree in _trees():
-        if not relative.startswith("rules/"):
-            continue
-        touched = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "ast"
-        }
-        assert not touched & SUMMARIZER_ONLY, (relative, touched & SUMMARIZER_ONLY)
+def test_the_cli_takes_paths_and_nothing_else(capsys):
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "usage: python -m repro.analysis [-h] [paths ...]"
 
 
 def test_engine_has_no_finding_dedupe():
+    # One producer: the engine sorts the pass's findings and drops none.
     tree = ast.parse((ANALYSIS / "engine.py").read_text())
-    finalize = next(
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_finalize"
+    run = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_run")
+    assert ast.unparse(run.body[0].value) == "taint_findings(Project(summaries))"
+    assert isinstance(run.body[1], ast.Return) and ast.unparse(run.body[1].value).startswith(
+        "sorted(findings,"
     )
-    names = {n.id for n in ast.walk(finalize) if isinstance(n, ast.Name)}
-    assert "seen" not in names and "set" not in names
-    assert not any(isinstance(n, (ast.Set, ast.SetComp)) for n in ast.walk(finalize))
 
 
 def test_no_summary_cache_or_serializer_remains():
-    assert not (ANALYSIS / "cache.py").exists()
     for relative, tree in _trees():
         defined = {
             node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
         }
-        assert "from_dict" not in defined, relative
-        if relative != "findings.py":  # Finding.as_dict is --format json
-            assert "as_dict" not in defined, relative
+        assert not defined & {"from_dict", "as_dict"}, relative
 
 
 # -- phase 2: one graph algorithm, written once ------------------------------------------
@@ -162,9 +168,9 @@ def test_the_one_pass_builds_every_finding_from_the_one_algorithm():
     naming = [
         name
         for name, function in functions.items()
-        if any(isinstance(node, ast.Constant) and node.value == "FBS001" for node in ast.walk(function))
+        if "FBS001" in ast.unparse(function)
     ]
-    assert sorted(naming) == ["_taint_pass", "run_project_passes"]
+    assert naming == ["render"]  # the id is spelled once, in the report line
 
 
 # -- the audit hook is written once -----------------------------------------------------
@@ -275,4 +281,4 @@ def test_every_json_dump_in_src_sorts_its_keys():
             ):
                 assert "sort_keys" in {kw.arg for kw in node.keywords}, (path, node.lineno)
                 sites.append(path.name)
-    assert len(sites) == 4
+    assert len(sites) == 3

@@ -12,7 +12,6 @@ import inspect
 
 import pytest
 
-from repro.analysis.suppressions import SuppressionIndex
 from repro.baselines.hostpair import HostPairKeying
 from repro.baselines.kdc import KdcSessionKeying
 from repro.baselines.perdatagram import PerDatagramHostPair
@@ -120,8 +119,6 @@ def test_the_attributes_nothing_read_are_gone():
     domain = FBSDomain(seed=0)
     stored = [
         (ReplayGuard(1, 120.0), "duplicates_rejected"),
-        (SuppressionIndex("x = 1  # fbslint: disable=FBS004\n"), "by_line"),
-        (SuppressionIndex("# fbslint: disable-file=FBS004\n"), "file_wide"),
         (Simulator(), "_running"),
         (TcpClient(a, b.address, 9000).conn, "bytes_received"),
         (a.tcp, "segments_sent"),

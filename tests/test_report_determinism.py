@@ -18,6 +18,13 @@ blocking call on the event loop fails (``tests/shim/loopguard.py``).
 Spawned load workers inherit both.  An unseeded
 generator needs no shim: it is seeded from OS entropy, so its draws
 differ between any two processes.
+
+The shim side is also the canary run (``tests/shim/canary.py``): it
+records every key the producer derives, and no key may appear in its
+stdout, stderr (log records and ``FBSError`` texts included) or the
+files it writes, in any spelling :func:`canary.forms` lists.  A key
+printed the same way under both seeds is invisible to the byte
+comparison; the canary is what sees it.
 """
 
 import datetime
@@ -31,6 +38,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+from tests.shim import canary
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SHIM = REPO_ROOT / "tests" / "shim"
@@ -52,8 +61,10 @@ PRODUCERS = {
     "gateway": (0, ["-m", "repro.gateway"] + GATEWAY_SMOKE),
     "traces": (0, ["-m", "repro.traces", "sweep", "--profile", "smoke", "--seed", "0"]),
     # The fixtures hold deliberate violations: findings, so exit 1.
-    "analysis": (1, ["-m", "repro.analysis", "--format", "json", "tests/analysis/fixtures"]),
+    "analysis": (1, ["-m", "repro.analysis", "tests/analysis/fixtures"]),
 }
+#: The one producer that derives no key: its canary run records none.
+KEYLESS = {"analysis"}
 
 #: A real report with one planted line, through the real ``main`` and
 #: ``write_report``: the gateway report gains ``report["planted"] = EXPR``.
@@ -86,19 +97,34 @@ def run_under_both_seeds(tmp_path, args_for, shim=True):
             PYTHONPATH=os.pathsep.join(map(str, path + [REPO_ROOT / "src"])),
             PYTHONHASHSEED=seed,
         )
-        with open(tmp_path / f"stdout.{seed}", "wb") as stdout:
+        with open(tmp_path / f"stdout.{seed}", "wb") as stdout, open(
+            tmp_path / f"stderr.{seed}", "wb"
+        ) as stderr:
             running.append(
                 subprocess.Popen(
                     [sys.executable] + args_for(seed), cwd=REPO_ROOT, env=env,
-                    stdout=stdout, stderr=subprocess.PIPE,
+                    stdout=stdout, stderr=stderr,
                 )
             )
     results = []
     for seed, process in zip(HASH_SEEDS, running):
-        _, stderr = process.communicate(timeout=300)
+        process.wait(timeout=300)
+        stderr = canary.RECORD.sub(b"", (tmp_path / f"stderr.{seed}").read_bytes())
         sys.stderr.write(stderr.decode(errors="replace"))  # shown if the test fails
         results.append((process.returncode, (tmp_path / f"stdout.{seed}").read_bytes()))
     return results
+
+
+def canary_run(tmp_path):
+    """The canary search over every file under ``tmp_path`` (both
+    sides' stdout and stderr, and what the producers wrote there):
+    ``(keys the shim side recorded, one line per key found)``."""
+    outputs = {
+        str(path.relative_to(tmp_path)): path.read_bytes()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    return canary.leaks(outputs)
 
 
 def first_difference(one: bytes, other: bytes) -> str:
@@ -125,6 +151,9 @@ def test_the_two_hash_seeds_are_fixed_distinct_and_randomizing():
 def test_report_is_byte_identical_under_two_hash_seeds(producer, tmp_path):
     status, args = PRODUCERS[producer]
     assert_same_report(run_under_both_seeds(tmp_path, lambda seed: args), status)
+    keys, found = canary_run(tmp_path)
+    assert found == []
+    assert (keys == 0) == (producer in KEYLESS), keys
 
 
 def test_obs_summary_of_a_load_trace_is_byte_identical(tmp_path):
@@ -134,6 +163,8 @@ def test_obs_summary_of_a_load_trace_is_byte_identical(tmp_path):
         tmp_path, lambda seed: LOAD_SMOKE + ["--trace-out", str(tmp_path / seed)]
     )
     assert_same_report(traced, 0)
+    keys, found = canary_run(tmp_path)  # the trace files included
+    assert keys and found == []
     summaries = run_under_both_seeds(
         tmp_path,
         lambda seed: ["-m", "repro.obs", "summarize", "--json",
@@ -191,8 +222,8 @@ def test_a_wall_clock_read_in_a_real_report_is_caught_by_the_shim(tmp_path):
     assert report_a == report_b
 
 
-#: The wall and monotonic clocks fbslint's FBS002 banned, which the shim
-#: moves: name -> (a reading, ticks a second).
+#: The wall and monotonic clocks the shim moves: name -> (a reading,
+#: ticks a second).
 SHIFTED_CLOCKS = {
     "time": ("time.time()", 1),
     "time_ns": ("time.time_ns()", 10 ** 9),
@@ -238,3 +269,59 @@ def test_the_shim_reads_every_banned_clock_ahead(clocks_under_the_shim, clock):
 def test_a_blocking_call_in_a_real_producer_fails_on_the_shim_side(tmp_path):
     (status_a, _), (status_b, _) = planted_runs(tmp_path, "time.sleep(0)", "import time")
     assert (status_a, status_b) == (0, 1)
+
+
+#: A real path with one planted line: ``FBSEndpoint`` renders the flow
+#: key ``k_f`` it has just derived, then builds the flow's crypto state.
+PLANTED_LEAK = """
+import logging, sys
+from repro.core.errors import FBSError
+from repro.core.protocol import FBSEndpoint
+from repro.gateway import cli
+
+real = FBSEndpoint._build_crypto_state
+
+def planted(self, k_f):
+    {leak}
+    return real(self, k_f)
+
+FBSEndpoint._build_crypto_state = planted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "leak, form",
+    [
+        ("print(k_f.hex())", "hex"),
+        ("logging.getLogger('repro').debug('K_f %s', k_f)", "repr"),
+        ("FBSError(f'flow key {int.from_bytes(k_f, \"little\")}')", "little-endian int"),
+    ],
+    ids=["print", "log.debug", "exception-text"],
+)
+def test_a_key_rendered_by_a_real_path_is_caught_by_the_canary(tmp_path, leak, form):
+    script = PLANTED_LEAK.format(leak=leak)
+    results = run_under_both_seeds(tmp_path, lambda seed: ["-c", script] + GATEWAY_SMOKE)
+    # The same key under both seeds: the byte comparison passes.
+    assert_same_report(results, 0)
+    keys, found = canary_run(tmp_path)
+    assert keys and found, "the canary missed a rendered key"
+    assert {line.split(" as ")[1].split(" in ")[0] for line in found} >= {form}
+
+
+#: A key whose spellings share no bytes with its record line.
+KEY = bytes(range(0x80, 0x90))
+
+
+@pytest.mark.parametrize("form", sorted(canary.forms(KEY)))
+def test_the_canary_finds_each_spelling_of_a_recorded_key(form):
+    record = b"fbs-canary flow_key %s\n" % KEY.hex().encode()
+    outputs = {"stderr": record, "report": b"<" + canary.forms(KEY)[form] + b">"}
+    keys, found = canary.leaks(outputs)
+    assert keys == 1
+    assert f"flow_key key {KEY.hex()[:8]}... as {form} in report" in found
+
+
+def test_a_key_in_its_record_line_alone_is_no_leak():
+    record = b"fbs-canary mac_key %s\n" % KEY.hex().encode()
+    assert canary.leaks({"stderr": b"before\n" + record + b"after\n"}) == (1, [])
