@@ -13,14 +13,12 @@ The pieces, in datapath order:
 * :mod:`repro.gateway.admission` -- whether they may: each admission
   outcome counted once on the endpoint's registry, and the ledger read
   from it.
-* :mod:`repro.gateway.eviction` -- what leaves when the table is full:
-  cache-pressure-aware reclamation of a cold tenant's footprint across
-  all four key caches (PVC/MKC/TFKC/RFKC).
 * :mod:`repro.gateway.server` -- the serve loop tying them together
-  over any transport's addressed (``recv_from``) surface.
+  over any transport's addressed (``recv_from``) surface; a full table
+  evicts its coldest tenant with that tenant's footprint across all
+  four key caches (PVC/MKC/TFKC/RFKC).
 * :mod:`repro.gateway.cli` -- ``python -m repro.gateway``: the seeded
-  multi-tenant workload with byte-stable JSON reports, shardable with
-  the :class:`~repro.load.sharding.FlowSharder`.
+  multi-tenant workload with byte-stable JSON reports.
 
 First contact needs no handshake: admission creates the tenant entry,
 and the tenant's first protected datagram then drives the existing
@@ -29,7 +27,6 @@ exactly as it would between two fixed endpoints.
 """
 
 from repro.gateway.admission import AdmissionController
-from repro.gateway.eviction import evict_tenant_footprint
 from repro.gateway.server import FBSGateway
 from repro.gateway.tenants import GatewayConfig, TenantState, TenantTable
 
@@ -39,5 +36,4 @@ __all__ = [
     "GatewayConfig",
     "TenantState",
     "TenantTable",
-    "evict_tenant_footprint",
 ]

@@ -16,9 +16,10 @@ from repro.obs.registry import MetricsRegistry
 __all__ = ["AdmissionController", "DROP_REASONS", "EVICTION_REASONS"]
 
 #: Mutually exclusive ``gateway_datagrams_dropped`` reasons: the tenant's
-#: bounded queue was full, or the datagram was queued but its tenant was
-#: evicted before delivery.
-DROP_REASONS = ("backpressure", "evicted")
+#: bounded queue was full, the datagram was queued but its tenant was
+#: evicted before delivery, or the resolver knows no peer at its source
+#: address (nothing admitted, evicted or computed).
+DROP_REASONS = ("backpressure", "evicted", "unknown_peer")
 
 #: ``gateway_tenants_evicted`` reasons (currently only table pressure).
 EVICTION_REASONS = ("capacity",)

@@ -4,10 +4,11 @@
 (``recv_from``), attributes each datagram to a tenant by its source
 address, and runs the admission -> backpressure -> unprotect pipeline:
 
-* unknown peers are admitted on first contact (evicting the coldest
-  tenant's key-cache footprint when the table is full), so the very
+* a new peer is admitted on first contact (evicting the coldest tenant
+  and its key-cache footprint when the table is full), so the very
   first protected datagram drives zero-message keying with no
-  handshake round trip;
+  handshake round trip; an address the resolver does not know is
+  dropped (reason ``unknown_peer``) before it costs any tenant;
 * a full per-tenant queue sheds the datagram *before* any protocol
   processing (drop reason ``backpressure``) -- crypto work is never
   spent on bytes that cannot be delivered;
@@ -26,7 +27,6 @@ from typing import Callable, List, Optional
 from repro.core.keying import Principal
 from repro.core.protocol import FBSEndpoint
 from repro.gateway.admission import AdmissionController
-from repro.gateway.eviction import evict_tenant_footprint
 from repro.gateway.tenants import Address, GatewayConfig, TenantState, TenantTable
 from repro.obs.events import TenantAdmitted, TenantEvicted
 from repro.transport.base import Transport
@@ -49,7 +49,8 @@ class FBSGateway:
         Table and queue bounds; defaults are test-sized.
     resolver:
         Maps a peer address to the enrolled :class:`Principal` whose keys
-        protect its traffic (the CLI's is directory-backed).
+        protect its traffic (the CLI's is directory-backed); it raises
+        :class:`LookupError` for an address it does not know.
     """
 
     def __init__(
@@ -85,8 +86,8 @@ class FBSGateway:
         idle for ``timeout`` seconds (0: poll).
 
         Returns the outcome: ``"enqueued"``, ``"dropped:backpressure"``,
-        or ``"rejected:<reason>"`` with the endpoint's mutually exclusive
-        rejection reasons.
+        ``"dropped:unknown_peer"``, or ``"rejected:<reason>"`` with the
+        endpoint's mutually exclusive rejection reasons.
         """
         arrival = await self.transport.recv_from(timeout)
         if arrival is None:
@@ -110,6 +111,9 @@ class FBSGateway:
 
     def _process(self, payload: bytes, addr: Address) -> str:
         tenant = self.tenants.get(addr) or self._admit(addr)
+        if tenant is None:
+            self.admission.dropped("unknown_peer")
+            return "dropped:unknown_peer"
         if len(tenant.queue) >= self.config.queue_depth:
             # Shed before unprotect: no crypto for undeliverable bytes.
             tenant.dropped += 1
@@ -126,19 +130,13 @@ class FBSGateway:
 
     # -- admission -------------------------------------------------------------
 
-    def _admit(self, addr: Address) -> TenantState:
+    def _admit(self, addr: Address) -> Optional[TenantState]:
+        try:
+            principal = self.resolver(addr)
+        except LookupError:
+            return None  # resolved before any eviction: a stranger costs no tenant
         if len(self.tenants) >= self.config.max_tenants:
-            cold = self.tenants.coldest()
-            if cold.queue:
-                # Accepted but never delivered: account before discarding.
-                self.admission.dropped("evicted", len(cold.queue))
-            evict_tenant_footprint(self.endpoint, cold)
-            self.tenants.remove(cold.addr)
-            self.admission.evicted("capacity")
-            tr = self.endpoint.tracer
-            if tr.enabled:
-                tr.emit(TenantEvicted(peer=cold.name, reason="capacity"))
-        principal = self.resolver(addr)
+            self._evict_coldest()
         tenant = TenantState(name=principal.name, principal=principal, addr=addr)
         self.tenants.admit(tenant)
         self.admission.admitted()
@@ -146,6 +144,35 @@ class FBSGateway:
         if tr.enabled:
             tr.emit(TenantAdmitted(peer=tenant.name))
         return tenant
+
+    def _evict_coldest(self) -> None:
+        """Turn the coldest tenant out with its key-cache footprint.
+
+        Its flow keys (by the flow labels seen from it), master key and
+        certificate leave the RFKC/TFKC/MKC/PVC through the caches'
+        counted ``evict`` paths, so ``cache_evictions`` and
+        ``CacheEvicted`` tell the whole story.  Flows are walked in
+        sorted order so the event sequence is deterministic.  Soft
+        state makes this always safe: a returning tenant re-keys
+        through the miss path.
+        """
+        cold = self.tenants.coldest()
+        if cold.queue:
+            # Accepted but never delivered: account before discarding.
+            self.admission.dropped("evicted", len(cold.queue))
+        endpoint = self.endpoint
+        peer, me = cold.principal.wire_id, endpoint.principal.wire_id
+        for sfl in sorted(cold.flows):
+            # Receive side keys by (sfl, local, remote); send side mirrors.
+            endpoint.rfkc.evict_flow(sfl, me, peer)
+            endpoint.tfkc.evict_flow(sfl, peer, me)
+        endpoint.mkd.mkc.evict(peer)
+        endpoint.mkd.pvc.evict(peer)
+        self.tenants.remove(cold.addr)
+        self.admission.evicted("capacity")
+        tr = endpoint.tracer
+        if tr.enabled:
+            tr.emit(TenantEvicted(peer=cold.name, reason="capacity"))
 
     # -- delivery --------------------------------------------------------------
 

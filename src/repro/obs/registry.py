@@ -470,7 +470,8 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         ("reason",),
         "datagrams the gateway dropped (backpressure: the tenant's "
         "bounded queue was full, before protocol processing; evicted: "
-        "queued, then lost with its evicted tenant)",
+        "queued, then lost with its evicted tenant; unknown_peer: no "
+        "principal resolves for its source address)",
     ),
     "gateway_active_tenants": MetricSpec(
         "gauge", (), "tenants currently resident in the gateway table"

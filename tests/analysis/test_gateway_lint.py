@@ -17,7 +17,7 @@ GATEWAY = SRC / "repro" / "gateway"
 class TestRealPackage:
     def test_gateway_sources_exist(self):
         assert (GATEWAY / "server.py").is_file()
-        assert (GATEWAY / "eviction.py").is_file()
+        assert (GATEWAY / "tenants.py").is_file()
 
     @pytest.mark.parametrize(
         "module", sorted(p.name for p in GATEWAY.glob("*.py"))

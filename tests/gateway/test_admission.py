@@ -21,7 +21,7 @@ class TestCountedOnce:
         assert admission.ledger_dict() == {
             "admitted": 1,
             "evicted": {"capacity": 1},
-            "dropped": {"backpressure": 1, "evicted": 3},
+            "dropped": {"backpressure": 1, "evicted": 3, "unknown_peer": 0},
             "enqueued": 2,
             "delivered": 2,
         }
@@ -36,7 +36,7 @@ class TestCountedOnce:
         assert admission.ledger_dict()["dropped"]["backpressure"] == 0
 
     def test_reason_vocabularies_are_closed(self):
-        assert DROP_REASONS == ("backpressure", "evicted")
+        assert DROP_REASONS == ("backpressure", "evicted", "unknown_peer")
         assert EVICTION_REASONS == ("capacity",)
 
 

@@ -91,7 +91,7 @@ ERROR_OF = {
     "duplicate": DuplicateDatagramError,
 }
 
-GATEWAY_OUTCOMES = {"enqueued", "dropped:backpressure"} | {
+GATEWAY_OUTCOMES = {"enqueued", "dropped:backpressure", "dropped:unknown_peer"} | {
     f"rejected:{reason}" for reason in REJECTION_REASONS
 }
 

@@ -1,0 +1,60 @@
+"""The gateway's admission, written from docs/DEPLOYMENT.md ("The
+multi-tenant gateway", "Admission outcomes"): a table of at most
+``max_tenants`` tenants, least recently active first; no cache, counter
+or crypto.  Each arrival ends in one outcome:
+
+* an address the resolver does not know: ``dropped:unknown_peer``;
+* a known address is admitted on arrival, whatever becomes of the
+  datagram; a full table first evicts its least recently active
+  tenant, losing its queued bodies (``evicted``) and reclaiming the
+  flows it was served on from the key caches;
+* a full queue sheds it before any crypto: ``dropped:backpressure``;
+* else FBSReceive (``fbs_spec.spec_receive``): ``enqueued`` or rejected.
+"""
+
+from collections import OrderedDict
+
+
+class GatewaySpec:
+    def __init__(self, directory, max_tenants, queue_depth):
+        self.directory = directory  # address -> principal name
+        self.max_tenants, self.queue_depth = max_tenants, queue_depth
+        self.table = OrderedDict()  # address -> (queue, flows), coldest first
+        self.reclaimed = {}  # address -> flows of its last evicted stay
+        self.dropped = {"backpressure": 0, "evicted": 0, "unknown_peer": 0}
+        self.ledger = {"admitted": 0, "evicted": {"capacity": 0},
+                       "dropped": self.dropped, "enqueued": 0, "delivered": 0}
+
+    def arrive(self, addr, flow, receive):
+        """The outcome of one datagram of ``flow`` from ``addr``."""
+        if addr not in self.directory:
+            self.dropped["unknown_peer"] += 1
+            return "dropped:unknown_peer"
+        if addr in self.table:
+            self.table.move_to_end(addr)
+        else:
+            if len(self.table) >= self.max_tenants:
+                cold, (lost, self.reclaimed[cold]) = self.table.popitem(last=False)
+                self.ledger["evicted"]["capacity"] += 1
+                self.dropped["evicted"] += len(lost)
+            self.table[addr] = ([], set())
+            self.ledger["admitted"] += 1
+        queue, flows = self.table[addr]
+        if len(queue) >= self.queue_depth:
+            self.dropped["backpressure"] += 1
+            return "dropped:backpressure"
+        body, reason = receive(self.directory[addr])
+        if reason is not None:
+            return f"rejected:{reason}"
+        queue.append(body)
+        flows.add(flow)
+        self.ledger["enqueued"] += 1
+        return "enqueued"
+
+    def drain(self):
+        """Every resident tenant's queued bodies, by name; queues empty."""
+        out = {self.directory[a]: q[:] for a, (q, _) in self.table.items()}
+        for queue, _ in self.table.values():
+            self.ledger["delivered"] += len(queue)
+            queue.clear()
+        return out
