@@ -17,8 +17,10 @@ The pieces, in datapath order:
   over any transport's addressed (``recv_from``) surface; a full table
   evicts its coldest tenant with that tenant's footprint across all
   four key caches (PVC/MKC/TFKC/RFKC).
+* :mod:`repro.gateway.site` -- the one builder of the whole site
+  (gateway, enrolled tenants, their transports) on netsim or UDP.
 * :mod:`repro.gateway.cli` -- ``python -m repro.gateway``: the seeded
-  multi-tenant workload with byte-stable JSON reports.
+  multi-tenant workload over that site, with byte-stable JSON reports.
 
 First contact needs no handshake: admission creates the tenant entry,
 and the tenant's first protected datagram then drives the existing

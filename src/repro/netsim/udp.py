@@ -12,12 +12,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.netsim.addresses import IPAddress
-from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet, checksum16
+from repro.netsim.ipv4 import IPV4_HEADER_LEN, IPProtocol, IPv4Header, IPv4Packet, checksum16
 
-__all__ = ["UDPHeader", "UDP_HEADER_LEN", "UdpLayer"]
+__all__ = ["UDPHeader", "UDP_HEADER_LEN", "MAX_UDP_PAYLOAD", "UdpLayer"]
 
 #: UDP header length in bytes.
 UDP_HEADER_LEN = 8
+#: The largest payload one UDP datagram carries over IPv4: the 16-bit
+#: IP total length less both headers.  A kernel refuses more (EMSGSIZE).
+MAX_UDP_PAYLOAD = 0xFFFF - IPV4_HEADER_LEN - UDP_HEADER_LEN
 
 #: Callback fired on datagram delivery: (payload, src_addr, src_port).
 DatagramCallback = Callable[[bytes, IPAddress, int], None]
@@ -129,7 +132,10 @@ class UdpLayer:
         dport: int,
         src: Optional[IPAddress] = None,
     ) -> None:
-        """Send one datagram."""
+        """Send one datagram; a payload over :data:`MAX_UDP_PAYLOAD` is a
+        ``ValueError``, as a kernel's EMSGSIZE."""
+        if len(payload) > MAX_UDP_PAYLOAD:
+            raise ValueError(f"UDP payload of {len(payload)} B over the {MAX_UDP_PAYLOAD} B limit")
         src = src or self._local_address(dst)
         length = UDP_HEADER_LEN + len(payload)
         header = UDPHeader(sport=sport, dport=dport, length=length)

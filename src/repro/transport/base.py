@@ -31,13 +31,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.errors import FBSError
+from repro.core.header import FBS_HEADER_LEN
+from repro.netsim.udp import MAX_UDP_PAYLOAD
 
 __all__ = [
+    "MAX_BODY_SIZE",
     "Transport",
     "TransportError",
     "TransportClosedError",
     "TransportStats",
 ]
+
+#: The largest body whose protected datagram (default suite) fits one
+#: UDP datagram: the CLIs' ``--payload-size`` bound.
+MAX_BODY_SIZE = MAX_UDP_PAYLOAD - FBS_HEADER_LEN
 
 
 class TransportError(FBSError):

@@ -12,9 +12,9 @@ Both demos run the same driver coroutine from
 :mod:`repro.transport.runner`; only the substrate differs.  The JSON
 report goes to ``--out`` (or stdout); a short human summary goes to
 stderr.  Exit status: 0 when every datagram echoed, 1 otherwise, 2 on
-usage errors.  Reports are ledger-only and byte-stable for lossless
-runs: ``tests/test_report_determinism.py`` runs both demos under two
-hash seeds and compares the bytes.
+usage errors (``--payload-size`` past ``MAX_BODY_SIZE`` is one).  Reports
+are ledger-only and byte-stable for lossless runs: both demos run under
+two hash seeds in ``tests/test_report_determinism.py``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.obs.report import number, parse_cli, refuse_path, write_report
+from repro.transport.base import MAX_BODY_SIZE
 from repro.transport.runner import run_echo
 
 __all__ = ["main"]
@@ -48,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--datagrams", type=number(), default=50, help="echo exchanges to run"
     )
     parser.add_argument(
-        "--payload-size", type=number(), default=64, help="payload bytes per datagram"
+        "--payload-size", type=number(int, 0, MAX_BODY_SIZE), default=64,
+        help="payload bytes per datagram",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(

@@ -1,83 +1,24 @@
-"""A one-call simulated multi-tenant site for gateway tests.
-
-One gateway host and N tenant hosts on a shared segment, each tenant
-with its own enrolled endpoint and connected transport, the gateway
-serving on the addressed surface.  Tests drive it in lockstep:
-``send_protected`` then ``serve_one``.
+"""The one gateway site (``repro.gateway.site.build_site``) on netsim,
+driven in lockstep from synchronous tests: ``send_protected`` then
+``serve_one``.
 """
 
 import asyncio
-from types import SimpleNamespace
 
-from repro.core.deploy import FBSDomain
-from repro.core.keying import Principal
-from repro.gateway.server import FBSGateway
-from repro.netsim.network import Network
-from repro.transport.netsim import NetsimTransport
-
-GATEWAY_PORT = 9000
-TENANT_PORT_BASE = 5000
+from repro.gateway.site import build_site
 
 
-def gateway_site(tenants=3, seed=7, config=None, gw_config=None, tracer=None):
-    """A ready-to-serve site; returns a namespace with all the pieces."""
-    net = Network(seed=seed)
-    net.add_segment("site", "10.88.0.0")
-    gw_host = net.add_host("gw", segment="site", address="10.88.0.1")
-    hosts = [
-        net.add_host(f"t{i}", segment="site", address=f"10.88.0.{10 + i}")
-        for i in range(tenants)
-    ]
-    gw_transport = NetsimTransport(gw_host, local_port=GATEWAY_PORT)
-    transports = [
-        NetsimTransport(
-            host,
-            local_port=TENANT_PORT_BASE + i,
-            remote=(gw_host.address, GATEWAY_PORT),
-        )
-        for i, host in enumerate(hosts)
-    ]
-    domain = FBSDomain(seed=seed, config=config)
-    gw_principal = Principal.from_name("gw")
-    gw_endpoint = domain.make_endpoint(
-        gw_principal, now=gw_transport.now, sfl_seed=1, tracer=tracer
-    )
-    principals = [Principal.from_name(f"tenant-{i:02d}") for i in range(tenants)]
-    endpoints = [
-        domain.make_endpoint(principal, now=transport.now, sfl_seed=100 + i)
-        for i, (principal, transport) in enumerate(zip(principals, transports))
-    ]
-    directory = {
-        (str(hosts[i].address), TENANT_PORT_BASE + i): principals[i]
-        for i in range(tenants)
-    }
-    gateway = FBSGateway(
-        gw_endpoint,
-        gw_transport,
-        config=gw_config,
-        resolver=lambda addr: directory[tuple(addr)],
-    )
-    return SimpleNamespace(
-        net=net,
-        domain=domain,
-        gateway=gateway,
-        gw_endpoint=gw_endpoint,
-        gw_principal=gw_principal,
-        gw_transport=gw_transport,
-        principals=principals,
-        endpoints=endpoints,
-        transports=transports,
-    )
+def gateway_site(tenants=3, **options):
+    """A ready-to-serve netsim site (netsim's async surface completes inline)."""
+    return asyncio.run(build_site("netsim", tenants, **options))
 
 
 def send_protected(site, tenant, body=b"hello", raw=None):
-    """Protect ``body`` as ``tenant`` and put it on the wire."""
-    data = raw if raw is not None else site.endpoints[tenant].protect(
-        body, site.gw_principal
-    )
-    site.transports[tenant].send_sync(data)
+    """Protect ``body`` as ``tenant`` on its first flow (or take ``raw``)
+    and put it on the wire."""
+    site.transports[tenant].send_sync(site.protect(tenant, body) if raw is None else raw)
 
 
 def serve_one(site, timeout=5.0):
-    """One gateway serve step (netsim async completes inline)."""
+    """One gateway serve step."""
     return asyncio.run(site.gateway.serve_once(timeout))

@@ -2,7 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.gateway.cli import main
+
+OVERLOAD = [
+    "--tenants", "2", "--flows", "1", "--rounds", "8",
+    "--max-tenants", "2", "--queue-depth", "3", "--drain-every", "0",
+]
 
 
 class TestWorkloadCli:
@@ -36,13 +43,44 @@ class TestWorkloadCli:
         assert report["registry"]["counters"]["cache_evictions{cache=MKC}"] > 0
 
     def test_overload_is_bounded_and_counted(self, capsys):
-        assert main([
-            "--tenants", "2", "--flows", "1", "--rounds", "8",
-            "--max-tenants", "2", "--queue-depth", "3", "--drain-every", "0",
-        ]) == 0
+        assert main(OVERLOAD) == 0
         report = json.loads(capsys.readouterr().out)
         for summary in report["per_tenant"].values():
             assert summary["queued"] <= 3
         dropped = report["admission"]["dropped"]["backpressure"]
         assert dropped == 2 * (8 - 3)
 
+
+class TestOneSiteTwoSubstrates:
+    @pytest.mark.parametrize("argv", [[], OVERLOAD], ids=["defaults", "overload"])
+    def test_the_udp_report_is_the_netsim_report(self, argv, capsys):
+        reports = []
+        for substrate in ("netsim", "udp"):
+            assert main(["--transport", substrate] + argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("substrate") == substrate
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--flows", "59537", "--tenants", "1"], "--flows: must be in 0..59536"),
+            (["--payload-size", "65476"], "--payload-size: must be in 0..65475"),
+        ],
+        ids=["flows-past-the-port-plan", "body-past-one-udp-datagram"],
+    )
+    def test_a_value_past_the_site_is_one_error_line(self, argv, error, capsys):
+        assert main(argv + ["--rounds", "1"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and error in errors[0]
+
+    @pytest.mark.parametrize("substrate", ["netsim", "udp"])
+    def test_the_largest_body_is_served(self, substrate, capsys):
+        assert main([
+            "--transport", substrate, "--payload-size", "65475",
+            "--tenants", "1", "--flows", "1", "--rounds", "2",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["outcomes"] == {"enqueued": 2}

@@ -4,17 +4,13 @@ Driven through the public path: a one-slot table, a warm tenant, and a
 second tenant whose first datagram evicts it.
 """
 
+from repro.gateway.site import GATEWAY_PORT
 from repro.gateway.tenants import GatewayConfig
 from repro.obs.events import CacheEvicted
 from repro.obs.sinks import RingBufferSink
 from repro.transport.netsim import NetsimTransport
 
-from tests.gateway.helpers import (
-    GATEWAY_PORT,
-    gateway_site,
-    send_protected,
-    serve_one,
-)
+from tests.gateway.helpers import gateway_site, send_protected, serve_one
 
 
 def evicting_site(tracer=None):
@@ -33,14 +29,14 @@ class TestFootprintReclamation:
     def test_victim_entries_leave_the_caches(self):
         site = evicting_site()
         victim = site.principals[0].wire_id
-        endpoint = site.gw_endpoint
+        endpoint = site.gateway.endpoint
         assert endpoint.mkd.mkc.lookup(victim) is None
         assert endpoint.mkd.pvc.lookup(victim) is None
         assert endpoint.mkd.mkc.lookup(site.principals[1].wire_id) is not None
 
     def test_reclaims_rfkc_mkc_and_pvc(self):
         site = evicting_site()
-        counters = site.gw_endpoint.registry.snapshot()["counters"]
+        counters = site.gateway.endpoint.registry.snapshot()["counters"]
         assert {
             cache: counters[f"cache_evictions{{cache={cache}}}"]
             for cache in ("PVC", "MKC", "TFKC", "RFKC")
@@ -57,7 +53,7 @@ class TestFootprintReclamation:
 
     def test_returning_tenant_rekeys_through_the_miss_path(self):
         site = evicting_site()
-        derivations = site.gw_endpoint.registry.counter(
+        derivations = site.gateway.endpoint.registry.counter(
             "flow_key_derivations", side="receive"
         )
         warm = derivations.value
@@ -73,9 +69,9 @@ class TestUnknownPeer:
         for i in (0, 1):
             send_protected(site, i, b"queued")
             assert serve_one(site) == "enqueued"
-        received = site.gw_endpoint.registry.counter("datagrams_received")
+        received = site.gateway.endpoint.registry.counter("datagrams_received")
         before = received.value
-        outcome = site.gateway._process(b"\0" * 40, ("10.88.0.99", 1234))
+        outcome = site.gateway._process(b"\0" * 40, ("10.99.0.99", 1234))
         assert outcome == "dropped:unknown_peer"
         assert len(site.gateway.tenants) == 2
         assert site.gateway.tenants.total_queued() == 2
@@ -92,9 +88,9 @@ class TestUnknownPeer:
 
     def test_a_stranger_on_the_wire_is_served_as_a_drop(self):
         site = gateway_site(tenants=1)
-        host = site.net.add_host("x", segment="site", address="10.88.0.99")
+        host = site.net.add_host("x", segment="site", address="10.99.0.99")
         stranger = NetsimTransport(
-            host, local_port=1234, remote=(site.gw_transport.host.address, GATEWAY_PORT)
+            host, local_port=1234, remote=(site.gateway.transport.host.address, GATEWAY_PORT)
         )
         stranger.send_sync(b"\0" * 40)
         assert serve_one(site) == "dropped:unknown_peer"

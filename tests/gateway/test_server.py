@@ -5,10 +5,10 @@ import asyncio
 from hypothesis import given, settings, strategies as st
 
 from repro.gateway.server import FBSGateway
+from repro.gateway.site import build_site
 from repro.gateway.tenants import GatewayConfig
 from repro.obs.events import TenantAdmitted, TenantEvicted
 from repro.obs.sinks import RingBufferSink
-from repro.transport import UdpTransport
 
 from tests.core.test_mkd import recertify
 from tests.gateway.helpers import gateway_site, send_protected, serve_one
@@ -26,7 +26,7 @@ class TestFirstContact:
         # First contact is one datagram: admit + key + deliver.  The
         # second datagram rides the warm caches -- no new derivation.
         site = gateway_site(tenants=1)
-        derivations = site.gw_endpoint.registry.counter(
+        derivations = site.gateway.endpoint.registry.counter(
             "flow_key_derivations", side="receive"
         )
         send_protected(site, 0, b"first")
@@ -83,7 +83,7 @@ class TestEviction:
         # The victim's master key and certificate are gone from the
         # gateway's caches, through the counted eviction path.
         victim = site.principals[0].wire_id
-        endpoint = site.gw_endpoint
+        endpoint = site.gateway.endpoint
         assert endpoint.mkd.mkc.lookup(victim) is None
         assert endpoint.mkd.mkc.stats.evictions == 1
         assert endpoint.rfkc.stats.evictions == 1
@@ -138,7 +138,7 @@ class TestBackpressure:
         # No crypto is spent on a datagram that cannot be delivered: the
         # endpoint never even sees it.
         site = gateway_site(tenants=1, gw_config=GatewayConfig(queue_depth=1))
-        received = site.gw_endpoint.registry.counter("datagrams_received")
+        received = site.gateway.endpoint.registry.counter("datagrams_received")
         for _ in range(2):
             send_protected(site, 0)
         serve_one(site)
@@ -159,7 +159,7 @@ class TestRejections:
         site = gateway_site(tenants=1)
         send_protected(site, 0, raw=b"too short")
         assert serve_one(site) == "rejected:header"
-        rejected = site.gw_endpoint.registry.counter(
+        rejected = site.gateway.endpoint.registry.counter(
             "datagrams_rejected", reason="header"
         )
         assert rejected.value == 1
@@ -189,7 +189,7 @@ class TestRejections:
         assert serve_one(site) == "rejected:keying"
         send_protected(site, 1, b"the others are served")
         assert serve_one(site) == "enqueued"
-        assert site.gw_endpoint.mkd.master_keys_computed == 1
+        assert site.gateway.endpoint.mkd.master_keys_computed == 1
         ledger = site.gateway.admission.ledger_dict()
         assert (ledger["admitted"], ledger["enqueued"]) == (2, 1)
         assert site.gateway.tenants.total_queued() == 1
@@ -213,11 +213,8 @@ TIGHT = GatewayConfig(max_tenants=2, queue_depth=2)
 
 
 def wire_for(site, tenant, size, kind):
-    endpoint = site.endpoints[tenant]
-    stamp = endpoint.now() + (10_000.0 if kind == "stale" else 0.0)
-    (wire,) = endpoint.protect_batch(
-        (bytes([65 + tenant]) * size,), site.gw_principal, stamps=(stamp,)
-    )
+    skew = 10_000.0 if kind == "stale" else 0.0
+    wire = site.protect(tenant, bytes([65 + tenant]) * size, skew=skew)
     if kind == "forged":
         wire = wire[:-1] + bytes([wire[-1] ^ 1])
     return wire
@@ -264,9 +261,9 @@ class TestServeReady:
 
     def test_never_waits_on_an_idle_wire(self):
         site = gateway_site(tenants=1)
-        before = site.gw_transport.now()
+        before = site.gateway.transport.now()
         assert asyncio.run(site.gateway.serve_ready(8)) == []
-        assert site.gw_transport.now() == before
+        assert site.gateway.transport.now() == before
 
     @settings(max_examples=5, deadline=None)
     @given(traffic=TRAFFIC, limit=st.integers(1, 16))
@@ -274,31 +271,16 @@ class TestServeReady:
         self, traffic, limit
     ):
         async def run(serve):
-            # The site's principals and endpoints, real sockets for its
-            # wire; the gateway starts once it holds every datagram.
-            site = gateway_site(tenants=4, gw_config=TIGHT)
-            listening = await UdpTransport.create()
-            tenants = [
-                await UdpTransport.create(remote=listening.local_address)
-                for _ in site.principals
-            ]
-            directory = {
-                t.local_address: principal
-                for t, principal in zip(tenants, site.principals)
-            }
-            gateway = FBSGateway(
-                site.gw_endpoint, listening, TIGHT,
-                resolver=lambda addr: directory[tuple(addr)],
-            )
+            # The gateway starts once its socket holds every datagram.
+            site = await build_site("udp", 4, gw_config=TIGHT)
             try:
                 for sent, (tenant, size, kind) in enumerate(traffic, 1):
-                    await tenants[tenant].send(wire_for(site, tenant, size, kind))
-                    while listening.stats.datagrams_received < sent:
+                    await site.transports[tenant].send(wire_for(site, tenant, size, kind))
+                    while site.gateway.transport.stats.datagrams_received < sent:
                         await asyncio.sleep(0.001)
-                return observed(gateway, await serve(gateway, limit))
+                return observed(site.gateway, await serve(site.gateway, limit))
             finally:
-                for transport in (listening, *tenants):
-                    await transport.close()
+                await site.close()
 
         ready, once = (asyncio.run(run(serve)) for serve in SERVERS)
         assert ready == once
@@ -329,9 +311,9 @@ class TestAccounting:
         for i in range(2):
             send_protected(site, i)
             serve_one(site)
-        snapshot = site.gw_endpoint.registry.snapshot()
+        snapshot = site.gateway.endpoint.registry.snapshot()
         assert snapshot["gauges"]["gateway_active_tenants"] == 2.0
         assert snapshot["gauges"]["gateway_queue_depth"] == 2.0
         site.gateway.drain()
-        snapshot = site.gw_endpoint.registry.snapshot()
+        snapshot = site.gateway.endpoint.registry.snapshot()
         assert snapshot["gauges"]["gateway_queue_depth"] == 0.0

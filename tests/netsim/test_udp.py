@@ -6,7 +6,7 @@ from repro.netsim import Network
 from repro.netsim.addresses import IPAddress
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import UdpSocket
-from repro.netsim.udp import UDP_HEADER_LEN, UDPHeader
+from repro.netsim.udp import MAX_UDP_PAYLOAD, UDP_HEADER_LEN, UDPHeader
 
 
 class TestHeaderCodec:
@@ -90,6 +90,22 @@ class TestDelivery:
         net.sim.run()
         assert rx.received[0][0] == blob
         assert a.stack.stats.fragments_created >= 6
+
+    def test_the_largest_datagram_is_delivered(self):
+        net, a, b = build_pair()
+        rx = UdpSocket(b, 5000)
+        UdpSocket(a).sendto(bytes(MAX_UDP_PAYLOAD), b.address, 5000)
+        net.sim.run()
+        assert len(rx.received[0][0]) == MAX_UDP_PAYLOAD == 65535 - 20 - 8
+
+    @pytest.mark.parametrize("size", [MAX_UDP_PAYLOAD + 1, MAX_UDP_PAYLOAD + 20, 70000])
+    def test_a_larger_payload_is_refused_naming_the_limit(self, size):
+        # What a kernel answers with EMSGSIZE; past 65,527 B the length
+        # field itself would overflow.
+        net, a, b = build_pair()
+        with pytest.raises(ValueError, match="65507 B limit"):
+            a.udp.sendto(bytes(size), 4000, b.address, 5000)
+        assert a.udp.datagrams_sent == 0
 
     def test_ephemeral_ports_unique(self):
         net, a, _ = build_pair()

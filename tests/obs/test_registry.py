@@ -257,7 +257,7 @@ class TestFold:
             for tenant in range(4):
                 send_protected(site, tenant, b"r%d" % round_index)
                 assert asyncio.run(site.gateway.serve_once(5.0)) == "enqueued"
-        live = event_counters(site.gw_endpoint.registry.snapshot())
+        live = event_counters(site.gateway.endpoint.registry.snapshot())
         assert event_counters(sink.registry.snapshot()) == live
         assert live["gateway_tenants_admitted"] == 12
         assert live["gateway_tenants_evicted{reason=capacity}"] == 10

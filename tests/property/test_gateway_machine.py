@@ -1,7 +1,7 @@
 """The gateway under the oracle: one ``FBSGateway`` against two models.
 
 A hypothesis ``RuleBasedStateMachine`` over one gateway on netsim
-(``tests/gateway/helpers.gateway_site``) whose world is drawn per run:
+(``repro.gateway.site.build_site``) whose world is drawn per run:
 1..3 table slots, queues of 0..4 bodies, two tenants more than there
 are slots, and the replay guard off or on.  Rules: an enrolled tenant
 sends a fresh, stale, forged, truncated or replayed datagram; a
@@ -39,15 +39,16 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.core.caches import FlowKeyCache
 from repro.core.config import FBSConfig
+from repro.gateway.site import GATEWAY_PORT
 from repro.gateway.tenants import GatewayConfig
 from repro.obs.sinks import AggregatingSink
 from repro.transport.netsim import NetsimTransport
-from tests.gateway.helpers import GATEWAY_PORT, gateway_site
+from tests.gateway.helpers import gateway_site
 from tests.spec.fbs_spec import Domain, spec_receive
 from tests.spec.gateway_spec import GatewaySpec
 
 #: A source address no resolver knows.
-STRANGER = ("10.88.0.99", 1234)
+STRANGER = ("10.99.0.99", 1234)
 #: Counters a trace folds to that the live registry counts as they go
 #: (the cache counters are synced at snapshot).
 FOLDED = (
@@ -78,7 +79,7 @@ class Gateway(RuleBasedStateMachine):
             tracer=self.trace,
         )
         host = site.net.add_host("stranger", segment="site", address=STRANGER[0])
-        gw_address = (site.gw_transport.host.address, GATEWAY_PORT)
+        gw_address = (site.gateway.transport.host.address, GATEWAY_PORT)
         self.stranger = NetsimTransport(host, STRANGER[1], remote=gw_address)
         self.addrs = [(str(t.host.address), t.local_port) for t in site.transports]
         names = [p.name for p in site.principals]
@@ -102,14 +103,10 @@ class Gateway(RuleBasedStateMachine):
         self.sends += 1
         self.pending.append(((str(transport.host.address), transport.local_port), wire))
 
-    def protect(self, tenant, stamp_offset=0.0):
-        endpoint = self.site.endpoints[tenant]
+    def protect(self, tenant, skew=0.0):
         body = b"%d from tenant %d" % (next(self.bodies), tenant)
-        (wire,) = endpoint.protect_batch(
-            (body,), self.site.gw_principal, stamps=(endpoint.now() + stamp_offset,)
-        )
         self.sent[self.site.principals[tenant].name].add(body)
-        return wire
+        return self.site.protect(tenant, body, skew=skew)
 
     # -- traffic ---------------------------------------------------------------
 
@@ -147,7 +144,7 @@ class Gateway(RuleBasedStateMachine):
 
     def expect(self, limit):
         """The models' outcomes for the next ``limit`` arrivals, now."""
-        now = self.site.gw_transport.now()
+        now = self.site.gateway.transport.now()
         gw_id = self.site.gw_principal.wire_id
         outcomes = []
         for _ in range(min(limit, len(self.pending))):
@@ -179,7 +176,7 @@ class Gateway(RuleBasedStateMachine):
     @rule()
     def drain(self):
         queued = sum(len(queue) for queue, _ in self.model.table.values())
-        gauges = self.site.gw_endpoint.registry.snapshot()["gauges"]
+        gauges = self.site.gateway.endpoint.registry.snapshot()["gauges"]
         assert gauges["gateway_queue_depth"] == queued
         assert gauges["gateway_active_tenants"] == len(self.model.table)
         delivered = self.site.gateway.drain()
@@ -190,7 +187,7 @@ class Gateway(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
-        self.site.gw_endpoint.flush_all_caches()
+        self.site.gateway.endpoint.flush_all_caches()
         self.seen.clear()
 
     @rule(step=st.sampled_from([0.5, 59.5, 121.0, 601.0]))
@@ -211,7 +208,7 @@ class Gateway(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_the_models(self):
-        gateway, endpoint = self.site.gateway, self.site.gw_endpoint
+        gateway, endpoint = self.site.gateway, self.site.gateway.endpoint
         assert gateway.admission.ledger_dict() == self.model.ledger
         assert gateway.admission.check_registry() == []
         for name in FOLDED:

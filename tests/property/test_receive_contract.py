@@ -72,12 +72,13 @@ from repro.core.replay_guard import DuplicateDatagramError
 from repro.crypto.des import DES
 from repro.crypto.mac import constant_time_equal, keyed_md5
 from repro.crypto.modes import decrypt_cbc
+from repro.gateway.site import TENANT_PORT_BASE
 from repro.gateway.tenants import GatewayConfig
 from repro.netsim import Network
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import UdpSocket
 from repro.obs import REJECTION_REASONS, DatagramRejected, RingBufferSink
-from tests.gateway.helpers import TENANT_PORT_BASE, gateway_site, serve_one
+from tests.gateway.helpers import gateway_site, serve_one
 from tests.property.test_codec_props import garbage
 from tests.spec.fbs_spec import Domain, spec_receive
 
@@ -461,7 +462,7 @@ def gateway_world():
         return Principal.from_name("stranger")
 
     site.gateway.resolver = resolver
-    stale = site.endpoints[0].protect(b"ten minutes ago", site.gw_principal)
+    stale = site.protect(0, b"ten minutes ago")
     site.net.sim.run(until=600.0)
     return SimpleNamespace(site=site, ring=ring, pool=[stale], fields=fbs_fields(16))
 
@@ -469,7 +470,7 @@ def gateway_world():
 def check_serve(world, tenant, data):
     """One datagram from ``tenant`` through ``serve_once``: one outcome
     of the closed set, counted where the endpoint saw it."""
-    site, endpoint = world.site, world.site.gw_endpoint
+    site, endpoint = world.site, world.site.gateway.endpoint
     before = receive_counts(endpoint)
     world.ring.clear()
     site.transports[tenant].send_sync(data)
@@ -508,9 +509,7 @@ def test_gateway_keeps_the_receive_contract(arrivals):
     site = world.site
     problems = []
     for tenant, recipe in arrivals:
-        wires = [] if recipe[0] == "garbage" else [
-            site.endpoints[tenant].protect(recipe[1], site.gw_principal)
-        ]
+        wires = [] if recipe[0] == "garbage" else [site.protect(tenant, recipe[1])]
         (data,) = assemble([recipe], wires, world.pool, world.fields)
         problems += check_serve(world, tenant, data)
     assert problems == []

@@ -59,6 +59,7 @@ PRODUCERS = {
     "transport-udp": (0, ["-m", "repro.transport", "--demo", "udp-echo"]),
     "transport-netsim": (0, ["-m", "repro.transport", "--demo", "netsim-echo"]),
     "gateway": (0, ["-m", "repro.gateway"] + GATEWAY_SMOKE),
+    "gateway-udp": (0, ["-m", "repro.gateway"] + GATEWAY_SMOKE + ["--transport", "udp"]),
     "traces": (0, ["-m", "repro.traces", "sweep", "--profile", "smoke", "--seed", "0"]),
     # The fixtures hold deliberate violations: findings, so exit 1.
     "analysis": (1, ["-m", "repro.analysis", "tests/analysis/fixtures"]),

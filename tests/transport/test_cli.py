@@ -37,3 +37,13 @@ class TestDemoCli:
             "workload", "substrate", "datagrams", "payload_size", "seed",
             "echoed", "exchanges_retried", "client", "server",
         }
+
+    def test_a_body_past_one_udp_datagram_is_a_usage_error(self, capsys):
+        assert main(["--payload-size", "65476"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--payload-size: must be in 0..65475" in errors[0]
+
+    @pytest.mark.parametrize("demo", ["netsim-echo", "udp-echo"])
+    def test_the_largest_body_echoes(self, demo, capsys):
+        assert main(["--demo", demo, "--payload-size", "65475", "--datagrams", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["echoed"] == 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gateway.server import FBSGateway
+from repro.gateway.site import build_site
 from repro.transport import (
     TransportClosedError,
     TransportError,
@@ -21,7 +21,6 @@ from repro.transport import (
     UdpTransportConfig,
 )
 
-from tests.gateway.helpers import gateway_site
 from tests.transport.helpers import DropSends
 
 
@@ -140,23 +139,6 @@ def _turn_flag():
     return turned
 
 
-async def _udp_gateway(tenants):
-    """A netsim site's principals and endpoints behind real sockets."""
-    site = gateway_site(tenants=tenants)
-    listening = await UdpTransport.create()
-    senders = [
-        await UdpTransport.create(remote=listening.local_address)
-        for _ in site.principals
-    ]
-    directory = {
-        t.local_address: principal for t, principal in zip(senders, site.principals)
-    }
-    gateway = FBSGateway(
-        site.gw_endpoint, listening, resolver=lambda addr: directory[tuple(addr)]
-    )
-    return site, gateway, senders
-
-
 class TestReceivePath:
     """Harvest -> pop -> only then wait, checked by counts, not clocks."""
 
@@ -175,19 +157,15 @@ class TestReceivePath:
 
     def test_gateway_serves_pending_datagrams_without_a_loop_turn(self):
         async def scenario():
-            site, gateway, senders = await _udp_gateway(tenants=2)
+            site = await build_site("udp", 2)
             turned = _turn_flag()
-            await senders[0].send(site.endpoints[0].protect(b"one", site.gw_principal))
-            once = await gateway.serve_once(1.0)
+            await site.transports[0].send(site.protect(0, b"one"))
+            once = await site.gateway.serve_once(1.0)
             for i in range(8):
-                tenant = i % 2
-                await senders[tenant].send(
-                    site.endpoints[tenant].protect(b"%d" % i, site.gw_principal)
-                )
-            ready = await gateway.serve_ready(8)
+                await site.transports[i % 2].send(site.protect(i % 2, b"%d" % i))
+            ready = await site.gateway.serve_ready(8)
             seen = list(turned)
-            for transport in (gateway.transport, *senders):
-                await transport.close()
+            await site.close()
             return once, ready, seen
 
         once, ready, seen = asyncio.run(scenario())
