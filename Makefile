@@ -90,8 +90,10 @@ reports: figures
 	@ls -1 benchmarks/reports/
 
 # The reports a change to the simulated testbed can move must
-# regenerate byte-identically (per-PR and nightly): the security matrix (with
-# its seven cell assertions), Figure 8 and the ablations.
+# regenerate byte-identically (per-PR and nightly): the security matrix (every
+# cell checked against the knowledge closure of tests/spec/knowledge.py, the
+# check tier-1 also runs as tests/attacks/test_grid.py), Figure 8 and the
+# ablations.
 # ablation_confounder.txt prints wall-clock microseconds and is exempt.
 reports-check:
 	$(PYTHON) -m pytest -q benchmarks/bench_security_matrix.py benchmarks/bench_fig08_throughput.py benchmarks/bench_ablations.py --benchmark-only

@@ -1,120 +1,26 @@
-"""The security comparison matrix (Sections 2, 6, 7.1, 7.4).
+"""The security matrix: the attacks of Sections 2.2, 6, 7.1 and 7.4 against
+every scheme in :data:`repro.baselines.SCHEMES`.
 
-For each attack scenario and scheme, reports the outcome the paper's
-analysis predicts:
-
-* replay: accepted inside the freshness window, rejected outside,
-* cut-and-paste: lands on MAC-less host-pair keying, dies on FBS,
-* port reuse: works until the wait-THRESHOLD countermeasure,
-* key compromise: one stolen key exposes one flow under FBS, everything
-  under host-pair keying and SKIP.
+Each cell is one attack of :mod:`repro.attacks` run on the simulated
+network (``tests/attacks/grid.py``), and must equal what the knowledge
+closure of ``tests/spec/knowledge.py`` predicts from the scheme's rule
+row -- the one check ``tests/attacks/test_grid.py`` makes in tier-1.
 """
 
-from repro.attacks import (
-    run_compromise_analysis,
-    run_cutpaste_attack,
-    run_port_reuse_attack,
-    run_replay_attack,
-    run_traffic_analysis,
-)
+from repro.baselines import SCHEMES
 from repro.bench import render_table
+from tests.attacks.grid import ROWS, cell, predicted
 
 
 def run_matrix():
-    rows = []
-
-    replay = run_replay_attack(seed=100)
-    rows.append(
-        (
-            "replay (in window)",
-            "fbs",
-            "ACCEPTED" if replay.replays_accepted_in_window else "rejected",
-            "documented residual exposure (Sec 6.2)",
-        )
-    )
-    rows.append(
-        (
-            "replay (stale)",
-            "fbs",
-            "accepted" if replay.replays_accepted_after_window else "REJECTED",
-            "freshness window",
-        )
-    )
-
-    guarded = run_replay_attack(seed=100, replay_guard_size=256)
-    rows.append(
-        (
-            "replay (in window)",
-            "fbs + replay guard",
-            "accepted" if guarded.replays_accepted_in_window else "REJECTED",
-            "soft-state duplicate suppression (extension)",
-        )
-    )
-
-    for scheme in ("host-pair", "host-pair-mac", "fbs"):
-        outcome = run_cutpaste_attack(scheme, seed=101)
-        rows.append(
-            (
-                "cut-and-paste",
-                scheme,
-                "LEAKED" if outcome.secret_leaked else "REJECTED",
-                "no MAC on basic host-pair keying" if outcome.secret_leaked else "MAC",
-            )
-        )
-
-    for fixed in (False, True):
-        outcome = run_port_reuse_attack(countermeasure=fixed, seed=102)
-        rows.append(
-            (
-                "port reuse (Sec 7.1)",
-                "fbs" + (" + wait-THRESHOLD" if fixed else ""),
-                "RECOVERED" if outcome.plaintexts_recovered else "BLOCKED",
-                "in_pcballoc wait" if fixed else "fresh replays decrypt",
-            )
-        )
-
-    for scheme in ("generic", "fbs", "fbs-gateway"):
-        ta = run_traffic_analysis(scheme, conversations=3, seed=104)
-        leaks = []
-        if ta.payload_readable:
-            leaks.append("payloads")
-        if ta.ports_visible:
-            leaks.append("ports")
-        if any(h.startswith("10.0.0.") or h.startswith("10.0.1.1") for p in ta.endpoint_pairs for h in p):
-            leaks.append("host pairs")
-        leaks.append(f"{ta.linkable_conversations} linkable flows")
-        rows.append(
-            (
-                "passive observation",
-                scheme,
-                ", ".join(leaks),
-                "sfl links flows by design" if scheme != "generic" else "no protection",
-            )
-        )
-
-    for scheme in ("fbs", "host-pair", "skip"):
-        report = run_compromise_analysis(scheme, seed=103)
-        rows.append(
-            (
-                "one key compromised",
-                scheme,
-                f"{report.exposure * 100:.0f}% of traffic",
-                f"{report.flows_on_wire} flow(s) on the wire",
-            )
-        )
-    return rows
+    return [(attack, scheme, cell(attack, scheme)) for attack in ROWS for scheme in SCHEMES]
 
 
 def test_security_matrix(benchmark, report_writer):
     rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-    table = render_table(["attack", "scheme", "outcome", "why"], rows)
-    report_writer("security_matrix", "Security comparison matrix\n" + table)
-
-    outcomes = {(row[0], row[1]): row[2] for row in rows}
-    assert outcomes[("replay (stale)", "fbs")] == "REJECTED"
-    assert outcomes[("replay (in window)", "fbs + replay guard")] == "REJECTED"
-    assert outcomes[("cut-and-paste", "host-pair")] == "LEAKED"
-    assert outcomes[("cut-and-paste", "fbs")] == "REJECTED"
-    assert outcomes[("one key compromised", "host-pair")] == "100% of traffic"
-    assert outcomes[("one key compromised", "skip")] == "100% of traffic"
-    assert outcomes[("one key compromised", "fbs")] != "100% of traffic"
+    table = render_table(["attack", "scheme", "outcome"], rows)
+    report_writer(
+        "security_matrix",
+        "Security matrix: every cell equals the knowledge closure's prediction\n" + table,
+    )
+    assert rows == [(attack, scheme, predicted(attack, scheme)) for attack, scheme, _ in rows]

@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Attack resilience demo: the threats of Sections 2.2, 6 and 7.1.
+"""Attack resilience demo: the threats of Sections 2.2, 6, 7.1 and 7.4.
 
-Runs four attack scenarios on the simulated network and prints what an
-on-path adversary achieves against FBS and against the schemes the
-paper compares with:
+Runs the five attack scenarios of :mod:`repro.attacks` on the simulated
+network against every scheme in :data:`repro.baselines.SCHEMES` and
+prints what an on-path adversary achieves, one row per scheme:
 
-1. replay -- inside and outside the freshness window,
-2. cut-and-paste -- ciphertext splicing against MAC-less host-pair
-   keying vs FBS,
+1. replay -- 5 s after the original (inside FBS's freshness window) and
+   600 s after (outside it),
+2. cut-and-paste -- a ciphertext splice between two conversations,
 3. the Section 7.1 port-reuse attack, with and without the
    wait-THRESHOLD countermeasure,
-4. key compromise blast radius -- FBS vs host-pair keying vs SKIP.
+4. key compromise -- what one stolen traffic key and one stolen pair
+   key open of the recorded traffic,
+5. passive observation -- what the wire shows an eavesdropper.
+
+The test suite checks every cell against the knowledge closure of
+``tests/spec/knowledge.py``.
 
 Run:  python examples/attack_resilience.py
 """
@@ -20,61 +25,44 @@ from repro.attacks import (
     run_cutpaste_attack,
     run_port_reuse_attack,
     run_replay_attack,
+    run_traffic_analysis,
 )
+from repro.baselines import SCHEMES
+from repro.bench import render_table
+
+
+def row(scheme):
+    replay = run_replay_attack(scheme, seed=1)
+    splice = run_cutpaste_attack(scheme, seed=2)
+    reuse = [run_port_reuse_attack(scheme, fixed, seed=3) for fixed in (False, True)]
+    stolen = run_compromise_analysis(scheme, seed=4)
+    seen = run_traffic_analysis(scheme, conversations=3, seed=5)
+    flows = seen.linkable_conversations
+    shown = [("payload", seen.payload_readable), ("ports", seen.ports_visible),
+             ("hosts", seen.hosts_visible)]  # fmt: skip
+    return (
+        scheme,
+        "yes" if replay.replays_accepted_in_window else "no",
+        "yes" if replay.replays_accepted_after_window else "no",
+        "LEAKED" if splice.secret_leaked else "rejected",
+        " / ".join("RECOVERED" if r.plaintexts_recovered else "blocked" for r in reuse),
+        f"{stolen.exposure:.0%} / {stolen.decryptable_with_pair_key / stolen.total_datagrams:.0%}",
+        ", ".join([name for name, on in shown if on] + [f"{flows} flow{'s' * (flows > 1)}"]),
+    )
 
 
 def main() -> None:
-    print("=== 1. Replay (Section 6.2) " + "=" * 40)
-    replay = run_replay_attack(seed=1)
-    print(f"original datagram delivered: {replay.original_delivered}")
+    headers = ["scheme", "replay +5s", "replay +600s", "cut-and-paste",
+               "port reuse / +wait", "one key / pair key", "observer sees"]  # fmt: skip
+    rows = [row(scheme) for scheme in SCHEMES]
+    print(render_table(headers, rows))
+    fbs = dict(zip(SCHEMES, rows))["fbs"]
+    if fbs[2] != "no" or fbs[3] != "rejected":
+        raise SystemExit("FBS accepted a stale replay or a splice")
     print(
-        f"replay inside freshness window: "
-        f"{'ACCEPTED (documented residual exposure)' if replay.replays_accepted_in_window else 'rejected'}"
-    )
-    print(
-        f"replay after window closed:     "
-        f"{'accepted' if replay.replays_accepted_after_window else 'REJECTED by timestamp check'}"
-    )
-    assert replay.replays_accepted_after_window == 0
-
-    print("\n=== 2. Cut-and-paste (Section 2.2) " + "=" * 33)
-    for scheme in ("host-pair", "fbs"):
-        outcome = run_cutpaste_attack(scheme, seed=2)
-        verdict = "SECRET LEAKED" if outcome.secret_leaked else "splice rejected"
-        print(f"{scheme:>10}: {verdict}")
-        if outcome.secret_leaked:
-            print(f"            attacker read: {outcome.delivered_payload[:60]!r}")
-    assert run_cutpaste_attack("fbs", seed=2).secret_leaked is False
-
-    print("\n=== 3. Port reuse (Section 7.1) " + "=" * 36)
-    naive = run_port_reuse_attack(countermeasure=False, seed=3)
-    fixed = run_port_reuse_attack(countermeasure=True, seed=3)
-    print(
-        f"without countermeasure: port rebound={naive.port_rebound}, "
-        f"plaintexts recovered={naive.plaintexts_recovered}"
-    )
-    if naive.recovered:
-        print(f"            attacker read: {naive.recovered!r}")
-    print(
-        f"with wait-THRESHOLD fix: port rebound={fixed.port_rebound}, "
-        f"plaintexts recovered={fixed.plaintexts_recovered}"
-    )
-    assert fixed.plaintexts_recovered == 0
-
-    print("\n=== 4. Key compromise blast radius (Sections 6.1, 7.4) " + "=" * 13)
-    print(f"{'scheme':>10}  {'one stolen key exposes':>24}  flows on wire")
-    for scheme in ("fbs", "host-pair", "skip"):
-        report = run_compromise_analysis(scheme, flows=6, datagrams_per_flow=4, seed=4)
-        print(
-            f"{scheme:>10}  {report.exposure * 100:>22.0f}%  {report.flows_on_wire}"
-        )
-    fbs_report = run_compromise_analysis("fbs", flows=6, datagrams_per_flow=4, seed=4)
-    assert fbs_report.exposure < 0.2
-
-    print(
-        "\nconclusion: FBS confines a key compromise to a single flow,"
-        "\nrejects splices and stale replays, and the port-reuse hole is"
-        "\nclosed by the in_pcballoc wait the paper proposes."
+        "\nconclusion: FBS confines a stolen key to a single flow, rejects"
+        "\nsplices and stale replays; the replay window and the port-reuse"
+        "\nhole remain (the in_pcballoc wait the paper proposes closes it)."
     )
 
 

@@ -21,8 +21,9 @@ from typing import List
 from repro.netsim.clock import Simulator
 from repro.netsim.ipv4 import IPv4Packet
 from repro.netsim.link import EthernetSegment
+from repro.netsim.network import Network
 
-__all__ = ["OnPathAdversary"]
+__all__ = ["OnPathAdversary", "tapped_lan"]
 
 
 class OnPathAdversary:
@@ -70,3 +71,13 @@ class OnPathAdversary:
         """Re-inject a previously captured frame verbatim."""
         for i in range(copies):
             self.inject_frame(frame, delay=delay + i * 1e-4)
+
+
+def tapped_lan(seed: int, subnet: str):
+    """``(net, alice, bob, adversary)``: two hosts on one segment and the
+    attacker tapping it -- the stage of every attack but the gateway one."""
+    net = Network(seed=seed)
+    net.add_segment("lan", subnet)
+    alice = net.add_host("alice", segment="lan")
+    bob = net.add_host("bob", segment="lan")
+    return net, alice, bob, OnPathAdversary(net.sim, net.segment("lan"))

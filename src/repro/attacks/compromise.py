@@ -1,4 +1,4 @@
-"""Key-compromise blast radius: FBS vs. host-pair keying vs. SKIP.
+"""Key-compromise blast radius under any scheme (Sections 6.1, 7.4).
 
 Section 6.1: "Under host-pair keying, easy access to the master key is
 available as it is used to directly encrypt the traffic.  Under FBS, the
@@ -10,26 +10,31 @@ within that flow -- it does not provide access to the master key which
 can be used to 'unlock' all datagrams between a pair of hosts."
 
 The analysis runs a mixed workload (several flows between two hosts)
-over each scheme, records all ciphertext, steals exactly one
-traffic-protection key of the scheme's natural granularity, and counts
-how many of the recorded datagrams that single key decrypts.
+over a scheme, records all of it, and counts the recorded datagrams two
+thefts open.  Both are read off the receiver through its own
+``receive_keys``, so the scheme, not this module, says what a key is:
+
+* **one traffic key** -- the keys that open the first recorded datagram
+  (``K_f`` under FBS, the pair key itself under host-pair keying, a
+  per-datagram key under SKIP);
+* **the pair key** -- everything the receiver can key for that sender,
+  which is what holding ``K_{S,D}`` (or SKIP's ``K_ij``) gives.  The
+  sender runs the same workload to a third host as well, so the report
+  also says what that key opens of a pair it does not belong to.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from repro.attacks.adversary import OnPathAdversary
+from repro.attacks.adversary import tapped_lan
 from repro.baselines import install_scheme
 from repro.core.errors import ScenarioError
-from repro.core.header import FBSHeader
-from repro.core.keying import KeyDerivation, Principal
 from repro.crypto.des import DES
 from repro.crypto.modes import decrypt_cbc
 from repro.netsim.ipv4 import IPProtocol
-from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
 
 __all__ = ["CompromiseReport", "run_compromise_analysis"]
@@ -43,8 +48,12 @@ class CompromiseReport:
 
     scheme: str
     total_datagrams: int
+    #: Recorded datagrams the keys of the first one open.
     decryptable_with_one_key: int
-    flows_on_wire: int
+    #: Recorded datagrams the receiver's keying for the sender opens.
+    decryptable_with_pair_key: int
+    #: Of as many datagrams to the third host, those that keying opens.
+    decryptable_in_other_pair: int
 
     @property
     def exposure(self) -> float:
@@ -57,7 +66,7 @@ class CompromiseReport:
 def _traffic(net, alice, bob, flows: int, datagrams_per_flow: int) -> None:
     """Several concurrent conversations alice -> bob."""
     inboxes = [UdpSocket(bob, 6000 + i) for i in range(flows)]
-    senders = [UdpSocket(alice, 3000 + i) for i in range(flows)]
+    senders = [UdpSocket(alice) for _ in range(flows)]
     for burst in range(datagrams_per_flow):
         for i, sender in enumerate(senders):
             sender.sendto(
@@ -74,79 +83,55 @@ def _traffic(net, alice, bob, flows: int, datagrams_per_flow: int) -> None:
             )
 
 
-def _decrypts(key: bytes, iv: bytes, body: bytes) -> bool:
-    """Does DES-CBC(key) decrypt body to recognizable plaintext?"""
+def _reads(keys: Optional[Tuple[bytes, bytes]], iv: bytes, body: bytes) -> bool:
+    """Does ``body`` read as workload plaintext, in the clear or under
+    DES-CBC with the cipher key of ``keys``?"""
+    if _MARKER in body:
+        return True
+    if keys is None:
+        return False
     try:
-        plaintext = decrypt_cbc(DES(key), iv, body)
+        return _MARKER in decrypt_cbc(DES(keys[0]), iv, body)
     except ValueError:
         return False
-    return _MARKER in plaintext
 
 
 def run_compromise_analysis(
     scheme: str, flows: int = 6, datagrams_per_flow: int = 4, seed: int = 0
 ) -> CompromiseReport:
-    """Steal one traffic key under ``scheme``; count what it unlocks."""
-    net = Network(seed=seed)
-    net.add_segment("lan", "10.6.0.0")
-    alice = net.add_host("alice", segment="lan")
-    bob = net.add_host("bob", segment="lan")
-    adversary = OnPathAdversary(net.sim, net.segment("lan"))
-    if scheme not in ("fbs", "host-pair", "skip"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    sender, _ = install_scheme(scheme, (alice, bob), seed + 9)
-    victim = Principal.from_ip(bob.address)
+    """Steal a traffic key and the pair key under ``scheme``; count what
+    each unlocks."""
+    net, alice, bob, adversary = tapped_lan(seed, "10.6.0.0")
+    carol = net.add_host("carol", segment="lan")
+    _, receiver, _ = install_scheme(scheme, (alice, bob, carol), seed + 9)
 
     _traffic(net, alice, bob, flows, datagrams_per_flow)
+    _traffic(net, alice, carol, flows, datagrams_per_flow)
 
-    # Everything alice sent to bob's data ports, as recorded on the wire.
-    recorded = [
-        p
-        for p in adversary.captured_packets()
-        if p.header.src == alice.address and p.header.proto == IPProtocol.UDP
-    ]
-    total = len(recorded)
+    # Everything alice sent to each host's data ports, as recorded on
+    # the wire, split the way the receiver splits it.
+    def recorded(host):
+        return [
+            (p, receiver.split(p.payload))
+            for p in adversary.captured_packets()
+            if p.header.src == alice.address
+            and p.header.dst == host.address
+            and p.header.proto == IPProtocol.UDP
+        ]
 
-    decryptable = 0
-    flows_on_wire = flows
-    if scheme == "fbs":
-        # Steal exactly one flow key: derive it the way the endpoint did,
-        # using the (stolen) sfl from one datagram plus the master key --
-        # but the attacker only gets the *flow key*, so model that by
-        # deriving one and trying it everywhere.
-        suite = sender.config.suite
-        header = FBSHeader.decode(recorded[0].payload, suite)
-        kdf = KeyDerivation(suite)
-        master = sender.endpoint.mkd.master_key(victim)
-        stolen = kdf.flow_key(header.sfl, master, sender.endpoint.principal, victim)
-        sfls = set()
-        for packet in recorded:
-            ph = FBSHeader.decode(packet.payload, suite)
-            sfls.add(ph.sfl)
-            body = packet.payload[sender.endpoint.header_size :]
-            if _decrypts(kdf.encryption_key(stolen), ph.iv(), body):
-                decryptable += 1
-        flows_on_wire = len(sfls)
-    elif scheme == "host-pair":
-        stolen, _ = sender.traffic_keys(victim)
-        for packet in recorded:
-            _, iv, _, body = sender.split(packet.payload)
-            if _decrypts(stolen, iv, body):
-                decryptable += 1
-        flows_on_wire = 1
-    else:  # skip
-        n = 0  # the simulation runs inside one key interval
-        stolen_kijn = sender.interval_key(victim, n)
-        for packet in recorded:
-            prefix, iv, _, body = sender.split(packet.payload)
-            # The scheme, not the attacker, knows how its prefix wraps Kp.
-            if _decrypts(sender.packet_key(stolen_kijn, prefix), iv, body):
-                decryptable += 1
-        flows_on_wire = 1
+    def opened_by_pair_key(capture):
+        return sum(
+            _reads(receiver.receive_keys(packet, prefix), iv, body)
+            for packet, (prefix, iv, _, body) in capture
+        )
 
+    to_bob, to_carol = recorded(bob), recorded(carol)
+    first, (prefix, _, _, _) = to_bob[0]
+    stolen = receiver.receive_keys(first, prefix)
     return CompromiseReport(
         scheme=scheme,
-        total_datagrams=total,
-        decryptable_with_one_key=decryptable,
-        flows_on_wire=flows_on_wire,
+        total_datagrams=len(to_bob),
+        decryptable_with_one_key=sum(_reads(stolen, iv, body) for _, (_, iv, _, body) in to_bob),
+        decryptable_with_pair_key=opened_by_pair_key(to_bob),
+        decryptable_in_other_pair=opened_by_pair_key(to_carol),
     )

@@ -11,18 +11,18 @@ THRESHOLD on port reallocation."
 The attacker here is a local unprivileged process on the destination
 host (it can bind ports but not read kernel keys), colluding with an
 on-path recorder.  The ``rebind_wait`` knob on the UDP layer is the
-paper's ``in_pcballoc`` fix.
+paper's ``in_pcballoc`` fix.  Any scheme that keys by host, not by
+port, decrypts the replay for whoever holds the port.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attacks.adversary import OnPathAdversary
+from repro.attacks.adversary import tapped_lan
+from repro.baselines import install_scheme
 from repro.core.config import FBSConfig
-from repro.core.deploy import FBSDomain
 from repro.core.errors import ScenarioError
-from repro.netsim.network import Network
 from repro.netsim.sockets import UdpSocket
 
 __all__ = ["PortReuseOutcome", "run_port_reuse_attack"]
@@ -43,28 +43,18 @@ class PortReuseOutcome:
 
 
 def run_port_reuse_attack(
+    scheme: str = "fbs",
     countermeasure: bool = False,
     seed: int = 0,
-    threshold: float = 600.0,
-    freshness_half_window: float = 120.0,
     attack_delay: float = 1.0,
 ) -> PortReuseOutcome:
-    """Run the scenario, optionally with the wait-THRESHOLD fix."""
-    config = FBSConfig(
-        threshold=threshold, freshness_half_window=freshness_half_window
-    )
-    net = Network(seed=seed)
-    net.add_segment("lan", "10.7.0.0")
-    alice = net.add_host("alice", segment="lan")
-    bob = net.add_host("bob", segment="lan")
-    recorder = OnPathAdversary(net.sim, net.segment("lan"))
-
-    domain = FBSDomain(seed=seed + 3, config=config)
-    domain.enroll_host(alice, encrypt_all=True)
-    domain.enroll_host(bob, encrypt_all=True)
+    """Run the scenario against ``scheme``, optionally with the
+    wait-THRESHOLD fix (FBS's THRESHOLD, 600 s)."""
+    net, alice, bob, recorder = tapped_lan(seed, "10.7.0.0")
+    install_scheme(scheme, (alice, bob), seed + 3)
 
     if countermeasure:
-        bob.udp.rebind_wait = threshold
+        bob.udp.rebind_wait = FBSConfig().threshold
 
     # The victim process receives a sensitive datagram, then exits
     # (releasing its port).

@@ -34,7 +34,7 @@ the install table the benches, attacks and examples go through):
   (Section 7.4's comparison point).
 """
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.generic import GenericNull
 from repro.baselines.hostpair import HostPairKeying
@@ -42,6 +42,7 @@ from repro.baselines.perdatagram import PerDatagramHostPair
 from repro.baselines.kdc import KeyDistributionCenter, KdcSessionKeying
 from repro.baselines.photuris import PhoturisSessionKeying
 from repro.baselines.skip import SkipHostKeying
+from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.netsim.host import Host, SecurityModule
@@ -58,32 +59,32 @@ __all__ = [
     "install_scheme",
 ]
 
-Builder = Callable[[Sequence[Host], int], List[SecurityModule]]
+Builder = Callable[[Sequence[Host], int, Optional[FBSConfig]], List[SecurityModule]]
 
 
 def _pair_keyed(scheme, **options) -> Builder:
     """A scheme on the FBS certificate substrate: one domain, and each
     host's master key daemon handed to ``scheme``."""
 
-    def build(hosts, seed):
-        domain = FBSDomain(seed=seed)
+    def build(hosts, seed, config):
+        domain = FBSDomain(seed=seed, config=config)
         mkds = [domain.enroll_principal(Principal.from_ip(h.address)) for h in hosts]
         return [scheme(host, mkd, **options) for host, mkd in zip(hosts, mkds)]
 
     return build
 
 
-def _fbs(hosts, seed):
-    domain = FBSDomain(seed=seed)
+def _fbs(hosts, seed, config):
+    domain = FBSDomain(seed=seed, config=config)
     return [domain.enroll_host(host, encrypt_all=True) for host in hosts]
 
 
-def _kdc(hosts, seed):
+def _kdc(hosts, seed, config):
     kdc = KeyDistributionCenter(seed=seed)
     return [KdcSessionKeying(host, kdc) for host in hosts]
 
 
-def _photuris(hosts, seed):
+def _photuris(hosts, seed, config):
     registry: dict = {}
     return [
         PhoturisSessionKeying(host, registry, dh_private_seed=seed + i)
@@ -94,9 +95,11 @@ def _photuris(hosts, seed):
 #: Every scheme the benches, attacks and examples can run a workload
 #: over, by name: what shared infrastructure it needs (a certificate
 #: domain, a KDC, a rendezvous registry) and how each host's module is
-#: built from it.
+#: built from it.  Every module it builds answers ``split`` (its wire
+#: layout) and ``receive_keys`` (the keys a datagram's prefix names),
+#: which is all :mod:`repro.attacks` asks of a scheme.
 SCHEMES: Dict[str, Builder] = {
-    "generic": lambda hosts, seed: [GenericNull() for _ in hosts],
+    "generic": lambda hosts, seed, config: [GenericNull() for _ in hosts],
     "fbs": _fbs,
     "host-pair": _pair_keyed(HostPairKeying),
     "host-pair-mac": _pair_keyed(HostPairKeying, include_mac=True),
@@ -107,11 +110,18 @@ SCHEMES: Dict[str, Builder] = {
 }
 
 
-def install_scheme(name: str, hosts: Sequence[Host], seed: int) -> List[SecurityModule]:
-    """Install scheme ``name`` on ``hosts``; their modules, in order."""
+def install_scheme(
+    name: str, hosts: Sequence[Host], seed: int, config: Optional[FBSConfig] = None
+) -> List[SecurityModule]:
+    """Install scheme ``name`` on ``hosts``; their modules, in order.
+
+    ``config`` configures the FBS domain of the schemes on the FBS
+    substrate (FBS's freshness window and replay guard; cache sizes
+    for the pair-keyed baselines); the others have no use for it.
+    """
     if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}")
-    modules = SCHEMES[name](hosts, seed)
+    modules = SCHEMES[name](hosts, seed, config)
     for host, module in zip(hosts, modules):
         host.install_security(module)
     return modules

@@ -56,7 +56,7 @@ class HostPairKeying(SealedDatagramModule):
     # -- keying --------------------------------------------------------------
 
     def master_key_for(self, peer: Principal) -> bytes:
-        """The pair master key (exposed so attacks can model compromise)."""
+        """The pair master key."""
         return self.mkd.master_key(peer)
 
     def traffic_keys(self, peer: Principal) -> Keys:

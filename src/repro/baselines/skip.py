@@ -82,13 +82,6 @@ class SkipHostKeying(SealedDatagramModule):
         self._kijn_cache[cache_key] = kijn
         return kijn
 
-    @staticmethod
-    def packet_key(kijn: bytes, prefix: bytes) -> bytes:
-        """Kp as whoever holds ``kijn`` unwraps it from a datagram's
-        prefix -- the receiver, or an attacker with a stolen hourly key."""
-        _n, wrapped = _PREFIX.unpack(prefix)
-        return DES(kijn).decrypt_block(wrapped)
-
     def send_keys(self, packet: IPv4Packet) -> Tuple[bytes, Keys]:
         n = self._interval_now()
         kijn = self.interval_key(Principal.from_ip(packet.header.dst), n)
@@ -99,10 +92,10 @@ class SkipHostKeying(SealedDatagramModule):
         return _PREFIX.pack(n, DES(kijn).encrypt_block(kp)), (kp, kp)
 
     def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Optional[Keys]:
-        n, _wrapped = _PREFIX.unpack(prefix)
+        n, wrapped = _PREFIX.unpack(prefix)
         # Accept the current and adjacent intervals (clock skew).
         if abs(n - self._interval_now()) > 1:
             return None
         kijn = self.interval_key(Principal.from_ip(packet.header.src), n)
-        kp = self.packet_key(kijn, prefix)
+        kp = DES(kijn).decrypt_block(wrapped)
         return kp, kp

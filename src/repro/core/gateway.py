@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 from repro.core.config import FBSConfig
 from repro.core.errors import FBSError, ReceiveError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.ip_mapping import ConversationPolicy, extract_five_tuple
+from repro.core.ip_mapping import ConversationPolicy, FBSIPMapping, extract_five_tuple
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.protocol import FBSEndpoint
@@ -88,6 +88,9 @@ class FBSGatewayTunnel:
         self.rejected = 0
         host.stack.forward_hook = self._forward_hook
         host.stack.register_protocol(FBS_TUNNEL_PROTO, self._tunnel_input)
+
+    #: Tunnel datagrams have the IP mapping's wire layout.
+    split = FBSIPMapping.split
 
     # -- configuration ------------------------------------------------------------
 

@@ -22,12 +22,13 @@ IP path (the transport layer already charged that), using the calibrated
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.config import FBSConfig, MacAlgorithm
 from repro.core.errors import FBSError
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
-from repro.core.keying import Principal
+from repro.core.header import FBSHeader
+from repro.core.keying import KeyDerivation, Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.policy import KeyedMapper
 from repro.core.protocol import FBSEndpoint
@@ -214,6 +215,27 @@ class FBSIPMapping(SecurityModule):
         self.inbound_accepted += 1
         packet.payload = body
         return packet
+
+    # -- the layout and keying rules the Section 2 schemes share ---------------------
+
+    def split(self, data: bytes) -> Tuple[bytes, bytes, bytes, bytes]:
+        """``(sfl, IV, MAC, body)`` in the sealed schemes' terms: the sfl
+        is the label R2 keys on, the IV the confounder doubled (Section
+        7.2); the timestamp rides under the MAC."""
+        config = self.config
+        header = FBSHeader.decode(data, config.suite, config.carry_algorithm_id)
+        body = data[self.endpoint.header_size :]
+        return header.sfl.to_bytes(8, "big"), header.iv(), header.mac, body
+
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Tuple[bytes, bytes]:
+        """``(cipher_key, mac_key)`` of the flow ``prefix`` names, from the
+        source the IP header claims: K_f = H(sfl | K_{S,D} | S | D)."""
+        endpoint = self.endpoint
+        source = Principal.from_ip(packet.header.src)
+        master = endpoint.mkd.master_key(source)
+        sfl = int.from_bytes(prefix, "big")
+        flow_key = endpoint.kdf.flow_key(sfl, master, source, endpoint.principal)
+        return KeyDerivation.encryption_key(flow_key), KeyDerivation.mac_key(flow_key)
 
     # -- internals -------------------------------------------------------------------
 

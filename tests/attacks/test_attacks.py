@@ -1,4 +1,8 @@
-"""Attack scenario regression tests (Sections 2.2, 6, 7.1)."""
+"""The adversary's primitives and the scheme table the attacks run over.
+
+What each attack achieves against each scheme is the matrix of
+``test_grid.py``.
+"""
 
 import pytest
 
@@ -7,6 +11,7 @@ from repro.attacks import (
     run_cutpaste_attack,
     run_port_reuse_attack,
     run_replay_attack,
+    run_traffic_analysis,
 )
 from repro.attacks.adversary import OnPathAdversary
 from repro.baselines import SCHEMES, install_scheme
@@ -51,106 +56,6 @@ class TestAdversary:
         assert rx.received[0][1] == a.address  # spoofed source accepted
 
 
-class TestReplay:
-    def test_full_scenario(self):
-        outcome = run_replay_attack(seed=10)
-        assert outcome.original_delivered
-        # Within the freshness window: replay accepted (Section 6.2's
-        # documented residual exposure).
-        assert outcome.replays_accepted_in_window == 1
-        # Outside the window: the timestamp check rejects it.
-        assert outcome.replays_accepted_after_window == 0
-        assert outcome.stale_rejections >= 1
-
-    def test_narrow_window_blocks_slow_replay(self):
-        outcome = run_replay_attack(
-            seed=11,
-            freshness_half_window=1.0,
-            replay_delay_in_window=0.5,
-            replay_delay_after_window=120.0,
-        )
-        assert outcome.replays_accepted_in_window == 1
-        assert outcome.replays_accepted_after_window == 0
-
-    def test_unencrypted_mode_also_protected(self):
-        outcome = run_replay_attack(seed=12, encrypt=False)
-        assert outcome.replays_accepted_after_window == 0
-
-    def test_replay_guard_extension_closes_in_window_case(self):
-        outcome = run_replay_attack(seed=13, replay_guard_size=256)
-        assert outcome.original_delivered
-        assert outcome.replays_accepted_in_window == 0
-        assert outcome.replays_accepted_after_window == 0
-
-
-class TestCutPaste:
-    def test_succeeds_against_basic_host_pair(self):
-        outcome = run_cutpaste_attack("host-pair", seed=20)
-        assert outcome.splice_delivered
-        assert outcome.secret_leaked
-
-    def test_fails_against_fbs(self):
-        outcome = run_cutpaste_attack("fbs", seed=21)
-        assert not outcome.splice_delivered
-        assert not outcome.secret_leaked
-
-    def test_fails_against_host_pair_with_mac(self):
-        # The MAC (even keyed on the shared master key) catches splices.
-        outcome = run_cutpaste_attack("host-pair-mac", seed=22)
-        assert not outcome.splice_delivered
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            run_cutpaste_attack("rot13")
-
-
-class TestPortReuse:
-    def test_attack_succeeds_without_countermeasure(self):
-        outcome = run_port_reuse_attack(countermeasure=False, seed=30)
-        assert outcome.port_rebound
-        assert outcome.plaintexts_recovered >= 1
-        assert b"confidential" in outcome.recovered
-
-    def test_wait_threshold_blocks_rebind(self):
-        outcome = run_port_reuse_attack(countermeasure=True, seed=31)
-        assert not outcome.port_rebound
-        assert outcome.plaintexts_recovered == 0
-
-    def test_stale_replay_fails_even_with_rebind(self):
-        # A slow attacker loses the race against the freshness window:
-        # the recorded datagrams go stale before the replay (minute
-        # timestamp resolution means this takes minutes, not seconds).
-        outcome = run_port_reuse_attack(
-            countermeasure=False,
-            seed=32,
-            freshness_half_window=120.0,
-            attack_delay=400.0,
-        )
-        assert outcome.port_rebound
-        assert outcome.plaintexts_recovered == 0
-
-
-class TestCompromise:
-    def test_fbs_blast_radius_is_one_flow(self):
-        report = run_compromise_analysis("fbs", flows=6, datagrams_per_flow=4, seed=40)
-        assert report.flows_on_wire == 6
-        # One stolen flow key decrypts exactly one flow's datagrams.
-        assert report.decryptable_with_one_key == 4
-        assert report.exposure == pytest.approx(1 / 6)
-
-    def test_host_pair_blast_radius_is_everything(self):
-        report = run_compromise_analysis("host-pair", flows=6, datagrams_per_flow=4, seed=41)
-        assert report.exposure == 1.0
-
-    def test_skip_blast_radius_is_everything_in_interval(self):
-        report = run_compromise_analysis("skip", flows=6, datagrams_per_flow=4, seed=42)
-        assert report.exposure == 1.0
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            run_compromise_analysis("tls")
-
-
 class TestSchemeTable:
     """The attacks install whatever they are pointed at by name: a
     scheme is covered here by being listed in ``SCHEMES``."""
@@ -174,3 +79,12 @@ class TestSchemeTable:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             install_scheme("rot13", (), 0)
+
+    @pytest.mark.parametrize(
+        "attack",
+        [run_replay_attack, run_cutpaste_attack, run_port_reuse_attack,
+         run_compromise_analysis, run_traffic_analysis],  # fmt: skip
+    )
+    def test_every_attack_refuses_an_unknown_scheme(self, attack):
+        with pytest.raises(ValueError):
+            attack("rot13")

@@ -7,6 +7,8 @@ import pytest
 
 from repro.baselines import SCHEMES, GenericNull, install_scheme
 from repro.core.keying import Principal
+from repro.crypto.des import DES
+from repro.crypto.modes import decrypt_cbc
 from repro.netsim import Network
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.sockets import UdpSocket
@@ -231,6 +233,23 @@ class TestSkip:
         frames = tap(net)
         assert roundtrip(net, a, b, b"SKIP-SECRET") == b"SKIP-SECRET"
         assert all(b"SKIP-SECRET" not in f for f in frames)
+
+    def test_the_hourly_key_unwraps_every_packet_key_of_its_hour(self):
+        """The key hierarchy ``tests/spec/knowledge.py`` states for SKIP:
+        K_ijn and the clear ``E_Kijn(Kp)`` yield each datagram's Kp."""
+        net, a, b, module_a, module_b = self._pair(22)
+        frames = tap(net)
+        rx = UdpSocket(b, 5000)
+        for i in range(3):
+            UdpSocket(a).sendto(b"HOUR-%d" % i, b.address, 5000)
+        net.sim.run()
+        kijn = module_a.interval_key(Principal.from_ip(b.address), 0)
+        opened = []
+        for frame in frames:
+            prefix, iv, _, body = module_b.split(IPv4Packet.decode(frame).payload)
+            kp = DES(kijn).decrypt_block(struct.unpack(">I8s", prefix)[1])
+            opened.append(decrypt_cbc(DES(kp), iv, body)[8:])
+        assert opened == [payload for payload, _, _ in rx.received] == [b"HOUR-0", b"HOUR-1", b"HOUR-2"]
 
 
 @pytest.mark.parametrize("scheme", sorted(set(SCHEMES) - {"generic"}))

@@ -10,6 +10,11 @@ simulated time under the calibrated (symmetric) Pentium-133 model.
 After a deliberate wire or cost change,
 ``PYTHONPATH=src python tests/baselines/test_wire_digests.py`` prints
 the lines to paste under the file's comment header.
+
+The digests say the bytes did not move, not what they protect: the
+nearest oracle for that is the attack x scheme grid
+(``tests/attacks/test_grid.py``), whose every cell must equal the
+knowledge closure's prediction for the scheme.
 """
 
 import hashlib

@@ -17,6 +17,15 @@ datagram's body or rejection reason is ``spec_receive``'s.  Every
 receive also keeps the receive contract (``check_batch`` /
 ``check_unprotect``).  Derivation, build and cache counters are free to
 differ: that is what "soft" means.
+
+An attacker rides along with a knowledge set (``tests/spec/knowledge.py``'s
+FBS row): it steals a flow key from an RFKC or TFKC entry or a pair's
+master key (alice's, or carol's, who is enrolled only to be forged), forges
+datagrams for any flow with the best key it holds, and splices one
+datagram's body under another's header.  A forged datagram passes the MAC
+iff the closure of what was stolen holds its flow key; a splice, which
+uses no key, iff its bytes are a datagram alice sent.  So one ``K_f``
+never opens another flow, and one ``K_{S,D}`` never another pair.
 """
 
 import ast
@@ -34,7 +43,11 @@ from repro.crypto.vector import CBC_ENCRYPT_MIN_LANES
 from repro.obs import RingBufferSink
 from tests.property.test_receive_contract import Clock, received
 from tests.spec import fbs_spec
-from tests.spec.fbs_spec import Domain, spec_receive, spec_send
+from tests.spec.fbs_spec import Domain, flow_key, seal, spec_receive, spec_send
+from tests.spec.knowledge import RULES, Datagram, closure, key, opens
+
+#: The knowledge closure's FBS row: K_{S,D} -> (sfl) -> K_f.
+FBS = RULES["fbs"]
 
 #: Wires kept in flight for the deliver rule to draw from.
 FLIGHT = 24
@@ -79,9 +92,14 @@ class SoftState(RuleBasedStateMachine):
             Principal.from_name("bob"), now=self.clock, tracer=self.ring
         )
         self.eve = Principal.from_name("eve")  # never enrolled
-        self.spec = Domain.enrolled(domain, self.alice.principal, self.bob.principal)
+        self.carol = domain.make_endpoint(Principal.from_name("carol"), now=self.clock)
+        self.spec = Domain.enrolled(
+            domain, self.alice.principal, self.bob.principal, self.carol.principal
+        )
         self.flight = []  # (wire, secret) as sent
+        self.sent = set()  # every (wire, secret) alice sent
         self.seen = []  # the specification's replay memory
+        self.stolen = {}  # knowledge term -> the key bytes the attacker holds
 
     @rule(bodies=batches, secret=st.booleans(), one_call=st.booleans())
     def send(self, bodies, secret, one_call):
@@ -97,6 +115,7 @@ class SoftState(RuleBasedStateMachine):
                 sfl, confounder, self.clock.now, secret,
             )  # fmt: skip
         self.flight = (self.flight + [(w, secret) for w in wires])[-FLIGHT:]
+        self.sent.update((w, secret) for w in wires)
 
     @precondition(lambda self: self.flight)
     @rule(
@@ -135,6 +154,71 @@ class SoftState(RuleBasedStateMachine):
                 for wire in batch
             ]
             assert list(zip(result.bodies, result.reasons)) == expected
+
+    def _receive(self, wire, source, secret):
+        """One datagram through bob, judged by the specification; its reason."""
+        result, problems = received(self.bob, self.ring, [wire], source, secret)
+        assert problems == []
+        expected = spec_receive(
+            self.spec, source.wire_id, self.bob.principal.wire_id,
+            wire, self.clock.now, secret, self.seen,
+        )  # fmt: skip
+        assert (result.bodies[0], result.reasons[0]) == expected
+        return expected[1]
+
+    @precondition(lambda self: self.flight)
+    @rule(index=st.integers(0, FLIGHT - 1), receiver=st.booleans())
+    def leak_flow_key(self, index, receiver):
+        """Read K_f of a flow in flight out of bob's RFKC or alice's TFKC."""
+        (sfl,) = struct.unpack_from(">Q", self.flight[index % len(self.flight)][0])
+        cache = self.bob.rfkc if receiver else self.alice.tfkc
+        entry = cache.lookup_entry(sfl, self.bob.principal.wire_id, self.alice.principal.wire_id)
+        if entry is not None:
+            self.stolen[key(FBS, Datagram(("alice", "bob"), sfl, 0), 1)] = entry.flow_key
+
+    @rule(carol=st.booleans())
+    def leak_master(self, carol):
+        """Read K_{S,D} of alice's (or carol's) pair with bob out of bob's MKD."""
+        sender = self.carol if carol else self.alice
+        master = self.bob.mkd.master_key(sender.principal)
+        self.stolen[key(FBS, Datagram((sender.principal.name, "bob"), 0, 0), 0)] = master
+
+    @rule(
+        index=st.integers(0, 2 * FLIGHT), fresh=st.integers(0, 2**64 - 1), carol=st.booleans(),
+        body=bodies, confounder=st.integers(0, 2**32 - 1), secret=st.booleans(),
+    )  # fmt: skip
+    def forge(self, index, fresh, carol, body, confounder, secret):
+        """A datagram for a stolen flow, a flow in flight or a fresh sfl,
+        from alice or carol, sealed under the best key the attacker holds."""
+        sfls = [term[1] for term in self.stolen if len(term) == 2]
+        sfls += [struct.unpack_from(">Q", wire)[0] for wire, _ in self.flight]
+        sfls = list(dict.fromkeys(sfls)) + [fresh]
+        sfl = sfls[index % len(sfls)]
+        sender = self.carol if carol else self.alice
+        source, bob = sender.principal.wire_id, self.bob.principal.wire_id
+        d = Datagram((sender.principal.name, "bob"), sfl, 0)
+        known = closure(FBS, self.stolen, [d])
+        held = self.stolen.get(key(FBS, d, 1))
+        if held is None and key(FBS, d, 0) in self.stolen:
+            held = flow_key(self.spec, sfl, source, bob, master=self.stolen[key(FBS, d, 0)])
+        # Without it, the best guess is the last flow key stolen (any
+        # other flow's), else whatever the attacker holds.
+        flow_keys = [value for term, value in self.stolen.items() if len(term) == 2]
+        guess = held or (flow_keys or list(self.stolen.values()) or [bytes(16)])[-1]
+        wire = seal(self.spec, guess, sfl, confounder, self.clock.now, body, secret)
+        reason = self._receive(wire, sender.principal, secret)
+        assert (reason != "mac") == opens(FBS, known, d)
+
+    @precondition(lambda self: len(self.flight) >= 2)
+    @rule(a=st.integers(0, FLIGHT - 1), b=st.integers(0, FLIGHT - 1))
+    def splice(self, a, b):
+        """Flow A's body under flow B's header: no key is used."""
+        (wire_a, _), (wire_b, secret) = (self.flight[i % len(self.flight)] for i in (a, b))
+        size = self.bob.header_size
+        wire = wire_b[:size] + wire_a[size:]
+        reason = self._receive(wire, self.alice.principal, secret)
+        if reason != "stale_timestamp":  # R3 rejects before any key is needed
+            assert (reason != "mac") == ((wire, secret) in self.sent)
 
     @rule(
         receiver=st.booleans(),
@@ -180,13 +264,20 @@ TestSoftStateAgainstTheSpecification = SoftState.TestCase
 
 
 def test_the_specification_imports_only_the_reference_des_of_repro():
-    tree = ast.parse(Path(fbs_spec.__file__).read_text())
-    imported = {
-        node.module if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
+    """Every module under ``tests/spec`` is written from the paper: none
+    imports ``repro`` (or a test that does) but the FBS oracle's DES."""
+    imported = {}
+    for spec in sorted(Path(fbs_spec.__file__).parent.glob("*.py")):
+        tree = ast.parse(spec.read_text())
+        names = {
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        outside = {n for n in names if n and n.split(".")[0] in ("repro", "tests")}
+        imported[spec.name] = outside - {"tests.spec", "tests.spec.fbs_spec"}
+    assert {name: mods for name, mods in imported.items() if mods} == {
+        "fbs_spec.py": {"repro.crypto.des_reference"}
     }
-    assert {name for name in imported if name.split(".")[0] == "repro"} == {
-        "repro.crypto.des_reference"
-    }
+    assert {"fbs_spec.py", "gateway_spec.py", "knowledge.py"} <= set(imported)

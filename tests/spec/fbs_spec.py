@@ -22,11 +22,10 @@ mac -> duplicate.  Decryption precedes the MAC check: the inverse of the
 send side, not Figure 4's literal R7-before-R10 (EXPERIMENTS.md "Known
 deviations" 1).
 
-The optional replay guard (not in the paper) is modelled as what it
-promises: with capacity ``guard``, a datagram whose
-``(sfl, confounder, MAC)`` is among the last ``guard`` accepted inside
-the freshness span is a duplicate.  That memory is the caller's
-``seen`` list: soft state, emptied when the receiver loses its own.
+The optional replay guard (not in the paper) is what it promises: with
+capacity ``guard``, a datagram whose ``(sfl, confounder, MAC)`` is among
+the last ``guard`` accepted inside the freshness span is a duplicate;
+the caller's ``seen`` list is that soft memory.
 """
 
 import hashlib
@@ -64,11 +63,12 @@ class Domain:
         )  # fmt: skip
 
 
-def flow_key(domain: Domain, sfl: int, source: bytes, dest: bytes) -> bytes:
-    """Section 5.2: K_{S,D} = g^{sd} mod p, K_f = MD5(sfl | K_{S,D} | S | D)."""
-    p = domain.p
-    shared = pow(pow(domain.g, domain.private[source], p), domain.private[dest], p)
-    master = shared.to_bytes((p.bit_length() + 7) // 8, "big")
+def flow_key(domain: Domain, sfl: int, source: bytes, dest: bytes, master=None) -> bytes:
+    """Section 5.2: K_f = MD5(sfl | K_{S,D} | S | D), K_{S,D} = g^{sd} mod p unless held."""
+    if master is None:
+        p = domain.p
+        shared = pow(pow(domain.g, domain.private[source], p), domain.private[dest], p)
+        master = shared.to_bytes((p.bit_length() + 7) // 8, "big")
     return hashlib.md5(struct.pack(">Q", sfl) + master + source + dest).digest()
 
 
@@ -100,7 +100,11 @@ def spec_send(
     sfl: int, confounder: int, now: float, secret: bool,
 ) -> bytes:  # fmt: skip
     """FBSSend (S1-S10): the wire bytes of ``body`` sent at ``now``."""
-    key = flow_key(domain, sfl, source, dest)
+    return seal(domain, flow_key(domain, sfl, source, dest), sfl, confounder, now, body, secret)
+
+
+def seal(domain, key, sfl, confounder, now, body, secret) -> bytes:
+    """S5-S10 under flow key ``key``, whoever holds it."""
     stamp = int((now + EPOCH) // 60)
     tag = mac(domain, key, confounder, stamp, body)
     if secret:

@@ -4,7 +4,8 @@ Plain ``ast`` over ``src/`` (no fbslint rule), in the style of
 ``test_soft_state_structure.py``: one class under ``repro.baselines``
 seals, opens and counts; one function prices crypto beyond the generic
 path; one site builds a master key daemon; the attack code asks a
-scheme for its layout instead of knowing byte offsets.
+scheme for its layout instead of knowing byte offsets, and never asks
+which scheme it is running against.
 """
 
 import ast
@@ -115,3 +116,18 @@ def test_attacks_do_not_know_byte_offsets():
                 if isinstance(bound, ast.Constant) and isinstance(bound.value, int):
                     literal_bounds.append((name, bound.lineno, bound.value))
     assert literal_bounds == []
+
+
+def test_attacks_never_compare_against_a_scheme_name():
+    """Every attack runs against any ``SCHEMES`` name: no branch on one."""
+    from repro.baselines import SCHEMES
+
+    compared = [
+        (path.name, node.lineno, node.value)
+        for path in sorted((SRC / "attacks").glob("*.py"))
+        for compare in ast.walk(_tree(path))
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and node.value in SCHEMES
+    ]
+    assert compared == []
