@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint obs-check smoke traces-sweep bench crossovers figures budget-smoke examples reports reports-check clean
+.PHONY: install test loc lint obs-check smoke traces-sweep bench pairs crossovers figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -58,6 +58,17 @@ traces-sweep:
 # traced ladders.
 bench:
 	$(PYTHON) benchmarks/budget/run.py --out /tmp/FBS_budget.json
+
+# Parent against change, alternating budget runs from two trees, one
+# Markdown row per workload and metric (medians, quartiles, ratio, pairs
+# won).  PARENT is a fresh copy of the parent commit, e.g.
+#   mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+# WORKLOAD empty means all six.
+PAIRS ?= 6
+SECONDS ?= 12
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=DIR [WORKLOAD=W] [PAIRS=N] [SECONDS=S]"; exit 2; }
+	$(PYTHON) tools/pairs.py --parent $(PARENT) $(if $(WORKLOAD),--workload $(WORKLOAD)) --pairs $(PAIRS) --seconds $(SECONDS)
 
 # Lane against scalar per stage and width, alternating windows, best of
 # nine: the sweep behind SINGLE_LANE_MIN_BLOCKS, CBC_ENCRYPT_MIN_LANES

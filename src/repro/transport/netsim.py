@@ -48,6 +48,8 @@ class NetsimTransport(Transport):
         remote: Optional[Tuple[IPAddress, int]] = None,
         recv_queue: int = DEFAULT_QUEUE,
     ) -> None:
+        if recv_queue < 1:
+            raise ValueError("recv_queue must be at least 1")
         super().__init__()
         self.host = host
         self.local_port = host.udp.bind(local_port, self._on_datagram)

@@ -24,11 +24,22 @@ Design points, in the order an operator hits them:
   callback (``datagram_received``, which is what wakes a parked
   receiver) both go through ``_arrive``, so the counts do not depend on
   who read the datagram and FIFO order holds across the two.
-* **Bounded receive queue.**  At ``recv_queue`` datagrams, arrivals are
-  *dropped and counted* (``stats.queue_drops``), exactly what the
-  kernel's socket buffer in front of it does -- FBS is built for
-  unreliable substrates, so overload shows up as loss, never as
-  unbounded memory.
+* **Bounded receive queue, in length and in sojourn.**  At
+  ``recv_queue`` datagrams, arrivals are *dropped and counted*
+  (``stats.queue_drops``), exactly what the kernel's socket buffer in
+  front of it does -- FBS is built for unreliable substrates, so
+  overload shows up as loss, never as unbounded memory.  A full queue
+  would still make every datagram wait ``recv_queue`` serve times, so
+  each entry carries its arrival time, and once the queue is
+  *standing* -- every datagram handed out for the last ``INTERVAL``
+  waited longer than ``TARGET``, or that interval already expired one
+  -- a receive first expires the heads older than ``TARGET`` (never
+  the last one; counted in ``queue_drops``, taken back out of
+  ``datagrams_received``).  A receive that finds the queue empty ends
+  the standing state.  This is CoDel's sojourn test (RFC 8289, its
+  default ``TARGET`` and ``INTERVAL``) without its square-root control
+  law: a flood at 3x capacity needs ~5,000 drops a second at once,
+  which that law reaches only after ~100 s of ramp.
 * **A busy socket does not own the loop.**  A consumer that always
   finds a datagram would never yield; after ``_YIELD_AFTER`` receives
   in a row without a loop turn the transport takes one
@@ -57,6 +68,7 @@ boundary.
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import time
 from collections import deque
@@ -77,6 +89,11 @@ _CLOSE_TIMEOUT = 1.0
 #: turn is taken: its ~6 us amortise to under 0.4 us a datagram, and a
 #: timer or another task waits behind at most 16 datagrams' work.
 _YIELD_AFTER = 16
+#: A datagram that waited longer than this, seconds, is late.
+TARGET = 0.005
+#: How long every datagram handed out must have been late before the
+#: queue counts as standing, and how long an expiry keeps it so, seconds.
+INTERVAL = 0.100
 
 
 @dataclass(frozen=True)
@@ -88,8 +105,13 @@ class UdpTransportConfig:
     """
 
     #: Bounded receive queue, in datagrams.  Arrivals beyond it are
-    #: dropped and counted in ``stats.queue_drops``.
+    #: dropped and counted in ``stats.queue_drops``; so are the stale
+    #: heads a standing queue expires.
     recv_queue: int = 1024
+
+    def __post_init__(self) -> None:
+        if self.recv_queue < 1:
+            raise ValueError("recv_queue must be at least 1")
 
 
 class _DatagramQueueProtocol(asyncio.DatagramProtocol):
@@ -99,7 +121,7 @@ class _DatagramQueueProtocol(asyncio.DatagramProtocol):
         self._owner = owner
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self._owner._arrive(data, addr)
+        self._owner._arrive(data, addr, self._owner.now())
 
     def error_received(self, exc: Exception) -> None:
         self._owner.stats.transport_errors += 1
@@ -119,7 +141,12 @@ class UdpTransport(Transport):
         self.remote: Optional[Tuple[str, int]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
-        self._queue: Deque[Tuple[bytes, Tuple[str, int]]] = deque()
+        #: (payload, address, arrival time) in arrival order.
+        self._queue: Deque[Tuple[bytes, Tuple[str, int], float]] = deque()
+        #: When the current run of late handouts began (inf: none).
+        self._late_since = math.inf
+        #: When the queue last expired a datagram (-inf: not since empty).
+        self._expired_at = -math.inf
         self._waiter: Optional["asyncio.Future[None]"] = None
         self._turnless = 0
         self._closed_event: Optional[asyncio.Event] = None
@@ -155,15 +182,15 @@ class UdpTransport(Transport):
             raise TransportError("transport not started; use UdpTransport.create()")
         return self._transport.get_extra_info("sockname")[:2]
 
-    # -- receive path: harvest -> pop -> only then wait ------------------------
+    # -- receive path: harvest -> expire -> pop -> only then wait --------------
 
-    def _arrive(self, data: bytes, addr: Tuple[str, int]) -> None:
+    def _arrive(self, data: bytes, addr: Tuple[str, int], now: float) -> None:
         """The one way into the receive queue, for both readers."""
         if len(self._queue) >= self.config.recv_queue:
             self.stats.queue_drops += 1
             return
         self.stats.datagrams_received += 1
-        self._queue.append((data, addr))
+        self._queue.append((data, addr, now))
         if self.remote is None:
             # First contact from an unknown peer: adopt it, so a passive
             # responder (the echo server) can answer without out-of-band
@@ -176,14 +203,15 @@ class UdpTransport(Transport):
         if self._waiter is not None and not self._waiter.done():
             self._waiter.set_result(None)
 
-    def _harvest(self) -> None:
-        """Take everything the kernel already holds, without waiting."""
+    def _harvest(self, now: float) -> None:
+        """Take everything the kernel already holds, without waiting;
+        ``now`` is the arrival time of all of it."""
         sock = self._sock
         if sock is None:
             return
         try:
             while True:
-                self._arrive(*sock.recvfrom(_MAX_DATAGRAM))
+                self._arrive(*sock.recvfrom(_MAX_DATAGRAM), now)
         except BlockingIOError:
             pass
         except OSError:
@@ -222,8 +250,11 @@ class UdpTransport(Transport):
         if self._waiter is not None:
             raise TransportError("udp transport already has a receiver waiting")
         self._turnless += 1
-        self._harvest()
-        if not self._queue:
+        now = self.now()
+        self._harvest(now)
+        queue = self._queue
+        if not queue:
+            self._late_since, self._expired_at = math.inf, -math.inf
             if timeout is None:
                 timeout = _RECV_TIMEOUT
             if self._closed or timeout <= 0:
@@ -243,9 +274,26 @@ class UdpTransport(Transport):
             finally:
                 timer.cancel()
                 self._waiter = None
-            if not self._queue:
+            if not queue:
                 return None
-        return self._queue.popleft()
+            data, addr, _arrived = queue.popleft()
+            return data, addr
+        if now - self._late_since >= INTERVAL or now - self._expired_at < INTERVAL:
+            # Standing: what has waited past TARGET is expired, not served.
+            expired = 0
+            while len(queue) > 1 and now - queue[0][2] > TARGET:
+                queue.popleft()
+                expired += 1
+            if expired:
+                self._expired_at = now
+                self.stats.queue_drops += expired
+                self.stats.datagrams_received -= expired
+        data, addr, arrived = queue.popleft()
+        if now - arrived <= TARGET:
+            self._late_since = math.inf
+        elif self._late_since == math.inf:
+            self._late_since = now
+        return data, addr
 
     async def close(self) -> None:
         """Graceful shutdown: flush buffered sends, tear down the socket.
@@ -259,7 +307,7 @@ class UdpTransport(Transport):
             return
         self._closed = True
         if self._transport is not None:
-            self._harvest()
+            self._harvest(self.now())
             self._sock.close()
             self._sock = None
             self._transport.close()  # flushes the send buffer first
@@ -272,7 +320,7 @@ class UdpTransport(Transport):
         await asyncio.sleep(seconds)
 
     def drain(self) -> List[bytes]:
-        self._harvest()
-        out = [payload for payload, _addr in self._queue]
+        self._harvest(self.now())
+        out = [payload for payload, _addr, _arrived in self._queue]
         self._queue.clear()
         return out

@@ -53,6 +53,11 @@ class TestDatagramPath:
         assert t_b.stats.queue_drops == 3
         assert t_b.stats.datagrams_received == 2
 
+    @pytest.mark.parametrize("recv_queue", [0, -1])
+    def test_a_queue_that_holds_nothing_is_refused(self, recv_queue):
+        with pytest.raises(ValueError, match="recv_queue must be at least 1"):
+            two_host_pair(recv_queue=recv_queue)
+
     def test_send_after_close_raises(self):
         net, t_a, t_b = two_host_pair()
         t_a.close_sync()

@@ -119,6 +119,11 @@ class TestDatagramPath:
         assert stats.datagrams_received == 2
         assert stats.queue_drops == 4
 
+    @pytest.mark.parametrize("recv_queue", [0, -1])
+    def test_a_queue_that_holds_nothing_is_refused(self, recv_queue):
+        with pytest.raises(ValueError, match="recv_queue must be at least 1"):
+            UdpTransportConfig(recv_queue=recv_queue)
+
     def test_now_is_monotonic(self):
         async def scenario():
             t = await UdpTransport.create()
