@@ -23,23 +23,25 @@ Design points, in the order an operator hits them:
 * **One way into the queue.**  The harvest and the loop's reader
   callback (``datagram_received``, which is what wakes a parked
   receiver) both go through ``_arrive``, so the counts do not depend on
-  who read the datagram and FIFO order holds across the two.
+  who read the datagram and arrival order holds across the two.
 * **Bounded receive queue, in length and in sojourn.**  At
   ``recv_queue`` datagrams, arrivals are *dropped and counted*
   (``stats.queue_drops``), exactly what the kernel's socket buffer in
   front of it does -- FBS is built for unreliable substrates, so
   overload shows up as loss, never as unbounded memory.  A full queue
   would still make every datagram wait ``recv_queue`` serve times, so
-  each entry carries its arrival time, and once the queue is
-  *standing* -- every datagram handed out for the last ``INTERVAL``
-  waited longer than ``TARGET``, or that interval already expired one
-  -- a receive first expires the heads older than ``TARGET`` (never
-  the last one; counted in ``queue_drops``, taken back out of
-  ``datagrams_received``).  A receive that finds the queue empty ends
-  the standing state.  This is CoDel's sojourn test (RFC 8289, its
-  default ``TARGET`` and ``INTERVAL``) without its square-root control
-  law: a flood at 3x capacity needs ~5,000 drops a second at once,
-  which that law reaches only after ~100 s of ramp.
+  each entry carries its arrival time.  Once the queue is *standing*
+  (every handout for ``INTERVAL`` waited over ``TARGET``), a receive
+  expires the heads older than ``TARGET`` (never the last; counted in
+  ``queue_drops``, taken out of ``datagrams_received``) and hands out
+  the newest, the one still worth serving in a flood, until a receive
+  finds the queue empty.  CoDel's sojourn test (RFC 8289's ``TARGET``
+  and ``INTERVAL``) without its control law, which needs ~100 s of
+  ramp to shed a 3x flood, paired with adaptive LIFO (Maurer, "Fail at
+  Scale", 2015).  Otherwise arrival order: a datagram service promises
+  no order, and FBS's receive (R1-R12: sfl lookup, timestamp window)
+  reads none.  ``drain``/``close`` return arrival order and leave the
+  state as it is.
 * **A busy socket does not own the loop.**  A consumer that always
   finds a datagram would never yield; after ``_YIELD_AFTER`` receives
   in a row without a loop turn the transport takes one
@@ -91,8 +93,7 @@ _CLOSE_TIMEOUT = 1.0
 _YIELD_AFTER = 16
 #: A datagram that waited longer than this, seconds, is late.
 TARGET = 0.005
-#: How long every datagram handed out must have been late before the
-#: queue counts as standing, and how long an expiry keeps it so, seconds.
+#: Seconds every handout must have been late for before the queue stands.
 INTERVAL = 0.100
 
 
@@ -145,8 +146,6 @@ class UdpTransport(Transport):
         self._queue: Deque[Tuple[bytes, Tuple[str, int], float]] = deque()
         #: When the current run of late handouts began (inf: none).
         self._late_since = math.inf
-        #: When the queue last expired a datagram (-inf: not since empty).
-        self._expired_at = -math.inf
         self._waiter: Optional["asyncio.Future[None]"] = None
         self._turnless = 0
         self._closed_event: Optional[asyncio.Event] = None
@@ -254,7 +253,7 @@ class UdpTransport(Transport):
         self._harvest(now)
         queue = self._queue
         if not queue:
-            self._late_since, self._expired_at = math.inf, -math.inf
+            self._late_since = math.inf
             if timeout is None:
                 timeout = _RECV_TIMEOUT
             if self._closed or timeout <= 0:
@@ -278,16 +277,17 @@ class UdpTransport(Transport):
                 return None
             data, addr, _arrived = queue.popleft()
             return data, addr
-        if now - self._late_since >= INTERVAL or now - self._expired_at < INTERVAL:
-            # Standing: what has waited past TARGET is expired, not served.
+        if now - self._late_since >= INTERVAL:
+            # Standing: what waited past TARGET is expired, the newest
+            # served; only a receive that finds the queue empty ends it.
             expired = 0
             while len(queue) > 1 and now - queue[0][2] > TARGET:
                 queue.popleft()
                 expired += 1
-            if expired:
-                self._expired_at = now
-                self.stats.queue_drops += expired
-                self.stats.datagrams_received -= expired
+            self.stats.queue_drops += expired
+            self.stats.datagrams_received -= expired
+            data, addr, _arrived = queue.pop()
+            return data, addr
         data, addr, arrived = queue.popleft()
         if now - arrived <= TARGET:
             self._late_since = math.inf

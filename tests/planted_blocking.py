@@ -14,6 +14,7 @@ import asyncio
 import importlib
 import io
 import os
+import pathlib
 import socket
 import subprocess
 import sys
@@ -63,6 +64,10 @@ async def serve(rounds=2, transport=IdleTransport()):
     for _ in range(rounds):
         time.sleep(0)
         await transport.recv_from(0)
+
+
+async def snapshot_through_helper():  # the library's helper opens the file
+    return pathlib.Path(__file__).read_text()
 
 
 async def snapshot_report():
@@ -149,7 +154,8 @@ async def prompt():
 
 
 BLOCKING = (
-    pump, pump_through_helper, snapshot, serve_once, serve, snapshot_report,
+    pump, pump_through_helper, snapshot, snapshot_through_helper, serve_once, serve,
+    snapshot_report,
     recv, retry, connect, deliver, doze, guarded, spawn, shell, resolve, lookup,
     prompt,
 )

@@ -11,11 +11,15 @@ An audit event in :data:`BLOCKING` fails, by raising
 running -- a task, or a callback such as a protocol's
 ``datagram_received`` -- unless
 
-* its innermost frame is in ``asyncio`` (the loop's own non-blocking
-  socket work: ``sock_connect`` fires ``socket.connect``) or in
-  ``importlib`` (an import inside a coroutine opens the module file);
-* the innermost frame outside the interpreter's library is a test
-  module (``test_*.py``, ``conftest.py``), as FBS010 exempted tests.
+* a frame in ``asyncio`` or ``importlib`` sits among the library
+  frames between the event and the first frame outside the
+  interpreter's library: the loop's own non-blocking socket work
+  (``sock_connect`` fires ``socket.connect``), an import inside a
+  coroutine (it opens the module file), or debug mode's stack capture
+  (``python -X dev``: each future, timer and endpoint records where it
+  was made, and ``linecache`` opens those frames' sources);
+* the first frame outside the interpreter's library is a test module
+  (``test_*.py``, ``conftest.py``), as FBS010 exempted tests.
 
 ``socket.__new__`` is not in the set: making a socket does not block
 (``create_datagram_endpoint`` and ``UdpTransport.create``'s ``dup()``
@@ -37,7 +41,8 @@ BLOCKING = frozenset({
 })
 
 _LIBRARY = os.path.dirname(os.__file__)
-#: Where an event's innermost frame makes it the interpreter's own work.
+#: Where a library frame below the caller makes an event the
+#: interpreter's own work.
 _OWN_WORK = (
     os.path.join(_LIBRARY, "asyncio", ""),
     os.path.join(_LIBRARY, "importlib", ""),
@@ -63,9 +68,9 @@ def _hook(event, args):
     frame = sys._getframe(1)
     if frame.f_code is _audited_sleep.__code__:
         frame = frame.f_back
-    if frame.f_code.co_filename.startswith(_OWN_WORK):
-        return
     while frame is not None and frame.f_code.co_filename.startswith((_LIBRARY, "<frozen")):
+        if frame.f_code.co_filename.startswith(_OWN_WORK):
+            return
         frame = frame.f_back
     if frame is None or os.path.basename(frame.f_code.co_filename).startswith(
         ("test_", "conftest")

@@ -9,11 +9,13 @@ everything that awaits, or blocks off the loop.
 """
 
 import asyncio
+import linecache
 import threading
 import time
 
 import pytest
 
+from repro.transport.udp import UdpTransport
 from tests import planted_blocking as planted
 from tests.shim import loopguard
 
@@ -26,6 +28,20 @@ def _name(case):
 def test_a_blocking_call_on_the_loop_fails(case):
     with pytest.raises(loopguard.LoopBlocked, match="while the event loop runs"):
         asyncio.run(case())
+
+
+@pytest.mark.parametrize("case", planted.BLOCKING, ids=_name)
+def test_a_blocking_call_on_a_debug_mode_loop_still_fails(case):
+    with pytest.raises(loopguard.LoopBlocked, match="while the event loop runs"):
+        asyncio.run(case(), debug=True)
+
+
+def test_a_debug_mode_loop_reading_its_own_sources_passes():
+    # Debug mode (``python -X dev``) records where each future and timer
+    # was made, and linecache opens the source of every frame recorded:
+    # the loop's own work, though the call path that parks is in src/.
+    linecache.clearcache()
+    assert asyncio.run(UdpTransport().recv(timeout=0.001), debug=True) is None
 
 
 def test_every_watched_event_has_a_planted_case():

@@ -1,4 +1,5 @@
-"""The UDP receive queue bounds sojourn, not only length.
+"""The UDP receive queue bounds sojourn, not only length, and a standing
+queue serves its newest datagram first.
 
 Every test runs on a stepped clock: ``SteppedUdp`` is a socketless
 :class:`UdpTransport` whose ``now`` reads a settable cell, fed through
@@ -90,9 +91,25 @@ class TestStepped:
         first, got, stats = _run(scenario)
         assert first == b"opener"
         # spare, stale-1 and stale-2 waited past TARGET: expired, and the
-        # survivors leave in arrival order.
-        assert got == [b"fresh-1", b"fresh-2", b"fresh-3", None]
+        # survivors leave newest first.
+        assert got == [b"fresh-3", b"fresh-2", b"fresh-1", None]
         assert (stats.datagrams_received, stats.queue_drops) == (4, 3)
+
+    def test_a_standing_queue_serves_newest_first_when_every_survivor_is_fresh(self):
+        async def scenario():
+            t = SteppedUdp()
+            _standing(t, 1.0)
+            await t.recv(timeout=0)
+            t.clock = 1.0
+            t.arrive(b"f1", b"f2", b"f3")
+            t.clock = 1.0 + TARGET  # each waited TARGET: fresh, never expired
+            return await t.take(4), t.stats
+
+        got, stats = _run(scenario)
+        # Only the spare is expired; every handout is fresh, and that does
+        # not end the standing state.
+        assert got == [b"f3", b"f2", b"f1", None]
+        assert (stats.datagrams_received, stats.queue_drops) == (4, 1)
 
     def test_a_standing_queue_never_expires_its_last_datagram(self):
         async def scenario():
@@ -107,33 +124,47 @@ class TestStepped:
         assert got == [b"older still", None]
         assert (stats.datagrams_received, stats.queue_drops) == (2, 2)
 
-    def test_an_expiry_keeps_the_queue_standing_for_an_interval(self):
+    def test_standing_holds_through_fresh_handouts_until_a_receive_finds_the_queue_empty(self):
         async def scenario():
             t = SteppedUdp()
             _standing(t, 1.0)
             await t.recv(timeout=0)
-            t.arrive(b"stale")
             t.clock = 1.0
-            t.arrive(b"fresh")
-            expired = await t.recv(timeout=0)  # expires spare and stale
-            t.arrive(b"a")
-            t.clock = 1.0 + INTERVAL - 0.011
-            t.arrive(b"b")
-            t.clock = 1.0 + INTERVAL - 0.01
-            within = await t.recv(timeout=0)
-            t.clock = 1.0 + 2 * INTERVAL - 0.05
-            t.arrive(b"c", b"d")
-            t.clock = 1.0 + 2 * INTERVAL
-            beyond = await t.recv(timeout=0)
-            return expired, within, beyond, t.stats.queue_drops
+            held = []
+            for i in range(5):  # each handout fresh, each empties the queue
+                t.arrive(b"%d" % i)
+                held.append(await t.recv(timeout=0))
+                t.clock += INTERVAL / 2
+            t.arrive(b"old", b"new")
+            t.clock += 0.01
+            still = await t.recv(timeout=0)
+            empty = await t.recv(timeout=0)
+            t.arrive(b"late", b"later")
+            t.clock += 0.01
+            return held, still, empty, await t.take(2), t.stats.queue_drops
 
-        expired, within, beyond, drops = _run(scenario)
-        # The handout after the expiry was fresh, yet the queue still
-        # stands: `a` is expired.  An interval with no expiry and only
-        # fresh handouts later, it no longer does: `c` waited past TARGET
-        # and is handed out.
-        assert (expired, within, beyond) == (b"fresh", b"b", b"c")
-        assert drops == 3
+        held, still, empty, after, drops = _run(scenario)
+        assert held == [b"0", b"1", b"2", b"3", b"4"]
+        # Two intervals of fresh handouts and no expiry later the queue
+        # still stands: `old` is expired and `new` served.  A receive
+        # that finds the queue empty ends it: `late` is served, first.
+        assert (still, empty, after) == (b"new", None, [b"late", b"later"])
+        assert drops == 2  # the spare, then `old`
+
+    def test_an_on_time_handout_ends_a_run_of_late_ones(self):
+        async def scenario():
+            t = SteppedUdp()
+            t.arrive(b"late")
+            t.clock = 0.03
+            t.arrive(b"on time")
+            ran = await t.take(2)  # the late one opens a run, the next ends it
+            t.arrive(b"a", b"b")
+            t.clock = 0.03 + INTERVAL + 0.01
+            return ran, await t.take(3), t.stats.queue_drops
+
+        ran, got, drops = _run(scenario)
+        assert ran == [b"late", b"on time"]
+        assert (got, drops) == ([b"a", b"b", None], 0)
 
     def test_an_empty_receive_clears_the_standing_state(self):
         async def scenario():
@@ -188,26 +219,20 @@ class Model:
         self.bound = bound
         self.queue = deque()
         self.late_since = None  # first late handout of the current run
-        self.expired_at = None  # last expiry since the queue was empty
 
     def arrive(self, ident: int, now: float) -> None:
         if len(self.queue) < self.bound:
             self.queue.append((ident, now))
 
     def standing(self, now: float) -> bool:
-        return (self.late_since is not None and now - self.late_since >= INTERVAL) or (
-            self.expired_at is not None and now - self.expired_at < INTERVAL
-        )
+        return self.late_since is not None and now - self.late_since >= INTERVAL
 
     def hand_out(self, now: float) -> int:
         """The id one receive from a non-empty queue hands out."""
         if self.standing(now):
-            expired = 0
             while len(self.queue) > 1 and now - self.queue[0][1] > TARGET:
                 self.queue.popleft()
-                expired += 1
-            if expired:
-                self.expired_at = now
+            return self.queue.pop()[0]
         ident, arrived = self.queue.popleft()
         if now - arrived <= TARGET:
             self.late_since = None
@@ -216,7 +241,7 @@ class Model:
         return ident
 
     def clear(self) -> None:
-        self.late_since = self.expired_at = None
+        self.late_since = None
 
 
 #: How far the clock steps: either side of TARGET and of INTERVAL.
@@ -224,7 +249,7 @@ STEPS = st.sampled_from((0.0, 0.001, TARGET, 0.006, 0.03, INTERVAL, 0.101, 1.0))
 #: Arrivals come in bursts, receives and clock steps are frequent and
 #: drains rare, so that queues stand.
 OPS = st.sampled_from(
-    ("arrive",) * 4 + ("receive",) * 3 + ("poll", "drain") + ("step",) * 4
+    ("arrive",) * 4 + ("receive",) * 4 + ("poll",) * 2 + ("drain",) + ("step",) * 4
 ).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
@@ -274,9 +299,12 @@ def test_the_sojourn_law(bound, ops):
                     assert got == model.queue.popleft()[0] == arrivals - 1
                     handed.append(got)
             else:
+                queued = [int(payload) for payload, _addr, _at in t._queue]
                 ident = model.hand_out(t.clock)
                 got = int(await t.recv(timeout=0 if op[0] == "poll" else 1.0))
                 assert got == ident
+                # Arrival order unless standing, then the newest queued.
+                assert got == (queued[-1] if standing else queued[0])
                 if standing and t.clock - arrived_at[got] > TARGET:
                     # A late handout from a standing queue was its last.
                     assert not t._queue
@@ -284,6 +312,6 @@ def test_the_sojourn_law(bound, ops):
             stats = t.stats
             assert stats.datagrams_received + stats.queue_drops == arrivals
             assert stats.datagrams_received == len(handed) + len(drained) + len(t._queue)
-            assert handed == sorted(set(handed))
+            assert len(handed) == len(set(handed))
 
     asyncio.run(scenario())
