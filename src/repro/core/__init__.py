@@ -38,7 +38,6 @@ from repro.core.policy import FiveTuplePolicy, HostLevelPolicy, PerDatagramPolic
 from repro.core.keying import KeyDerivation, Principal
 from repro.core.caches import (
     AssociativeCache,
-    MissKind,
     MasterKeyCache,
     PublicValueCache,
     FlowKeyCache,
@@ -67,7 +66,6 @@ __all__ = [
     "KeyDerivation",
     "Principal",
     "AssociativeCache",
-    "MissKind",
     "MasterKeyCache",
     "PublicValueCache",
     "FlowKeyCache",

@@ -14,30 +14,24 @@ two organizations are its two ends:
 * ``ways=None`` (= ``capacity``) -- fully-associative LRU.  Used for
   the MKC and PVC (small, keyed by principal).
 
-Misses are classified into the paper's three types -- compulsory
-(cold), capacity, and collision -- using the standard technique: a
-parallel fully-associative LRU "shadow" of the same capacity, holding
-what a fully-associative cache would hold under the same operations
-(a hit refreshes, an install inserts, a flush, eviction or
-invalidation drops).  A miss that the shadow would also suffer is a
-capacity miss (or cold if the key was never looked up before); a miss
-that the shadow would have hit is a collision miss, attributable purely
-to the indexing -- so a fully-associative cache never has one.
+A live cache counts hits, misses and evictions only.  Splitting misses
+into the paper's three types (compulsory, capacity, collision) needs a
+shadow of every key ever looked up, which unauthenticated input could
+grow without bound; the split lives in its one consumer, Figure 11's
+:class:`repro.traces.flowsim.CacheSimulator`.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, List, Optional, Set, TypeVar
+from typing import Dict, Generic, List, Optional, TypeVar
 
 from repro.crypto.crc import CacheIndexHash, Crc32Hash
 from repro.obs.events import CacheEvicted, CacheHit, CacheMiss
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
-    "MissKind",
     "CacheStats",
     "AssociativeCache",
     "FlowKeyCache",
@@ -49,29 +43,15 @@ __all__ = [
 V = TypeVar("V")
 
 
-class MissKind(enum.Enum):
-    """The three miss types of Section 5.3."""
-
-    COLD = "cold"
-    CAPACITY = "capacity"
-    COLLISION = "collision"
-
-
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one cache."""
 
     hits: int = 0
-    cold_misses: int = 0
-    capacity_misses: int = 0
-    collision_misses: int = 0
+    misses: int = 0
     #: Live entries displaced by an install (soft-state turnover; not a
     #: lookup outcome, so it does not enter ``lookups``/``miss_rate``).
     evictions: int = 0
-
-    @property
-    def misses(self) -> int:
-        return self.cold_misses + self.capacity_misses + self.collision_misses
 
     @property
     def lookups(self) -> int:
@@ -82,54 +62,6 @@ class CacheStats:
         """Miss fraction over all lookups (0.0 when never used)."""
         total = self.lookups
         return self.misses / total if total else 0.0
-
-    def record_miss(self, kind: MissKind) -> None:
-        if kind is MissKind.COLD:
-            self.cold_misses += 1
-        elif kind is MissKind.CAPACITY:
-            self.capacity_misses += 1
-        else:
-            self.collision_misses += 1
-
-
-class _MissClassifier:
-    """Shadow fully-associative LRU used to attribute miss causes."""
-
-    def __init__(self, capacity: int) -> None:
-        self._capacity = capacity
-        self._seen: Set[bytes] = set()
-        self._lru: "OrderedDict[bytes, None]" = OrderedDict()
-
-    def classify(self, key: bytes, hit: bool) -> Optional[MissKind]:
-        """Account one lookup; return the miss kind (None on a hit)."""
-        kind: Optional[MissKind] = None
-        if hit:
-            self.touch(key)
-        elif key not in self._seen:
-            kind = MissKind.COLD
-        elif key in self._lru:
-            # The ideal cache still holds it: the real miss is due to
-            # the indexing, i.e. a collision miss.
-            kind = MissKind.COLLISION
-        else:
-            kind = MissKind.CAPACITY
-        self._seen.add(key)
-        return kind
-
-    def touch(self, key: bytes) -> None:
-        """The ideal cache uses or installs ``key``."""
-        if key in self._lru:
-            self._lru.move_to_end(key)
-        else:
-            if len(self._lru) >= self._capacity:
-                self._lru.popitem(last=False)
-            self._lru[key] = None
-
-    def drop(self, key: bytes) -> None:
-        self._lru.pop(key, None)
-
-    def clear(self) -> None:
-        self._lru.clear()
 
 
 class AssociativeCache(Generic[V]):
@@ -163,7 +95,6 @@ class AssociativeCache(Generic[V]):
             OrderedDict() for _ in range(self.sets)
         ]
         self.stats = CacheStats()
-        self._classifier = _MissClassifier(capacity)
         self.tracer = tracer or NULL_TRACER
         self.trace_name = trace_name
 
@@ -178,25 +109,19 @@ class AssociativeCache(Generic[V]):
         """Lookup; updates LRU order and statistics."""
         bucket = self._set_for(key)
         hit = key in bucket
-        kind = self._classifier.classify(key, hit)
-        if kind is not None:
-            self.stats.record_miss(kind)
         tr = self.tracer
         if tr.enabled and self.trace_name:
-            if hit:
-                tr.emit(CacheHit(cache=self.trace_name))
-            else:
-                tr.emit(CacheMiss(cache=self.trace_name, kind=kind.value))
+            tr.emit((CacheHit if hit else CacheMiss)(cache=self.trace_name))
         if hit:
             self.stats.hits += 1
             bucket.move_to_end(key)
             return bucket[key]
+        self.stats.misses += 1
         return None
 
     def put(self, key: bytes, value: V) -> None:
         """Install ``key``, evicting the set's LRU entry if full."""
         bucket = self._set_for(key)
-        self._classifier.touch(key)
         if key in bucket:
             bucket.move_to_end(key)
             bucket[key] = value
@@ -215,7 +140,6 @@ class AssociativeCache(Generic[V]):
     def invalidate(self, key: bytes) -> None:
         """Remove ``key`` if present."""
         self._set_for(key).pop(key, None)
-        self._classifier.drop(key)
 
     def evict(self, key: bytes) -> bool:
         """Deliberately displace ``key``; returns whether it was live.
@@ -230,7 +154,6 @@ class AssociativeCache(Generic[V]):
         if key not in bucket:
             return False
         del bucket[key]
-        self._classifier.drop(key)
         self._evicted()
         return True
 
@@ -238,7 +161,6 @@ class AssociativeCache(Generic[V]):
         """Drop all entries (soft state)."""
         for bucket in self._sets:
             bucket.clear()
-        self._classifier.clear()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
@@ -276,6 +198,15 @@ class _NamedCache:
     def flush(self) -> None:
         """Drop every unpinned entry (soft state: always safe)."""
         self._cache.flush()
+
+    def count_hit(self) -> None:
+        """Count a lookup answered by an entry held beside the cache: a
+        pinned certificate, or a flow key its receive batch derived and
+        has not yet installed."""
+        self._cache.stats.hits += 1
+        tr = self._cache.tracer
+        if tr.enabled:
+            tr.emit(CacheHit(cache=self.name))
 
     @property
     def stats(self) -> CacheStats:
@@ -393,10 +324,7 @@ class PublicValueCache(_NamedCache):
         """Return the cached certificate, if any (pinned entries first)."""
         pinned = self._pinned.get(principal_id)
         if pinned is not None:
-            self._cache.stats.hits += 1
-            tr = self._cache.tracer
-            if tr.enabled:
-                tr.emit(CacheHit(cache=self.name))
+            self.count_hit()
             return pinned
         return self._cache.get(principal_id)
 

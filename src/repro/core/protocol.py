@@ -10,8 +10,11 @@ application-layer mapping could put them inside UDP payloads.
 
 Caching follows Figure 6: the send path consults the TFKC, falling back
 to the MKC/MKD (upcall) and deriving K_f once per flow; the receive path
-mirrors it with the RFKC.  All caches are soft state: any of them may be
-flushed at any moment with no correctness impact (tests assert this).
+mirrors it with the RFKC, but installs a derived K_f only once a datagram
+of its flow has passed R7-R9 and is delivered, so bytes that fail the
+MAC write no flow-key cache (EXPERIMENTS.md "Known deviations").  All
+caches are soft state: any of them may be flushed at any moment with no
+correctness impact (tests assert this).
 
 A note on Figure 4's receive pseudo-code: it computes the MAC check (R7)
 *before* decryption (R10), yet the send side MACs the plaintext body
@@ -25,7 +28,7 @@ the discrepancy here and in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.caches import FlowKeyCache
 from repro.core.config import FBSConfig, MacAlgorithm
@@ -241,15 +244,7 @@ class FBSEndpoint:
             name = cache.name
             stats = cache.stats
             reg.counter("cache_hits", cache=name).value = stats.hits
-            reg.counter(
-                "cache_misses", cache=name, kind="cold"
-            ).value = stats.cold_misses
-            reg.counter(
-                "cache_misses", cache=name, kind="capacity"
-            ).value = stats.capacity_misses
-            reg.counter(
-                "cache_misses", cache=name, kind="collision"
-            ).value = stats.collision_misses
+            reg.counter("cache_misses", cache=name).value = stats.misses
             reg.counter("cache_evictions", cache=name).value = stats.evictions
             lookups = stats.lookups
             reg.gauge("cache_hit_ratio", cache=name).set(
@@ -297,14 +292,17 @@ class FBSEndpoint:
 
     def _flow_state(
         self, sfl: int, peer: Principal, sending: bool
-    ) -> FlowCryptoState:
+    ) -> Tuple[FlowCryptoState, bool]:
         """Figure 6 for either half: the flow-key cache (TFKC when
-        sending, RFKC when receiving), then MKC/MKD, then derive and
-        install.
+        sending, RFKC when receiving), then MKC/MKD, then derive.
+        Returns the flow's state and whether it was derived here.
 
         A cache hit returns the flow's precomputed
         :class:`FlowCryptoState`: zero key derivations, zero DES key
-        schedules, zero hash-prefix absorptions on the fast path.
+        schedules, zero hash-prefix absorptions on the fast path.  A
+        derived state goes into the TFKC at once when sending; when
+        receiving, the caller installs it in the RFKC only once a
+        datagram of the flow has passed R7-R9 and is delivered.
         """
         if sending:
             cache, derived, side = self.tfkc, self._c_kd_send, "send"
@@ -314,7 +312,7 @@ class FBSEndpoint:
             source, destination = peer, self.principal
         entry = cache.lookup_entry(sfl, destination.wire_id, source.wire_id)
         if entry is not None:
-            return entry.crypto
+            return entry.crypto, False
         master = self.mkd.upcall_master_key(peer)
         self._charge(self._flow_key_cost)
         derived.inc()
@@ -323,8 +321,9 @@ class FBSEndpoint:
             tr.emit(KeyDerived(side=side, sfl=sfl))
         flow_key = self.kdf.flow_key(sfl, master, source, destination)
         state = self._build_crypto_state(flow_key)
-        cache.install(sfl, destination.wire_id, source.wire_id, flow_key, crypto=state)
-        return state
+        if sending:
+            self.tfkc.install(sfl, destination.wire_id, source.wire_id, flow_key, crypto=state)
+        return state, True
 
     # -- the crypto stages: one kernel choice each --------------------------------
 
@@ -468,7 +467,7 @@ class FBSEndpoint:
             entry = fam_classify(attrs, now)
             if entry.datagrams == 1:
                 flows += 1
-            states.append(flow_state(entry.sfl, destination, True))
+            states.append(flow_state(entry.sfl, destination, True)[0])
             header = FBSHeader(
                 sfl=entry.sfl,
                 confounder=next_u32(),
@@ -571,8 +570,13 @@ class FBSEndpoint:
         now_fn = self.now
         self._c_received.inc(n)
         # (R2-6) parse the header, check freshness, recover the flow
-        # crypto state (via the RFKC).  ``states`` is parallel to
+        # crypto state: a flow derived earlier in this batch (counted as
+        # the RFKC hit Figure 6 would score, so counters do not depend
+        # on how a stream is cut into batches), else the RFKC, else
+        # derived into ``pending`` (sfl -> state), which exists only
+        # once a lookup has missed.  ``states`` is parallel to
         # ``alive``, the survivors' indices.
+        pending: Optional[Dict[int, FlowCryptoState]] = None
         states: List[FlowCryptoState] = []
         nows: List[float] = [0.0] * n
         alive: List[int] = []
@@ -595,11 +599,21 @@ class FBSEndpoint:
                     ),
                 )
                 continue
-            try:
-                states.append(flow_state(header.sfl, source, False))
-            except FBSError as exc:
-                rejected(result, i, "keying", exc)
-                continue
+            sfl = header.sfl
+            state = None if pending is None else pending.get(sfl)
+            if state is not None:
+                self.rfkc.count_hit()
+            else:
+                try:
+                    state, derived = flow_state(sfl, source, False)
+                except FBSError as exc:
+                    rejected(result, i, "keying", exc)
+                    continue
+                if derived:
+                    if pending is None:
+                        pending = {}
+                    pending[sfl] = state
+            states.append(state)
             bodies[i] = data[header_len:]
             alive.append(i)
         # (R10-11 before R7-9; see the module docstring on Figure 4's
@@ -647,7 +661,9 @@ class FBSEndpoint:
         # freshness window (after MAC verification, so forged headers
         # cannot poison the memory).  Catching the guard's ReceiveError
         # avoids importing the concrete subclass (the guard module is
-        # an optional import).  Then (R12) deliver.
+        # an optional import).  Then (R12) deliver; a flow derived in
+        # this batch enters the RFKC with its first delivered datagram,
+        # so a rejected datagram leaves no trace there.
         guard = self.replay_guard
         tr = self.tracer
         emit = tr.emit if tr.enabled else None
@@ -661,6 +677,13 @@ class FBSEndpoint:
                 except ReceiveError as exc:
                     rejected(result, i, "duplicate", exc)
                     continue
+            if pending:
+                state = pending.pop(header.sfl, None)
+                if state is not None:
+                    self.rfkc.install(
+                        header.sfl, self.principal.wire_id, source.wire_id,
+                        state.flow_key, crypto=state,
+                    )
             size = len(bodies[i])
             accepted += 1
             bytes_in += size

@@ -22,10 +22,11 @@ The pieces, in datapath order:
 * :mod:`repro.gateway.cli` -- ``python -m repro.gateway``: the seeded
   multi-tenant workload over that site, with byte-stable JSON reports.
 
-First contact needs no handshake: admission creates the tenant entry,
-and the tenant's first protected datagram then drives the existing
-zero-message keying path (RFKC miss -> MKC miss -> PVC -> master key)
-exactly as it would between two fixed endpoints.
+First contact needs no handshake: a peer's first protected datagram
+drives the existing zero-message keying path (RFKC miss -> MKC miss ->
+PVC -> master key) exactly as it would between two fixed endpoints, and
+admission creates the tenant entry only once that datagram is accepted,
+so a datagram that fails the MAC admits and evicts nothing.
 """
 
 from repro.gateway.admission import AdmissionController

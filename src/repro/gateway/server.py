@@ -2,13 +2,15 @@
 
 :class:`FBSGateway` receives on a transport's addressed surface
 (``recv_from``), attributes each datagram to a tenant by its source
-address, and runs the admission -> backpressure -> unprotect pipeline:
+address, and runs the backpressure -> unprotect -> admission pipeline:
 
-* a new peer is admitted on first contact (evicting the coldest tenant
-  and its key-cache footprint when the table is full), so the very
-  first protected datagram drives zero-message keying with no
-  handshake round trip; an address the resolver does not know is
-  dropped (reason ``unknown_peer``) before it costs any tenant;
+* a new peer is admitted on its first verified datagram: the datagram
+  is unprotected under the principal its address resolves to, with
+  zero-message keying and no handshake round trip, and only if it is
+  accepted does the peer become a tenant (evicting the coldest tenant
+  and its key-cache footprint when the table is full), so bytes that
+  fail the MAC admit and evict nothing; an address the resolver does
+  not know is dropped (reason ``unknown_peer``) before any crypto;
 * a full per-tenant queue sheds the datagram *before* any protocol
   processing (drop reason ``backpressure``) -- crypto work is never
   spent on bytes that cannot be delivered;
@@ -110,19 +112,27 @@ class FBSGateway:
         return outcomes
 
     def _process(self, payload: bytes, addr: Address) -> str:
-        tenant = self.tenants.get(addr) or self._admit(addr)
-        if tenant is None:
-            self.admission.dropped("unknown_peer")
-            return "dropped:unknown_peer"
-        if len(tenant.queue) >= self.config.queue_depth:
+        tenant = self.tenants.get(addr)
+        if tenant is not None:
+            principal, queued = tenant.principal, len(tenant.queue)
+        else:
+            try:
+                principal, queued = self.resolver(addr), 0
+            except LookupError:
+                self.admission.dropped("unknown_peer")
+                return "dropped:unknown_peer"
+        if queued >= self.config.queue_depth:
             # Shed before unprotect: no crypto for undeliverable bytes.
-            tenant.dropped += 1
+            if tenant is not None:
+                tenant.dropped += 1
             self.admission.dropped("backpressure")
             return "dropped:backpressure"
-        result = self.endpoint.unprotect_batch((payload,), tenant.principal)
+        result = self.endpoint.unprotect_batch((payload,), principal)
         reason = result.reasons[0]
         if reason is not None:
             return f"rejected:{reason}"
+        if tenant is None:
+            tenant = self._admit(addr, principal)
         tenant.flows.add(result.headers[0].sfl)
         tenant.queue.append(result.bodies[0])
         tenant.enqueued += 1
@@ -130,11 +140,9 @@ class FBSGateway:
 
     # -- admission -------------------------------------------------------------
 
-    def _admit(self, addr: Address) -> Optional[TenantState]:
-        try:
-            principal = self.resolver(addr)
-        except LookupError:
-            return None  # resolved before any eviction: a stranger costs no tenant
+    def _admit(self, addr: Address, principal: Principal) -> TenantState:
+        """Make a verified peer a tenant, turning the coldest out first
+        when the table is full."""
         if len(self.tenants) >= self.config.max_tenants:
             self._evict_coldest()
         tenant = TenantState(name=principal.name, principal=principal, addr=addr)

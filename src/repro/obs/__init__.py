@@ -23,7 +23,6 @@ reaches above it except ``check-docs``, lazily.
 from repro.obs.events import (
     CACHE_LEVELS,
     EVENT_TYPES,
-    MISS_KINDS,
     REJECTION_REASONS,
     CacheEvicted,
     CacheHit,
@@ -77,7 +76,6 @@ __all__ = [
     "EVENT_TYPES",
     "REJECTION_REASONS",
     "CACHE_LEVELS",
-    "MISS_KINDS",
     "event_from_dict",
     # sinks
     "Sink",

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.obs.events import MISS_KINDS, REJECTION_REASONS
+from repro.obs.events import REJECTION_REASONS
 from repro.obs.registry import MetricsRegistry, parse_metric_key
 from repro.obs.report import parse_cli, refuse_path
 from repro.obs.sinks import read_records
@@ -47,16 +47,15 @@ def render_summary(
     shown = "n/a" if span is None else f"{span[0]:.3f}s .. {span[1]:.3f}s"
     lines = [f"trace: {source}", f"records: {records}   time span: {shown}", ""]
     if caches:
-        rows = [("cache", "lookups", "hits", "miss rate") + MISS_KINDS + ("evicted",)]
+        rows = [("cache", "lookups", "hits", "misses", "miss rate", "evicted")]
         for cache in caches:
             hits = count("cache_hits", cache=cache)
-            misses = [count("cache_misses", cache=cache, kind=kind) for kind in MISS_KINDS]
-            lookups = hits + sum(misses)
-            rate = sum(misses) / lookups if lookups else 0.0
+            misses = count("cache_misses", cache=cache)
+            lookups = hits + misses
+            rate = misses / lookups if lookups else 0.0
+            evicted = count("cache_evictions", cache=cache)
             rows.append(
-                (cache, str(lookups), str(hits), f"{rate * 100:.3f}%")
-                + tuple(map(str, misses))
-                + (str(count("cache_evictions", cache=cache)),)
+                (cache, str(lookups), str(hits), str(misses), f"{rate * 100:.3f}%", str(evicted))
             )
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         rows.insert(1, tuple("-" * width for width in widths))

@@ -49,7 +49,6 @@ __all__ = [
     "EVENT_TYPES",
     "REJECTION_REASONS",
     "CACHE_LEVELS",
-    "MISS_KINDS",
     "event_from_dict",
 ]
 
@@ -66,10 +65,6 @@ REJECTION_REASONS: Tuple[str, ...] = (
 #: The four cache levels of Figure 5 (trace names may carry a suffix,
 #: e.g. ``TFKC[32]`` in a cache-size sweep; the level is the prefix).
 CACHE_LEVELS: Tuple[str, ...] = ("PVC", "MKC", "TFKC", "RFKC")
-
-#: ``CacheMiss.kind`` values (Section 5.3's three miss types).
-MISS_KINDS: Tuple[str, ...] = ("cold", "capacity", "collision")
-
 
 class Event:
     """Base class for all trace events.
@@ -122,10 +117,9 @@ class CacheHit(Event):
 
 @dataclass
 class CacheMiss(Event):
-    """A lookup in ``cache`` missed; ``kind`` is cold/capacity/collision."""
+    """A lookup in ``cache`` (PVC/MKC/TFKC/RFKC) missed."""
 
     cache: str
-    kind: str
     t: float = 0.0
 
 
@@ -195,8 +189,8 @@ class TenantAdmitted(Event):
     """The gateway admitted a previously unknown peer as a tenant.
 
     ``peer`` is the tenant's stable display name (never an address or
-    key material); admission precedes the zero-message keying work the
-    tenant's first datagram triggers.
+    key material); admission follows the zero-message keying work of
+    the peer's first datagram, once that datagram is accepted.
     """
 
     peer: str

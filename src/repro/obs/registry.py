@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.events import MISS_KINDS
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -198,11 +196,8 @@ class MetricsRegistry:
         """Count one trace record (``Event.to_dict`` form) onto its
         :data:`EVENT_COUNTERS` row, labelled by the record's fields of the
         same names.  An unknown ``type`` counts nothing (the JSONL schema
-        is append-only); an unknown ``CacheMiss.kind`` raises ValueError."""
-        etype = record.get("type")
-        if etype == "CacheMiss" and record.get("kind") not in MISS_KINDS:
-            raise ValueError(f"unknown CacheMiss kind {record.get('kind')!r}")
-        for name, amount_field in EVENT_COUNTERS.get(str(etype), ()):
+        is append-only)."""
+        for name, amount_field in EVENT_COUNTERS.get(str(record.get("type")), ()):
             labels = {label: record.get(label) for label in METRIC_CATALOG[name].labels}
             amount = 1 if amount_field is None else record.get(amount_field)
             if isinstance(amount, int):
@@ -328,16 +323,9 @@ def merge_snapshots(snapshots: "List[Dict[str, object]]") -> Dict[str, object]:
         name, labels = parse_metric_key(key)
         if name != "cache_hit_ratio":
             continue
-        cache = labels.get("cache", "")
-        hits = counters.get(_render_key(
-            "cache_hits", _labels_key({"cache": cache})
-        ), 0)
-        misses = sum(
-            value
-            for ckey, value in counters.items()
-            if parse_metric_key(ckey)[0] == "cache_misses"
-            and parse_metric_key(ckey)[1].get("cache") == cache
-        )
+        level = _labels_key({"cache": labels.get("cache", "")})
+        hits = counters.get(_render_key("cache_hits", level), 0)
+        misses = counters.get(_render_key("cache_misses", level), 0)
         lookups = hits + misses
         gauges[key] = hits / lookups if lookups else 0.0
     return {
@@ -409,9 +397,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         "counter", ("cache",), "cache hits per level (PVC/MKC/TFKC/RFKC)"
     ),
     "cache_misses": MetricSpec(
-        "counter",
-        ("cache", "kind"),
-        "cache misses per level and kind (cold/capacity/collision)",
+        "counter", ("cache",), "cache misses per level (PVC/MKC/TFKC/RFKC)"
     ),
     "cache_evictions": MetricSpec(
         "counter", ("cache",), "live entries displaced per cache level"
@@ -457,7 +443,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         "gauge", (), "total CPU seconds the owning netsim host has charged"
     ),
     "gateway_tenants_admitted": MetricSpec(
-        "counter", (), "peers admitted as gateway tenants (first contact)"
+        "counter", (), "peers admitted as gateway tenants (first accepted datagram)"
     ),
     "gateway_tenants_evicted": MetricSpec(
         "counter",

@@ -10,16 +10,18 @@ Three simulators over a packet trace:
   (what the kernel *does*), exposing collision effects; feeds the FST
   sizing ablation.
 * :class:`CacheSimulator` -- replays a trace against TFKC/RFKC key
-  caches of a given size and index hash from one host's viewpoint;
-  feeds Figure 11.
+  caches of a given size and index hash from one host's viewpoint, and
+  splits their misses into the paper's three types; feeds Figure 11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import enum
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.caches import CacheStats, FlowKeyCache
+from repro.core.caches import FlowKeyCache
 from repro.core.fam import DatagramAttributes
 from repro.core.flows import FlowStateTable, SflAllocator
 from repro.core.policy import FiveTuplePolicy
@@ -28,7 +30,10 @@ from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.obs import Sink, Tracer
 from repro.traces.records import PacketRecord, Trace
 
-__all__ = ["FlowRecord", "ExactFlowSimulator", "TableFlowSimulator", "CacheSimulator"]
+__all__ = [
+    "FlowRecord", "ExactFlowSimulator", "TableFlowSimulator", "CacheSimulator",
+    "MissKind", "MissStats",
+]  # fmt: skip
 
 
 @dataclass
@@ -153,6 +158,48 @@ class TableFlowSimulator:
         }
 
 
+class MissKind(enum.Enum):
+    """The three miss types of Section 5.3."""
+
+    COLD = "cold"
+    CAPACITY = "capacity"
+    COLLISION = "collision"
+
+
+@dataclass
+class MissStats:
+    """One simulated cache's lookups, its misses split by kind."""
+
+    hits: int = 0
+    cold_misses: int = 0
+    capacity_misses: int = 0
+    collision_misses: int = 0
+    #: Live entries displaced by an install.
+    evictions: int = 0
+
+    @property
+    def misses(self) -> int:
+        return self.cold_misses + self.capacity_misses + self.collision_misses
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def miss_rate(self) -> float:
+        """Miss fraction over all lookups (0.0 when never used)."""
+        total = self.lookups
+        return self.misses / total if total else 0.0
+
+    def record_miss(self, kind: MissKind) -> None:
+        if kind is MissKind.COLD:
+            self.cold_misses += 1
+        elif kind is MissKind.CAPACITY:
+            self.capacity_misses += 1
+        else:
+            self.collision_misses += 1
+
+
 class CacheSimulator:
     """Key cache behaviour from one host's viewpoint (Figure 11).
 
@@ -163,6 +210,14 @@ class CacheSimulator:
 
     Receive-side: symmetric, with the RFKC keyed by (sfl, S, D) over the
     datagrams the host receives.
+
+    Misses are classified by the standard technique: a fully-associative
+    LRU "shadow" of the same capacity sees the same lookups and
+    installs.  A miss on a key never looked up before is cold; a miss
+    the shadow would also suffer is a capacity miss; a miss the shadow
+    would have hit is a collision miss, due to the indexing alone -- so
+    a fully-associative cache never has one.  The replay only looks up
+    and installs, so the shadow never drops an entry on its own.
 
     With a ``sink``, every lookup also emits ``CacheHit``/``CacheMiss``/
     ``CacheEvicted`` events stamped with the *trace* clock (the replayed
@@ -189,7 +244,7 @@ class CacheSimulator:
 
     def _replay(
         self, trace: Trace, viewpoint: IPAddress, receive_side: bool
-    ) -> CacheStats:
+    ) -> MissStats:
         clock = [0.0]
         tracer = (
             Tracer(self.sink, now=lambda: clock[0])
@@ -203,6 +258,10 @@ class CacheSimulator:
             ways=self.ways,
             tracer=tracer,
         )
+        stats = MissStats()
+        # (sfl, D, S) of every flow looked up, and the shadow LRU of them.
+        seen: Set[Tuple[int, bytes, bytes]] = set()
+        shadow: "OrderedDict[Tuple[int, bytes, bytes], None]" = OrderedDict()
         # Exact flow tracking to assign sfls.
         open_flows: Dict[bytes, Tuple[int, float]] = {}
         next_sfl = 0
@@ -223,14 +282,32 @@ class CacheSimulator:
             open_flows[key] = (sfl, record.time)
             dst = record.five_tuple.daddr.to_bytes()
             src = record.five_tuple.saddr.to_bytes()
-            if cache.lookup(sfl, dst, src) is None:
+            flow = (sfl, dst, src)
+            if cache.lookup(sfl, dst, src) is not None:
+                stats.hits += 1
+            else:
+                if flow not in seen:
+                    stats.record_miss(MissKind.COLD)
+                elif flow in shadow:
+                    stats.record_miss(MissKind.COLLISION)
+                else:
+                    stats.record_miss(MissKind.CAPACITY)
+                seen.add(flow)
                 cache.install(sfl, dst, src, b"\x00" * 16)
-        return cache.stats
+            # The shadow sees the same use (a hit) or install (a miss).
+            if flow in shadow:
+                shadow.move_to_end(flow)
+            else:
+                if len(shadow) >= self.cache_size:
+                    shadow.popitem(last=False)
+                shadow[flow] = None
+        stats.evictions = cache.stats.evictions
+        return stats
 
-    def send_side(self, trace: Trace, viewpoint: IPAddress) -> CacheStats:
+    def send_side(self, trace: Trace, viewpoint: IPAddress) -> MissStats:
         """TFKC statistics for datagrams ``viewpoint`` sends."""
         return self._replay(trace, viewpoint, receive_side=False)
 
-    def receive_side(self, trace: Trace, viewpoint: IPAddress) -> CacheStats:
+    def receive_side(self, trace: Trace, viewpoint: IPAddress) -> MissStats:
         """RFKC statistics for datagrams ``viewpoint`` receives."""
         return self._replay(trace, viewpoint, receive_side=True)

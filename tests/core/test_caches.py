@@ -1,4 +1,9 @@
-"""Key cache tests: organizations, miss classification, named caches."""
+"""Key cache tests: organizations, miss classification, named caches.
+
+A live cache counts hits, misses and evictions; the cold / capacity /
+collision split is Figure 11's, so its cases replay traces through
+``traces.flowsim.CacheSimulator``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +13,32 @@ from repro.core.caches import (
     AssociativeCache,
     FlowKeyCache,
     MasterKeyCache,
-    MissKind,
     PublicValueCache,
 )
 from repro.crypto.crc import Crc32Hash, ModuloHash
+from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.obs.events import CacheEvicted
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
+from repro.traces.flowsim import CacheSimulator
+from repro.traces.records import PacketRecord, Trace
+
+SENDER = IPAddress("10.0.0.1")
+
+
+def sent(*flows):
+    """A trace of one datagram a second from ``SENDER``, flow ``f`` on
+    source port ``1000 + f``.  Each flow is one sfl; under
+    ``ModuloHash`` the TFKC key's low bytes are the sender's address,
+    so every flow indexes one set."""
+    return Trace(
+        PacketRecord(
+            time=float(t),
+            five_tuple=FiveTuple(17, SENDER, 1000 + flow, IPAddress("10.0.0.2"), 53),
+            size=100,
+        )
+        for t, flow in enumerate(flows)
+    )
 
 
 class TestDirectMapped:
@@ -59,9 +83,8 @@ class TestDirectMapped:
 
 class TestMissClassification:
     def test_cold_miss(self):
-        cache = AssociativeCache(4, ways=1)
-        cache.get(b"new")
-        assert cache.stats.cold_misses == 1
+        stats = CacheSimulator(4).send_side(sent(0), SENDER)
+        assert (stats.cold_misses, stats.misses) == (1, 1)
 
     def test_hit_counted(self):
         cache = AssociativeCache(4, ways=1)
@@ -70,25 +93,17 @@ class TestMissClassification:
         assert cache.stats.hits == 1
 
     def test_collision_miss_identified(self):
-        # Two keys, same slot, cache big enough in the ideal model:
-        # re-reading the evicted key is a collision miss.
-        cache = AssociativeCache(4, ways=1, index_hash=ModuloHash())
-        a = (0).to_bytes(4, "big")
-        b = (4).to_bytes(4, "big")  # same slot under modulo 4
-        cache.get(a); cache.put(a, 1)
-        cache.get(b); cache.put(b, 2)
-        cache.get(a)  # would hit in a 4-entry LRU: collision miss
-        assert cache.stats.collision_misses == 1
+        # Two flows, one slot, cache big enough in the ideal model:
+        # re-reading the displaced flow is a collision miss.
+        simulator = CacheSimulator(4, index_hash=ModuloHash())
+        stats = simulator.send_side(sent(0, 1, 0), SENDER)
+        assert (stats.cold_misses, stats.collision_misses) == (2, 1)
 
     def test_capacity_miss_identified(self):
-        cache = AssociativeCache(2, ways=1, index_hash=ModuloHash())
-        keys = [(i).to_bytes(4, "big") for i in range(4)]
-        for key in keys:
-            cache.get(key)
-            cache.put(key, key)
-        # Re-reading key 0: gone from the 2-entry ideal LRU too.
-        cache.get(keys[0])
-        assert cache.stats.capacity_misses >= 1
+        simulator = CacheSimulator(2, index_hash=ModuloHash())
+        # Re-reading flow 0: gone from the 2-entry ideal LRU too.
+        stats = simulator.send_side(sent(0, 1, 2, 3, 0), SENDER)
+        assert (stats.cold_misses, stats.capacity_misses) == (4, 1)
 
     def test_miss_rate(self):
         cache = AssociativeCache(4, ways=1)
@@ -100,38 +115,22 @@ class TestMissClassification:
     def test_miss_rate_empty(self):
         assert AssociativeCache(4, ways=1).stats.miss_rate == 0.0
 
-    def test_a_dropped_entry_is_not_a_collision_on_its_next_miss(self):
-        # Regression: flush and evict emptied the cache but not the
-        # shadow, so a fully associative cache reported collisions.
+    def test_a_dropped_entry_counts_one_plain_miss(self):
+        # A live cache keeps no shadow of what it dropped: the next
+        # lookup of a flushed or evicted key is one more miss.
         cache = AssociativeCache(4)
         cache.get(b"a"); cache.put(b"a", 1); cache.flush(); cache.get(b"a")
         cache.get(b"b"); cache.put(b"b", 2); cache.evict(b"b"); cache.get(b"b")
-        assert (cache.stats.collision_misses, cache.stats.capacity_misses) == (0, 2)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 4, 1)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        capacity=st.integers(1, 4),
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(("get", "put", "flush", "evict", "invalidate")),
-                st.integers(0, 6),
-            ),
-            max_size=60,
-        ),
-    )
-    def test_a_fully_associative_cache_has_no_collision_misses(self, capacity, ops):
-        cache = AssociativeCache(capacity)
-        for op, key in ops:
-            key = bytes([key])
-            if op == "get":
-                cache.get(key)
-            elif op == "put":
-                cache.put(key, key)
-            elif op == "flush":
-                cache.flush()
-            else:
-                getattr(cache, op)(key)
-        assert cache.stats.collision_misses == 0
+    @given(capacity=st.integers(1, 4), flows=st.lists(st.integers(0, 6), max_size=60))
+    def test_a_fully_associative_cache_has_no_collision_misses(self, capacity, flows):
+        simulator = CacheSimulator(capacity, ways=capacity, index_hash=ModuloHash())
+        stats = simulator.send_side(sent(*flows), SENDER)
+        assert stats.lookups == len(flows)
+        assert stats.collision_misses == 0
 
 
 class TestAssociative:
@@ -252,7 +251,7 @@ class TestOneSetSkipsTheIndexHash:
             st.tuples(st.sampled_from("gpie"), st.integers(0, 8)), max_size=60
         ),
     )
-    def test_same_stats_kinds_and_victims_as_the_hashed_lookup(self, capacity, ops):
+    def test_same_stats_and_victims_as_the_hashed_lookup(self, capacity, ops):
         shortcut = AssociativeCache(capacity, index_hash=_CountingHash(refuse=True))
         hashed = AssociativeCache(capacity, index_hash=Crc32Hash())
         # The parent's lookup, spelled out: hash, then modulo the one set.
@@ -268,7 +267,7 @@ class TestOneSetSkipsTheIndexHash:
                     cache.invalidate(key)
                 else:
                     cache.evict(key)
-            # CacheStats carries the hit, per-kind miss and eviction counts.
+            # CacheStats carries the hit, miss and eviction counts.
             assert shortcut.stats == hashed.stats
             # LRU order is eviction order: the next victim is the first key.
             assert list(shortcut._sets[0]) == list(hashed._sets[0])

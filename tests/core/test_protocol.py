@@ -1,5 +1,7 @@
 """Abstract FBS endpoint tests: Figure 4 semantics over raw bytes."""
 
+import random
+
 import pytest
 
 from repro.core.config import AlgorithmSuite, CipherMode, FBSConfig, MacAlgorithm
@@ -22,6 +24,34 @@ def make_pair(config=None, seed=0):
     alice = domain.make_endpoint(Principal.from_name("alice"), now=clock)
     bob = domain.make_endpoint(Principal.from_name("bob"), now=clock)
     return alice, bob, clock
+
+
+def rfkc_entries(endpoint):
+    """The RFKC's entries, read without touching its LRU order or statistics."""
+    return {key: entry for bucket in endpoint.rfkc._cache._sets for key, entry in bucket.items()}
+
+
+class TestUnauthenticatedSpray:
+    def test_fresh_sfls_on_a_copied_datagram_write_no_flow_key(self):
+        # An off-path sender copies one datagram of a legitimate flow
+        # 2,000 times, each with a random sfl: every copy keys a flow
+        # bob never saw and fails R8.  Installing K_f before the MAC
+        # evicted most of the RFKC and the legitimate flow with it.
+        alice, bob, _ = make_pair()
+        wire = alice.protect(b"legitimate", bob.principal)
+        assert bob.unprotect(wire, alice.principal) == b"legitimate"
+        before = (rfkc_entries(bob), bob.rfkc.stats.evictions)
+        derived = bob.registry.counter("flow_key_derivations", side="receive")
+        rng = random.Random(2000)
+        for copy in range(2000):
+            sprayed = rng.getrandbits(64).to_bytes(8, "big") + wire[8:]
+            with pytest.raises(MacMismatchError):
+                bob.unprotect(sprayed, alice.principal)
+            assert derived.value <= 2 + copy  # at most one K_f a copy
+        assert (rfkc_entries(bob), bob.rfkc.stats.evictions) == before
+        hits = bob.rfkc.stats.hits
+        assert bob.unprotect(alice.protect(b"next", bob.principal), alice.principal) == b"next"
+        assert bob.rfkc.stats.hits == hits + 1
 
 
 class TestBasicExchange:

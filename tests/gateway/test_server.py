@@ -164,14 +164,26 @@ class TestRejections:
         )
         assert rejected.value == 1
 
-    def test_rejection_still_admits_the_tenant(self):
-        # Admission keys on the transport address; a garbage datagram
-        # from a new peer creates the tenant, then fails unprotect.
-        site = gateway_site(tenants=1)
-        send_protected(site, 0, raw=b"garbage")
-        serve_one(site)
-        assert len(site.gateway.tenants) == 1
-        assert site.gateway.admission.ledger_dict()["enqueued"] == 0
+    def test_a_rejected_first_datagram_admits_and_evicts_nothing(self):
+        # A full one-slot table; the other enrolled address sends bytes
+        # that fail the MAC.  Admission waits for a verified datagram,
+        # so the resident tenant, its queue and its flow keys stay.
+        site = gateway_site(tenants=2, gw_config=GatewayConfig(max_tenants=1))
+        send_protected(site, 0, b"resident")
+        assert serve_one(site) == "enqueued"
+        endpoint = site.gateway.endpoint
+        rfkc = len(endpoint.rfkc)
+        forged = site.protect(1, b"forged")
+        send_protected(site, 1, raw=forged[:-1] + bytes([forged[-1] ^ 1]))
+        assert serve_one(site) == "rejected:mac"
+        assert [t.name for t in site.gateway.tenants.by_name()] == [site.principals[0].name]
+        assert site.gateway.tenants.total_queued() == 1
+        assert len(endpoint.rfkc) == rfkc
+        ledger = site.gateway.admission.ledger_dict()
+        assert (ledger["admitted"], ledger["evicted"]["capacity"]) == (1, 0)
+        send_protected(site, 1, b"verified")
+        assert serve_one(site) == "enqueued"
+        assert [t.name for t in site.gateway.tenants.by_name()] == [site.principals[1].name]
 
 
     def test_certified_degenerate_public_value_is_a_keying_rejection(self):
@@ -191,7 +203,8 @@ class TestRejections:
         assert serve_one(site) == "enqueued"
         assert site.gateway.endpoint.mkd.master_keys_computed == 1
         ledger = site.gateway.admission.ledger_dict()
-        assert (ledger["admitted"], ledger["enqueued"]) == (2, 1)
+        # The rejected peer was never admitted: only the served one was.
+        assert (ledger["admitted"], ledger["enqueued"]) == (1, 1)
         assert site.gateway.tenants.total_queued() == 1
         assert site.gateway.admission.check_registry() == []
 

@@ -16,7 +16,7 @@ def write_trace(path):
         for i in range(3):
             clock[0] = float(i)
             tracer.emit(CacheHit(cache="TFKC"))
-        tracer.emit(CacheMiss(cache="TFKC", kind="cold"))
+        tracer.emit(CacheMiss(cache="TFKC"))
         tracer.emit(DatagramAccepted(sfl=1, size=100))
 
 
@@ -34,16 +34,16 @@ def test_summarize_renders_cache_table(tmp_path, capsys):
     assert "TFKC" in out and "miss rate" in out
     assert "1 accepted" in out
     row = next(line.split() for line in out.splitlines() if line.startswith("TFKC"))
-    assert row == ["TFKC", "4", "3", "25.000%", "1", "0", "0", "0"]
+    assert row == ["TFKC", "4", "3", "1", "25.000%", "0"]
 
 
 def test_summarize_lists_a_cache_that_only_missed(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     with JsonlSink(str(trace)) as sink:
-        Tracer(sink).emit(CacheMiss(cache="PVC", kind="cold"))
+        Tracer(sink).emit(CacheMiss(cache="PVC"))
     assert main(["summarize", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "PVC          1     0   100.000%     1         0          0        0" in out
+    assert "PVC          1     0       1   100.000%        0" in out
 
 
 def test_summarize_json_is_parseable(tmp_path, capsys):
@@ -54,7 +54,7 @@ def test_summarize_json_is_parseable(tmp_path, capsys):
     assert snapshot["counters"] == {
         "bytes_accepted": 100,
         "cache_hits{cache=TFKC}": 3,
-        "cache_misses{cache=TFKC,kind=cold}": 1,
+        "cache_misses{cache=TFKC}": 1,
         "datagrams_accepted": 1,
     }
 

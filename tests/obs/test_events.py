@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     CACHE_LEVELS,
     EVENT_TYPES,
-    MISS_KINDS,
     REJECTION_REASONS,
     CacheMiss,
     DatagramProtected,
@@ -18,7 +17,7 @@ from repro.obs import (
 
 SAMPLES = [
     FlowStarted(sfl=7),
-    CacheMiss(cache="TFKC", kind="cold"),
+    CacheMiss(cache="TFKC"),
     DatagramProtected(sfl=7, size=128, secret=True),
     DatagramRejected(reason="mac", sfl=7),
     DatagramRejected(reason="header"),  # sfl defaults to -1 (unparsed)
@@ -75,7 +74,6 @@ def test_constant_lists_are_closed_and_consistent():
         "duplicate",
     )
     assert CACHE_LEVELS == ("PVC", "MKC", "TFKC", "RFKC")
-    assert MISS_KINDS == ("cold", "capacity", "collision")
     names = [cls.__name__ for cls in EVENT_TYPES]
     assert len(names) == len(set(names)) == 13
 

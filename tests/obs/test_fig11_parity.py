@@ -18,15 +18,13 @@ from tests.obs.helpers import fold_file
 
 @pytest.fixture(scope="module")
 def lan_trace():
-    # Small but busy enough to exercise hits, all miss kinds, evictions.
+    # Small but busy enough to exercise hits, misses and evictions.
     return CampusLanWorkload(duration=900.0, clients=6, seed=5).generate()
 
 
 def _assert_tally_matches(registry, cache, stats):
     assert registry.counter("cache_hits", cache=cache).value == stats.hits
-    for kind in ("cold", "capacity", "collision"):
-        misses = registry.counter("cache_misses", cache=cache, kind=kind).value
-        assert misses == getattr(stats, f"{kind}_misses")
+    assert registry.counter("cache_misses", cache=cache).value == stats.misses
     assert registry.counter("cache_evictions", cache=cache).value == stats.evictions
 
 

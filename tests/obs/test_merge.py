@@ -23,7 +23,7 @@ from tests.obs.test_registry import EVENT_DERIVED, event_counters
 def snap_with(hits, misses):
     reg = MetricsRegistry()
     reg.counter("cache_hits", cache="TFKC").inc(hits)
-    reg.counter("cache_misses", cache="TFKC", kind="cold").inc(misses)
+    reg.counter("cache_misses", cache="TFKC").inc(misses)
     lookups = hits + misses
     reg.gauge("cache_hit_ratio", cache="TFKC").set(
         hits / lookups if lookups else 0.0

@@ -12,7 +12,7 @@ from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.gateway.tenants import GatewayConfig
 from repro.obs import AggregatingSink, MetricsRegistry, parse_metric_key
-from repro.obs.events import CACHE_LEVELS, MISS_KINDS, REJECTION_REASONS
+from repro.obs.events import CACHE_LEVELS, REJECTION_REASONS
 from repro.obs import registry as registry_module
 from repro.obs.registry import BUCKETS, EVENT_COUNTERS, METRIC_CATALOG, Histogram
 
@@ -57,9 +57,9 @@ class TestInstruments:
 
     def test_labeled_keys_render_prometheus_style(self):
         reg = MetricsRegistry()
-        reg.counter("cache_misses", cache="TFKC", kind="cold").inc()
+        reg.counter("flow_key_derivations", side="send", cache="TFKC").inc()
         snap = reg.snapshot()
-        assert snap["counters"] == {"cache_misses{cache=TFKC,kind=cold}": 1}
+        assert snap["counters"] == {"flow_key_derivations{cache=TFKC,side=send}": 1}
 
     def test_histogram_buckets_and_stats(self, monkeypatch):
         monkeypatch.setattr(registry_module, "BUCKETS", (1.0, 2.0))
@@ -136,12 +136,11 @@ class TestCatalog:
 
     def test_label_names_match_the_event_vocabulary(self):
         assert METRIC_CATALOG["datagrams_rejected"].labels == ("reason",)
-        assert METRIC_CATALOG["cache_misses"].labels == ("cache", "kind")
+        assert METRIC_CATALOG["cache_misses"].labels == ("cache",)
         assert METRIC_CATALOG["flow_key_derivations"].labels == ("side",)
         # The vocabulary the labels draw from is the events module's.
         assert set(REJECTION_REASONS) >= {"header", "mac", "duplicate"}
         assert set(CACHE_LEVELS) == {"PVC", "MKC", "TFKC", "RFKC"}
-        assert set(MISS_KINDS) == {"cold", "capacity", "collision"}
 
     def test_endpoint_registers_only_cataloged_names(self):
         from repro.core.deploy import FBSDomain
@@ -165,7 +164,7 @@ class TestCatalog:
 class TestFold:
     def test_each_event_type_counts_onto_its_catalog_row(self):
         reg = MetricsRegistry()
-        reg.fold({"type": "CacheMiss", "cache": "MKC", "kind": "capacity", "t": 0})
+        reg.fold({"type": "CacheMiss", "cache": "MKC", "t": 0})
         reg.fold({"type": "DatagramProtected", "sfl": 1, "size": 40, "secret": True})
         reg.fold({"type": "DatagramProtected", "sfl": 1, "size": 24, "secret": False})
         reg.fold({"type": "DatagramRejected", "reason": "mac", "sfl": 1})
@@ -173,7 +172,7 @@ class TestFold:
         reg.fold({"type": "TenantEvicted", "peer": "t", "reason": "capacity"})
         assert reg.snapshot()["counters"] == {
             "bytes_protected": 64,
-            "cache_misses{cache=MKC,kind=capacity}": 1,
+            "cache_misses{cache=MKC}": 1,
             "datagrams_rejected{reason=mac}": 1,
             "datagrams_sent": 2,
             "gateway_tenants_evicted{reason=capacity}": 1,
@@ -186,9 +185,12 @@ class TestFold:
         reg.fold({"type": "SomethingNewer", "cache": "PVC", "t": 0})
         assert reg.snapshot()["counters"] == {}
 
-    def test_unknown_miss_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown CacheMiss kind"):
-            MetricsRegistry().fold({"type": "CacheMiss", "cache": "PVC", "kind": "??"})
+    def test_a_miss_kind_from_an_older_trace_is_ignored(self):
+        # Traces written while live caches still split their misses
+        # carry a ``kind``: it folds onto the one count per cache.
+        reg = MetricsRegistry()
+        reg.fold({"type": "CacheMiss", "cache": "PVC", "kind": "cold", "t": 0})
+        assert reg.snapshot()["counters"] == {"cache_misses{cache=PVC}": 1}
 
     def test_a_traced_pair_folds_to_its_live_counters(self):
         # Tiny caches, a replay guard, flushes, tampering, replays, stale
@@ -243,8 +245,7 @@ class TestFold:
         }
         for level in CACHE_LEVELS:
             assert f"cache_hits{{cache={level}}}" in folded
-        for kind in MISS_KINDS:
-            assert any(f"kind={kind}}}" in key for key in folded), kind
+            assert f"cache_misses{{cache={level}}}" in folded
         for reason in set(REJECTION_REASONS) - {"keying"}:
             assert f"datagrams_rejected{{reason={reason}}}" in folded, reason
 

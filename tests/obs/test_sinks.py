@@ -28,7 +28,7 @@ def emit_sample(sink, n=5):
     for i in range(n):
         clock[0] = float(i)
         tracer.emit(CacheHit(cache="TFKC"))
-    tracer.emit(CacheMiss(cache="RFKC", kind="cold"))
+    tracer.emit(CacheMiss(cache="RFKC"))
     tracer.emit(DatagramAccepted(sfl=9, size=64))
 
 
@@ -107,7 +107,7 @@ class TestJsonlSink:
         assert len(list(read_records(str(path)))) == 6
         registry = fold_file(path)
         assert registry.counter("cache_hits", cache="TFKC").value == 4
-        assert registry.counter("cache_misses", cache="RFKC", kind="cold").value == 1
+        assert registry.counter("cache_misses", cache="RFKC").value == 1
         assert registry.counter("datagrams_accepted").value == 1
         assert registry.counter("bytes_accepted").value == 64
 
@@ -152,8 +152,7 @@ class TestReadJsonlErrors:
         assert len(list(read_records(str(path)))) == 1
         assert fold_file(path).counter("cache_hits", cache="PVC").value == 1
 
-    def test_unknown_miss_kind_rejected(self, tmp_path):
+    def test_a_miss_kind_from_an_older_trace_folds_per_cache(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        path.write_text('{"type": "CacheMiss", "cache": "PVC", "kind": "??", "t": 0}\n')
-        with pytest.raises(ValueError, match="unknown CacheMiss kind"):
-            fold_file(path)
+        path.write_text('{"type": "CacheMiss", "cache": "PVC", "kind": "cold", "t": 0}\n')
+        assert fold_file(path).snapshot()["counters"] == {"cache_misses{cache=PVC}": 1}

@@ -8,6 +8,8 @@ from repro.core.fam import DatagramAttributes
 from repro.core.flows import FlowStateTable, SflAllocator
 from repro.core.policy import FiveTuplePolicy
 from repro.netsim.addresses import FiveTuple, IPAddress
+from repro.traces.flowsim import CacheSimulator
+from repro.traces.records import PacketRecord, Trace
 
 keys = st.binary(min_size=1, max_size=16)
 
@@ -55,7 +57,21 @@ class TestCacheInvariants:
                 cache.put(key, True)
         stats = cache.stats
         assert stats.hits + stats.misses == len(lookups)
-        assert stats.cold_misses == len(set(lookups))  # first touch of each key
+
+    @given(
+        flows=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=100),
+        capacity=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_simulated_cold_misses_are_first_touches(self, flows, capacity):
+        sender = IPAddress("10.0.0.1")
+        trace = Trace(
+            PacketRecord(float(t), FiveTuple(17, sender, 1000 + f, IPAddress("10.0.0.2"), 53), 0)
+            for t, f in enumerate(flows)
+        )
+        stats = CacheSimulator(capacity).send_side(trace, sender)
+        assert stats.hits + stats.misses == len(flows)
+        assert stats.cold_misses == len(set(flows))  # first touch of each flow
 
 
 def five_tuples():

@@ -22,8 +22,11 @@ from ``tests/spec/fbs_spec.py``.  After every step:
   crypto; the trace folds to the live counters;
 * the table holds the model's tenants, so never more than
   ``max_tenants``, coldest first as the model's, with its queues and
-  each tenant's report row counted from its outcomes; an
-  evicted tenant's footprint is gone from the MKC, PVC and RFKC;
+  each tenant's report row counted from its outcomes; the RFKC holds
+  no flow of an address that is not a tenant (a flow enters it only
+  with a delivered datagram), and an evicted tenant's master key and
+  certificate are gone from the MKC and PVC until a datagram of its
+  address reaches FBSReceive again;
 * the wire has carried only the datagrams the rules sent, so after a
   gateway flush each tenant's next datagram that FBSReceive accepts is
   ``enqueued`` with zero extra messages (Sections 5.3 and 7.1).
@@ -37,13 +40,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.caches import FlowKeyCache
 from repro.core.config import FBSConfig
 from repro.gateway.site import GATEWAY_PORT
 from repro.gateway.tenants import GatewayConfig
 from repro.obs.sinks import AggregatingSink
 from repro.transport.netsim import NetsimTransport
 from tests.gateway.helpers import gateway_site
+from tests.property.test_receive_contract import cached_flows
 from tests.spec.fbs_spec import Domain, spec_receive
 from tests.spec.gateway_spec import GatewaySpec
 
@@ -227,13 +230,14 @@ class Gateway(RuleBasedStateMachine):
         if table:
             assert gateway.tenants.coldest().addr == next(iter(table))
         me = self.site.gw_principal.wire_id
-        for addr, flows in self.model.reclaimed.items():
+        sources = {key[8 + len(me) :] for key in cached_flows(endpoint)[1]}
+        for addr in self.addrs:
+            peer = self.wire_ids[self.model.directory[addr]]
             if addr not in table:
-                peer = self.wire_ids[self.model.directory[addr]]
+                assert peer not in sources
+            if addr in self.model.reclaimed:
                 assert not holds(endpoint.mkd.mkc, peer)
                 assert not holds(endpoint.mkd.pvc, peer)
-                for sfl in flows:
-                    assert not holds(endpoint.rfkc, FlowKeyCache._key(sfl, me, peer))
         assert len(self.frames) == self.sends
 
 

@@ -19,6 +19,11 @@ receive surface:
   type its reason names; the gateway's ledger agrees with its registry;
   a baseline counts every datagram it does not bypass once, accepted or
   rejected.
+* **Cost.**  Nothing unauthenticated writes state: a receive whose
+  datagrams all end rejected (and a gateway datagram that ends
+  ``rejected:*``) leaves the TFKC and RFKC entries and the gateway's
+  tenant table as they were, and derives at most one ``K_f`` per
+  datagram.
 * **Compare discipline.**  Every receive calls ``constant_time_equal``
   once for each datagram that reaches R8 (each MAC R7 computed), on the
   scalar and the lane MAC paths alike: a tag compared with ``==``
@@ -308,6 +313,41 @@ def check_unprotect(endpoint, ring, data, source, secret):
     return problems
 
 
+def cached_flows(endpoint):
+    """The TFKC's and RFKC's entries by cache key, read without touching
+    their LRU order or statistics."""
+    return [
+        {key: entry for bucket in cache._cache._sets for key, entry in bucket.items()}
+        for cache in (endpoint.tfkc, endpoint.rfkc)
+    ]
+
+
+def cost_state(endpoint, gateway=None):
+    """What an unauthenticated datagram must not change or overspend."""
+    return SimpleNamespace(
+        flows=cached_flows(endpoint),
+        derived=endpoint.registry.counter("flow_key_derivations", side="receive").value,
+        tenants=None if gateway is None else sorted(t.addr for t in gateway.tenants.by_name()),
+    )
+
+
+def check_cost(before, endpoint, n, gateway=None):
+    """Violations of "nothing unauthenticated writes state" by a
+    receive of ``n`` datagrams that all ended rejected (``before`` is
+    its ``cost_state``)."""
+    after = cost_state(endpoint, gateway)
+    problems = []
+    for name, old, new in zip(("TFKC", "RFKC"), before.flows, after.flows):
+        changed = sorted(k.hex() for k in old.keys() | new.keys() if old.get(k) is not new.get(k))
+        if changed:
+            problems.append(f"{n} rejected datagrams changed the {name} at {changed}")
+    if after.tenants != before.tenants:
+        problems.append(f"a rejected datagram changed the tenants {before.tenants} -> {after.tenants}")
+    if after.derived - before.derived > n:
+        problems.append(f"{after.derived - before.derived} K_f derived for {n} rejected datagrams")
+    return problems
+
+
 def compare_discipline(result, secret, computed, compared):
     """Violations of R8's discipline by one receive that recorded
     ``result``: R7 ``computed`` MACs, R8 made ``compared``
@@ -331,6 +371,7 @@ def received(endpoint, ring, datagrams, source, secret):
     for one datagram, ``unprotect_batch`` for more.  ``result`` is the
     batch result the receive recorded, or None if it recorded none."""
     results, computed, compared = [], [], []
+    before = cost_state(endpoint)
     real = endpoint.unprotect_batch
     endpoint.unprotect_batch = lambda *a, **k: results.append(real(*a, **k)) or results[-1]
     macs = endpoint._macs
@@ -348,6 +389,8 @@ def received(endpoint, ring, datagrams, source, secret):
         endpoint.__dict__.pop("_macs", None)
     if not results:
         return None, problems
+    if None not in results[0].reasons:
+        problems += check_cost(before, endpoint, len(datagrams))
     return results[0], problems + compare_discipline(
         results[0], secret, sum(computed), len(compared)
     )
@@ -472,6 +515,7 @@ def check_serve(world, tenant, data):
     of the closed set, counted where the endpoint saw it."""
     site, endpoint = world.site, world.site.gateway.endpoint
     before = receive_counts(endpoint)
+    cost = cost_state(endpoint, site.gateway)
     world.ring.clear()
     site.transports[tenant].send_sync(data)
     try:
@@ -493,6 +537,8 @@ def check_serve(world, tenant, data):
     events = [e.reason for e in world.ring.of_type(DatagramRejected)]
     if events != ([reason] if reason else []):
         problems.append(f"{outcome}: DatagramRejected events {events}")
+    if reason is not None:
+        problems += check_cost(cost, endpoint, 1, site.gateway)
     return problems + site.gateway.admission.check_registry()
 
 
@@ -513,6 +559,23 @@ def test_gateway_keeps_the_receive_contract(arrivals):
         (data,) = assemble([recipe], wires, world.pool, world.fields)
         problems += check_serve(world, tenant, data)
     assert problems == []
+
+
+def test_rejected_datagrams_write_no_state():
+    # Forged datagrams of a flow new to bob, alone and as a batch of
+    # two; a gateway first contact that fails the MAC, and one whose
+    # address resolves to a principal nobody enrolled.
+    world = endpoint_world()
+    a, b = world.alice, world.bob
+    forged = [w[:-1] + bytes([w[-1] ^ 1]) for w in a.protect_batch([b"1", b"2"], b.principal)]
+    for batch in (forged[:1], forged):
+        result, problems = received(b, world.ring, batch, a.principal, False)
+        assert (result.reasons, problems) == (["mac"] * len(batch), [])
+    world = gateway_world()
+    wire = world.site.protect(0, b"first contact")
+    assert check_serve(world, 0, wire[:-1] + bytes([wire[-1] ^ 1])) == []
+    assert check_serve(world, ENROLLED_TENANTS, world.site.protect(0, b"who")) == []
+    assert world.site.gateway.admission.ledger_dict()["admitted"] == 0
 
 
 # -- the baselines: every SCHEMES module on a netsim segment -----------------

@@ -25,7 +25,9 @@ datagrams for any flow with the best key it holds, and splices one
 datagram's body under another's header.  A forged datagram passes the MAC
 iff the closure of what was stolen holds its flow key; a splice, which
 uses no key, iff its bytes are a datagram alice sent.  So one ``K_f``
-never opens another flow, and one ``K_{S,D}`` never another pair.
+never opens another flow, and one ``K_{S,D}`` never another pair; and a
+forge or splice that is rejected leaves bob's flow-key caches as they
+were.
 """
 
 import ast
@@ -41,7 +43,7 @@ from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.crypto.vector import CBC_ENCRYPT_MIN_LANES
 from repro.obs import RingBufferSink
-from tests.property.test_receive_contract import Clock, received
+from tests.property.test_receive_contract import Clock, cached_flows, received
 from tests.spec import fbs_spec
 from tests.spec.fbs_spec import Domain, flow_key, seal, spec_receive, spec_send
 from tests.spec.knowledge import RULES, Datagram, closure, key, opens
@@ -156,7 +158,9 @@ class SoftState(RuleBasedStateMachine):
             assert list(zip(result.bodies, result.reasons)) == expected
 
     def _receive(self, wire, source, secret):
-        """One datagram through bob, judged by the specification; its reason."""
+        """One datagram through bob, judged by the specification; its
+        reason.  A rejected one writes nothing into bob's TFKC or RFKC."""
+        before = cached_flows(self.bob)
         result, problems = received(self.bob, self.ring, [wire], source, secret)
         assert problems == []
         expected = spec_receive(
@@ -164,6 +168,8 @@ class SoftState(RuleBasedStateMachine):
             wire, self.clock.now, secret, self.seen,
         )  # fmt: skip
         assert (result.bodies[0], result.reasons[0]) == expected
+        if expected[1] is not None:
+            assert cached_flows(self.bob) == before
         return expected[1]
 
     @precondition(lambda self: self.flight)

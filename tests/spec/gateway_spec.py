@@ -4,12 +4,13 @@ multi-tenant gateway", "Admission outcomes"): a table of at most
 or crypto.  Each arrival ends in one outcome:
 
 * an address the resolver does not know: ``dropped:unknown_peer``;
-* a known address is admitted on arrival, whatever becomes of the
+* a full queue sheds it before any crypto: ``dropped:backpressure``
+  (a known address that is no tenant has an empty queue);
+* else FBSReceive (``fbs_spec.spec_receive``): rejected, or
+  ``enqueued``.  A known address is admitted by its first accepted
   datagram; a full table first evicts its least recently active
-  tenant, losing its queued bodies (``evicted``) and reclaiming the
-  flows it was served on from the key caches;
-* a full queue sheds it before any crypto: ``dropped:backpressure``;
-* else FBSReceive (``fbs_spec.spec_receive``): ``enqueued`` or rejected.
+  tenant, losing its queued bodies (``evicted``) and reclaiming its
+  flows, master key and certificate from the key caches.
 """
 
 from collections import OrderedDict
@@ -20,7 +21,9 @@ class GatewaySpec:
         self.directory = directory  # address -> principal name
         self.max_tenants, self.queue_depth = max_tenants, queue_depth
         self.table = OrderedDict()  # address -> (queue, flows), coldest first
-        self.reclaimed = {}  # address -> flows of its last evicted stay
+        # Evicted addresses none of whose datagrams reached FBSReceive
+        # since: the key caches hold nothing of theirs.
+        self.reclaimed = set()
         self.dropped = {"backpressure": 0, "evicted": 0, "unknown_peer": 0}
         self.ledger = {"admitted": 0, "evicted": {"capacity": 0},
                        "dropped": self.dropped, "enqueued": 0, "delivered": 0}
@@ -32,20 +35,22 @@ class GatewaySpec:
             return "dropped:unknown_peer"
         if addr in self.table:
             self.table.move_to_end(addr)
-        else:
-            if len(self.table) >= self.max_tenants:
-                cold, (lost, self.reclaimed[cold]) = self.table.popitem(last=False)
-                self.ledger["evicted"]["capacity"] += 1
-                self.dropped["evicted"] += len(lost)
-            self.table[addr] = ([], set())
-            self.ledger["admitted"] += 1
-        queue, flows = self.table[addr]
+        queue, flows = self.table.get(addr, ([], set()))
         if len(queue) >= self.queue_depth:
             self.dropped["backpressure"] += 1
             return "dropped:backpressure"
+        self.reclaimed.discard(addr)
         body, reason = receive(self.directory[addr])
         if reason is not None:
             return f"rejected:{reason}"
+        if addr not in self.table:
+            if len(self.table) >= self.max_tenants:
+                cold, (lost, _) = self.table.popitem(last=False)
+                self.reclaimed.add(cold)
+                self.ledger["evicted"]["capacity"] += 1
+                self.dropped["evicted"] += len(lost)
+            self.table[addr] = (queue, flows)
+            self.ledger["admitted"] += 1
         queue.append(body)
         flows.add(flow)
         self.ledger["enqueued"] += 1

@@ -23,9 +23,12 @@ import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 latency = {latency} + 10 * seed
 print("noise")
+if not {correct}:
+    print("GATE FAILED: w: a datagram waited longer than one pool lap")
 print(json.dumps({{"correct": {correct}, "metrics": {{
     "goodput_dps": {{"value": 1000.0, "unit": "1/s"}},
     "latency_p50_us": {{"value": latency, "unit": "us"}}}}}}))
+sys.exit(0 if {correct} else 1)
 """
 
 
@@ -76,3 +79,12 @@ def test_a_run_that_is_not_correct_fails_the_tool(tmp_path):
     done = _pairs(parent, change)
     assert done.returncode == 1
     assert "w seed 0 change: NOT CORRECT" in done.stdout
+
+
+def test_a_run_that_fails_a_gate_names_its_exit_status_and_gate(tmp_path):
+    parent = _tree(tmp_path / "parent", latency=100.0)
+    change = _tree(tmp_path / "change", latency=40.0, correct=False)
+    lines = _pairs(parent, change).stdout.splitlines()
+    at = lines.index("w seed 1 change: NOT CORRECT (exit 1)")
+    assert lines[at + 1] == "  GATE FAILED: w: a datagram waited longer than one pool lap"
+    assert lines[at + 2] == "w seed 1 parent: correct"

@@ -12,7 +12,8 @@ drift of the host over the session lands on both sides alike.  Give
 each side a fresh copy of its commit (``git archive`` or ``git
 checkout-index -a --prefix=DIR/``), not a working tree that has run
 other things.  Each run's last stdout line is its JSON result; a run
-that does not read ``correct`` is reported and makes the exit status 1.
+that does not read ``correct`` is reported with its exit status and the
+``GATE FAILED:`` lines it printed, and makes the exit status 1.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` it prints a
 Markdown row: both sides' quartiles and median over the pairs (as the
@@ -40,7 +41,8 @@ def fmt(value: float) -> str:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One budget run in ``tree``; its JSON result line."""
+    """One budget run in ``tree``: its JSON result line, with the run's
+    exit status (``exit``) and ``GATE FAILED:`` lines (``gates``)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]  # fmt: skip
@@ -52,6 +54,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = {"correct": False, "metrics": {}}
     if done.returncode != 0:
         result["correct"] = False
+    result["exit"] = done.returncode
+    result["gates"] = [line for line in lines if line.startswith("GATE FAILED:")]
     return result
 
 
@@ -97,9 +101,15 @@ def main(argv=None) -> int:
             got = {}
             for side in order:
                 got[side] = run(trees[side], workload, seed, args.seconds)
-                verdict = "correct" if got[side]["correct"] else "NOT CORRECT"
-                print(f"{workload} seed {seed} {side}: {verdict}", flush=True)
-                failed += not got[side]["correct"]
+                result = got[side]
+                if result["correct"]:
+                    print(f"{workload} seed {seed} {side}: correct", flush=True)
+                else:
+                    verdict = f"NOT CORRECT (exit {result['exit']})"
+                    print(f"{workload} seed {seed} {side}: {verdict}", flush=True)
+                    for gate in result["gates"]:
+                        print(f"  {gate}", flush=True)
+                    failed += 1
             pairs.append((got["parent"], got["change"]))
         rows += table(workload, pairs, metrics)
     print()
