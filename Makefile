@@ -42,10 +42,10 @@ obs-check:
 # transport, gateway and traces smoke runs, fbslint, obs summarize)
 # under two PYTHONHASHSEED values, the second with every wall clock
 # 10^6 s ahead, the blocking-call audit hook on and key canaries
-# recorded -- exit status (invariant violations, merge exactness, lost
-# exchanges, ledger mismatches, Figure 11/13 gates: CLI exit 1) and
-# stdout bytes must agree, and no recorded key may appear in that
-# side's outputs.  Part of tier-1; this target runs it alone.
+# recorded -- exit status (invariant violations, the load replay's
+# ledger and eviction checks, lost exchanges, ledger mismatches,
+# Figure 11/13 gates: CLI exit 1) and stdout bytes must agree, and no
+# recorded key may appear in that side's outputs.  Part of tier-1; this target runs it alone.
 smoke:
 	$(PYTHON) -m pytest -q tests/test_report_determinism.py
 

@@ -16,8 +16,8 @@ What running code can show is checked there instead: key canaries in
 every report producer's outputs (``tests/shim/canary.py``), one
 ``constant_time_equal`` per datagram at R8
 (``tests/property/test_receive_contract.py``), and the syntactic repo
-policy -- no ``assert`` in library code, no swallowed exception,
-process fan-out only in ``repro.load`` -- by plain ``ast``
+policy -- no ``assert`` in library code, no swallowed exception, no
+process fan-out -- by plain ``ast``
 (``tests/test_policy_structure.py``).
 
 Run it as ``python -m repro.analysis [paths]`` (see

@@ -7,9 +7,9 @@ runs every report producer with the wall clocks 10**6 s ahead on one
 side, so a reading that reaches a report fails it.  Benchmarks, by definition, measure the real machine, so
 this module is the one sanctioned place that touches :mod:`time`.
 
-The scale-out load engine (:mod:`repro.load`) imports these helpers
-*lazily and only in timing mode*: its canonical, byte-stable reports
-are built purely from simulated time, and only the cost budget
+The load replay (:mod:`repro.load`) imports these helpers *lazily and
+only in timing mode*: its canonical, byte-stable reports are built
+purely from simulated time, and only the cost budget
 (``benchmarks/budget/``, its ``load.*`` rows) turns timing on.
 """
 
@@ -23,10 +23,8 @@ __all__ = ["process_cpu_seconds", "wall_seconds"]
 def process_cpu_seconds() -> float:
     """CPU seconds consumed by this process (user + system).
 
-    Per-shard CPU cost is hardware-independent (a 1-core CI runner
-    time-slicing 4 workers reports the same per-worker CPU cost as a
-    4-core box running them concurrently); the budget's
-    ``cpu_us_per_datagram`` is read from here.
+    Unlike wall time, it does not count the time other processes hold
+    the core; the budget's ``cpu_us_per_datagram`` is read from here.
     """
     return time.process_time()
 

@@ -136,9 +136,9 @@ class FBSConfig:
     #: software-cache default; ``ways == size`` = fully associative
     #: LRU, which removes collision misses entirely -- "collision
     #: misses can be avoided by increasing the associativity of the
-    #: cache", Section 5.3).  The load engine runs fully associative so
+    #: cache", Section 5.3).  The load replay runs fully associative so
     #: that per-flow cache behaviour is independent of which flows
-    #: share a worker (shard-exact metrics).
+    #: share a batch (batch-exact metrics).
     tfkc_ways: int = 1
     rfkc_ways: int = 1
     #: Whether the header carries the optional algorithm-id field.

@@ -137,10 +137,10 @@ class UnboundedFlowTable(_FlowTable):
     so two conversations can never evict each other.
     ``collision_evictions`` is 0 by construction.
 
-    This is the scale-out load engine's table: with collisions gone,
-    a flow's classification outcome depends only on that flow's own
-    datagram times, which is what makes per-flow sharding across worker
-    processes metrics-exact (see DESIGN.md "Scale-out load engine").
+    This is the load replay's table: with collisions gone, a flow's
+    classification outcome depends only on that flow's own datagram
+    times, which is what makes the replay's metrics independent of the
+    batch size (see DESIGN.md "The load replay").
     Memory grows with the number of distinct keys in the workload --
     acceptable for a replay harness, not for the kernel datapath the
     paper sizes with FSTSIZE.  ``flush`` resets every entry (full

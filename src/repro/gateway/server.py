@@ -15,7 +15,8 @@ address, and runs the backpressure -> unprotect -> admission pipeline:
   processing (drop reason ``backpressure``) -- crypto work is never
   spent on bytes that cannot be delivered;
 * everything that passes is unprotected by the shared endpoint and
-  appended to the tenant's bounded queue.
+  appended to the tenant's bounded queue; only such an accepted
+  datagram makes its tenant the most recently active.
 
 Every outcome is a short ``"verb"`` or ``"verb:reason"`` string so
 tests and the CLI can ledger results without re-deriving them from
@@ -133,6 +134,10 @@ class FBSGateway:
             return f"rejected:{reason}"
         if tenant is None:
             tenant = self._admit(addr, principal)
+        else:
+            # Only a verified datagram refreshes: a spoofer of the
+            # address must not choose who is evicted next.
+            self.tenants.touch(addr)
         tenant.flows.add(result.headers[0].sfl)
         tenant.queue.append(result.bodies[0])
         tenant.enqueued += 1

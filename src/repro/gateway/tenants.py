@@ -91,11 +91,13 @@ class TenantTable:
         self._by_addr: "OrderedDict[Address, TenantState]" = OrderedDict()
 
     def get(self, addr: Address) -> Optional[TenantState]:
-        """Lookup by address; a hit refreshes the tenant's LRU position."""
-        tenant = self._by_addr.get(addr)
-        if tenant is not None:
-            self._by_addr.move_to_end(addr)
-        return tenant
+        """Lookup by address; the LRU order does not move (only
+        :meth:`touch` does, for a verified datagram)."""
+        return self._by_addr.get(addr)
+
+    def touch(self, addr: Address) -> None:
+        """Make the tenant at ``addr`` the most recently active."""
+        self._by_addr.move_to_end(addr)
 
     def admit(self, tenant: TenantState) -> None:
         self._by_addr[tenant.addr] = tenant

@@ -1,20 +1,22 @@
-"""``python -m repro.load``: the scale-out load engine CLI.
+"""``python -m repro.load``: replay a seeded workload, report it.
 
 Examples::
 
-    # CI smoke: tiny workload, 2 workers, merge check on, byte-stable.
-    python -m repro.load --smoke --workers 2 --seed 0 --out /tmp/load.json
+    # CI smoke: tiny workload, byte-stable.
+    python -m repro.load --smoke --seed 0 --out /tmp/load.json
 
-    # A 4-worker synthetic run with a shard-tagged event trace.
-    python -m repro.load --workers 4 --workload synthetic \\
+    # A synthetic run with a JSONL event trace.
+    python -m repro.load --workload synthetic \\
         --trace-out /tmp/load-traces --out /tmp/load.json
 
 The JSON report goes to ``--out`` (or stdout); a short human summary
-goes to stderr.  Exit status: 0 on success, 1 when an engine invariant
-or the merge check fails, 2 on usage errors.  Reports are byte-stable:
-the same arguments and seed produce identical bytes on any machine
-(``tests/test_report_determinism.py`` runs the smoke under two hash
-seeds and compares the bytes).
+goes to stderr.  Exit status: 0 on success, 1 when a replay invariant
+fails, 2 on usage errors.  A report is a pure function of the
+arguments: sorted keys, floats rounded to 6 places, and no wall-clock
+value -- goodput is *simulation* goodput (accepted datagrams per
+simulated second); real-time rates are the cost budget's
+(``benchmarks/budget/``).  ``tests/test_report_determinism.py`` runs
+the smoke under two hash seeds and compares the bytes.
 """
 
 from __future__ import annotations
@@ -22,28 +24,62 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.load.engine import LoadError, LoadSpec, run_load, verify_merge
-from repro.load.report import build_report
+from repro.load.worker import CACHE_SIZE, EXACT, LoadError, WorkerSpec, run_worker
 from repro.obs.report import number, parse_cli, refuse_path, write_report
 from repro.traces.registry import workload_names, workload_summaries
-from repro.transport.hop import HOP_NAMES
 
-__all__ = ["main"]
+__all__ = ["REPORT_VERSION", "build_report", "main"]
+
+#: 2: one replay -- ``totals`` and ``metrics`` replace the per-worker
+#: list, ``aggregate`` and ``merged_metrics``; no ``merge_check``.
+REPORT_VERSION = 2
+#: The result fields a report carries as its ``totals``.
+_TOTALS = (
+    "datagrams", "sent", "received", "accepted", "rejected",
+    "bytes_protected", "bytes_accepted", "flows", "sim_duration",
+)  # fmt: skip
+
+
+def _round_tree(obj):
+    """Round every float in a snapshot-shaped structure (6 dp)."""
+    if isinstance(obj, float):
+        return round(obj, 6)
+    if isinstance(obj, dict):
+        return {k: _round_tree(v) for k, v in obj.items()}
+    return obj
+
+
+def build_report(spec: WorkerSpec, result: Dict[str, object]) -> Dict[str, object]:
+    """Fold a finished :func:`~repro.load.worker.run_worker` into a report."""
+    totals = {name: result[name] for name in _TOTALS}
+    duration = result["sim_duration"]
+    totals["goodput_dps"] = result["accepted"] / duration if duration else 0.0
+    engine = {
+        "workload": spec.workload, "seed": spec.seed, "duration": spec.duration,
+        "datagrams": spec.datagrams, "secret": spec.secret, "batch": spec.batch,
+        "threshold": EXACT.threshold, "cache_size": CACHE_SIZE,
+    }  # fmt: skip
+    return _round_tree(
+        {
+            "report_version": REPORT_VERSION,
+            "engine": engine,
+            "totals": totals,
+            "metrics": result["snapshot"],
+            "checks": {"ledger": "ok", "eviction_free": "ok"},
+        }
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.load",
-        description="Sharded multi-process FBS load engine",
-    )
-    parser.add_argument(
-        "--workers", type=number(int, 1), default=1, help="worker process count"
+        description="Replay a seeded workload through one FBS endpoint pair",
     )
     # Choices and help text both derive from the one registry in
     # repro.traces.registry: a newly registered workload shows up here
-    # (and in WorkerSpec validation) with no load-engine edits.
+    # with no load edits.
     summaries = workload_summaries()
     parser.add_argument(
         "--workload",
@@ -61,42 +97,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload duration override, simulated seconds",
     )
     parser.add_argument(
-        "--datagrams",
-        type=number(),
-        default=None,
-        help="cap the workload at this many datagrams",
+        "--datagrams", type=number(), default=None, help="cap the workload at this many datagrams"
     )
     parser.add_argument(
-        "--secret",
-        action="store_true",
-        help="encrypt bodies (DES-CBC) in addition to the MAC",
+        "--secret", action="store_true", help="encrypt bodies (DES-CBC) in addition to the MAC"
     )
-    parser.add_argument(
-        "--batch", type=number(int, 1), default=256, help="datapath batch size"
-    )
-    parser.add_argument(
-        "--transport",
-        choices=HOP_NAMES,
-        default="direct",
-        help="wire hop between protect and unprotect: in-memory "
-        "hand-off, or a NetsimTransport pair over a perfect simulated "
-        "segment (identical ledgers either way)",
-    )
+    parser.add_argument("--batch", type=number(int, 1), default=256, help="datapath batch size")
     parser.add_argument(
         "--trace-out",
         metavar="DIR",
         default=None,
-        help="write per-worker shard-tagged JSONL event traces here "
+        help="write the JSONL event trace to DIR/load.jsonl "
         "(the directory is created if it does not exist)",
     )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None, help="report file (default: stdout)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload + merge check (N workers vs single process)",
-    )
+    parser.add_argument("--out", metavar="PATH", default=None, help="report file (default: stdout)")
+    parser.add_argument("--smoke", action="store_true", help="tiny workload")
     return parser
 
 
@@ -105,69 +120,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     if isinstance(args, int):
         return args
     if args.trace_out is not None:
-        # Before any worker starts: a worker dying on its sink is a traceback.
+        # Before the replay starts: dying on its sink is a traceback.
         try:
             os.makedirs(args.trace_out, exist_ok=True)
         except OSError as exc:
-            print(
-                f"error: --trace-out {args.trace_out}: {exc.strerror}",
-                file=sys.stderr,
-            )
+            print(f"error: --trace-out {args.trace_out}: {exc.strerror}", file=sys.stderr)
             return 2
     if refuse_path("--out", args.out):
         return 2
-    workload = args.workload or ("smoke" if args.smoke else "synthetic")
-    spec = LoadSpec(
-        workers=args.workers,
-        workload=workload,
+    spec = WorkerSpec(
+        worker=0,
+        workers=1,
+        workload=args.workload or ("smoke" if args.smoke else "synthetic"),
         seed=args.seed,
         duration=args.duration,
         datagrams=args.datagrams,
         secret=args.secret,
         batch=args.batch,
         trace_dir=args.trace_out,
-        transport=args.transport,
     )
     try:
-        run = verify_merge(spec) if args.smoke else run_load(spec)
+        result = run_worker(spec)
     except LoadError as exc:
-        print(f"load engine: FAIL: {exc}", file=sys.stderr)
+        print(f"load: FAIL: {exc}", file=sys.stderr)
         return 1
-    report = build_report(run)
+    report = build_report(spec, result)
     write_report(report, args.out)
-    _summarize(report, file=sys.stderr)
+    totals = report["totals"]
+    print(
+        f"load: workload={spec.workload} seed={spec.seed}: "
+        f"{totals['datagrams']} datagrams  {totals['accepted']} accepted  "
+        f"{totals['flows']} flows  {totals['goodput_dps']:.2f} dg/s",
+        file=sys.stderr,
+    )
     return 0
-
-
-def _summarize(report: dict, file) -> None:
-    agg = report["aggregate"]
-    print(
-        f"load: {report['engine']['workers']} worker(s) "
-        f"workload={report['engine']['workload']} "
-        f"seed={report['engine']['seed']}",
-        file=file,
-    )
-    for w in report["workers"]:
-        print(
-            f"  shard {w['worker']}: {w['datagrams']:6d} datagrams  "
-            f"{w['accepted']:6d} accepted  {w['flows']:4d} flows  "
-            f"{w['goodput_dps']:10.2f} dg/s",
-            file=file,
-        )
-    print(
-        f"  aggregate: {agg['datagrams']:6d} datagrams  "
-        f"{agg['accepted']:6d} accepted  {agg['flows']:4d} flows  "
-        f"{agg['goodput_dps']:10.2f} dg/s",
-        file=file,
-    )
-    if "merge_check" in report:
-        mc = report["merge_check"]
-        print(
-            f"  merge check: {mc['result']} "
-            f"({mc['compared_counters']} counters, "
-            f"{mc['compared_gauges']} gauges vs single process)",
-            file=file,
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,32 +1,23 @@
-"""One load-engine worker: a shard's endpoint pair and replay loop.
+"""The load replay: one seeded workload through one endpoint pair.
 
-A worker is a self-contained FBS universe: it regenerates the seeded
-workload, keeps only the records its shard owns (the
-:class:`~repro.load.sharding.FlowSharder` is recomputable anywhere), and
-replays them through a private sender/receiver endpoint pair with
-private metric registries.  Nothing is shared between workers -- no
-sockets, no locks, no inherited soft state -- which is both the
-fork-safety discipline (``multiprocessing`` with the ``spawn`` start
-method; ``tests/test_policy_structure.py`` keeps it here) and the
-reason merged metrics are exact.
+``run_worker`` regenerates a registered workload and replays it in
+batches through a private sender/receiver :class:`FBSEndpoint` pair
+with private metric registries, in this process.
 
-Shard-exact configuration.  Three choices make a flow's counters depend
-only on that flow's own datagrams, so that the merge over any worker
-count reproduces the single-process run (DESIGN.md section 10):
+Batch-exact configuration.  Three choices make a flow's counters depend
+only on that flow's own datagrams and stamps, so the cut of the stream
+into batches changes no counter, gauge or histogram (DESIGN.md
+section 10; ``tests/load/test_worker.py`` checks it on every registered
+workload):
 
 * the FST is an :class:`~repro.core.flows.UnboundedFlowTable` -- no
   hash collisions, so no cross-flow evictions;
 * the flow-key caches run fully associative (``ways == size``) and
-  large enough that no eviction occurs (the engine verifies
-  ``cache_evictions == 0`` in the merged snapshot);
+  large enough that no eviction occurs (:func:`check_invariants`
+  verifies ``cache_evictions == 0``);
 * every datagram carries its own trace timestamp (``stamps``) through
   the batch API, so classification and freshness see identical times
-  regardless of batching or sharding.
-
-The per-endpoint-pair caches (MKC/PVC) are *not* shard-invariant -- N
-workers perform N master-key exchanges where one process performs one --
-which is why :func:`shard_invariant_view` excludes them from the
-equality check (they are still merged and reported).
+  whatever the batch size.
 """
 
 from __future__ import annotations
@@ -41,20 +32,21 @@ from repro.core.flows import UnboundedFlowTable
 from repro.core.keying import Principal
 from repro.core.policy import FiveTuplePolicy
 from repro.core.protocol import FBSEndpoint
-from repro.load.sharding import FlowSharder
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, merge_snapshots, parse_metric_key
-
-# The workload catalogue lives in repro.traces.registry (one registry
-# for the load CLI choices, WorkerSpec replay, and the sweep harness).
 from repro.traces.registry import build_workload
 
-__all__ = ["WorkerSpec", "run_worker", "shard_invariant_view"]
+__all__ = ["WorkerSpec", "LoadError", "run_worker", "check_invariants"]
+
+
+class LoadError(RuntimeError):
+    """A replay invariant failed (the run's numbers cannot be trusted)."""
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs, picklable for the spawn start method."""
+    """One replay: workload, seed, size, secrecy, batch."""
 
+    #: Always 0 and 1: the replay runs one endpoint pair in this process.
     worker: int
     workers: int
     workload: str
@@ -63,31 +55,30 @@ class WorkerSpec:
     datagrams: Optional[int] = None
     secret: bool = False
     batch: int = 256
-    #: When set, write a shard-tagged JSONL event trace to
-    #: ``<trace_dir>/worker<i>.jsonl``.
+    #: When set, write the JSONL event trace to ``<trace_dir>/load.jsonl``.
     trace_dir: Optional[str] = None
     #: When True, measure real CPU/wall time around the replay loop
     #: (bench mode only: the canonical report must stay byte-stable).
     timing: bool = False
-    #: Wire hop between protect and unprotect
-    #: (:data:`repro.transport.hop.HOP_NAMES`): ``direct`` hands the
-    #: batch over in memory (the historical wiring -- reports are
-    #: byte-identical to pre-transport runs), ``netsim`` relays every
-    #: batch through a :class:`~repro.transport.netsim.NetsimTransport`
-    #: pair over a perfect simulated segment (same ledgers, datagrams
-    #: genuinely traverse the transport interface).
-    transport: str = "direct"
+
+    def __post_init__(self) -> None:
+        if (self.worker, self.workers) != (0, 1):
+            raise ValueError(
+                f"one inline worker only: got worker={self.worker}, workers={self.workers}"
+            )
 
 
-#: Flow-key cache size and associativity of every worker endpoint: fully
-#: associative and large enough that no workload evicts (see the module
-#: docstring).
+#: Flow-key cache size and associativity of both endpoints: fully
+#: associative and large enough that no workload evicts.
 CACHE_SIZE = 4096
-#: The shard-exact configuration; everything else is the paper's default.
-SHARD_EXACT = FBSConfig(
+#: The batch-exact configuration; everything else is the paper's default.
+EXACT = FBSConfig(
     tfkc_size=CACHE_SIZE, tfkc_ways=CACHE_SIZE,
     rfkc_size=CACHE_SIZE, rfkc_ways=CACHE_SIZE,
-)
+)  # fmt: skip
+
+#: Deterministic payload pattern, sliced per datagram size.
+_PAYLOAD = bytes(range(256)) * 8
 
 
 class _SimClock:
@@ -102,20 +93,8 @@ class _SimClock:
         return self.t
 
 
-#: Deterministic payload pattern, sliced per datagram size.
-_PAYLOAD = bytes(range(256)) * 8
-
-
-def _make_endpoint(
-    domain: FBSDomain,
-    principal: Principal,
-    clock: _SimClock,
-    sfl_seed: int,
-    tracer,
-) -> FBSEndpoint:
-    """An endpoint wired for shard-exact replay (see module docstring)."""
-    registry = MetricsRegistry()
-    mkd = domain.enroll_principal(principal, now=clock)
+def _make_endpoint(domain: FBSDomain, name: str, clock: _SimClock, sfl_seed: int, tracer):
+    principal = Principal.from_name(name)
     fam = FlowAssociationMechanism(
         mapper=FiveTuplePolicy(threshold=domain.config.threshold),
         fst=UnboundedFlowTable(),
@@ -123,106 +102,61 @@ def _make_endpoint(
     )
     return FBSEndpoint(
         principal=principal,
-        mkd=mkd,
+        mkd=domain.enroll_principal(principal, now=clock),
         fam=fam,
         config=domain.config,
         now=clock,
         confounder_seed=sfl_seed * 7919 + 1,
         tracer=tracer,
-        registry=registry,
+        registry=MetricsRegistry(),
     )
 
 
 def run_worker(spec: WorkerSpec) -> Dict[str, object]:
-    """Replay one shard and return its plain-data result.
+    """Replay the workload and return its plain-data result.
 
-    The result is a picklable dictionary: shard size, merged
-    sender+receiver metrics snapshot, acceptance/rejection totals read
-    back from the registry (the authoritative source), and -- in timing
-    mode only -- real CPU/wall seconds spent inside the replay loop.
+    The result holds the workload size, the merged sender+receiver
+    metrics snapshot, acceptance/rejection totals read back from the
+    registry (the authoritative source), and -- in timing mode only --
+    real CPU/wall seconds spent inside the replay loop.  Raises
+    :class:`LoadError` when :func:`check_invariants` fails.
     """
-    trace = build_workload(
-        spec.workload, spec.seed, spec.duration, spec.datagrams
-    )
-    records = FlowSharder(spec.workers).filter_shard(trace, spec.worker)
-
+    records = build_workload(spec.workload, spec.seed, spec.duration, spec.datagrams)
     clock = _SimClock()
-    domain = FBSDomain(seed=spec.seed, config=SHARD_EXACT)
-    sender_name = f"load-sender-{spec.worker}"
-    receiver_name = f"load-receiver-{spec.worker}"
-    sink = None
-    tracer = None
+    domain = FBSDomain(seed=spec.seed, config=EXACT)
+    sink = tracer = None
     if spec.trace_dir is not None:
-        sink = JsonlSink(
-            f"{spec.trace_dir}/worker{spec.worker}.jsonl",
-            tags={"shard": spec.worker},
-        )
+        sink = JsonlSink(f"{spec.trace_dir}/load.jsonl")
         tracer = Tracer(sink, now=clock)
-    sender_principal = Principal.from_name(sender_name)
-    receiver_principal = Principal.from_name(receiver_name)
-    sender = _make_endpoint(
-        domain, sender_principal, clock, sfl_seed=2 * spec.worker + 1, tracer=tracer
-    )
-    receiver = _make_endpoint(
-        domain, receiver_principal, clock, sfl_seed=2 * spec.worker + 2, tracer=tracer
-    )
-
-    receiver_wire = receiver_principal.wire_id
+    sender = _make_endpoint(domain, "load-sender-0", clock, 1, tracer)
+    receiver = _make_endpoint(domain, "load-receiver-0", clock, 2, tracer)
+    receiver_wire = receiver.principal.wire_id
     batch = max(1, spec.batch)
-    secret = spec.secret
-    # The wire hop is built inside the worker process: hops hold live
-    # simulator state and are not picklable, so the spec carries only
-    # the substrate name.
-    from repro.transport.hop import build_hop
-
-    hop = build_hop(spec.transport, seed=spec.seed * 1000 + spec.worker)
-    cpu = wall = None
     if spec.timing:
         # Real clocks live in repro.bench; imported lazily so the
         # canonical (byte-stable) path never touches them.
         from repro.bench.clocks import process_cpu_seconds, wall_seconds
 
-        cpu0 = process_cpu_seconds()
-        wall0 = wall_seconds()
+        cpu0, wall0 = process_cpu_seconds(), wall_seconds()
     for start in range(0, len(records), batch):
         chunk = records[start : start + batch]
         stamps = [r.time for r in chunk]
         clock.t = stamps[-1]
         bodies = [_PAYLOAD[: r.size] for r in chunk]
         attributes = [
-            DatagramAttributes(
-                destination_id=receiver_wire,
-                five_tuple=r.five_tuple,
-                size=r.size,
-            )
+            DatagramAttributes(destination_id=receiver_wire, five_tuple=r.five_tuple, size=r.size)
             for r in chunk
         ]
         wire = sender.protect_batch(
-            bodies,
-            receiver_principal,
-            attributes=attributes,
-            secret=secret,
-            stamps=stamps,
+            bodies, receiver.principal, attributes=attributes, secret=spec.secret, stamps=stamps
         )
-        delivered = hop.relay(wire)
-        receiver.unprotect_batch(
-            delivered, sender_principal, secret=secret, stamps=stamps
-        )
+        receiver.unprotect_batch(wire, sender.principal, secret=spec.secret, stamps=stamps)
     if spec.timing:
-        cpu = process_cpu_seconds() - cpu0
-        wall = wall_seconds() - wall0
+        cpu, wall = process_cpu_seconds() - cpu0, wall_seconds() - wall0
     if sink is not None:
         sink.close()
 
-    # Snapshot at the *workload's* end time, not the shard's: collectors
-    # read the clock (active_flows compares entry ages against "now"),
-    # so every worker -- and the single-process reference -- must
-    # observe the same simulation instant for gauges to merge exactly.
-    if len(trace):
-        clock.t = trace[-1].time
-    snapshot = merge_snapshots(
-        [sender.registry.snapshot(), receiver.registry.snapshot()]
-    )
+    snapshot = merge_snapshots([sender.registry.snapshot(), receiver.registry.snapshot()])
     counters = snapshot["counters"]
     rejected = {
         parse_metric_key(key)[1]["reason"]: value
@@ -230,7 +164,6 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
         if parse_metric_key(key)[0] == "datagrams_rejected"
     }
     result: Dict[str, object] = {
-        "worker": spec.worker,
         "datagrams": len(records),
         "sent": counters.get("datagrams_sent", 0),
         "received": counters.get("datagrams_received", 0),
@@ -239,38 +172,33 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
         "bytes_protected": counters.get("bytes_protected", 0),
         "bytes_accepted": counters.get("bytes_accepted", 0),
         "flows": counters.get("flows_started", 0),
-        "sim_duration": trace.duration,
+        "sim_duration": records.duration,
         "snapshot": snapshot,
     }
     if spec.timing:
         result["cpu_seconds"] = cpu
         result["wall_seconds"] = wall
+    check_invariants(result)
     return result
 
 
-#: Caches whose behaviour is per endpoint *pair*, not per flow: N
-#: workers perform N master-key exchanges where one process performs
-#: one, so these counters legitimately differ across worker counts.
-_PAIR_SCOPED_CACHES = frozenset({"mkc", "pvc"})
+def check_invariants(result: Dict[str, object]) -> None:
+    """Ledger checks over a finished replay; raises :class:`LoadError`.
 
-
-def shard_invariant_view(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The subset of a snapshot that must merge exactly across shards.
-
-    Keeps every counter and gauge driven purely by per-flow, per-datagram
-    behaviour; drops MKC/PVC instruments (per-endpoint-pair state, see
-    above) and the derived ``cache_hit_ratio`` gauges for those caches.
-    Histograms pass through (none are pair-scoped today).
+    * ``received == accepted + sum(rejected)``;
+    * batch-exactness precondition: zero cache evictions (one would make
+      a flow's behaviour depend on which flows shared the caches).
     """
-
-    def keep(key: str) -> bool:
-        labels = parse_metric_key(key)[1]
-        return labels.get("cache", "").lower() not in _PAIR_SCOPED_CACHES
-
-    return {
-        "counters": {
-            k: v for k, v in snapshot["counters"].items() if keep(k)
-        },
-        "gauges": {k: v for k, v in snapshot["gauges"].items() if keep(k)},
-        "histograms": dict(snapshot["histograms"]),
-    }
+    ledger = result["accepted"] + sum(result["rejected"].values())
+    if result["received"] != ledger:
+        raise LoadError(f"received {result['received']} != accepted+rejected {ledger}")
+    evictions = sum(
+        value
+        for key, value in result["snapshot"]["counters"].items()
+        if parse_metric_key(key)[0] == "cache_evictions"
+    )
+    if evictions:
+        raise LoadError(
+            f"{evictions} cache evictions recorded; raise CACHE_SIZE -- "
+            "batch exactness requires eviction-free flow-key caches"
+        )

@@ -77,7 +77,6 @@ def deployment_names() -> Dict[str, Sequence[str]]:
     # and must not pull them in eagerly; check-docs is an offline CLI path.
     from repro.gateway.admission import DROP_REASONS, EVICTION_REASONS
     from repro.gateway.tenants import GatewayConfig
-    from repro.transport.hop import HOP_NAMES
     from repro.transport.udp import UdpTransportConfig
 
     def knobs(config_cls) -> List[str]:
@@ -85,7 +84,6 @@ def deployment_names() -> Dict[str, Sequence[str]]:
 
     return {
         "UdpTransportConfig knob": knobs(UdpTransportConfig),
-        "--transport value": HOP_NAMES,
         "GatewayConfig knob": knobs(GatewayConfig),
         "gateway reason": DROP_REASONS + EVICTION_REASONS,
     }

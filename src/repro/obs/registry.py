@@ -261,19 +261,18 @@ def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 
 def merge_snapshots(snapshots: "List[Dict[str, object]]") -> Dict[str, object]:
-    """Combine per-process ``snapshot()`` dictionaries into one.
+    """Combine ``snapshot()`` dictionaries of disjoint registries into one.
 
-    This is the scale-out load engine's aggregation step: N worker
-    processes each own disjoint FBS state (their shard's flows,
-    caches, tables), snapshot their private registries, and the
-    parent folds the snapshots into a single registry-consistent
-    view.  Merge semantics per instrument kind:
+    The load replay folds its sender's and receiver's private
+    registries this way, and the cost budget its endpoints'.  Each
+    registry counts disjoint events over disjoint state (its own flows,
+    caches, tables).  Merge semantics per instrument kind:
 
-    * **counters** sum -- each shard's events are disjoint.
+    * **counters** sum -- the registries' events are disjoint.
     * **histograms** merge -- ``count``/``sum``/per-bucket counts
       add, ``min``/``max`` combine, ``mean`` is recomputed from the
       merged ``sum``/``count``.
-    * **gauges** sum -- shards own disjoint state, so occupancy,
+    * **gauges** sum -- the registries own disjoint state, so occupancy,
       active flows, and CPU seconds are additive -- except
       ``cache_hit_ratio``, a derived quotient, which is recomputed
       per cache level from the *merged* ``cache_hits`` and

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Deque, Dict, Iterator, List, Optional, Union
+from typing import IO, Deque, Dict, Iterator, List, Union
 
 from repro.obs.events import Event
 from repro.obs.registry import MetricsRegistry
@@ -102,39 +102,19 @@ class JsonlSink(Sink):
 
     Accepts a path (opened and owned: ``close()`` closes it) or an open
     text file object (borrowed: ``close()`` only flushes it).
-
-    ``tags`` injects constant extra fields into every record -- the
-    load engine tags each worker's trace with ``{"shard": i}`` so N
-    worker files can be concatenated and still attribute every event.
-    Tag keys must not collide with event fields (``type``/``t``/payload
-    keys stay authoritative), and :meth:`MetricsRegistry.fold
-    <repro.obs.registry.MetricsRegistry.fold>` reads only the fields it
-    counts by, so a tagged trace summarizes identically to an untagged
-    one.
     """
 
-    def __init__(
-        self,
-        destination: Union[str, "IO[str]"],
-        tags: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, destination: Union[str, "IO[str]"]) -> None:
         if hasattr(destination, "write"):
             self._fp: IO[str] = destination  # type: ignore[assignment]
             self._owns = False
         else:
             self._fp = open(destination, "w", encoding="utf-8")
             self._owns = True
-        self.tags = dict(tags) if tags else {}
-        if "type" in self.tags or "t" in self.tags:
-            raise ValueError("tags must not shadow event fields")
         self.events_written = 0
 
     def emit(self, event: Event) -> None:
-        record = event.to_dict()
-        if self.tags:
-            for key, value in self.tags.items():
-                record.setdefault(key, value)
-        self._fp.write(json.dumps(record, sort_keys=True))
+        self._fp.write(json.dumps(event.to_dict(), sort_keys=True))
         self._fp.write("\n")
         self.events_written += 1
 

@@ -1,19 +1,14 @@
 """The single workload registry: every consumer derives from here.
 
-Historically :mod:`repro.load.worker` hardcoded its own name->factory
-map, so a new workload had to be wired into the worker, the CLI help
-text, and the spec validation separately.  This module is now the one
-place a workload registers; ``repro.load`` (CLI ``--workload`` choices,
-``WorkerSpec`` replay), the trace sweep harness, and the tests all
-derive from it.
+This module is the one place a workload registers; ``repro.load``
+(CLI ``--workload`` choices, ``WorkerSpec`` replay), the trace sweep
+harness, the cost budget and the tests all derive from it.
 
 A *builder* is ``(seed, duration) -> workload`` where the workload has
 an idempotent ``generate() -> Trace``; ``duration`` is ``None`` for
 "use the workload's registered default".  Builders must be pure: the
-spawn start method rebuilds workloads from ``(name, seed, duration)``
-alone in a fresh interpreter, so a registered workload must not close
-over process-local state (this is what keeps inline and spawned worker
-replays bit-identical).
+same ``(name, seed, duration)`` yields the same trace in any process,
+so a registered workload must not close over process-local state.
 """
 
 from __future__ import annotations
@@ -96,9 +91,9 @@ def build_workload(
 
 # -- the built-in catalogue ---------------------------------------------------
 #
-# The first five entries predate the registry (PR 5's load engine) and
-# keep their exact parameters: their traces are byte-identical to the
-# hardcoded originals, so existing seeded reports do not move.
+# The first five entries predate the registry and keep their exact
+# parameters: their traces are byte-identical to the hardcoded
+# originals, so existing seeded reports do not move.
 
 register_workload(
     "smoke",

@@ -20,7 +20,7 @@ figures make:
   sizes under the CRC-modulo index, so a violation means the simulator
   or cache broke.
 * **Full-crypto points**: each workload also replays through the real
-  batch datapath (one inline :mod:`repro.load` worker) to prove the new
+  batch datapath (:func:`repro.load.worker.run_worker`) to prove the new
   workloads drive the production path: every datagram sent must come
   back accepted.
 
@@ -189,19 +189,13 @@ def _crypto_point(name: str, seed: int, duration: float, datagrams: int) -> dict
     Imported lazily: :mod:`repro.load` itself consumes the registry, so
     a module-level import would cycle during package initialization.
     """
-    from repro.load.engine import LoadSpec, run_load
+    from repro.load.worker import WorkerSpec, run_worker
 
-    run = run_load(
-        LoadSpec(
-            workers=1,
-            workload=name,
-            seed=seed,
-            duration=duration,
-            datagrams=datagrams,
-            inline=True,
+    worker = run_worker(
+        WorkerSpec(
+            worker=0, workers=1, workload=name, seed=seed, duration=duration, datagrams=datagrams
         )
     )
-    worker = run["workers"][0]
     return {
         "datagrams": worker["datagrams"],
         "sent": worker["sent"],

@@ -376,10 +376,10 @@ class SyntheticUniformWorkload:
     """A load-generator workload: N flows, evenly paced datagrams.
 
     Unlike the trace-shaped workloads above, this one is built for the
-    scale-out load engine (:mod:`repro.load`) and its scaling bench:
-    ``flows`` distinct 5-tuples (distinct client addresses and ports
-    toward one server) carry ``datagrams`` records round-robin at a
-    uniform pace over ``duration`` seconds, with seeded payload sizes.
+    load replay (:mod:`repro.load`): ``flows`` distinct 5-tuples
+    (distinct client addresses and ports toward one server) carry
+    ``datagrams`` records round-robin at a uniform pace over
+    ``duration`` seconds, with seeded payload sizes.
     Per-flow inter-arrival is ``duration * flows / datagrams`` -- keep
     that under the FBS THRESHOLD (it is, at the defaults) and every
     5-tuple maps to exactly one flow, which makes the expected counter

@@ -34,7 +34,7 @@ from repro.transport.base import (
     TransportStats,
 )
 from repro.transport.channel import SecureChannel, channel_pair
-from repro.transport.hop import DirectHop, NetsimHop, WireHop, build_hop
+from repro.transport.hop import DirectHop
 from repro.transport.netsim import NetsimTransport, netsim_transport_pair
 from repro.transport.udp import UdpTransport, UdpTransportConfig
 
@@ -45,10 +45,7 @@ __all__ = [
     "TransportStats",
     "SecureChannel",
     "channel_pair",
-    "WireHop",
     "DirectHop",
-    "NetsimHop",
-    "build_hop",
     "NetsimTransport",
     "netsim_transport_pair",
     "UdpTransport",

@@ -1,7 +1,7 @@
-"""Negative control for tests/test_policy_structure.py: fan-out outside load.
+"""Negative control for tests/test_policy_structure.py: process fan-out.
 
 Checked as if it lived at ``src/repro/netsim/parallel.py`` (the same
-source is quiet under a ``src/repro/load/`` logical path).
+source fails under any ``src/`` logical path, ``repro.load`` included).
 """
 
 # fbslint: module=repro.netsim.parallel

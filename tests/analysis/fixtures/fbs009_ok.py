@@ -1,15 +1,11 @@
-"""Compliant twin for tests/test_policy_structure.py: fan-out in repro.load.
+"""Compliant twin for tests/test_policy_structure.py: no process fan-out.
 
-Checked as if it lived at ``src/repro/load/engine.py`` -- the one
-package where process fan-out is sanctioned (spawn start method,
-picklable worker specs, nothing shared).
+Checked as if it lived at ``src/repro/load/worker.py``: the replay runs
+in this process, one spec after another.
 """
 
-# fbslint: module=repro.load.engine
-import multiprocessing
+# fbslint: module=repro.load.worker
 
 
-def fan_out(run_worker, specs):
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=len(specs)) as pool:
-        return pool.map(run_worker, specs)
+def replay_all(run_worker, specs):
+    return [run_worker(spec) for spec in specs]

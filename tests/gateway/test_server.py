@@ -103,6 +103,21 @@ class TestEviction:
         names = sorted(t.name for t in site.gateway.tenants.by_name())
         assert names == ["tenant-00", "tenant-02"]
 
+    def test_a_forged_datagram_refreshes_no_tenant(self):
+        # tenant-00 is coldest; bytes that fail the MAC from its address
+        # must not make tenant-01 the next victim.
+        site = gateway_site(tenants=3, gw_config=self.config())
+        for i in (0, 1):
+            send_protected(site, i)
+            assert serve_one(site) == "enqueued"
+        forged = site.protect(0, b"forged")
+        send_protected(site, 0, raw=forged[:-1] + bytes([forged[-1] ^ 1]))
+        assert serve_one(site) == "rejected:mac"
+        send_protected(site, 2)
+        assert serve_one(site) == "enqueued"
+        names = [t.name for t in site.gateway.tenants.by_name()]
+        assert names == ["tenant-01", "tenant-02"]
+
     def test_evicted_tenant_readmits_on_next_contact(self):
         site = gateway_site(tenants=3, gw_config=self.config())
         for i in range(3):

@@ -28,7 +28,9 @@ class TestTenantTable:
         for t in (a, b, c):
             table.admit(t)
         assert table.coldest() is a
-        table.get(a.addr)  # touch: a becomes warmest
+        table.get(a.addr)  # a lookup alone moves nothing
+        assert table.coldest() is a
+        table.touch(a.addr)  # a verified datagram: a becomes warmest
         assert table.coldest() is b
 
     def test_remove_returns_the_tenant(self):

@@ -1,18 +1,16 @@
-"""Snapshot merging and shard-tagged traces (the ISSUE 5 obs layer).
+"""Snapshot merging, and a replay's trace folding to its counters.
 
-The merge operation is what makes N-process metrics trustworthy: each
-instrument kind has explicit semantics (counters/gauges sum, histograms
-merge, derived hit ratios are recomputed from merged counters), the
-operation is associative and commutative, and concatenated shard-tagged
-JSONL traces summarize to the merged totals.
+Merging disjoint registries has explicit semantics per instrument kind
+(counters/gauges sum, histograms merge, derived hit ratios are
+recomputed from merged counters), the operation is associative and
+commutative, and a load replay's JSONL trace summarizes to the merged
+totals of its sender and receiver.
 """
 
 import io
 import json
 
-import pytest
-
-from repro.load.engine import LoadSpec, run_load
+from repro.load.worker import WorkerSpec, run_worker
 from repro.obs import JsonlSink, MetricsRegistry, merge_snapshots, parse_metric_key
 from repro.obs.events import DatagramProtected
 
@@ -91,44 +89,25 @@ class TestMergeSemantics:
 
 
 class TestShardTaggedSink:
-    def test_tags_injected_into_every_record(self):
-        buffer = io.StringIO()
-        sink = JsonlSink(buffer, tags={"shard": 3})
-        sink.emit(DatagramProtected(sfl=1, size=10, secret=False))
-        sink.emit(DatagramProtected(sfl=2, size=20, secret=True))
-        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert [r["shard"] for r in records] == [3, 3]
-        assert all(r["type"] == "DatagramProtected" for r in records)
-
-    def test_tags_must_not_shadow_event_fields(self):
-        for key in ("type", "t"):
-            with pytest.raises(ValueError):
-                JsonlSink(io.StringIO(), tags={key: "x"})
-
     def test_untagged_sink_unchanged(self):
+        # A record is the event's own fields: no shard tag, nothing added.
         buffer = io.StringIO()
-        JsonlSink(buffer).emit(DatagramProtected(sfl=1, size=10, secret=False))
-        assert "shard" not in json.loads(buffer.getvalue())
+        event = DatagramProtected(sfl=1, size=10, secret=False)
+        JsonlSink(buffer).emit(event)
+        record = json.loads(buffer.getvalue())
+        assert "shard" not in record
+        assert record == json.loads(json.dumps(event.to_dict()))
 
 
 class TestSummarizeParity:
-    def test_concatenated_shard_traces_reproduce_merged_counters(self, tmp_path):
-        # The CLI contract: cat worker*.jsonl | summarize == merged
+    def test_a_replay_trace_summarizes_to_its_run_counters(self, tmp_path):
+        # The CLI contract: summarize load.jsonl == the run's merged
         # registry counters, on every counter a trace can reproduce.
-        run = run_load(
-            LoadSpec(
-                workers=2,
-                workload="smoke",
-                inline=True,
-                trace_dir=str(tmp_path),
-            )
+        result = run_worker(
+            WorkerSpec(worker=0, workers=1, workload="smoke", trace_dir=str(tmp_path))
         )
-        combined = tmp_path / "all.jsonl"
-        with open(combined, "w") as out:
-            for worker in (0, 1):
-                out.write((tmp_path / f"worker{worker}.jsonl").read_text())
-        folded = event_counters(fold_file(combined).snapshot())
-        assert folded == event_counters(run["merged"])
+        folded = event_counters(fold_file(tmp_path / "load.jsonl").snapshot())
+        assert folded == event_counters(result["snapshot"])
         assert {parse_metric_key(key)[0] for key in folded} >= EVENT_DERIVED - {
             "gateway_tenants_admitted", "gateway_tenants_evicted",
             "soft_state_flushes", "datagrams_rejected", "cache_evictions",

@@ -269,6 +269,25 @@ SoftState.TestCase.settings = settings(
 TestSoftStateAgainstTheSpecification = SoftState.TestCase
 
 
+def test_a_stolen_flow_key_forges_no_fresh_flow():
+    """The machine's own rules in the order the attacker needs them, on
+    every run whatever hypothesis draws: alice sends, the K_f of her
+    TFKC entry is stolen, and a datagram forged under it for an sfl no
+    one used must fail bob's MAC.  A K_f derived without the sfl would
+    open it (``forge`` asserts the closure's verdict)."""
+    machine = SoftState()
+    machine.enrol(config=FBSConfig())
+    machine.send(bodies=[b"flow a"], secret=False, one_call=True)
+    machine.leak_flow_key(index=0, receiver=False)
+    assert machine.stolen
+    (sfl,) = struct.unpack_from(">Q", machine.flight[0][0])
+    # ``forge`` picks among the stolen and in-flight sfls, then ``fresh``.
+    machine.forge(
+        index=1, fresh=sfl ^ 1 << 63, carol=False, body=b"forged", confounder=7, secret=False
+    )
+    machine.teardown()
+
+
 def test_the_specification_imports_only_the_reference_des_of_repro():
     """Every module under ``tests/spec`` is written from the paper: none
     imports ``repro`` (or a test that does) but the FBS oracle's DES."""

@@ -3,7 +3,7 @@
 The paper's security argument (Sections 5.2 and 6.1) needs ``K_{S,D}``
 and ``K_f`` to stay secret.  The clock-offset shim
 (``sitecustomize.py``) calls :func:`install` in every process on the
-shim side of ``tests/test_report_determinism.py``, spawned load workers
+shim side of ``tests/test_report_determinism.py``, child processes
 included.  From then on
 
 * each value FBS001's source calls return -- ``flow_key``,
@@ -47,7 +47,7 @@ def _recording(function, name, seen):
         if key not in seen:
             seen.add(key)
             # One short write: lines from several processes sharing fd 2
-            # (the spawned load workers) do not interleave.
+            # (a producer's child processes) do not interleave.
             os.write(2, b"fbs-canary %s %s\n" % (name.encode(), key.hex().encode()))
         return key
 

@@ -1,8 +1,8 @@
 """The clock-offset shim: one side of the report-determinism differential.
 
 ``tests/test_report_determinism.py`` puts this directory first on
-``PYTHONPATH`` for its ``PYTHONHASHSEED=2`` side only, so spawned load
-workers inherit it; CI's nightly resilience matrix does the same.
+``PYTHONPATH`` for its ``PYTHONHASHSEED=2`` side only, so any Python
+child process inherits it; CI's nightly resilience matrix does the same.
 Python imports ``sitecustomize`` at startup, before any ``repro``
 module, so that side runs
 

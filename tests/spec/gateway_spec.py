@@ -7,10 +7,11 @@ or crypto.  Each arrival ends in one outcome:
 * a full queue sheds it before any crypto: ``dropped:backpressure``
   (a known address that is no tenant has an empty queue);
 * else FBSReceive (``fbs_spec.spec_receive``): rejected, or
-  ``enqueued``.  A known address is admitted by its first accepted
-  datagram; a full table first evicts its least recently active
-  tenant, losing its queued bodies (``evicted``) and reclaiming its
-  flows, master key and certificate from the key caches.
+  ``enqueued``, which alone makes its tenant the most recently active.
+  A known address is admitted by its first accepted datagram; a full
+  table first evicts its least recently active tenant, losing its
+  queued bodies (``evicted``) and reclaiming its flows, master key and
+  certificate from the key caches.
 """
 
 from collections import OrderedDict
@@ -33,8 +34,6 @@ class GatewaySpec:
         if addr not in self.directory:
             self.dropped["unknown_peer"] += 1
             return "dropped:unknown_peer"
-        if addr in self.table:
-            self.table.move_to_end(addr)
         queue, flows = self.table.get(addr, ([], set()))
         if len(queue) >= self.queue_depth:
             self.dropped["backpressure"] += 1
@@ -51,6 +50,7 @@ class GatewaySpec:
                 self.dropped["evicted"] += len(lost)
             self.table[addr] = (queue, flows)
             self.ledger["admitted"] += 1
+        self.table.move_to_end(addr)
         queue.append(body)
         flows.add(flow)
         self.ledger["enqueued"] += 1

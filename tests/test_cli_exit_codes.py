@@ -127,12 +127,12 @@ def test_a_workload_refuses_a_negative_datagram_cap():
 def test_load_trace_out_directory_is_created_or_refused_up_front(tmp_path, capsys):
     from repro.load.cli import main
 
-    argv = ["--smoke", "--workers", "1", "--out", str(tmp_path / "report.json")]
+    argv = ["--smoke", "--out", str(tmp_path / "report.json")]
     missing = tmp_path / "not" / "there"
     assert main(argv + ["--trace-out", str(missing)]) == 0
     assert sorted(path.suffix for path in missing.iterdir()) == [".jsonl"]
     capsys.readouterr()
-    # A path that cannot become a directory: one error line, no worker started.
+    # A path that cannot become a directory: one error line, no replay started.
     blocked = tmp_path / "report.json" / "traces"
     assert main(argv + ["--trace-out", str(blocked)]) == 2
     err = capsys.readouterr().err
@@ -147,7 +147,7 @@ def _never(*_args, **_kwargs):
 @pytest.mark.parametrize(
     "module,work,argv",
     [
-        ("repro.load.cli", "verify_merge", ["--smoke", "--workers", "1", "--out", "{bad}"]),
+        ("repro.load.cli", "run_worker", ["--smoke", "--out", "{bad}"]),
         ("repro.gateway.cli", "run_gateway_workload", ["--out", "{bad}"]),
         ("repro.resilience.cli", "run_campaign", ["--smoke", "--out", "{bad}"]),
         ("repro.transport.cli", "run_echo", ["--out", "{bad}"]),
@@ -174,7 +174,7 @@ def test_an_unusable_path_is_refused_before_any_work(module, work, argv, tmp_pat
 @pytest.mark.parametrize(
     "module,work,argv",
     [
-        ("repro.load.cli", "verify_merge", ["--smoke", "--workers", "1", "--out", "{dir}"]),
+        ("repro.load.cli", "run_worker", ["--smoke", "--out", "{dir}"]),
         ("repro.gateway.cli", "run_gateway_workload", ["--out", "{dir}"]),
         ("repro.resilience.cli", "run_campaign", ["--smoke", "--out", "{dir}"]),
         ("repro.transport.cli", "run_echo", ["--out", "{dir}"]),

@@ -8,7 +8,9 @@ them.  ``inspect.signature`` and ``dataclasses.fields`` keep them gone.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -30,15 +32,14 @@ from repro.core.timestamps import TimestampCodec
 from repro.gateway.admission import DROP_REASONS
 from repro.gateway.tenants import GatewayConfig, TenantState
 from repro.load import cli as load_cli
-from repro.load.engine import LoadSpec
 from repro.load.worker import WorkerSpec
 from repro.netsim import Network
 from repro.netsim.clock import Simulator
 from repro.netsim.sockets import TcpClient, TcpServer
 from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.sinks import JsonlSink
 from repro.transport import channel
 from repro.transport.channel import SecureChannel, channel_pair
-from repro.transport.hop import NetsimHop
 from repro.transport.runner import build_netsim_channels, build_udp_channels, run_echo
 from repro.transport.udp import UdpTransportConfig
 
@@ -67,7 +68,7 @@ RETIRED_PARAMETERS = [
     (channel_pair, {"retry", "secret"}),
     (SecureChannel, {"retry", "secret"}),
     (SecureChannel.request, {"retry"}),
-    (NetsimHop, {"mtu"}),
+    (JsonlSink, {"tags"}),
     (Histogram, {"buckets"}),
     (MetricsRegistry.histogram, {"buckets"}),
 ]
@@ -75,8 +76,7 @@ RETIRED_PARAMETERS = [
 #: dataclass -> the fields the census retired from it.
 RETIRED_FIELDS = [
     (GatewayConfig, {"evict_cold"}),
-    (LoadSpec, {"threshold", "cache_size", "vectorize"}),
-    (WorkerSpec, {"threshold", "cache_size", "vectorize"}),
+    (WorkerSpec, {"threshold", "cache_size", "vectorize", "transport"}),
     (UdpTransportConfig, {"recv_timeout", "close_timeout"}),
     (TimestampCodec, {"epoch_offset"}),
 ]
@@ -94,6 +94,19 @@ def test_a_single_valued_parameter_is_gone(target, retired):
 )
 def test_a_single_valued_field_is_gone(cls, retired):
     assert not retired & {field.name for field in dataclasses.fields(cls)}
+
+
+#: package -> a holder of options retired whole, with every option it had.
+RETIRED_HOLDERS = [("repro.load", "LoadSpec"), ("repro.transport", "NetsimHop")]
+
+
+@pytest.mark.parametrize("package,name", RETIRED_HOLDERS, ids=[n for _, n in RETIRED_HOLDERS])
+def test_a_retired_holder_of_options_is_gone(package, name):
+    path = importlib.import_module(package).__path__
+    modules = [package] + [
+        f"{package}.{m.name}" for m in pkgutil.iter_modules(path) if m.name != "__main__"
+    ]
+    assert [m for m in modules if hasattr(importlib.import_module(m), name)] == []
 
 
 def test_the_retry_policy_is_one_schedule_of_constants():

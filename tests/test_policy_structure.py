@@ -2,8 +2,9 @@
 ``assert`` in ``src/repro`` (it vanishes under ``python -O``); no bare
 ``except:`` and no ``except Exception``/``BaseException`` whose body only
 passes, continues or is ``...`` (a swallowed failure is an invisible
-one); process fan-out only in ``repro.load`` (soft state and trace sinks
-are not fork-safe, DESIGN.md section 10).  Each finder also runs over its
+one); no process fan-out anywhere in ``src/`` (soft state and trace
+sinks are not fork-safe, and every replay runs in process, DESIGN.md
+section 10).  Each finder also runs over its
 ``tests/analysis/fixtures/fbs00N_bad.py`` negative control and ``_ok.py`` twin."""
 
 import ast
@@ -45,8 +46,8 @@ def fan_out(node):
 POLICY = {
     asserts: (lambda path: path.startswith("src/repro/"), "fbs004", ("src/repro/x.py",) * 2, ["12:5"]),
     swallowed: (lambda path: True, "fbs007", ("src/repro/x.py",) * 2, ["11:9", "18:9", "26:13"]),
-    fan_out: (lambda path: path.startswith("src/") and not path.startswith("src/repro/load/"), "fbs009",
-              ("src/repro/netsim/parallel.py", "src/repro/load/engine.py"), ["10:1", "11:1", "15:11", "8:1"]),
+    fan_out: (lambda path: path.startswith("src/"), "fbs009",
+              ("src/repro/netsim/parallel.py", "src/repro/load/worker.py"), ["10:1", "11:1", "15:11", "8:1"]),
 }
 
 
@@ -75,6 +76,6 @@ def test_the_bad_fixture_fails_where_recorded_and_its_twin_passes(finder):
 
 @pytest.mark.parametrize("finder, home, covered", [(asserts, "src/repro/x.py", True), (asserts, "tests/x.py", False),
     (swallowed, "tests/x.py", True), (fan_out, "src/repro/netsim/parallel.py", True), (fan_out, "tests/x.py", False),
-    (fan_out, "src/repro/load/engine.py", False)], ids=lambda value: getattr(value, "__name__", value))
+    (fan_out, "src/repro/load/worker.py", True)], ids=lambda value: getattr(value, "__name__", value))
 def test_the_policy_covers_where_it_should(finder, home, covered):
     assert bool(located(finder, FIXTURES / f"{POLICY[finder][1]}_bad.py", home)) is covered

@@ -15,7 +15,8 @@ The ``PYTHONHASHSEED=2`` side also runs under the clock-offset shim
 (``tests/shim/sitecustomize.py``): every wall clock reads 10**6 s
 ahead, so a clock reading that reaches a report differs too, and a
 blocking call on the event loop fails (``tests/shim/loopguard.py``).
-Spawned load workers inherit both.  An unseeded
+A Python child process inherits both (the shim rides on
+``PYTHONPATH``).  An unseeded
 generator needs no shim: it is seeded from OS entropy, so its draws
 differ between any two processes.
 
@@ -51,7 +52,7 @@ GATEWAY_SMOKE = [
     "--tenants", "6", "--flows", "2", "--rounds", "6", "--max-tenants", "4",
     "--seed", "0",
 ]
-LOAD_SMOKE = ["-m", "repro.load", "--smoke", "--workers", "2", "--seed", "0"]
+LOAD_SMOKE = ["-m", "repro.load", "--smoke", "--seed", "0"]
 #: name -> (documented exit status, interpreter arguments).
 PRODUCERS = {
     "resilience": (0, ["-m", "repro.resilience", "--smoke", "--seed", "0"]),
@@ -169,7 +170,7 @@ def test_obs_summary_of_a_load_trace_is_byte_identical(tmp_path):
     summaries = run_under_both_seeds(
         tmp_path,
         lambda seed: ["-m", "repro.obs", "summarize", "--json",
-                      str(tmp_path / seed / "worker0.jsonl")],
+                      str(tmp_path / seed / "load.jsonl")],
     )
     assert_same_report(summaries, 0)
 

@@ -1,10 +1,9 @@
 """The workload registry: one catalogue, every consumer derives from it.
 
-The determinism contract (ISSUE 10 acceptance criteria): every
-registered workload is byte-stable for a fixed seed, ``generate()`` is
-idempotent, and a workload rebuilt from ``(name, seed, duration)`` in a
-fresh object -- which is exactly what a pickled spawn ``WorkerSpec``
-does in a fresh interpreter -- produces the identical stream.
+The determinism contract: every registered workload is byte-stable for
+a fixed seed, and ``generate()`` is idempotent, so a workload rebuilt
+from ``(name, seed, duration)`` in a fresh object produces the
+identical stream.
 """
 
 import pickle
@@ -70,7 +69,7 @@ class TestEveryWorkloadDeterministic:
     def test_generate_is_idempotent(self, name):
         # One workload object, two generate() calls: the RNG and any
         # allocator state must be rebuilt inside generate(), or a
-        # replayed WorkerSpec would see a different stream.
+        # second replay would see a different stream.
         workload = WORKLOADS[name](7, _DURATION)
         assert list(workload.generate()) == list(workload.generate())
 
@@ -84,8 +83,8 @@ class TestEveryWorkloadDeterministic:
 class TestSpawnSafety:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_pickled_spec_rebuilds_identical_stream(self, name):
-        # The spawn start method ships a WorkerSpec, not a workload:
-        # the child regenerates from (name, seed, duration).  Pickle
+        # A WorkerSpec carries no workload, only (name, seed, duration):
+        # the replay regenerates the stream from those.  Pickle
         # round-trip the spec and replay both -- identical results.
         spec = WorkerSpec(
             worker=0,
