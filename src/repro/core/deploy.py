@@ -54,15 +54,14 @@ class FBSDomain:
         charge=None,
     ) -> MasterKeyDaemon:
         """Generate keys, certify, publish; return the principal's MKD."""
-        return self._enroll(principal, principal.name, now=now, charge=charge)
+        return self._enroll(principal, now=now, charge=charge)
 
-    def _enroll(
-        self, principal: Principal, name: str, **mkd_kwargs
-    ) -> MasterKeyDaemon:
+    def _enroll(self, principal: Principal, **mkd_kwargs) -> MasterKeyDaemon:
         """The one enrolment: keygen -> certify -> publish -> MKD (whose
-        PVC misses go to the directory)."""
+        PVC misses go to the directory).  The private value is filed
+        under the principal's name, whatever carries it."""
         key = DHPrivateKey.generate(self.group, self.rng)
-        self.private_keys[name] = key
+        self.private_keys[principal.name] = key
         self.directory.publish(self.ca.issue(principal, key))
         return MasterKeyDaemon(
             principal=principal,
@@ -81,7 +80,6 @@ class FBSDomain:
         model = host.cost_model
         return self._enroll(
             Principal.from_ip(host.address),
-            host.name,
             now=host.clock.now,
             charge=lambda cost: host.charge_cpu(cost) and None,
             modexp_cost=model.modexp,

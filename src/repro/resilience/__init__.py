@@ -11,11 +11,12 @@ message.  This package turns that claim into an executable campaign:
   conditions, soft-state flushes, clock skew, MTU collapse, sweeper
   races, forgery/tamper/replay injections);
 * :mod:`~repro.resilience.scenario` -- the named scenario matrix, each
-  with declared pass criteria;
+  with its goodput floor;
 * :mod:`~repro.resilience.harness` -- builds real FBS traffic between
   netsim hosts (plus an attacker) and runs one scenario;
-* :mod:`~repro.resilience.invariants` -- the falsifiable checks
-  (authenticity, accounting, goodput, recovery, silence, memory);
+* :mod:`~repro.resilience.invariants` -- the campaign-level checks
+  (accounting, goodput, silence, memory); each datagram's outcome is
+  judged by the executable specification in tier-1;
 * :mod:`~repro.resilience.campaign` / :mod:`~repro.resilience.report`
   -- the driver and the byte-identical-per-seed JSON report;
 * ``python -m repro.resilience`` -- the CLI (exit 1 on any violation).

@@ -149,9 +149,9 @@ class TamperBurst(Fault):
 
 @dataclass(frozen=True)
 class ReplayBurst(Fault):
-    """Re-inject ``count`` captured genuine frames verbatim.  With the
-    replay guard enabled each is rejected as ``duplicate``; no payload
-    may be delivered twice."""
+    """Re-inject ``count`` captured genuine frames verbatim.  A replay
+    guard refuses each one it still remembers as ``duplicate``; what its
+    capacity bound or a flush forgot is delivered again."""
 
     count: int = 10
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random as _random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
@@ -65,8 +65,6 @@ class ScenarioResult:
     seed: int
     #: Payloads scheduled for sending, in order (index = sequence number).
     sent: List[bytes] = field(default_factory=list)
-    #: Simulation times the sends were scheduled at.
-    send_times: List[float] = field(default_factory=list)
     #: Payloads the receiver's application actually saw, in order.
     delivered: List[bytes] = field(default_factory=list)
     #: Receiver-side trace as event dicts, in emission order.
@@ -102,7 +100,10 @@ class ScenarioResult:
 
 
 class ScenarioHarness:
-    """Builds, runs, and harvests one fault-injection scenario."""
+    """Builds, runs, and harvests one fault-injection scenario.
+
+    ``domain`` is the :class:`FBSDomain` both ends enrolled in: what
+    enrolment fixed, for a judge that re-derives the keys."""
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
         self.scenario = scenario
@@ -121,7 +122,7 @@ class ScenarioHarness:
         self.attacker = self.net.add_host("mallory", segment="lan", mtu=scenario.mtu)
 
         config = FBSConfig(replay_guard_size=scenario.replay_guard)
-        domain = FBSDomain(
+        self.domain = domain = FBSDomain(
             seed=_derive_seed(seed, scenario.name, lane=4), config=config
         )
         self._sink = RingBufferSink(capacity=1 << 17)
@@ -155,18 +156,15 @@ class ScenarioHarness:
 
         # -- traffic schedule (payloads pre-generated: deterministic). --
         self._sent: List[bytes] = []
-        self._send_times: List[float] = []
         for i in range(scenario.datagrams):
             filler = bytes(
                 payload_rng.randrange(256)
                 for _ in range(max(0, scenario.payload_size - 12))
             )
             payload = b"seq %06d|" % i + filler
-            t = i * scenario.interval
             self._sent.append(payload)
-            self._send_times.append(t)
             self.net.sim.schedule_at(
-                t, lambda p=payload: self._tx.send_sync(p)
+                i * scenario.interval, lambda p=payload: self._tx.send_sync(p)
             )
 
         # -- fault schedule (fractions of the send window). --
@@ -288,7 +286,6 @@ class ScenarioHarness:
             scenario=self.scenario,
             seed=self.seed,
             sent=self._sent,
-            send_times=self._send_times,
             delivered=self._rx.drain(),
             events=[event.to_dict() for event in self._sink.events],
             counters=counters,

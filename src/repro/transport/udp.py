@@ -46,7 +46,9 @@ Design points, in the order an operator hits them:
   finds a datagram would never yield; after ``_YIELD_AFTER`` receives
   in a row without a loop turn the transport takes one
   (``asyncio.sleep(0)``), so timers, signal handlers and other tasks
-  run even under a flood.
+  run even under a flood.  The turn comes after the receive has found
+  the queue non-empty, so what arrives during it cannot hide an empty
+  queue.
 * **Timeouts, not hangs.**  ``None`` means "nothing arrived", an
   ordinary datagram-service outcome the caller (e.g. the first-contact
   retry in :mod:`repro.transport.channel`) turns into a jittered
@@ -241,14 +243,8 @@ class UdpTransport(Transport):
     async def recv_from(
         self, timeout: Optional[float] = None
     ) -> Optional[Tuple[bytes, Tuple[str, int]]]:
-        if self._turnless == _YIELD_AFTER:
-            # A sender who keeps the socket non-empty must not starve
-            # the loop's other tasks and timers.
-            self._turnless = 0
-            await asyncio.sleep(0)
         if self._waiter is not None:
             raise TransportError("udp transport already has a receiver waiting")
-        self._turnless += 1
         now = self.now()
         self._harvest(now)
         queue = self._queue
@@ -277,6 +273,14 @@ class UdpTransport(Transport):
                 return None
             data, addr, _arrived = queue.popleft()
             return data, addr
+        if self._turnless == _YIELD_AFTER:
+            # A sender who keeps the socket non-empty must not starve
+            # the loop's other tasks and timers.  Taken only now: an
+            # arrival during the turn must not hide that this receive
+            # found the queue empty, which ends a standing run.
+            self._turnless = 0
+            await asyncio.sleep(0)
+        self._turnless += 1
         if now - self._late_since >= INTERVAL:
             # Standing: what waited past TARGET is expired, the newest
             # served; only a receive that finds the queue empty ends it.

@@ -5,6 +5,7 @@ import pytest
 from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 from repro.netsim import Network
+from tests.spec.fbs_spec import Domain, spec_receive
 
 
 class TestDomain:
@@ -39,3 +40,18 @@ class TestDomain:
         assert host.security is mapping
         assert host.stack.output_hook is not None
 
+    def test_the_specification_reads_what_a_host_enrolled_with(self):
+        # Each private value is filed under its principal's name, the
+        # IP-mapped ones included, so the specification can re-derive
+        # the flow key of a host's traffic.
+        net = Network(seed=5)
+        net.add_segment("lan", "10.0.0.0")
+        domain = FBSDomain(seed=5)
+        alice, bob = (
+            domain.enroll_host(net.add_host(name, segment="lan")).endpoint
+            for name in ("alice", "bob")
+        )
+        spec = Domain.enrolled(domain, alice.principal, bob.principal)
+        wire = alice.protect(b"hi", bob.principal, secret=True)
+        source, dest = alice.principal.wire_id, bob.principal.wire_id
+        assert spec_receive(spec, source, dest, wire, 0.0, True, []) == (b"hi", None)

@@ -6,6 +6,13 @@ FBSReceive accepts but the sender never sent.  The MAC is the only
 thing standing between a noisy (or hostile) wire and the application,
 so these properties drive randomized damage straight at ``unprotect``
 and at the fragmentation/reassembly layer beneath it.
+
+The resilience campaign is judged the same way: every full-matrix
+scenario runs at a drawn campaign seed with the receiver's FBS input
+recorded -- each datagram with the receiver's local clock, and each
+receiver flush -- and the record is replayed through ``spec_receive``,
+whose replay memory a flush clears.  Every outcome must be the
+specification's: the same body, or a rejection for the same reason.
 """
 
 import pytest
@@ -18,6 +25,67 @@ from repro.core.keying import Principal
 from repro.netsim.fragmentation import Reassembler, fragment
 from repro.netsim.ipv4 import IPProtocol, IPv4Header, IPv4Packet
 from repro.netsim.addresses import IPAddress
+from repro.resilience import ScenarioHarness, build_matrix
+from tests.spec.fbs_spec import Domain, spec_receive
+
+#: The full matrix, by name.
+MATRIX = {scenario.name: scenario for scenario in build_matrix()}
+
+
+def recorded(scenario, seed):
+    """Run ``scenario`` at ``seed`` with the receiver's FBS input recorded.
+
+    Returns ``(harness, record)``: one ``(wire, source, secret, now, body,
+    reason)`` entry per datagram in arrival order, ``now`` read off the
+    receiver's clock, and ``None`` where the receiver flushed."""
+    harness = ScenarioHarness(scenario, seed)
+    endpoint = harness.receiver_binding.endpoint
+    receive, flush = endpoint.unprotect_batch, endpoint.flush_all_caches
+    record = []
+
+    def unprotect_batch(datagrams, source, secret=False, stamps=None):
+        now = endpoint.now()
+        result = receive(datagrams, source, secret, stamps)
+        record.extend(
+            (wire, source.wire_id, secret, now, body, reason)
+            for wire, body, reason in zip(datagrams, result.bodies, result.reasons)
+        )
+        return result
+
+    def flush_all_caches():
+        record.append(None)
+        flush()
+
+    endpoint.unprotect_batch = unprotect_batch
+    endpoint.flush_all_caches = flush_all_caches
+    harness.run()
+    return harness, record
+
+
+def mismatches(scenario, seed):
+    """``(index, now, outcome, specification's outcome)`` of each recorded
+    datagram whose ``(body, reason)`` differs from ``spec_receive``'s."""
+    harness, record = recorded(scenario, seed)
+    sender = harness.sender_binding.endpoint.principal
+    receiver = harness.receiver_binding.endpoint.principal
+    spec = Domain.enrolled(harness.domain, sender, receiver)
+    seen, found = [], []
+    for index, entry in enumerate(record):
+        if entry is None:
+            seen.clear()
+            continue
+        wire, source, secret, now, body, reason = entry
+        expected = spec_receive(spec, source, receiver.wire_id, wire, now, secret, seen)
+        if (body, reason) != expected:
+            found.append((index, now, (body, reason), expected))
+    return found
+
+
+@pytest.mark.parametrize("name", list(MATRIX))
+@settings(max_examples=2 * settings.default.max_examples // 100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_every_scenario_outcome_is_the_specifications(name, seed):
+    assert mismatches(MATRIX[name], seed) == []
 
 
 @pytest.fixture(scope="module")

@@ -5,23 +5,30 @@ Three things must hold for the campaign to be trustworthy evidence:
 1. the shipped scenario matrix passes (the protocol really is
    resilient under the scripted faults);
 2. the report is byte-identical for the same seed (so CI can diff);
-3. the invariants *fail* when the protection they check is removed
-   (negative controls -- a harness that can't fail proves nothing).
+3. the invariants *fail* when the protection they check is removed,
+   and so does the replay of each scenario through the specification
+   (``tests/property/test_resilience_props.py``) when a protection no
+   per-scenario bound could judge is broken (negative controls -- a
+   harness that can't fail proves nothing).
 """
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
+from repro.core import protocol
+from repro.core.replay_guard import ReplayGuard
+from repro.core.timestamps import FreshnessWindow
 from repro.netsim.fragmentation import Reassembler
-from repro.netsim.link import LinkConditions
 from repro.obs.report import render_report
 from repro.resilience import build_matrix, run_campaign, run_scenario
-from repro.resilience.faults import Fault, FlushSoftState, ReplayBurst, SetConditions
+from repro.resilience.faults import Fault
 from repro.resilience.harness import RECEIVER_PORT
-from repro.resilience.invariants import check_all
+from repro.resilience.invariants import INVARIANT_NAMES, check_all
 from repro.resilience.report import scenario_report
 from repro.resilience.scenario import SMOKE_DATAGRAMS, Scenario
+from tests.property.test_resilience_props import MATRIX, mismatches
 
 
 def _scenario(name, smoke=True):
@@ -30,17 +37,13 @@ def _scenario(name, smoke=True):
 
 
 @dataclass(frozen=True)
-class _SendAs(Fault):
-    """One datagram the sender never scheduled, from ``role``'s own
-    stack (so under its own keys): a stolen sender key, or a receiver
-    that answers."""
-
-    role: str = "sender"
+class _Answer(Fault):
+    """The receiver sends the sender one datagram: a receiver that
+    answers."""
 
     def apply(self, harness) -> None:
-        peer = "receiver" if self.role == "sender" else "sender"
-        harness.host(self.role).udp.sendto(
-            b"never scheduled", 7777, harness.host(peer).address, RECEIVER_PORT
+        harness.receiver.udp.sendto(
+            b"never scheduled", 7777, harness.sender.address, RECEIVER_PORT
         )
 
 
@@ -121,56 +124,13 @@ class TestDeterminism:
 class TestNegativeControls:
     """Remove a protection; the matching invariant must fire."""
 
-    def test_unguarded_replay_trips_at_most_once(self):
-        unguarded = replace(_scenario("replay"), replay_guard=0)
-        _result, violations = run_scenario(unguarded, seed=0)
-        assert any(v.startswith("at_most_once") for v in violations)
-
     def test_unreachable_goodput_floor_trips_goodput(self):
         greedy = replace(_scenario("corruption"), min_goodput=1.0)
         _result, violations = run_scenario(greedy, seed=0)
         assert any(v.startswith("goodput") for v in violations)
 
-    def test_overstrict_reasons_trip_allowed_reasons(self):
-        strict = replace(_scenario("corruption"), allowed_reasons=())
-        _result, violations = run_scenario(strict, seed=0)
-        assert any(v.startswith("allowed_reasons") for v in violations)
-
-    def test_impossible_recovery_bound_trips_recovery(self):
-        scenario = Scenario(
-            name="reboot_strict",
-            description="reboot with a zero-rejection recovery bound "
-            "under corruption (some rejections are inevitable)",
-            datagrams=SMOKE_DATAGRAMS,
-            conditions=_scenario("corruption").conditions,
-            faults=(FlushSoftState(at=0.4, target="receiver"),),
-            min_goodput=0.0,
-            recovery_bound=-1,
-            allowed_reasons=None,
-        )
-        _result, violations = run_scenario(scenario, seed=0)
-        assert any(v.startswith("recovery") for v in violations)
-
-    def test_stolen_sender_key_trips_authenticity(self):
-        forged = replace(_scenario("baseline"), faults=(_SendAs(at=0.5),))
-        result, violations = run_scenario(forged, seed=0)
-        assert b"never scheduled" in result.delivered
-        assert _fired(violations, "authenticity")
-
-    def test_a_flush_into_a_dead_link_trips_recovery(self):
-        cut = replace(
-            _scenario("baseline"),
-            faults=(
-                FlushSoftState(at=0.4, target="receiver"),
-                SetConditions(at=0.4, conditions=LinkConditions(loss_probability=1.0)),
-            ),
-            min_goodput=0.0,
-        )
-        _result, violations = run_scenario(cut, seed=0)
-        assert [v for v in _fired(violations, "recovery") if "never followed" in v]
-
     def test_a_receiver_that_answers_trips_silence(self):
-        chatty = replace(_scenario("baseline"), faults=(_SendAs(at=0.5, role="receiver"),))
+        chatty = replace(_scenario("baseline"), faults=(_Answer(at=0.5),))
         _result, violations = run_scenario(chatty, seed=0)
         assert _fired(violations, "silence")
 
@@ -180,6 +140,61 @@ class TestNegativeControls:
         monkeypatch.setattr(Reassembler, "max_partials", property(lambda self: 1))
         _result, violations = run_scenario(_scenario("mtu_collapse", smoke=False), seed=0)
         assert _fired(violations, "bounded_memory")
+
+
+def _outcomes(found):
+    """How many mismatches of each ``(reason, specification's reason)``."""
+    return Counter((got[1], expected[1]) for _i, _now, got, expected in found)
+
+
+class TestPlantedDefects:
+    """Break a protection no per-scenario bound could judge; the replay
+    through the specification must name every datagram it let through
+    or refused wrongly (counts at seed 0)."""
+
+    def test_a_guard_one_entry_short_lets_every_replay_at_capacity_through(
+        self, monkeypatch
+    ):
+        init = ReplayGuard.__init__
+
+        def short(self, capacity, freshness_half_window):
+            init(self, capacity, freshness_half_window)
+            self.capacity -= 1
+
+        monkeypatch.setattr(ReplayGuard, "__init__", short)
+        found = mismatches(MATRIX["replay_at_capacity"], 0)
+        # Each replay that lands evicts the next one in line.
+        assert _outcomes(found) == {(None, "duplicate"): 8}
+
+    def test_a_flush_that_leaves_the_guard_refuses_what_it_should_forget(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(ReplayGuard, "flush", lambda self: None)
+        found = mismatches(MATRIX["replay_after_flush"], 0)
+        assert _outcomes(found) == {("duplicate", None): 8}
+
+    def test_freshness_widened_into_the_past_accepts_stale_datagrams(
+        self, monkeypatch
+    ):
+        def wide(self, timestamp_minutes, now):
+            start = self.codec.decode(timestamp_minutes)
+            return start + 120.0 >= now - self.half_window and start <= now + self.half_window
+
+        monkeypatch.setattr(FreshnessWindow, "is_fresh", wide)
+        found = mismatches(MATRIX["clock_skew_edge"], 0)
+        assert _outcomes(found) == {(None, "stale_timestamp"): 30}
+
+    @pytest.mark.parametrize(
+        "name, accepted", [("corruption", 16), ("forgery", 14), ("perfect_storm", 3)]
+    )
+    def test_a_mac_check_that_always_passes_accepts_damaged_datagrams(
+        self, monkeypatch, name, accepted
+    ):
+        # The UDP checksum inside the body drops them before the
+        # application: only the receiver's FBS outcome shows them.
+        monkeypatch.setattr(protocol, "constant_time_equal", lambda a, b: True)
+        found = mismatches(MATRIX[name], 0)
+        assert _outcomes(found) == {(None, "mac"): accepted}
 
 
 class TestAccountingControls:
@@ -223,3 +238,13 @@ class TestScaling:
     def test_scenario_names_unique(self):
         names = [s.name for s in build_matrix(smoke=False)]
         assert len(names) == len(set(names))
+
+    def test_a_scenario_carries_no_outcome_knob(self):
+        # What each datagram's outcome must be is the specification's
+        # (tests/property/test_resilience_props.py), not a per-scenario
+        # bound: no reason list, recovery bound or duplicate switch.
+        assert [f.name for f in fields(Scenario)] == [
+            "name", "description", "datagrams", "interval", "payload_size",
+            "conditions", "faults", "mtu", "replay_guard", "min_goodput",
+        ]  # fmt: skip
+        assert INVARIANT_NAMES == ("accounting", "goodput", "silence", "bounded_memory")

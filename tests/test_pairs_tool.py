@@ -32,11 +32,18 @@ sys.exit(0 if {correct} else 1)
 """
 
 
-def _tree(root: Path, latency: float, correct: bool = True) -> Path:
+_RAISES = """\
+import sys
+print("GATE FAILED: w: the ledger does not add up", file=sys.stderr)
+raise RuntimeError("the workload lost a datagram")
+"""
+
+
+def _tree(root: Path, latency: float, correct: bool = True, run: str = _RUN) -> Path:
     (root / "benchmarks" / "budget").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps(_MANIFEST))
     (root / "benchmarks" / "budget" / "run.py").write_text(
-        _RUN.format(latency=latency, correct=correct)
+        run.format(latency=latency, correct=correct)
     )
     return root
 
@@ -88,3 +95,16 @@ def test_a_run_that_fails_a_gate_names_its_exit_status_and_gate(tmp_path):
     at = lines.index("w seed 1 change: NOT CORRECT (exit 1)")
     assert lines[at + 1] == "  GATE FAILED: w: a datagram waited longer than one pool lap"
     assert lines[at + 2] == "w seed 1 parent: correct"
+
+
+def test_a_run_that_raises_shows_its_gate_and_the_tail_of_its_stderr(tmp_path):
+    parent = _tree(tmp_path / "parent", latency=100.0)
+    change = _tree(tmp_path / "change", latency=40.0, run=_RAISES)
+    done = _pairs(parent, change)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    at = lines.index("w seed 0 change: NOT CORRECT (exit 1)")
+    # A gate line on stderr is named; with no result line the stderr's
+    # tail comes after it, down to the exception.
+    assert lines[at + 1] == "  GATE FAILED: w: the ledger does not add up"
+    assert "  RuntimeError: the workload lost a datagram" in lines[at + 1 :]

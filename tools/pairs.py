@@ -13,7 +13,9 @@ each side a fresh copy of its commit (``git archive`` or ``git
 checkout-index -a --prefix=DIR/``), not a working tree that has run
 other things.  Each run's last stdout line is its JSON result; a run
 that does not read ``correct`` is reported with its exit status and the
-``GATE FAILED:`` lines it printed, and makes the exit status 1.
+``GATE FAILED:`` lines it printed on stdout or stderr (and, when it
+printed no result at all, the tail of its stderr), and makes the exit
+status 1.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` it prints a
 Markdown row: both sides' quartiles and median over the pairs (as the
@@ -40,22 +42,31 @@ def fmt(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 100 else f"{value:.4g}"
 
 
+#: Lines of stderr shown for a run that printed no result.
+TAIL = 8
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One budget run in ``tree``: its JSON result line, with the run's
-    exit status (``exit``) and ``GATE FAILED:`` lines (``gates``)."""
+    exit status (``exit``) and what explains a failure (``gates``): its
+    ``GATE FAILED:`` lines from either stream, then its stderr's tail if
+    it printed no result."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]  # fmt: skip
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
+    errors = done.stderr.strip().splitlines()
+    gates = [line for line in lines + errors if line.startswith("GATE FAILED:")]
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "metrics": {}}
+        gates += [line for line in errors[-TAIL:] if line not in gates]
     if done.returncode != 0:
         result["correct"] = False
     result["exit"] = done.returncode
-    result["gates"] = [line for line in lines if line.startswith("GATE FAILED:")]
+    result["gates"] = gates
     return result
 
 
