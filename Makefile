@@ -6,7 +6,7 @@ PYTHON ?= python3
 # no editable install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test loc lint obs-check smoke traces-sweep bench pairs crossovers figures budget-smoke examples reports reports-check clean
+.PHONY: install test loc obs-check smoke traces-sweep bench pairs crossovers figures budget-smoke examples reports reports-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -23,14 +23,6 @@ test:
 loc:
 	@$(PYTHON) tools/loc.py
 
-# fbslint: whole-program key taint (FBS001), the one check running code
-# cannot make (a run sees only the paths it takes; EXPERIMENTS.md
-# "fbslint keeps key taint").  Exit codes: 0 clean, 1 findings, 2
-# usage/analysis error.  For local use; CI asserts it in tier-1
-# (tests/analysis/test_cli.py::TestExitCodes::test_whole_tree_is_clean).
-lint:
-	$(PYTHON) -m repro.analysis src
-
 # Observability docs coverage (every event + metric documented) and
 # link checks.  For local use; CI asserts it in tier-1
 # (tests/obs/test_cli.py::test_check_docs_passes_on_this_repo).  That
@@ -39,7 +31,7 @@ obs-check:
 	$(PYTHON) -m repro.obs check-docs --root .
 
 # Same seed, same bytes: every report producer (the resilience, load,
-# transport, gateway and traces smoke runs, fbslint, obs summarize)
+# transport, gateway and traces smoke runs, obs summarize)
 # under two PYTHONHASHSEED values, the second with every wall clock
 # 10^6 s ahead, the blocking-call audit hook on and key canaries
 # recorded -- exit status (invariant violations, the load replay's

@@ -22,6 +22,7 @@ from typing import Tuple
 from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
+from repro.crypto.secret import Secret
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import IPv4Packet
 
@@ -55,7 +56,7 @@ class HostPairKeying(SealedDatagramModule):
 
     # -- keying --------------------------------------------------------------
 
-    def master_key_for(self, peer: Principal) -> bytes:
+    def master_key_for(self, peer: Principal) -> Secret:
         """The pair master key."""
         return self.mkd.master_key(peer)
 

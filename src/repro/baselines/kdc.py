@@ -33,6 +33,7 @@ from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.crypto.des import DES
 from repro.crypto.modes import decrypt_cbc, encrypt_cbc
 from repro.crypto.random import CounterRandom
+from repro.crypto.secret import Secret
 from repro.netsim.addresses import IPAddress
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import IPv4Packet
@@ -50,13 +51,13 @@ class KeyDistributionCenter:
     """The trusted third party: shares a long-term secret with each host."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._secrets: Dict[int, bytes] = {}
+        self._secrets: Dict[int, Secret] = {}
         self._keygen = CounterRandom(b"kdc" + seed.to_bytes(4, "big"))
         self.tickets_issued = 0
 
-    def register(self, address: IPAddress) -> bytes:
+    def register(self, address: IPAddress) -> Secret:
         """Provision a host; returns its long-term KDC secret."""
-        secret = self._keygen.next_bytes(8)
+        secret = Secret(self._keygen.next_bytes(8))
         self._secrets[int(address)] = secret
         return secret
 
@@ -76,14 +77,14 @@ class KeyDistributionCenter:
                 f"ticket encrypted to {len(ticket)} bytes, expected "
                 f"{_TICKET_LEN}; the wire format pads to a fixed width"
             )
-        return session_key, ticket
+        return Secret(session_key), ticket
 
 
 @dataclass
 class _Association:
     """Hard state for one peer."""
 
-    session_key: bytes
+    session_key: Secret
     ticket: bytes
 
 
@@ -98,7 +99,7 @@ class KdcSessionKeying(SealedDatagramModule):
         self.secret = kdc.register(host.address)
         # Hard state, both directions.
         self._send_assocs: Dict[int, _Association] = {}
-        self._recv_keys: Dict[bytes, bytes] = {}  # ticket -> session key
+        self._recv_keys: Dict[bytes, Secret] = {}  # ticket -> session key
         # Metrics.
         self.setup_messages = 0
         self.setup_delay_seconds = 0.0
@@ -145,14 +146,14 @@ class KdcSessionKeying(SealedDatagramModule):
 
     # -- internals -----------------------------------------------------------------
 
-    def _unwrap_ticket(self, ticket: bytes, claimed_src: IPAddress) -> Optional[bytes]:
+    def _unwrap_ticket(self, ticket: bytes, claimed_src: IPAddress) -> Optional[Secret]:
         try:
             plaintext = decrypt_cbc(DES(self.secret), b"\x00" * 8, ticket)
         except ValueError:
             return None
         if len(plaintext) != 16:
             return None
-        session_key = plaintext[:8]
+        session_key = Secret(plaintext[:8])
         source = IPAddress.from_bytes(plaintext[8:12])
         (expiry,) = struct.unpack(">I", plaintext[12:16])
         if source != claimed_src:

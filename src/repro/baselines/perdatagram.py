@@ -24,6 +24,7 @@ from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.crypto.des import DES
 from repro.crypto.random import BlumBlumShub
+from repro.crypto.secret import Secret
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import IPv4Packet
 
@@ -60,9 +61,10 @@ class PerDatagramHostPair(SealedDatagramModule):
         self.host.charge_cpu(BBS_KEY_COST_SECONDS)
         peer = Principal.from_ip(packet.header.dst)
         wrapped = self._master_cipher(peer).encrypt_block(datagram_key)
-        return wrapped, (datagram_key, datagram_key)
+        key = Secret(datagram_key)
+        return wrapped, (key, key)
 
     def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Keys:
         peer = Principal.from_ip(packet.header.src)
-        datagram_key = self._master_cipher(peer).decrypt_block(prefix)
+        datagram_key = Secret(self._master_cipher(peer).decrypt_block(prefix))
         return datagram_key, datagram_key

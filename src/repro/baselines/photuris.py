@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.baselines.sealed import Keys, SealedDatagramModule
-from repro.crypto.md5 import md5
+from repro.crypto.secret import Secret, derive_key
 from repro.netsim.addresses import IPAddress
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import IPv4Packet
@@ -44,7 +44,7 @@ class _SecurityAssociation:
     """Hard state for one direction of one peer pair."""
 
     spi: int
-    session_key: bytes
+    session_key: Secret
 
 
 class PhoturisSessionKeying(SealedDatagramModule):
@@ -105,8 +105,8 @@ class PhoturisSessionKeying(SealedDatagramModule):
         # exchange; model it as a hash over the sorted endpoint pair and
         # per-pair salt.
         lo, hi = sorted((int(self.host.address), int(dst)))
-        session_key = md5(
-            b"photuris-dh" + struct.pack(">IIII", lo, hi, self._dh_seed, peer._dh_seed)
+        session_key = derive_key(
+            b"photuris-dh", struct.pack(">IIII", lo, hi, self._dh_seed, peer._dh_seed)
         )[:8]
         spi = self._next_spi
         self._next_spi += 1

@@ -22,6 +22,7 @@ from repro.crypto.des import BLOCK_SIZE, DES
 from repro.crypto.mac import constant_time_equal, keyed_md5
 from repro.crypto.modes import decrypt_cbc, encrypt_cbc
 from repro.crypto.random import LinearCongruential
+from repro.crypto.secret import Secret
 from repro.netsim.host import Host, SecurityModule
 from repro.netsim.ipv4 import IPv4Packet
 
@@ -32,7 +33,7 @@ _MAC_LEN = 16
 
 #: ``(cipher_key, mac_key)``: plain host-pair keying MACs under the whole
 #: master key but feeds DES its first 8 bytes; the rest use one key twice.
-Keys = Tuple[bytes, bytes]
+Keys = Tuple[Secret, Secret]
 
 
 class SealedDatagramModule(SecurityModule):

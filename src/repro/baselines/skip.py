@@ -35,8 +35,8 @@ from repro.baselines.sealed import Keys, SealedDatagramModule
 from repro.core.keying import Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.crypto.des import DES
-from repro.crypto.md5 import md5
 from repro.crypto.random import CounterRandom
+from repro.crypto.secret import Secret, derive_key
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import IPv4Packet
 
@@ -63,7 +63,7 @@ class SkipHostKeying(SealedDatagramModule):
         super().__init__(host, _PREFIX.size, seed)
         self.mkd = mkd
         self._kp_rng = CounterRandom(b"skip-kp" + seed.to_bytes(4, "big"))
-        self._kijn_cache: Dict[tuple, bytes] = {}
+        self._kijn_cache: Dict[tuple, Secret] = {}
         self.packet_keys_generated = 0
 
     # -- keying ---------------------------------------------------------------------
@@ -71,14 +71,14 @@ class SkipHostKeying(SealedDatagramModule):
     def _interval_now(self) -> int:
         return int(self.host.sim.now // KEY_INTERVAL)
 
-    def interval_key(self, peer: Principal, n: int) -> bytes:
+    def interval_key(self, peer: Principal, n: int) -> Secret:
         """Kijn = h(Kij | n): the hourly host-pair key."""
         cache_key = (peer.wire_id, n)
         cached = self._kijn_cache.get(cache_key)
         if cached is not None:
             return cached
         master = self.mkd.master_key(peer)
-        kijn = md5(master + struct.pack(">I", n))[:8]
+        kijn = derive_key(master, struct.pack(">I", n))[:8]
         self._kijn_cache[cache_key] = kijn
         return kijn
 
@@ -89,7 +89,8 @@ class SkipHostKeying(SealedDatagramModule):
         kp = self._kp_rng.next_bytes(_KP_LEN)
         self.packet_keys_generated += 1
         self.host.charge_cpu(PACKET_KEY_COST_SECONDS)
-        return _PREFIX.pack(n, DES(kijn).encrypt_block(kp)), (kp, kp)
+        key = Secret(kp)
+        return _PREFIX.pack(n, DES(kijn).encrypt_block(kp)), (key, key)
 
     def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Optional[Keys]:
         n, wrapped = _PREFIX.unpack(prefix)
@@ -97,5 +98,5 @@ class SkipHostKeying(SealedDatagramModule):
         if abs(n - self._interval_now()) > 1:
             return None
         kijn = self.interval_key(Principal.from_ip(packet.header.src), n)
-        kp = DES(kijn).decrypt_block(wrapped)
+        kp = Secret(DES(kijn).decrypt_block(wrapped))
         return kp, kp

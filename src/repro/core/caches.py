@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Generic, List, Optional, TypeVar
 
 from repro.crypto.crc import CacheIndexHash, Crc32Hash
+from repro.crypto.secret import Secret
 from repro.obs.events import CacheEvicted, CacheHit, CacheMiss
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -181,7 +182,7 @@ class FlowKeyEntry:
     drops the derived state too (soft-state semantics are preserved).
     """
 
-    flow_key: bytes
+    flow_key: Secret
     crypto: Optional[object] = None
 
 
@@ -243,7 +244,7 @@ class FlowKeyCache(_NamedCache):
     def _key(sfl: int, destination: bytes, source: bytes) -> bytes:
         return sfl.to_bytes(8, "big") + destination + source
 
-    def lookup(self, sfl: int, destination: bytes, source: bytes) -> Optional[bytes]:
+    def lookup(self, sfl: int, destination: bytes, source: bytes) -> Optional[Secret]:
         """Return the cached flow key, if any."""
         entry = self._cache.get(self._key(sfl, destination, source))
         return entry.flow_key if entry is not None else None
@@ -259,7 +260,7 @@ class FlowKeyCache(_NamedCache):
         sfl: int,
         destination: bytes,
         source: bytes,
-        flow_key: bytes,
+        flow_key: Secret,
         crypto: Optional[object] = None,
     ) -> FlowKeyEntry:
         """Cache a freshly derived flow key (and its crypto state)."""
@@ -286,11 +287,11 @@ class MasterKeyCache(_NamedCache):
     def __init__(self, capacity: int) -> None:
         super().__init__(AssociativeCache(capacity, trace_name=self.name))
 
-    def lookup(self, principal_id: bytes) -> Optional[bytes]:
+    def lookup(self, principal_id: bytes) -> Optional[Secret]:
         """Return the cached K_{S,D} for a peer, if any."""
         return self._cache.get(principal_id)
 
-    def install(self, principal_id: bytes, master_key: bytes) -> None:
+    def install(self, principal_id: bytes, master_key: Secret) -> None:
         """Cache a computed master key."""
         self._cache.put(principal_id, master_key)
 

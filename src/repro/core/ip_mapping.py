@@ -32,6 +32,7 @@ from repro.core.keying import KeyDerivation, Principal
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.policy import KeyedMapper
 from repro.core.protocol import FBSEndpoint
+from repro.crypto.secret import Secret
 from repro.netsim.addresses import FiveTuple, IPAddress
 from repro.netsim.host import Host, SecurityModule
 from repro.netsim.ipv4 import IPProtocol, IPv4Packet
@@ -227,7 +228,7 @@ class FBSIPMapping(SecurityModule):
         body = data[self.endpoint.header_size :]
         return header.sfl.to_bytes(8, "big"), header.iv(), header.mac, body
 
-    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Tuple[bytes, bytes]:
+    def receive_keys(self, packet: IPv4Packet, prefix: bytes) -> Tuple[Secret, Secret]:
         """``(cipher_key, mac_key)`` of the flow ``prefix`` names, from the
         source the IP header claims: K_f = H(sfl | K_{S,D} | S | D)."""
         endpoint = self.endpoint

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import List, Sequence
 
 from repro.core.config import AlgorithmSuite, MacAlgorithm
+from repro.crypto import vector as _vector
+from repro.crypto.secret import Key, Secret, derive_key, reveal
 from repro.obs.events import CryptoStateBuilt
 
-__all__ = ["Principal", "KeyDerivation", "FlowCryptoState"]
+__all__ = ["Principal", "KeyDerivation", "FlowCryptoState", "mac_lanes"]
 
 
 @dataclass(frozen=True)
@@ -64,30 +66,30 @@ class KeyDerivation:
     def flow_key(
         self,
         sfl: int,
-        master_key: bytes,
+        master_key: Key,
         source: Principal,
         destination: Principal,
-    ) -> bytes:
+    ) -> Secret:
         """K_f = H(sfl | K_{S,D} | S | D)."""
-        material = (
-            struct.pack(">Q", sfl)
-            + master_key
-            + source.wire_id
-            + destination.wire_id
+        return derive_key(
+            struct.pack(">Q", sfl),
+            master_key,
+            source.wire_id,
+            destination.wire_id,
+            hash=self._suite.flow_key_hash.func,
         )
-        return self._suite.flow_key_hash.func(material)
 
     @staticmethod
-    def encryption_key(flow_key: bytes) -> bytes:
+    def encryption_key(flow_key: Key) -> Secret:
         """The DES key for a flow: the leading 8 bytes of K_f."""
         if len(flow_key) < 8:
             raise ValueError("flow key too short for a DES key")
-        return flow_key[:8]
+        return Secret(reveal(flow_key)[:8])
 
     @staticmethod
-    def mac_key(flow_key: bytes) -> bytes:
+    def mac_key(flow_key: Key) -> Secret:
         """The MAC key for a flow: the full K_f."""
-        return flow_key
+        return Secret(reveal(flow_key))
 
 
 class FlowCryptoState:
@@ -101,7 +103,11 @@ class FlowCryptoState:
     per-flow work leaking into the per-packet path.  Instances of this
     class ride in the TFKC/RFKC next to the flow key and precompute:
 
-    * ``mac_key`` (the full ``K_f`` under the default derivation);
+    * ``mac_key``, the full ``K_f`` as plain bytes: the expanded key
+      material below is bytes too, so the warm path opens no
+      :class:`~repro.crypto.secret.Secret`, and only this module and
+      :mod:`repro.crypto` may read it (``mac_lanes`` does, for the
+      protocol engine);
     * for prefix-keyed MACs, a hash object already fed the key -- each
       datagram clones it and absorbs only ``confounder | ts | body``;
     * for HMAC, the inner/outer pad states (the standard HMAC
@@ -122,10 +128,10 @@ class FlowCryptoState:
     _HMAC_BLOCK = 64
 
     def __init__(
-        self, flow_key: bytes, suite: AlgorithmSuite, tracer=None
+        self, flow_key: Key, suite: AlgorithmSuite, tracer=None
     ) -> None:
         self.flow_key = flow_key
-        self.mac_key = KeyDerivation.mac_key(flow_key)
+        self.mac_key = reveal(flow_key)
         self._mac_alg = suite.mac
         self._mac_bytes = suite.mac_bytes
         self._prefix = None
@@ -192,3 +198,10 @@ class FlowCryptoState:
         # An algorithm this fast path has no precomputation for: fall
         # back to the generic construction (still correct, just slower).
         return alg.func(self.mac_key, data)[: self._mac_bytes]
+
+
+def mac_lanes(states: Sequence[FlowCryptoState], inputs: Sequence[bytes]) -> List[bytes]:
+    """Keyed-MD5 lanes: each input's full MAC under its flow's state.
+    The protocol engine's MAC stage calls this rather than read the
+    states' key bytes itself."""
+    return _vector.keyed_md5_many([state.mac_key for state in states], inputs)

@@ -35,6 +35,7 @@ from repro.core.errors import UnknownPrincipalError
 from repro.core.keying import Principal
 from repro.crypto.dh import DHPrivateKey
 from repro.crypto.rsa import RSAPublicKey
+from repro.crypto.secret import Secret
 
 __all__ = ["MasterKeyDaemon"]
 
@@ -96,7 +97,7 @@ class MasterKeyDaemon:
 
     # -- the upcall interface (Figure 6) --------------------------------------
 
-    def upcall_master_key(self, peer: Principal) -> bytes:
+    def upcall_master_key(self, peer: Principal) -> Secret:
         """``Upcall(MKDaemon, D)``: return K_{S,D}, computing if needed.
 
         This is the kernel's entry point on an MKC miss in the send path
@@ -107,7 +108,7 @@ class MasterKeyDaemon:
 
     # -- keying ------------------------------------------------------------------
 
-    def master_key(self, peer: Principal) -> bytes:
+    def master_key(self, peer: Principal) -> Secret:
         """Return the pair-based master key with ``peer`` (MKC-cached)."""
         cached = self.mkc.lookup(peer.wire_id)
         if cached is not None:

@@ -41,13 +41,14 @@ from repro.core.errors import (
 )
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
 from repro.core.header import FBSHeader, header_length
-from repro.core.keying import FlowCryptoState, KeyDerivation, Principal
+from repro.core.keying import FlowCryptoState, KeyDerivation, Principal, mac_lanes
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.timestamps import FreshnessWindow, TimestampCodec
 from repro.crypto import modes
 from repro.crypto import vector as _vector
 from repro.crypto.mac import constant_time_equal
 from repro.crypto.random import LinearCongruential
+from repro.crypto.secret import Secret
 from repro.obs.events import (
     REJECTION_REASONS,
     DatagramAccepted,
@@ -286,7 +287,7 @@ class FBSEndpoint:
         """Wire bytes the security flow header adds to each datagram."""
         return self._header_len
 
-    def _build_crypto_state(self, flow_key: bytes) -> FlowCryptoState:
+    def _build_crypto_state(self, flow_key: Secret) -> FlowCryptoState:
         self._c_builds.inc()
         return FlowCryptoState(flow_key, self.config.suite, tracer=self.tracer)
 
@@ -334,8 +335,7 @@ class FBSEndpoint:
         from two datagrams on the vectorized pair, each flow's cached
         MAC otherwise."""
         if self._vector_ok and len(inputs) >= 2:
-            keys = [state.mac_key for state in states]
-            macs = _lanes(_vector.keyed_md5_many, keys, inputs)
+            macs = _lanes(mac_lanes, states, inputs)
             mac_bytes = self.config.suite.mac_bytes
             return macs if mac_bytes == 16 else [mac[:mac_bytes] for mac in macs]
         return list(map(FlowCryptoState.mac, states, inputs))

@@ -53,6 +53,7 @@ from repro.crypto.des_reference import (
     SHIFTS as _SHIFTS,
     permute as _permute,
 )
+from repro.crypto.secret import Key, reveal
 
 __all__ = ["DES", "BLOCK_SIZE", "reference"]
 
@@ -290,7 +291,8 @@ class DES:
     #: Process-wide count of key-schedule constructions (one per DES()).
     schedule_builds = 0
 
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: Key) -> None:
+        key = reveal(key)
         if len(key) != BLOCK_SIZE:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         DES.schedule_builds += 1

@@ -43,6 +43,8 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.crypto.secret import Secret
+
 __all__ = ["DHGroup", "DHPrivateKey", "WELL_KNOWN_GROUPS"]
 
 _OAKLEY1_P = int(
@@ -151,6 +153,6 @@ class DHPrivateKey:
         private = rng.getrandbits(bits) | 1 << (bits - 1)
         return cls(group=group, private=private)
 
-    def agree(self, peer_public: int) -> bytes:
+    def agree(self, peer_public: int) -> Secret:
         """Derive the pair-based master secret with a peer's public value."""
-        return self.group.shared_secret_bytes(self.private, peer_public)
+        return Secret(self.group.shared_secret_bytes(self.private, peer_public))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.crypto.md5 import MD5, md5
+from repro.crypto.secret import Key, reveal
 from repro.crypto.sha1 import SHA1, sha1
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 _BLOCK = 64
 
 
-def des_cbc_mac(key: bytes, data: bytes) -> bytes:
+def des_cbc_mac(key: Key, data: bytes) -> bytes:
     """DES CBC-MAC (FIPS 113 / ANSI X9.9 shape): the final CBC block.
 
     The paper's footnote 12: "For efficiency, DES could have been used
@@ -71,17 +72,18 @@ def des_cbc_mac_with(cipher, data: bytes) -> bytes:
     return state.to_bytes(8, "big")
 
 
-def keyed_md5(key: bytes, data: bytes) -> bytes:
+def keyed_md5(key: Key, data: bytes) -> bytes:
     """Prefix-keyed MD5: ``MD5(key | data)`` -- the paper's construction."""
-    return md5(key + data)
+    return md5(reveal(key) + data)
 
 
-def keyed_sha1(key: bytes, data: bytes) -> bytes:
+def keyed_sha1(key: Key, data: bytes) -> bytes:
     """Prefix-keyed SHA-1: ``SHA1(key | data)``."""
-    return sha1(key + data)
+    return sha1(reveal(key) + data)
 
 
-def _hmac(hash_cls: Callable, key: bytes, data: bytes, digest_size: int) -> bytes:
+def _hmac(hash_cls: Callable, key: Key, data: bytes, digest_size: int) -> bytes:
+    key = reveal(key)
     if len(key) > _BLOCK:
         key = hash_cls(key).digest()
     key = key.ljust(_BLOCK, b"\x00")
@@ -92,12 +94,12 @@ def _hmac(hash_cls: Callable, key: bytes, data: bytes, digest_size: int) -> byte
     return outer.digest()
 
 
-def hmac_md5(key: bytes, data: bytes) -> bytes:
+def hmac_md5(key: Key, data: bytes) -> bytes:
     """RFC 2104 HMAC-MD5."""
     return _hmac(MD5, key, data, 16)
 
 
-def hmac_sha1(key: bytes, data: bytes) -> bytes:
+def hmac_sha1(key: Key, data: bytes) -> bytes:
     """RFC 2104 HMAC-SHA1."""
     return _hmac(SHA1, key, data, 20)
 

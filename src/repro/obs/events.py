@@ -16,7 +16,8 @@ Design rules:
   constructed with -- never the wall clock (the report-determinism
   differential's clock shim would show it in a trace summary).
 * Events carry *identifiers* (sfl, cache name, reason), never key
-  material -- nothing here may ever hold a flow or master key (FBS001).
+  material -- nothing here may ever hold a flow or master key (a key is
+  a :class:`~repro.crypto.secret.Secret`, which renders ``<secret>``).
 * Rejection reasons are **mutually exclusive**: a failed ``unprotect``
   emits exactly one :class:`DatagramRejected` whose ``reason`` is drawn
   from :data:`REJECTION_REASONS`; every rejection counter anywhere in

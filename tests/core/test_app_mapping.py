@@ -81,7 +81,7 @@ class TestPrincipalGranularity:
         server = Principal.from_name("server@srv")
         k1 = apps["user1@shared"].endpoint.mkd.master_key(server)
         k2 = apps["user2@shared"].endpoint.mkd.master_key(server)
-        assert k1 != k2
+        assert k1.reveal() != k2.reveal()
 
     def test_both_users_can_talk(self):
         net, apps, _ = build_apps(

@@ -20,14 +20,14 @@ class TestAgreement:
         rng = random.Random(1)
         s = DHPrivateKey.generate(group, rng)
         d = DHPrivateKey.generate(group, rng)
-        assert s.agree(d.public) == d.agree(s.public)
+        assert s.agree(d.public).reveal() == d.agree(s.public).reveal()
 
     def test_pairwise_keys_differ(self, group):
         rng = random.Random(2)
         a = DHPrivateKey.generate(group, rng)
         b = DHPrivateKey.generate(group, rng)
         c = DHPrivateKey.generate(group, rng)
-        assert a.agree(b.public) != a.agree(c.public)
+        assert a.agree(b.public).reveal() != a.agree(c.public).reveal()
 
     def test_shared_secret_fixed_width(self, group):
         rng = random.Random(3)
@@ -75,7 +75,7 @@ class TestPrivateValueLength:
         for key in (s, d):
             assert key.private.bit_length() == min(256, group.p.bit_length() - 2)
             assert key.private < (group.p - 1) // 2
-        assert constant_time_equal(s.agree(d.public), d.agree(s.public))
+        assert constant_time_equal(s.agree(d.public).reveal(), d.agree(s.public).reveal())
 
     def test_constructor_keeps_the_full_range(self, group):
         key = DHPrivateKey(group=group, private=group.p - 3)

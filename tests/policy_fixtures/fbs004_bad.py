@@ -4,7 +4,7 @@ Checked as if it lived at ``src/repro/baselines/guard.py`` (the same
 source is quiet under a ``tests/`` logical path).
 """
 
-# fbslint: module=repro.baselines.guard
+# stands in for module repro.baselines.guard
 _TICKET_LEN = 24
 
 

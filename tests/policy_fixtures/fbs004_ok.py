@@ -3,7 +3,7 @@
 Checked as if it lived at ``src/repro/baselines/guard.py``.
 """
 
-# fbslint: module=repro.baselines.guard
+# stands in for module repro.baselines.guard
 _TICKET_LEN = 24
 
 

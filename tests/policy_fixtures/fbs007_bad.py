@@ -3,7 +3,7 @@
 Checked as if it lived at ``src/repro/core/protocol.py``.
 """
 
-# fbslint: module=repro.core.protocol
+# stands in for module repro.core.protocol
 class FBSEndpoint:
     def protect(self, body):
         try:

@@ -4,7 +4,7 @@ handle what they catch.
 Checked as if it lived at ``src/repro/core/protocol.py``.
 """
 
-# fbslint: module=repro.core.protocol
+# stands in for module repro.core.protocol
 from repro.core.errors import HeaderFormatError
 
 

@@ -4,7 +4,7 @@ Checked as if it lived at ``src/repro/netsim/parallel.py`` (the same
 source fails under any ``src/`` logical path, ``repro.load`` included).
 """
 
-# fbslint: module=repro.netsim.parallel
+# stands in for module repro.netsim.parallel
 import multiprocessing  # banned here
 import os
 from concurrent.futures import ProcessPoolExecutor  # banned here

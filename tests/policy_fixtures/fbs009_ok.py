@@ -4,7 +4,7 @@ Checked as if it lived at ``src/repro/load/worker.py``: the replay runs
 in this process, one spec after another.
 """
 
-# fbslint: module=repro.load.worker
+# stands in for module repro.load.worker
 
 
 def replay_all(run_worker, specs):

@@ -180,13 +180,13 @@ class SoftState(RuleBasedStateMachine):
         cache = self.bob.rfkc if receiver else self.alice.tfkc
         entry = cache.lookup_entry(sfl, self.bob.principal.wire_id, self.alice.principal.wire_id)
         if entry is not None:
-            self.stolen[key(FBS, Datagram(("alice", "bob"), sfl, 0), 1)] = entry.flow_key
+            self.stolen[key(FBS, Datagram(("alice", "bob"), sfl, 0), 1)] = entry.flow_key.reveal()
 
     @rule(carol=st.booleans())
     def leak_master(self, carol):
         """Read K_{S,D} of alice's (or carol's) pair with bob out of bob's MKD."""
         sender = self.carol if carol else self.alice
-        master = self.bob.mkd.master_key(sender.principal)
+        master = self.bob.mkd.master_key(sender.principal).reveal()
         self.stolen[key(FBS, Datagram((sender.principal.name, "bob"), 0, 0), 0)] = master
 
     @rule(

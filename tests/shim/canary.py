@@ -1,4 +1,4 @@
-"""Key canaries: every key the running code derives, then a search for it.
+"""Key canaries: every key the running code makes, then a search for it.
 
 The paper's security argument (Sections 5.2 and 6.1) needs ``K_{S,D}``
 and ``K_f`` to stay secret.  The clock-offset shim
@@ -6,9 +6,10 @@ and ``K_f`` to stay secret.  The clock-offset shim
 shim side of ``tests/test_report_determinism.py``, child processes
 included.  From then on
 
-* each value FBS001's source calls return -- ``flow_key``,
-  ``master_key``, ``encryption_key``, ``mac_key`` and ``agree`` -- is
-  written once to file descriptor 2 as a :data:`RECORD` line;
+* every :class:`~repro.crypto.secret.Secret` constructed -- each key
+  producer returns one, the baselines' included, so a new producer
+  cannot be left off a list -- is written once to file descriptor 2 as
+  a :data:`RECORD` line naming the function that made it;
 * the root logger renders every record at DEBUG and up on stderr, so a
   ``log.debug`` leak shows;
 * each :class:`~repro.core.errors.FBSError` logs its type and text when
@@ -20,50 +21,34 @@ each of :func:`forms`.
 """
 
 import base64
-import functools
 import importlib
 import logging
 import os
 import re
+import sys
 
-__all__ = ["RECORD", "SOURCES", "forms", "install", "leaks"]
+__all__ = ["RECORD", "forms", "install", "leaks"]
 
-#: FBS001's source calls: ``(module, class, method)``.
-SOURCES = (
-    ("repro.core.keying", "KeyDerivation", "flow_key"),
-    ("repro.core.keying", "KeyDerivation", "encryption_key"),
-    ("repro.core.keying", "KeyDerivation", "mac_key"),
-    ("repro.core.mkd", "MasterKeyDaemon", "master_key"),
-    ("repro.crypto.dh", "DHPrivateKey", "agree"),
-)
-#: One recorded key: ``fbs-canary <source> <hex>``.
-RECORD = re.compile(rb"^fbs-canary (\w+) ([0-9a-f]+)\n", re.MULTILINE)
-
-
-def _recording(function, name, seen):
-    @functools.wraps(function)
-    def recorded(*args, **kwargs):
-        key = function(*args, **kwargs)
-        if key not in seen:
-            seen.add(key)
-            # One short write: lines from several processes sharing fd 2
-            # (a producer's child processes) do not interleave.
-            os.write(2, b"fbs-canary %s %s\n" % (name.encode(), key.hex().encode()))
-        return key
-
-    return recorded
+#: One recorded key: ``fbs-canary <maker> <hex>``.
+RECORD = re.compile(rb"^fbs-canary (\S+) ([0-9a-f]+)\n", re.MULTILINE)
 
 
 def install():
     """Record every key from now on, and render logs and FBSError texts."""
+    secret = importlib.import_module("repro.crypto.secret").Secret
+    made_secret = secret.__init__
     seen = set()
-    for module, owner, name in SOURCES:
-        cls = getattr(importlib.import_module(module), owner)
-        held = cls.__dict__[name]
-        if isinstance(held, staticmethod):
-            setattr(cls, name, staticmethod(_recording(held.__func__, name, seen)))
-        else:
-            setattr(cls, name, _recording(held, name, seen))
+
+    def recorded(self, key):
+        made_secret(self, key)
+        if key not in seen:
+            seen.add(key)
+            maker = sys._getframe(1).f_code.co_name
+            # One short write: lines from several processes sharing fd 2
+            # (a producer's child processes) do not interleave.
+            os.write(2, b"fbs-canary %s %s\n" % (maker.encode(), key.hex().encode()))
+
+    secret.__init__ = recorded
 
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

@@ -97,6 +97,8 @@ def test_the_scalar_round_is_four_table_subscripts():
 def test_each_crypto_stage_chooses_its_kernel_in_one_place():
     # _macs (send and receive), _encrypt and _decrypt: each holds its
     # stage's one lane kernel call and is the only reader of _vector_ok.
+    # The MAC lanes take the flows' key bytes, so _macs hands the states
+    # to keying.mac_lanes, the one caller of keyed_md5_many.
     (endpoint,) = [
         node
         for node in _tree(SRC / "core" / "protocol.py").body
@@ -105,6 +107,8 @@ def test_each_crypto_stage_chooses_its_kernel_in_one_place():
     kernels, readers = [], []
     for method in _functions(endpoint):
         for node in ast.walk(method):
+            if isinstance(node, ast.Name) and node.id == "mac_lanes":
+                kernels.append((node.id, method.name))
             if not isinstance(node, ast.Attribute):
                 continue
             if ast.unparse(node.value) == "_vector" and node.attr.endswith("_many"):
@@ -114,9 +118,15 @@ def test_each_crypto_stage_chooses_its_kernel_in_one_place():
     assert sorted(kernels) == [
         ("cbc_decrypt_many", "_decrypt"),
         ("cbc_encrypt_many", "_encrypt"),
-        ("keyed_md5_many", "_macs"),
+        ("mac_lanes", "_macs"),
     ]
     assert sorted(readers) == ["_decrypt", "_encrypt", "_macs"]
+    callers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "keyed_md5_many(" in path.read_text(encoding="utf-8")
+    ]
+    assert callers == ["core/keying.py", "crypto/vector/md5.py"]
 
 
 def test_the_lane_package_imports_its_kernels_outright():

@@ -5,7 +5,10 @@ passes, continues or is ``...`` (a swallowed failure is an invisible
 one); no process fan-out anywhere in ``src/`` (soft state and trace
 sinks are not fork-safe, and every replay runs in process, DESIGN.md
 section 10).  Each finder also runs over its
-``tests/analysis/fixtures/fbs00N_bad.py`` negative control and ``_ok.py`` twin."""
+``tests/policy_fixtures/fbs00N_bad.py`` negative control and ``_ok.py``
+twin.  Two more rules of the same kind close the file: every JSON dump
+in ``src/repro`` sorts its keys, and the blocking-call audit hook is
+defined once and shared."""
 
 import ast
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-FIXTURES = REPO / "tests" / "analysis" / "fixtures"
+FIXTURES = REPO / "tests" / "policy_fixtures"
 
 
 def asserts(node):
@@ -79,3 +82,38 @@ def test_the_bad_fixture_fails_where_recorded_and_its_twin_passes(finder):
     (fan_out, "src/repro/load/worker.py", True)], ids=lambda value: getattr(value, "__name__", value))
 def test_the_policy_covers_where_it_should(finder, home, covered):
     assert bool(located(finder, FIXTURES / f"{POLICY[finder][1]}_bad.py", home)) is covered
+
+
+def test_every_json_dump_in_src_sorts_its_keys():
+    # Dict order is insertion order, so this is style, not determinism:
+    # a report's bytes should not depend on the order code built it in.
+    sites = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "json.dump", "json.dumps"
+            ):
+                assert "sort_keys" in {kw.arg for kw in node.keywords}, (path, node.lineno)
+                sites.append(path.name)
+    assert len(sites) == 3
+
+
+def test_the_audit_hook_is_defined_once_and_shared():
+    tests = REPO / "tests"
+    hooks = [
+        path.relative_to(tests).as_posix()
+        for path in sorted(tests.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.addaudithook"
+    ]
+    assert hooks == ["shim/loopguard.py"]
+    for user in ("conftest.py", "shim/sitecustomize.py"):
+        tree = ast.parse((tests / user).read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "loopguard" in imported, user
+        assert "loopguard.install()" in ast.unparse(tree), user
